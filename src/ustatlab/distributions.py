@@ -5,6 +5,12 @@ consumer is keyed by (master seed, substream id), so the k-th draw of any
 substream is a pure function of (master seed, substream id, k). Replicas
 seeded this way give identical results no matter how work is scheduled
 across threads.
+
+`draw_iid` is the reference sampler: one numpy Philox Generator per
+substream. `draw_iid_batch` produces the same draws for a whole stack of
+substreams at once. Philox is counter-based, so every substream's words
+come out of one vectorized Philox4x64-10 pass (Salmon et al., SC'11), and
+they are mapped to draws exactly as numpy's Generator maps them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,10 @@ __all__ = [
     "EnumerationBudgetError",
     "substream",
     "mix_ids",
+    "mix_ids_batch",
+    "philox4x64",
     "draw_iid",
+    "draw_iid_batch",
     "exact_expectation",
 ]
 
@@ -146,10 +155,60 @@ def mix_ids(*ids: int) -> int:
     return acc
 
 
+_MASK32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+# Philox4x64 multipliers and key increments (Salmon et al., SC'11), shaped
+# to act on the (c0, c2) / (c1, c3) lane pairs of a (2, R, blocks) state.
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+
+
+def mix_ids_batch(*ids) -> np.ndarray:
+    """`mix_ids` elementwise over broadcast integer arrays, as uint64."""
+    acc = np.full(np.broadcast_shapes(*(np.shape(v) for v in ids)), 0x9E3779B97F4A7C15, np.uint64)
+    for value in ids:
+        if isinstance(value, int):
+            value = np.uint64(value & 0xFFFFFFFFFFFFFFFF)
+        acc = (acc ^ np.asarray(value).astype(np.uint64)) * np.uint64(0xBF58476D1CE4E5B9)
+        acc = (acc ^ (acc >> np.uint64(31))) * np.uint64(0x94D049BB133111EB)
+        acc ^= acc >> np.uint64(29)
+    return acc
+
+
 def substream(master_seed: int, *ids: int) -> np.random.Generator:
     """A generator whose state is a pure function of (master_seed, ids, draw index)."""
     key = np.array([int(master_seed) % 2**64, mix_ids(*ids)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
+    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
+    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
+    hi_lo = a_hi * b_lo
+    cross = ((a_lo * b_lo) >> _SHIFT32) + (hi_lo & _MASK32) + a_lo * b_hi
+    return a_hi * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
+
+
+def philox4x64(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """Philox4x64-10 output words for a stack of keys, shape (R, 4 * blocks).
+
+    Row r equals `np.random.Philox(key=keys[r]).random_raw(4 * blocks)`:
+    numpy starts the counter at zero and bumps it before each block, so
+    block b is keyed by counter (b + 1, 0, 0, 0).
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    rows = keys.shape[0]
+    key = keys.T[:, :, None].copy()
+    even = np.zeros((2, rows, blocks), dtype=np.uint64)  # words (c0, c2)
+    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    odd = np.zeros_like(even)  # words (c1, c3)
+    for step in range(10):
+        if step:
+            key += _PHILOX_W
+        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
+        even, odd = _mulhi(_PHILOX_M, even)[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
+    return np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(rows, 4 * blocks)
 
 
 def draw_iid(spec: SamplerSpec, n: int, stream: int) -> np.ndarray:
@@ -170,6 +229,42 @@ def draw_iid(spec: SamplerSpec, n: int, stream: int) -> np.ndarray:
         return rng.standard_normal((n, spec.space.dim)) * scale
     idx = rng.choice(spec.dist.size, size=n, p=spec.dist.probs)
     return np.array(spec.dist.atoms[idx], dtype=np.float64)
+
+
+def draw_iid_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
+    """`np.stack([draw_iid(spec, n, s) for s in streams])`, bit for bit.
+
+    The Philox words of every stream are produced in one vectorized pass and
+    mapped the way numpy's Generator maps them: `integers` takes Lemire's
+    bounded value of each uint32 (low half of each word first), `choice`
+    searches (word >> 11) * 2**-53 in the normalized cdf. A stream where
+    Lemire's method would reject a draw is recomputed with `draw_iid`, as is
+    every stream of the ziggurat-based discretized-gaussian kind.
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    streams = np.asarray(streams, dtype=np.uint64)
+    if spec.kind == "discretized-gaussian":
+        return np.stack([draw_iid(spec, n, int(s)) for s in streams])
+    seeds = np.full(streams.shape, spec.seed_stream, dtype=np.uint64)
+    keys = np.stack([seeds, mix_ids_batch(streams)], axis=1)
+    if spec.kind == "finite":
+        raw = philox4x64(keys, -(-n // 4))[:, :n]
+        cdf = spec.dist.probs.cumsum()
+        cdf /= cdf[-1]
+        idx = cdf.searchsorted((raw >> np.uint64(11)) * (1.0 / 2**53), side="right")
+        return np.array(spec.dist.atoms[idx], dtype=np.float64)
+    k = 2 if spec.kind == "rademacher" else spec.grid_points
+    raw = philox4x64(keys, -(-n // 8))
+    words = np.stack([raw & _MASK32, raw >> _SHIFT32], axis=-1).reshape(raw.shape[0], -1)[:, :n]
+    scaled = words * np.uint64(k)
+    idx = scaled >> _SHIFT32
+    if spec.kind == "rademacher":
+        return idx.astype(np.float64) * 2.0 - 1.0
+    out = np.linspace(-1.0, 1.0, k)[idx]
+    for r in np.flatnonzero(((scaled & _MASK32) < (2**32 - k) % k).any(axis=1)):
+        out[r] = draw_iid(spec, n, int(streams[r]))
+    return out
 
 
 def exact_expectation(

@@ -37,6 +37,7 @@ __all__ = [
     "decoupled",
     "DecoupledSample",
     "running_max",
+    "running_max_norms",
     "RunningMaxResult",
     "running_max_embedding_check",
     "WeightScheme",
@@ -281,11 +282,7 @@ def running_max(kernel: KernelSpec, sample) -> RunningMaxResult:
     dim = kernel.codomain.dim
     grouped = _grouped_columns(m, n) if kernel.eval_batch is not None else None
     if grouped is not None:
-        cols, starts = grouped
-        gathered = tuple(rows[cols[j]] for j in range(m))
-        vals = batch_values(kernel, gathered)
-        increments = np.add.reduceat(vals, starts, axis=0)
-        prefixes = np.cumsum(increments, axis=0)
+        prefixes = _prefix_sums(kernel, rows[None], grouped)[0]
     else:
         prefixes = np.empty((n - m + 1, dim))
         acc = np.zeros(dim)
@@ -306,6 +303,30 @@ def running_max(kernel: KernelSpec, sample) -> RunningMaxResult:
         max_norm=float(norms[arg]),
         argmax_prefix=arg + m,
     )
+
+
+def _prefix_sums(kernel: KernelSpec, samples: np.ndarray, grouped) -> np.ndarray:
+    """Prefix statistics U_{n'}, n' = m..n, of a stack of samples.
+
+    samples has shape (R, n) or (R, n, d_in); the result is (R, n - m + 1,
+    dim). One batch of kernel values covers every tuple of every sample, and
+    each sample's groups are summed and accumulated along axis 1 exactly as
+    a lone sample's would be, so the result does not depend on R.
+    """
+    cols, starts = grouped
+    gathered = tuple(np.take(samples, c, axis=1).reshape((-1,) + samples.shape[2:]) for c in cols)
+    vals = batch_values(kernel, gathered).reshape(samples.shape[0], cols[0].size, -1)
+    return np.cumsum(np.add.reduceat(vals, starts, axis=1), axis=1)
+
+
+def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
+    """`running_max(kernel, s).max_norm` for each sample s of a stack, bit for bit."""
+    samples = np.asarray(samples, dtype=np.float64)
+    m, n = kernel.arity, samples.shape[1]
+    grouped = _grouped_columns(m, n) if kernel.eval_batch is not None and n >= m else None
+    if grouped is None:
+        return np.array([running_max(kernel, s).max_norm for s in samples])
+    return row_norms(kernel.codomain, _prefix_sums(kernel, samples, grouped)).max(axis=1)
 
 
 def running_max_embedding_check(kernel: KernelSpec, sample) -> float:

@@ -288,3 +288,50 @@ class TestMain:
         out = tmp_path / "out"
         main(["estimate", "--config", path, "--seed", "9", "--out", str(out)])
         assert read_manifest(out)["master_seed"] == 9
+
+
+class TestTailscanDigests:
+    """Output digests recorded with the per-replica sampler, before replicas
+    were drawn and reduced in batches; every later version must match them."""
+
+    CONFIG = """\
+version: 1
+experiment: tailscan
+seed: %d
+replicas: 2000
+sample_size: 40
+kernel:
+  name: %s
+sampler:
+  kind: %s
+x_grid:
+  start: %s
+  stop: %s
+  points: %d
+  scale: log
+"""
+    CASES = {
+        "product-rademacher": (
+            (2024, "product", "rademacher", 0.2, 6.0, 24),
+            "ff2af07709d6b57ec05e43fc20e438c274aa3fa77ee25f5e39fcb5cd00c2eb60",
+            "e697321a8bb4123e96fb447b21d48af0fdeafa33ab1c121deeea72c5ddd4dfa0",
+        ),
+        "coordinate-grid7": (
+            (800, "coordinate", "uniform-grid\n  grid_points: 7", 0.05, 3.0, 20),
+            "6e3b7565fdae342cad1640cce241e59bdab1f0fdec5ccd08fe85262d782d5a4e",
+            "e74351246a1e3831a9e88ff62bc3c4809de4ac58902e7b273f938edb94546f6e",
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_digests_are_pinned(self, tmp_path, case, threads):
+        params, csv_digest, dat_digest = self.CASES[case]
+        cfg = parse_config_text(self.CONFIG % params)
+        assert run("tailscan", cfg, out_dir=str(tmp_path), threads=threads) == EXIT_OK
+        assert sha256(tmp_path / "tailscan.csv") == csv_digest
+        assert sha256(tmp_path / "tailscan.dat") == dat_digest
+        assert read_manifest(tmp_path)["outputs"] == {
+            "tailscan.csv": csv_digest,
+            "tailscan.dat": dat_digest,
+        }
