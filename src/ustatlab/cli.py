@@ -720,12 +720,6 @@ def _build_kernel(cfg: ConfigFile, sampler: SamplerSpec) -> KernelSpec:
     return kernel
 
 
-def _build_design(d: DesignConfig) -> SamplingDesign:
-    if d.kind == "bernoulli":
-        return SamplingDesign(kind=d.kind, rate=d.rate)
-    return SamplingDesign(kind=d.kind, size=d.size)
-
-
 def _load_sample(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec) -> np.ndarray:
     if cfg.data is not None and cfg.data.values is not None:
         rows = [list(v) if isinstance(v, tuple) else [v] for v in cfg.data.values]

@@ -15,7 +15,7 @@ they are mapped to draws exactly as numpy's Generator maps them.
 
 from __future__ import annotations
 
-import hashlib
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable
@@ -82,13 +82,21 @@ class FiniteDistribution:
         """The i-th atom, as a scalar for 1-d laws or a coordinate row."""
         return float(self.atoms[i]) if self.atoms.ndim == 1 else self.atoms[i]
 
-    def cache_token(self) -> bytes:
-        """Stable content digest, used to memoize derived quantities."""
-        h = hashlib.sha256()
-        h.update(str(self.atoms.shape).encode())
-        h.update(self.atoms.tobytes())
-        h.update(self.probs.tobytes())
-        return h.digest()
+    def index_of(self, values) -> np.ndarray:
+        """Atom index of each point in `values`, matched by exact value.
+
+        Points run along the leading axes: scalars for a 1-d law, rows for a
+        2-d law. Raises ValueError naming the first point that is not an atom.
+        """
+        point = self.atoms.shape[1:]
+        flat = np.asarray(values, dtype=np.float64).reshape((-1,) + point)
+        atoms, keys = _point_keys(self.atoms), _point_keys(flat)
+        order = np.argsort(atoms)
+        pos = order[np.minimum(np.searchsorted(atoms, keys, sorter=order), self.size - 1)]
+        missing = np.flatnonzero(atoms[pos] != keys)
+        if missing.size:
+            raise ValueError(f"{flat[missing[0]].tolist()!r} is not an atom of the law")
+        return pos.reshape(np.shape(values)[: np.ndim(values) - len(point)])
 
     @classmethod
     def rademacher(cls) -> "FiniteDistribution":
@@ -99,7 +107,22 @@ class FiniteDistribution:
         """Uniform law on k evenly spaced points of [-1, 1] (k >= 2)."""
         if k < 2:
             raise ValueError("uniform-grid needs at least 2 points")
-        return cls(np.linspace(-1.0, 1.0, k), np.full(k, 1.0 / k))
+        return cls(_grid(k), np.full(k, 1.0 / k))
+
+
+def _point_keys(points: np.ndarray) -> np.ndarray:
+    """One sortable key per point: the value itself, or a record of its coordinates."""
+    if points.ndim == 1:
+        return points
+    return np.ascontiguousarray(points).view(np.dtype([("", np.float64)] * points.shape[1]))[:, 0]
+
+
+@functools.lru_cache(maxsize=4)
+def _grid(k: int) -> np.ndarray:
+    """The uniform-grid atoms np.linspace(-1, 1, k), built once per k, read-only."""
+    grid = np.linspace(-1.0, 1.0, k)
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -223,7 +246,7 @@ def draw_iid(spec: SamplerSpec, n: int, stream: int) -> np.ndarray:
     if spec.kind == "rademacher":
         return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
     if spec.kind == "uniform-grid":
-        return np.linspace(-1.0, 1.0, spec.grid_points)[rng.integers(0, spec.grid_points, size=n)]
+        return _grid(spec.grid_points)[rng.integers(0, spec.grid_points, size=n)]
     if spec.kind == "discretized-gaussian":
         scale = np.sqrt(spec.space.weights)
         return rng.standard_normal((n, spec.space.dim)) * scale
@@ -261,7 +284,7 @@ def draw_iid_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
     idx = scaled >> _SHIFT32
     if spec.kind == "rademacher":
         return idx.astype(np.float64) * 2.0 - 1.0
-    out = np.linspace(-1.0, 1.0, k)[idx]
+    out = _grid(k)[idx]
     for r in np.flatnonzero(((scaled & _MASK32) < (2**32 - k) % k).any(axis=1)):
         out[r] = draw_iid(spec, n, int(streams[r]))
     return out

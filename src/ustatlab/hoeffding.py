@@ -12,22 +12,32 @@ U-statistic then decomposes as
     U_{m,n}(h) = sum_{k=0}^{m} binom(m, k) * [binom(n, m)/binom(n, k)] * U_{k,n}(h_k),
 
 which `decomposition_check` verifies term by term on a concrete sample.
-Expectations are exact enumerations over finite supports; a Monte Carlo
-plug-in variant covers laws without enumerable support.
+
+Under a finite law with A atoms an exact projection is a dense table of
+shape (A,) * k + (dim,) over the support: the kernel is evaluated once on
+every tuple of atoms, the partial expectations are contractions of that
+table with the probabilities (`kernels.partial_expectations`), and h_k
+follows by the inclusion-exclusion above. Evaluating h_k maps each argument
+to its atom by exact value and reads the table; an argument off the support
+raises ValueError. A Monte Carlo plug-in variant covers laws without
+enumerable support.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .distributions import FiniteDistribution, SamplerSpec, draw_iid, exact_expectation, mix_ids
+from .distributions import FiniteDistribution, SamplerSpec, draw_iid, mix_ids
 from .hilbert import row_norms
-from .kernels import KernelSpec, _as_row
+from .kernels import KernelSpec, batch_values, partial_expectations
+from .ustats import complete
 
 __all__ = [
     "ProjectedKernel",
@@ -42,97 +52,42 @@ __all__ = [
 DEGENERACY_TOL = 1e-9
 
 
-def _arg_key(value) -> bytes:
-    arr = np.asarray(value, dtype=np.float64)
-    return arr.tobytes()
-
-
-def _canonical_key(args) -> tuple[bytes, ...]:
-    # symmetric kernels let us sort pinned arguments for better cache reuse
-    return tuple(sorted(_arg_key(a) for a in args))
-
-
-class _ExactPartials:
-    """Memoized E[h(fixed, xi, ..., xi)] with the tail enumerated exactly."""
-
-    def __init__(self, base: KernelSpec, dist: FiniteDistribution):
-        self.base = base
-        self.dist = dist
-        self.table: dict = {}
-
-    def mean(self, fixed: tuple) -> np.ndarray:
-        key = _canonical_key(fixed)
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        dim = self.base.codomain.dim
-        tail = self.base.arity - len(fixed)
-        value = exact_expectation(
-            lambda *rest: _as_row(self.base.eval_one(*fixed, *rest), dim),
-            self.dist,
-            tail,
-        )
-        value = np.asarray(value, dtype=np.float64).reshape(dim)
-        self.table[key] = value
-        return value
-
-
-class _PlugInPartials:
-    """Tail expectations replaced by a fixed Monte Carlo sample mean."""
-
-    def __init__(self, base: KernelSpec, sampler: SamplerSpec, draws: int, stream: int):
-        self.base = base
-        self.draws = draws
-        self.table: dict = {}
-        # one shared tail sample per tail length keeps h_k a consistent
-        # functional of the same empirical measure
-        self.tails = {
-            t: np.stack(
-                [draw_iid(sampler, draws, mix_ids(stream, 9100 + t, pos)) for pos in range(t)],
-                axis=1,
-            )
-            if t > 0
-            else None
-            for t in range(base.arity + 1)
-        }
-
-    def mean(self, fixed: tuple) -> np.ndarray:
-        key = _canonical_key(fixed)
-        hit = self.table.get(key)
-        if hit is not None:
-            return hit
-        dim = self.base.codomain.dim
-        tail = self.base.arity - len(fixed)
-        if tail == 0:
-            value = _as_row(self.base.eval_one(*fixed), dim)
-        else:
-            rows = self.tails[tail]
-            acc = np.zeros(dim)
-            for r in range(self.draws):
-                acc += _as_row(self.base.eval_one(*fixed, *rows[r]), dim)
-            value = acc / self.draws
-        self.table[key] = value
-        return value
+def _inclusion_exclusion(k: int, pinned: Callable[[tuple], np.ndarray]) -> np.ndarray:
+    """sum_j (-1)^(k-j) sum_{u in Inc^j_k} pinned(u), j ascending, u in combinations order."""
+    acc = 0.0
+    for j in range(k + 1):
+        sign = -1.0 if (k - j) % 2 else 1.0
+        for u in itertools.combinations(range(k), j):
+            acc = acc + sign * pinned(u)
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
 class ProjectedKernel:
-    """The order-k projection h_k of a symmetric base kernel."""
+    """The order-k projection h_k of a symmetric base kernel.
+
+    An exact projection holds h_k as a read-only table of shape
+    (A,) * k + (dim,) over the atoms of `support`. A plug-in projection
+    (`project_mc`) has no table; it evaluates the inclusion-exclusion from
+    `partials`, which maps the pinned arguments to a Monte Carlo tail mean.
+    """
 
     base: KernelSpec
     order: int
-    partials: object
+    table: np.ndarray | None = None
+    support: FiniteDistribution | None = None
+    partials: Callable[[tuple], np.ndarray] | None = None
 
     def eval(self, *args) -> np.ndarray:
         if len(args) != self.order:
             raise ValueError(f"projection has order {self.order}, got {len(args)} arguments")
-        dim = self.base.codomain.dim
-        acc = np.zeros(dim)
-        for j in range(self.order + 1):
-            sign = -1.0 if (self.order - j) % 2 else 1.0
-            for u in itertools.combinations(range(self.order), j):
-                acc += sign * self.partials.mean(tuple(args[i] for i in u))
-        return acc
+        if self.table is None:
+            return _inclusion_exclusion(self.order, lambda u: self.partials(tuple(args[i] for i in u)))
+        return np.array(self._lookup(*args))
+
+    def _lookup(self, *cols) -> np.ndarray:
+        """Table entries at the atoms of each argument column, matched exactly."""
+        return self.table[tuple(self.support.index_of(c) for c in cols)]
 
     def as_kernel(self) -> KernelSpec:
         """Repackage as a kernel of arity k for use in U-statistics."""
@@ -142,31 +97,46 @@ class ProjectedKernel:
             arity=self.order,
             codomain=self.base.codomain,
             eval_one=self.eval,
+            eval_batch=None if self.table is None else self._lookup,
             symmetric=True,
             name=f"proj{self.order}({self.base.name})",
         )
 
 
-def project(base: KernelSpec, dist: FiniteDistribution, k: int) -> ProjectedKernel:
-    """Exact order-k projection of a symmetric kernel under a finite law.
-
-    Results are memoized per (base, dist, k); repeated calls share the
-    underlying table of partial expectations.
-    """
+def _check_projectable(base: KernelSpec, k: int) -> None:
     if not base.symmetric:
         raise ValueError("projection requires a symmetric kernel; call symmetrize first")
     if not 0 <= k <= base.arity:
         raise ValueError(f"projection order must lie in [0, {base.arity}], got {k}")
-    token = dist.cache_token()
-    partials = base._cache.get(("partials", token))
-    if partials is None:
-        partials = _ExactPartials(base, dist)
-        base._cache[("partials", token)] = partials
-    proj = base._cache.get(("proj", token, k))
-    if proj is None:
-        proj = ProjectedKernel(base=base, order=k, partials=partials)
-        base._cache[("proj", token, k)] = proj
-    return proj
+
+
+def _projections(base: KernelSpec, dist: FiniteDistribution, top: int) -> list[ProjectedKernel]:
+    """Exact projections h_0, ..., h_top from one evaluation of the kernel on the support.
+
+    Entry (i_1, ..., i_k) of the h_k table is the inclusion-exclusion of the
+    partial expectations at the pinned atoms (i_u for u in Inc^j_k).
+    """
+    _check_projectable(base, top)
+    partials = partial_expectations(base, dist, top)
+    size, dim = dist.size, base.codomain.dim
+    out = []
+    for k in range(top + 1):
+        # M_j spread over the pinned axes u of the (A,) * k grid
+        table = _inclusion_exclusion(
+            k, lambda u: partials[len(u)].reshape([size if a in u else 1 for a in range(k)] + [dim])
+        )
+        table.setflags(write=False)
+        out.append(ProjectedKernel(base=base, order=k, table=table, support=dist))
+    return out
+
+
+def project(base: KernelSpec, dist: FiniteDistribution, k: int) -> ProjectedKernel:
+    """Exact order-k projection of a symmetric kernel under a finite law.
+
+    Raises EnumerationBudgetError when the law has more than
+    ENUMERATION_BUDGET tuples of `base.arity` atoms.
+    """
+    return _projections(base, dist, k)[k]
 
 
 def project_mc(
@@ -182,13 +152,30 @@ def project_mc(
     values carry O(draws**-0.5) error; compare against the exact mode with a
     4-standard-error tolerance when the law is actually finite.
     """
-    if not base.symmetric:
-        raise ValueError("projection requires a symmetric kernel; call symmetrize first")
-    if not 0 <= k <= base.arity:
-        raise ValueError(f"projection order must lie in [0, {base.arity}], got {k}")
+    _check_projectable(base, k)
     if draws < 2:
         raise ValueError("draws must be at least 2")
-    return ProjectedKernel(base=base, order=k, partials=_PlugInPartials(base, sampler, draws, stream))
+    # one shared tail sample per tail length keeps h_k a consistent
+    # functional of the same empirical measure; tails[t] holds t columns
+    tails = [
+        tuple(draw_iid(sampler, draws, mix_ids(stream, 9100 + t, pos)) for pos in range(t))
+        for t in range(base.arity + 1)
+    ]
+
+    def tail_mean(fixed: tuple) -> np.ndarray:
+        tail = tails[base.arity - len(fixed)]
+        rows = draws if tail else 1
+        pinned = tuple(np.broadcast_to(np.asarray(a, np.float64), (rows,) + np.shape(a)) for a in fixed)
+        return np.add.reduce(batch_values(base, pinned + tail), axis=0) / rows
+
+    return ProjectedKernel(base=base, order=k, partials=tail_mean)
+
+
+def _nondecreasing(size: int, k: int) -> np.ndarray:
+    """Mask of the index tuples i_1 <= ... <= i_k of a (size,) * k grid."""
+    ix = np.indices((size,) * k, sparse=True)
+    ordered = (a <= b for a, b in zip(ix, ix[1:]))
+    return functools.reduce(np.logical_and, ordered, np.ones((size,) * k, dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -220,20 +207,12 @@ def degeneracy_order(
     """
     m = base.arity
     space = base.codomain
-    h0 = project(base, dist, 0).eval()
-    residuals = []
-    order = None
-    for k in range(1, m + 1):
-        proj = project(base, dist, k)
-        worst = 0.0
-        for combo in itertools.combinations_with_replacement(range(dist.size), k):
-            args = tuple(dist.atom(i) for i in combo)
-            worst = max(worst, float(row_norms(space, proj.eval(*args))))
-        residuals.append(worst)
-        if order is None and worst > tol:
-            order = k
-    if order is None:
-        order = m
+    h0, *tables = (proj.table for proj in _projections(base, dist, m))
+    residuals = [
+        float(row_norms(space, table[_nondecreasing(dist.size, k)]).max())
+        for k, table in enumerate(tables, start=1)
+    ]
+    order = next((k for k, worst in enumerate(residuals, start=1) if worst > tol), m)
     declared = base.declared_degeneracy
     matches = None if declared is None else (declared == order)
     if matches is False:
@@ -269,37 +248,24 @@ def decomposition_check(
 ) -> DecompositionCheck:
     """Verify U_{m,n}(h) = sum_k binom(m,k) [binom(n,m)/binom(n,k)] U_{k,n}(h_k).
 
-    The left side is a direct sum over increasing index tuples; the right
-    side evaluates every projection exactly. The sample must be drawn from
-    the support of dist (projections are exact only there).
+    The left side is the complete statistic of the kernel itself; the right
+    side sums the complete statistics of the projection tables. Both go
+    through `ustats.complete`. The sample must be drawn from the support of
+    dist (projections are exact only there); a point off the support raises
+    ValueError.
     """
-    sample = np.asarray(sample, dtype=np.float64)
-    n = sample.shape[0]
-    m = base.arity
-    if n < m:
-        raise ValueError(f"sample of size {n} cannot feed an arity-{m} kernel")
-    dim = base.codomain.dim
-
-    lhs = np.zeros(dim)
-    for combo in itertools.combinations(range(n), m):
-        lhs += _as_row(base.eval_one(*(sample[i] for i in combo)), dim)
-
-    rhs = np.zeros(dim)
+    lhs = complete(base, sample).coords
+    n, m, space = len(sample), base.arity, base.codomain
+    rhs = np.zeros(space.dim)
     per_order = []
-    for k in range(m + 1):
-        proj = project(base, dist, k)
-        if k == 0:
-            u_k = proj.eval()
-        else:
-            u_k = np.zeros(dim)
-            for combo in itertools.combinations(range(n), k):
-                u_k += proj.eval(*(sample[i] for i in combo))
+    for k, proj in enumerate(_projections(base, dist, m)):
+        u_k = proj.eval() if k == 0 else complete(proj.as_kernel(), sample).coords
         scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
-        per_order.append(float(row_norms(base.codomain, scaled)))
+        per_order.append(float(row_norms(space, scaled)))
         rhs += scaled
 
     return DecompositionCheck(
-        deviation=float(row_norms(base.codomain, lhs - rhs)),
-        lhs_norm=float(row_norms(base.codomain, lhs)),
+        deviation=float(row_norms(space, lhs - rhs)),
+        lhs_norm=float(row_norms(space, lhs)),
         per_order_norms=tuple(per_order),
     )

@@ -12,12 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .distributions import FiniteDistribution, exact_expectation
+from .distributions import (
+    ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution, exact_expectation,
+)
 from .hilbert import HilbertPoint, HilbertSpace, row_norms
 
 __all__ = [
@@ -25,6 +27,7 @@ __all__ = [
     "SupBoundWarning",
     "evaluate",
     "batch_values",
+    "partial_expectations",
     "symmetrize",
     "centered",
     "conditional_norm_expectation",
@@ -68,7 +71,6 @@ class KernelSpec:
     sup_bound: float | None = None
     declared_degeneracy: int | None = None
     name: str = "kernel"
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.arity < 1:
@@ -114,6 +116,35 @@ def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray
     out = np.empty((n_rows, dim))
     for t in range(n_rows):
         out[t] = _as_row(kernel.eval_one(*(c[t] for c in cols)), dim)
+    return out
+
+
+def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int) -> list[np.ndarray]:
+    """Exact partial expectations M_0, ..., M_top (top <= arity) under iid draws from dist.
+
+    M_j has shape (A,) * j + (dim,) for a law with A atoms; its entry at atom
+    indices (i_1, ..., i_j) is E h(a_{i_1}, ..., a_{i_j}, xi_{j+1}, ..., xi_m).
+    The kernel is evaluated once on every tuple of atoms. Each tail is summed
+    one term at a time in itertools.product order, with weights
+    p_1 * p_2 * ... formed left to right, so every entry equals
+    `exact_expectation` of the same function bit for bit. Raises
+    EnumerationBudgetError when A**m exceeds ENUMERATION_BUDGET.
+    """
+    size, m, dim = dist.size, kernel.arity, kernel.codomain.dim
+    if size**m > ENUMERATION_BUDGET:
+        raise EnumerationBudgetError(
+            f"enumeration needs {size**m} terms, budget is {ENUMERATION_BUDGET}"
+        )
+    grid = (size,) * m
+    cols = tuple(dist.atoms[np.broadcast_to(ix, grid).ravel()] for ix in np.indices(grid, sparse=True))
+    values = batch_values(kernel, cols)
+    weights = [np.ones(1)]  # weights[t]: product weights of the A**t tails of length t
+    for _ in range(m):
+        weights.append(np.multiply.outer(weights[-1], dist.probs).ravel())
+    out = []
+    for j in range(top + 1):
+        terms = values.reshape(size**j, size ** (m - j), dim) * weights[m - j][:, None]
+        out.append(np.cumsum(terms, axis=1)[:, -1].copy().reshape((size,) * j + (dim,)))
     return out
 
 
@@ -163,15 +194,12 @@ def symmetrize(kernel: KernelSpec) -> KernelSpec:
 def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:
     """Subtract the exact mean under iid draws from `dist`.
 
-    The mean is enumerated over the full support, so the centered kernel
-    has zero expectation to rounding error. The sup bound, when one was
-    declared, widens by the norm of the subtracted mean.
+    The mean is summed over the full support (`partial_expectations`), so
+    the centered kernel has zero expectation to rounding error. The sup
+    bound, when one was declared, widens by the norm of the subtracted mean.
     """
     dim = kernel.codomain.dim
-    mean = exact_expectation(
-        lambda *args: _as_row(kernel.eval_one(*args), dim), dist, kernel.arity
-    )
-    mean = np.asarray(mean, dtype=np.float64).reshape(dim)
+    (mean,) = partial_expectations(kernel, dist, 0)
 
     def centered_one(*args):
         return np.asarray(_as_row(kernel.eval_one(*args), dim), dtype=np.float64) - mean

@@ -498,15 +498,6 @@ class ScalingReport:
         return max(qs) / min(qs)
 
 
-def _cell_values(kernel: KernelSpec, sample: np.ndarray) -> np.ndarray:
-    """Kernel values for every enumerated tuple, shape (C, dim)."""
-    cols = _tuple_columns(kernel.arity, sample.shape[0])
-    if cols is None:
-        raise ValueError("tuple enumeration too large to materialize for this experiment")
-    rows = np.asarray(sample, dtype=np.float64)
-    return batch_values(kernel, tuple(rows[c] for c in cols))
-
-
 def _design_normalizer(design: SamplingDesign, nonzero: int, n: int, m: int, d: int) -> float:
     """The deviation-bound normalization for one realized selection.
 
@@ -560,7 +551,7 @@ def incomplete_scaling_experiment(
 
         def norm_stat(r: int, n=n, design=design, cell_id=cell_id) -> float:
             sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
-            vals = _cell_values(kernel, sample)
+            vals = _cell_values(kernel, (sample,) * m)
             sel = draw_design(design, m, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
             if sel.empty:
                 return math.nan
@@ -578,7 +569,7 @@ def incomplete_scaling_experiment(
             q = q_lo = q_hi = math.nan
 
         fixed_sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_FIXED, cell_id))
-        fixed_vals = _cell_values(kernel, fixed_sample)
+        fixed_vals = _cell_values(kernel, (fixed_sample,) * m)
         target = design_mean_factor(design, m, n) * np.add.reduce(fixed_vals, axis=0)
 
         def estimator(r: int, n=n, design=design, cell_id=cell_id, fixed_vals=fixed_vals):
@@ -685,7 +676,7 @@ def matching_point_compare(
     def stat(design: SamplingDesign, cell_id: int):
         def fn(r: int) -> float:
             sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
-            vals = _cell_values(kernel, sample)
+            vals = _cell_values(kernel, (sample,))
             sel = draw_design(design, 1, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
             if sel.empty:
                 return math.nan
@@ -753,7 +744,7 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
 
     def stat_decoupled(r: int) -> float:
         rows = tuple(draw_iid(bound_sampler, n, mix_ids(_ROLE_DEC, slot, r)) for slot in range(m))
-        vals = _cell_values_multi(kernel, rows)
+        vals = _cell_values(kernel, rows)
         return float(row_norms(kernel.codomain, np.add.reduce(vals, axis=0)))
 
     _spot_check_sup(kernel, draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, 0)), "decouple_compare")
@@ -804,7 +795,7 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
     )
 
 
-def _cell_values_multi(kernel: KernelSpec, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+def _cell_values(kernel: KernelSpec, rows: tuple[np.ndarray, ...]) -> np.ndarray:
     """Kernel values over all tuples with slot l fed from rows[l]."""
     n = rows[0].shape[0]
     cols = _tuple_columns(kernel.arity, n)

@@ -24,7 +24,6 @@ import numpy as np
 
 from .distributions import EnumerationBudgetError
 from .hilbert import HilbertPoint, row_norms
-from .hoeffding import project
 from .kernels import KernelSpec, _as_row, batch_values
 
 __all__ = [
@@ -389,10 +388,6 @@ class WeightScheme:
             return np.zeros(()) if self.kind == "scalar" else np.zeros(dim)
         return np.asarray(w, dtype=np.float64)
 
-    def operator_norm(self, tpl: tuple[int, ...], dim: int) -> float:
-        w = self.weight(tpl, dim)
-        return float(np.abs(w).max()) if w.ndim else float(abs(w))
-
 
 class _UnitWeights(dict):
     def get(self, key, default=None):
@@ -466,6 +461,8 @@ def weighted_decomposition_check(
         + sum_{k=1}^{m} sum_{i in Inc^k_n} a_i^{(n,k)} h_k(xi_i),
     which collapses to the k >= d tail when the lower projections vanish.
     """
+    from .hoeffding import project  # hoeffding builds on this module
+
     rows = _sample_rows(sample)
     n = rows.shape[0]
     m = kernel.arity

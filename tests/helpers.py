@@ -1,4 +1,5 @@
-"""Shared test fixtures: random finite laws and table-backed kernels."""
+"""Shared test fixtures: random finite laws, table-backed kernels, and the
+enumeration oracle for exact projections."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import math
 import numpy as np
 
 from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
+from ustatlab.distributions import exact_expectation
 
 
 def random_scalar_dist(rng: np.random.Generator, size: int) -> FiniteDistribution:
@@ -73,3 +75,35 @@ def table_kernel(
         sup_bound=float(np.sqrt((sym**2).sum(axis=-1)).max()),
         name=f"table{arity}",
     )
+
+
+def projection_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> np.ndarray:
+    """h_k on every k-tuple of atoms, shape (A,) * k + (dim,), by enumeration.
+
+    Each partial expectation is `exact_expectation` over the tail with the
+    pinned atoms first, and h_k adds them up one tuple at a time: start from
+    zeros, then += sign * partial, j ascending, u in combinations order.
+    """
+    dim = kernel.codomain.dim
+    partials: dict[tuple[int, ...], np.ndarray] = {}
+
+    def partial(fixed: tuple[int, ...]) -> np.ndarray:
+        if fixed not in partials:
+            pinned = tuple(dist.atom(i) for i in fixed)
+
+            def row(*rest):
+                return np.asarray(kernel.eval_one(*pinned, *rest), dtype=np.float64).reshape(dim)
+
+            value = exact_expectation(row, dist, kernel.arity - len(fixed))
+            partials[fixed] = np.asarray(value, dtype=np.float64).reshape(dim)
+        return partials[fixed]
+
+    out = np.empty((dist.size,) * k + (dim,))
+    for idx in itertools.product(range(dist.size), repeat=k):
+        acc = np.zeros(dim)
+        for j in range(k + 1):
+            sign = -1.0 if (k - j) % 2 else 1.0
+            for u in itertools.combinations(range(k), j):
+                acc += sign * partial(tuple(idx[i] for i in u))
+        out[idx] = acc
+    return out

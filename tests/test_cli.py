@@ -182,6 +182,12 @@ data:
         assert manifest["results"]["degeneracy_order"] == 2
         assert manifest["results"]["identity_ok"] is True
 
+    def test_off_support_value_is_a_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG.replace("-1, -1]", "-1, 0.5]"))
+        code = main(["decompose", "--config", path, "--out", str(tmp_path / "out")])
+        assert code == EXIT_USAGE
+        assert "0.5 is not an atom" in capsys.readouterr().err
+
 
 class TestMartingaleVerify:
     CONFIG = """\
@@ -334,4 +340,51 @@ x_grid:
         assert read_manifest(tmp_path)["outputs"] == {
             "tailscan.csv": csv_digest,
             "tailscan.dat": dat_digest,
+        }
+
+
+class TestDecomposeDigests:
+    """Output digests recorded with projections enumerated term by term, before
+    they became tables over the support; every later version must match them."""
+
+    CONFIG = """\
+version: 1
+experiment: decompose
+seed: %d
+kernel:
+  name: %s
+  centered: %s
+sampler:
+  kind: %s
+data:
+  draw: %d
+"""
+    CASES = {
+        "centered-gini-grid64": (
+            (2024, "gini", "true", "uniform-grid\n  grid_points: 64", 60),
+            "36ffad3990c37245c9745d5ec72b6d261a02cae8d784878d9e47c41caf74b343",
+            "ae8e81bf493f893655228d1ff336725aac08e5eeec465b3708c49f8cb1cec5f8",
+        ),
+        "gini-rademacher": (
+            (31, "gini", "false", "rademacher", 25),
+            "dc2d7bf5273328d38a8868fd0338935afd5c9703542a4095083d28941086480f",
+            "7b82d32da85d28e1c3a3d9f28816159f0b0ef5433e9b3138e2c21df17882ecf5",
+        ),
+        "centered-product-grid7": (
+            (77, "product", "true", "uniform-grid\n  grid_points: 7", 30),
+            "279346210e5edddfb63459c763dafed37a1e90061fe7aceed03a17ca7898f0ca",
+            "7fd16f163ed73f5a64955f7a5491d2f44d4b7dd8e2db6f797686333c1a5cfc84",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_digests_are_pinned(self, tmp_path, case):
+        params, csv_digest, dat_digest = self.CASES[case]
+        cfg = parse_config_text(self.CONFIG % params)
+        assert run("decompose", cfg, out_dir=str(tmp_path)) == EXIT_OK
+        assert sha256(tmp_path / "decompose.csv") == csv_digest
+        assert sha256(tmp_path / "decompose.dat") == dat_digest
+        assert read_manifest(tmp_path)["outputs"] == {
+            "decompose.csv": csv_digest,
+            "decompose.dat": dat_digest,
         }

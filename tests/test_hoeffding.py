@@ -5,21 +5,25 @@ import itertools
 import numpy as np
 import pytest
 
-from helpers import random_scalar_dist, table_kernel, uniform_three
+from helpers import projection_oracle, random_scalar_dist, table_kernel, uniform_three
 from ustatlab.distributions import (
+    EnumerationBudgetError,
     FiniteDistribution,
     SamplerSpec,
     draw_iid,
     exact_expectation,
 )
-from ustatlab.hilbert import HilbertSpace
+from ustatlab.hilbert import HilbertSpace, row_norms
 from ustatlab.hoeffding import (
     decomposition_check,
     degeneracy_order,
     project,
     project_mc,
 )
-from ustatlab.kernels import KernelSpec, centered, gini, product, symmetrize
+from ustatlab.kernels import (
+    KernelSpec, centered, gini, partial_expectations, product, spatial_sign, symmetrize,
+)
+from ustatlab.ustats import complete
 
 rademacher = FiniteDistribution.rademacher()
 
@@ -169,3 +173,121 @@ def test_projection_reuse_is_consistent():
     first = project(gini(), rademacher, 2)
     second = project(gini(), rademacher, 2)
     np.testing.assert_array_equal(first.eval(1.0, -1.0), second.eval(1.0, -1.0))
+
+
+def _plane_law() -> FiniteDistribution:
+    """A law on five points of the plane, with uneven probabilities."""
+    atoms = np.array([[0.0, 0.0], [1.0, -0.5], [-0.3, 2.0], [1.0, 0.25], [-2.0, -1.5]])
+    return FiniteDistribution(atoms=atoms, probs=np.array([0.1, 0.3, 0.15, 0.25, 0.2]))
+
+
+def _table_cases():
+    """(name, kernel, law) for the table-versus-enumeration comparison."""
+    rng = np.random.default_rng(404)
+    scalar = random_scalar_dist(rng, 5)
+    plane = HilbertSpace.euclidean(2)
+    cases = [
+        ("gini-three", gini(), uniform_three()),
+        ("gini-random", gini(), scalar),
+        ("product-random", product(), scalar),
+        ("centered-gini", centered(gini(), scalar), scalar),
+        ("centered-product", centered(product(), uniform_three()), uniform_three()),
+        ("gini-grid64", centered(gini(), FiniteDistribution.uniform_grid(64)),
+         FiniteDistribution.uniform_grid(64)),
+        ("gini-plane", gini(plane), _plane_law()),
+        ("product-plane", product(plane), _plane_law()),
+        ("sym-sign-plane", symmetrize(spatial_sign(plane)), _plane_law()),
+        (
+            "no-batch-form",
+            KernelSpec(arity=2, codomain=HilbertSpace.euclidean(1),
+                       eval_one=lambda x, y: x * x + y * y + x * y, symmetric=True),
+            scalar,
+        ),
+    ]
+    for m in (1, 2, 3):
+        for dim in (1, 2, 3):
+            law = random_scalar_dist(rng, 4)
+            cases.append((f"table-m{m}-dim{dim}", table_kernel(m, law, rng, dim=dim), law))
+    return cases
+
+
+TABLE_CASES = {name: (kernel, law) for name, kernel, law in _table_cases()}
+
+
+class TestProjectionTables:
+    """Dense projection tables against term-by-term enumeration, bit for bit."""
+
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_tables_equal_the_enumeration(self, case):
+        kernel, law = TABLE_CASES[case]
+        for k in range(kernel.arity + 1):
+            want = projection_oracle(kernel, law, k)
+            proj = project(kernel, law, k)
+            np.testing.assert_array_equal(proj.table, want)
+            for idx in itertools.product(range(law.size), repeat=k):
+                np.testing.assert_array_equal(proj.eval(*(law.atom(i) for i in idx)), want[idx])
+
+    @pytest.mark.filterwarnings("ignore:kernel 'product' declares degeneracy 2")
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_degeneracy_residuals_equal_the_enumeration(self, case):
+        kernel, law = TABLE_CASES[case]
+        space = kernel.codomain
+        report = degeneracy_order(kernel, law)
+        residuals = []
+        for k in range(1, kernel.arity + 1):
+            table = projection_oracle(kernel, law, k)
+            worst = 0.0
+            for idx in itertools.combinations_with_replacement(range(law.size), k):
+                worst = max(worst, float(row_norms(space, table[idx])))
+            residuals.append(worst)
+        assert report.residuals == tuple(residuals)
+        assert report.mean_norm == float(row_norms(space, projection_oracle(kernel, law, 0)))
+
+    @pytest.mark.parametrize("case", ["centered-gini", "centered-product", "gini-grid64"])
+    def test_centered_mean_equals_the_enumeration(self, case):
+        centered_kernel, law = TABLE_CASES[case]
+        base = gini() if "gini" in case else product()
+        mean = exact_expectation(lambda *a: np.atleast_1d(base.eval_one(*a)), law, 2)
+        for a, b in itertools.product(law.atoms[:4], repeat=2):
+            np.testing.assert_array_equal(
+                centered_kernel.eval_one(a, b), np.atleast_1d(base.eval_one(a, b)) - mean
+            )
+
+    def test_arity_three_means_equal_the_enumeration(self):
+        """Tail weights of three atoms must multiply left to right, (p_a * p_b) * p_c."""
+        rng = np.random.default_rng(77)
+        for _ in range(20):
+            law = random_scalar_dist(rng, 5)
+            kernel = table_kernel(3, law, rng)
+            want = exact_expectation(lambda *a: np.atleast_1d(kernel.eval_one(*a)), law, 3)
+            np.testing.assert_array_equal(partial_expectations(kernel, law, 0)[0], want)
+
+    def test_batch_lookup_matches_eval(self):
+        kernel, law = TABLE_CASES["gini-plane"]
+        proj = project(kernel, law, 2)
+        sample = draw_iid(SamplerSpec(kind="finite", dist=law, seed_stream=5), 12, 0)
+        direct = np.zeros(1)
+        for i, j in itertools.combinations(range(12), 2):
+            direct += proj.eval(sample[i], sample[j])
+        np.testing.assert_allclose(complete(proj.as_kernel(), sample).coords, direct, rtol=1e-13)
+
+    def test_off_support_argument_raises(self):
+        proj = project(gini(), rademacher, 1)
+        with pytest.raises(ValueError, match="0.5 is not an atom"):
+            proj.eval(0.5)
+        with pytest.raises(ValueError, match="0.25 is not an atom"):
+            complete(project(gini(), rademacher, 2).as_kernel(), np.array([1.0, 0.25, -1.0]))
+        with pytest.raises(ValueError, match=r"\[1.0, 0.5\] is not an atom"):
+            project(gini(HilbertSpace.euclidean(2)), _plane_law(), 1).eval(np.array([1.0, 0.5]))
+        with pytest.raises(ValueError, match="is not an atom"):
+            decomposition_check(gini(), rademacher, np.array([1.0, -1.0, 0.0, 1.0]))
+
+    def test_enumeration_budget_is_enforced(self):
+        # 3163**2 = 10,004,569 tuples, just over the budget of 10**7
+        law = FiniteDistribution.uniform_grid(3163)
+        with pytest.raises(EnumerationBudgetError, match="10004569"):
+            project(gini(), law, 1)
+        with pytest.raises(EnumerationBudgetError):
+            degeneracy_order(gini(), law)
+        with pytest.raises(EnumerationBudgetError):
+            centered(gini(), law)
