@@ -38,9 +38,9 @@ from .kernels import (
 )
 from .martingale import (
     GENERATORS,
-    check_conv_tail_lemma,
-    conv_pair_from_paths,
     simulate_ensemble,
+    summarize,
+    verify_conv_grid,
     verify_pairs,
 )
 from .montecarlo import (
@@ -1102,7 +1102,9 @@ def _run_martingale(
     if "real" in chosen and mcfg.dim != 1:
         raise ConfigError("the real-valued variant needs martingale.dim 1")
     space = HilbertSpace.euclidean(mcfg.dim)
-    paths = simulate_ensemble(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
+    ensemble = summarize(
+        simulate_ensemble(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
+    )
 
     pair_grid: list[tuple[float, float]] | None = None
     t_grid: list[float] | None = None
@@ -1115,31 +1117,22 @@ def _run_martingale(
     writer = _RunWriter(cfg, out_dir)
     header = ["x", "y", "lhs", "lhs_ci_hi", "rhs", "rhs_ci_lo", "violated"]
     per_variant: dict[str, int] = {}
-    total = 0
     for variant in chosen:
-        entries = []
         if variant == "conv":
-            x_samples, y_samples = conv_pair_from_paths(paths)
             ts = t_grid if t_grid is not None else [float(t) for t in mcfg.t_grid.build()]
-            entries = [check_conv_tail_lemma(x_samples, y_samples, t) for t in ts]
+            report = verify_conv_grid(ensemble, ts)
         else:
-            if pair_grid is not None:
-                pairs = pair_grid
-            else:
-                pairs = [
-                    (float(x), float(y))
-                    for x in mcfg.x_grid.build()
-                    for y in mcfg.y_grid.build()
-                ]
-            entries = list(verify_pairs(paths, pairs, variant).entries)
-        violations = sum(1 for e in entries if e.violated)
-        per_variant[variant] = violations
-        total += violations
+            pairs = pair_grid if pair_grid is not None else [
+                (float(x), float(y)) for x in mcfg.x_grid.build() for y in mcfg.y_grid.build()
+            ]
+            report = verify_pairs(ensemble, pairs, variant)
+        per_variant[variant] = report.violations
         writer.csv(
             f"martingale-{variant}",
             header,
-            [(e.x, e.y, e.lhs, e.lhs_hi, e.rhs, e.rhs_lo, e.violated) for e in entries],
+            [(e.x, e.y, e.lhs, e.lhs_hi, e.rhs, e.rhs_lo, e.violated) for e in report.entries],
         )
+    total = sum(per_variant.values())
     results = {
         "generator": mcfg.generator,
         "steps": mcfg.steps,

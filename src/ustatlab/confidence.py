@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 from scipy import stats
 
-__all__ = ["wilson_interval", "mean_interval", "quantile_interval"]
+__all__ = ["wilson_bounds", "wilson_interval", "mean_interval", "quantile_interval"]
 
 
 @lru_cache(maxsize=16)
@@ -15,11 +15,14 @@ def _z_score(confidence: float) -> float:
     return float(stats.norm.ppf(0.5 + confidence / 2.0))
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_bounds(
+    successes, trials: int, confidence: float = 0.95
+) -> tuple[np.ndarray, np.ndarray]:
+    """Wilson score bounds for an array of success counts out of `trials`."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    if not 0 <= successes <= trials:
+    successes = np.asarray(successes)
+    if np.any(successes < 0) or np.any(successes > trials):
         raise ValueError("successes must lie in [0, trials]")
     z = _z_score(confidence)
     p = successes / trials
@@ -29,9 +32,15 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tu
     # at the boundary counts the score bound is exactly the boundary; computing
     # center - half there leaves ~1e-19 of rounding residue, enough to flip
     # comparisons against an exact 0
-    lo = 0.0 if successes == 0 else max(0.0, center - half)
-    hi = 1.0 if successes == trials else min(1.0, center + half)
+    lo = np.where(successes == 0, 0.0, np.maximum(0.0, center - half))
+    hi = np.where(successes == trials, 1.0, np.minimum(1.0, center + half))
     return lo, hi
+
+
+def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion."""
+    lo, hi = wilson_bounds(successes, trials, confidence)
+    return float(lo), float(hi)
 
 
 def mean_interval(values: np.ndarray, confidence: float = 0.95) -> tuple[float, float, float]:

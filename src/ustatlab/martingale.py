@@ -21,7 +21,11 @@ partial sums S_k:
                             = E[ max(0, 4 Y / t - 1) ].
 
 Tail integrals over empirical step functions are computed exactly,
-piecewise, rather than by sampled quadrature.
+piecewise, rather than by sampled quadrature: all pieces and their Wilson
+bands in one array pass, summed left to right. The checks read an ensemble
+through its per-path summaries (`summarize`), computed once per run over
+bounded batches of stacked paths. Path generation is still one substream
+per path.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .confidence import mean_interval, wilson_interval
+from .confidence import mean_interval, wilson_bounds
 from .distributions import mix_ids, substream
 from .hilbert import HilbertSpace, row_norms
 
@@ -41,6 +45,8 @@ __all__ = [
     "InequalityCheckReport",
     "simulate_mds",
     "simulate_ensemble",
+    "PathSummaries",
+    "summarize",
     "check_real_inequality",
     "check_hilbert_inequality",
     "check_conv_tail_lemma",
@@ -117,8 +123,15 @@ def simulate_ensemble(
     ]
 
 
+# values per stacked batch of path increments; bounds the temporaries of one
+# summary pass instead of stacking the whole ensemble
+_BATCH_VALUES = 1 << 15
+
+
 @dataclass(frozen=True)
-class _Summaries:
+class PathSummaries:
+    """Per-path statistics every inequality check reads, in path order."""
+
     max_partial_norm: np.ndarray  # (R,)
     quad_plus_cond: np.ndarray  # (R,), sum(||D||^2 + E[||D||^2 | F])
     sqrt_quad: np.ndarray  # (R,), sqrt(sum ||D||^2)
@@ -126,28 +139,35 @@ class _Summaries:
     f0_all: bool
 
 
-def _summarize(paths: list[MartingalePath]) -> _Summaries:
+def summarize(paths: Sequence[MartingalePath] | PathSummaries) -> PathSummaries:
+    """Summarize an ensemble once, so several checks can share it; given
+    summaries are returned as they are.
+
+    Runs of paths with the same step count are stacked into batches of about
+    _BATCH_VALUES increments and reduced along the step axis together; a
+    batch also ends where the step count changes.
+    """
+    if isinstance(paths, PathSummaries):
+        return paths
     if not paths:
         raise ValueError("need at least one path")
     space = paths[0].space
-    if any(p.space != space for p in paths):
+    if any(p.space is not space and p.space != space for p in paths):
         raise ValueError("paths live in different spaces")
-    max_norm = np.empty(len(paths))
-    quad_plus = np.empty(len(paths))
-    sqrt_quad = np.empty(len(paths))
-    for i, p in enumerate(paths):
-        norms2 = row_norms(space, p.increments) ** 2
-        partial = np.cumsum(p.increments, axis=0)
-        max_norm[i] = row_norms(space, partial).max()
-        quad_plus[i] = norms2.sum() + p.cond_second_moments.sum()
-        sqrt_quad[i] = np.sqrt(norms2.sum())
-    return _Summaries(
-        max_partial_norm=max_norm,
-        quad_plus_cond=quad_plus,
-        sqrt_quad=sqrt_quad,
-        real_valued=(space.dim == 1),
-        f0_all=all(p.f0_measurable for p in paths),
-    )
+    parts = []
+    start = 0
+    while start < len(paths):
+        shape = paths[start].increments.shape
+        stop = min(len(paths), start + max(1, _BATCH_VALUES // paths[start].increments.size))
+        stop = next((i for i in range(start + 1, stop) if paths[i].increments.shape != shape), stop)
+        increments = np.stack([p.increments for p in paths[start:stop]])
+        moments = np.stack([p.cond_second_moments for p in paths[start:stop]])
+        quad = (row_norms(space, increments) ** 2).sum(axis=1)
+        max_norm = row_norms(space, np.cumsum(increments, axis=1)).max(axis=1)
+        parts.append((max_norm, quad + moments.sum(axis=1), np.sqrt(quad)))
+        start = stop
+    columns = (np.concatenate(column) for column in zip(*parts))
+    return PathSummaries(*columns, space.dim == 1, all(p.f0_measurable for p in paths))
 
 
 @dataclass(frozen=True)
@@ -174,62 +194,69 @@ class InequalityCheckReport:
 
 
 def _entry(x, y, lhs_triple, rhs_triple) -> InequalityEntry:
-    lhs, lhs_lo, lhs_hi = lhs_triple
-    rhs, rhs_lo, rhs_hi = rhs_triple
-    return InequalityEntry(
-        x=float(x),
-        y=float(y),
-        lhs=lhs,
-        lhs_lo=lhs_lo,
-        lhs_hi=lhs_hi,
-        rhs=rhs,
-        rhs_lo=rhs_lo,
-        rhs_hi=rhs_hi,
-        violated=bool(lhs_lo > rhs_hi),
+    violated = bool(lhs_triple[1] > rhs_triple[2])
+    return InequalityEntry(float(x), float(y), *lhs_triple, *rhs_triple, violated)
+
+
+def _report(variant: str, s: PathSummaries, entries: list) -> InequalityCheckReport:
+    return InequalityCheckReport(
+        variant=variant,
+        replicas=s.max_partial_norm.size,
+        entries=tuple(entries),
+        violations=sum(e.violated for e in entries),
     )
 
 
 def _tail_triple(values: np.ndarray, threshold: float) -> tuple[float, float, float]:
-    count = int(np.count_nonzero(values > threshold))
-    lo, hi = wilson_interval(count, values.size)
-    return count / values.size, lo, hi
+    count = np.count_nonzero(values > threshold)
+    lo, hi = wilson_bounds(count, values.size)
+    return count / values.size, float(lo), float(hi)
 
 
 def _step_tail_integral(
-    samples: np.ndarray, scale: float, u_max: float, weight_counts: bool = False
+    samples: np.ndarray, scale: float, u_max: float
 ) -> tuple[float, float, float]:
     """Exact (integral, lower, upper) of int_1^{u_max} u * P(sample > scale*u) du.
 
     The empirical tail is a step function of u with breakpoints at
     sample/scale; each constant piece integrates to p * (b^2 - a^2)/2.
-    Lower/upper use Wilson bands of the per-piece counts.
+    Lower/upper use Wilson bands of the per-piece counts. The pieces are
+    added left to right (a cumulative sum, not numpy's pairwise sum), so the
+    totals do not depend on how the pieces are batched.
     """
     R = samples.size
     points = np.unique(np.clip(np.asarray(samples, dtype=np.float64) / scale, 1.0, u_max))
     edges = np.concatenate([[1.0], points[(points > 1.0) & (points < u_max)], [u_max]])
-    sorted_samples = np.sort(samples)
-    total = lo_total = hi_total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        if b <= a:
-            continue
-        count = R - int(np.searchsorted(sorted_samples, scale * a, side="right"))
-        piece = (b * b - a * a) / 2.0
-        w_lo, w_hi = wilson_interval(count, R)
-        total += (count / R) * piece
-        lo_total += w_lo * piece
-        hi_total += w_hi * piece
+    keep = edges[1:] > edges[:-1]
+    a, b = edges[:-1][keep], edges[1:][keep]
+    counts = R - np.searchsorted(np.sort(samples), scale * a, side="right")
+    piece = (b * b - a * a) / 2.0
+    w_lo, w_hi = wilson_bounds(counts, R)
+    terms = np.hstack([np.zeros((3, 1)), np.stack([counts / R, w_lo, w_hi]) * piece])
+    total, lo_total, hi_total = np.cumsum(terms, axis=1)[:, -1]
     return total, lo_total, hi_total
 
 
-def check_real_inequality(paths: list[MartingalePath], x: float, y: float) -> InequalityEntry:
-    """Real-valued maximal inequality at one (x, y)."""
-    s = _summarize(paths)
-    if not s.real_valued:
+def _checked(paths: Sequence[MartingalePath] | PathSummaries, variant: str) -> PathSummaries:
+    """The ensemble's summaries, once the variant is known to apply to it."""
+    s = summarize(paths)
+    if variant not in _ENTRIES:
+        raise ValueError(f"unknown variant {variant!r}; choose real, A2, A3 or conv")
+    if variant == "real" and not s.real_valued:
         raise ValueError("real-case check needs real-valued paths (dim-1 space)")
-    return _real_entry(s, x, y)
+    if variant == "A3" and not s.f0_all:
+        raise ValueError("variant A3 requires conditional second moments measurable at time zero")
+    return s
 
 
-def _real_entry(s: _Summaries, x: float, y: float) -> InequalityEntry:
+def check_real_inequality(
+    paths: Sequence[MartingalePath] | PathSummaries, x: float, y: float
+) -> InequalityEntry:
+    """Real-valued maximal inequality at one (x, y)."""
+    return _real_entry(_checked(paths, "real"), x, y)
+
+
+def _real_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
     lhs = _tail_triple(s.max_partial_norm, x)
     exp_term = 2.0 * np.exp(-(x * x) / (y * y))
     tail, tail_lo, tail_hi = _tail_triple(s.quad_plus_cond, y * y / 2.0)
@@ -238,22 +265,15 @@ def _real_entry(s: _Summaries, x: float, y: float) -> InequalityEntry:
 
 
 def check_hilbert_inequality(
-    paths: list[MartingalePath], x: float, y: float, variant: str = "A2"
+    paths: Sequence[MartingalePath] | PathSummaries, x: float, y: float, variant: str = "A2"
 ) -> InequalityEntry:
     """Coordinate-space maximal inequality at one (x, y), variant A2 or A3."""
-    s = _summarize(paths)
-    if variant == "A2":
-        return _hilbert_a2_entry(s, x, y)
-    if variant == "A3":
-        if not s.f0_all:
-            raise ValueError(
-                "variant A3 requires conditional second moments measurable at time zero"
-            )
-        return _hilbert_a3_entry(s, x, y)
-    raise ValueError(f"unknown variant {variant!r}; choose A2 or A3")
+    if variant not in ("A2", "A3"):
+        raise ValueError(f"unknown variant {variant!r}; choose A2 or A3")
+    return _ENTRIES[variant](_checked(paths, variant), x, y)
 
 
-def _hilbert_a2_entry(s: _Summaries, x: float, y: float) -> InequalityEntry:
+def _hilbert_a2_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
     lhs = _tail_triple(s.max_partial_norm, x)
     exp_term = 4.0 * np.exp(-(x * x) / (y * y))
     tail, tail_lo, tail_hi = _tail_triple(s.quad_plus_cond, y * y / 8.0)
@@ -261,24 +281,24 @@ def _hilbert_a2_entry(s: _Summaries, x: float, y: float) -> InequalityEntry:
     return _entry(x, y, lhs, rhs)
 
 
-def _hilbert_a3_entry(s: _Summaries, x: float, y: float) -> InequalityEntry:
+def _hilbert_a3_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
     lhs = _tail_triple(s.max_partial_norm, x)
     exp_term = 4.0 * np.exp(-(x * x) / (y * y))
     scale = y / 8.0
     # the integrand dies at u = 8*max/y; doubling that caps the Wilson band
     u_max = max(2.0, 2.0 * float(s.sqrt_quad.max()) / scale)
-    integral, integral_lo, integral_hi = _step_tail_integral(s.sqrt_quad, scale, u_max)
-    rhs = (
-        exp_term + 4.0 * integral,
-        exp_term + 4.0 * integral_lo,
-        exp_term + 4.0 * integral_hi,
-    )
+    rhs = tuple(exp_term + 4.0 * v for v in _step_tail_integral(s.sqrt_quad, scale, u_max))
     return _entry(x, y, lhs, rhs)
 
 
-def conv_pair_from_paths(paths: list[MartingalePath]) -> tuple[np.ndarray, np.ndarray]:
+_ENTRIES = {"real": _real_entry, "A2": _hilbert_a2_entry, "A3": _hilbert_a3_entry}
+
+
+def conv_pair_from_paths(
+    paths: Sequence[MartingalePath] | PathSummaries,
+) -> tuple[np.ndarray, np.ndarray]:
     """The convex-domination pair: X = sum(||D||^2 + cond), Y = 2 sum ||D||^2."""
-    s = _summarize(paths)
+    s = summarize(paths)
     return s.quad_plus_cond, 2.0 * s.sqrt_quad**2
 
 
@@ -301,33 +321,21 @@ def check_conv_tail_lemma(
 
 
 def verify_pairs(
-    paths: list[MartingalePath],
+    paths: Sequence[MartingalePath] | PathSummaries,
     pairs: Sequence[tuple[float, float]],
     variant: str,
 ) -> InequalityCheckReport:
     """Evaluate one inequality variant at explicit (x, y) pairs.
 
-    The ensemble is summarized once and shared across all pairs.
+    The ensemble is summarized once (or taken as given) and shared across
+    all pairs.
     """
-    s = _summarize(paths)
-    if variant == "real" and not s.real_valued:
-        raise ValueError("real-case check needs real-valued paths (dim-1 space)")
-    if variant == "A3" and not s.f0_all:
-        raise ValueError("variant A3 requires conditional second moments measurable at time zero")
-    entry_fn = {"real": _real_entry, "A2": _hilbert_a2_entry, "A3": _hilbert_a3_entry}.get(variant)
-    if entry_fn is None:
-        raise ValueError(f"unknown variant {variant!r}; choose real, A2, A3 or conv")
-    entries = [entry_fn(s, float(x), float(y)) for x, y in pairs]
-    return InequalityCheckReport(
-        variant=variant,
-        replicas=len(paths),
-        entries=tuple(entries),
-        violations=sum(e.violated for e in entries),
-    )
+    s = _checked(paths, variant)
+    return _report(variant, s, [_ENTRIES[variant](s, float(x), float(y)) for x, y in pairs])
 
 
 def verify_grid(
-    paths: list[MartingalePath],
+    paths: Sequence[MartingalePath] | PathSummaries,
     xs: np.ndarray,
     ys: np.ndarray,
     variant: str,
@@ -336,13 +344,12 @@ def verify_grid(
     return verify_pairs(paths, [(float(x), float(y)) for x in xs for y in ys], variant)
 
 
-def verify_conv_grid(paths: list[MartingalePath], t_grid: np.ndarray) -> InequalityCheckReport:
+def verify_conv_grid(
+    paths: Sequence[MartingalePath] | PathSummaries, t_grid: Sequence[float]
+) -> InequalityCheckReport:
     """Convex-order tail lemma on its canonical pair over a t grid."""
-    x_samples, y_samples = conv_pair_from_paths(paths)
-    entries = [check_conv_tail_lemma(x_samples, y_samples, float(t)) for t in t_grid]
-    return InequalityCheckReport(
-        variant="conv",
-        replicas=len(paths),
-        entries=tuple(entries),
-        violations=sum(e.violated for e in entries),
+    s = summarize(paths)
+    x_samples, y_samples = conv_pair_from_paths(s)
+    return _report(
+        "conv", s, [check_conv_tail_lemma(x_samples, y_samples, float(t)) for t in t_grid]
     )

@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .confidence import quantile_interval, wilson_interval
+from .confidence import quantile_interval, wilson_bounds
 from .distributions import (
     FiniteDistribution,
     SamplerSpec,
@@ -268,13 +268,9 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
         "tail_scan",
     )
     stats = replicate(config) / factor
-    p_hat = np.empty(config.x_grid.size)
-    lo = np.empty_like(p_hat)
-    hi = np.empty_like(p_hat)
-    for i, x in enumerate(config.x_grid):
-        count = int(np.count_nonzero(stats > x))
-        p_hat[i] = count / config.replicas
-        lo[i], hi[i] = wilson_interval(count, config.replicas)
+    counts = np.count_nonzero(stats[None, :] > config.x_grid[:, None], axis=1)
+    p_hat = counts / config.replicas
+    lo, hi = wilson_bounds(counts, config.replicas)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
     return TailScanReport(
         x_grid=config.x_grid,

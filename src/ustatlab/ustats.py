@@ -110,6 +110,22 @@ def unrank_combination(rank: int, n: int, m: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _combination_columns(m: int, n: int) -> list[np.ndarray]:
+    """Columns of every m-subset of range(n), in itertools.combinations order.
+
+    Built from the last slot leftwards: the subsets that follow a new first
+    element v are the suffix of the current (sorted) rows whose first element
+    exceeds v.
+    """
+    cols = [np.arange(n, dtype=np.int64)]
+    for _ in range(m - 1):
+        start = np.searchsorted(cols[0], np.arange(n), side="right")
+        lengths = cols[0].size - start
+        rows = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
+        cols = [np.repeat(np.arange(n, dtype=np.int64), lengths)] + [c[rows] for c in cols]
+    return cols
+
+
 def _tuple_columns(m: int, n: int) -> tuple[np.ndarray, ...] | None:
     """0-based index columns of the full enumeration, or None when too large."""
     total = inc_count(m, n)
@@ -118,12 +134,7 @@ def _tuple_columns(m: int, n: int) -> tuple[np.ndarray, ...] | None:
     key = (m, n)
     cols = _column_cache.get(key)
     if cols is None:
-        flat = np.fromiter(
-            itertools.chain.from_iterable(itertools.combinations(range(n), m)),
-            dtype=np.int64,
-            count=total * m,
-        ).reshape(total, m)
-        cols = tuple(np.ascontiguousarray(flat[:, j]) for j in range(m))
+        cols = tuple(_combination_columns(m, n))
         for c in cols:
             c.setflags(write=False)
         _column_cache[key] = cols
@@ -140,31 +151,14 @@ def _grouped_columns(m: int, n: int):
     hit = _grouped_cache.get(key)
     if hit is not None:
         return hit
-    total = inc_count(m, n)
-    if total > _MATERIALIZE_CAP:
+    if inc_count(m, n) > _MATERIALIZE_CAP:
         return None
-    parts = []
-    offsets = [0]
-    for last in range(m - 1, n):  # 0-based last index
-        block = math.comb(last, m - 1)
-        if m == 1:
-            head = np.empty((1, 0), dtype=np.int64)
-            block = 1
-        else:
-            head = np.fromiter(
-                itertools.chain.from_iterable(itertools.combinations(range(last), m - 1)),
-                dtype=np.int64,
-                count=block * (m - 1),
-            ).reshape(block, m - 1)
-        rows = np.concatenate([head, np.full((block, 1), last, dtype=np.int64)], axis=1)
-        parts.append(rows)
-        offsets.append(offsets[-1] + block)
-    flat = np.concatenate(parts, axis=0)
-    cols = tuple(np.ascontiguousarray(flat[:, j]) for j in range(m))
-    starts = np.asarray(offsets[:-1], dtype=np.int64)
-    for c in cols:
+    lex = _combination_columns(m, n)
+    order = np.argsort(lex[-1], kind="stable")
+    cols = tuple(c[order] for c in lex)
+    starts = np.searchsorted(cols[-1], np.arange(m - 1, n))
+    for c in (*cols, starts):
         c.setflags(write=False)
-    starts.setflags(write=False)
     _grouped_cache[key] = (cols, starts)
     return cols, starts
 

@@ -1,5 +1,6 @@
-"""Shared test fixtures: random finite laws, table-backed kernels, and the
-enumeration oracle for exact projections."""
+"""Shared test fixtures: random finite laws, table-backed kernels, the
+enumeration oracle for exact projections, and the one-at-a-time oracles for
+the martingale checks."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ import numpy as np
 
 from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
 from ustatlab.distributions import exact_expectation
+from ustatlab.hilbert import row_norms
 
 
 def random_scalar_dist(rng: np.random.Generator, size: int) -> FiniteDistribution:
@@ -107,3 +109,51 @@ def projection_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> n
                 acc += sign * partial(tuple(idx[i] for i in u))
         out[idx] = acc
     return out
+
+
+def wilson_oracle(successes: int, trials: int, z: float) -> tuple[float, float]:
+    """The Wilson score interval for one count, in scalar arithmetic."""
+    p = successes / trials
+    denom = 1.0 + z * z / trials
+    center = (p + z * z / (2.0 * trials)) / denom
+    half = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials)) / denom
+    lo = 0.0 if successes == 0 else max(0.0, center - half)
+    hi = 1.0 if successes == trials else min(1.0, center + half)
+    return lo, hi
+
+
+def step_tail_integral_oracle(
+    samples: np.ndarray, scale: float, u_max: float, z: float
+) -> tuple[float, float, float]:
+    """int_1^{u_max} u * P(sample > scale*u) du with Wilson bands, one
+    step-function piece at a time, accumulated left to right."""
+    R = samples.size
+    points = np.unique(np.clip(np.asarray(samples, dtype=np.float64) / scale, 1.0, u_max))
+    edges = np.concatenate([[1.0], points[(points > 1.0) & (points < u_max)], [u_max]])
+    sorted_samples = np.sort(samples)
+    total = lo_total = hi_total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b <= a:
+            continue
+        count = R - int(np.searchsorted(sorted_samples, scale * a, side="right"))
+        piece = (b * b - a * a) / 2.0
+        w_lo, w_hi = wilson_oracle(count, R, z)
+        total += (count / R) * piece
+        lo_total += w_lo * piece
+        hi_total += w_hi * piece
+    return total, lo_total, hi_total
+
+
+def summarize_oracle(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(max partial-sum norm, sum ||D||^2 + cond, sqrt(sum ||D||^2)) path by path."""
+    space = paths[0].space
+    max_norm = np.empty(len(paths))
+    quad_plus = np.empty(len(paths))
+    sqrt_quad = np.empty(len(paths))
+    for i, p in enumerate(paths):
+        norms2 = row_norms(space, p.increments) ** 2
+        partial = np.cumsum(p.increments, axis=0)
+        max_norm[i] = row_norms(space, partial).max()
+        quad_plus[i] = norms2.sum() + p.cond_second_moments.sum()
+        sqrt_quad[i] = np.sqrt(norms2.sum())
+    return max_norm, quad_plus, sqrt_quad

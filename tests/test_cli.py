@@ -388,3 +388,67 @@ data:
             "decompose.csv": csv_digest,
             "decompose.dat": dat_digest,
         }
+
+
+class TestMartingaleDigests:
+    """Output digests recorded with path summaries and tail bands computed one
+    path and one step-function piece at a time, before they became array
+    passes; every later version must match them."""
+
+    CONFIG = """\
+version: 1
+experiment: martingale-verify
+seed: %d
+replicas: %d
+martingale:
+  generator: %s
+  steps: %d
+  dim: %d
+  variants: [%s]
+"""
+    CASES = {
+        "gaussian-dim2": (
+            (501, 1000, "gaussian-coords", 50, 2, "A2, A3, conv"),
+            {
+                "A2.csv": "253c8962fa13b2926beae00d71d5bc9adf0431e144bb3563224113d17405bf62",
+                "A2.dat": "8c8ae91e0f409250b1ad760b910c63e7040ed58d8b96bd6a7439f5e8078a7525",
+                "A3.csv": "83e873ea04f9a29b46d1b98465a464898e1c23896f04d70e90d09fa43f90c054",
+                "A3.dat": "3bfeefcdec927735c6438f34247187edff221f044f736f8ea9a05f0d52919afd",
+                "conv.csv": "ff5927202350beb3ec946fcad8aa03b940423a0736c2b03d8e4fac79e99fbe47",
+                "conv.dat": "7e623559f6d5b54080c79382bf45a66cff993c1b221e994dd1d55ee5e20658be",
+            },
+        ),
+        "bounded-signs": (
+            (77, 800, "bounded-signs", 30, 1, "real, A2, A3, conv"),
+            {
+                "real.csv": "df9e80bd294804c1821b2063d410feb5efadf81f82b3fee2b08ed0e638a7f0a2",
+                "real.dat": "1bafe86a6c3d7a549760a79620eb42c6d5cbbc00cfd2d4980c51c3955ed12408",
+                "A2.csv": "09e87f391b413e5b2eddef913e3aebd2c277fb7db05d526a44f3c89f8c5197a8",
+                "A2.dat": "e812282fcb4c8c6c885b1d2e9cbec76061df847954fe7fbf8f3062c80a0a0b15",
+                "A3.csv": "c8d80060d9fb320883e00327ba7d816e0e05b1c30831e8c4cd860e2f55dcebc0",
+                "A3.dat": "e888a6b2ff66431e713a8f42dc2c2fc863a4496da86fbe38140871c4dfff25df",
+                "conv.csv": "72c7a120ad14cfd89a9e00a6682cc3660fc55ca08f3ffe7110a71ce0914675c4",
+                "conv.dat": "b5bc377847d2b51a0887dc5efe09c72405e8a595ff2e3b1d608b73d3dc6e533e",
+            },
+        ),
+        "f0-randomized-dim3": (
+            (31, 800, "f0-randomized-scale", 40, 3, "A2, A3, conv"),
+            {
+                "A2.csv": "889c63148b0c1ee707e4db1ed2adf662d093bc9763c30dc74806be4514540219",
+                "A2.dat": "2232a338ac0be573001a7c65dfa4bc06b2e6ab4121dfbe19a04481f9228c280e",
+                "A3.csv": "b418811897e1025d83e1e82007939b769b393a3cb47ca4338e9a0cbda9051922",
+                "A3.dat": "8dc3597583707eb3441b7214ac7215862140329fb0f3fae1cbb862fc5f99f072",
+                "conv.csv": "e17f833222c1ac153d433dfe5212906598b31510e828fc44c66d44f6e3984140",
+                "conv.dat": "f5278a99e814be87d30f8fbddda005737d7c16c5720413954415be81bd779ce9",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_digests_are_pinned(self, tmp_path, case):
+        params, digests = self.CASES[case]
+        cfg = parse_config_text(self.CONFIG % params)
+        assert run("martingale-verify", cfg, out_dir=str(tmp_path)) == EXIT_OK
+        expected = {f"martingale-{name}": digest for name, digest in digests.items()}
+        assert {name: sha256(tmp_path / name) for name in expected} == expected
+        assert read_manifest(tmp_path)["outputs"] == expected

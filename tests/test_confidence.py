@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from ustatlab.confidence import mean_interval, quantile_interval, wilson_interval
+from helpers import wilson_oracle
+from ustatlab.confidence import (
+    _z_score,
+    mean_interval,
+    quantile_interval,
+    wilson_bounds,
+    wilson_interval,
+)
 
 
 class TestWilson:
@@ -30,6 +37,23 @@ class TestWilson:
             wilson_interval(5, 0)
         with pytest.raises(ValueError):
             wilson_interval(11, 10)
+
+    @pytest.mark.parametrize("trials", [1, 7, 4000])
+    def test_array_form_matches_the_scalar_formula(self, trials):
+        counts = np.arange(trials + 1)
+        lo, hi = wilson_bounds(counts, trials)
+        z = _z_score(0.95)
+        expected = np.array([wilson_oracle(int(k), trials, z) for k in counts])
+        np.testing.assert_array_equal(np.stack([lo, hi], axis=1), expected)
+        scalar = np.array([wilson_interval(int(k), trials) for k in counts])
+        np.testing.assert_array_equal(scalar, expected)
+        assert lo[0] == 0.0 and hi[-1] == 1.0
+
+    def test_array_form_validates_every_count(self):
+        with pytest.raises(ValueError):
+            wilson_bounds(np.array([0, 3, -1]), 10)
+        with pytest.raises(ValueError):
+            wilson_bounds(np.array([0, 11]), 10)
 
 
 def test_mean_interval_brackets_a_gaussian_mean():

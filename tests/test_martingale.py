@@ -1,17 +1,24 @@
 """Difference-sequence generators and the deviation-inequality checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import step_tail_integral_oracle, summarize_oracle
+from ustatlab import martingale
+from ustatlab.confidence import _z_score
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
     MartingalePath,
+    _step_tail_integral,
     check_conv_tail_lemma,
     check_hilbert_inequality,
     check_real_inequality,
     conv_pair_from_paths,
     simulate_ensemble,
     simulate_mds,
+    summarize,
     verify_conv_grid,
     verify_grid,
     verify_pairs,
@@ -193,3 +200,84 @@ def test_verify_pairs_summary_counts(sign_paths):
     assert report.replicas == len(sign_paths)
     assert report.violations == 0
     assert all(0.0 <= e.lhs <= 1.0 for e in report.entries)
+
+
+def _gaussian_sqrt_quad():
+    paths = simulate_ensemble("gaussian-coords", 50, plane, master_seed=501, count=4000)
+    return summarize(paths).sqrt_quad
+
+
+def _rows(report):
+    return np.array([dataclasses.astuple(e) for e in report.entries])
+
+
+class TestStepTailIntegral:
+    """The array pass against the piece-by-piece loop, bit for bit."""
+
+    CASES = {
+        "ties": (lambda: np.random.default_rng(5).integers(0, 40, size=3000) / 4.0, 0.5, 25.0),
+        "empty-interior": (lambda: np.random.default_rng(6).uniform(0.0, 2.0, size=500), 2.0, 2.0),
+        "single-sample": (lambda: np.array([3.7]), 1.0, 8.0),
+        "at-u-max": (lambda: np.array([10.0, 10.0, 4.0, 7.5, 1.0, 12.0]), 2.0, 5.0),
+        "no-pieces": (lambda: np.array([0.5, 3.0]), 1.0, 1.0),
+        "gaussian-ensemble": (_gaussian_sqrt_quad, 2.5, None),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_matches_the_loop(self, case):
+        make, scale, u_max = self.CASES[case]
+        samples = make()
+        if u_max is None:
+            u_max = max(2.0, 2.0 * float(samples.max()) / scale)
+        got = _step_tail_integral(samples, scale, u_max)
+        expected = step_tail_integral_oracle(samples, scale, u_max, _z_score(0.95))
+        np.testing.assert_array_equal(np.array(got), np.array(expected))
+        assert got[1] <= got[0] <= got[2]
+
+
+class TestSummaries:
+    """Stacked, batched summaries against the path-by-path reference."""
+
+    @staticmethod
+    def _ragged():
+        long = simulate_ensemble("f0-randomized-scale", 50, plane, master_seed=21, count=300)
+        short = simulate_ensemble("f0-randomized-scale", 13, plane, master_seed=22, count=200)
+        # runs of each length, so batches end where the step count changes
+        return long[:90] + short[:7] + long[90:91] + short[7:] + long[91:]
+
+    @pytest.mark.parametrize("batch_values", [1, 7, martingale._BATCH_VALUES])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_batches_match_the_reference(self, monkeypatch, batch_values, ragged):
+        paths = (
+            self._ragged()
+            if ragged
+            else simulate_ensemble("gaussian-coords", 50, plane, master_seed=501, count=1000)
+        )
+        monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
+        s = summarize(paths)
+        expected = summarize_oracle(paths)
+        for got, want in zip((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad), expected):
+            np.testing.assert_array_equal(got, want)
+        assert s.f0_all and not s.real_valued
+
+    def test_summaries_stand_in_for_the_paths(self, sign_paths):
+        s = summarize(sign_paths)
+        pairs = [(10.0, 15.0), (20.0, 25.0)]
+        reports = [
+            (verify_pairs(s, pairs, v), verify_pairs(sign_paths, pairs, v))
+            for v in ("real", "A2", "A3")
+        ]
+        grid = np.geomspace(20.0, 1000.0, 4)
+        reports.append((verify_conv_grid(s, grid), verify_conv_grid(sign_paths, grid)))
+        for got, want in reports:
+            assert got.replicas == want.replicas == len(sign_paths)
+            np.testing.assert_array_equal(_rows(got), _rows(want))
+
+    def test_space_check(self):
+        paths = simulate_ensemble("gaussian-coords", 5, plane, master_seed=3, count=4)
+        rng = _substream(4)
+        twin = simulate_mds("gaussian-coords", 5, HilbertSpace.euclidean(2), rng)
+        summarize(paths + [twin])
+        other = simulate_mds("gaussian-coords", 5, HilbertSpace(2, np.array([1.0, 2.0])), rng)
+        with pytest.raises(ValueError, match="different spaces"):
+            summarize(paths + [other])

@@ -1,5 +1,6 @@
 """Complete, decoupled, weighted, and incomplete estimators plus the tuple stream."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ from ustatlab.hilbert import HilbertSpace, norm
 from ustatlab.kernels import KernelSpec, gini, product
 from ustatlab.ustats import (
     DecoupledSample,
+    _grouped_columns,
+    _tuple_columns,
     SamplingDesign,
     WeightScheme,
     complete,
@@ -69,6 +72,26 @@ class TestEnumerateInc:
         rank = data.draw(st.integers(0, math.comb(n, m) - 1))
         tpl = unrank_combination(rank, n, m)
         assert rank_combination(tpl, n) == rank
+
+
+class TestIndexColumns:
+    """The vectorized index columns against itertools.combinations."""
+
+    CASES = [(m, n) for m in range(1, 5) for n in range(m, 13)] + [(2, 400)]
+
+    @pytest.mark.parametrize(("m", "n"), CASES)
+    def test_full_enumeration_order(self, m, n):
+        cols = _tuple_columns(m, n)
+        expected = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
+        np.testing.assert_array_equal(np.stack(cols, axis=1), expected)
+        assert all(c.dtype == np.int64 and not c.flags.writeable for c in cols)
+
+    @pytest.mark.parametrize(("m", "n"), [(m, n) for m in range(1, 5) for n in range(m, 11)])
+    def test_grouped_by_last_index(self, m, n):
+        cols, starts = _grouped_columns(m, n)
+        tuples = sorted(itertools.combinations(range(n), m), key=lambda t: (t[-1], t))
+        np.testing.assert_array_equal(np.stack(cols, axis=1), np.array(tuples, dtype=np.int64))
+        np.testing.assert_array_equal(starts, [math.comb(last, m) for last in range(m - 1, n)])
 
 
 class TestComplete:
