@@ -3,10 +3,14 @@
 Replication discipline: replica r draws every input from substreams keyed
 by (master seed, role, r), so results are a pure function of the replica
 index and survive any thread count, scheduling order or batch size bit for
-bit. Reductions over replicas happen in replica order. The tail-scan
-statistic draws its replicas in batches (`draw_iid_batch`) and reduces each
-batch with one batched kernel evaluation (`running_max_norms`); the other
-experiments still draw and reduce one replica at a time.
+bit. Reductions over replicas happen in replica order. Every experiment
+runs on one thread over bounded batches of replicas: a batch draws its
+samples with one `draw_iid_batch` per data role and evaluates all its
+tuples with one gathered kernel call. Incomplete designs are drawn per
+replica on their own numpy Generator (the generator words fix the bytes)
+into a dense (replicas, C(n, m)) count matrix, and each replica's selected
+rows are reduced in ascending rank order exactly as one selection's were.
+Only a user `stat_fn` given to `replicate` is mapped over threads.
 
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
@@ -37,13 +41,14 @@ from .distributions import (
 )
 from .hilbert import HilbertSpace, row_norms
 from .hoeffding import degeneracy_order
-from .kernels import KernelSpec, batch_values, check_sup_bound, conditional_norm_expectation
+from .kernels import KernelSpec, check_sup_bound, conditional_norm_expectation
 from .ustats import (
     SamplingDesign,
+    _stacked_values,
     _tuple_columns,
-    complete,
+    check_design,
+    design_counts,
     design_mean_factor,
-    draw_design,
     inc_count,
     running_max_norms,
 )
@@ -80,12 +85,13 @@ _ROLE_DATA = 11
 _ROLE_DESIGN = 12
 _ROLE_DEC = 13
 _ROLE_FIXED = 14
-_CHUNK = 256
-# Values per batch of the default statistic: replicas are drawn in batches
-# of this many sample values and evaluated in batches of this many gathered
-# tuple values (N=40, m=2: 819 and 42 replicas). The footprint then does not
-# grow with the replica count. At 2**17 each batch's 1 MiB temporaries were
-# page-faulted back in on every batch, which made the scan slower.
+# Values per batch of replicas: the tail scan draws its replicas in batches
+# of this many sample values and evaluates them in batches of this many
+# gathered tuples (N=40, m=2: 819 and 42 replicas); the design and
+# decoupling experiments draw and evaluate batches of this many tuples. The
+# footprint then does not grow with the replica count. At 2**17 each batch's
+# 1 MiB temporaries were page-faulted back in on every batch, which made the
+# scan slower.
 _CHUNK_VALUES = 2**15
 
 
@@ -126,25 +132,6 @@ class ExperimentConfig:
             object.__setattr__(self, "x_grid", grid)
 
 
-def _map_replicas(fn: Callable[[int], float], count: int, threads: int) -> np.ndarray:
-    """Evaluate a pure per-replica function, folding results in index order."""
-    out = np.empty(count)
-    if threads <= 1:
-        for r in range(count):
-            out[r] = fn(r)
-        return out
-    spans = [(s, min(s + _CHUNK, count)) for s in range(0, count, _CHUNK)]
-
-    def work(span):
-        s, e = span
-        return s, [fn(r) for r in range(s, e)]
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for s, chunk in pool.map(work, spans):
-            out[s : s + len(chunk)] = chunk
-    return out
-
-
 def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None = None) -> np.ndarray:
     """Per-replica statistic values.
 
@@ -152,10 +139,14 @@ def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None =
     complete U-statistic on a fresh sample per replica. It runs on one
     thread over fixed-size batches of replicas, whatever `config.threads`
     says; a user `stat_fn` is mapped per replica over `config.threads`
-    workers.
+    workers, and its values are returned in replica order.
     """
     if stat_fn is not None:
-        return _map_replicas(stat_fn, config.replicas, config.threads)
+        replicas = range(config.replicas)
+        if config.threads <= 1:
+            return np.fromiter(map(stat_fn, replicas), np.float64, config.replicas)
+        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+            return np.fromiter(pool.map(stat_fn, replicas), np.float64, config.replicas)
     kernel, n = config.kernel, config.sample_size
     bound_sampler = _reseeded(config.sampler, config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
@@ -184,12 +175,10 @@ def _spot_check_sup(kernel: KernelSpec, sample: np.ndarray, context: str) -> Non
     """One batch of kernel values against the declared sup bound."""
     if kernel.sup_bound is None or kernel.eval_batch is None:
         return
-    cols = _tuple_columns(kernel.arity, min(sample.shape[0], 12))
-    if cols is None:
-        return
-    rows = np.asarray(sample, dtype=np.float64)
-    vals = batch_values(kernel, tuple(rows[c] for c in cols))
-    check_sup_bound(kernel, row_norms(kernel.codomain, vals), context)
+    rows = np.asarray(sample, dtype=np.float64)[None]
+    cols = _tuple_columns(kernel.arity, min(rows.shape[1], 12))
+    vals = _stacked_values(kernel, (rows,) * kernel.arity, cols)
+    check_sup_bound(kernel, row_norms(kernel.codomain, vals[0]), context)
 
 
 # ---------------------------------------------------------------------------
@@ -494,19 +483,113 @@ class ScalingReport:
         return max(qs) / min(qs)
 
 
-def _design_normalizer(design: SamplingDesign, nonzero: int, n: int, m: int, d: int) -> float:
-    """The deviation-bound normalization for one realized selection.
+def _design_normalizer(design: SamplingDesign, nonzero, n: int, m: int, d: int):
+    """The deviation-bound normalization of realized selections.
 
     Replacement designs normalize by the realized count of distinct selected
-    tuples (only nonzero weights enter the bound); the Bernoulli design has
-    the deterministic rate-based form n^m sqrt(p) sqrt(min(p, n^-d)).
+    tuples (only nonzero weights enter the bound), NaN where it is zero; the
+    Bernoulli design has the deterministic rate-based form
+    n^m sqrt(p) sqrt(min(p, n^-d)).
     """
     if design.kind == "bernoulli":
         p = design.rate
         return float(n**m) * math.sqrt(p) * math.sqrt(min(p, float(n) ** (-d)))
-    if nonzero < 1:
-        return math.nan
-    return math.sqrt(nonzero * min(nonzero, float(n) ** (m - d)))
+    nonzero = np.asarray(nonzero, dtype=np.float64)
+    normalizer = np.sqrt(nonzero * np.minimum(nonzero, float(n) ** (m - d)))
+    return np.where(nonzero < 1, math.nan, normalizer)
+
+
+def _columns(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """Index columns of all C(n, m) tuples, which these experiments gather whole."""
+    cols = _tuple_columns(m, n)
+    if cols is None:
+        raise ValueError("tuple enumeration too large to materialize for this experiment")
+    return cols
+
+
+def _batches(count: int, values: int):
+    """Indices 0..count-1 in batches of _CHUNK_VALUES // values."""
+    step = max(1, _CHUNK_VALUES // values)
+    return (np.arange(s, min(s + step, count)) for s in range(0, count, step))
+
+
+def _design_draws(
+    design: SamplingDesign, m: int, n: int, master_seed: int, role: int, cell_id: int, replicas
+) -> np.ndarray:
+    """Dense design counts (B, C(n, m)), replica r drawn on its own substream."""
+    streams = mix_ids_batch(role, cell_id, replicas)
+    return np.stack([design_counts(design, m, n, substream(master_seed, int(s))) for s in streams])
+
+
+def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Each replica's sum of weights[b, t] * vals[b, t] over its tuples with
+    nonzero weight, shape (B, dim); a replica with none sums to zero.
+
+    vals is (B, T, dim), or (T, dim) shared by the batch. Each sum is
+    np.add.reduce over the replica's own compressed rows in ascending rank
+    order, as a lone selection's `vals[ranks] * counts` was reduced: the
+    reduction is pairwise at dim 1, so zero padding would change the bits.
+    """
+    reps, ranks = np.nonzero(weights)
+    rows = vals[reps, ranks] if vals.ndim == 3 else vals[ranks]
+    rows = rows * weights[reps, ranks][:, None]
+    lengths = np.count_nonzero(weights, axis=1)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = np.zeros((weights.shape[0], vals.shape[-1]))
+    for b in np.flatnonzero(lengths):
+        out[b] = np.add.reduce(rows[starts[b] : ends[b]], axis=0)
+    return out
+
+
+def _normalized_norms(
+    kernel: KernelSpec,
+    sampler: SamplerSpec,
+    design: SamplingDesign,
+    n: int,
+    cell_id: int,
+    replicas: int,
+    master_seed: int,
+    normalizer: Callable[[np.ndarray], np.ndarray | float],
+) -> np.ndarray:
+    """Per replica: the norm of its 0/1-collapsed selection sum (each selected
+    tuple counted once) over normalizer(distinct selected tuples), NaN for an
+    empty selection.
+
+    Replica r reads its sample from data substream (cell_id, r) and its
+    design from design substream (cell_id, r); a batch of replicas is drawn
+    with one `draw_iid_batch` and evaluated with one gathered kernel call.
+    """
+    m = kernel.arity
+    cols = _columns(m, n)
+    norms = np.empty(replicas)
+    distinct = np.empty(replicas, dtype=np.int64)
+    for r in _batches(replicas, cols[0].size):
+        samples = draw_iid_batch(sampler, n, mix_ids_batch(_ROLE_DATA, cell_id, r))
+        vals = _stacked_values(kernel, (samples,) * m, cols)
+        selected = _design_draws(design, m, n, master_seed, _ROLE_DESIGN, cell_id, r) > 0
+        norms[r] = row_norms(kernel.codomain, _selection_sums(vals, selected))
+        distinct[r] = np.count_nonzero(selected, axis=1)
+    return np.where(distinct > 0, norms / normalizer(distinct), math.nan)
+
+
+def _design_estimates(
+    fixed_vals: np.ndarray,
+    design: SamplingDesign,
+    m: int,
+    n: int,
+    cell_id: int,
+    draws: int,
+    master_seed: int,
+) -> np.ndarray:
+    """Multiplicity-weighted selection sums of the fixed sample's kernel
+    values, one per design draw on fixed substream (cell_id, r), shape
+    (draws, dim)."""
+    out = np.empty((draws, fixed_vals.shape[1]))
+    for r in _batches(draws, fixed_vals.shape[0]):
+        counts = _design_draws(design, m, n, master_seed, _ROLE_FIXED, cell_id, r)
+        out[r] = _selection_sums(fixed_vals, counts)
+    return out
 
 
 def incomplete_scaling_experiment(
@@ -528,6 +611,10 @@ def incomplete_scaling_experiment(
     estimator on one fixed sample: its design mean must match
     E[#selected]/C(n,m) times the complete statistic within 4 standard
     errors, coordinatewise.
+
+    Replicas run on one thread in batches whatever `threads` says; results
+    do not depend on it. Every cell's design, tuple count and sup bound are
+    checked before any replica is drawn.
     """
     support = sampler.finite_support()
     if support is None:
@@ -537,26 +624,24 @@ def incomplete_scaling_experiment(
     m = kernel.arity
     draws = unbiasedness_draws if unbiasedness_draws is not None else min(replicas, 2000)
     bound_sampler = _reseeded(sampler, master_seed)
+    for cell_id, cell in enumerate(cells):
+        if cell.sample_size < m:
+            raise ValueError("sample_size must be at least the kernel arity")
+        check_design(cell.design, m, cell.sample_size)
+        _columns(m, cell.sample_size)
+        _spot_check_sup(
+            kernel,
+            draw_iid(bound_sampler, cell.sample_size, mix_ids(_ROLE_DATA, cell_id, 0)),
+            "incomplete scaling",
+        )
 
     rows = []
     for cell_id, cell in enumerate(cells):
         n, design = cell.sample_size, cell.design
-        _spot_check_sup(
-            kernel, draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, 0)), "incomplete scaling"
+        stats = _normalized_norms(
+            kernel, bound_sampler, design, n, cell_id, replicas, master_seed,
+            lambda distinct: _design_normalizer(design, distinct, n, m, d),
         )
-
-        def norm_stat(r: int, n=n, design=design, cell_id=cell_id) -> float:
-            sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
-            vals = _cell_values(kernel, (sample,) * m)
-            sel = draw_design(design, m, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
-            if sel.empty:
-                return math.nan
-            collapsed = np.add.reduce(vals[sel.ranks], axis=0)
-            return float(row_norms(kernel.codomain, collapsed)) / _design_normalizer(
-                design, sel.distinct, n, m, d
-            )
-
-        stats = _map_replicas(norm_stat, replicas, threads)
         usable = stats[~np.isnan(stats)]
         empty_count = replicas - usable.size
         if usable.size >= 2:
@@ -565,18 +650,9 @@ def incomplete_scaling_experiment(
             q = q_lo = q_hi = math.nan
 
         fixed_sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_FIXED, cell_id))
-        fixed_vals = _cell_values(kernel, (fixed_sample,) * m)
+        fixed_vals = _stacked_values(kernel, (fixed_sample[None],) * m, _columns(m, n))[0]
         target = design_mean_factor(design, m, n) * np.add.reduce(fixed_vals, axis=0)
-
-        def estimator(r: int, n=n, design=design, cell_id=cell_id, fixed_vals=fixed_vals):
-            sel = draw_design(
-                design, m, n, substream(master_seed, mix_ids(_ROLE_FIXED, cell_id, r))
-            )
-            if sel.empty:
-                return np.zeros(fixed_vals.shape[1])
-            return np.add.reduce(fixed_vals[sel.ranks] * sel.counts[:, None], axis=0)
-
-        ests = np.stack([estimator(r) for r in range(draws)])
+        ests = _design_estimates(fixed_vals, design, m, n, cell_id, draws, master_seed)
         mean = ests.mean(axis=0)
         se = ests.std(axis=0, ddof=1) / math.sqrt(draws)
         dev = np.abs(mean - target)
@@ -653,7 +729,8 @@ def matching_point_compare(
 
     Quantile intervals come from order statistics, so a lattice-valued
     sampling law can collapse them onto single atoms and defeat the overlap
-    check; prefer a continuous law here.
+    check; prefer a continuous law here. Replicas run on one thread in
+    batches whatever `threads` says.
     """
     kernel = coordinate_kernel()
     n = sample_size
@@ -663,26 +740,18 @@ def matching_point_compare(
     wo = SamplingDesign(kind="without-replacement", size=size)
     bern = SamplingDesign(kind="bernoulli", rate=rate)
     d = 1
-    norm_wo = _design_normalizer(wo, size, n, 1, d)
-    norm_bern = _design_normalizer(bern, -1, n, 1, d)
+    norm_wo = float(_design_normalizer(wo, size, n, 1, d))
+    norm_bern = _design_normalizer(bern, size, n, 1, d)
     if not math.isclose(norm_wo, norm_bern, rel_tol=1e-12):
         raise AssertionError(f"normalizers should coincide: {norm_wo} vs {norm_bern}")
     bound_sampler = _reseeded(sampler, master_seed)
 
-    def stat(design: SamplingDesign, cell_id: int):
-        def fn(r: int) -> float:
-            sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
-            vals = _cell_values(kernel, (sample,))
-            sel = draw_design(design, 1, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
-            if sel.empty:
-                return math.nan
-            collapsed = np.add.reduce(vals[sel.ranks], axis=0)
-            return float(row_norms(kernel.codomain, collapsed)) / norm_wo
-
-        return fn
-
-    stats_wo = _map_replicas(stat(wo, 0), replicas, threads)
-    stats_b = _map_replicas(stat(bern, 1), replicas, threads)
+    stats_wo, stats_b = (
+        _normalized_norms(
+            kernel, bound_sampler, design, n, cell_id, replicas, master_seed, lambda _: norm_wo
+        )
+        for cell_id, design in enumerate((wo, bern))
+    )
     usable_b = stats_b[~np.isnan(stats_b)]
     q_wo, lo_wo, hi_wo = quantile_interval(stats_wo, quantile)
     q_b, lo_b, hi_b = quantile_interval(usable_b, quantile)
@@ -729,24 +798,7 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
     """
     if config.x_grid is None:
         raise ValueError("decouple_compare needs x_grid")
-    kernel, n = config.kernel, config.sample_size
-    m = kernel.arity
-    seed = config.master_seed
-    bound_sampler = _reseeded(config.sampler, seed)
-
-    def stat_complete(r: int) -> float:
-        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, r))
-        return float(row_norms(kernel.codomain, complete(kernel, sample).coords))
-
-    def stat_decoupled(r: int) -> float:
-        rows = tuple(draw_iid(bound_sampler, n, mix_ids(_ROLE_DEC, slot, r)) for slot in range(m))
-        vals = _cell_values(kernel, rows)
-        return float(row_norms(kernel.codomain, np.add.reduce(vals, axis=0)))
-
-    _spot_check_sup(kernel, draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, 0)), "decouple_compare")
-    stats_u = _map_replicas(stat_complete, config.replicas, config.threads)
-    stats_d = _map_replicas(stat_decoupled, config.replicas, config.threads)
-
+    stats_u, stats_d = _decouple_stats(config)
     R = config.replicas
     counts_u = np.array([np.count_nonzero(stats_u > x) for x in config.x_grid])
     counts_d = np.array([np.count_nonzero(stats_d > x) for x in config.x_grid])
@@ -791,11 +843,35 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
     )
 
 
-def _cell_values(kernel: KernelSpec, rows: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Kernel values over all tuples with slot l fed from rows[l]."""
-    n = rows[0].shape[0]
-    cols = _tuple_columns(kernel.arity, n)
-    if cols is None:
-        raise ValueError("tuple enumeration too large to materialize for this experiment")
-    arrays = tuple(np.asarray(r, dtype=np.float64) for r in rows)
-    return batch_values(kernel, tuple(arrays[j][cols[j]] for j in range(kernel.arity)))
+def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Per replica: ||U|| of the complete statistic on data substream r, and
+    ||U_dec|| of the decoupled one whose slot l reads substream (l, r).
+
+    Like the tail scan's, replicas are drawn in batches of _CHUNK_VALUES // n
+    (one `draw_iid_batch` per role) and evaluated in batches of
+    _CHUNK_VALUES // C(n, m) (one gathered kernel call per statistic). The
+    tuple sums reduce along the tuple axis as `complete` and `decoupled` do
+    for one sample; for a kernel without `eval_batch`, `complete` adds tuple
+    values one at a time, so its sums are running sums here too.
+    """
+    kernel, n, R = config.kernel, config.sample_size, config.replicas
+    m = kernel.arity
+    cols = _columns(m, n)
+    bound_sampler = _reseeded(config.sampler, config.master_seed)
+    _spot_check_sup(kernel, draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, 0)), "decouple_compare")
+    stats_u, stats_d = np.empty(R), np.empty(R)
+    for drawn in _batches(R, n):
+        sample = draw_iid_batch(bound_sampler, n, mix_ids_batch(_ROLE_DATA, drawn))
+        copies = [
+            draw_iid_batch(bound_sampler, n, mix_ids_batch(_ROLE_DEC, slot, drawn)) for slot in range(m)
+        ]
+        for b in _batches(drawn.size, cols[0].size):
+            vals = _stacked_values(kernel, (sample[b],) * m, cols)
+            if kernel.eval_batch is not None:
+                sums = np.add.reduce(vals, axis=1)
+            else:
+                sums = np.cumsum(vals, axis=1)[:, -1]
+            stats_u[drawn[b]] = row_norms(kernel.codomain, sums)
+            dec = _stacked_values(kernel, tuple(c[b] for c in copies), cols)
+            stats_d[drawn[b]] = row_norms(kernel.codomain, np.add.reduce(dec, axis=1))
+    return stats_u, stats_d

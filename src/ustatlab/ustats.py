@@ -45,7 +45,9 @@ __all__ = [
     "weighted_decomposition_check",
     "SamplingDesign",
     "Selection",
+    "check_design",
     "draw_design",
+    "design_counts",
     "design_mean_factor",
     "incomplete",
     "IncompleteResult",
@@ -307,9 +309,22 @@ def _prefix_sums(kernel: KernelSpec, samples: np.ndarray, grouped) -> np.ndarray
     a lone sample's would be, so the result does not depend on R.
     """
     cols, starts = grouped
-    gathered = tuple(np.take(samples, c, axis=1).reshape((-1,) + samples.shape[2:]) for c in cols)
-    vals = batch_values(kernel, gathered).reshape(samples.shape[0], cols[0].size, -1)
+    vals = _stacked_values(kernel, (samples,) * kernel.arity, cols)
     return np.cumsum(np.add.reduceat(vals, starts, axis=1), axis=1)
+
+
+def _stacked_values(kernel: KernelSpec, samples: tuple[np.ndarray, ...], cols) -> np.ndarray:
+    """Kernel values over the tuples `cols` of each sample in a stack.
+
+    Slot l of tuple t reads samples[l][:, cols[l][t]]; each samples[l] has
+    shape (R, n) or (R, n, d_in) and the result is (R, T, dim). All R * T
+    tuples go through one `batch_values` call, and every row equals what a
+    lone sample's gather and evaluation would give.
+    """
+    gathered = tuple(
+        np.take(s, c, axis=1).reshape((-1,) + s.shape[2:]) for s, c in zip(samples, cols)
+    )
+    return batch_values(kernel, gathered).reshape(samples[0].shape[0], cols[0].size, -1)
 
 
 def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
@@ -546,6 +561,20 @@ class Selection:
             yield unrank_combination(int(r), self.n, self.m), int(c)
 
 
+def check_design(design: SamplingDesign, m: int, n: int) -> int:
+    """The tuple count C(n, m), once the design can draw from it.
+
+    Raises EnumerationBudgetError beyond ENUMERATION_CAP tuples and
+    ValueError for a without-replacement size above the tuple count.
+    """
+    total = inc_count(m, n)
+    if total > ENUMERATION_CAP:
+        raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
+    if design.kind == "without-replacement" and design.size > total:
+        raise ValueError(f"cannot draw {design.size} distinct tuples from {total}")
+    return total
+
+
 def draw_design(
     design: SamplingDesign, m: int, n: int, rng: np.random.Generator
 ) -> Selection:
@@ -555,12 +584,8 @@ def draw_design(
     uses Floyd's algorithm so memory stays O(size) even for huge tuple
     counts.
     """
-    total = inc_count(m, n)
-    if total > ENUMERATION_CAP:
-        raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
+    total = check_design(design, m, n)
     if design.kind == "without-replacement":
-        if design.size > total:
-            raise ValueError(f"cannot draw {design.size} distinct tuples from {total}")
         chosen: set[int] = set()
         for j in range(total - design.size, total):
             t = int(rng.integers(0, j + 1))
@@ -571,15 +596,37 @@ def draw_design(
         draws = rng.integers(0, total, size=design.size)
         ranks, counts = np.unique(draws, return_counts=True)
         return Selection(m=m, n=n, ranks=ranks.astype(np.int64), counts=counts.astype(np.int64))
-    kept = []
+    ranks = np.flatnonzero(_bernoulli_mask(design.rate, total, rng))
+    return Selection(m=m, n=n, ranks=ranks, counts=np.ones(ranks.size, dtype=np.int64))
+
+
+def _bernoulli_mask(rate: float, total: int, rng: np.random.Generator) -> np.ndarray:
+    """Keep each of `total` ranks with probability `rate`, uniforms drawn in chunks of 2**20."""
+    mask = np.empty(total, dtype=bool)
     for start in range(0, total, 2**20):
         stop = min(start + 2**20, total)
-        mask = rng.random(stop - start) < design.rate
-        kept.append(start + np.flatnonzero(mask))
-    ranks = np.concatenate(kept) if kept else np.empty(0, dtype=np.int64)
-    return Selection(
-        m=m, n=n, ranks=ranks.astype(np.int64), counts=np.ones(ranks.size, dtype=np.int64)
-    )
+        mask[start:stop] = rng.random(stop - start) < rate
+    return mask
+
+
+def design_counts(
+    design: SamplingDesign, m: int, n: int, rng: np.random.Generator
+) -> np.ndarray:
+    """The selection `draw_design` makes from the same generator, as dense
+    multiplicities over all C(n, m) ranks (zero where a tuple is not drawn).
+
+    It consumes the same generator words: with-replacement ranks are counted
+    with `bincount` instead of `unique`, the bernoulli mask is kept whole,
+    and a without-replacement draw scatters Floyd's ranks.
+    """
+    total = check_design(design, m, n)
+    if design.kind == "with-replacement":
+        return np.bincount(rng.integers(0, total, size=design.size), minlength=total)
+    if design.kind == "bernoulli":
+        return _bernoulli_mask(design.rate, total, rng).astype(np.int64)
+    counts = np.zeros(total, dtype=np.int64)
+    counts[draw_design(design, m, n, rng).ranks] = 1
+    return counts
 
 
 def design_mean_factor(design: SamplingDesign, m: int, n: int) -> float:

@@ -1,6 +1,7 @@
 """Shared test fixtures: random finite laws, table-backed kernels, the
-enumeration oracle for exact projections, and the one-at-a-time oracles for
-the martingale checks."""
+enumeration oracle for exact projections, the one-at-a-time oracles for
+the martingale checks, and the one-replica-at-a-time oracles for the design
+and decoupling experiments."""
 
 from __future__ import annotations
 
@@ -10,8 +11,11 @@ import math
 import numpy as np
 
 from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
-from ustatlab.distributions import exact_expectation
+from ustatlab.distributions import draw_iid, exact_expectation, mix_ids, substream
 from ustatlab.hilbert import row_norms
+from ustatlab.kernels import batch_values
+from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED
+from ustatlab.ustats import _tuple_columns, complete, draw_design
 
 
 def random_scalar_dist(rng: np.random.Generator, size: int) -> FiniteDistribution:
@@ -157,3 +161,93 @@ def summarize_oracle(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         quad_plus[i] = norms2.sum() + p.cond_second_moments.sum()
         sqrt_quad[i] = np.sqrt(norms2.sum())
     return max_norm, quad_plus, sqrt_quad
+
+
+# ---------------------------------------------------------------------------
+# The design and decoupling experiments one replica at a time: one substream,
+# one sample, one Selection and one reduce per replica.
+
+
+def cell_values_oracle(kernel: KernelSpec, rows: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Kernel values over all tuples with slot l fed from rows[l]."""
+    n = rows[0].shape[0]
+    cols = _tuple_columns(kernel.arity, n)
+    if cols is None:
+        raise ValueError("tuple enumeration too large to materialize for this experiment")
+    arrays = tuple(np.asarray(r, dtype=np.float64) for r in rows)
+    return batch_values(kernel, tuple(arrays[j][cols[j]] for j in range(kernel.arity)))
+
+
+def design_normalizer_oracle(design, nonzero: int, n: int, m: int, d: int) -> float:
+    """The deviation-bound normalization of one selection, in scalar arithmetic."""
+    if design.kind == "bernoulli":
+        p = design.rate
+        return float(n**m) * math.sqrt(p) * math.sqrt(min(p, float(n) ** (-d)))
+    if nonzero < 1:
+        return math.nan
+    return math.sqrt(nonzero * min(nonzero, float(n) ** (m - d)))
+
+
+def norm_stat_oracle(kernel, bound_sampler, design, n, cell_id, replicas, master_seed, d):
+    """The scaling experiment's quantile column, replica by replica."""
+    m = kernel.arity
+
+    def norm_stat(r: int, n=n, design=design, cell_id=cell_id) -> float:
+        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
+        vals = cell_values_oracle(kernel, (sample,) * m)
+        sel = draw_design(design, m, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
+        if sel.empty:
+            return math.nan
+        collapsed = np.add.reduce(vals[sel.ranks], axis=0)
+        return float(row_norms(kernel.codomain, collapsed)) / design_normalizer_oracle(
+            design, sel.distinct, n, m, d
+        )
+
+    return np.array([norm_stat(r) for r in range(replicas)])
+
+
+def estimator_oracle(fixed_vals, design, m, n, cell_id, draws, master_seed):
+    """The scaling experiment's multiplicity-weighted estimates, draw by draw."""
+
+    def estimator(r: int, n=n, design=design, cell_id=cell_id, fixed_vals=fixed_vals):
+        sel = draw_design(
+            design, m, n, substream(master_seed, mix_ids(_ROLE_FIXED, cell_id, r))
+        )
+        if sel.empty:
+            return np.zeros(fixed_vals.shape[1])
+        return np.add.reduce(fixed_vals[sel.ranks] * sel.counts[:, None], axis=0)
+
+    return np.stack([estimator(r) for r in range(draws)])
+
+
+def matching_stat_oracle(kernel, bound_sampler, design, n, cell_id, replicas, master_seed, norm_wo):
+    """One pipeline of the matching-point comparison, replica by replica."""
+
+    def fn(r: int) -> float:
+        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
+        vals = cell_values_oracle(kernel, (sample,))
+        sel = draw_design(design, 1, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
+        if sel.empty:
+            return math.nan
+        collapsed = np.add.reduce(vals[sel.ranks], axis=0)
+        return float(row_norms(kernel.codomain, collapsed)) / norm_wo
+
+    return np.array([fn(r) for r in range(replicas)])
+
+
+def decouple_stats_oracle(kernel, bound_sampler, n, replicas):
+    """||U|| and ||U_dec|| of the decoupling comparison, replica by replica."""
+    m = kernel.arity
+
+    def stat_complete(r: int) -> float:
+        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, r))
+        return float(row_norms(kernel.codomain, complete(kernel, sample).coords))
+
+    def stat_decoupled(r: int) -> float:
+        rows = tuple(draw_iid(bound_sampler, n, mix_ids(_ROLE_DEC, slot, r)) for slot in range(m))
+        vals = cell_values_oracle(kernel, rows)
+        return float(row_norms(kernel.codomain, np.add.reduce(vals, axis=0)))
+
+    stats_u = np.array([stat_complete(r) for r in range(replicas)])
+    stats_d = np.array([stat_decoupled(r) for r in range(replicas)])
+    return stats_u, stats_d

@@ -452,3 +452,241 @@ martingale:
         expected = {f"martingale-{name}": digest for name, digest in digests.items()}
         assert {name: sha256(tmp_path / name) for name in expected} == expected
         assert read_manifest(tmp_path)["outputs"] == expected
+
+
+def _pinned_run(tmp_path, experiment, text, threads):
+    """Run one config; return its exit status and the csv, dat and results digests."""
+    status = run(experiment, parse_config_text(text), out_dir=str(tmp_path), threads=threads)
+    manifest = read_manifest(tmp_path)
+    digests = tuple(sha256(tmp_path / f"{experiment}.{ext}") for ext in ("csv", "dat"))
+    assert manifest["outputs"] == {f"{experiment}.csv": digests[0], f"{experiment}.dat": digests[1]}
+    results = json.dumps(manifest["results"], sort_keys=True).encode()
+    return (status, *digests, hashlib.sha256(results).hexdigest())
+
+
+class TestIncompleteDigests:
+    """Output digests (csv, dat and the manifest's results block, which holds
+    the matching-point figures) recorded with one design draw and one reduce
+    per replica, before replicas were batched; every later version must
+    match them at any thread count."""
+
+    CASES = {
+        "workload-product": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 600
+replicas: 200
+kernel:
+  name: product
+sampler:
+  kind: rademacher
+scaling:
+  design_kind: with-replacement
+  sizes: [100, 1000, 10000]
+  sample_sizes: [20, 40]
+""",
+            EXIT_OK,
+            "8e4ad8b8d394dc6c614ecb77c28450e1c279a02960688d24fb8893cc9f06eca2",
+            "d411b5e5a8d76cbc30fa86aac474b1bb2cb54e3d1d27685adf2138773bf94eae",
+            "70a3dac1d385a9f7e01469e60c37ff316a042437dbbb03a5dad1e32a21738f74",
+        ),
+        "without-replacement-gini-grid7": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 91
+replicas: 200
+kernel:
+  name: gini
+  centered: true
+sampler:
+  kind: uniform-grid
+  grid_points: 7
+scaling:
+  design_kind: without-replacement
+  sizes: [3, 40, 66]
+  sample_sizes: [12, 20]
+""",
+            EXIT_VIOLATION,
+            "d1d42ff887873f50d943f892859a39cd90420b38b6a7f355f2f37da26861d182",
+            "74abb4bc9fe851f99f5a89277d6713c685a1134ae67b6cc31986b3449f062d69",
+            "d6def5a042ce3f51eb4955d910ac5292d460727358f0a2e3be1cb3177602d5d3",
+        ),
+        "bernoulli-gini-grid7": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 92
+replicas: 200
+kernel:
+  name: gini
+  centered: true
+sampler:
+  kind: uniform-grid
+  grid_points: 7
+scaling:
+  design_kind: bernoulli
+  sizes: [0.02, 0.2, 0.9]
+  sample_sizes: [8, 15]
+""",
+            EXIT_OK,
+            "20ac12a98e2f6434352b63d8a5e08dab0da773665ad5537554cc0d666e6e07b1",
+            "184a170b1991664c953d95ed9b408618c54c1f0ab0e64aece40b291b84f4024d",
+            "166cf6d52c266e248ad71a76e59cbebf7199486eac659d71360c23aafed94254",
+        ),
+        "indicator-dim2": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 93
+replicas: 200
+kernel:
+  name: empirical-indicator
+  grid_points: 2
+sampler:
+  kind: finite
+  atoms: [-0.7, 0.1, 0.35, 1.3]
+  probs: [0.1, 0.3, 0.35, 0.25]
+scaling:
+  design_kind: with-replacement
+  sizes: [5, 60, 500]
+  sample_sizes: [10, 16]
+""",
+            EXIT_VIOLATION,
+            "c1e5aa58b18d73cf22a9fe3b8bbf20e4ec84d149f7b2ffc4500b8c70ed408504",
+            "af0b0bd7df11bc4b157013484a6a74416ef92c97a12a28a7a48e5e1f8da0b4df",
+            "05a8a067d10a8f24e7ff46e7124cd875252ed99bf890457451fa86d889eeb04f",
+        ),
+        "matching-gini-grid7": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 94
+replicas: 200
+kernel:
+  name: gini
+  centered: true
+sampler:
+  kind: uniform-grid
+  grid_points: 7
+scaling:
+  design_kind: with-replacement
+  sizes: [10, 100]
+  sample_sizes: [10]
+  matching:
+    sample_size: 20
+    size: 7
+    replicas: 300
+    sampler_kind: discretized-gaussian
+""",
+            EXIT_OK,
+            "3d6b4de8e278f4ae9ee2f448c0be05e227b7c4ea79138a42a68abee422b57b7d",
+            "4eb4955a4b90d534084acc2857b532c83de2134457aa1722947c07a5243fd7af",
+            "2c52f55de628962f10232dae38faf921c26516da838819ae668f9bcf83336085",
+        ),
+        "matching-own-sampler": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 95
+replicas: 200
+kernel:
+  name: empirical-indicator
+  grid_points: 3
+sampler:
+  kind: uniform-grid
+  grid_points: 7
+scaling:
+  design_kind: without-replacement
+  sizes: [2, 9]
+  sample_sizes: [9, 14]
+  matching:
+    sample_size: 16
+    size: 5
+    replicas: 250
+""",
+            EXIT_VIOLATION,
+            "ca943480c29fe38309b64a5930a1018797688dc024c0c98e7ddc90c5aba9f353",
+            "6037f2311ca95062ac637feb31dab048b73d55f3956e75a4ce5ce93f4972d82a",
+            "25c339575de5d69c9b86519e5f24ca644e79ef5336e16ef58bfd90857375db56",
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_digests_are_pinned(self, tmp_path, case, threads):
+        text, *expected = self.CASES[case]
+        assert _pinned_run(tmp_path, "incomplete-compare", text, threads) == tuple(expected)
+
+
+class TestDecoupleDigests:
+    """Output digests recorded with complete and decoupled statistics drawn and
+    reduced one replica at a time, before replicas were batched."""
+
+    CASES = {
+        "gini-grid7": (
+            """\
+version: 1
+experiment: decouple-compare
+seed: 96
+replicas: 600
+sample_size: 12
+kernel:
+  name: gini
+  centered: true
+sampler:
+  kind: uniform-grid
+  grid_points: 7
+x_grid: {start: 0.5, stop: 12.0, points: 16, scale: log}
+""",
+            EXIT_OK,
+            "b67e86f6e23b1bba7ac3989fbb866718415f5647023f0a70dbb6c2155e2d0ef4",
+            "d16fa78393c822bf9bc329f2947a2dd639d10765715bfac39e4535788bc74b30",
+            "49468e7698c678453235b770af604f2cbc155cd029da251c2c7e78df3031c7ec",
+        ),
+        "spatial-sign-gaussian-dim2": (
+            """\
+version: 1
+experiment: decouple-compare
+seed: 97
+replicas: 500
+sample_size: 9
+kernel:
+  name: spatial-sign
+  dim: 2
+sampler:
+  kind: discretized-gaussian
+  dim: 2
+x_grid: {start: 0.2, stop: 8.0, points: 12, scale: log}
+""",
+            EXIT_OK,
+            "752f82e80d91772a4874c5698b96609ee5783e0eba80ddea95e176ae889b4213",
+            "2d2fa90d0b5bb61762b0e3e62dafe5daaba7e11e736036700381fb4387ba3917",
+            "cc0a64565107c43e2a1f80355a9e25770e72e5f60ba99d6553104098139b494d",
+        ),
+        "product-rademacher": (
+            """\
+version: 1
+experiment: decouple-compare
+seed: 700
+replicas: 1000
+sample_size: 30
+kernel:
+  name: product
+sampler:
+  kind: rademacher
+x_grid: {start: 0.2, stop: 6.0, points: 24, scale: log}
+""",
+            EXIT_OK,
+            "b3e17cace0bd58bc37be84df2e8e35d54134090920313deabdb9a670c2ddd029",
+            "8c909a453b2f25611508167d3aa0cc668ff7f1c3c6974b66f22272b530c00491",
+            "f59683f63ef6286616fb14cbe2ce7ec86d68a7f6bd9980715398bafba55370c0",
+        ),
+    }
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_digests_are_pinned(self, tmp_path, case, threads):
+        text, *expected = self.CASES[case]
+        assert _pinned_run(tmp_path, "decouple-compare", text, threads) == tuple(expected)

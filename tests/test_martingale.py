@@ -281,3 +281,36 @@ class TestSummaries:
         other = simulate_mds("gaussian-coords", 5, HilbertSpace(2, np.array([1.0, 2.0])), rng)
         with pytest.raises(ValueError, match="different spaces"):
             summarize(paths + [other])
+
+
+class TestA3Integral:
+    """A3's tail integral depends on y only: one evaluation per distinct y."""
+
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = []
+        original = martingale._step_tail_integral
+
+        def counted(samples, scale, u_max):
+            calls.append(scale)
+            return original(samples, scale, u_max)
+
+        monkeypatch.setattr(martingale, "_step_tail_integral", counted)
+        return calls
+
+    def test_grid_evaluates_one_integral_per_y(self, monkeypatch):
+        paths = simulate_ensemble("gaussian-coords", 20, plane, master_seed=8, count=300)
+        xs, ys = np.linspace(1.0, 8.0, 5), np.linspace(2.0, 12.0, 4)
+        calls = self._counted(monkeypatch)
+        report = verify_grid(paths, xs, ys, "A3")
+        assert len(calls) == ys.size
+        cells = [check_hilbert_inequality(paths, x, y, "A3") for x in xs for y in ys]
+        expected = np.array([dataclasses.astuple(e) for e in cells])
+        np.testing.assert_array_equal(_rows(report), expected)
+
+    def test_repeated_pairs_share_their_integral(self, monkeypatch):
+        paths = simulate_ensemble("gaussian-coords", 20, plane, master_seed=9, count=200)
+        pairs = [(1.0, 3.0), (2.0, 5.0), (4.0, 3.0), (1.0, 5.0), (6.0, 7.0)]
+        calls = self._counted(monkeypatch)
+        verify_pairs(paths, pairs, "A3")
+        assert len(calls) == 3
