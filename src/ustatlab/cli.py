@@ -946,7 +946,7 @@ def _run_tailscan(cfg: ConfigFile, out_dir: str, threads: int) -> int:
     return status
 
 
-def _run_incomplete(cfg: ConfigFile, out_dir: str, threads: int) -> int:
+def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
     sampler = _build_sampler(cfg)
     kernel = _build_kernel(cfg, sampler)
     scaling = cfg.scaling if cfg.scaling is not None else ScalingConfig()
@@ -965,7 +965,6 @@ def _run_incomplete(cfg: ConfigFile, out_dir: str, threads: int) -> int:
         replicas=cfg.replicas,
         master_seed=cfg.seed,
         quantile=cfg.quantile,
-        threads=threads,
     )
     rows = [
         (
@@ -1028,7 +1027,6 @@ def _run_incomplete(cfg: ConfigFile, out_dir: str, threads: int) -> int:
             replicas=m.replicas,
             master_seed=cfg.seed,
             quantile=cfg.quantile,
-            threads=threads,
         )
         overlap_ok = mp.overlap
         results["matching"] = {
@@ -1170,7 +1168,7 @@ def run(
     if subcommand == "tailscan":
         return _run_tailscan(cfg, out, workers)
     if subcommand == "incomplete-compare":
-        return _run_incomplete(cfg, out, workers)
+        return _run_incomplete(cfg, out)
     if subcommand == "decouple-compare":
         return _run_decouple(cfg, out, workers)
     return _run_martingale(cfg, out, variants, grid_file)

@@ -223,12 +223,9 @@ def _step_tail_integral(
     sample/scale; each constant piece integrates to p * (b^2 - a^2)/2.
     Lower/upper use Wilson bands of the per-piece counts. The pieces are
     added left to right (a cumulative sum, not numpy's pairwise sum), so the
-    totals do not depend on how the pieces are batched. Samples already in
-    ascending order are not sorted again.
+    totals do not depend on how the pieces are batched.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if not np.all(samples[:-1] <= samples[1:]):
-        samples = np.sort(samples)
+    samples = np.sort(np.asarray(samples, dtype=np.float64))
     R = samples.size
     points = np.unique(np.clip(samples / scale, 1.0, u_max))
     edges = np.concatenate([[1.0], points[(points > 1.0) & (points < u_max)], [u_max]])
@@ -275,7 +272,7 @@ def check_hilbert_inequality(
     """Coordinate-space maximal inequality at one (x, y), variant A2 or A3."""
     if variant not in ("A2", "A3"):
         raise ValueError(f"unknown variant {variant!r}; choose A2 or A3")
-    return _ENTRIES[variant](_checked(paths, variant), x, y)
+    return verify_pairs(paths, [(x, y)], variant).entries[0]
 
 
 def _hilbert_a2_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
@@ -286,21 +283,19 @@ def _hilbert_a2_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
     return _entry(x, y, lhs, rhs)
 
 
-def _a3_integral(sorted_sqrt_quad: np.ndarray, y: float) -> tuple[float, float, float]:
+def _a3_integral(s: PathSummaries, y: float) -> tuple[float, float, float]:
     """A3's tail integral with its bands; it depends on y, not on x."""
     scale = y / 8.0
     # the integrand dies at u = 8*max/y; doubling that caps the Wilson band
-    u_max = max(2.0, 2.0 * float(sorted_sqrt_quad[-1]) / scale)
-    return _step_tail_integral(sorted_sqrt_quad, scale, u_max)
+    u_max = max(2.0, 2.0 * float(s.sqrt_quad.max()) / scale)
+    return _step_tail_integral(s.sqrt_quad, scale, u_max)
 
 
 def _hilbert_a3_entry(
-    s: PathSummaries, x: float, y: float, integral: tuple[float, float, float] | None = None
+    s: PathSummaries, x: float, y: float, integral: tuple[float, float, float]
 ) -> InequalityEntry:
     lhs = _tail_triple(s.max_partial_norm, x)
     exp_term = 4.0 * np.exp(-(x * x) / (y * y))
-    if integral is None:
-        integral = _a3_integral(np.sort(s.sqrt_quad), y)
     rhs = tuple(exp_term + 4.0 * v for v in integral)
     return _entry(x, y, lhs, rhs)
 
@@ -342,15 +337,13 @@ def verify_pairs(
     """Evaluate one inequality variant at explicit (x, y) pairs.
 
     The ensemble is summarized once (or taken as given) and shared across
-    all pairs; for A3 its sqrt_quad column is sorted once and the tail
-    integral computed once per distinct y.
+    all pairs; A3's tail integral is computed once per distinct y.
     """
     s = _checked(paths, variant)
     pairs = [(float(x), float(y)) for x, y in pairs]
     if variant != "A3":
         return _report(variant, s, [_ENTRIES[variant](s, x, y) for x, y in pairs])
-    ordered = np.sort(s.sqrt_quad)
-    integrals = {y: _a3_integral(ordered, y) for y in dict.fromkeys(y for _, y in pairs)}
+    integrals = {y: _a3_integral(s, y) for y in dict.fromkeys(y for _, y in pairs)}
     return _report(variant, s, [_hilbert_a3_entry(s, x, y, integrals[y]) for x, y in pairs])
 
 

@@ -10,7 +10,7 @@ tuples with one gathered kernel call. Incomplete designs are drawn per
 replica on their own numpy Generator (the generator words fix the bytes)
 into a dense (replicas, C(n, m)) count matrix, and each replica's selected
 rows are reduced in ascending rank order exactly as one selection's were.
-Only a user `stat_fn` given to `replicate` is mapped over threads.
+The `threads` setting is accepted and ignored everywhere.
 
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -104,6 +103,7 @@ class ExperimentConfig:
 
     normalization selects the tail-scan scaling: "degenerate" divides the
     running maximum by N^(m - d/2), "raw" leaves it unscaled.
+    threads is validated but ignored: every experiment runs on one thread.
     """
 
     kernel: KernelSpec
@@ -133,31 +133,30 @@ class ExperimentConfig:
 
 
 def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None = None) -> np.ndarray:
-    """Per-replica statistic values.
+    """Per-replica statistic values, in replica order.
 
     The default statistic is the running maximum of prefix norms of the
-    complete U-statistic on a fresh sample per replica. It runs on one
-    thread over fixed-size batches of replicas, whatever `config.threads`
-    says; a user `stat_fn` is mapped per replica over `config.threads`
-    workers, and its values are returned in replica order.
+    complete U-statistic on a fresh sample per replica, computed over
+    fixed-size batches of replicas. A user `stat_fn` is called once per
+    replica index. Both run on one thread; `config.threads` is ignored.
     """
     if stat_fn is not None:
-        replicas = range(config.replicas)
-        if config.threads <= 1:
-            return np.fromiter(map(stat_fn, replicas), np.float64, config.replicas)
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return np.fromiter(pool.map(stat_fn, replicas), np.float64, config.replicas)
+        return np.fromiter(map(stat_fn, range(config.replicas)), np.float64, config.replicas)
     kernel, n = config.kernel, config.sample_size
     bound_sampler = _reseeded(config.sampler, config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
-    draw_step = max(1, _CHUNK_VALUES // n)
-    eval_step = max(1, _CHUNK_VALUES // inc_count(kernel.arity, n))
     out = []
-    for s in range(0, config.replicas, draw_step):
-        samples = draw_iid_batch(bound_sampler, n, streams[s : s + draw_step])
-        for t in range(0, len(samples), eval_step):
-            out.append(running_max_norms(kernel, samples[t : t + eval_step]))
+    for drawn in _batches(config.replicas, n):
+        samples = draw_iid_batch(bound_sampler, n, streams[drawn])
+        for b in _batches(drawn.size, inc_count(kernel.arity, n)):
+            out.append(running_max_norms(kernel, samples[b]))
     return np.concatenate(out)
+
+
+def _batches(count: int, values: int):
+    """Indices 0..count-1 in batches of _CHUNK_VALUES // values."""
+    step = max(1, _CHUNK_VALUES // values)
+    return (np.arange(s, min(s + step, count)) for s in range(0, count, step))
 
 
 def _reseeded(sampler: SamplerSpec, master_seed: int) -> SamplerSpec:
@@ -505,12 +504,6 @@ def _columns(m: int, n: int) -> tuple[np.ndarray, ...]:
     if cols is None:
         raise ValueError("tuple enumeration too large to materialize for this experiment")
     return cols
-
-
-def _batches(count: int, values: int):
-    """Indices 0..count-1 in batches of _CHUNK_VALUES // values."""
-    step = max(1, _CHUNK_VALUES // values)
-    return (np.arange(s, min(s + step, count)) for s in range(0, count, step))
 
 
 def _design_draws(
