@@ -11,15 +11,18 @@ violated by the results (a failed inequality or identity check, never a crash).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
-from typing import Any, Callable, Sequence
+from types import UnionType
+from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -47,6 +50,7 @@ from .montecarlo import (
     BoundEnvelope,
     ExperimentConfig,
     ScalingCell,
+    ScalingRow,
     coordinate_kernel,
     decouple_compare,
     envelope_eval,
@@ -90,152 +94,171 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Config model
+# Config model: the dataclasses below are the only declaration of the schema.
+# A field's metadata holds its rules (ge, gt, le, lt, choices; on a list they
+# apply to every entry); a section's `_check` holds the rules that span
+# several of its fields and reports them through fail(key, why).
+
+
+def _key(default=MISSING, **rules):
+    return field(default=default, metadata=rules)
 
 
 @dataclass(frozen=True)
 class GridSpec:
     start: float
     stop: float
-    points: int
-    scale: str = "log"
+    points: int = _key(ge=2)
+    scale: str = _key("log", choices=("log", "linear"))
 
     def build(self) -> np.ndarray:
         if self.scale == "log":
             return np.geomspace(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
+    def _check(self, fail) -> None:
+        if self.scale == "log" and self.start <= 0:
+            fail("start", f"must be greater than 0 on a log scale, got {self.start}")
+        if self.stop <= self.start:
+            fail("stop", f"must exceed start ({self.start}), got {self.stop}")
+
 
 @dataclass(frozen=True)
 class KernelConfig:
-    name: str = "product"
+    name: str = _key("product", choices=KERNEL_NAMES)
     centered: bool = False
-    sup_bound: float | None = None
-    dim: int = 2  # input dimension for vector-input kernels
-    grid_points: int = 16  # codomain resolution of the indicator kernel
+    sup_bound: float | None = _key(None, gt=0.0)
+    dim: int = _key(2, ge=1)  # input dimension for vector-input kernels
+    grid_points: int = _key(16, ge=2)  # codomain resolution of the indicator kernel
+
+
+# an atom or a data point: a number, or a list of numbers for vector laws
+Point = float | tuple[float, ...]
 
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "rademacher"
-    grid_points: int | None = None
-    dim: int | None = None
-    atoms: tuple | None = None
+    kind: str = _key("rademacher", choices=SAMPLER_KINDS)
+    grid_points: int | None = _key(None, ge=2)
+    dim: int | None = _key(None, ge=1)
+    atoms: tuple[Point, ...] | None = None
     probs: tuple[float, ...] | None = None
 
-
-@dataclass(frozen=True)
-class DesignConfig:
-    kind: str
-    size: int | None = None
-    rate: float | None = None
+    def _check(self, fail) -> None:
+        if self.kind == "finite" and (self.atoms is None or self.probs is None):
+            fail("kind", "finite sampler needs both 'atoms' and 'probs'")
+        if self.kind == "uniform-grid" and self.grid_points is None:
+            fail("kind", "uniform-grid sampler needs 'grid_points'")
+        if self.kind == "discretized-gaussian" and self.dim is None:
+            fail("kind", "discretized-gaussian sampler needs 'dim'")
+        if not _same_width(self.atoms):
+            fail("atoms", "entries must all be numbers or all be lists of one length")
 
 
 @dataclass(frozen=True)
 class DataConfig:
-    values: tuple | None = None
-    draw: int | None = None
+    values: tuple[Point, ...] | None = None
+    draw: int | None = _key(None, ge=1)
+
+    def _check(self, fail) -> None:
+        if self.values is not None and self.draw is not None:
+            fail("draw", "give either 'values' or 'draw', not both")
+        if not _same_width(self.values):
+            fail("values", "rows must all have the same width")
 
 
 @dataclass(frozen=True)
 class EnvelopeConfig:
-    first: float = 1.0
-    second: float = 0.0
-    tail_scale: float = 1.0
-    scale: float = 1.0
+    first: float = _key(1.0, ge=0.0)
+    second: float = _key(0.0, ge=0.0)
+    tail_scale: float = _key(1.0, gt=0.0)
+    scale: float = _key(1.0, gt=0.0)
 
 
 @dataclass(frozen=True)
 class MartingaleConfig:
-    generator: str = "bounded-signs"
-    steps: int = 30
-    dim: int = 1
-    variants: tuple[str, ...] = VARIANTS
+    generator: str = _key("bounded-signs", choices=GENERATORS)
+    steps: int = _key(30, ge=1)
+    dim: int = _key(1, ge=1)
+    variants: tuple[str, ...] = _key(VARIANTS, choices=VARIANTS)
     x_grid: GridSpec = GridSpec(2.0, 20.0, 10, "linear")
     y_grid: GridSpec = GridSpec(11.0, 38.0, 10, "linear")
     t_grid: GridSpec = GridSpec(20.0, 400.0, 10, "log")
 
+    def _check(self, fail) -> None:
+        if "real" in self.variants and self.dim != 1:
+            fail("dim", "the real-valued variant needs dim 1")
+
 
 @dataclass(frozen=True)
 class MatchingConfig:
-    sample_size: int = 40
-    size: int = 20
-    replicas: int = 20000
-    sampler_kind: str | None = None  # None: reuse the run's sampler
+    sample_size: int = _key(40, ge=2)
+    size: int = _key(20, ge=1)
+    replicas: int = _key(20000, ge=100)
+    # None: reuse the run's sampler
+    sampler_kind: str | None = _key(None, choices=("rademacher", "discretized-gaussian"))
+
+    def _check(self, fail) -> None:
+        if self.size > self.sample_size:
+            fail("size", "must not exceed the matching sample_size")
 
 
 @dataclass(frozen=True)
 class ScalingConfig:
-    design_kind: str = "with-replacement"
-    sizes: tuple[float, ...] = (100, 1000, 10000)
-    sample_sizes: tuple[int, ...] = (20, 40)
+    design_kind: str = _key("with-replacement", choices=DESIGN_KINDS)
+    sizes: tuple[float, ...] = (100.0, 1000.0, 10000.0)  # selection sizes, or bernoulli rates
+    sample_sizes: tuple[int, ...] = _key((20, 40), ge=1)
     matching: MatchingConfig | None = None
+
+    def _check(self, fail) -> None:
+        for s in self.sizes:
+            if self.design_kind == "bernoulli":
+                if not 0.0 < s <= 1.0:
+                    fail("sizes", f"bernoulli rates must lie in (0, 1], got {s}")
+            elif s < 1 or s != int(s):
+                fail("sizes", f"selection sizes must be positive integers, got {s}")
 
 
 @dataclass(frozen=True)
 class ConfigFile:
-    version: int
-    experiment: str
+    version: int = _key(choices=(1,))
+    experiment: str = _key(choices=SUBCOMMANDS)
     output_dir: str = "out"
-    seed: int = 0
-    threads: int = 1
-    replicas: int = 10000
-    sample_size: int = 40
-    degeneracy: int | None = None
-    beta_tolerance: float = 0.25
-    ratio_bound: float = 5.0
-    quantile: float = 0.9
-    identity_tolerance: float = 1e-10
+    seed: int = _key(0, ge=0, le=2**64 - 1)
+    replicas: int = _key(10000, ge=100)
+    sample_size: int = _key(40, ge=1)
+    degeneracy: int | None = _key(None, ge=1)
+    beta_tolerance: float = _key(0.25, gt=0.0)
+    ratio_bound: float = _key(5.0, ge=1.0)
+    quantile: float = _key(0.9, gt=0.0, lt=1.0)
+    identity_tolerance: float = _key(1e-10, gt=0.0)
     kernel: KernelConfig = KernelConfig()
     sampler: SamplerConfig = SamplerConfig()
     x_grid: GridSpec = GridSpec(0.2, 6.0, 24, "log")
     envelope: EnvelopeConfig | None = None
-    design: DesignConfig | None = None
     data: DataConfig | None = None
     martingale: MartingaleConfig | None = None
     scaling: ScalingConfig | None = None
 
+    def __post_init__(self) -> None:
+        # the one place the experiments that need a section get its defaults
+        if self.martingale is None and self.experiment == "martingale-verify":
+            object.__setattr__(self, "martingale", MartingaleConfig())
+        if self.scaling is None and self.experiment == "incomplete-compare":
+            object.__setattr__(self, "scaling", ScalingConfig())
+
+    def _check(self, fail) -> None:
+        if self.x_grid.start <= 0:
+            fail("x_grid.start", f"the tail grid must be positive, got {self.x_grid.start}")
+
+
+def _same_width(points) -> bool:
+    """Whether the points are all numbers or all lists of one length."""
+    return points is None or len({len(p) if isinstance(p, tuple) else None for p in points}) == 1
+
 
 # ---------------------------------------------------------------------------
 # Parsing with line diagnostics
-
-_GRID_KEYS = {"start", "stop", "points", "scale"}
-_SCHEMA: dict[tuple[str, ...], set[str]] = {
-    (): {
-        "version",
-        "experiment",
-        "output_dir",
-        "seed",
-        "threads",
-        "replicas",
-        "sample_size",
-        "degeneracy",
-        "beta_tolerance",
-        "ratio_bound",
-        "quantile",
-        "identity_tolerance",
-        "kernel",
-        "sampler",
-        "x_grid",
-        "envelope",
-        "design",
-        "data",
-        "martingale",
-        "scaling",
-    },
-    ("kernel",): {"name", "centered", "sup_bound", "dim", "grid_points"},
-    ("sampler",): {"kind", "grid_points", "dim", "atoms", "probs"},
-    ("x_grid",): _GRID_KEYS,
-    ("envelope",): {"first", "second", "tail_scale", "scale"},
-    ("design",): {"kind", "size", "rate"},
-    ("data",): {"values", "draw"},
-    ("martingale",): {"generator", "steps", "dim", "variants", "x_grid", "y_grid", "t_grid"},
-    ("martingale", "x_grid"): _GRID_KEYS,
-    ("martingale", "y_grid"): _GRID_KEYS,
-    ("martingale", "t_grid"): _GRID_KEYS,
-    ("scaling",): {"design_kind", "sizes", "sample_sizes", "matching"},
-    ("scaling", "matching"): {"sample_size", "size", "replicas", "sampler_kind"},
-}
 
 
 def _key_lines(text: str) -> dict[tuple[str, ...], int]:
@@ -253,135 +276,113 @@ def _key_lines(text: str) -> dict[tuple[str, ...], int]:
     return lines
 
 
-class _Section:
-    """Typed access into one mapping, raising errors that name key and line."""
-
-    def __init__(self, data: dict, lines: dict, path: tuple[str, ...]):
-        self.data = data
-        self.lines = lines
-        self.path = path
-
-    def _where(self, key: str) -> str:
-        line = self.lines.get(self.path + (key,))
-        dotted = ".".join(self.path + (key,))
-        return f"'{dotted}' (line {line})" if line else f"'{dotted}'"
-
-    def _fail(self, key: str, why: str):
-        raise ConfigError(f"{self._where(key)}: {why}")
-
-    def has(self, key: str) -> bool:
-        return key in self.data and self.data[key] is not None
-
-    def child(self, key: str) -> "_Section | None":
-        if not self.has(key):
-            return None
-        value = self.data[key]
-        if not isinstance(value, dict):
-            self._fail(key, "expected a mapping")
-        return _Section(value, self.lines, self.path + (key,))
-
-    def get_int(self, key, default=None, minimum=None, maximum=None):
-        if not self.has(key):
-            if default is None and key not in self.data:
-                return None
-            return default
-        v = self.data[key]
-        if isinstance(v, bool) or not isinstance(v, int):
-            self._fail(key, f"expected an integer, got {type(v).__name__}")
-        if minimum is not None and v < minimum:
-            self._fail(key, f"must be at least {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            self._fail(key, f"must be at most {maximum}, got {v}")
-        return int(v)
-
-    def get_float(self, key, default=None, minimum=None, maximum=None, exclusive_min=False):
-        if not self.has(key):
-            return default
-        v = self.data[key]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            self._fail(key, f"expected a number, got {type(v).__name__}")
-        v = float(v)
-        if minimum is not None and (v <= minimum if exclusive_min else v < minimum):
-            bound = "greater than" if exclusive_min else "at least"
-            self._fail(key, f"must be {bound} {minimum}, got {v}")
-        if maximum is not None and v > maximum:
-            self._fail(key, f"must be at most {maximum}, got {v}")
-        return v
-
-    def get_str(self, key, default=None, choices=None):
-        if not self.has(key):
-            return default
-        v = self.data[key]
-        if not isinstance(v, str):
-            self._fail(key, f"expected a string, got {type(v).__name__}")
-        if choices is not None and v not in choices:
-            self._fail(key, f"must be one of {sorted(choices)}, got {v!r}")
-        return v
-
-    def get_bool(self, key, default=None):
-        if not self.has(key):
-            return default
-        v = self.data[key]
-        if not isinstance(v, bool):
-            self._fail(key, f"expected true/false, got {type(v).__name__}")
-        return v
-
-    def get_list(self, key, default=None):
-        if not self.has(key):
-            return default
-        v = self.data[key]
-        if not isinstance(v, list):
-            self._fail(key, f"expected a list, got {type(v).__name__}")
-        return v
+class _Invalid(Exception):
+    """A value that breaks its field's type or rules; the caller adds the key."""
 
 
-def _check_unknown_keys(data: dict, lines: dict) -> None:
-    def walk(mapping: dict, path: tuple[str, ...]):
-        allowed = _SCHEMA.get(path)
-        if allowed is None:
-            return
-        for key, value in mapping.items():
-            key = str(key)
-            if key not in allowed:
-                line = lines.get(path + (key,))
-                where = f" at line {line}" if line else ""
-                section = ".".join(path) if path else "the top level"
-                raise ConfigError(
-                    f"unknown key '{key}'{where} in {section}; "
-                    f"allowed keys: {', '.join(sorted(allowed))}"
-                )
-            if isinstance(value, dict):
-                walk(value, path + (key,))
-
-    walk(data, ())
+_TYPE_NAMES = {bool: "true/false", int: "an integer", float: "a number", str: "a string"}
 
 
-def _parse_grid(sec: _Section | None, default: GridSpec) -> GridSpec:
-    if sec is None:
-        return default
-    scale = sec.get_str("scale", default.scale, choices=("log", "linear"))
-    minimum = 0.0 if scale == "log" else None
-    start = sec.get_float("start", default.start, minimum=minimum, exclusive_min=scale == "log")
-    stop = sec.get_float("stop", default.stop)
-    points = sec.get_int("points", default.points, minimum=2)
-    if stop <= start:
-        sec._fail("stop", f"must exceed start ({start}), got {stop}")
-    return GridSpec(start=start, stop=stop, points=points, scale=scale)
+def _describe(tp) -> str:
+    if isinstance(tp, UnionType):
+        return " or ".join(_describe(t) for t in get_args(tp))
+    if get_origin(tp) is tuple:
+        return "a list"
+    return _TYPE_NAMES.get(tp, "a mapping")
 
 
-def _parse_numbers(sec: _Section, key: str) -> tuple:
-    raw = sec.get_list(key)
-    out = []
-    for item in raw:
-        if isinstance(item, list):
-            if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in item):
-                sec._fail(key, "nested entries must be numbers")
-            out.append(tuple(float(v) for v in item))
-        elif isinstance(item, (int, float)) and not isinstance(item, bool):
-            out.append(float(item))
-        else:
-            sec._fail(key, f"entries must be numbers or lists of numbers, got {type(item).__name__}")
-    return tuple(out)
+def _coerce(tp, raw):
+    """The raw YAML value as a value of type tp (a dataclass is left to _load)."""
+    if isinstance(tp, UnionType):
+        for alt in get_args(tp):
+            try:
+                return _coerce(alt, raw)
+            except _Invalid:
+                pass
+    elif get_origin(tp) is tuple:
+        if isinstance(raw, list):
+            return tuple(_coerce(get_args(tp)[0], v) for v in raw)
+    elif is_dataclass(tp):
+        if isinstance(raw, dict):
+            return raw
+    elif isinstance(raw, tp) and not (isinstance(raw, bool) and tp is not bool):
+        return raw
+    elif tp is float and isinstance(raw, int) and not isinstance(raw, bool):
+        return float(raw)
+    raise _Invalid(f"expected {_describe(tp)}, got {type(raw).__name__}")
+
+
+_BOUNDS = (
+    ("ge", operator.ge, "at least"),
+    ("gt", operator.gt, "greater than"),
+    ("le", operator.le, "at most"),
+    ("lt", operator.lt, "less than"),
+)
+
+
+def _check_rules(value, rules: dict) -> None:
+    for v in value if isinstance(value, tuple) else (value,):
+        if "choices" in rules and v not in rules["choices"]:
+            raise _Invalid(f"must be one of {sorted(rules['choices'])}, got {v!r}")
+        for rule, holds, phrase in _BOUNDS:
+            if rule in rules and not holds(v, rules[rule]):
+                raise _Invalid(f"must be {phrase} {rules[rule]}, got {v}")
+
+
+_hints = functools.cache(get_type_hints)
+
+
+def _load(cls, mapping: dict, path: tuple[str, ...], lines: dict, base=None):
+    """Build dataclass cls from one YAML mapping, naming key and line on any
+    error. Keys the mapping leaves out keep their value in `base` (a
+    section's default instance) or else the field default."""
+
+    def fail(key: str, why: str):
+        where = path + tuple(key.split("."))
+        line = lines.get(where)
+        raise ConfigError(f"'{'.'.join(where)}'{f' (line {line})' if line else ''}: {why}")
+
+    names = [f.name for f in fields(cls)]
+    for key in mapping:
+        if str(key) not in names:
+            line = lines.get(path + (str(key),))
+            raise ConfigError(
+                f"unknown key '{key}'{f' at line {line}' if line else ''} in "
+                f"{'.'.join(path) or 'the top level'}; allowed keys: {', '.join(sorted(names))}"
+            )
+    values = {}
+    for f in fields(cls):
+        raw = mapping.get(f.name)
+        if raw is None:
+            if f.default is MISSING and base is None:
+                raise ConfigError(f"missing required key '{'.'.join(path + (f.name,))}'")
+            continue
+        tp = _hints(cls)[f.name]
+        if isinstance(tp, UnionType):  # X | None: a given value must be an X
+            tp = get_args(tp)[0]
+        try:
+            value = _coerce(tp, raw)
+            if isinstance(value, tuple) and not value:
+                raise _Invalid("must not be empty")
+            _check_rules(value, f.metadata)
+        except _Invalid as exc:
+            fail(f.name, str(exc))
+        if is_dataclass(tp):
+            value = _load(tp, value, path + (f.name,), lines, f.default or None)
+        values[f.name] = value
+    obj = replace(base, **values) if base is not None else cls(**values)
+    if hasattr(obj, "_check"):
+        obj._check(fail)
+    return obj
+
+
+def _dump(obj):
+    """Plain YAML data: fields in declaration order, None omitted, tuples as lists."""
+    if is_dataclass(obj):
+        return {f.name: _dump(getattr(obj, f.name)) for f in fields(obj) if getattr(obj, f.name) is not None}
+    if isinstance(obj, tuple):
+        return [_dump(v) for v in obj]
+    return obj
 
 
 def parse_config_text(text: str) -> ConfigFile:
@@ -393,178 +394,7 @@ def parse_config_text(text: str) -> ConfigFile:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("the config must be a mapping at the top level")
-    lines = _key_lines(text)
-    _check_unknown_keys(data, lines)
-    top = _Section(data, lines, ())
-
-    version = top.get_int("version")
-    if version is None:
-        raise ConfigError("missing required key 'version'")
-    if version != 1:
-        top._fail("version", f"only version 1 is supported, got {version}")
-    experiment = top.get_str("experiment", choices=SUBCOMMANDS)
-    if experiment is None:
-        raise ConfigError(f"missing required key 'experiment' (one of {', '.join(SUBCOMMANDS)})")
-
-    ksec = top.child("kernel")
-    kernel = KernelConfig()
-    if ksec is not None:
-        kernel = KernelConfig(
-            name=ksec.get_str("name", kernel.name, choices=KERNEL_NAMES),
-            centered=ksec.get_bool("centered", kernel.centered),
-            sup_bound=ksec.get_float("sup_bound", None, minimum=0.0, exclusive_min=True),
-            dim=ksec.get_int("dim", kernel.dim, minimum=1),
-            grid_points=ksec.get_int("grid_points", kernel.grid_points, minimum=2),
-        )
-
-    ssec = top.child("sampler")
-    sampler = SamplerConfig()
-    if ssec is not None:
-        kind = ssec.get_str("kind", sampler.kind, choices=SAMPLER_KINDS)
-        atoms = _parse_numbers(ssec, "atoms") if ssec.has("atoms") else None
-        probs = _parse_numbers(ssec, "probs") if ssec.has("probs") else None
-        if probs is not None and any(isinstance(p, tuple) for p in probs):
-            ssec._fail("probs", "must be a flat list of numbers")
-        grid_points = ssec.get_int("grid_points", None, minimum=2)
-        dim = ssec.get_int("dim", None, minimum=1)
-        if kind == "finite" and (atoms is None or probs is None):
-            ssec._fail("kind", "finite sampler needs both 'atoms' and 'probs'")
-        if kind == "uniform-grid" and grid_points is None:
-            ssec._fail("kind", "uniform-grid sampler needs 'grid_points'")
-        if kind == "discretized-gaussian" and dim is None:
-            ssec._fail("kind", "discretized-gaussian sampler needs 'dim'")
-        sampler = SamplerConfig(kind=kind, grid_points=grid_points, dim=dim, atoms=atoms, probs=probs)
-
-    dsec = top.child("design")
-    design = None
-    if dsec is not None:
-        kind = dsec.get_str("kind", choices=DESIGN_KINDS)
-        if kind is None:
-            dsec._fail("kind", "required for a design section")
-        size = dsec.get_int("size", None, minimum=1)
-        rate = dsec.get_float("rate", None)
-        if kind == "bernoulli":
-            if rate is None:
-                dsec._fail("rate", "bernoulli design needs 'rate'")
-            if not 0.0 < rate <= 1.0:
-                dsec._fail("rate", f"must lie in (0, 1], got {rate}")
-        elif size is None:
-            dsec._fail("size", f"{kind} design needs 'size'")
-        design = DesignConfig(kind=kind, size=size, rate=rate)
-
-    datsec = top.child("data")
-    data_cfg = None
-    if datsec is not None:
-        values = _parse_numbers(datsec, "values") if datsec.has("values") else None
-        draw = datsec.get_int("draw", None, minimum=1)
-        if values is not None and draw is not None:
-            datsec._fail("draw", "give either 'values' or 'draw', not both")
-        data_cfg = DataConfig(values=values, draw=draw)
-
-    esec = top.child("envelope")
-    envelope = None
-    if esec is not None:
-        envelope = EnvelopeConfig(
-            first=esec.get_float("first", 1.0, minimum=0.0),
-            second=esec.get_float("second", 0.0, minimum=0.0),
-            tail_scale=esec.get_float("tail_scale", 1.0, minimum=0.0, exclusive_min=True),
-            scale=esec.get_float("scale", 1.0, minimum=0.0, exclusive_min=True),
-        )
-
-    msec = top.child("martingale")
-    martingale = None
-    if msec is not None or experiment == "martingale-verify":
-        base = MartingaleConfig()
-        if msec is None:
-            martingale = base
-        else:
-            raw_variants = msec.get_list("variants", list(base.variants))
-            variants = []
-            for v in raw_variants:
-                if not isinstance(v, str) or v not in VARIANTS:
-                    msec._fail("variants", f"entries must be among {VARIANTS}, got {v!r}")
-                variants.append(v)
-            martingale = MartingaleConfig(
-                generator=msec.get_str("generator", base.generator, choices=GENERATORS),
-                steps=msec.get_int("steps", base.steps, minimum=1),
-                dim=msec.get_int("dim", base.dim, minimum=1),
-                variants=tuple(variants),
-                x_grid=_parse_grid(msec.child("x_grid"), base.x_grid),
-                y_grid=_parse_grid(msec.child("y_grid"), base.y_grid),
-                t_grid=_parse_grid(msec.child("t_grid"), base.t_grid),
-            )
-        if "real" in martingale.variants and martingale.dim != 1:
-            (msec or top)._fail("martingale", "the real-valued variant needs dim 1")
-
-    csec = top.child("scaling")
-    scaling = None
-    if csec is not None or experiment == "incomplete-compare":
-        base = ScalingConfig()
-        if csec is None:
-            scaling = base
-        else:
-            sizes = _parse_numbers(csec, "sizes") if csec.has("sizes") else base.sizes
-            sample_sizes_raw = csec.get_list("sample_sizes", list(base.sample_sizes))
-            sample_sizes = []
-            for v in sample_sizes_raw:
-                if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                    csec._fail("sample_sizes", f"entries must be positive integers, got {v!r}")
-                sample_sizes.append(v)
-            design_kind = csec.get_str("design_kind", base.design_kind, choices=DESIGN_KINDS)
-            if any(isinstance(s, tuple) for s in sizes):
-                csec._fail("sizes", "must be a flat list of numbers")
-            for s in sizes:
-                if design_kind == "bernoulli":
-                    if not 0.0 < s <= 1.0:
-                        csec._fail("sizes", f"bernoulli rates must lie in (0, 1], got {s}")
-                elif s < 1 or s != int(s):
-                    csec._fail("sizes", f"selection sizes must be positive integers, got {s}")
-            matching = None
-            matsec = csec.child("matching")
-            if matsec is not None:
-                mbase = MatchingConfig()
-                matching = MatchingConfig(
-                    sample_size=matsec.get_int("sample_size", mbase.sample_size, minimum=2),
-                    size=matsec.get_int("size", mbase.size, minimum=1),
-                    replicas=matsec.get_int("replicas", mbase.replicas, minimum=100),
-                    sampler_kind=matsec.get_str(
-                        "sampler_kind", None, choices=("rademacher", "discretized-gaussian")
-                    ),
-                )
-                if matching.size > matching.sample_size:
-                    matsec._fail("size", "must not exceed the matching sample_size")
-            scaling = ScalingConfig(
-                design_kind=design_kind,
-                sizes=tuple(sizes),
-                sample_sizes=tuple(sample_sizes),
-                matching=matching,
-            )
-
-    cfg = ConfigFile(
-        version=version,
-        experiment=experiment,
-        output_dir=top.get_str("output_dir", "out"),
-        seed=top.get_int("seed", 0, minimum=0, maximum=2**64 - 1),
-        threads=top.get_int("threads", 1, minimum=1),
-        replicas=top.get_int("replicas", 10000, minimum=100),
-        sample_size=top.get_int("sample_size", 40, minimum=1),
-        degeneracy=top.get_int("degeneracy", None, minimum=1),
-        beta_tolerance=top.get_float("beta_tolerance", 0.25, minimum=0.0, exclusive_min=True),
-        ratio_bound=top.get_float("ratio_bound", 5.0, minimum=1.0),
-        quantile=top.get_float("quantile", 0.9),
-        identity_tolerance=top.get_float("identity_tolerance", 1e-10, minimum=0.0, exclusive_min=True),
-        kernel=kernel,
-        sampler=sampler,
-        x_grid=_parse_grid(top.child("x_grid"), GridSpec(0.2, 6.0, 24, "log")),
-        envelope=envelope,
-        design=design,
-        data=data_cfg,
-        martingale=martingale,
-        scaling=scaling,
-    )
-    if not 0.0 < cfg.quantile < 1.0:
-        top._fail("quantile", f"must lie strictly inside (0, 1), got {cfg.quantile}")
-    return cfg
+    return _load(ConfigFile, data, (), _key_lines(text))
 
 
 def parse_config(path: str) -> ConfigFile:
@@ -576,100 +406,9 @@ def parse_config(path: str) -> ConfigFile:
     return parse_config_text(text)
 
 
-def _grid_mapping(g: GridSpec) -> dict:
-    return {"start": g.start, "stop": g.stop, "points": g.points, "scale": g.scale}
-
-
-def _config_mapping(cfg: ConfigFile) -> dict:
-    out: dict[str, Any] = {
-        "version": cfg.version,
-        "experiment": cfg.experiment,
-        "output_dir": cfg.output_dir,
-        "seed": cfg.seed,
-        "threads": cfg.threads,
-        "replicas": cfg.replicas,
-        "sample_size": cfg.sample_size,
-        "beta_tolerance": cfg.beta_tolerance,
-        "ratio_bound": cfg.ratio_bound,
-        "quantile": cfg.quantile,
-        "identity_tolerance": cfg.identity_tolerance,
-        "kernel": {
-            "name": cfg.kernel.name,
-            "centered": cfg.kernel.centered,
-            "dim": cfg.kernel.dim,
-            "grid_points": cfg.kernel.grid_points,
-        },
-        "sampler": {"kind": cfg.sampler.kind},
-        "x_grid": _grid_mapping(cfg.x_grid),
-    }
-    if cfg.degeneracy is not None:
-        out["degeneracy"] = cfg.degeneracy
-    if cfg.kernel.sup_bound is not None:
-        out["kernel"]["sup_bound"] = cfg.kernel.sup_bound
-    for key in ("grid_points", "dim"):
-        value = getattr(cfg.sampler, key)
-        if value is not None:
-            out["sampler"][key] = value
-    if cfg.sampler.atoms is not None:
-        out["sampler"]["atoms"] = [list(a) if isinstance(a, tuple) else a for a in cfg.sampler.atoms]
-    if cfg.sampler.probs is not None:
-        out["sampler"]["probs"] = list(cfg.sampler.probs)
-    if cfg.envelope is not None:
-        e = cfg.envelope
-        out["envelope"] = {
-            "first": e.first,
-            "second": e.second,
-            "tail_scale": e.tail_scale,
-            "scale": e.scale,
-        }
-    if cfg.design is not None:
-        d = {"kind": cfg.design.kind}
-        if cfg.design.size is not None:
-            d["size"] = cfg.design.size
-        if cfg.design.rate is not None:
-            d["rate"] = cfg.design.rate
-        out["design"] = d
-    if cfg.data is not None:
-        d = {}
-        if cfg.data.values is not None:
-            d["values"] = [list(v) if isinstance(v, tuple) else v for v in cfg.data.values]
-        if cfg.data.draw is not None:
-            d["draw"] = cfg.data.draw
-        out["data"] = d
-    if cfg.martingale is not None:
-        m = cfg.martingale
-        out["martingale"] = {
-            "generator": m.generator,
-            "steps": m.steps,
-            "dim": m.dim,
-            "variants": list(m.variants),
-            "x_grid": _grid_mapping(m.x_grid),
-            "y_grid": _grid_mapping(m.y_grid),
-            "t_grid": _grid_mapping(m.t_grid),
-        }
-    if cfg.scaling is not None:
-        s = cfg.scaling
-        block: dict[str, Any] = {
-            "design_kind": s.design_kind,
-            "sizes": list(s.sizes),
-            "sample_sizes": list(s.sample_sizes),
-        }
-        if s.matching is not None:
-            mt = {
-                "sample_size": s.matching.sample_size,
-                "size": s.matching.size,
-                "replicas": s.matching.replicas,
-            }
-            if s.matching.sampler_kind is not None:
-                mt["sampler_kind"] = s.matching.sampler_kind
-            block["matching"] = mt
-        out["scaling"] = block
-    return out
-
-
 def emit_config(cfg: ConfigFile) -> str:
     """Serialized form satisfying parse_config_text(emit_config(c)) == c."""
-    return yaml.safe_dump(_config_mapping(cfg), sort_keys=False)
+    return yaml.safe_dump(_dump(cfg), sort_keys=False)
 
 
 # ---------------------------------------------------------------------------
@@ -680,11 +419,8 @@ def _build_sampler(cfg: ConfigFile) -> SamplerSpec:
     s = cfg.sampler
     dist = None
     if s.kind == "finite":
-        atoms = np.array(
-            [list(a) if isinstance(a, tuple) else a for a in s.atoms], dtype=np.float64
-        )
         try:
-            dist = FiniteDistribution(atoms=atoms, probs=np.array(s.probs, dtype=np.float64))
+            dist = FiniteDistribution(atoms=np.array(s.atoms), probs=np.array(s.probs))
         except ValueError as exc:
             raise ConfigError(f"sampler: {exc}") from exc
     space = HilbertSpace.euclidean(s.dim) if s.kind == "discretized-gaussian" else None
@@ -722,12 +458,8 @@ def _build_kernel(cfg: ConfigFile, sampler: SamplerSpec) -> KernelSpec:
 
 def _load_sample(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec) -> np.ndarray:
     if cfg.data is not None and cfg.data.values is not None:
-        rows = [list(v) if isinstance(v, tuple) else [v] for v in cfg.data.values]
-        widths = {len(r) for r in rows}
-        if len(widths) != 1:
-            raise ConfigError("data.values rows must all have the same width")
-        sample = np.array(rows, dtype=np.float64)
-        if sample.shape[1] == 1:
+        sample = np.array(cfg.data.values, dtype=np.float64)
+        if sample.ndim == 2 and sample.shape[1] == 1:
             sample = sample[:, 0]
         if sample.shape[0] < kernel.arity:
             raise ConfigError(
@@ -765,15 +497,9 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-def _write_plot(path: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-    lines = ["# " + " ".join(header)]
-    lines.extend(" ".join(_fmt(v) for v in row) for row in rows)
+def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence], sep: str, lead: str) -> None:
+    lines = [lead + sep.join(header)]
+    lines.extend(sep.join(_fmt(v) for v in row) for row in rows)
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -796,12 +522,11 @@ class _RunWriter:
         os.makedirs(out_dir, exist_ok=True)
 
     def csv(self, name: str, header, rows) -> None:
-        path = os.path.join(self.out_dir, name + ".csv")
-        _write_csv(path, header, rows)
-        self.paths.append(path)
-        plot = os.path.join(self.out_dir, name + ".dat")
-        _write_plot(plot, header, rows)
-        self.paths.append(plot)
+        """Write the table as name.csv and as its gnuplot twin name.dat."""
+        for ext, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
+            path = os.path.join(self.out_dir, name + ext)
+            _write_table(path, header, rows, sep, lead)
+            self.paths.append(path)
 
     def finish(self, results: dict, exit_status: int) -> str:
         manifest = {
@@ -891,7 +616,7 @@ def _run_decompose(cfg: ConfigFile, out_dir: str) -> int:
     return status
 
 
-def _experiment_config(cfg: ConfigFile, kernel, sampler, threads: int) -> ExperimentConfig:
+def _experiment_config(cfg: ConfigFile, kernel, sampler) -> ExperimentConfig:
     return ExperimentConfig(
         kernel=kernel,
         sampler=sampler,
@@ -899,14 +624,13 @@ def _experiment_config(cfg: ConfigFile, kernel, sampler, threads: int) -> Experi
         replicas=cfg.replicas,
         master_seed=cfg.seed,
         x_grid=cfg.x_grid.build(),
-        threads=threads,
     )
 
 
-def _run_tailscan(cfg: ConfigFile, out_dir: str, threads: int) -> int:
+def _run_tailscan(cfg: ConfigFile, out_dir: str) -> int:
     sampler = _build_sampler(cfg)
     kernel = _build_kernel(cfg, sampler)
-    scan = tail_scan(_experiment_config(cfg, kernel, sampler, threads), degeneracy=cfg.degeneracy)
+    scan = tail_scan(_experiment_config(cfg, kernel, sampler), degeneracy=cfg.degeneracy)
 
     envelope_col = [math.nan] * scan.x_grid.size
     if cfg.envelope is not None:
@@ -949,7 +673,7 @@ def _run_tailscan(cfg: ConfigFile, out_dir: str, threads: int) -> int:
 def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
     sampler = _build_sampler(cfg)
     kernel = _build_kernel(cfg, sampler)
-    scaling = cfg.scaling if cfg.scaling is not None else ScalingConfig()
+    scaling = cfg.scaling
     cells = []
     for n in scaling.sample_sizes:
         for s in scaling.sizes:
@@ -966,40 +690,11 @@ def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
         master_seed=cfg.seed,
         quantile=cfg.quantile,
     )
-    rows = [
-        (
-            r.sample_size,
-            r.design_kind,
-            r.design_param,
-            r.replicas,
-            r.used,
-            r.empty_count,
-            r.quantile,
-            r.quantile_lo,
-            r.quantile_hi,
-            r.unbias_max_sigmas,
-            r.unbias_ok,
-        )
-        for r in report.rows
-    ]
+    # one column per ScalingRow field, the interval bounds named ci_lo / ci_hi
+    renamed = {"quantile_lo": "ci_lo", "quantile_hi": "ci_hi"}
+    header = [renamed.get(f.name, f.name) for f in fields(ScalingRow)]
     writer = _RunWriter(cfg, out_dir)
-    writer.csv(
-        "incomplete-compare",
-        [
-            "sample_size",
-            "design_kind",
-            "design_param",
-            "replicas",
-            "used",
-            "empty_count",
-            "quantile",
-            "ci_lo",
-            "ci_hi",
-            "unbias_max_sigmas",
-            "unbias_ok",
-        ],
-        rows,
-    )
+    writer.csv("incomplete-compare", header, [astuple(r) for r in report.rows])
     unbias_ok = all(r.unbias_ok for r in report.rows)
     spread_ok = report.spread <= cfg.ratio_bound
     results: dict[str, Any] = {
@@ -1047,10 +742,10 @@ def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
     return status
 
 
-def _run_decouple(cfg: ConfigFile, out_dir: str, threads: int) -> int:
+def _run_decouple(cfg: ConfigFile, out_dir: str) -> int:
     sampler = _build_sampler(cfg)
     kernel = _build_kernel(cfg, sampler)
-    report = decouple_compare(_experiment_config(cfg, kernel, sampler, threads))
+    report = decouple_compare(_experiment_config(cfg, kernel, sampler))
     rows = list(zip(report.x_grid, report.p_complete, report.p_decoupled, report.usable))
     writer = _RunWriter(cfg, out_dir)
     writer.csv("decouple-compare", ["x", "p_complete", "p_decoupled", "usable"], rows)
@@ -1095,7 +790,7 @@ def _run_martingale(
     variants: tuple[str, ...] | None,
     grid_file: str | None,
 ) -> int:
-    mcfg = cfg.martingale if cfg.martingale is not None else MartingaleConfig()
+    mcfg = cfg.martingale
     chosen = variants if variants else mcfg.variants
     if "real" in chosen and mcfg.dim != 1:
         raise ConfigError("the real-valued variant needs martingale.dim 1")
@@ -1144,6 +839,15 @@ def _run_martingale(
     return status
 
 
+_RUNNERS = {
+    "estimate": _run_estimate,
+    "decompose": _run_decompose,
+    "tailscan": _run_tailscan,
+    "incomplete-compare": _run_incomplete,
+    "decouple-compare": _run_decouple,
+}
+
+
 def run(
     subcommand: str,
     cfg: ConfigFile,
@@ -1152,7 +856,11 @@ def run(
     variants: tuple[str, ...] | None = None,
     grid_file: str | None = None,
 ) -> int:
-    """Execute one subcommand against a parsed config; returns the exit status."""
+    """Execute one subcommand against a parsed config; returns the exit status.
+
+    `threads` is accepted for old callers and ignored: every subcommand runs
+    on one thread.
+    """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
     if cfg.experiment != subcommand:
@@ -1160,18 +868,9 @@ def run(
             f"config is for experiment {cfg.experiment!r}, but the subcommand is {subcommand!r}"
         )
     out = out_dir if out_dir is not None else cfg.output_dir
-    workers = threads if threads is not None else cfg.threads
-    if subcommand == "estimate":
-        return _run_estimate(cfg, out)
-    if subcommand == "decompose":
-        return _run_decompose(cfg, out)
-    if subcommand == "tailscan":
-        return _run_tailscan(cfg, out, workers)
-    if subcommand == "incomplete-compare":
-        return _run_incomplete(cfg, out)
-    if subcommand == "decouple-compare":
-        return _run_decouple(cfg, out, workers)
-    return _run_martingale(cfg, out, variants, grid_file)
+    if subcommand == "martingale-verify":
+        return _run_martingale(cfg, out, variants, grid_file)
+    return _RUNNERS[subcommand](cfg, out)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,7 +895,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run the {name} experiment")
         p.add_argument("--config", required=True, help="path to the YAML config file")
         p.add_argument("--seed", type=int, default=None, help="override the master seed")
-        p.add_argument("--threads", type=int, default=None, help="override the worker count")
         p.add_argument("--out", default=None, help="override the output directory")
         if name == "martingale-verify":
             p.add_argument(
@@ -1218,34 +916,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config)
-        threads = args.threads
-        if threads is None:
-            env = os.environ.get("USTATLAB_THREADS")
-            if env is not None:
-                try:
-                    threads = int(env)
-                except ValueError:
-                    raise ConfigError(f"USTATLAB_THREADS must be an integer, got {env!r}")
-        if threads is not None and threads < 1:
-            raise ConfigError("threads must be positive")
         if args.seed is not None:
             if not 0 <= args.seed < 2**64:
                 raise ConfigError("--seed must fit in 64 bits")
-            cfg = ConfigFile(**{**cfg.__dict__, "seed": args.seed})
+            cfg = replace(cfg, seed=args.seed)
         variants = tuple(args.variant) if getattr(args, "variant", None) else None
         grid_file = getattr(args, "grid_file", None)
         return run(
             args.subcommand,
             cfg,
             out_dir=args.out,
-            threads=threads,
             variants=variants,
             grid_file=grid_file,
         )
-    except ConfigError as exc:
-        print(f"ustatlab: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (ConfigError, ValueError) as exc:
         print(f"ustatlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -4,7 +4,7 @@ Substreams follow a counter-based discipline: the generator handed to a
 consumer is keyed by (master seed, substream id), so the k-th draw of any
 substream is a pure function of (master seed, substream id, k). Replicas
 seeded this way give identical results no matter how work is scheduled
-across threads.
+or batched.
 
 `draw_iid` is the reference sampler: one numpy Philox Generator per
 substream. `draw_iid_batch` produces the same draws for a whole stack of

@@ -2,15 +2,14 @@
 
 Replication discipline: replica r draws every input from substreams keyed
 by (master seed, role, r), so results are a pure function of the replica
-index and survive any thread count, scheduling order or batch size bit for
-bit. Reductions over replicas happen in replica order. Every experiment
-runs on one thread over bounded batches of replicas: a batch draws its
+index and survive any scheduling order or batch size bit for bit.
+Reductions over replicas happen in replica order. Every experiment runs
+on one thread over bounded batches of replicas: a batch draws its
 samples with one `draw_iid_batch` per data role and evaluates all its
 tuples with one gathered kernel call. Incomplete designs are drawn per
 replica on their own numpy Generator (the generator words fix the bytes)
 into a dense (replicas, C(n, m)) count matrix, and each replica's selected
 rows are reduced in ascending rank order exactly as one selection's were.
-The `threads` setting is accepted and ignored everywhere.
 
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
@@ -103,7 +102,6 @@ class ExperimentConfig:
 
     normalization selects the tail-scan scaling: "degenerate" divides the
     running maximum by N^(m - d/2), "raw" leaves it unscaled.
-    threads is validated but ignored: every experiment runs on one thread.
     """
 
     kernel: KernelSpec
@@ -114,15 +112,12 @@ class ExperimentConfig:
     x_grid: np.ndarray | None = None
     design: SamplingDesign | None = None
     normalization: str = "degenerate"
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.sample_size < self.kernel.arity:
             raise ValueError("sample_size must be at least the kernel arity")
         if self.replicas < MIN_REPLICAS:
             raise ValueError(f"replicas must be at least {MIN_REPLICAS}")
-        if self.threads < 1:
-            raise ValueError("threads must be positive")
         if self.normalization not in ("degenerate", "raw"):
             raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.x_grid is not None:
@@ -138,7 +133,7 @@ def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None =
     The default statistic is the running maximum of prefix norms of the
     complete U-statistic on a fresh sample per replica, computed over
     fixed-size batches of replicas. A user `stat_fn` is called once per
-    replica index. Both run on one thread; `config.threads` is ignored.
+    replica index.
     """
     if stat_fn is not None:
         return np.fromiter(map(stat_fn, range(config.replicas)), np.float64, config.replicas)
@@ -592,7 +587,6 @@ def incomplete_scaling_experiment(
     replicas: int,
     master_seed: int,
     quantile: float = 0.9,
-    threads: int = 1,
     unbiasedness_draws: int | None = None,
 ) -> ScalingReport:
     """Normalized quantiles and design unbiasedness across a (n, design) grid.
@@ -605,9 +599,8 @@ def incomplete_scaling_experiment(
     E[#selected]/C(n,m) times the complete statistic within 4 standard
     errors, coordinatewise.
 
-    Replicas run on one thread in batches whatever `threads` says; results
-    do not depend on it. Every cell's design, tuple count and sup bound are
-    checked before any replica is drawn.
+    Replicas run in batches. Every cell's design, tuple count and sup bound
+    are checked before any replica is drawn.
     """
     support = sampler.finite_support()
     if support is None:
@@ -710,7 +703,6 @@ def matching_point_compare(
     replicas: int,
     master_seed: int,
     quantile: float = 0.9,
-    threads: int = 1,
 ) -> MatchingPointReport:
     """Compare without-replacement(size) against bernoulli(size / n) at arity 1.
 
@@ -722,8 +714,7 @@ def matching_point_compare(
 
     Quantile intervals come from order statistics, so a lattice-valued
     sampling law can collapse them onto single atoms and defeat the overlap
-    check; prefer a continuous law here. Replicas run on one thread in
-    batches whatever `threads` says.
+    check; prefer a continuous law here. Replicas run in batches.
     """
     kernel = coordinate_kernel()
     n = sample_size

@@ -9,6 +9,7 @@ import time
 import numpy as np
 
 from helpers import random_scalar_dist, table_kernel, uniform_three
+from ustatlab import martingale, montecarlo
 from ustatlab.cli import EXIT_OK, parse_config_text, run
 from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid
 from ustatlab.hilbert import HilbertSpace
@@ -112,7 +113,6 @@ def test_criterion_4_tail_decay_exponents():
             replicas=100_000,
             master_seed=2024,
             x_grid=grid,
-            threads=4,
         )
     )
     scan1 = tail_scan(
@@ -123,7 +123,6 @@ def test_criterion_4_tail_decay_exponents():
             replicas=100_000,
             master_seed=2025,
             x_grid=grid,
-            threads=4,
         )
     )
     elapsed = time.perf_counter() - start
@@ -184,7 +183,6 @@ def test_criterion_6_incomplete_scaling():
         cells,
         replicas=2_000,
         master_seed=600,
-        threads=4,
     )
     unbias_ok = all(row.unbias_ok for row in scaling.rows)
     matching = matching_point_compare(
@@ -222,7 +220,7 @@ sampler:
 x_grid: {start: 0.2, stop: 6.0, points: 24, scale: log}
 """
     )
-    status = run("decouple-compare", cfg, out_dir=str(tmp_path), threads=4)
+    status = run("decouple-compare", cfg, out_dir=str(tmp_path))
     import json
 
     with open(tmp_path / "run_manifest.json") as fh:
@@ -245,38 +243,104 @@ x_grid: {start: 0.2, stop: 6.0, points: 24, scale: log}
     )
 
 
-def test_criterion_8_thread_determinism(tmp_path):
-    start = time.perf_counter()
-    import json
-
-    config = tmp_path / "config.yaml"
-    config.write_text(
-        """\
+# Criterion 8 runs each batched subcommand at several batch sizes: replica
+# r's inputs come from its own substreams and replicas reduce in replica
+# order, so neither the batch size nor a rerun may change a byte.
+BATCHED = {
+    "tailscan": """\
 version: 1
 experiment: tailscan
-replicas: 2000
-sample_size: 40
-seed: 800
-kernel:
-  name: coordinate
-sampler:
-  kind: rademacher
-x_grid: {start: 0.2, stop: 6.0, points: 24, scale: log}
+seed: 801
+replicas: 300
+sample_size: 12
+kernel: {name: gini, centered: true}
+sampler: {kind: uniform-grid, grid_points: 7}
+x_grid: {start: 0.05, stop: 4.0, points: 12, scale: log}
 beta_tolerance: 5.0
-"""
-    )
-    cfg = parse_config_text(config.read_text())
-    digests = []
-    for threads in (1, 4, 8):
-        out = tmp_path / f"threads{threads}"
-        assert run("tailscan", cfg, out_dir=str(out), threads=threads) == EXIT_OK
-        with open(out / "run_manifest.json") as fh:
-            digests.append(json.load(fh)["outputs"])
+""",
+    "decouple-compare": """\
+version: 1
+experiment: decouple-compare
+seed: 802
+replicas: 300
+sample_size: 10
+kernel: {name: spatial-sign, dim: 2}
+sampler: {kind: discretized-gaussian, dim: 2}
+x_grid: {start: 0.2, stop: 8.0, points: 12, scale: log}
+""",
+    "incomplete-compare": """\
+version: 1
+experiment: incomplete-compare
+seed: 803
+replicas: 200
+kernel: {name: gini, centered: true}
+sampler: {kind: uniform-grid, grid_points: 7}
+scaling:
+  design_kind: with-replacement
+  sizes: [3, 20]
+  sample_sizes: [8, 12]
+  matching: {sample_size: 12, size: 5, replicas: 200}
+""",
+    "martingale-verify": """\
+version: 1
+experiment: martingale-verify
+seed: 804
+replicas: 300
+martingale: {generator: gaussian-coords, dim: 2, steps: 20, variants: [A2, A3, conv]}
+""",
+}
+RERUN = {
+    "estimate": """\
+version: 1
+experiment: estimate
+seed: 805
+kernel: {name: gini}
+sampler: {kind: uniform-grid, grid_points: 7}
+data: {draw: 60}
+""",
+    "decompose": """\
+version: 1
+experiment: decompose
+seed: 806
+kernel: {name: gini, centered: true}
+sampler: {kind: uniform-grid, grid_points: 16}
+data: {draw: 40}
+""",
+}
+
+
+def _run_outputs(subcommand, text, out):
+    """Exit status, output digests and results block of one run."""
+    import json
+
+    status = run(subcommand, parse_config_text(text), out_dir=str(out))
+    with open(out / "run_manifest.json") as fh:
+        manifest = json.load(fh)
+    return status, manifest["outputs"], manifest["results"]
+
+
+def test_criterion_8_batch_determinism(tmp_path, monkeypatch):
+    start = time.perf_counter()
+    differ = []
+    for subcommand, text in BATCHED.items():
+        first = _run_outputs(subcommand, text, tmp_path / subcommand / "default")
+        for batch in (1, 7):
+            with monkeypatch.context() as patch:
+                patch.setattr(montecarlo, "_CHUNK_VALUES", batch)
+                patch.setattr(martingale, "_BATCH_VALUES", batch)
+                if _run_outputs(subcommand, text, tmp_path / subcommand / f"batch{batch}") != first:
+                    differ.append(f"{subcommand} at batch {batch}")
+        if _run_outputs(subcommand, text, tmp_path / subcommand / "rerun") != first:
+            differ.append(f"{subcommand} on rerun")
+    for subcommand, text in RERUN.items():
+        first = _run_outputs(subcommand, text, tmp_path / subcommand / "first")
+        if _run_outputs(subcommand, text, tmp_path / subcommand / "rerun") != first:
+            differ.append(f"{subcommand} on rerun")
     elapsed = time.perf_counter() - start
-    ok = digests[0] == digests[1] == digests[2]
     report(
         8,
-        "thread determinism",
-        ok,
-        f"csv checksums identical at 1/4/8 threads: {ok}, {elapsed:.1f}s",
+        "batch determinism",
+        not differ and elapsed < 60.0,
+        f"outputs and results equal at batch 1/7/default and on rerun: "
+        f"{', '.join(differ) or 'all'} {'differ' if differ else 'agree'}, {elapsed:.1f}s",
     )

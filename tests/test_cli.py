@@ -6,6 +6,9 @@ import json
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ustatlab.cli import (
     EXIT_OK,
@@ -47,7 +50,304 @@ def sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+# (config text, fragments the error message must hold): the dotted key and
+# the line it sits on, for one case of every validation rule the parser keeps.
+ERROR_CASES = {
+    # unknown keys at each nesting level
+    "unknown-top": ("version: 1\nexperiment: estimate\nthreadz: 2\n", ["'threadz'", "line 3", "the top level"]),
+    "unknown-kernel": (
+        "version: 1\nexperiment: estimate\nkernel:\n  name: gini\n  foo: 1\n",
+        ["'foo'", "line 5", "in kernel"],
+    ),
+    "unknown-martingale-x_grid": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  x_grid:\n    start: 1.0\n    stepz: 3\n",
+        ["'stepz'", "line 6", "in martingale.x_grid"],
+    ),
+    "unknown-scaling-matching": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    size: 3\n    rate: 0.5\n",
+        ["'rate'", "line 6", "in scaling.matching"],
+    ),
+    # top level
+    "top-type": ("version: 1\nexperiment: estimate\nreplicas: many\n", ["'replicas' (line 3)"]),
+    "top-bound": ("version: 1\nexperiment: estimate\nreplicas: 5\n", ["'replicas' (line 3)"]),
+    "top-choice": ("version: 1\nexperiment: estimat\n", ["'experiment' (line 2)"]),
+    # kernel
+    "kernel-type": ("version: 1\nexperiment: estimate\nkernel:\n  centered: 3\n", ["'kernel.centered' (line 4)"]),
+    "kernel-bound": ("version: 1\nexperiment: estimate\nkernel:\n  dim: 0\n", ["'kernel.dim' (line 4)"]),
+    "kernel-choice": ("version: 1\nexperiment: estimate\nkernel:\n  name: cubic\n", ["'kernel.name' (line 4)"]),
+    # sampler
+    "sampler-type": (
+        "version: 1\nexperiment: estimate\nsampler:\n  kind: uniform-grid\n  grid_points: 2.5\n",
+        ["'sampler.grid_points' (line 5)"],
+    ),
+    "sampler-bound": (
+        "version: 1\nexperiment: estimate\nsampler:\n  kind: uniform-grid\n  grid_points: 1\n",
+        ["'sampler.grid_points' (line 5)"],
+    ),
+    "sampler-choice": ("version: 1\nexperiment: estimate\nsampler:\n  kind: poisson\n", ["'sampler.kind' (line 4)"]),
+    # x_grid
+    "x_grid-type": ("version: 1\nexperiment: tailscan\nx_grid:\n  points: ten\n", ["'x_grid.points' (line 4)"]),
+    "x_grid-bound": ("version: 1\nexperiment: tailscan\nx_grid:\n  points: 1\n", ["'x_grid.points' (line 4)"]),
+    "x_grid-choice": ("version: 1\nexperiment: tailscan\nx_grid:\n  scale: cubic\n", ["'x_grid.scale' (line 4)"]),
+    # envelope
+    "envelope-type": ("version: 1\nexperiment: tailscan\nenvelope:\n  first: high\n", ["'envelope.first' (line 4)"]),
+    "envelope-bound": (
+        "version: 1\nexperiment: tailscan\nenvelope:\n  tail_scale: 0\n",
+        ["'envelope.tail_scale' (line 4)"],
+    ),
+    # data
+    "data-type": ("version: 1\nexperiment: estimate\ndata:\n  draw: 1.5\n", ["'data.draw' (line 4)"]),
+    "data-bound": ("version: 1\nexperiment: estimate\ndata:\n  draw: 0\n", ["'data.draw' (line 4)"]),
+    # martingale and its grids
+    "martingale-type": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  steps: 1.5\n",
+        ["'martingale.steps' (line 4)"],
+    ),
+    "martingale-bound": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  steps: 0\n",
+        ["'martingale.steps' (line 4)"],
+    ),
+    "martingale-choice": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  generator: brownian\n",
+        ["'martingale.generator' (line 4)"],
+    ),
+    "martingale-variant-choice": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  variants: [A2, A4]\n",
+        ["'martingale.variants' (line 4)"],
+    ),
+    "martingale-grid-type": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  y_grid:\n    stop: far\n",
+        ["'martingale.y_grid.stop' (line 5)"],
+    ),
+    # scaling and its matching block
+    "scaling-type": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  sample_sizes: 3\n",
+        ["'scaling.sample_sizes' (line 4)"],
+    ),
+    "scaling-bound": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  sample_sizes: [4, 0]\n",
+        ["'scaling.sample_sizes' (line 4)"],
+    ),
+    "scaling-choice": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  design_kind: poisson\n",
+        ["'scaling.design_kind' (line 4)"],
+    ),
+    "matching-type": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    replicas: lots\n",
+        ["'scaling.matching.replicas' (line 5)"],
+    ),
+    "matching-bound": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    replicas: 10\n",
+        ["'scaling.matching.replicas' (line 5)"],
+    ),
+    "matching-choice": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    sampler_kind: uniform-grid\n",
+        ["'scaling.matching.sampler_kind' (line 5)"],
+    ),
+    # rules that span several fields
+    "finite-needs-probs": (
+        "version: 1\nexperiment: estimate\nsampler:\n  kind: finite\n  atoms: [0, 1]\n",
+        ["'sampler.kind' (line 4)"],
+    ),
+    "uniform-grid-needs-grid_points": (
+        "version: 1\nexperiment: estimate\nsampler:\n  kind: uniform-grid\n",
+        ["'sampler.kind' (line 4)"],
+    ),
+    "gaussian-needs-dim": (
+        "version: 1\nexperiment: estimate\nsampler:\n  kind: discretized-gaussian\n",
+        ["'sampler.kind' (line 4)"],
+    ),
+    "grid-stop-after-start": (
+        "version: 1\nexperiment: tailscan\nx_grid:\n  start: 2.0\n  stop: 1.0\n",
+        ["'x_grid.stop' (line 5)"],
+    ),
+    "log-grid-positive-start": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  t_grid:\n    start: 0.0\n    scale: log\n",
+        ["'martingale.t_grid.start' (line 5)"],
+    ),
+    "real-variant-needs-dim-1": (
+        "version: 1\nexperiment: martingale-verify\nmartingale:\n  dim: 2\n",
+        ["'martingale.dim' (line 4)"],
+    ),
+    "bernoulli-rates": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  design_kind: bernoulli\n  sizes: [0.5, 1.5]\n",
+        ["'scaling.sizes' (line 5)"],
+    ),
+    "integer-selection-sizes": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  design_kind: with-replacement\n  sizes: [10, 2.5]\n",
+        ["'scaling.sizes' (line 5)"],
+    ),
+    "matching-size-within-sample": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    sample_size: 10\n    size: 11\n",
+        ["'scaling.matching.size' (line 6)"],
+    ),
+    "values-xor-draw": (
+        "version: 1\nexperiment: estimate\ndata:\n  values: [1, 2, 3]\n  draw: 5\n",
+        ["'data.draw' (line 5)"],
+    ),
+    "quantile-inside-unit-interval": ("version: 1\nexperiment: estimate\nquantile: 1.0\n", ["'quantile' (line 3)"]),
+    "version-one": ("version: 2\nexperiment: estimate\n", ["'version' (line 1)"]),
+}
+
+
+_floats = dict(allow_nan=False, allow_infinity=False)
+
+
+def _grid(positive_start: bool):
+    """A valid grid mapping: stop above start, and start > 0 on a log scale."""
+
+    @st.composite
+    def build(draw):
+        scale = draw(st.sampled_from(["log", "linear"]))
+        low = 1e-3 if positive_start or scale == "log" else -50.0
+        start = draw(st.floats(low, 50.0, **_floats))
+        stop = start + draw(st.floats(0.5, 100.0, **_floats))
+        return {"start": start, "stop": stop, "points": draw(st.integers(2, 40)), "scale": scale}
+
+    return build()
+
+
+def _optional(strategies: dict, required=()):
+    """A mapping holding every required key and any subset of the others."""
+    return st.fixed_dictionaries(
+        {k: v for k, v in strategies.items() if k in required},
+        optional={k: v for k, v in strategies.items() if k not in required},
+    )
+
+
+@st.composite
+def _sampler(draw):
+    kind = draw(st.sampled_from(["finite", "rademacher", "uniform-grid", "discretized-gaussian"]))
+    out = {"kind": kind}
+    if kind == "finite" or draw(st.booleans()):
+        size = draw(st.integers(1, 4))
+        width = draw(st.sampled_from([None, 2]))
+        atom = st.floats(-5.0, 5.0, **_floats)
+        entry = atom if width is None else st.lists(atom, min_size=width, max_size=width)
+        out["atoms"] = draw(st.lists(entry, min_size=size, max_size=size))
+        out["probs"] = draw(st.lists(st.floats(0.01, 1.0, **_floats), min_size=size, max_size=size))
+    if kind == "uniform-grid" or draw(st.booleans()):
+        out["grid_points"] = draw(st.integers(2, 50))
+    if kind == "discretized-gaussian" or draw(st.booleans()):
+        out["dim"] = draw(st.integers(1, 4))
+    return out
+
+
+@st.composite
+def _martingale(draw):
+    out = draw(
+        _optional(
+            {
+                "generator": st.sampled_from(["bounded-signs", "gaussian-coords", "f0-randomized-scale"]),
+                "steps": st.integers(1, 200),
+                "dim": st.integers(1, 3),
+                "x_grid": _grid(False),
+                "y_grid": _grid(False),
+                "t_grid": _grid(False),
+            }
+        )
+    )
+    variants = draw(st.lists(st.sampled_from(["real", "A2", "A3", "conv"]), min_size=1, max_size=4, unique=True))
+    if out.get("dim", 1) != 1 and "real" in variants:
+        variants.remove("real")
+    if variants and draw(st.booleans()):
+        out["variants"] = variants
+    elif out.get("dim", 1) != 1:
+        out["variants"] = ["A2"]
+    return out
+
+
+@st.composite
+def _scaling(draw):
+    kind = draw(st.sampled_from(["without-replacement", "with-replacement", "bernoulli"]))
+    if kind == "bernoulli":
+        size = st.floats(1e-3, 1.0, **_floats)
+    else:
+        size = st.integers(1, 10_000) | st.integers(1, 10_000).map(float)
+    out = {
+        "design_kind": kind,
+        "sizes": draw(st.lists(size, min_size=1, max_size=4)),
+        "sample_sizes": draw(st.lists(st.integers(1, 100), min_size=1, max_size=3)),
+    }
+    if draw(st.booleans()):
+        n = draw(st.integers(2, 100))
+        out["matching"] = draw(
+            _optional(
+                {
+                    "sample_size": st.just(n),
+                    "size": st.integers(1, n),
+                    "replicas": st.integers(100, 10**6),
+                    "sampler_kind": st.sampled_from(["rademacher", "discretized-gaussian"]),
+                },
+                required=("sample_size", "size"),
+            )
+        )
+    return out
+
+
+_number = st.floats(0.0, 1e6, **_floats) | st.integers(0, 10**6)
+_positive = st.floats(1e-9, 1e6, **_floats) | st.integers(1, 10**6)
+_CONFIGS = _optional(
+    {
+        "version": st.just(1),
+        "experiment": st.sampled_from(
+            ["estimate", "decompose", "tailscan", "incomplete-compare", "decouple-compare", "martingale-verify"]
+        ),
+        "output_dir": st.text("abcxyz/_-", min_size=1, max_size=12),
+        "seed": st.integers(0, 2**64 - 1),
+        "replicas": st.integers(100, 10**7),
+        "sample_size": st.integers(1, 10**4),
+        "degeneracy": st.integers(1, 4),
+        "beta_tolerance": _positive,
+        "ratio_bound": st.floats(1.0, 1e3, **_floats),
+        "quantile": st.floats(1e-6, 1 - 1e-6, **_floats),
+        "identity_tolerance": _positive,
+        "kernel": _optional(
+            {
+                "name": st.sampled_from(["gini", "product", "spatial-sign", "coordinate", "empirical-indicator"]),
+                "centered": st.booleans(),
+                "sup_bound": _positive,
+                "dim": st.integers(1, 5),
+                "grid_points": st.integers(2, 64),
+            }
+        ),
+        "sampler": _sampler(),
+        "x_grid": _grid(True),
+        "envelope": _optional(
+            {"first": _number, "second": _number, "tail_scale": _positive, "scale": _positive}
+        ),
+        "data": st.one_of(
+            st.just({}),
+            st.fixed_dictionaries({"draw": st.integers(1, 1000)}),
+            st.fixed_dictionaries(
+                {"values": st.lists(st.floats(-9.0, 9.0, **_floats), min_size=1, max_size=6)}
+            ),
+        ),
+        "martingale": _martingale(),
+        "scaling": _scaling(),
+    },
+    required=("version", "experiment"),
+)
+
+
 class TestParsing:
+    @pytest.mark.parametrize("case", list(ERROR_CASES))
+    def test_error_names_key_and_line(self, case):
+        text, fragments = ERROR_CASES[case]
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        for fragment in fragments:
+            assert fragment in str(err.value)
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_CONFIGS)
+    def test_round_trip_property(self, mapping):
+        cfg = parse_config_text(yaml.safe_dump(mapping, sort_keys=False))
+        emitted = emit_config(cfg)
+        again = parse_config_text(emitted)
+        assert again == cfg
+        assert emit_config(again) == emitted
+
     def test_defaults_applied(self):
         cfg = parse_config_text(ESTIMATE_CONFIG)
         assert cfg.version == 1
@@ -56,7 +356,6 @@ class TestParsing:
         assert cfg.ratio_bound == 5.0
         assert cfg.quantile == 0.9
         assert cfg.identity_tolerance == 1e-10
-        assert cfg.threads == 1
 
     def test_unknown_key_is_named_with_its_line(self):
         bad = ESTIMATE_CONFIG.replace("kernel:", "kernal:")
@@ -73,12 +372,56 @@ kernel:
   name: gini
 sampler:
   kind: rademacher
-design:
-  kind: bernoulli
-  rate: 1.5
+scaling: {design_kind: bernoulli, sizes: [1.5]}
 """
         with pytest.raises(ConfigError, match="rate"):
             parse_config_text(text)
+
+    @pytest.mark.parametrize("key", ["threads: 2", "design: {kind: bernoulli, rate: 0.5}"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, ESTIMATE_CONFIG + key + "\n")
+        assert main(["estimate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        name = key.split(":")[0]
+        assert f"unknown key '{name}' at line 10 in the top level" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, line",
+        [
+            ("martingale: {variants: []}", "'martingale.variants' (line 3)"),
+            ("scaling: {sizes: []}", "'scaling.sizes' (line 3)"),
+            ("scaling: {sample_sizes: []}", "'scaling.sample_sizes' (line 3)"),
+        ],
+    )
+    def test_empty_lists_are_usage_errors(self, tmp_path, capsys, section, line):
+        experiment = section.split(":")[0].replace("martingale", "martingale-verify")
+        experiment = experiment.replace("scaling", "incomplete-compare")
+        path = write_config(tmp_path, f"version: 1\nexperiment: {experiment}\n{section}\n")
+        assert main([experiment, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert line in err and "must not be empty" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_ragged_atoms_fail_at_parse_time(self):
+        text = "version: 1\nexperiment: estimate\nsampler:\n  kind: finite\n"
+        text += "  atoms: [[1, 2], [3]]\n  probs: [0.5, 0.5]\n"
+        with pytest.raises(ConfigError, match=r"'sampler.atoms' \(line 5\)"):
+            parse_config_text(text)
+
+    def test_ragged_data_values_fail_at_parse_time(self):
+        text = "version: 1\nexperiment: estimate\ndata:\n  values: [[1, 2], [3, 4], 5]\n"
+        with pytest.raises(ConfigError, match=r"'data.values' \(line 4\)"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("start", [0.0, -1.0])
+    def test_linear_tail_grid_must_be_positive(self, start):
+        text = f"version: 1\nexperiment: tailscan\nx_grid:\n  start: {start}\n  scale: linear\n"
+        with pytest.raises(ConfigError, match=r"'x_grid.start' \(line 4\)"):
+            parse_config_text(text)
+
+    def test_partial_grid_keeps_the_section_default(self):
+        cfg = parse_config_text("version: 1\nexperiment: martingale-verify\nmartingale:\n  y_grid: {points: 4}\n")
+        assert (cfg.martingale.y_grid.start, cfg.martingale.y_grid.stop) == (11.0, 38.0)
+        assert cfg.martingale.y_grid.points == 4
 
     def test_version_gate(self):
         with pytest.raises(ConfigError, match="version"):
@@ -281,13 +624,12 @@ class TestMain:
         assert exc.value.code == EXIT_USAGE
         capsys.readouterr()
 
-    def test_thread_env_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("USTATLAB_THREADS", "2")
+    def test_threads_flag_is_a_usage_error(self, tmp_path, capsys):
         path = write_config(tmp_path, ESTIMATE_CONFIG)
-        out = tmp_path / "out"
-        assert main(["estimate", "--config", path, "--out", str(out)]) == EXIT_OK
-        monkeypatch.setenv("USTATLAB_THREADS", "many")
-        assert main(["estimate", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--config", path, "--threads", "2"])
+        assert exc.value.code == EXIT_USAGE
+        assert "--threads" in capsys.readouterr().err
 
     def test_seed_override_changes_the_manifest(self, tmp_path):
         path = write_config(tmp_path, ESTIMATE_CONFIG)
@@ -329,18 +671,80 @@ x_grid:
         ),
     }
 
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_digests_are_pinned(self, tmp_path, case, threads):
+    def test_digests_are_pinned(self, tmp_path, case):
         params, csv_digest, dat_digest = self.CASES[case]
         cfg = parse_config_text(self.CONFIG % params)
-        assert run("tailscan", cfg, out_dir=str(tmp_path), threads=threads) == EXIT_OK
+        assert run("tailscan", cfg, out_dir=str(tmp_path)) == EXIT_OK
         assert sha256(tmp_path / "tailscan.csv") == csv_digest
         assert sha256(tmp_path / "tailscan.dat") == dat_digest
         assert read_manifest(tmp_path)["outputs"] == {
             "tailscan.csv": csv_digest,
             "tailscan.dat": dat_digest,
         }
+
+
+class TestEstimateDigests:
+    """Output digests of the estimate subcommand, recorded before the config
+    schema was declared once; every later version must match them."""
+
+    CASES = {
+        "product-values": (
+            ESTIMATE_CONFIG,
+            {
+                "estimate.csv": "65b22f2b90ea96d4df2b6a7c2e875346634a12635bac2282f0a4db7bd8b51f0b",
+                "estimate.dat": "13a4d55e6271895ee7eab085bffaf7babed0d1a55956ce68f7a3ad7c02e9583a",
+                "estimate-prefix-norms.csv": "d84ee35a48688d809758c0ee326a49979cdf9882b194d4598e3073bbafbac1fc",
+                "estimate-prefix-norms.dat": "c575922a00c7d473552ba5819b19e08ccc9d49568418c2766d5d47582a51ca7a",
+            },
+        ),
+        "gini-grid7-draw200": (
+            """\
+version: 1
+experiment: estimate
+seed: 41
+kernel:
+  name: gini
+sampler:
+  kind: uniform-grid
+  grid_points: 7
+data: {draw: 200}
+""",
+            {
+                "estimate.csv": "5ce423089df6c8b9b857ed905d4bd912f0483c4107da176cf7e9ddcc24dc0f63",
+                "estimate.dat": "f260e03d7496df7e68e954b43b0b66751f92008155b4b57a68e0a46f36a1f925",
+                "estimate-prefix-norms.csv": "c60b486850f505ccae65af62a3efb7e249d1916f87f4a9c3b595666c03a9930b",
+                "estimate-prefix-norms.dat": "f174fda1e1a259876c388fae655a7bc558c791a4510d915f2a12e25adaae4847",
+            },
+        ),
+        "spatial-sign-gaussian-dim2": (
+            """\
+version: 1
+experiment: estimate
+seed: 42
+sample_size: 30
+kernel:
+  name: spatial-sign
+  dim: 2
+sampler:
+  kind: discretized-gaussian
+  dim: 2
+""",
+            {
+                "estimate.csv": "6cb06deb744127102775c966d984da2ef2f39e8a0e332983af3709492f79941d",
+                "estimate.dat": "5ef21181fbf6786193d6c43243981bcc21e3bf22148cc69ca70d7cf58768c455",
+                "estimate-prefix-norms.csv": "919e0f6634bfa68872e768dacc257e66944c3814588571e21647395195126a61",
+                "estimate-prefix-norms.dat": "2773ca19f1496f230024ddde6002094345653e094031b9b149b93b2fc492cab8",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_digests_are_pinned(self, tmp_path, case):
+        text, expected = self.CASES[case]
+        assert run("estimate", parse_config_text(text), out_dir=str(tmp_path)) == EXIT_OK
+        assert {name: sha256(tmp_path / name) for name in expected} == expected
+        assert read_manifest(tmp_path)["outputs"] == expected
 
 
 class TestDecomposeDigests:
@@ -454,9 +858,9 @@ martingale:
         assert read_manifest(tmp_path)["outputs"] == expected
 
 
-def _pinned_run(tmp_path, experiment, text, threads):
+def _pinned_run(tmp_path, experiment, text):
     """Run one config; return its exit status and the csv, dat and results digests."""
-    status = run(experiment, parse_config_text(text), out_dir=str(tmp_path), threads=threads)
+    status = run(experiment, parse_config_text(text), out_dir=str(tmp_path))
     manifest = read_manifest(tmp_path)
     digests = tuple(sha256(tmp_path / f"{experiment}.{ext}") for ext in ("csv", "dat"))
     assert manifest["outputs"] == {f"{experiment}.csv": digests[0], f"{experiment}.dat": digests[1]}
@@ -468,7 +872,7 @@ class TestIncompleteDigests:
     """Output digests (csv, dat and the manifest's results block, which holds
     the matching-point figures) recorded with one design draw and one reduce
     per replica, before replicas were batched; every later version must
-    match them at any thread count."""
+    match them."""
 
     CASES = {
         "workload-product": (
@@ -613,11 +1017,10 @@ scaling:
         ),
     }
 
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_digests_are_pinned(self, tmp_path, case, threads):
+    def test_digests_are_pinned(self, tmp_path, case):
         text, *expected = self.CASES[case]
-        assert _pinned_run(tmp_path, "incomplete-compare", text, threads) == tuple(expected)
+        assert _pinned_run(tmp_path, "incomplete-compare", text) == tuple(expected)
 
 
 class TestDecoupleDigests:
@@ -685,8 +1088,7 @@ x_grid: {start: 0.2, stop: 6.0, points: 24, scale: log}
         ),
     }
 
-    @pytest.mark.parametrize("threads", [1, 3])
     @pytest.mark.parametrize("case", list(CASES))
-    def test_digests_are_pinned(self, tmp_path, case, threads):
+    def test_digests_are_pinned(self, tmp_path, case):
         text, *expected = self.CASES[case]
-        assert _pinned_run(tmp_path, "decouple-compare", text, threads) == tuple(expected)
+        assert _pinned_run(tmp_path, "decouple-compare", text) == tuple(expected)

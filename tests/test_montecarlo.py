@@ -78,11 +78,6 @@ class TestReplicate:
         b = replicate(make_config())
         np.testing.assert_array_equal(a, b)
 
-    def test_thread_count_does_not_change_results(self):
-        a = replicate(make_config(threads=1))
-        b = replicate(make_config(threads=4))
-        np.testing.assert_array_equal(a, b)
-
     def test_point_mass_law_gives_all_zeros(self):
         dist = FiniteDistribution(np.array([0.0]), np.array([1.0]))
         cfg = make_config(sampler=SamplerSpec(kind="finite", dist=dist))
@@ -245,16 +240,6 @@ class TestIncompleteScaling:
             assert row.quantile_lo <= row.quantile <= row.quantile_hi
             assert row.unbias_ok
         assert report.spread >= 1.0
-
-    def test_threads_do_not_change_the_report(self):
-        cells = [
-            ScalingCell(sample_size=10, design=SamplingDesign(kind="with-replacement", size=80))
-        ]
-        kw = dict(replicas=200, master_seed=32)
-        a = incomplete_scaling_experiment(product(), rademacher, cells, threads=1, **kw)
-        b = incomplete_scaling_experiment(product(), rademacher, cells, threads=3, **kw)
-        assert a.rows[0].quantile == b.rows[0].quantile
-        assert a.rows[0].unbias_max_sigmas == b.rows[0].unbias_max_sigmas
 
     def test_full_bernoulli_design_is_exactly_unbiased(self):
         """Keeping every tuple reduces the estimator to the complete sum."""
