@@ -1,30 +1,35 @@
-"""Confidence intervals for tail probabilities, means, and quantiles."""
+"""95% confidence intervals for tail probabilities, means, and quantiles.
+
+The level is fixed at 95%. The Wilson band (Wilson 1927) and mean interval
+use `_Z95`, the 0.975 normal quantile as Cephes' `ndtri` gives it (one ulp
+under the correctly rounded 1.9599639845400543), which every band so far
+used; `statistics.NormalDist`, two ulps lower, would change their bits.
+
+The quantile interval is the distribution-free one of David & Nagaraja
+(*Order Statistics*, 3rd ed., 7.1): the order statistics at the 0.025 and
+0.975 quantiles of Bin(n, q), each the first k whose cdf reaches the level,
+the cdf being the running sum of the pmf built from log-factorials.
+"""
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
 
 import numpy as np
-from scipy import stats
 
 __all__ = ["wilson_bounds", "wilson_interval", "mean_interval", "quantile_interval"]
 
-
-@lru_cache(maxsize=16)
-def _z_score(confidence: float) -> float:
-    return float(stats.norm.ppf(0.5 + confidence / 2.0))
+_Z95 = 1.959963984540054
 
 
-def wilson_bounds(
-    successes, trials: int, confidence: float = 0.95
-) -> tuple[np.ndarray, np.ndarray]:
+def wilson_bounds(successes, trials: int) -> tuple[np.ndarray, np.ndarray]:
     """Wilson score bounds for an array of success counts out of `trials`."""
     if trials < 1:
         raise ValueError("trials must be positive")
     successes = np.asarray(successes)
     if np.any(successes < 0) or np.any(successes > trials):
         raise ValueError("successes must lie in [0, trials]")
-    z = _z_score(confidence)
+    z = _Z95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2.0 * trials)) / denom
@@ -37,30 +42,36 @@ def wilson_bounds(
     return lo, hi
 
 
-def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """Wilson score interval for a binomial proportion."""
-    lo, hi = wilson_bounds(successes, trials, confidence)
+    lo, hi = wilson_bounds(successes, trials)
     return float(lo), float(hi)
 
 
-def mean_interval(values: np.ndarray, confidence: float = 0.95) -> tuple[float, float, float]:
+def mean_interval(values: np.ndarray) -> tuple[float, float, float]:
     """(mean, lower, upper) via the normal approximation."""
     values = np.asarray(values, dtype=np.float64)
     if values.size < 2:
         raise ValueError("need at least 2 values")
-    z = _z_score(confidence)
     mean = float(values.mean())
     se = float(values.std(ddof=1) / np.sqrt(values.size))
-    return mean, mean - z * se, mean + z * se
+    return mean, mean - _Z95 * se, mean + _Z95 * se
 
 
-def quantile_interval(
-    values: np.ndarray, q: float, confidence: float = 0.95
-) -> tuple[float, float, float]:
+def _binom_ppf(p: float, n: int, q: float) -> int:
+    """The smallest k in [0, n] with P(Bin(n, q) <= k) >= p, for 0 < q < 1."""
+    k = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
+    log_pmf = log_fact[n] - log_fact - log_fact[::-1] + k * math.log(q) + (n - k) * math.log1p(-q)
+    # rounding can leave the last cdf value just under p near 1; the quantile is then n
+    return min(int(np.searchsorted(np.cumsum(np.exp(log_pmf)), p, side="left")), n)
+
+
+def quantile_interval(values: np.ndarray, q: float) -> tuple[float, float, float]:
     """(estimate, lower, upper) for the q-quantile via order statistics.
 
-    The bounds are the order statistics whose binomial coverage reaches the
-    requested confidence; they are conservative near the sample edges.
+    The bounds are the order statistics whose binomial coverage reaches 95%;
+    they are conservative near the sample edges.
     """
     values = np.sort(np.asarray(values, dtype=np.float64))
     n = values.size
@@ -68,10 +79,8 @@ def quantile_interval(
         raise ValueError("need at least 2 values")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
-    alpha = 1.0 - confidence
+    alpha = 1.0 - 0.95
     est = float(np.quantile(values, q))
-    k_lo = int(stats.binom.ppf(alpha / 2.0, n, q))
-    k_hi = int(stats.binom.ppf(1.0 - alpha / 2.0, n, q))
-    lo = values[int(np.clip(k_lo, 0, n - 1))]
-    hi = values[int(np.clip(k_hi, 0, n - 1))]
+    lo = values[min(_binom_ppf(alpha / 2.0, n, q), n - 1)]
+    hi = values[min(_binom_ppf(1.0 - alpha / 2.0, n, q), n - 1)]
     return est, float(lo), float(hi)

@@ -18,9 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
+import numpy.ma  # numpy loads it lazily at the first np.unique; load it here, not mid-run
+import numpy.random  # likewise loaded lazily at the first Generator
 
 from .hilbert import HilbertSpace
 
@@ -29,6 +31,7 @@ __all__ = [
     "SamplerSpec",
     "EnumerationBudgetError",
     "substream",
+    "substreams",
     "mix_ids",
     "mix_ids_batch",
     "philox4x64",
@@ -202,6 +205,21 @@ def substream(master_seed: int, *ids: int) -> np.random.Generator:
     """A generator whose state is a pure function of (master_seed, ids, draw index)."""
     key = np.array([int(master_seed) % 2**64, mix_ids(*ids)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Generator]:
+    """`substream(master_seed, i)` for each i in ids, bit for bit, from one re-keyed Philox.
+
+    The same Generator is yielded every time, its state reset for the next
+    id, so a yielded generator must not be kept or used past its iteration.
+    """
+    bit_gen = np.random.Philox(0)
+    rng = np.random.Generator(bit_gen)
+    fresh = bit_gen.state  # counter 0, empty buffer, no cached 32-bit half
+    for i in ids:
+        fresh["state"]["key"] = np.array([int(master_seed) % 2**64, mix_ids(i)], np.uint64)
+        bit_gen.state = fresh
+        yield rng
 
 
 def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:

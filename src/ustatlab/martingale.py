@@ -26,7 +26,7 @@ bands in one array pass, summed left to right. A3's integral depends on y
 only, so a grid computes it once per distinct y. The checks read an
 ensemble through its per-path summaries (`summarize`), computed once per
 run over bounded batches of stacked paths. Path generation is still one
-substream per path.
+substream per path, read from one re-keyed Philox (`substreams`).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Sequence
 import numpy as np
 
 from .confidence import mean_interval, wilson_bounds
-from .distributions import mix_ids, substream
+from .distributions import mix_ids, substreams
 from .hilbert import HilbertSpace, row_norms
 
 __all__ = [
@@ -118,10 +118,8 @@ def simulate_ensemble(
     base_stream: int = 0,
 ) -> list[MartingalePath]:
     """count independent paths, one counter-based substream per path."""
-    return [
-        simulate_mds(kind, steps, space, substream(master_seed, mix_ids(base_stream, r)))
-        for r in range(count)
-    ]
+    ids = (mix_ids(base_stream, r) for r in range(count))
+    return [simulate_mds(kind, steps, space, rng) for rng in substreams(master_seed, ids)]
 
 
 # values per stacked batch of path increments; bounds the temporaries of one

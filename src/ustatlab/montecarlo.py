@@ -7,7 +7,7 @@ Reductions over replicas happen in replica order. Every experiment runs
 on one thread over bounded batches of replicas: a batch draws its
 samples with one `draw_iid_batch` per data role and evaluates all its
 tuples with one gathered kernel call. Incomplete designs are drawn per
-replica on their own numpy Generator (the generator words fix the bytes)
+replica on its own re-keyed Philox substream (its words fix the bytes)
 into a dense (replicas, C(n, m)) count matrix, and each replica's selected
 rows are reduced in ascending rank order exactly as one selection's were.
 
@@ -35,7 +35,7 @@ from .distributions import (
     draw_iid_batch,
     mix_ids,
     mix_ids_batch,
-    substream,
+    substreams,
 )
 from .hilbert import HilbertSpace, row_norms
 from .hoeffding import degeneracy_order
@@ -505,8 +505,8 @@ def _design_draws(
     design: SamplingDesign, m: int, n: int, master_seed: int, role: int, cell_id: int, replicas
 ) -> np.ndarray:
     """Dense design counts (B, C(n, m)), replica r drawn on its own substream."""
-    streams = mix_ids_batch(role, cell_id, replicas)
-    return np.stack([design_counts(design, m, n, substream(master_seed, int(s))) for s in streams])
+    streams = mix_ids_batch(role, cell_id, replicas).tolist()
+    return np.stack([design_counts(design, m, n, rng) for rng in substreams(master_seed, streams)])
 
 
 def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:

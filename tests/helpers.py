@@ -1,7 +1,7 @@
 """Shared test fixtures: random finite laws, table-backed kernels, the
 enumeration oracle for exact projections, the one-at-a-time oracles for
-the martingale checks, and the one-replica-at-a-time oracles for the design
-and decoupling experiments."""
+the martingale checks, the one-replica-at-a-time oracles for the design
+and decoupling experiments, and the scipy-based quantile interval."""
 
 from __future__ import annotations
 
@@ -124,6 +124,27 @@ def wilson_oracle(successes: int, trials: int, z: float) -> tuple[float, float]:
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
+
+
+def quantile_interval_oracle(
+    values: np.ndarray, q: float, confidence: float = 0.95
+) -> tuple[float, float, float]:
+    """`quantile_interval` as it was computed with scipy's binomial quantile."""
+    from scipy import stats
+
+    values = np.sort(np.asarray(values, dtype=np.float64))
+    n = values.size
+    if n < 2:
+        raise ValueError("need at least 2 values")
+    if not 0.0 < q < 1.0:
+        raise ValueError("q must lie in (0, 1)")
+    alpha = 1.0 - confidence
+    est = float(np.quantile(values, q))
+    k_lo = int(stats.binom.ppf(alpha / 2.0, n, q))
+    k_hi = int(stats.binom.ppf(1.0 - alpha / 2.0, n, q))
+    lo = values[int(np.clip(k_lo, 0, n - 1))]
+    hi = values[int(np.clip(k_hi, 0, n - 1))]
+    return est, float(lo), float(hi)
 
 
 def step_tail_integral_oracle(

@@ -197,7 +197,7 @@ def _counting(monkeypatch, name):
 )
 def test_scaling_checks_come_before_any_replica(monkeypatch, bad_cell, error):
     batches = _counting(monkeypatch, "draw_iid_batch")
-    designs = _counting(monkeypatch, "substream")
+    designs = _counting(monkeypatch, "substreams")
     good = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
     with pytest.raises(error):
         incomplete_scaling_experiment(

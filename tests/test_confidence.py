@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from helpers import wilson_oracle
+from helpers import quantile_interval_oracle, wilson_oracle
 from ustatlab.confidence import (
-    _z_score,
+    _Z95,
+    _binom_ppf,
     mean_interval,
     quantile_interval,
     wilson_bounds,
@@ -42,8 +44,7 @@ class TestWilson:
     def test_array_form_matches_the_scalar_formula(self, trials):
         counts = np.arange(trials + 1)
         lo, hi = wilson_bounds(counts, trials)
-        z = _z_score(0.95)
-        expected = np.array([wilson_oracle(int(k), trials, z) for k in counts])
+        expected = np.array([wilson_oracle(int(k), trials, _Z95) for k in counts])
         np.testing.assert_array_equal(np.stack([lo, hi], axis=1), expected)
         scalar = np.array([wilson_interval(int(k), trials) for k in counts])
         np.testing.assert_array_equal(scalar, expected)
@@ -75,3 +76,45 @@ def test_quantile_interval_orders_its_outputs():
     assert est == pytest.approx(true)
     with pytest.raises(ValueError):
         quantile_interval(values, 1.5)
+
+
+def test_z95_is_scipys_normal_quantile():
+    assert _Z95 == float(stats.norm.ppf(0.5 + 0.95 / 2.0))
+
+
+# the two levels quantile_interval asks for, with the bits it computes them with
+_ALPHA = 1.0 - 0.95
+_TAILS = (_ALPHA / 2.0, 1.0 - _ALPHA / 2.0)
+_QS = [0.5, 0.9, 0.95, 0.1, 0.99, 0.75, 0.05, 0.01, 0.999] + list(
+    np.random.default_rng(73).uniform(size=20)
+)
+
+
+class TestBinomialQuantile:
+    def test_matches_scipy_at_both_tails(self):
+        ns = np.array(list(range(2, 401)) + [1200, 4000, 10**5])
+        ref = stats.binom.ppf(np.reshape(_TAILS, (2, 1, 1)), ns[:, None], _QS)
+        got = [[[_binom_ppf(p, int(n), q) for q in _QS] for n in ns] for p in _TAILS]
+        np.testing.assert_array_equal(got, ref)
+
+    # dyadic cases where the summed cdf hits p exactly
+    @pytest.mark.parametrize(
+        "p, n, q", [(0.5, 1, 0.5), (0.75, 1, 0.25), (0.25, 2, 0.5), (0.5, 37, 0.5)]
+    )
+    def test_a_cdf_value_equal_to_p_is_the_quantile(self, p, n, q):
+        assert _binom_ppf(p, n, q) == int(stats.binom.ppf(p, n, q))
+
+    @pytest.mark.parametrize("n, q", [(2, 0.5), (4, 0.25), (8, 0.9), (9, 0.99), (12, 0.75)])
+    def test_a_cdf_ending_below_p_gives_n(self, n, q):
+        assert _binom_ppf(1.0, n, q) == n == int(stats.binom.ppf(1.0, n, q))
+
+
+class TestQuantileIntervalOracle:
+    @pytest.mark.parametrize("n", [2, 3, 17, 400, 1200])
+    @pytest.mark.parametrize("q", [1e-9, 0.001, 0.05, 0.5, 0.9, 0.999, 1.0 - 1e-9])
+    def test_bit_equal_to_the_scipy_form(self, n, q):
+        rng = np.random.default_rng(n)
+        ties = rng.integers(0, 5, size=n).astype(np.float64)
+        spread = rng.normal(size=n)
+        for values in (ties, spread):
+            assert quantile_interval(values, q) == quantile_interval_oracle(values, q)

@@ -11,6 +11,8 @@ from ustatlab.distributions import (
     draw_iid,
     exact_expectation,
     mix_ids,
+    substream,
+    substreams,
 )
 from ustatlab.hilbert import HilbertSpace
 
@@ -82,6 +84,31 @@ class TestDrawIid:
             SamplerSpec(kind="finite")
         with pytest.raises(ValueError):
             SamplerSpec(kind="uniform-grid", grid_points=1)
+
+
+class TestSubstreams:
+    # each program leaves the generator mid-buffer (a partly used block of
+    # four 64-bit words, or a cached 32-bit half after an odd count of float32
+    # draws), so a reset that missed either would shift the next stream
+    PROGRAMS = {
+        "integers": lambda rng: rng.integers(0, 7, size=5),
+        "float32": lambda rng: rng.random(3, dtype=np.float32),
+        "random": lambda rng: rng.random(3),
+        "standard_normal": lambda rng: rng.standard_normal(7),
+        "integers-40-bit": lambda rng: rng.integers(0, 2**40, size=3),
+        "mixed": lambda rng: np.concatenate(
+            [rng.integers(0, 3, size=1), rng.random(2), rng.standard_normal(1)]
+        ),
+    }
+
+    @pytest.mark.parametrize("program", sorted(PROGRAMS))
+    def test_bit_equal_to_substream(self, program):
+        draw = self.PROGRAMS[program]
+        ids = [mix_ids(5, r) for r in range(150)] + list(range(150))
+        expected = [draw(substream(2**64 + 17, i)) for i in ids]
+        got = [draw(rng) for rng in substreams(2**64 + 17, ids)]
+        for e, g in zip(expected, got, strict=True):
+            np.testing.assert_array_equal(g, e)
 
 
 class TestExactExpectation:

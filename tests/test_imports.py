@@ -1,0 +1,108 @@
+"""Import weight of the CLI: no scipy at run time, nothing imported mid-run.
+
+Each subcommand runs at a tiny size in a fresh interpreter, so the modules
+it loads are its own, not those of earlier tests. A module imported during
+`cli.run` costs its import time inside the run instead of at start-up.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+CONFIGS = {
+    "estimate": """\
+version: 1
+experiment: estimate
+seed: 901
+kernel: {name: gini}
+sampler: {kind: uniform-grid, grid_points: 7}
+data: {draw: 20}
+""",
+    "decompose": """\
+version: 1
+experiment: decompose
+seed: 902
+kernel: {name: gini, centered: true}
+sampler: {kind: uniform-grid, grid_points: 8}
+data: {draw: 12}
+""",
+    "tailscan": """\
+version: 1
+experiment: tailscan
+seed: 903
+replicas: 100
+sample_size: 8
+kernel: {name: product}
+sampler: {kind: rademacher}
+x_grid: {start: 0.1, stop: 3.0, points: 6, scale: log}
+beta_tolerance: 5.0
+""",
+    "incomplete-compare": """\
+version: 1
+experiment: incomplete-compare
+seed: 904
+replicas: 100
+kernel: {name: product}
+sampler: {kind: rademacher}
+scaling:
+  design_kind: with-replacement
+  sizes: [3, 10]
+  sample_sizes: [6, 8]
+  matching: {sample_size: 8, size: 5, replicas: 100}
+""",
+    "decouple-compare": """\
+version: 1
+experiment: decouple-compare
+seed: 905
+replicas: 100
+sample_size: 6
+kernel: {name: spatial-sign, dim: 2}
+sampler: {kind: discretized-gaussian, dim: 2}
+x_grid: {start: 0.2, stop: 4.0, points: 6, scale: log}
+""",
+    "martingale-verify": """\
+version: 1
+experiment: martingale-verify
+seed: 906
+replicas: 100
+martingale: {generator: gaussian-coords, dim: 2, steps: 10, variants: [A2, A3, conv]}
+""",
+}
+
+CHILD = """\
+import json, os, sys
+import ustatlab
+from ustatlab import cli
+
+work = sys.argv[1]
+report = {}
+for subcommand, text in json.loads(sys.argv[2]).items():
+    path = os.path.join(work, subcommand + ".yaml")
+    with open(path, "w") as fh:
+        fh.write(text)
+    cfg = cli.parse_config(path)
+    before = set(sys.modules)
+    status = cli.run(subcommand, cfg, out_dir=os.path.join(work, subcommand))
+    report[subcommand] = {"status": status, "added": sorted(set(sys.modules) - before)}
+report["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps(report))
+"""
+
+
+def test_cli_runs_load_no_scipy_and_import_nothing_mid_run(tmp_path):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(tmp_path), json.dumps(CONFIGS)],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report.pop("scipy") == []
+    assert sorted(report) == sorted(CONFIGS)
+    for subcommand, entry in report.items():
+        assert entry == {"status": 0, "added": []}, subcommand

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import step_tail_integral_oracle, summarize_oracle
 from ustatlab import martingale
-from ustatlab.confidence import _z_score
+from ustatlab.confidence import _Z95
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
     MartingalePath,
@@ -230,7 +230,7 @@ class TestStepTailIntegral:
         if u_max is None:
             u_max = max(2.0, 2.0 * float(samples.max()) / scale)
         got = _step_tail_integral(samples, scale, u_max)
-        expected = step_tail_integral_oracle(samples, scale, u_max, _z_score(0.95))
+        expected = step_tail_integral_oracle(samples, scale, u_max, _Z95)
         np.testing.assert_array_equal(np.array(got), np.array(expected))
         assert got[1] <= got[0] <= got[2]
 
