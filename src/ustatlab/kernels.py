@@ -1,10 +1,11 @@
 """Kernel definitions and the built-in kernel zoo.
 
 A kernel of arity m maps m sample points into a codomain Hilbert space.
-`eval_one` consumes raw point values (floats for scalar inputs, coordinate
-rows for vector inputs). Kernels may additionally carry a vectorized
-`eval_batch` that broadcasts over leading axes; estimators use it when
-present and fall back to a per-tuple loop otherwise.
+It has two evaluators: `eval_one` on m raw points (floats for scalar inputs,
+coordinate rows for vector inputs) and `eval_batch` on m stacked argument
+columns. A kernel states one of them and `KernelSpec` derives the other
+once, so every estimator evaluates through `batch_values` alone and the
+built-ins state only their vectorized form.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import (
-    ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution, exact_expectation,
+    ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution,
 )
 from .hilbert import HilbertPoint, HilbertSpace, row_norms
 
@@ -30,7 +31,6 @@ __all__ = [
     "partial_expectations",
     "symmetrize",
     "centered",
-    "conditional_norm_expectation",
     "gini",
     "spatial_sign",
     "product",
@@ -53,9 +53,13 @@ class KernelSpec:
     codomain: space the values live in.
     eval_one: callable on arity raw points, returns a scalar (codomain
         dim 1) or a coordinate row.
-    eval_batch: optional vectorized form; arguments broadcast over leading
-        axes, result has a trailing codomain axis unless the codomain is
-        the scalar line.
+    eval_batch: vectorized form on arity argument columns of T rows each;
+        returns (T, dim), or (T,) when the codomain is the scalar line.
+    Give one evaluator (or both); a spec with neither raises ValueError.
+    The missing one is built once here: a loop-only kernel gets the loop
+    of eval_one over the rows as its eval_batch, and a batch-only kernel
+    gets eval_batch on one-row columns as its eval_one, which then returns
+    the (dim,) value row.
     symmetric: whether eval is invariant under argument permutations.
     sup_bound: optional a.s. bound on the value norm, spot-checked during
         Monte Carlo runs.
@@ -65,7 +69,7 @@ class KernelSpec:
 
     arity: int
     codomain: HilbertSpace
-    eval_one: Callable[..., object]
+    eval_one: Callable[..., object] | None = None
     eval_batch: Callable[..., np.ndarray] | None = None
     symmetric: bool = False
     sup_bound: float | None = None
@@ -77,6 +81,24 @@ class KernelSpec:
             raise ValueError("arity must be at least 1")
         if self.sup_bound is not None and self.sup_bound < 0:
             raise ValueError("sup_bound must be nonnegative")
+        if self.eval_one is None and self.eval_batch is None:
+            raise ValueError("a kernel needs eval_one or eval_batch")
+        if self.eval_batch is None:
+            object.__setattr__(self, "eval_batch", self._row_loop)
+        elif self.eval_one is None:
+            object.__setattr__(self, "eval_one", self._one_row)
+
+    def _row_loop(self, *cols) -> np.ndarray:
+        """eval_one on each row of the argument columns, stacked (T, dim)."""
+        dim = self.codomain.dim
+        out = np.empty((cols[0].shape[0], dim))
+        for t in range(out.shape[0]):
+            out[t] = _as_row(self.eval_one(*(c[t] for c in cols)), dim)
+        return out
+
+    def _one_row(self, *args) -> np.ndarray:
+        """eval_batch on one-row argument columns: the (dim,) value row."""
+        return batch_values(self, tuple(np.asarray(a)[None] for a in args))[0]
 
 
 def _as_row(value, dim: int) -> np.ndarray:
@@ -99,24 +121,20 @@ def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray
     """Values over stacked argument columns, shape cols[0].shape[:1] + (dim,).
 
     Each column holds one argument position: shape (T,) for scalar inputs or
-    (T, d_in) for vector inputs. Falls back to a per-tuple loop when the
-    kernel has no vectorized form.
+    (T, d_in) for vector inputs. This is the one evaluation path of every
+    estimator; it calls `eval_batch`, which `KernelSpec` provides for every
+    kernel, loop-only ones included.
     """
     if len(cols) != kernel.arity:
         raise ValueError(f"kernel has arity {kernel.arity}, got {len(cols)} columns")
     n_rows = cols[0].shape[0]
     dim = kernel.codomain.dim
-    if kernel.eval_batch is not None:
-        vals = np.asarray(kernel.eval_batch(*cols), dtype=np.float64)
-        if dim == 1 and vals.shape == (n_rows,):
-            vals = vals[:, None]
-        if vals.shape != (n_rows, dim):
-            raise ValueError(f"batch evaluator returned shape {vals.shape}")
-        return vals
-    out = np.empty((n_rows, dim))
-    for t in range(n_rows):
-        out[t] = _as_row(kernel.eval_one(*(c[t] for c in cols)), dim)
-    return out
+    vals = np.asarray(kernel.eval_batch(*cols), dtype=np.float64)
+    if dim == 1 and vals.shape == (n_rows,):
+        vals = vals[:, None]
+    if vals.shape != (n_rows, dim):
+        raise ValueError(f"batch evaluator returned shape {vals.shape}")
+    return vals
 
 
 def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int) -> list[np.ndarray]:
@@ -130,22 +148,47 @@ def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int)
     `exact_expectation` of the same function bit for bit. Raises
     EnumerationBudgetError when A**m exceeds ENUMERATION_BUDGET.
     """
-    size, m, dim = dist.size, kernel.arity, kernel.codomain.dim
+    size, m = dist.size, kernel.arity
+    values = _atom_table(kernel, dist)
+    return [
+        _tail_means(values, dist.probs, m - j).reshape((size,) * j + (-1,)) for j in range(top + 1)
+    ]
+
+
+def _atom_table(kernel: KernelSpec, dist: FiniteDistribution) -> np.ndarray:
+    """Kernel values on every m-tuple of atoms, shape (A**m, dim), rows in
+    itertools.product order. Raises EnumerationBudgetError when A**m exceeds
+    ENUMERATION_BUDGET.
+    """
+    size, m = dist.size, kernel.arity
     if size**m > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"enumeration needs {size**m} terms, budget is {ENUMERATION_BUDGET}"
         )
     grid = (size,) * m
     cols = tuple(dist.atoms[np.broadcast_to(ix, grid).ravel()] for ix in np.indices(grid, sparse=True))
-    values = batch_values(kernel, cols)
-    weights = [np.ones(1)]  # weights[t]: product weights of the A**t tails of length t
-    for _ in range(m):
-        weights.append(np.multiply.outer(weights[-1], dist.probs).ravel())
-    out = []
-    for j in range(top + 1):
-        terms = values.reshape(size**j, size ** (m - j), dim) * weights[m - j][:, None]
-        out.append(np.cumsum(terms, axis=1)[:, -1].copy().reshape((size,) * j + (dim,)))
+    return batch_values(kernel, cols)
+
+
+def _tuple_probs(probs: np.ndarray, t: int) -> np.ndarray:
+    """Probabilities of the A**t atom t-tuples in itertools.product order,
+    each the product p_{i_1} * ... * p_{i_t} formed left to right."""
+    out = np.ones(1)
+    for _ in range(t):
+        out = np.multiply.outer(out, probs).ravel()
     return out
+
+
+def _tail_means(table: np.ndarray, probs: np.ndarray, tail: int) -> np.ndarray:
+    """Integrate the last `tail` atom axes out of a (A**m, dim) atom table.
+
+    Returns (A**(m - tail), dim). Each entry sums its A**tail terms one at a
+    time in itertools.product order (`cumsum`), each term weighted by
+    `_tuple_probs`.
+    """
+    weights = _tuple_probs(probs, tail)
+    terms = table.reshape(-1, weights.size, table.shape[-1]) * weights[:, None]
+    return np.cumsum(terms, axis=1)[:, -1].copy()
 
 
 def symmetrize(kernel: KernelSpec) -> KernelSpec:
@@ -163,26 +206,16 @@ def symmetrize(kernel: KernelSpec) -> KernelSpec:
     perms = list(itertools.permutations(range(kernel.arity)))
     scale = 1.0 / math.factorial(kernel.arity)
 
-    def sym_one(*args):
+    def sym_batch(*cols):
         acc = None
         for perm in perms:
-            val = np.asarray(kernel.eval_one(*(args[p] for p in perm)), dtype=np.float64)
+            val = np.asarray(kernel.eval_batch(*(cols[p] for p in perm)), dtype=np.float64)
             acc = val.copy() if acc is None else acc + val
         return acc * scale
-
-    sym_batch = None
-    if kernel.eval_batch is not None:
-        def sym_batch(*cols):
-            acc = None
-            for perm in perms:
-                val = np.asarray(kernel.eval_batch(*(cols[p] for p in perm)), dtype=np.float64)
-                acc = val.copy() if acc is None else acc + val
-            return acc * scale
 
     return KernelSpec(
         arity=kernel.arity,
         codomain=kernel.codomain,
-        eval_one=sym_one,
         eval_batch=sym_batch,
         symmetric=True,
         sup_bound=kernel.sup_bound,
@@ -198,17 +231,11 @@ def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:
     the centered kernel has zero expectation to rounding error. The sup
     bound, when one was declared, widens by the norm of the subtracted mean.
     """
-    dim = kernel.codomain.dim
     (mean,) = partial_expectations(kernel, dist, 0)
 
-    def centered_one(*args):
-        return np.asarray(_as_row(kernel.eval_one(*args), dim), dtype=np.float64) - mean
-
-    centered_batch = None
-    if kernel.eval_batch is not None:
-        def centered_batch(*cols):
-            vals = np.asarray(kernel.eval_batch(*cols), dtype=np.float64)
-            return vals - mean[0] if vals.ndim == 1 else vals - mean
+    def centered_batch(*cols):
+        vals = np.asarray(kernel.eval_batch(*cols), dtype=np.float64)
+        return vals - mean[0] if vals.ndim == 1 else vals - mean
 
     sup = None
     if kernel.sup_bound is not None:
@@ -217,32 +244,12 @@ def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:
     return KernelSpec(
         arity=kernel.arity,
         codomain=kernel.codomain,
-        eval_one=centered_one,
         eval_batch=centered_batch,
         symmetric=kernel.symmetric,
         sup_bound=sup,
         declared_degeneracy=kernel.declared_degeneracy,
         name=f"centered({kernel.name})",
     )
-
-
-def conditional_norm_expectation(
-    kernel: KernelSpec, dist: FiniteDistribution, fixed: tuple
-) -> float:
-    """E[ ||h(fixed, xi_{j+1}, ..., xi_m)|| ] with the tail coordinates integrated out.
-
-    `fixed` pins the first j arguments; the remaining arity - j arguments are
-    enumerated exactly over the atoms of dist.
-    """
-    j = len(fixed)
-    if j > kernel.arity:
-        raise ValueError(f"{j} fixed arguments exceed arity {kernel.arity}")
-    space = kernel.codomain
-
-    def tail_norm(*rest):
-        return row_norms(space, _as_row(kernel.eval_one(*fixed, *rest), space.dim))
-
-    return float(exact_expectation(tail_norm, dist, kernel.arity - j))
 
 
 def check_sup_bound(kernel: KernelSpec, value_norms: np.ndarray, context: str) -> int:
@@ -278,7 +285,6 @@ def gini(input_space: HilbertSpace | None = None, sup_bound: float | None = None
         return KernelSpec(
             arity=2,
             codomain=_scalar_line(),
-            eval_one=lambda u, v: abs(u - v),
             eval_batch=lambda u, v: np.abs(u - v),
             symmetric=True,
             sup_bound=sup_bound,
@@ -287,7 +293,6 @@ def gini(input_space: HilbertSpace | None = None, sup_bound: float | None = None
     return KernelSpec(
         arity=2,
         codomain=_scalar_line(),
-        eval_one=lambda u, v: row_norms(input_space, np.asarray(u) - np.asarray(v)),
         eval_batch=lambda u, v: row_norms(input_space, u - v),
         symmetric=True,
         sup_bound=sup_bound,
@@ -300,11 +305,6 @@ def spatial_sign(input_space: HilbertSpace) -> KernelSpec:
 
     Antisymmetric by construction; bounded by 1.
     """
-    def one(u, v):
-        d = np.asarray(u, dtype=np.float64) - np.asarray(v, dtype=np.float64)
-        r = row_norms(input_space, d)
-        return d / r if r > 0 else np.zeros(input_space.dim)
-
     def batch(u, v):
         d = u - v
         r = row_norms(input_space, d)
@@ -314,7 +314,6 @@ def spatial_sign(input_space: HilbertSpace) -> KernelSpec:
     return KernelSpec(
         arity=2,
         codomain=input_space,
-        eval_one=one,
         eval_batch=batch,
         symmetric=False,
         sup_bound=1.0,
@@ -332,7 +331,6 @@ def product(input_space: HilbertSpace | None = None, sup_bound: float | None = N
         return KernelSpec(
             arity=2,
             codomain=_scalar_line(),
-            eval_one=lambda u, v: u * v,
             eval_batch=lambda u, v: u * v,
             symmetric=True,
             sup_bound=sup_bound,
@@ -343,7 +341,6 @@ def product(input_space: HilbertSpace | None = None, sup_bound: float | None = N
     return KernelSpec(
         arity=2,
         codomain=_scalar_line(),
-        eval_one=lambda u, v: np.add.reduce(w * np.asarray(u) * np.asarray(v)),
         eval_batch=lambda u, v: np.add.reduce(w * u * v, axis=-1),
         symmetric=True,
         sup_bound=sup_bound,
@@ -370,7 +367,6 @@ def empirical_indicator(grid: np.ndarray, cdf_on_grid: np.ndarray) -> KernelSpec
     return KernelSpec(
         arity=1,
         codomain=space,
-        eval_one=lambda x: (x <= grid).astype(np.float64) - cdf_on_grid,
         eval_batch=lambda x: (np.asarray(x)[..., None] <= grid).astype(np.float64) - cdf_on_grid,
         symmetric=True,
         sup_bound=1.0,

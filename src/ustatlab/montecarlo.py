@@ -20,7 +20,6 @@ up to one multiplicative constant applied both outside and inside.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -39,7 +38,7 @@ from .distributions import (
 )
 from .hilbert import HilbertSpace, row_norms
 from .hoeffding import degeneracy_order
-from .kernels import KernelSpec, check_sup_bound, conditional_norm_expectation
+from .kernels import KernelSpec, _atom_table, _tail_means, _tuple_probs, check_sup_bound
 from .ustats import (
     SamplingDesign,
     _stacked_values,
@@ -167,7 +166,7 @@ def _reseeded(sampler: SamplerSpec, master_seed: int) -> SamplerSpec:
 
 def _spot_check_sup(kernel: KernelSpec, sample: np.ndarray, context: str) -> None:
     """One batch of kernel values against the declared sup bound."""
-    if kernel.sup_bound is None or kernel.eval_batch is None:
+    if kernel.sup_bound is None:
         return
     rows = np.asarray(sample, dtype=np.float64)[None]
     cols = _tuple_columns(kernel.arity, min(rows.shape[1], 12))
@@ -338,20 +337,19 @@ def empirical_tail(samples: np.ndarray) -> Callable[[float], float]:
 
 
 def hk_tail_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> Callable[[float], float]:
-    """Exact tail of H_k = E[ ||h(xi_1..xi_m)|| | xi_1..xi_k ] on finite support."""
+    """Exact tail of H_k = E[ ||h(xi_1..xi_m)|| | xi_1..xi_k ] on finite support.
+
+    H_k's values on the A**k atom k-tuples integrate the norms of one kernel
+    table on the support (`kernels._atom_table`) over its last m - k axes,
+    as `partial_expectations` integrates the values themselves.
+    """
     if not 0 <= k <= kernel.arity:
         raise ValueError(f"k must lie in [0, {kernel.arity}]")
-    values = []
-    probs = []
-    for combo in itertools.product(range(dist.size), repeat=k):
-        p = 1.0
-        for i in combo:
-            p *= float(dist.probs[i])
-        values.append(conditional_norm_expectation(kernel, dist, tuple(dist.atom(i) for i in combo)))
-        probs.append(p)
+    norms = row_norms(kernel.codomain, _atom_table(kernel, dist))[:, None]
+    values = _tail_means(norms, dist.probs, kernel.arity - k)[:, 0]
     order = np.argsort(values)
-    vals = np.asarray(values)[order]
-    cum = np.cumsum(np.asarray(probs)[order])
+    vals = values[order]
+    cum = np.cumsum(_tuple_probs(dist.probs, k)[order])
 
     def tail(t: float) -> float:
         idx = np.searchsorted(vals, t, side="right")
@@ -669,7 +667,6 @@ def coordinate_kernel() -> KernelSpec:
     return KernelSpec(
         arity=1,
         codomain=HilbertSpace.euclidean(1),
-        eval_one=lambda x: x,
         eval_batch=lambda x: x,
         symmetric=True,
         declared_degeneracy=1,
@@ -834,9 +831,9 @@ def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     Like the tail scan's, replicas are drawn in batches of _CHUNK_VALUES // n
     (one `draw_iid_batch` per role) and evaluated in batches of
     _CHUNK_VALUES // C(n, m) (one gathered kernel call per statistic). The
-    tuple sums reduce along the tuple axis as `complete` and `decoupled` do
-    for one sample; for a kernel without `eval_batch`, `complete` adds tuple
-    values one at a time, so its sums are running sums here too.
+    tuple sums reduce along the tuple axis with the `np.add.reduce` that
+    `complete` and `decoupled` use for one sample, whichever evaluator the
+    kernel was given.
     """
     kernel, n, R = config.kernel, config.sample_size, config.replicas
     m = kernel.arity
@@ -851,11 +848,7 @@ def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
         ]
         for b in _batches(drawn.size, cols[0].size):
             vals = _stacked_values(kernel, (sample[b],) * m, cols)
-            if kernel.eval_batch is not None:
-                sums = np.add.reduce(vals, axis=1)
-            else:
-                sums = np.cumsum(vals, axis=1)[:, -1]
-            stats_u[drawn[b]] = row_norms(kernel.codomain, sums)
+            stats_u[drawn[b]] = row_norms(kernel.codomain, np.add.reduce(vals, axis=1))
             dec = _stacked_values(kernel, tuple(c[b] for c in copies), cols)
             stats_d[drawn[b]] = row_norms(kernel.codomain, np.add.reduce(dec, axis=1))
     return stats_u, stats_d

@@ -24,7 +24,7 @@ import numpy as np
 
 from .distributions import EnumerationBudgetError
 from .hilbert import HilbertPoint, row_norms
-from .kernels import KernelSpec, _as_row, batch_values
+from .kernels import KernelSpec, batch_values
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -143,6 +143,23 @@ def _tuple_columns(m: int, n: int) -> tuple[np.ndarray, ...] | None:
     return cols
 
 
+def _index_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
+    """0-based index columns of every increasing m-tuple of range(n), in
+    enumeration order: the cached columns in one piece up to
+    _MATERIALIZE_CAP tuples, else streamed in pieces of _CHUNK tuples."""
+    cols = _tuple_columns(m, n)
+    if cols is not None:
+        yield cols
+        return
+    it = itertools.combinations(range(n), m)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _CHUNK)), dtype=np.int64)
+        if flat.size == 0:
+            return
+        idx = flat.reshape(-1, m)
+        yield tuple(idx[:, j] for j in range(m))
+
+
 def _grouped_columns(m: int, n: int):
     """Index columns grouped by last index, plus reduceat group offsets.
 
@@ -173,34 +190,19 @@ def _sample_rows(sample) -> np.ndarray:
 
 
 def _sum_tuples(kernel: KernelSpec, rows: tuple[np.ndarray, ...], n: int) -> np.ndarray:
-    """Sum kernel values over all increasing tuples, slot l fed from rows[l]."""
+    """Sum kernel values over all increasing tuples, slot l fed from rows[l].
+
+    Each piece of `_index_chunks` is reduced with one `np.add.reduce`, and
+    the piece sums are folded in enumeration order.
+    """
     m = kernel.arity
     total = inc_count(m, n)
     if total > ENUMERATION_CAP:
         raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
-    dim = kernel.codomain.dim
-    cols = _tuple_columns(m, n)
-    if kernel.eval_batch is not None and cols is not None:
-        gathered = tuple(rows[j][cols[j]] for j in range(m))
-        return np.add.reduce(batch_values(kernel, gathered), axis=0)
-    acc = np.zeros(dim)
-    if kernel.eval_batch is not None:
-        # stream fixed-size chunks through the vectorized path, folding
-        # partial sums in enumeration order
-        it = itertools.combinations(range(n), m)
-        while True:
-            flat = np.fromiter(
-                itertools.chain.from_iterable(itertools.islice(it, _CHUNK)),
-                dtype=np.int64,
-            )
-            if flat.size == 0:
-                break
-            idx = flat.reshape(-1, m)
-            gathered = tuple(rows[j][idx[:, j]] for j in range(m))
-            acc += np.add.reduce(batch_values(kernel, gathered), axis=0)
-        return acc
-    for combo in itertools.combinations(range(n), m):
-        acc += _as_row(kernel.eval_one(*(rows[j][i] for j, i in enumerate(combo))), dim)
+    acc = None
+    for cols in _index_chunks(m, n):
+        part = np.add.reduce(batch_values(kernel, tuple(rows[j][cols[j]] for j in range(m))), axis=0)
+        acc = part if acc is None else acc + part
     return acc
 
 
@@ -265,6 +267,8 @@ def running_max(kernel: KernelSpec, sample) -> RunningMaxResult:
 
     Tuples are grouped by their last index; each group extends the previous
     prefix sum, so the total work is one pass over inc_count(m, n) tuples.
+    Above _MATERIALIZE_CAP tuples the groups are built and evaluated one at
+    a time, each with one `batch_values` call.
     """
     rows = _sample_rows(sample)
     n = rows.shape[0]
@@ -274,22 +278,17 @@ def running_max(kernel: KernelSpec, sample) -> RunningMaxResult:
     total = inc_count(m, n)
     if total > ENUMERATION_CAP:
         raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
-    dim = kernel.codomain.dim
-    grouped = _grouped_columns(m, n) if kernel.eval_batch is not None else None
+    grouped = _grouped_columns(m, n)
     if grouped is not None:
         prefixes = _prefix_sums(kernel, rows[None], grouped)[0]
     else:
-        prefixes = np.empty((n - m + 1, dim))
-        acc = np.zeros(dim)
+        sums = np.empty((n - m + 1, kernel.codomain.dim))
         for last in range(m - 1, n):
-            if m == 1:
-                acc = acc + _as_row(kernel.eval_one(rows[last]), dim)
-            else:
-                for head in itertools.combinations(range(last), m - 1):
-                    acc = acc + _as_row(
-                        kernel.eval_one(*(rows[i] for i in head), rows[last]), dim
-                    )
-            prefixes[last - m + 1] = acc
+            head = _combination_columns(m - 1, last) if m > 1 else []
+            cols = (*head, np.full(head[0].size if head else 1, last))
+            vals = batch_values(kernel, tuple(rows[c] for c in cols))
+            sums[last - m + 1] = np.add.reduce(vals, axis=0)
+        prefixes = np.cumsum(sums, axis=0)
     norms = row_norms(kernel.codomain, prefixes)
     arg = int(np.argmax(norms))
     return RunningMaxResult(
@@ -331,7 +330,7 @@ def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
     """`running_max(kernel, s).max_norm` for each sample s of a stack, bit for bit."""
     samples = np.asarray(samples, dtype=np.float64)
     m, n = kernel.arity, samples.shape[1]
-    grouped = _grouped_columns(m, n) if kernel.eval_batch is not None and n >= m else None
+    grouped = _grouped_columns(m, n) if n >= m else None
     if grouped is None:
         return np.array([running_max(kernel, s).max_norm for s in samples])
     return row_norms(kernel.codomain, _prefix_sums(kernel, samples, grouped)).max(axis=1)
@@ -418,25 +417,15 @@ def weighted(kernel: KernelSpec, scheme: WeightScheme, sample) -> HilbertPoint:
     if n < m:
         raise ValueError(f"sample of size {n} cannot feed an arity-{m} kernel")
     dim = kernel.codomain.dim
-    cols = _tuple_columns(m, n)
-    if kernel.eval_batch is not None and cols is not None:
-        total = cols[0].shape[0]
-        if scheme.kind == "scalar":
-            w = np.empty((total, 1))
-        else:
-            w = np.empty((total, dim))
-        for t, tpl in enumerate(enumerate_inc(m, n)):
+    tuples = enumerate_inc(m, n)
+    acc = None
+    for cols in _index_chunks(m, n):
+        w = np.empty((cols[0].size, 1 if scheme.kind == "scalar" else dim))
+        for t, tpl in enumerate(itertools.islice(tuples, w.shape[0])):
             w[t] = scheme.weight(tpl, dim)
-        gathered = tuple(rows[cols[j]] for j in range(m))
-        vals = batch_values(kernel, gathered)
-        return kernel.codomain.point(np.add.reduce(vals * w, axis=0))
-    acc = np.zeros(dim)
-    for tpl in enumerate_inc(m, n):
-        w = scheme.weight(tpl, dim)
-        if not np.any(w):
-            continue
-        val = _as_row(kernel.eval_one(*(rows[i - 1] for i in tpl)), dim)
-        acc += w * val
+        vals = batch_values(kernel, tuple(rows[c] for c in cols))
+        part = np.add.reduce(vals * w, axis=0)
+        acc = part if acc is None else acc + part
     return kernel.codomain.point(acc)
 
 
@@ -660,21 +649,13 @@ def incomplete(kernel: KernelSpec, sample, selection: Selection) -> IncompleteRe
             f"selection indexes Inc^{selection.m}_{selection.n}, "
             f"kernel/sample need Inc^{m}_{n}"
         )
-    dim = kernel.codomain.dim
     if selection.empty:
         return IncompleteResult(kernel.codomain.zero(), 0, 0, True)
     idx = np.empty((selection.distinct, m), dtype=np.int64)
     for t, (tpl, _) in enumerate(selection.index_tuples()):
         idx[t] = [i - 1 for i in tpl]
-    if kernel.eval_batch is not None:
-        gathered = tuple(rows[idx[:, j]] for j in range(m))
-        vals = batch_values(kernel, gathered)
-        value = np.add.reduce(vals * selection.counts[:, None].astype(np.float64), axis=0)
-    else:
-        value = np.zeros(dim)
-        for t in range(selection.distinct):
-            val = _as_row(kernel.eval_one(*(rows[i] for i in idx[t])), dim)
-            value += float(selection.counts[t]) * val
+    vals = batch_values(kernel, tuple(rows[idx[:, j]] for j in range(m)))
+    value = np.add.reduce(vals * selection.counts[:, None].astype(np.float64), axis=0)
     return IncompleteResult(
         kernel.codomain.point(value),
         selected=selection.selected,

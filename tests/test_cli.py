@@ -657,17 +657,26 @@ x_grid:
   stop: %s
   points: %d
   scale: log
-"""
+%s"""
     CASES = {
         "product-rademacher": (
-            (2024, "product", "rademacher", 0.2, 6.0, 24),
+            (2024, "product", "rademacher", 0.2, 6.0, 24, ""),
             "ff2af07709d6b57ec05e43fc20e438c274aa3fa77ee25f5e39fcb5cd00c2eb60",
             "e697321a8bb4123e96fb447b21d48af0fdeafa33ab1c121deeea72c5ddd4dfa0",
         ),
         "coordinate-grid7": (
-            (800, "coordinate", "uniform-grid\n  grid_points: 7", 0.05, 3.0, 20),
+            (800, "coordinate", "uniform-grid\n  grid_points: 7", 0.05, 3.0, 20, ""),
             "6e3b7565fdae342cad1640cce241e59bdab1f0fdec5ccd08fe85262d782d5a4e",
             "e74351246a1e3831a9e88ff62bc3c4809de4ac58902e7b273f938edb94546f6e",
+        ),
+        # the integral term reads the exact H_k tail (`hk_tail_oracle`)
+        "envelope-centered-gini-grid7": (
+            (
+                515, "gini\n  centered: true", "uniform-grid\n  grid_points: 7", 0.05, 1.0, 20,
+                "beta_tolerance: 0.5\nenvelope:\n  first: 1.0\n  second: 2.0\n  tail_scale: 0.5\n",
+            ),
+            "e0500e4994be26ec98c7723da629c9f4defe77ff96a5de5cf537897b27658039",
+            "78397153e74f2d9651582c3efcd3eae54b0e2d1add8356bfd4a092c4897e29b5",
         ),
     }
 

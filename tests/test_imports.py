@@ -3,12 +3,18 @@
 Each subcommand runs at a tiny size in a fresh interpreter, so the modules
 it loads are its own, not those of earlier tests. A module imported during
 `cli.run` costs its import time inside the run instead of at start-up.
+
+Also guards the package's source: only `kernels.py` may ask which evaluator
+a kernel was given.
 """
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
+
+PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ustatlab"
 
 CONFIGS = {
     "estimate": """\
@@ -106,3 +112,10 @@ def test_cli_runs_load_no_scipy_and_import_nothing_mid_run(tmp_path):
     assert sorted(report) == sorted(CONFIGS)
     for subcommand, entry in report.items():
         assert entry == {"status": 0, "added": []}, subcommand
+
+
+def test_only_kernels_branches_on_the_evaluator():
+    """`KernelSpec` builds whichever evaluator is missing, so no other module
+    needs a second, per-tuple path for kernels without `eval_batch`."""
+    forks = [path.name for path in sorted(PACKAGE.glob("*.py")) if "eval_batch is" in path.read_text()]
+    assert forks == ["kernels.py"]

@@ -1,4 +1,4 @@
-"""Kernel zoo behavior, symmetrization, centering, conditional norms."""
+"""Kernel zoo behavior, symmetrization, centering, the two evaluators."""
 
 import warnings
 
@@ -6,15 +6,15 @@ import numpy as np
 import pytest
 
 from helpers import random_scalar_dist, uniform_three
-from ustatlab.distributions import FiniteDistribution
+from ustatlab.distributions import FiniteDistribution, SamplerSpec
 from ustatlab.hilbert import HilbertSpace, norm
+from ustatlab.hoeffding import project, project_mc
 from ustatlab.kernels import (
     KernelSpec,
     SupBoundWarning,
     batch_values,
     centered,
     check_sup_bound,
-    conditional_norm_expectation,
     empirical_indicator_from,
     evaluate,
     gini,
@@ -22,6 +22,7 @@ from ustatlab.kernels import (
     spatial_sign,
     symmetrize,
 )
+from ustatlab.montecarlo import coordinate_kernel
 
 plane = HilbertSpace.euclidean(2)
 
@@ -107,25 +108,6 @@ class TestSymmetrize:
             symmetrize(k)
 
 
-class TestConditionalNormExpectation:
-    def test_no_fixed_points_gives_the_mean_norm(self):
-        value = conditional_norm_expectation(
-            gini(), FiniteDistribution.rademacher(), ()
-        )
-        assert value == pytest.approx(1.0)
-
-    def test_one_fixed_point_product_kernel(self):
-        value = conditional_norm_expectation(
-            product(), FiniteDistribution.rademacher(), (1.0,)
-        )
-        assert value == pytest.approx(1.0)
-
-    def test_point_mass_collapses_to_plain_evaluation(self):
-        dist = FiniteDistribution(np.array([2.0]), np.array([1.0]))
-        value = conditional_norm_expectation(gini(), dist, (5.0,))
-        assert value == pytest.approx(3.0)
-
-
 class TestCentered:
     def test_centered_mean_vanishes(self):
         from ustatlab.distributions import exact_expectation
@@ -179,8 +161,63 @@ def test_sup_bound_spot_check_warns():
 
 
 def test_batch_values_falls_back_to_the_loop():
+    """A loop-only kernel's eval_batch is the row loop KernelSpec builds."""
     line = HilbertSpace.euclidean(1)
     k = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x * y, symmetric=True)
     xs = np.array([1.0, 2.0, 3.0])
     ys = np.array([4.0, 5.0, 6.0])
-    np.testing.assert_allclose(batch_values(k, (xs, ys))[:, 0], xs * ys)
+    assert k.eval_batch is not None
+    np.testing.assert_array_equal(k.eval_batch(xs, ys), (xs * ys)[:, None])
+    np.testing.assert_array_equal(batch_values(k, (xs, ys))[:, 0], xs * ys)
+
+
+def test_a_kernel_needs_an_evaluator():
+    with pytest.raises(ValueError, match="eval_one or eval_batch"):
+        KernelSpec(arity=2, codomain=HilbertSpace.euclidean(1))
+
+
+def _zoo():
+    """(kernel, argument columns) for every built-in kernel, both combinators
+    over a loop-only and a batch-only base, and both kinds of projection."""
+    rng = np.random.default_rng(11)
+    law = random_scalar_dist(rng, 4)
+    rows = 40
+    scalars = [rng.choice(law.atoms, size=rows) for _ in range(3)]
+    vectors = [rng.normal(size=(rows, 2)) for _ in range(2)]
+    vectors[1][:5] = vectors[0][:5]  # spatial sign at u = v
+    line = HilbertSpace.euclidean(1)
+    loop_only = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x * x - 3.0 * y)
+    batch_only = KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: x * x - 3.0 * y)
+    pair = scalars[:2]
+    return {
+        "gini": (gini(), pair),
+        "gini-plane": (gini(plane), vectors),
+        "product": (product(), pair),
+        "product-plane": (product(plane), vectors),
+        "spatial-sign": (spatial_sign(plane), vectors),
+        "empirical-indicator": (empirical_indicator_from(law, 5), scalars[:1]),
+        "coordinate": (coordinate_kernel(), scalars[:1]),
+        "sym-loop-only": (symmetrize(loop_only), pair),
+        "sym-batch-only": (symmetrize(batch_only), pair),
+        "centered-gini": (centered(gini(), law), pair),
+        "centered-loop-only": (centered(loop_only, law), pair),
+        "projection-table": (project(gini(), law, 2).as_kernel(), pair),
+        "projection-plug-in": (
+            project_mc(gini(), SamplerSpec(kind="uniform-grid", grid_points=5), 1, draws=50)
+            .as_kernel(),
+            scalars[:1],
+        ),
+    }
+
+
+ZOO = _zoo()
+
+
+@pytest.mark.parametrize("name", list(ZOO))
+def test_one_evaluator_matches_the_batch_rows(name):
+    """`evaluate` on one argument tuple equals that tuple's `batch_values` row, bit for bit."""
+    kernel, cols = ZOO[name]
+    rows = batch_values(kernel, tuple(cols))
+    for t in range(rows.shape[0]):
+        one = evaluate(kernel, tuple(c[t] for c in cols)).coords
+        np.testing.assert_array_equal(one, rows[t])

@@ -1,11 +1,13 @@
 """Replication engine, tail scans, envelopes, scaling and decoupling reports."""
 
+import itertools
+
 import numpy as np
 import pytest
 
-from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid
-from ustatlab.hilbert import HilbertSpace
-from ustatlab.kernels import KernelSpec, SupBoundWarning, gini, product
+from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid, exact_expectation
+from ustatlab.hilbert import HilbertSpace, row_norms
+from ustatlab.kernels import KernelSpec, SupBoundWarning, centered, gini, product
 from ustatlab.montecarlo import (
     BoundEnvelope,
     ExperimentConfig,
@@ -147,8 +149,15 @@ class TestTailScan:
         assert raw.normalization == 1.0
         assert deg.target_exponent == pytest.approx(1.0)
 
-    def test_sup_bound_spot_check_fires(self):
-        cfg = make_config(kernel=product(sup_bound=0.5), replicas=100)
+    @pytest.mark.parametrize("loop_only", [False, True])
+    def test_sup_bound_spot_check_fires(self, loop_only):
+        kernel = product(sup_bound=0.5)
+        if loop_only:
+            kernel = KernelSpec(
+                arity=2, codomain=line, eval_one=lambda u, v: u * v, symmetric=True,
+                sup_bound=0.5, declared_degeneracy=2, name="product",
+            )
+        cfg = make_config(kernel=kernel, replicas=100)
         with pytest.warns(SupBoundWarning):
             tail_scan(cfg)
 
@@ -215,6 +224,57 @@ class TestEnvelope:
         tail = hk_tail_oracle(gini(), dist, 1)
         assert tail(0.5) == 1.0
         assert tail(1.0) == 0.0
+
+
+def hk_values_by_enumeration(kernel, dist, k):
+    """H_k and its probability at every atom k-tuple, in itertools.product
+    order: one `exact_expectation` of the tail norms per pinned tuple, and
+    the probability multiplied up one atom at a time."""
+    values, probs = [], []
+    for combo in itertools.product(range(dist.size), repeat=k):
+        pinned = tuple(dist.atom(i) for i in combo)
+
+        def tail_norm(*rest):
+            row = np.asarray(kernel.eval_one(*pinned, *rest), dtype=np.float64).reshape(-1)
+            return row_norms(kernel.codomain, row)
+
+        values.append(float(exact_expectation(tail_norm, dist, kernel.arity - k)))
+        p = 1.0
+        for i in combo:
+            p *= float(dist.probs[i])
+        probs.append(p)
+    return np.array(values), np.array(probs)
+
+
+class TestHkTailOracle:
+    def test_order_zero_is_the_mean_norm(self):
+        tail = hk_tail_oracle(gini(), FiniteDistribution.rademacher(), 0)
+        assert tail(np.nextafter(1.0, 0.0)) == 1.0
+        assert tail(1.0) == 0.0
+
+    def test_one_pinned_point_product_kernel(self):
+        tail = hk_tail_oracle(product(), FiniteDistribution.rademacher(), 1)
+        assert tail(np.nextafter(1.0, 0.0)) == 1.0
+        assert tail(1.0) == 0.0
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    @pytest.mark.parametrize("law", ["rademacher", "four-atom"])
+    @pytest.mark.parametrize("name", ["gini", "product", "centered-gini"])
+    def test_steps_sit_at_the_enumerated_values(self, name, law, k):
+        """Each H_k value is a step of the tail exactly, and the tail drops
+        there by that value's probability."""
+        if law == "rademacher":
+            dist = FiniteDistribution.rademacher()
+        else:
+            dist = FiniteDistribution(np.array([-1.5, -0.25, 0.5, 2.0]), np.array([0.1, 0.2, 0.3, 0.4]))
+        kernel = {"gini": gini(), "product": product(), "centered-gini": centered(gini(), dist)}[name]
+        values, probs = hk_values_by_enumeration(kernel, dist, k)
+        tail = hk_tail_oracle(kernel, dist, k)
+        for v in np.unique(values):
+            above = probs[values > v].sum()
+            assert tail(v) == pytest.approx(above, abs=1e-12)
+            at_v = probs[values == v].sum()
+            assert tail(np.nextafter(v, -np.inf)) == pytest.approx(above + at_v, abs=1e-12)
 
     def test_empirical_tail_steps(self):
         tail = empirical_tail(np.array([1.0, 2.0, 3.0, 4.0]))

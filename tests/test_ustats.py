@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_scalar_dist, table_kernel, uniform_three
-from ustatlab.distributions import EnumerationBudgetError, SamplerSpec, draw_iid
+from ustatlab import ustats
+from ustatlab.distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from ustatlab.hilbert import HilbertSpace, norm
-from ustatlab.kernels import KernelSpec, gini, product
+from ustatlab.kernels import KernelSpec, centered, gini, product
+from ustatlab.montecarlo import coordinate_kernel
 from ustatlab.ustats import (
     DecoupledSample,
     _grouped_columns,
@@ -28,6 +30,7 @@ from ustatlab.ustats import (
     rank_combination,
     running_max,
     running_max_embedding_check,
+    running_max_norms,
     unrank_combination,
     weight_aggregate,
     weighted,
@@ -343,3 +346,54 @@ class TestIncomplete:
         sel = draw_design(SamplingDesign(kind="bernoulli", rate=0.5), 2, 6, rng)
         with pytest.raises(ValueError):
             incomplete(product(), np.arange(5.0), sel)
+
+
+class TestAboveTheMaterializeCap:
+    """Above _MATERIALIZE_CAP tuples, sums stream through index chunks and the
+    running max evaluates one last-index group at a time; both must agree
+    with the materialized path: bit for bit where every sum is an integer,
+    to 1e-12 relative otherwise."""
+
+    GRID7 = SamplerSpec(kind="uniform-grid", grid_points=7)
+    CASES = {
+        "product-rademacher": (product, SamplerSpec(kind="rademacher"), 0.0),
+        "coordinate-rademacher": (coordinate_kernel, SamplerSpec(kind="rademacher"), 0.0),
+        "triple-product-rademacher": (
+            lambda: KernelSpec(arity=3, codomain=line, eval_batch=lambda x, y, z: x * y * z),
+            SamplerSpec(kind="rademacher"),
+            0.0,
+        ),
+        "centered-gini-grid7": (
+            lambda: centered(gini(), FiniteDistribution.uniform_grid(7)), GRID7, 1e-12,
+        ),
+    }
+
+    @staticmethod
+    def _statistics(kernel, samples):
+        m, n = kernel.arity, samples.shape[1]
+        scheme = WeightScheme("scalar", {tpl: float(t % 5) for t, tpl in enumerate(enumerate_inc(m, n))})
+        return (
+            np.stack([complete(kernel, s).coords for s in samples]),
+            np.stack([weighted(kernel, scheme, s).coords for s in samples]),
+            np.stack([running_max(kernel, s).prefix_values for s in samples]),
+            running_max_norms(kernel, samples),
+        )
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_streamed_paths_match_the_materialized_ones(self, monkeypatch, case):
+        make_kernel, sampler, rtol = self.CASES[case]
+        kernel = make_kernel()
+        samples = np.stack([draw_iid(sampler, 23, r) for r in range(3)])
+        materialized = self._statistics(kernel, samples)
+        # _grouped_columns reads its cache before it checks the cap
+        monkeypatch.setattr(ustats, "_column_cache", {})
+        monkeypatch.setattr(ustats, "_grouped_cache", {})
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+        monkeypatch.setattr(ustats, "_CHUNK", 9)
+        assert ustats._tuple_columns(kernel.arity, 23) is None
+        streamed = self._statistics(kernel, samples)
+        for want, got in zip(materialized, streamed):
+            if rtol:
+                np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
+            else:
+                np.testing.assert_array_equal(got, want)
