@@ -10,7 +10,11 @@ or batched.
 substream. `draw_iid_batch` produces the same draws for a whole stack of
 substreams at once. Philox is counter-based, so every substream's words
 come out of one vectorized Philox4x64-10 pass (Salmon et al., SC'11), and
-they are mapped to draws exactly as numpy's Generator maps them.
+they are mapped to draws exactly as numpy's Generator maps them. For the
+finite kinds that mapping yields atom indices (`draw_atoms_batch`), and the
+value draws read the atoms at them, so a consumer that works on atom
+indices (the tail scan's count route) sees the very draws it would as
+values.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ __all__ = [
     "philox4x64",
     "draw_iid",
     "draw_iid_batch",
+    "draw_atoms_batch",
     "exact_expectation",
 ]
 
@@ -103,7 +108,7 @@ class FiniteDistribution:
 
     @classmethod
     def rademacher(cls) -> "FiniteDistribution":
-        return cls(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
+        return cls(_RADEMACHER, np.array([0.5, 0.5]))
 
     @classmethod
     def uniform_grid(cls, k: int) -> "FiniteDistribution":
@@ -118,6 +123,10 @@ def _point_keys(points: np.ndarray) -> np.ndarray:
     if points.ndim == 1:
         return points
     return np.ascontiguousarray(points).view(np.dtype([("", np.float64)] * points.shape[1]))[:, 0]
+
+
+_RADEMACHER = np.array([-1.0, 1.0])
+_RADEMACHER.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=4)
@@ -275,37 +284,57 @@ def draw_iid(spec: SamplerSpec, n: int, stream: int) -> np.ndarray:
 def draw_iid_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
     """`np.stack([draw_iid(spec, n, s) for s in streams])`, bit for bit.
 
+    Finite kinds read their atoms at the indices `draw_atoms_batch` draws;
+    the ziggurat-based discretized-gaussian kind is drawn stream by stream
+    with `draw_iid`.
+    """
+    if spec.kind != "discretized-gaussian":
+        return _atoms(spec).take(draw_atoms_batch(spec, n, streams), axis=0)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return np.stack([draw_iid(spec, n, int(s)) for s in np.asarray(streams, dtype=np.uint64)])
+
+
+def draw_atoms_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
+    """Atom indices of `draw_iid_batch(spec, n, streams)`, shape (R, n), for
+    a finite kind: its draws are `spec.finite_support().atoms` at these indices.
+
     The Philox words of every stream are produced in one vectorized pass and
     mapped the way numpy's Generator maps them: `integers` takes Lemire's
     bounded value of each uint32 (low half of each word first), `choice`
     searches (word >> 11) * 2**-53 in the normalized cdf. A stream where
-    Lemire's method would reject a draw is recomputed with `draw_iid`, as is
-    every stream of the ziggurat-based discretized-gaussian kind.
+    Lemire's method would reject a draw is redrawn with `draw_iid`, and its
+    grid values are looked up in the sorted grid.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    streams = np.asarray(streams, dtype=np.uint64)
     if spec.kind == "discretized-gaussian":
-        return np.stack([draw_iid(spec, n, int(s)) for s in streams])
+        raise ValueError("discretized-gaussian has no finite support")
+    streams = np.asarray(streams, dtype=np.uint64)
     seeds = np.full(streams.shape, spec.seed_stream, dtype=np.uint64)
     keys = np.stack([seeds, mix_ids_batch(streams)], axis=1)
     if spec.kind == "finite":
         raw = philox4x64(keys, -(-n // 4))[:, :n]
         cdf = spec.dist.probs.cumsum()
         cdf /= cdf[-1]
-        idx = cdf.searchsorted((raw >> np.uint64(11)) * (1.0 / 2**53), side="right")
-        return np.array(spec.dist.atoms[idx], dtype=np.float64)
+        return cdf.searchsorted((raw >> np.uint64(11)) * (1.0 / 2**53), side="right")
     k = 2 if spec.kind == "rademacher" else spec.grid_points
     raw = philox4x64(keys, -(-n // 8))
     words = np.stack([raw & _MASK32, raw >> _SHIFT32], axis=-1).reshape(raw.shape[0], -1)[:, :n]
     scaled = words * np.uint64(k)
-    idx = scaled >> _SHIFT32
-    if spec.kind == "rademacher":
-        return idx.astype(np.float64) * 2.0 - 1.0
-    out = _grid(k)[idx]
-    for r in np.flatnonzero(((scaled & _MASK32) < (2**32 - k) % k).any(axis=1)):
-        out[r] = draw_iid(spec, n, int(streams[r]))
-    return out
+    idx = (scaled >> _SHIFT32).view(np.int64)
+    reject_below = (2**32 - k) % k  # 0 when k is a power of 2
+    if reject_below:
+        for r in np.flatnonzero(((scaled & _MASK32) < reject_below).any(axis=1)):
+            idx[r] = _grid(k).searchsorted(draw_iid(spec, n, int(streams[r])))
+    return idx
+
+
+def _atoms(spec: SamplerSpec) -> np.ndarray:
+    """The atoms of a finite kind, in the order `finite_support` lists them."""
+    if spec.kind == "finite":
+        return spec.dist.atoms
+    return _RADEMACHER if spec.kind == "rademacher" else _grid(spec.grid_points)
 
 
 def exact_expectation(

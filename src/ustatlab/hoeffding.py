@@ -251,15 +251,17 @@ def decomposition_check(
     The left side is the complete statistic of the kernel itself; the right
     side sums the complete statistics of the projection tables. Both go
     through `ustats.complete`. The sample must be drawn from the support of
-    dist (projections are exact only there); a point off the support raises
-    ValueError.
+    dist (projections are exact only there); it is mapped to atom indices
+    once, and a point off the support raises ValueError. The tables are then
+    read at those indices, the same entries `as_kernel` finds by value.
     """
+    atoms = dist.index_of(sample)
     lhs = complete(base, sample).coords
     n, m, space = len(sample), base.arity, base.codomain
     rhs = np.zeros(space.dim)
     per_order = []
     for k, proj in enumerate(_projections(base, dist, m)):
-        u_k = proj.eval() if k == 0 else complete(proj.as_kernel(), sample).coords
+        u_k = proj.eval() if k == 0 else complete(_atom_kernel(proj), atoms).coords
         scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
         per_order.append(float(row_norms(space, scaled)))
         rhs += scaled
@@ -268,4 +270,18 @@ def decomposition_check(
         deviation=float(row_norms(space, lhs - rhs)),
         lhs_norm=float(row_norms(space, lhs)),
         per_order_norms=tuple(per_order),
+    )
+
+
+def _atom_kernel(proj: ProjectedKernel) -> KernelSpec:
+    """An exact h_k as a kernel of atom indices, which it reads its table at.
+
+    `ustats.complete` hands the indices over as floats; they are exact.
+    """
+    return KernelSpec(
+        arity=proj.order,
+        codomain=proj.base.codomain,
+        eval_batch=lambda *cols: proj.table[tuple(c.astype(np.intp) for c in cols)],
+        symmetric=True,
+        name=f"proj{proj.order}({proj.base.name})",
     )

@@ -11,6 +11,14 @@ replica on its own re-keyed Philox substream (its words fix the bytes)
 into a dense (replicas, C(n, m)) count matrix, and each replica's selected
 rows are reduced in ascending rank order exactly as one selection's were.
 
+The tail scan has a second route. For an arity-2 kernel on a finite law
+whose atom table H has integer entries with C(N, 2) * max|H| < 2**53, and
+where (N - 1) * A * dim < C(N, 2) for A atoms, replicas are drawn as atom
+indices (`draw_atoms_batch`) and their prefix statistics are read from H
+(`ustats._count_prefix_sums`), O(N * A * dim) per replica. Every partial
+sum on that route and on the gather is then an exact integer, so the two
+give the same bytes; the rule reads only H, N, A and dim.
+
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
 like N^(m - d/2) with tail exponent 2/d; incomplete designs normalize by
@@ -28,8 +36,10 @@ import numpy as np
 
 from .confidence import quantile_interval, wilson_bounds
 from .distributions import (
+    ENUMERATION_BUDGET,
     FiniteDistribution,
     SamplerSpec,
+    draw_atoms_batch,
     draw_iid,
     draw_iid_batch,
     mix_ids,
@@ -41,6 +51,7 @@ from .hoeffding import degeneracy_order
 from .kernels import KernelSpec, _atom_table, _tail_means, _tuple_probs, check_sup_bound
 from .ustats import (
     SamplingDesign,
+    _count_prefix_sums,
     _stacked_values,
     _tuple_columns,
     check_design,
@@ -131,20 +142,51 @@ def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None =
 
     The default statistic is the running maximum of prefix norms of the
     complete U-statistic on a fresh sample per replica, computed over
-    fixed-size batches of replicas. A user `stat_fn` is called once per
-    replica index.
+    fixed-size batches of replicas, from atom indices where `_count_table`
+    allows it and from gathered pairs otherwise. A user `stat_fn` is called
+    once per replica index.
     """
     if stat_fn is not None:
         return np.fromiter(map(stat_fn, range(config.replicas)), np.float64, config.replicas)
     kernel, n = config.kernel, config.sample_size
     bound_sampler = _reseeded(config.sampler, config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
+    table = _count_table(kernel, config.sampler, n)
+    if table is None:
+        draw, values = draw_iid_batch, inc_count(kernel.arity, n)
+    else:
+        draw, values = draw_atoms_batch, (n - 1) * table[0].size
     out = []
     for drawn in _batches(config.replicas, n):
-        samples = draw_iid_batch(bound_sampler, n, streams[drawn])
-        for b in _batches(drawn.size, inc_count(kernel.arity, n)):
-            out.append(running_max_norms(kernel, samples[b]))
+        samples = draw(bound_sampler, n, streams[drawn])
+        for b in _batches(drawn.size, values):
+            if table is None:
+                out.append(running_max_norms(kernel, samples[b]))
+            else:
+                prefixes = _count_prefix_sums(table, samples[b])
+                out.append(row_norms(kernel.codomain, prefixes).max(axis=1))
     return np.concatenate(out)
+
+
+def _count_table(kernel: KernelSpec, sampler: SamplerSpec, n: int) -> np.ndarray | None:
+    """The (A, A, dim) atom table when the replicas can run on atom counts.
+
+    That is an arity-2 kernel on a finite law whose table H has integer
+    entries with C(n, 2) * max|H| < 2**53, so that every partial sum on the
+    count path and on the gather is an exact integer and the two give the
+    same bytes, and where the count path touches fewer values than the
+    gather: (n - 1) * A * dim < C(n, 2). Otherwise None.
+    """
+    support = sampler.finite_support()
+    if kernel.arity != 2 or support is None:
+        return None
+    size, pairs = support.size, inc_count(2, n)
+    if (n - 1) * size * kernel.codomain.dim >= pairs or size**2 > ENUMERATION_BUDGET:
+        return None
+    table = _atom_table(kernel, support)
+    if not (np.all(table == np.round(table)) and pairs * np.abs(table).max() < 2.0**53):
+        return None
+    return table.reshape(size, size, -1)
 
 
 def _batches(count: int, values: int):

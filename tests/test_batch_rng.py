@@ -7,6 +7,7 @@ from ustatlab import distributions
 from ustatlab.distributions import (
     FiniteDistribution,
     SamplerSpec,
+    draw_atoms_batch,
     draw_iid,
     draw_iid_batch,
     mix_ids,
@@ -94,6 +95,21 @@ def test_draw_iid_batch_matches_per_stream_draws(name, n):
     got = draw_iid_batch(spec, n, streams)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("name", [k for k in _samplers() if k != "gaussian"])
+def test_drawn_atoms_index_the_support(name):
+    spec = _samplers()[name]
+    idx = draw_atoms_batch(spec, 40, STREAMS)
+    assert idx.shape == (STREAMS.size, 40) and idx.dtype == np.intp
+    atoms = spec.finite_support().atoms
+    np.testing.assert_array_equal(atoms[idx], draw_iid_batch(spec, 40, STREAMS))
+    np.testing.assert_array_equal(atoms[idx], _expected(spec, 40, STREAMS))
+
+
+def test_a_law_without_atoms_has_no_atom_draws():
+    with pytest.raises(ValueError, match="no finite support"):
+        draw_atoms_batch(_samplers()["gaussian"], 4, STREAMS[:3])
 
 
 def _count_fallbacks(monkeypatch, spec, n):

@@ -640,14 +640,16 @@ class TestMain:
 
 class TestTailscanDigests:
     """Output digests recorded with the per-replica sampler, before replicas
-    were drawn and reduced in batches; every later version must match them."""
+    were drawn and reduced in batches; every later version must match them.
+    The two count-path cases were recorded on the tuple gather, before
+    integer tables moved to atom counts."""
 
     CONFIG = """\
 version: 1
 experiment: tailscan
 seed: %d
-replicas: 2000
-sample_size: 40
+replicas: %d
+sample_size: %d
 kernel:
   name: %s
 sampler:
@@ -660,23 +662,37 @@ x_grid:
 %s"""
     CASES = {
         "product-rademacher": (
-            (2024, "product", "rademacher", 0.2, 6.0, 24, ""),
+            (2024, 2000, 40, "product", "rademacher", 0.2, 6.0, 24, ""),
             "ff2af07709d6b57ec05e43fc20e438c274aa3fa77ee25f5e39fcb5cd00c2eb60",
             "e697321a8bb4123e96fb447b21d48af0fdeafa33ab1c121deeea72c5ddd4dfa0",
         ),
         "coordinate-grid7": (
-            (800, "coordinate", "uniform-grid\n  grid_points: 7", 0.05, 3.0, 20, ""),
+            (800, 2000, 40, "coordinate", "uniform-grid\n  grid_points: 7", 0.05, 3.0, 20, ""),
             "6e3b7565fdae342cad1640cce241e59bdab1f0fdec5ccd08fe85262d782d5a4e",
             "e74351246a1e3831a9e88ff62bc3c4809de4ac58902e7b273f938edb94546f6e",
         ),
         # the integral term reads the exact H_k tail (`hk_tail_oracle`)
         "envelope-centered-gini-grid7": (
             (
-                515, "gini\n  centered: true", "uniform-grid\n  grid_points: 7", 0.05, 1.0, 20,
+                515, 2000, 40, "gini\n  centered: true", "uniform-grid\n  grid_points: 7", 0.05, 1.0, 20,
                 "beta_tolerance: 0.5\nenvelope:\n  first: 1.0\n  second: 2.0\n  tail_scale: 0.5\n",
             ),
             "e0500e4994be26ec98c7723da629c9f4defe77ff96a5de5cf537897b27658039",
             "78397153e74f2d9651582c3efcd3eae54b0e2d1add8356bfd4a092c4897e29b5",
+        ),
+        # integer tables: these take the atom-count path
+        "product-rademacher-n160": (
+            (2024, 500, 160, "product", "rademacher", 0.2, 6.0, 24, ""),
+            "63d564cff0d89b9224ba38e1885c7dbb03536e40b9943e5c20c3b645c1155eeb",
+            "900dae82dd54228a7130fd67001e68392b40f44d482fcc67c497b15a952ed342",
+        ),
+        "product-finite-pm12": (
+            (
+                77, 1000, 100, "product",
+                "finite\n  atoms: [-2, -1, 1, 2]\n  probs: [0.25, 0.25, 0.25, 0.25]", 0.2, 12.0, 24, "",
+            ),
+            "67cebcf62e5e8998fa3bcbd9444d29f78ba18060a718f0b043c59320a6a3e88d",
+            "0f1848cf14cdae3fe25ea67affd6df3addec2eb063b54830fc1296225b85c5e7",
         ),
     }
 

@@ -1,0 +1,219 @@
+"""The tail scan's atom-count path against the tuple gather, bit for bit.
+
+On a finite law with an integer kernel table, `replicate` draws atom indices
+and builds the prefix statistics from the table (`ustats._count_prefix_sums`)
+instead of gathering and evaluating every pair. Every partial sum is then an
+exact integer, so the count path must give the gather's bytes.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ustatlab import montecarlo, ustats
+from ustatlab.distributions import (
+    FiniteDistribution,
+    SamplerSpec,
+    draw_atoms_batch,
+    mix_ids_batch,
+)
+from ustatlab.hilbert import HilbertSpace, row_norms
+from ustatlab.kernels import KernelSpec, _atom_table, centered, gini, product
+from ustatlab.montecarlo import ExperimentConfig, replicate
+from ustatlab.ustats import _count_prefix_sums, _grouped_columns, _prefix_sums, running_max_norms
+
+DEFAULT_CHUNK = montecarlo._CHUNK_VALUES
+STREAMS = mix_ids_batch(11, np.arange(40))
+
+
+def lookup_kernel(atoms, table, symmetric) -> KernelSpec:
+    """The arity-2 kernel whose value at (atom a, atom b) is table[a, b].
+
+    atoms must be sorted, so each argument finds its atom by searchsorted.
+    """
+    atoms = np.asarray(atoms, dtype=np.float64)
+
+    def batch(u, v):
+        return table[np.searchsorted(atoms, u), np.searchsorted(atoms, v)]
+
+    return KernelSpec(
+        arity=2,
+        codomain=HilbertSpace.euclidean(table.shape[-1]),
+        eval_batch=batch,
+        symmetric=symmetric,
+        name="lookup",
+    )
+
+
+def _law(atoms) -> FiniteDistribution:
+    return FiniteDistribution(np.array(atoms, dtype=np.float64), np.full(len(atoms), 1.0 / len(atoms)))
+
+
+def _cases():
+    rng = np.random.default_rng(9)
+    wide = rng.integers(-5, 6, size=(3, 3, 2))
+    tilted = rng.integers(-7, 8, size=(3, 3, 1))
+    assert not np.array_equal(tilted, tilted.transpose(1, 0, 2))
+    three = _law([-1.0, 0.5, 2.0])
+    return {
+        "product-rademacher": (product(), SamplerSpec(kind="rademacher")),
+        "product-pm12": (product(), SamplerSpec(kind="finite", dist=_law([-2, -1, 1, 2]))),
+        "table-dim2": (
+            lookup_kernel(three.atoms, (wide + wide.transpose(1, 0, 2)).astype(float), True),
+            SamplerSpec(kind="finite", dist=three),
+        ),
+        "asymmetric": (
+            lookup_kernel(three.atoms, tilted.astype(float), False),
+            SamplerSpec(kind="finite", dist=three),
+        ),
+    }
+
+
+CASES = list(_cases())
+
+
+def _draw(name, n, streams=STREAMS):
+    """The case's kernel, its (A, A, dim) table, and atom indices with their values."""
+    kernel, sampler = _cases()[name]
+    support = sampler.finite_support()
+    atoms = draw_atoms_batch(sampler, n, streams)
+    table = _atom_table(kernel, support).reshape(support.size, support.size, -1)
+    return kernel, table, atoms, support.atoms[atoms]
+
+
+def _config(name, n, replicas, seed=800):
+    kernel, sampler = _cases()[name]
+    return ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=n, replicas=replicas, master_seed=seed)
+
+
+def _spies(monkeypatch):
+    """Count calls to the count path and to the gather inside `replicate`."""
+    calls = {"count": 0, "gather": 0}
+    for key, name in (("count", "_count_prefix_sums"), ("gather", "running_max_norms")):
+        original = getattr(montecarlo, name)
+
+        def spy(*args, _key=key, _original=original):
+            calls[_key] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(montecarlo, name, spy)
+    return calls
+
+
+def _gather_replicate(monkeypatch, config):
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_count_table", lambda *args: None)
+        return replicate(config)
+
+
+@pytest.mark.parametrize("n", [2, 3, 40, 161])
+@pytest.mark.parametrize("name", CASES)
+def test_count_prefix_sums_equal_the_gather(name, n):
+    kernel, table, atoms, values = _draw(name, n)
+    counted = _count_prefix_sums(table, atoms)
+    gathered = _prefix_sums(kernel, values, _grouped_columns(2, n))
+    assert counted.shape == gathered.shape == (STREAMS.size, n - 1, kernel.codomain.dim)
+    np.testing.assert_array_equal(counted, gathered)
+    np.testing.assert_array_equal(
+        row_norms(kernel.codomain, counted).max(axis=1), running_max_norms(kernel, values)
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8])
+@pytest.mark.parametrize("name", CASES)
+def test_count_prefix_sums_equal_a_brute_force_loop(name, n):
+    _, table, atoms, _ = _draw(name, n, STREAMS[:8])
+    counted = _count_prefix_sums(table, atoms)
+    for r, x in enumerate(atoms):
+        for stop in range(2, n + 1):
+            total = np.zeros(table.shape[-1])
+            for i, j in itertools.combinations(range(stop), 2):
+                total = total + table[x[i], x[j]]
+            np.testing.assert_array_equal(counted[r, stop - 2], total)
+
+
+@pytest.fixture
+def small_cap(monkeypatch):
+    """Run the gather above `_MATERIALIZE_CAP`: one sample at a time, grouped by last index."""
+    monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+    monkeypatch.setattr(ustats, "_CHUNK", 9)
+    monkeypatch.setattr(ustats, "_column_cache", {})
+    monkeypatch.setattr(ustats, "_grouped_cache", {})
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_count_path_equals_the_gather_above_the_cap(small_cap, monkeypatch, name):
+    kernel, table, atoms, values = _draw(name, 40)
+    assert _grouped_columns(2, 40) is None
+    np.testing.assert_array_equal(
+        row_norms(kernel.codomain, _count_prefix_sums(table, atoms)).max(axis=1),
+        running_max_norms(kernel, values),
+    )
+    config = _config(name, 40, 101)
+    np.testing.assert_array_equal(replicate(config), _gather_replicate(monkeypatch, config))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
+@pytest.mark.parametrize("n", [40, 161])
+@pytest.mark.parametrize("name", CASES)
+def test_replicate_on_counts_equals_the_gather(monkeypatch, name, n, chunk):
+    config = _config(name, n, 101 if n == 40 else 100)
+    want = _gather_replicate(monkeypatch, config)
+    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
+    calls = _spies(monkeypatch)
+    got = replicate(config)
+    assert calls["count"] >= 1 and calls["gather"] == 0
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(1, 5),
+    dim=st.integers(1, 3),
+    n=st.integers(2, 30),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_random_integer_tables_match_the_gather(size, dim, n, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.integers(-8, 9, size=(size, size, dim)).astype(np.float64)
+    atoms = np.arange(size, dtype=np.float64)
+    kernel = lookup_kernel(atoms, table, symmetric=False)
+    idx = rng.integers(0, size, size=(6, n))
+    np.testing.assert_array_equal(
+        _count_prefix_sums(table, idx), _prefix_sums(kernel, atoms[idx], _grouped_columns(2, n))
+    )
+
+
+def _fallbacks():
+    grid7 = FiniteDistribution.uniform_grid(7)
+    # C(40, 2) * 2**44 >= 2**53: partial sums could round
+    huge = lookup_kernel([-1.0, 1.0], np.array([[2.0**44, -(2.0**44)], [-(2.0**44), 2.0**44]])[..., None], True)
+    return {
+        "non-integer": (centered(gini(), grid7), SamplerSpec(kind="uniform-grid", grid_points=7)),
+        "sum-bound": (huge, SamplerSpec(kind="rademacher")),
+        # (40 - 1) * 30 * 1 >= C(40, 2) = 780: the gather touches fewer values
+        "too-many-atoms": (product(), SamplerSpec(kind="finite", dist=_law(range(-15, 15)))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_fallbacks()))
+def test_other_tables_take_the_gather(monkeypatch, name):
+    kernel, sampler = _fallbacks()[name]
+    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100, master_seed=3)
+    calls = _spies(monkeypatch)
+    replicate(config)
+    assert calls["count"] == 0 and calls["gather"] >= 1
+
+
+def test_the_atom_count_rule_is_strict():
+    # at N = 40, 19 atoms touch 39 * 19 = 741 values, under C(40, 2) = 780; 20 touch 780
+    for size, counted in ((19, True), (20, False)):
+        law = SamplerSpec(kind="finite", dist=_law(range(size)))
+        assert (montecarlo._count_table(product(), law, 40) is not None) == counted
+    # 780 * max|H| must stay below 2**53, which 780 does not divide
+    for entry, counted in ((2**53 // 780, True), (2**53 // 780 + 1, False)):
+        kernel = lookup_kernel([-1.0, 1.0], np.full((2, 2, 1), float(entry)), True)
+        assert (montecarlo._count_table(kernel, SamplerSpec(kind="rademacher"), 40) is not None) == counted

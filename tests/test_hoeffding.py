@@ -1,6 +1,7 @@
 """Exact projections, degeneracy detection, and the decomposition identity."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -270,6 +271,28 @@ class TestProjectionTables:
         for i, j in itertools.combinations(range(12), 2):
             direct += proj.eval(sample[i], sample[j])
         np.testing.assert_allclose(complete(proj.as_kernel(), sample).coords, direct, rtol=1e-13)
+
+    @pytest.mark.parametrize("case", ["gini-plane", "centered-gini", "gini-grid64"])
+    def test_decomposition_maps_the_sample_once(self, monkeypatch, case):
+        """Each order reads its table at the sample's atom indices, found once;
+        the terms equal the value lookups of `as_kernel` bit for bit."""
+        kernel, law = TABLE_CASES[case]
+        sample = draw_iid(SamplerSpec(kind="finite", dist=law, seed_stream=8), 30, 0)
+        m, n = kernel.arity, len(sample)
+        want = []
+        for k in range(m + 1):
+            proj = project(kernel, law, k)
+            u_k = proj.eval() if k == 0 else complete(proj.as_kernel(), sample).coords
+            scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
+            want.append(float(row_norms(kernel.codomain, scaled)))
+        lookups = []
+        index_of = FiniteDistribution.index_of
+        monkeypatch.setattr(
+            FiniteDistribution, "index_of", lambda self, v: lookups.append(len(v)) or index_of(self, v)
+        )
+        check = decomposition_check(kernel, law, sample)
+        assert lookups == [n]
+        assert check.per_order_norms == tuple(want)
 
     def test_off_support_argument_raises(self):
         proj = project(gini(), rademacher, 1)

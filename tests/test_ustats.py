@@ -12,7 +12,7 @@ from helpers import random_scalar_dist, table_kernel, uniform_three
 from ustatlab import ustats
 from ustatlab.distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from ustatlab.hilbert import HilbertSpace, norm
-from ustatlab.kernels import KernelSpec, centered, gini, product
+from ustatlab.kernels import KernelSpec, batch_values, centered, gini, product
 from ustatlab.montecarlo import coordinate_kernel
 from ustatlab.ustats import (
     DecoupledSample,
@@ -340,6 +340,35 @@ class TestIncomplete:
             draws[r] = incomplete(gini(), sample, sel).value.coords[0] / design.size
         se = draws.std(ddof=1) / np.sqrt(draws.size)
         assert abs(draws.mean() - target) <= 4.0 * se
+
+    DESIGNS = {
+        "with-replacement": SamplingDesign(kind="with-replacement", size=10_000),
+        "without-replacement": SamplingDesign(kind="without-replacement", size=3_000),
+        "bernoulli": SamplingDesign(kind="bernoulli", rate=0.3),
+    }
+    KERNELS = {
+        "centered-gini-grid7": (lambda: centered(gini(), FiniteDistribution.uniform_grid(7)), 2, 200),
+        "triple-product": (
+            lambda: KernelSpec(arity=3, codomain=line, eval_batch=lambda x, y, z: x * y * z), 3, 30,
+        ),
+    }
+
+    @pytest.mark.parametrize("kernel_case", list(KERNELS))
+    @pytest.mark.parametrize("design_case", list(DESIGNS))
+    def test_gathered_columns_match_unranked_tuples(self, monkeypatch, design_case, kernel_case):
+        make_kernel, m, n = self.KERNELS[kernel_case]
+        kernel = make_kernel()
+        sample = draw_iid(SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=3), n, 0)
+        sel = draw_design(self.DESIGNS[design_case], m, n, np.random.default_rng(60))
+        # each selected tuple unranked on its own, its values weighted by multiplicity
+        idx = np.array([unrank_combination(int(r), n, m) for r in sel.ranks]) - 1
+        vals = batch_values(kernel, tuple(sample[idx[:, j]] for j in range(m)))
+        want = np.add.reduce(vals * sel.counts[:, None].astype(np.float64), axis=0)
+        np.testing.assert_array_equal(incomplete(kernel, sample, sel).value.coords, want)
+        monkeypatch.setattr(ustats, "_column_cache", {})
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+        assert ustats._tuple_columns(m, n) is None
+        np.testing.assert_array_equal(incomplete(kernel, sample, sel).value.coords, want)
 
     def test_selection_must_match_the_sample(self):
         rng = np.random.default_rng(59)
