@@ -41,8 +41,7 @@ from .kernels import (
 )
 from .martingale import (
     GENERATORS,
-    simulate_ensemble,
-    summarize,
+    simulate_summaries,
     verify_conv_grid,
     verify_pairs,
 )
@@ -795,9 +794,7 @@ def _run_martingale(
     if "real" in chosen and mcfg.dim != 1:
         raise ConfigError("the real-valued variant needs martingale.dim 1")
     space = HilbertSpace.euclidean(mcfg.dim)
-    ensemble = summarize(
-        simulate_ensemble(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
-    )
+    ensemble = simulate_summaries(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
 
     pair_grid: list[tuple[float, float]] | None = None
     t_grid: list[float] | None = None

@@ -219,14 +219,18 @@ def substream(master_seed: int, *ids: int) -> np.random.Generator:
 def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Generator]:
     """`substream(master_seed, i)` for each i in ids, bit for bit, from one re-keyed Philox.
 
-    The same Generator is yielded every time, its state reset for the next
-    id, so a yielded generator must not be kept or used past its iteration.
+    The ids are mixed in one pass. The same Generator is yielded every time,
+    its state reset for the next id, so a yielded generator must not be kept
+    or used past its iteration.
     """
+    words = mix_ids_batch(np.fromiter((int(i) & 0xFFFFFFFFFFFFFFFF for i in ids), np.uint64))
     bit_gen = np.random.Philox(0)
     rng = np.random.Generator(bit_gen)
     fresh = bit_gen.state  # counter 0, empty buffer, no cached 32-bit half
-    for i in ids:
-        fresh["state"]["key"] = np.array([int(master_seed) % 2**64, mix_ids(i)], np.uint64)
+    key = fresh["state"]["key"]
+    key[0] = int(master_seed) % 2**64
+    for word in words.tolist():
+        key[1] = word
         bit_gen.state = fresh
         yield rng
 

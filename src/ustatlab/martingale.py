@@ -24,20 +24,21 @@ Tail integrals over empirical step functions are computed exactly,
 piecewise, rather than by sampled quadrature: all pieces and their Wilson
 bands in one array pass, summed left to right. A3's integral depends on y
 only, so a grid computes it once per distinct y. The checks read an
-ensemble through its per-path summaries (`summarize`), computed once per
-run over bounded batches of stacked paths. Path generation is still one
-substream per path, read from one re-keyed Philox (`substreams`).
+ensemble through its per-path summaries. `simulate_summaries` draws paths
+into preallocated (batch, steps, dim) blocks and summarizes each block with
+no per-path object: signs in one vectorized Philox pass (`draw_iid_batch`),
+normals from one re-keyed Philox (`substreams`) straight into block rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .confidence import mean_interval, wilson_bounds
-from .distributions import mix_ids, substreams
+from .distributions import SamplerSpec, draw_iid_batch, mix_ids_batch, substreams
 from .hilbert import HilbertSpace, row_norms
 
 __all__ = [
@@ -46,6 +47,7 @@ __all__ = [
     "InequalityCheckReport",
     "simulate_mds",
     "simulate_ensemble",
+    "simulate_summaries",
     "PathSummaries",
     "summarize",
     "check_real_inequality",
@@ -91,40 +93,71 @@ def simulate_mds(kind: str, steps: int, space: HilbertSpace, rng: np.random.Gene
         time zero (uniform on [0.5, 1.5]), so the conditional second
         moments are random but F_0-measurable.
     """
-    if steps < 1:
-        raise ValueError("steps must be positive")
+    _check_paths(kind, steps, space)
     if kind == "bounded-signs":
-        if space.dim != 1:
-            raise ValueError("bounded-signs paths are real-valued; use a dim-1 space")
         inc = rng.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
         return MartingalePath(inc[:, None], np.ones(steps), True, space)
     base_moment = float(np.add.reduce(space.weights))
     if kind == "gaussian-coords":
         inc = rng.standard_normal((steps, space.dim))
         return MartingalePath(inc, np.full(steps, base_moment), True, space)
-    if kind == "f0-randomized-scale":
-        scale = float(rng.uniform(0.5, 1.5))
-        inc = scale * rng.standard_normal((steps, space.dim))
-        return MartingalePath(inc, np.full(steps, scale * scale * base_moment), True, space)
-    raise ValueError(f"unknown generator {kind!r}; choose from {GENERATORS}")
+    scale = float(rng.uniform(0.5, 1.5))
+    inc = scale * rng.standard_normal((steps, space.dim))
+    return MartingalePath(inc, np.full(steps, scale * scale * base_moment), True, space)
+
+
+def _check_paths(kind: str, steps: int, space: HilbertSpace) -> None:
+    if steps < 1:
+        raise ValueError("steps must be positive")
+    if kind not in GENERATORS:
+        raise ValueError(f"unknown generator {kind!r}; choose from {GENERATORS}")
+    if kind == "bounded-signs" and space.dim != 1:
+        raise ValueError("bounded-signs paths are real-valued; use a dim-1 space")
+
+
+# values per stacked batch of path increments; bounds the blocks of one
+# simulation or summary pass instead of stacking the whole ensemble
+_BATCH_VALUES = 1 << 15
+
+
+def _path_blocks(
+    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Paths 0..count-1 as (B, steps, dim) increment and (B, steps) moment
+    blocks, B = _BATCH_VALUES // (steps * dim), each a view of buffers the
+    next block overwrites. Path r is `simulate_mds` on substream
+    (master_seed, mix_ids(base_stream, r)), bit for bit.
+    """
+    _check_paths(kind, steps, space)
+    batch = max(1, min(count, _BATCH_VALUES // (steps * space.dim)))
+    increments, moments = np.empty((batch, steps, space.dim)), np.empty((batch, steps))
+    signs = SamplerSpec("rademacher", seed_stream=int(master_seed) % 2**64)
+    base_moment = float(np.add.reduce(space.weights))
+    for start in range(0, count, batch):
+        ids = mix_ids_batch(base_stream, np.arange(start, min(count, start + batch)))
+        inc, mom = increments[: ids.size], moments[: ids.size]
+        if kind == "bounded-signs":
+            inc[:, :, 0] = draw_iid_batch(signs, steps, ids)
+            mom[:] = 1.0
+        else:
+            scales = np.ones(ids.size)
+            for r, rng in enumerate(substreams(master_seed, ids)):
+                if kind == "f0-randomized-scale":
+                    scales[r] = rng.uniform(0.5, 1.5)
+                rng.standard_normal(out=inc[r])
+            inc *= scales[:, None, None]  # exact: gaussian-coords scales are 1
+            mom[:] = (scales * scales * base_moment)[:, None]
+        yield inc, mom
 
 
 def simulate_ensemble(
-    kind: str,
-    steps: int,
-    space: HilbertSpace,
-    master_seed: int,
-    count: int,
-    base_stream: int = 0,
+    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int = 0
 ) -> list[MartingalePath]:
     """count independent paths, one counter-based substream per path."""
-    ids = (mix_ids(base_stream, r) for r in range(count))
-    return [simulate_mds(kind, steps, space, rng) for rng in substreams(master_seed, ids)]
-
-
-# values per stacked batch of path increments; bounds the temporaries of one
-# summary pass instead of stacking the whole ensemble
-_BATCH_VALUES = 1 << 15
+    paths = []
+    for inc, mom in _path_blocks(kind, steps, space, master_seed, count, base_stream):
+        paths += [MartingalePath(i, m, True, space) for i, m in zip(inc.copy(), mom.copy())]
+    return paths
 
 
 @dataclass(frozen=True)
@@ -138,7 +171,11 @@ class PathSummaries:
     f0_all: bool
 
 
-def summarize(paths: Sequence[MartingalePath] | PathSummaries) -> PathSummaries:
+# what every check reads: the paths, or their summaries
+Ensemble = Sequence[MartingalePath] | PathSummaries
+
+
+def summarize(paths: Ensemble) -> PathSummaries:
     """Summarize an ensemble once, so several checks can share it; given
     summaries are returned as they are.
 
@@ -161,12 +198,30 @@ def summarize(paths: Sequence[MartingalePath] | PathSummaries) -> PathSummaries:
         stop = next((i for i in range(start + 1, stop) if paths[i].increments.shape != shape), stop)
         increments = np.stack([p.increments for p in paths[start:stop]])
         moments = np.stack([p.cond_second_moments for p in paths[start:stop]])
-        quad = (row_norms(space, increments) ** 2).sum(axis=1)
-        max_norm = row_norms(space, np.cumsum(increments, axis=1)).max(axis=1)
-        parts.append((max_norm, quad + moments.sum(axis=1), np.sqrt(quad)))
+        parts.append(_block_summaries(space, increments, moments))
         start = stop
     columns = (np.concatenate(column) for column in zip(*parts))
     return PathSummaries(*columns, space.dim == 1, all(p.f0_measurable for p in paths))
+
+
+def _block_summaries(space: HilbertSpace, increments: np.ndarray, moments: np.ndarray):
+    """The PathSummaries columns of a (B, steps, dim) block of paths."""
+    quad = (row_norms(space, increments) ** 2).sum(axis=1)
+    max_norm = row_norms(space, np.cumsum(increments, axis=1)).max(axis=1)
+    return max_norm, quad + moments.sum(axis=1), np.sqrt(quad)
+
+
+def simulate_summaries(
+    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int = 0
+) -> PathSummaries:
+    """`summarize(simulate_ensemble(...))`, bit for bit, each block of paths
+    reduced where it was drawn."""
+    if count < 1:
+        raise ValueError("need at least one path")
+    blocks = _path_blocks(kind, steps, space, master_seed, count, base_stream)
+    parts = [_block_summaries(space, inc, mom) for inc, mom in blocks]
+    columns = (np.concatenate(column) for column in zip(*parts))
+    return PathSummaries(*columns, space.dim == 1, True)
 
 
 @dataclass(frozen=True)
@@ -237,10 +292,10 @@ def _step_tail_integral(
     return total, lo_total, hi_total
 
 
-def _checked(paths: Sequence[MartingalePath] | PathSummaries, variant: str) -> PathSummaries:
+def _checked(paths: Ensemble, variant: str) -> PathSummaries:
     """The ensemble's summaries, once the variant is known to apply to it."""
     s = summarize(paths)
-    if variant not in _ENTRIES:
+    if variant not in _BOUNDS:
         raise ValueError(f"unknown variant {variant!r}; choose real, A2, A3 or conv")
     if variant == "real" and not s.real_valued:
         raise ValueError("real-case check needs real-valued paths (dim-1 space)")
@@ -249,36 +304,18 @@ def _checked(paths: Sequence[MartingalePath] | PathSummaries, variant: str) -> P
     return s
 
 
-def check_real_inequality(
-    paths: Sequence[MartingalePath] | PathSummaries, x: float, y: float
-) -> InequalityEntry:
+def check_real_inequality(paths: Ensemble, x: float, y: float) -> InequalityEntry:
     """Real-valued maximal inequality at one (x, y)."""
-    return _real_entry(_checked(paths, "real"), x, y)
-
-
-def _real_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
-    lhs = _tail_triple(s.max_partial_norm, x)
-    exp_term = 2.0 * np.exp(-(x * x) / (y * y))
-    tail, tail_lo, tail_hi = _tail_triple(s.quad_plus_cond, y * y / 2.0)
-    rhs = (exp_term + tail, exp_term + tail_lo, exp_term + tail_hi)
-    return _entry(x, y, lhs, rhs)
+    return verify_pairs(paths, [(x, y)], "real").entries[0]
 
 
 def check_hilbert_inequality(
-    paths: Sequence[MartingalePath] | PathSummaries, x: float, y: float, variant: str = "A2"
+    paths: Ensemble, x: float, y: float, variant: str = "A2"
 ) -> InequalityEntry:
     """Coordinate-space maximal inequality at one (x, y), variant A2 or A3."""
     if variant not in ("A2", "A3"):
         raise ValueError(f"unknown variant {variant!r}; choose A2 or A3")
     return verify_pairs(paths, [(x, y)], variant).entries[0]
-
-
-def _hilbert_a2_entry(s: PathSummaries, x: float, y: float) -> InequalityEntry:
-    lhs = _tail_triple(s.max_partial_norm, x)
-    exp_term = 4.0 * np.exp(-(x * x) / (y * y))
-    tail, tail_lo, tail_hi = _tail_triple(s.quad_plus_cond, y * y / 8.0)
-    rhs = (exp_term + 2.0 * tail, exp_term + 2.0 * tail_lo, exp_term + 2.0 * tail_hi)
-    return _entry(x, y, lhs, rhs)
 
 
 def _a3_integral(s: PathSummaries, y: float) -> tuple[float, float, float]:
@@ -289,21 +326,12 @@ def _a3_integral(s: PathSummaries, y: float) -> tuple[float, float, float]:
     return _step_tail_integral(s.sqrt_quad, scale, u_max)
 
 
-def _hilbert_a3_entry(
-    s: PathSummaries, x: float, y: float, integral: tuple[float, float, float]
-) -> InequalityEntry:
-    lhs = _tail_triple(s.max_partial_norm, x)
-    exp_term = 4.0 * np.exp(-(x * x) / (y * y))
-    rhs = tuple(exp_term + 4.0 * v for v in integral)
-    return _entry(x, y, lhs, rhs)
+# Right sides c_exp * exp(-x^2/y^2) + c_tail * tail per variant, the tail being
+# P(sum(||D||^2 + cond) > y^2 / divisor), or A3's integral (no divisor).
+_BOUNDS = {"real": (2.0, 1.0, 2.0), "A2": (4.0, 2.0, 8.0), "A3": (4.0, 4.0, None)}
 
 
-_ENTRIES = {"real": _real_entry, "A2": _hilbert_a2_entry, "A3": _hilbert_a3_entry}
-
-
-def conv_pair_from_paths(
-    paths: Sequence[MartingalePath] | PathSummaries,
-) -> tuple[np.ndarray, np.ndarray]:
+def conv_pair_from_paths(paths: Ensemble) -> tuple[np.ndarray, np.ndarray]:
     """The convex-domination pair: X = sum(||D||^2 + cond), Y = 2 sum ||D||^2."""
     s = summarize(paths)
     return s.quad_plus_cond, 2.0 * s.sqrt_quad**2
@@ -328,9 +356,7 @@ def check_conv_tail_lemma(
 
 
 def verify_pairs(
-    paths: Sequence[MartingalePath] | PathSummaries,
-    pairs: Sequence[tuple[float, float]],
-    variant: str,
+    paths: Ensemble, pairs: Sequence[tuple[float, float]], variant: str
 ) -> InequalityCheckReport:
     """Evaluate one inequality variant at explicit (x, y) pairs.
 
@@ -338,26 +364,29 @@ def verify_pairs(
     all pairs; A3's tail integral is computed once per distinct y.
     """
     s = _checked(paths, variant)
+    c_exp, c_tail, divisor = _BOUNDS[variant]
     pairs = [(float(x), float(y)) for x, y in pairs]
-    if variant != "A3":
-        return _report(variant, s, [_ENTRIES[variant](s, x, y) for x, y in pairs])
-    integrals = {y: _a3_integral(s, y) for y in dict.fromkeys(y for _, y in pairs)}
-    return _report(variant, s, [_hilbert_a3_entry(s, x, y, integrals[y]) for x, y in pairs])
+    if variant == "A3":
+        integrals = {y: _a3_integral(s, y) for y in dict.fromkeys(y for _, y in pairs)}
+        tails = [integrals[y] for _, y in pairs]
+    else:
+        tails = [_tail_triple(s.quad_plus_cond, y * y / divisor) for _, y in pairs]
+    entries = []
+    for (x, y), tail in zip(pairs, tails):
+        exp_term = c_exp * np.exp(-(x * x) / (y * y))
+        rhs = tuple(exp_term + c_tail * v for v in tail)
+        entries.append(_entry(x, y, _tail_triple(s.max_partial_norm, x), rhs))
+    return _report(variant, s, entries)
 
 
 def verify_grid(
-    paths: Sequence[MartingalePath] | PathSummaries,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    variant: str,
+    paths: Ensemble, xs: np.ndarray, ys: np.ndarray, variant: str
 ) -> InequalityCheckReport:
     """Evaluate one inequality variant over the full (x, y) grid."""
     return verify_pairs(paths, [(float(x), float(y)) for x in xs for y in ys], variant)
 
 
-def verify_conv_grid(
-    paths: Sequence[MartingalePath] | PathSummaries, t_grid: Sequence[float]
-) -> InequalityCheckReport:
+def verify_conv_grid(paths: Ensemble, t_grid: Sequence[float]) -> InequalityCheckReport:
     """Convex-order tail lemma on its canonical pair over a t grid."""
     s = summarize(paths)
     x_samples, y_samples = conv_pair_from_paths(s)

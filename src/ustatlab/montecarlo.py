@@ -545,8 +545,8 @@ def _design_draws(
     design: SamplingDesign, m: int, n: int, master_seed: int, role: int, cell_id: int, replicas
 ) -> np.ndarray:
     """Dense design counts (B, C(n, m)), replica r drawn on its own substream."""
-    streams = mix_ids_batch(role, cell_id, replicas).tolist()
-    return np.stack([design_counts(design, m, n, rng) for rng in substreams(master_seed, streams)])
+    streams = substreams(master_seed, mix_ids_batch(role, cell_id, replicas))
+    return np.stack([design_counts(design, m, n, rng) for rng in streams])
 
 
 def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:

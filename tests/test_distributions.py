@@ -111,6 +111,29 @@ class TestSubstreams:
             np.testing.assert_array_equal(g, e)
 
 
+class TestSubstreamIds:
+    """The ids substreams accepts, each against `substream` on the same id."""
+
+    @staticmethod
+    def _words(master_seed, ids):
+        return [rng.integers(0, 2**62, size=3).tolist() for rng in substreams(master_seed, ids)]
+
+    def test_generator_input(self):
+        ids = [mix_ids(9, r) for r in range(40)]
+        expected = [substream(11, i).integers(0, 2**62, size=3).tolist() for i in ids]
+        assert self._words(11, (i for i in ids)) == expected
+
+    def test_empty_iterable(self):
+        assert self._words(11, []) == []
+        assert self._words(11, iter(())) == []
+
+    def test_ids_with_the_top_bit_set(self):
+        ids = [2**63, 2**63 + 1, 2**64 - 1, 2**64 + 5, -1, np.uint64(2**63 + 7)]
+        expected = [substream(2**63 + 3, int(i)).integers(0, 2**62, size=3).tolist() for i in ids]
+        assert self._words(2**63 + 3, ids) == expected
+        assert self._words(2**63 + 3, np.array(ids[:3], dtype=np.uint64)) == expected[:3]
+
+
 class TestExactExpectation:
     def test_identity_on_rademacher_is_zero(self):
         out = exact_expectation(lambda x: x, FiniteDistribution.rademacher(), 1)

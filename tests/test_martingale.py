@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from helpers import step_tail_integral_oracle, summarize_oracle
-from ustatlab import martingale
+from ustatlab import cli, martingale
 from ustatlab.confidence import _Z95
+from ustatlab.distributions import mix_ids, substream
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
     MartingalePath,
@@ -18,6 +19,7 @@ from ustatlab.martingale import (
     conv_pair_from_paths,
     simulate_ensemble,
     simulate_mds,
+    simulate_summaries,
     summarize,
     verify_conv_grid,
     verify_grid,
@@ -314,3 +316,95 @@ class TestA3Integral:
         calls = self._counted(monkeypatch)
         verify_pairs(paths, pairs, "A3")
         assert len(calls) == 3
+
+
+# (kind, dim) pairs every generator allows, over dims 1, 2 and 3
+KIND_DIMS = [("bounded-signs", 1)] + [
+    (kind, dim) for kind in ("gaussian-coords", "f0-randomized-scale") for dim in (1, 2, 3)
+]
+SEED, BASE = 2**63 + 41, 2**64 - 3
+
+
+def _paths_one_by_one(kind, steps, space, count):
+    """The ensemble drawn path by path, each on its own substream."""
+    return [
+        simulate_mds(kind, steps, space, substream(SEED, mix_ids(BASE, r))) for r in range(count)
+    ]
+
+
+class TestEnsembleBlocks:
+    """Ensembles drawn block by block against per-path `simulate_mds`."""
+
+    @pytest.mark.parametrize("batch_values", [1, 7, martingale._BATCH_VALUES])
+    @pytest.mark.parametrize("count", [1, 7, 1001])
+    @pytest.mark.parametrize("kind, dim", KIND_DIMS)
+    def test_summaries_match_the_oracle(self, monkeypatch, kind, dim, count, batch_values):
+        space = HilbertSpace.euclidean(dim)
+        expected = summarize_oracle(_paths_one_by_one(kind, 9, space, count))
+        monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
+        s = simulate_summaries(kind, 9, space, SEED, count, base_stream=BASE)
+        for got, want in zip((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad), expected):
+            np.testing.assert_array_equal(got, want)
+        assert s.real_valued == (dim == 1) and s.f0_all
+
+    @pytest.mark.parametrize("batch_values", [7, martingale._BATCH_VALUES])
+    @pytest.mark.parametrize("kind, dim", KIND_DIMS)
+    def test_ensemble_rows_match_the_paths(self, monkeypatch, kind, dim, batch_values):
+        space = HilbertSpace.euclidean(dim)
+        expected = _paths_one_by_one(kind, 11, space, 300)
+        monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
+        got = simulate_ensemble(kind, 11, space, SEED, 300, base_stream=BASE)
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            np.testing.assert_array_equal(g.increments, e.increments)
+            np.testing.assert_array_equal(g.cond_second_moments, e.cond_second_moments)
+            assert g.f0_measurable and g.space == space
+
+    def test_cli_builds_no_path_objects(self, monkeypatch, tmp_path):
+        built = []
+        original = MartingalePath.__post_init__
+
+        def spy(self):
+            built.append(self)
+            original(self)
+
+        monkeypatch.setattr(MartingalePath, "__post_init__", spy)
+        cfg = cli.parse_config_text(
+            "version: 1\nexperiment: martingale-verify\nseed: 7\nreplicas: 200\n"
+            "martingale: {generator: f0-randomized-scale, dim: 2, steps: 10, variants: [A2, A3, conv]}\n"
+        )
+        assert cli.run("martingale-verify", cfg, out_dir=str(tmp_path)) == 0
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "kind, steps, dim, count, message",
+        [
+            ("drift", 5, 1, 10, "unknown generator"),
+            ("bounded-signs", 5, 2, 10, "dim-1"),
+            ("gaussian-coords", 0, 2, 10, "steps must be positive"),
+            ("gaussian-coords", 5, 2, 0, "at least one path"),
+        ],
+    )
+    def test_checks_come_before_any_stream(self, monkeypatch, kind, steps, dim, count, message):
+        drawn = []
+        monkeypatch.setattr(martingale, "substreams", lambda *args: drawn.append(args))
+        monkeypatch.setattr(martingale, "draw_iid_batch", lambda *args: drawn.append(args))
+        space = HilbertSpace.euclidean(dim)
+        with pytest.raises(ValueError, match=message):
+            simulate_summaries(kind, steps, space, SEED, count)
+        if count:
+            with pytest.raises(ValueError, match=message):
+                simulate_ensemble(kind, steps, space, SEED, count)
+        assert drawn == []
+
+    def test_cli_rejects_signs_in_the_plane_before_writing(self, tmp_path, capsys):
+        config = tmp_path / "signs.yaml"
+        config.write_text(
+            "version: 1\nexperiment: martingale-verify\nreplicas: 100\n"
+            "martingale: {generator: bounded-signs, dim: 2, steps: 5, variants: [A2]}\n"
+        )
+        out = tmp_path / "out"
+        argv = ["martingale-verify", "--config", str(config), "--out", str(out)]
+        assert cli.main(argv) == 1
+        assert "dim-1" in capsys.readouterr().err
+        assert not out.exists()
