@@ -323,15 +323,31 @@ def draw_atoms_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
         cdf /= cdf[-1]
         return cdf.searchsorted((raw >> np.uint64(11)) * (1.0 / 2**53), side="right")
     k = 2 if spec.kind == "rademacher" else spec.grid_points
-    raw = philox4x64(keys, -(-n // 8))
-    words = np.stack([raw & _MASK32, raw >> _SHIFT32], axis=-1).reshape(raw.shape[0], -1)[:, :n]
-    scaled = words * np.uint64(k)
-    idx = (scaled >> _SHIFT32).view(np.int64)
-    reject_below = (2**32 - k) % k  # 0 when k is a power of 2
-    if reject_below:
-        for r in np.flatnonzero(((scaled & _MASK32) < reject_below).any(axis=1)):
-            idx[r] = _grid(k).searchsorted(draw_iid(spec, n, int(streams[r])))
+    idx, rejected = _lemire_indices(philox4x64(keys, -(-n // 8)), n, k)
+    for r in np.flatnonzero(rejected):
+        idx[r] = _grid(k).searchsorted(draw_iid(spec, n, int(streams[r])))
     return idx
+
+
+def _lemire_indices(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first n values `Generator.integers(0, k, n)` makes from each row of
+    raw Philox words (R, >= n / 2), for 1 <= k <= 2**32, as int64 (R, n), and
+    per row whether numpy would have rejected one of them.
+
+    numpy splits each word into uint32 halves, low half first, and maps a
+    half u to (u * k) >> 32 (Lemire, ACM TOMACS 2019). It rejects u and draws
+    again when (u * k) mod 2**32 < (2**32 - k) mod k, which cannot happen for
+    a power of two k; a flagged row must be drawn by numpy itself.
+    """
+    halves = np.ascontiguousarray(raw, dtype="<u8").view("<u4")[:, :n]
+    scaled = np.multiply(halves, k, dtype=np.uint64)
+    reject_below = (2**32 - k) % k
+    if reject_below:
+        rejected = (scaled.astype(np.uint32) < reject_below).any(axis=1)
+    else:
+        rejected = np.zeros(scaled.shape[0], dtype=bool)
+    np.right_shift(scaled, _SHIFT32, out=scaled)
+    return scaled.view(np.int64), rejected
 
 
 def _atoms(spec: SamplerSpec) -> np.ndarray:

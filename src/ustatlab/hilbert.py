@@ -147,4 +147,6 @@ def row_norms(space: HilbertSpace, values: np.ndarray) -> np.ndarray:
         raise SpaceMismatchError(
             f"last axis must have length {space.dim}, got {values.shape[-1]}"
         )
-    return np.sqrt(np.add.reduce(values * values * space.weights, axis=-1))
+    squares = values * values
+    squares *= space.weights  # in place: the bits of values * values * weights, one temporary
+    return np.sqrt(np.add.reduce(squares, axis=-1))

@@ -110,14 +110,16 @@ def _check_projectable(base: KernelSpec, k: int) -> None:
         raise ValueError(f"projection order must lie in [0, {base.arity}], got {k}")
 
 
-def _projections(base: KernelSpec, dist: FiniteDistribution, top: int) -> list[ProjectedKernel]:
+def _projections(
+    base: KernelSpec, dist: FiniteDistribution, top: int, table: np.ndarray | None = None
+) -> list[ProjectedKernel]:
     """Exact projections h_0, ..., h_top from one evaluation of the kernel on the support.
 
     Entry (i_1, ..., i_k) of the h_k table is the inclusion-exclusion of the
     partial expectations at the pinned atoms (i_u for u in Inc^j_k).
     """
     _check_projectable(base, top)
-    partials = partial_expectations(base, dist, top)
+    partials = partial_expectations(base, dist, top, table)
     size, dim = dist.size, base.codomain.dim
     out = []
     for k in range(top + 1):
@@ -197,17 +199,21 @@ class DegeneracyReport:
 
 
 def degeneracy_order(
-    base: KernelSpec, dist: FiniteDistribution, tol: float = DEGENERACY_TOL
+    base: KernelSpec,
+    dist: FiniteDistribution,
+    tol: float = DEGENERACY_TOL,
+    table: np.ndarray | None = None,
 ) -> DegeneracyReport:
     """Smallest k >= 1 whose projection survives on the support.
 
     Returns order m (the arity) when every lower projection vanishes. The
     mean ||h_0|| is reported separately: the tail-scan normalization
-    additionally requires a centered kernel.
+    additionally requires a centered kernel. `table` is the kernel's atom
+    table on the support (`kernels._atom_table`), if the caller has built it.
     """
     m = base.arity
     space = base.codomain
-    h0, *tables = (proj.table for proj in _projections(base, dist, m))
+    h0, *tables = (proj.table for proj in _projections(base, dist, m, table))
     residuals = [
         float(row_norms(space, table[_nondecreasing(dist.size, k)]).max())
         for k, table in enumerate(tables, start=1)

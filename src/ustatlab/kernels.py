@@ -137,7 +137,9 @@ def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray
     return vals
 
 
-def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int) -> list[np.ndarray]:
+def partial_expectations(
+    kernel: KernelSpec, dist: FiniteDistribution, top: int, table: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Exact partial expectations M_0, ..., M_top (top <= arity) under iid draws from dist.
 
     M_j has shape (A,) * j + (dim,) for a law with A atoms; its entry at atom
@@ -146,10 +148,11 @@ def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int)
     one term at a time in itertools.product order, with weights
     p_1 * p_2 * ... formed left to right, so every entry equals
     `exact_expectation` of the same function bit for bit. Raises
-    EnumerationBudgetError when A**m exceeds ENUMERATION_BUDGET.
+    EnumerationBudgetError when A**m exceeds ENUMERATION_BUDGET. A caller
+    that already holds `_atom_table(kernel, dist)` passes it as `table`.
     """
     size, m = dist.size, kernel.arity
-    values = _atom_table(kernel, dist)
+    values = _atom_table(kernel, dist) if table is None else table
     return [
         _tail_means(values, dist.probs, m - j).reshape((size,) * j + (-1,)) for j in range(top + 1)
     ]

@@ -8,8 +8,12 @@ on one thread over bounded batches of replicas: a batch draws its
 samples with one `draw_iid_batch` per data role and evaluates all its
 tuples with one gathered kernel call. Incomplete designs are drawn per
 replica on its own re-keyed Philox substream (its words fix the bytes)
-into a dense (replicas, C(n, m)) count matrix, and each replica's selected
-rows are reduced in ascending rank order exactly as one selection's were.
+into a dense (replicas, C(n, m)) count matrix; with-replacement designs
+map those words in one pass per batch (`ustats.design_counts_batch`).
+Each replica's selected rows sum as if reduced in ascending rank order,
+exactly as one selection's were; where every partial sum is an exact
+integer (`_dense_sums_exact`) that is one dense product, since every order
+then gives the same bytes.
 
 The tail scan has a second route. For an arity-2 kernel on a finite law
 whose atom table H has integer entries with C(N, 2) * max|H| < 2**53, and
@@ -44,7 +48,6 @@ from .distributions import (
     draw_iid_batch,
     mix_ids,
     mix_ids_batch,
-    substreams,
 )
 from .hilbert import HilbertSpace, row_norms
 from .hoeffding import degeneracy_order
@@ -55,7 +58,7 @@ from .ustats import (
     _stacked_values,
     _tuple_columns,
     check_design,
-    design_counts,
+    design_counts_batch,
     design_mean_factor,
     inc_count,
     running_max_norms,
@@ -137,21 +140,27 @@ class ExperimentConfig:
             object.__setattr__(self, "x_grid", grid)
 
 
-def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None = None) -> np.ndarray:
+def replicate(
+    config: ExperimentConfig,
+    stat_fn: Callable[[int], float] | None = None,
+    atom_table: np.ndarray | None = None,
+) -> np.ndarray:
     """Per-replica statistic values, in replica order.
 
     The default statistic is the running maximum of prefix norms of the
     complete U-statistic on a fresh sample per replica, computed over
     fixed-size batches of replicas, from atom indices where `_count_table`
     allows it and from gathered pairs otherwise. A user `stat_fn` is called
-    once per replica index.
+    once per replica index. A caller that has built the kernel's atom table
+    on the sampler's finite support (`kernels._atom_table`) passes it as
+    `atom_table`.
     """
     if stat_fn is not None:
         return np.fromiter(map(stat_fn, range(config.replicas)), np.float64, config.replicas)
     kernel, n = config.kernel, config.sample_size
     bound_sampler = _reseeded(config.sampler, config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
-    table = _count_table(kernel, config.sampler, n)
+    table = _count_table(kernel, config.sampler, n, atom_table)
     if table is None:
         draw, values = draw_iid_batch, inc_count(kernel.arity, n)
     else:
@@ -168,14 +177,17 @@ def replicate(config: ExperimentConfig, stat_fn: Callable[[int], float] | None =
     return np.concatenate(out)
 
 
-def _count_table(kernel: KernelSpec, sampler: SamplerSpec, n: int) -> np.ndarray | None:
+def _count_table(
+    kernel: KernelSpec, sampler: SamplerSpec, n: int, table: np.ndarray | None = None
+) -> np.ndarray | None:
     """The (A, A, dim) atom table when the replicas can run on atom counts.
 
     That is an arity-2 kernel on a finite law whose table H has integer
     entries with C(n, 2) * max|H| < 2**53, so that every partial sum on the
     count path and on the gather is an exact integer and the two give the
     same bytes, and where the count path touches fewer values than the
-    gather: (n - 1) * A * dim < C(n, 2). Otherwise None.
+    gather: (n - 1) * A * dim < C(n, 2). Otherwise None. `table` is the
+    (A**2, dim) `_atom_table(kernel, support)`, if the caller has built it.
     """
     support = sampler.finite_support()
     if kernel.arity != 2 or support is None:
@@ -183,10 +195,20 @@ def _count_table(kernel: KernelSpec, sampler: SamplerSpec, n: int) -> np.ndarray
     size, pairs = support.size, inc_count(2, n)
     if (n - 1) * size * kernel.codomain.dim >= pairs or size**2 > ENUMERATION_BUDGET:
         return None
-    table = _atom_table(kernel, support)
-    if not (np.all(table == np.round(table)) and pairs * np.abs(table).max() < 2.0**53):
+    if table is None:
+        table = _atom_table(kernel, support)
+    if not _exact_integer_sums(table, pairs):
         return None
     return table.reshape(size, size, -1)
+
+
+def _exact_integer_sums(values: np.ndarray, weight_total) -> bool:
+    """Whether values are integers with weight_total * max|value| < 2**53, so
+    that every sum of them with integer weights of total magnitude at most
+    weight_total is exact, in any order."""
+    if not np.all(values == np.round(values)):
+        return False
+    return bool(weight_total * np.abs(values).max(initial=0.0) < 2.0**53)
 
 
 def _batches(count: int, values: int):
@@ -271,8 +293,10 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
         raise ValueError("tail_scan needs x_grid")
     kernel, n = config.kernel, config.sample_size
     support = config.sampler.finite_support()
+    table = None
     if support is not None:
-        report = degeneracy_order(kernel, support)
+        table = _atom_table(kernel, support)  # read by the degeneracy check and the count route
+        report = degeneracy_order(kernel, support, table=table)
         if report.mean_norm > report.tol:
             raise ValueError(
                 "kernel is not centered under the sampling law; "
@@ -291,7 +315,7 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
         kernel, draw_iid(_reseeded(config.sampler, config.master_seed), n, mix_ids(_ROLE_DATA, 0)),
         "tail_scan",
     )
-    stats = replicate(config) / factor
+    stats = replicate(config, atom_table=table) / factor
     counts = np.count_nonzero(stats[None, :] > config.x_grid[:, None], axis=1)
     p_hat = counts / config.replicas
     lo, hi = wilson_bounds(counts, config.replicas)
@@ -510,8 +534,9 @@ class ScalingReport:
 
     @property
     def spread(self) -> float:
-        """max/min ratio of normalized quantiles across rows."""
-        qs = [r.quantile for r in self.rows if r.used > 0]
+        """max/min ratio of normalized quantiles across rows with a finite one
+        (a row with fewer than two usable replicas has a NaN quantile)."""
+        qs = [r.quantile for r in self.rows if math.isfinite(r.quantile)]
         if not qs or min(qs) <= 0:
             return math.inf
         return max(qs) / min(qs)
@@ -541,23 +566,24 @@ def _columns(m: int, n: int) -> tuple[np.ndarray, ...]:
     return cols
 
 
-def _design_draws(
-    design: SamplingDesign, m: int, n: int, master_seed: int, role: int, cell_id: int, replicas
-) -> np.ndarray:
-    """Dense design counts (B, C(n, m)), replica r drawn on its own substream."""
-    streams = substreams(master_seed, mix_ids_batch(role, cell_id, replicas))
-    return np.stack([design_counts(design, m, n, rng) for rng in streams])
-
-
 def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Each replica's sum of weights[b, t] * vals[b, t] over its tuples with
     nonzero weight, shape (B, dim); a replica with none sums to zero.
 
-    vals is (B, T, dim), or (T, dim) shared by the batch. Each sum is
-    np.add.reduce over the replica's own compressed rows in ascending rank
-    order, as a lone selection's `vals[ranks] * counts` was reduced: the
-    reduction is pairwise at dim 1, so zero padding would change the bits.
+    vals is (B, T, dim), or (T, dim) shared by the batch; weights are bool
+    or integer counts. Each sum has the bytes of np.add.reduce over the
+    replica's own compressed rows in ascending rank order, as a lone
+    selection's `vals[ranks] * counts` was reduced: the reduction is
+    pairwise at dim 1, so zero padding would in general change the bits.
+    Where `_dense_sums_exact` holds, every order gives those bytes, and the
+    sums are one dense product.
     """
+    if _dense_sums_exact(vals, weights):
+        dense = weights.astype(np.float64)
+        dense = dense @ vals if vals.ndim == 2 else np.einsum("bt,btd->bd", dense, vals)
+        # zero-weight terms 0 * v are -0 for v < 0; a sum of them alone would be
+        # -0 from an accumulator that starts at its first term, not at +0
+        return dense + 0.0
     reps, ranks = np.nonzero(weights)
     rows = vals[reps, ranks] if vals.ndim == 3 else vals[ranks]
     rows = rows * weights[reps, ranks][:, None]
@@ -568,6 +594,16 @@ def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     for b in np.flatnonzero(lengths):
         out[b] = np.add.reduce(rows[starts[b] : ends[b]], axis=0)
     return out
+
+
+def _dense_sums_exact(vals: np.ndarray, weights: np.ndarray) -> bool:
+    """Whether a dense weights-by-vals product gives `_selection_sums`' bytes:
+    integer values with no -0 and nonnegative weights whose largest row sum
+    times max|vals| is below 2**53, so that every partial sum is exact and
+    no nonzero-weight term is -0."""
+    if weights.min(initial=0) < 0 or np.any(np.signbit(vals) & (vals == 0)):
+        return False
+    return _exact_integer_sums(vals, weights.sum(axis=1).max(initial=0))
 
 
 def _normalized_norms(
@@ -595,7 +631,8 @@ def _normalized_norms(
     for r in _batches(replicas, cols[0].size):
         samples = draw_iid_batch(sampler, n, mix_ids_batch(_ROLE_DATA, cell_id, r))
         vals = _stacked_values(kernel, (samples,) * m, cols)
-        selected = _design_draws(design, m, n, master_seed, _ROLE_DESIGN, cell_id, r) > 0
+        ids = mix_ids_batch(_ROLE_DESIGN, cell_id, r)
+        selected = design_counts_batch(design, m, n, master_seed, ids) > 0
         norms[r] = row_norms(kernel.codomain, _selection_sums(vals, selected))
         distinct[r] = np.count_nonzero(selected, axis=1)
     return np.where(distinct > 0, norms / normalizer(distinct), math.nan)
@@ -615,7 +652,7 @@ def _design_estimates(
     (draws, dim)."""
     out = np.empty((draws, fixed_vals.shape[1]))
     for r in _batches(draws, fixed_vals.shape[0]):
-        counts = _design_draws(design, m, n, master_seed, _ROLE_FIXED, cell_id, r)
+        counts = design_counts_batch(design, m, n, master_seed, mix_ids_batch(_ROLE_FIXED, cell_id, r))
         out[r] = _selection_sums(fixed_vals, counts)
     return out
 

@@ -27,7 +27,7 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .distributions import EnumerationBudgetError
+from .distributions import EnumerationBudgetError, _lemire_indices, substream, substreams
 from .hilbert import HilbertPoint, row_norms
 from .kernels import KernelSpec, batch_values
 
@@ -53,14 +53,15 @@ __all__ = [
     "check_design",
     "draw_design",
     "design_counts",
+    "design_counts_batch",
     "design_mean_factor",
     "incomplete",
     "IncompleteResult",
 ]
 
-ENUMERATION_CAP = 10**8
+ENUMERATION_CAP = 10**8  # below 2**32, so a design draws ranks by numpy's 32-bit Lemire
 _MATERIALIZE_CAP = 2**21  # tuples whose index columns are kept in memory
-_CHUNK = 2**16
+_CHUNK = 2**16  # tuples, or design draws, per piece: temporaries stay near 1 MB
 
 _column_cache: dict = {}
 _grouped_cache: dict = {}
@@ -625,7 +626,8 @@ def design_counts(
 
     It consumes the same generator words: with-replacement ranks are counted
     with `bincount` instead of `unique`, the bernoulli mask is kept whole,
-    and a without-replacement draw scatters Floyd's ranks.
+    and a without-replacement draw scatters Floyd's ranks. It is the oracle
+    of `design_counts_batch`, which redraws numpy's rejected streams with it.
     """
     total = check_design(design, m, n)
     if design.kind == "with-replacement":
@@ -635,6 +637,38 @@ def design_counts(
     counts = np.zeros(total, dtype=np.int64)
     counts[draw_design(design, m, n, rng).ranks] = 1
     return counts
+
+
+def design_counts_batch(
+    design: SamplingDesign, m: int, n: int, master_seed: int, ids
+) -> np.ndarray:
+    """`np.stack([design_counts(design, m, n, substream(master_seed, i)) for i
+    in ids])`, bit for bit, shape (len(ids), C(n, m)).
+
+    A with-replacement draw is `integers(0, C(n, m), size)`: each stream's
+    ceil(size / 2) native Philox words are mapped with numpy's Lemire method
+    (`distributions._lemire_indices`) and counted with one row-offset
+    `bincount`, about _CHUNK draws at a time. A stream where numpy would
+    have rejected a word is redrawn with `design_counts`.
+    Bernoulli and without-replacement designs are drawn stream by stream.
+    """
+    total = check_design(design, m, n)
+    ids = np.asarray(ids)
+    streams = substreams(master_seed, ids)
+    if design.kind != "with-replacement":
+        return np.stack([design_counts(design, m, n, rng) for rng in streams])
+    size, words = design.size, -(-design.size // 2)
+    out = np.empty((ids.size, total), dtype=np.int64)
+    step = max(1, _CHUNK // size)
+    for start in range(0, ids.size, step):
+        rows = min(step, ids.size - start)
+        raw = np.stack([next(streams).bit_generator.random_raw(words) for _ in range(rows)])
+        idx, rejected = _lemire_indices(raw, size, total)
+        idx += np.arange(0, rows * total, total)[:, None]
+        out[start : start + rows] = np.bincount(idx.ravel(), minlength=rows * total).reshape(rows, total)
+        for r in start + np.flatnonzero(rejected):
+            out[r] = design_counts(design, m, n, substream(master_seed, int(ids[r])))
+    return out
 
 
 def design_mean_factor(design: SamplingDesign, m: int, n: int) -> float:

@@ -14,13 +14,14 @@ from helpers import (
     norm_stat_oracle,
     table_kernel,
 )
-from ustatlab import montecarlo
+from ustatlab import montecarlo, ustats
 from ustatlab.distributions import (
     EnumerationBudgetError,
     FiniteDistribution,
     SamplerSpec,
     draw_iid,
     mix_ids,
+    mix_ids_batch,
     substream,
 )
 from ustatlab.hilbert import HilbertSpace
@@ -32,10 +33,17 @@ from ustatlab.montecarlo import (
     decouple_compare,
     incomplete_scaling_experiment,
 )
-from ustatlab.ustats import SamplingDesign, design_counts, draw_design, inc_count
+from ustatlab.ustats import (
+    SamplingDesign,
+    design_counts,
+    design_counts_batch,
+    draw_design,
+    inc_count,
+)
 
 DEFAULT_CHUNK = montecarlo._CHUNK_VALUES
 SEED = 4242
+_ROLE = 12
 
 
 def _kernels():
@@ -171,6 +179,103 @@ def test_design_counts_equal_draw_design(n, design):
         np.testing.assert_equal(dense_rng.bit_generator.state, sparse_rng.bit_generator.state)
 
 
+def _stacked_design_counts(design, m, n, ids):
+    return np.stack([design_counts(design, m, n, substream(SEED, int(i))) for i in ids])
+
+
+@pytest.mark.parametrize(
+    "size, m, n",
+    [
+        (1, 2, 20),
+        (7, 2, 20),  # odd: the last word's upper half is unused
+        (40, 2, 40),
+        (33, 1, 16),  # 16 tuples, a power of two: no rejection scan
+        (9, 2, 2),  # one tuple: numpy draws no word at all
+    ],
+)
+@pytest.mark.parametrize("chunk", [50, ustats._CHUNK])
+def test_batched_replacement_counts_equal_design_counts(monkeypatch, size, m, n, chunk):
+    # a pass of 50 draws holds 7 streams of size 7, and 101 streams are no multiple of 7
+    monkeypatch.setattr(ustats, "_CHUNK", chunk)
+    ids = mix_ids_batch(_ROLE, 5, np.arange(101))
+    design = SamplingDesign(kind="with-replacement", size=size)
+    got = design_counts_batch(design, m, n, SEED, ids)
+    assert got.dtype == np.int64 and got.shape == (101, inc_count(m, n))
+    np.testing.assert_array_equal(got, _stacked_design_counts(design, m, n, ids))
+
+
+def test_rejected_replacement_streams_fall_back_to_design_counts(monkeypatch):
+    # numpy rejects a uint32 for k = 39,650 tuples with probability
+    # (2**32 % k) / 2**32 = 9.2e-6, so about 1 in 6 streams of 20,001 draws
+    n, size, ids = 39_650, 20_001, mix_ids_batch(_ROLE, 6, np.arange(40))
+    design = SamplingDesign(kind="with-replacement", size=size)
+    want = _stacked_design_counts(design, 1, n, ids)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return design_counts(*args)
+
+    monkeypatch.setattr(ustats, "design_counts", counting)
+    np.testing.assert_array_equal(design_counts_batch(design, 1, n, SEED, ids), want)
+    assert 2 <= len(calls) <= 20
+
+
+def _compressed_sums(vals, weights):
+    """Each replica's compressed rows reduced one replica at a time."""
+    out = np.zeros((weights.shape[0], vals.shape[-1]))
+    for b, w in enumerate(weights):
+        ranks = np.flatnonzero(w)
+        if ranks.size:
+            rows = vals[b, ranks] if vals.ndim == 3 else vals[ranks]
+            out[b] = np.add.reduce(rows * w[ranks][:, None], axis=0)
+    return out
+
+
+def _selection_case(name):
+    rng = np.random.default_rng(len(name))
+    counts = rng.integers(0, 3, size=(9, 12)) * (rng.random((9, 12)) < 0.4)
+    counts[[2, 5]] = 0  # empty replicas
+    ints = rng.integers(-4, 5, size=(12, 2)).astype(np.float64)
+    gini7 = centered(gini(), FiniteDistribution.uniform_grid(7))
+    grid = np.linspace(-1.0, 1.0, 7)
+    cases = {
+        "ints-shared": (ints, counts),
+        "ints-per-replica-bool": (rng.integers(-4, 5, size=(9, 12, 1)).astype(np.float64), counts > 0),
+        "ints-per-replica-counts": (rng.integers(-4, 5, size=(9, 12, 3)).astype(np.float64), counts),
+        # a zero-weight term 0 * v is -0 for v < 0, and the compressed sum of an empty replica is +0
+        "all-negative": (-rng.integers(1, 5, size=(12, 1)).astype(np.float64), counts),
+        "all-negative-bool": (-np.ones((9, 12, 2)), counts > 0),
+        "non-integer": (gini7.eval_batch(rng.choice(grid, 12), rng.choice(grid, 12))[:, None], counts),
+        "at-2**53": (np.full((12, 1), 2.0**48), np.where(np.arange(12) < 8, 4, 0) + 0 * counts),
+        "negative-zero": (np.where(ints == 0, -0.0, ints), counts),
+        "negative-weights": (ints, counts - 1),
+    }
+    return cases[name]
+
+
+DENSE = ["ints-shared", "ints-per-replica-bool", "ints-per-replica-counts", "all-negative", "all-negative-bool"]
+COMPRESSED = ["non-integer", "at-2**53", "negative-zero", "negative-weights"]
+
+
+@pytest.mark.parametrize("name", DENSE + COMPRESSED)
+def test_selection_sums_take_the_dense_route_only_where_exact(monkeypatch, name):
+    vals, weights = _selection_case(name)
+    assert montecarlo._dense_sums_exact(vals, weights) == (name in DENSE)
+    got = montecarlo._selection_sums(vals, weights)
+    assert got.tobytes() == _compressed_sums(vals, weights).tobytes()
+    monkeypatch.setattr(montecarlo, "_dense_sums_exact", lambda *_: False)
+    assert got.tobytes() == montecarlo._selection_sums(vals, weights).tobytes()
+
+
+def test_the_dense_route_bound_is_strict():
+    vals = np.full((4, 1), 2.0**48)
+    weights = np.array([[8, 8, 8, 7], [1, 0, 0, 0]])
+    assert montecarlo._dense_sums_exact(vals, weights)  # largest sum 31 * 2**48
+    weights[1, 0] = 32
+    assert not montecarlo._dense_sums_exact(vals, weights)  # 2**53
+
+
 def _counting(monkeypatch, name):
     calls = []
     original = getattr(montecarlo, name)
@@ -197,7 +302,7 @@ def _counting(monkeypatch, name):
 )
 def test_scaling_checks_come_before_any_replica(monkeypatch, bad_cell, error):
     batches = _counting(monkeypatch, "draw_iid_batch")
-    designs = _counting(monkeypatch, "substreams")
+    designs = _counting(monkeypatch, "design_counts_batch")
     good = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
     with pytest.raises(error):
         incomplete_scaling_experiment(

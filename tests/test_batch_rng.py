@@ -15,6 +15,7 @@ from ustatlab.distributions import (
     philox4x64,
     substream,
 )
+from ustatlab.distributions import _lemire_indices
 from ustatlab.hilbert import HilbertSpace
 
 STREAMS = mix_ids_batch(11, np.arange(2000))
@@ -140,3 +141,31 @@ def test_rademacher_never_falls_back(monkeypatch):
 def test_negative_size_rejected():
     with pytest.raises(ValueError, match="nonnegative"):
         draw_iid_batch(_samplers()["rademacher"], -1, STREAMS[:3])
+
+
+def _halves_consumed(bit_gen) -> int:
+    """uint32 halves a fresh numpy Philox has handed out: whole words from its
+    4-word blocks, less a cached upper half."""
+    state = bit_gen.state
+    words = 4 * int(state["state"]["counter"][0]) - (4 - state["buffer_pos"])
+    return 2 * words - state["has_uint32"]
+
+
+@pytest.mark.parametrize("n", [1, 9, 40])
+@pytest.mark.parametrize("k", [1, 2, 7, 190, 2**16, 3 * 2**20 + 1, 2**31 + 1, 2**32])
+def test_lemire_indices_are_numpy_integers(k, n):
+    # k = 2**31 + 1 rejects about half of all halves; powers of two never do
+    keys = np.random.default_rng(k).integers(0, 2**64, size=(64, 2), dtype=np.uint64)
+    raw = np.stack([np.random.Philox(key=key).random_raw(-(-n // 2)) for key in keys])
+    idx, rejected = _lemire_indices(raw, n, k)
+    assert idx.shape == (64, n) and idx.dtype == np.int64 and rejected.shape == (64,)
+    for r, key in enumerate(keys):
+        bit_gen = np.random.Philox(key=key)
+        want = np.random.Generator(bit_gen).integers(0, k, size=n)
+        assert rejected[r] == (_halves_consumed(bit_gen) > n)
+        if not rejected[r]:
+            np.testing.assert_array_equal(idx[r], want)
+    if (k, n) == (2**31 + 1, 1):  # both branches are exercised
+        assert 0 < rejected.sum() < 64
+    if k & (k - 1) == 0:
+        assert not rejected.any()

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ustatlab import montecarlo, ustats
+from ustatlab import kernels, montecarlo, ustats
 from ustatlab.distributions import (
     FiniteDistribution,
     SamplerSpec,
@@ -22,7 +22,7 @@ from ustatlab.distributions import (
 )
 from ustatlab.hilbert import HilbertSpace, row_norms
 from ustatlab.kernels import KernelSpec, _atom_table, centered, gini, product
-from ustatlab.montecarlo import ExperimentConfig, replicate
+from ustatlab.montecarlo import ExperimentConfig, replicate, tail_scan
 from ustatlab.ustats import _count_prefix_sums, _grouped_columns, _prefix_sums, running_max_norms
 
 DEFAULT_CHUNK = montecarlo._CHUNK_VALUES
@@ -217,3 +217,21 @@ def test_the_atom_count_rule_is_strict():
     for entry, counted in ((2**53 // 780, True), (2**53 // 780 + 1, False)):
         kernel = lookup_kernel([-1.0, 1.0], np.full((2, 2, 1), float(entry)), True)
         assert (montecarlo._count_table(kernel, SamplerSpec(kind="rademacher"), 40) is not None) == counted
+
+
+def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
+    calls = []
+
+    def counted(kernel, dist):
+        calls.append(dist.size)
+        return _atom_table(kernel, dist)
+
+    monkeypatch.setattr(kernels, "_atom_table", counted)
+    monkeypatch.setattr(montecarlo, "_atom_table", counted)
+    config = ExperimentConfig(
+        kernel=product(), sampler=SamplerSpec(kind="rademacher"), sample_size=40, replicas=100,
+        master_seed=3, x_grid=np.array([0.5, 1.0]),
+    )
+    spies = _spies(monkeypatch)
+    tail_scan(config)
+    assert calls == [2] and spies["count"] >= 1

@@ -12,6 +12,8 @@ from ustatlab.montecarlo import (
     BoundEnvelope,
     ExperimentConfig,
     ScalingCell,
+    ScalingReport,
+    ScalingRow,
     bounded_kernel_tail,
     coordinate_kernel,
     decouple_compare,
@@ -300,6 +302,20 @@ class TestIncompleteScaling:
             assert row.quantile_lo <= row.quantile <= row.quantile_hi
             assert row.unbias_ok
         assert report.spread >= 1.0
+
+    def test_spread_skips_rows_without_a_quantile_in_any_order(self):
+        def row(quantile, used):
+            return ScalingRow(
+                sample_size=10, design_kind="with-replacement", design_param=5.0, replicas=100,
+                used=used, empty_count=100 - used, quantile=quantile, quantile_lo=quantile,
+                quantile_hi=quantile, unbias_max_sigmas=0.0, unbias_ok=True,
+            )
+
+        # one usable replica gives no quantile
+        rows = [row(float("nan"), 1), row(1.0, 100), row(2.0, 90), row(float("nan"), 0)]
+        for order in itertools.permutations(rows):
+            assert ScalingReport(0.9, 2, order).spread == 2.0
+        assert ScalingReport(0.9, 2, tuple(rows[::3])).spread == float("inf")
 
     def test_full_bernoulli_design_is_exactly_unbiased(self):
         """Keeping every tuple reduces the estimator to the complete sum."""
