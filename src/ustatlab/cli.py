@@ -33,6 +33,7 @@ from .hilbert import HilbertSpace, row_norms
 from .hoeffding import decomposition_check, degeneracy_order
 from .kernels import (
     KernelSpec,
+    _atom_table,
     centered,
     empirical_indicator_from,
     gini,
@@ -496,12 +497,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_table(path: str, header: Sequence[str], rows: Sequence[Sequence], sep: str, lead: str) -> None:
-    lines = [lead + sep.join(header)]
-    lines.extend(sep.join(_fmt(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def _sha256(path: str) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -520,11 +515,14 @@ class _RunWriter:
         self.paths: list[str] = []
         os.makedirs(out_dir, exist_ok=True)
 
-    def csv(self, name: str, header, rows) -> None:
-        """Write the table as name.csv and as its gnuplot twin name.dat."""
+    def csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
+        """Write the table as name.csv and as its gnuplot twin name.dat, each
+        value formatted once for both."""
+        cells = [[_fmt(v) for v in row] for row in rows]
         for ext, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
             path = os.path.join(self.out_dir, name + ext)
-            _write_table(path, header, rows, sep, lead)
+            lines = [lead + sep.join(header)] + [sep.join(row) for row in cells]
+            _atomic_write(path, "\n".join(lines) + "\n")
             self.paths.append(path)
 
     def finish(self, results: dict, exit_status: int) -> str:
@@ -592,9 +590,10 @@ def _run_decompose(cfg: ConfigFile, out_dir: str) -> int:
     support = sampler.finite_support()
     if support is None:
         raise ConfigError("decompose needs a sampler with finite support")
-    report = degeneracy_order(kernel, support)
+    table = _atom_table(kernel, support)
+    report = degeneracy_order(kernel, support, table=table)
     sample = _load_sample(cfg, sampler, kernel)
-    check = decomposition_check(kernel, support, sample)
+    check = decomposition_check(kernel, support, sample, table=table)
     rel = check.deviation / max(check.lhs_norm, 1.0)
     violated = rel > cfg.identity_tolerance
     writer = _RunWriter(cfg, out_dir)

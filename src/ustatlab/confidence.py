@@ -58,20 +58,22 @@ def mean_interval(values: np.ndarray) -> tuple[float, float, float]:
     return mean, mean - _Z95 * se, mean + _Z95 * se
 
 
-def _binom_ppf(p: float, n: int, q: float) -> int:
-    """The smallest k in [0, n] with P(Bin(n, q) <= k) >= p, for 0 < q < 1."""
+def _binom_ppf(p, n: int, q: float):
+    """The smallest k in [0, n] with P(Bin(n, q) <= k) >= p, for 0 < q < 1;
+    an array of them for an array of levels p, all read off one cdf."""
     k = np.arange(n + 1)
     log_fact = np.array([math.lgamma(i + 1.0) for i in range(n + 1)])
     log_pmf = log_fact[n] - log_fact - log_fact[::-1] + k * math.log(q) + (n - k) * math.log1p(-q)
     # rounding can leave the last cdf value just under p near 1; the quantile is then n
-    return min(int(np.searchsorted(np.cumsum(np.exp(log_pmf)), p, side="left")), n)
+    return np.minimum(np.searchsorted(np.cumsum(np.exp(log_pmf)), p, side="left"), n)
 
 
 def quantile_interval(values: np.ndarray, q: float) -> tuple[float, float, float]:
     """(estimate, lower, upper) for the q-quantile via order statistics.
 
     The bounds are the order statistics whose binomial coverage reaches 95%;
-    they are conservative near the sample edges.
+    they are conservative near the sample edges. Both come from one binomial
+    cdf.
     """
     values = np.sort(np.asarray(values, dtype=np.float64))
     n = values.size
@@ -81,6 +83,5 @@ def quantile_interval(values: np.ndarray, q: float) -> tuple[float, float, float
         raise ValueError("q must lie in (0, 1)")
     alpha = 1.0 - 0.95
     est = float(np.quantile(values, q))
-    lo = values[min(_binom_ppf(alpha / 2.0, n, q), n - 1)]
-    hi = values[min(_binom_ppf(1.0 - alpha / 2.0, n, q), n - 1)]
+    lo, hi = values[np.minimum(_binom_ppf([alpha / 2.0, 1.0 - alpha / 2.0], n, q), n - 1)]
     return est, float(lo), float(hi)

@@ -25,6 +25,7 @@ __all__ = [
     "norm",
     "axpy",
     "row_norms",
+    "squared_row_norms",
 ]
 
 
@@ -140,13 +141,32 @@ def axpy(alpha: float, a: HilbertPoint, b: HilbertPoint) -> HilbertPoint:
     return space.point(alpha * a.coords + b.coords)
 
 
-def row_norms(space: HilbertSpace, values: np.ndarray) -> np.ndarray:
-    """Norms of stacked coordinate rows; values has shape (..., dim)."""
+def squared_row_norms(space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+    """Squared norms of stacked coordinate rows; values has shape (..., dim).
+
+    Each is np.add.reduce of the row's `value * value * weight` terms.
+    numpy's pairwise reduce adds fewer than 8 terms one after another, so
+    below dim 8 the coordinate columns are added in sequence: the same bits,
+    with no operation along the tiny last axis.
+    """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != space.dim:
         raise SpaceMismatchError(
             f"last axis must have length {space.dim}, got {values.shape[-1]}"
         )
-    squares = values * values
-    squares *= space.weights  # in place: the bits of values * values * weights, one temporary
-    return np.sqrt(np.add.reduce(squares, axis=-1))
+    if space.dim >= 8:
+        squares = values * values
+        squares *= space.weights  # in place: the bits of values * values * weights, one temporary
+        return np.add.reduce(squares, axis=-1)
+    total = None
+    for j, weight in enumerate(space.weights):
+        column = values[..., j]
+        term = column * column * weight
+        total = term if total is None else total + term
+    return total
+
+
+def row_norms(space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+    """Norms of stacked coordinate rows; values has shape (..., dim). A single
+    row gives a NumPy scalar."""
+    return np.sqrt(squared_row_norms(space, values))

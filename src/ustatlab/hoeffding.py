@@ -250,7 +250,7 @@ class DecompositionCheck:
 
 
 def decomposition_check(
-    base: KernelSpec, dist: FiniteDistribution, sample: np.ndarray
+    base: KernelSpec, dist: FiniteDistribution, sample: np.ndarray, table: np.ndarray | None = None
 ) -> DecompositionCheck:
     """Verify U_{m,n}(h) = sum_k binom(m,k) [binom(n,m)/binom(n,k)] U_{k,n}(h_k).
 
@@ -260,13 +260,15 @@ def decomposition_check(
     dist (projections are exact only there); it is mapped to atom indices
     once, and a point off the support raises ValueError. The tables are then
     read at those indices, the same entries `as_kernel` finds by value.
+    They are built from the kernel's atom table (`kernels._atom_table`),
+    passed as `table` if the caller has built it.
     """
     atoms = dist.index_of(sample)
     lhs = complete(base, sample).coords
     n, m, space = len(sample), base.arity, base.codomain
     rhs = np.zeros(space.dim)
     per_order = []
-    for k, proj in enumerate(_projections(base, dist, m)):
+    for k, proj in enumerate(_projections(base, dist, m, table)):
         u_k = proj.eval() if k == 0 else complete(_atom_kernel(proj), atoms).coords
         scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
         per_order.append(float(row_norms(space, scaled)))

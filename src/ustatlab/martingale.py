@@ -24,14 +24,17 @@ Tail integrals over empirical step functions are computed exactly,
 piecewise, rather than by sampled quadrature: all pieces and their Wilson
 bands in one array pass, summed left to right. A3's integral depends on y
 only, so a grid computes it once per distinct y. The checks read an
-ensemble through its per-path summaries. `simulate_summaries` draws paths
-into preallocated (batch, steps, dim) blocks and summarizes each block with
-no per-path object: signs in one vectorized Philox pass (`draw_iid_batch`),
-normals from one re-keyed Philox (`substreams`) straight into block rows.
+ensemble through its per-path summaries; a grid sorts each summary whose
+tail it counts once and finds every cell's count in it by binary search.
+`simulate_summaries` draws paths into preallocated (batch, steps, dim)
+blocks and summarizes each block with no per-path object: signs in one
+vectorized Philox pass (`draw_iid_batch`), normals from one re-keyed Philox
+(`substreams`) straight into block rows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -39,7 +42,7 @@ import numpy as np
 
 from .confidence import mean_interval, wilson_bounds
 from .distributions import SamplerSpec, draw_iid_batch, mix_ids_batch, substreams
-from .hilbert import HilbertSpace, row_norms
+from .hilbert import HilbertSpace, row_norms, squared_row_norms
 
 __all__ = [
     "MartingalePath",
@@ -205,9 +208,11 @@ def summarize(paths: Ensemble) -> PathSummaries:
 
 
 def _block_summaries(space: HilbertSpace, increments: np.ndarray, moments: np.ndarray):
-    """The PathSummaries columns of a (B, steps, dim) block of paths."""
+    """The PathSummaries columns of a (B, steps, dim) block of paths. The
+    largest partial norm is the root of the largest squared one: sqrt is
+    monotone and correctly rounded, so that is exact."""
     quad = (row_norms(space, increments) ** 2).sum(axis=1)
-    max_norm = row_norms(space, np.cumsum(increments, axis=1)).max(axis=1)
+    max_norm = np.sqrt(squared_row_norms(space, np.cumsum(increments, axis=1)).max(axis=1))
     return max_norm, quad + moments.sum(axis=1), np.sqrt(quad)
 
 
@@ -247,9 +252,14 @@ class InequalityCheckReport:
     violations: int
 
 
-def _entry(x, y, lhs_triple, rhs_triple) -> InequalityEntry:
-    violated = bool(lhs_triple[1] > rhs_triple[2])
-    return InequalityEntry(float(x), float(y), *lhs_triple, *rhs_triple, violated)
+def _entries(
+    x: np.ndarray, y: np.ndarray, lhs: np.ndarray, rhs: np.ndarray
+) -> list[InequalityEntry]:
+    """One entry per cell from the cells' (3, cells) left and right triples;
+    a cell is violated when its left lower bound exceeds its right upper one."""
+    violated = (lhs[1] > rhs[2]).tolist()
+    rows = np.vstack([x, y, lhs, rhs]).T.tolist()
+    return [InequalityEntry(*row, v) for row, v in zip(rows, violated)]
 
 
 def _report(variant: str, s: PathSummaries, entries: list) -> InequalityCheckReport:
@@ -261,27 +271,35 @@ def _report(variant: str, s: PathSummaries, entries: list) -> InequalityCheckRep
     )
 
 
-def _tail_triple(values: np.ndarray, threshold: float) -> tuple[float, float, float]:
-    count = np.count_nonzero(values > threshold)
-    lo, hi = wilson_bounds(count, values.size)
-    return count / values.size, float(lo), float(hi)
+def _tail_triples(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """Rows (P(value > t), Wilson lower, Wilson upper) over the thresholds,
+    shape (3, T), from one sort of the values. R - searchsorted(..., "right")
+    counts the values above t, as count_nonzero(values > t) does on finite
+    values."""
+    R = values.size
+    counts = R - np.searchsorted(np.sort(values), thresholds, side="right")
+    lo, hi = wilson_bounds(counts, R)
+    return np.stack([counts / R, lo, hi])
 
 
 def _step_tail_integral(
     samples: np.ndarray, scale: float, u_max: float
 ) -> tuple[float, float, float]:
-    """Exact (integral, lower, upper) of int_1^{u_max} u * P(sample > scale*u) du.
+    """Exact (integral, lower, upper) of int_1^{u_max} u * P(sample > scale*u) du,
+    for scale > 0.
 
     The empirical tail is a step function of u with breakpoints at
-    sample/scale; each constant piece integrates to p * (b^2 - a^2)/2.
-    Lower/upper use Wilson bands of the per-piece counts. The pieces are
-    added left to right (a cumulative sum, not numpy's pairwise sum), so the
-    totals do not depend on how the pieces are batched.
+    sample/scale; each constant piece integrates to p * (b^2 - a^2)/2. The
+    sorted ratios inside (1, u_max) are the interior edges, and the pieces
+    between equal edges (ties) are dropped. Lower/upper use Wilson bands of
+    the per-piece counts. The pieces are added left to right (a cumulative
+    sum, not numpy's pairwise sum), so the totals do not depend on how the
+    pieces are batched.
     """
     samples = np.sort(np.asarray(samples, dtype=np.float64))
     R = samples.size
-    points = np.unique(np.clip(samples / scale, 1.0, u_max))
-    edges = np.concatenate([[1.0], points[(points > 1.0) & (points < u_max)], [u_max]])
+    ratios = samples / scale
+    edges = np.concatenate([[1.0], ratios[(ratios > 1.0) & (ratios < u_max)], [u_max]])
     keep = edges[1:] > edges[:-1]
     a, b = edges[:-1][keep], edges[1:][keep]
     counts = R - np.searchsorted(samples, scale * a, side="right")
@@ -345,14 +363,23 @@ def check_conv_tail_lemma(
     The right side integral has the closed form E[max(0, 4Y/t - 1)], so it
     is estimated as a plain mean with a normal-approximation band.
     """
-    if t <= 0:
+    x_samples, y_samples = (np.asarray(v, dtype=np.float64) for v in (x_samples, y_samples))
+    return _conv_entries(x_samples, y_samples, [t])[0]
+
+
+def _conv_entries(
+    x_samples: np.ndarray, y_samples: np.ndarray, t_grid: Sequence[float]
+) -> list[InequalityEntry]:
+    """`check_conv_tail_lemma` at every t, the left tails from one sort."""
+    ts = np.array([float(t) for t in t_grid])
+    if np.any(ts <= 0):
         raise ValueError("t must be positive")
-    x_samples = np.asarray(x_samples, dtype=np.float64)
-    y_samples = np.asarray(y_samples, dtype=np.float64)
-    lhs = _tail_triple(x_samples, t)
-    vals = np.maximum(0.0, 4.0 * y_samples / t - 1.0)
-    mean, lo, hi = mean_interval(vals)
-    return _entry(t, float("nan"), lhs, (mean, max(0.0, lo), hi))
+    rhs = []
+    for t in ts.tolist():
+        mean, lo, hi = mean_interval(np.maximum(0.0, 4.0 * y_samples / t - 1.0))
+        rhs.append((mean, max(0.0, lo), hi))
+    rhs = np.array(rhs).reshape(-1, 3).T
+    return _entries(ts, np.full(ts.size, math.nan), _tail_triples(x_samples, ts), rhs)
 
 
 def verify_pairs(
@@ -361,22 +388,22 @@ def verify_pairs(
     """Evaluate one inequality variant at explicit (x, y) pairs.
 
     The ensemble is summarized once (or taken as given) and shared across
-    all pairs; A3's tail integral is computed once per distinct y.
+    all pairs. Each statistic a variant reads is sorted once, every cell's
+    tail count is a `searchsorted` in it, and all cells' Wilson bands come
+    from one `wilson_bounds` call. A3's tail integral is computed once per
+    distinct y, from one sort of sqrt_quad each.
     """
     s = _checked(paths, variant)
     c_exp, c_tail, divisor = _BOUNDS[variant]
-    pairs = [(float(x), float(y)) for x, y in pairs]
+    x, y = np.array([(float(a), float(b)) for a, b in pairs]).reshape(-1, 2).T
     if variant == "A3":
-        integrals = {y: _a3_integral(s, y) for y in dict.fromkeys(y for _, y in pairs)}
-        tails = [integrals[y] for _, y in pairs]
+        ys = y.tolist()
+        integrals = {v: _a3_integral(s, v) for v in dict.fromkeys(ys)}
+        tail = np.array([integrals[v] for v in ys]).reshape(-1, 3).T
     else:
-        tails = [_tail_triple(s.quad_plus_cond, y * y / divisor) for _, y in pairs]
-    entries = []
-    for (x, y), tail in zip(pairs, tails):
-        exp_term = c_exp * np.exp(-(x * x) / (y * y))
-        rhs = tuple(exp_term + c_tail * v for v in tail)
-        entries.append(_entry(x, y, _tail_triple(s.max_partial_norm, x), rhs))
-    return _report(variant, s, entries)
+        tail = _tail_triples(s.quad_plus_cond, y * y / divisor)
+    rhs = c_exp * np.exp(-(x * x) / (y * y)) + c_tail * tail
+    return _report(variant, s, _entries(x, y, _tail_triples(s.max_partial_norm, x), rhs))
 
 
 def verify_grid(
@@ -389,7 +416,4 @@ def verify_grid(
 def verify_conv_grid(paths: Ensemble, t_grid: Sequence[float]) -> InequalityCheckReport:
     """Convex-order tail lemma on its canonical pair over a t grid."""
     s = summarize(paths)
-    x_samples, y_samples = conv_pair_from_paths(s)
-    return _report(
-        "conv", s, [check_conv_tail_lemma(x_samples, y_samples, float(t)) for t in t_grid]
-    )
+    return _report("conv", s, _conv_entries(*conv_pair_from_paths(s), t_grid))

@@ -197,18 +197,24 @@ def _count_table(
         return None
     if table is None:
         table = _atom_table(kernel, support)
-    if not _exact_integer_sums(table, pairs):
+    if not _exact_sums(_integer_max(table), pairs):
         return None
     return table.reshape(size, size, -1)
 
 
-def _exact_integer_sums(values: np.ndarray, weight_total) -> bool:
-    """Whether values are integers with weight_total * max|value| < 2**53, so
-    that every sum of them with integer weights of total magnitude at most
-    weight_total is exact, in any order."""
+def _integer_max(values: np.ndarray) -> float:
+    """max|value| when every value is an integer, else inf."""
     if not np.all(values == np.round(values)):
-        return False
-    return bool(weight_total * np.abs(values).max(initial=0.0) < 2.0**53)
+        return math.inf
+    return float(np.abs(values).max(initial=0.0))
+
+
+def _exact_sums(values_bound: float, weight_total) -> bool:
+    """Whether every sum of integer values of magnitude at most values_bound
+    (inf when they are not all integers), with integer weights of total
+    magnitude at most weight_total, is exact in any order:
+    weight_total * values_bound < 2**53."""
+    return bool(values_bound < math.inf and weight_total * values_bound < 2.0**53)
 
 
 def _batches(count: int, values: int):
@@ -566,7 +572,7 @@ def _columns(m: int, n: int) -> tuple[np.ndarray, ...]:
     return cols
 
 
-def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _selection_sums(vals: np.ndarray, weights: np.ndarray, values_bound: float) -> np.ndarray:
     """Each replica's sum of weights[b, t] * vals[b, t] over its tuples with
     nonzero weight, shape (B, dim); a replica with none sums to zero.
 
@@ -576,9 +582,9 @@ def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     selection's `vals[ranks] * counts` was reduced: the reduction is
     pairwise at dim 1, so zero padding would in general change the bits.
     Where `_dense_sums_exact` holds, every order gives those bytes, and the
-    sums are one dense product.
+    sums are one dense product. values_bound is `_dense_values_bound(vals)`.
     """
-    if _dense_sums_exact(vals, weights):
+    if _dense_sums_exact(weights, values_bound):
         dense = weights.astype(np.float64)
         dense = dense @ vals if vals.ndim == 2 else np.einsum("bt,btd->bd", dense, vals)
         # zero-weight terms 0 * v are -0 for v < 0; a sum of them alone would be
@@ -596,14 +602,24 @@ def _selection_sums(vals: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dense_sums_exact(vals: np.ndarray, weights: np.ndarray) -> bool:
+def _dense_values_bound(vals: np.ndarray) -> float:
+    """The values half of `_dense_sums_exact`: max|vals| for integer values
+    with no -0, else inf."""
+    if np.any(np.signbit(vals) & (vals == 0)):
+        return math.inf
+    return _integer_max(vals)
+
+
+def _dense_sums_exact(weights: np.ndarray, values_bound: float) -> bool:
     """Whether a dense weights-by-vals product gives `_selection_sums`' bytes:
     integer values with no -0 and nonnegative weights whose largest row sum
     times max|vals| is below 2**53, so that every partial sum is exact and
-    no nonzero-weight term is -0."""
-    if weights.min(initial=0) < 0 or np.any(np.signbit(vals) & (vals == 0)):
+    no nonzero-weight term is -0. values_bound is `_dense_values_bound(vals)`,
+    which a caller that sums several weight batches over the same values
+    computes once."""
+    if weights.min(initial=0) < 0:
         return False
-    return _exact_integer_sums(vals, weights.sum(axis=1).max(initial=0))
+    return _exact_sums(values_bound, weights.sum(axis=1).max(initial=0))
 
 
 def _normalized_norms(
@@ -633,7 +649,8 @@ def _normalized_norms(
         vals = _stacked_values(kernel, (samples,) * m, cols)
         ids = mix_ids_batch(_ROLE_DESIGN, cell_id, r)
         selected = design_counts_batch(design, m, n, master_seed, ids) > 0
-        norms[r] = row_norms(kernel.codomain, _selection_sums(vals, selected))
+        sums = _selection_sums(vals, selected, _dense_values_bound(vals))
+        norms[r] = row_norms(kernel.codomain, sums)
         distinct[r] = np.count_nonzero(selected, axis=1)
     return np.where(distinct > 0, norms / normalizer(distinct), math.nan)
 
@@ -651,9 +668,10 @@ def _design_estimates(
     values, one per design draw on fixed substream (cell_id, r), shape
     (draws, dim)."""
     out = np.empty((draws, fixed_vals.shape[1]))
+    bound = _dense_values_bound(fixed_vals)
     for r in _batches(draws, fixed_vals.shape[0]):
         counts = design_counts_batch(design, m, n, master_seed, mix_ids_batch(_ROLE_FIXED, cell_id, r))
-        out[r] = _selection_sums(fixed_vals, counts)
+        out[r] = _selection_sums(fixed_vals, counts, bound)
     return out
 
 

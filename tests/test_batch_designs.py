@@ -261,19 +261,20 @@ COMPRESSED = ["non-integer", "at-2**53", "negative-zero", "negative-weights"]
 @pytest.mark.parametrize("name", DENSE + COMPRESSED)
 def test_selection_sums_take_the_dense_route_only_where_exact(monkeypatch, name):
     vals, weights = _selection_case(name)
-    assert montecarlo._dense_sums_exact(vals, weights) == (name in DENSE)
-    got = montecarlo._selection_sums(vals, weights)
+    bound = montecarlo._dense_values_bound(vals)
+    assert montecarlo._dense_sums_exact(weights, bound) == (name in DENSE)
+    got = montecarlo._selection_sums(vals, weights, bound)
     assert got.tobytes() == _compressed_sums(vals, weights).tobytes()
     monkeypatch.setattr(montecarlo, "_dense_sums_exact", lambda *_: False)
-    assert got.tobytes() == montecarlo._selection_sums(vals, weights).tobytes()
+    assert got.tobytes() == montecarlo._selection_sums(vals, weights, bound).tobytes()
 
 
 def test_the_dense_route_bound_is_strict():
-    vals = np.full((4, 1), 2.0**48)
+    bound = montecarlo._dense_values_bound(np.full((4, 1), 2.0**48))
     weights = np.array([[8, 8, 8, 7], [1, 0, 0, 0]])
-    assert montecarlo._dense_sums_exact(vals, weights)  # largest sum 31 * 2**48
+    assert montecarlo._dense_sums_exact(weights, bound)  # largest sum 31 * 2**48
     weights[1, 0] = 32
-    assert not montecarlo._dense_sums_exact(vals, weights)  # 2**53
+    assert not montecarlo._dense_sums_exact(weights, bound)  # 2**53
 
 
 def _counting(monkeypatch, name):
@@ -324,3 +325,20 @@ def test_decouple_checks_come_before_any_replica(monkeypatch):
     with pytest.raises(ValueError, match="too large"):
         decouple_compare(config)
     assert batches == []
+
+
+def test_design_estimates_check_the_fixed_values_once_per_cell(monkeypatch):
+    calls = []
+    original = montecarlo._dense_values_bound
+
+    def counted(vals):
+        calls.append(vals.shape)
+        return original(vals)
+
+    monkeypatch.setattr(montecarlo, "_dense_values_bound", counted)
+    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", 190 * 7)  # several batches per cell
+    fixed = np.random.default_rng(3).integers(-3, 4, size=(190, 1)).astype(np.float64)
+    design = SamplingDesign("with-replacement", 100)
+    ests = montecarlo._design_estimates(fixed, design, 2, 20, 0, 50, 9)
+    assert ests.shape == (50, 1)
+    assert calls == [(190, 1)]

@@ -10,6 +10,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from ustatlab import cli
 from ustatlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -1117,3 +1118,16 @@ x_grid: {start: 0.2, stop: 6.0, points: 24, scale: log}
     def test_digests_are_pinned(self, tmp_path, case):
         text, *expected = self.CASES[case]
         assert _pinned_run(tmp_path, "decouple-compare", text) == tuple(expected)
+
+
+def test_each_value_is_formatted_once_for_both_tables(monkeypatch, tmp_path):
+    calls = []
+    original = cli._fmt
+    monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or original(v))
+    cfg = parse_config_text(ESTIMATE_CONFIG)
+    writer = cli._RunWriter(cfg, str(tmp_path))
+    rows = [(1, 0.5, True), (2, -0.25, False)]
+    writer.csv("table", ["a", "b", "c"], rows)
+    assert len(calls) == 6
+    assert (tmp_path / "table.csv").read_text() == "a,b,c\n1,0.5,1\n2,-0.25,0\n"
+    assert (tmp_path / "table.dat").read_text() == "# a b c\n1 0.5 1\n2 -0.25 0\n"

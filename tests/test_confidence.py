@@ -1,5 +1,7 @@
 """Interval helpers used by the Monte Carlo comparisons."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -118,3 +120,19 @@ class TestQuantileIntervalOracle:
         spread = rng.normal(size=n)
         for values in (ties, spread):
             assert quantile_interval(values, q) == quantile_interval_oracle(values, q)
+
+
+class TestOneBinomialCdf:
+    """Both order-statistic bounds read one cdf, built from one lgamma table."""
+
+    @pytest.mark.parametrize("n, q", [(2, 0.5), (400, 0.9), (1200, 0.05)])
+    def test_levels_together_equal_levels_alone(self, n, q):
+        both = _binom_ppf(list(_TAILS), n, q)
+        assert both.tolist() == [_binom_ppf(p, n, q) for p in _TAILS]
+
+    def test_one_lgamma_table_per_interval(self, monkeypatch):
+        calls = []
+        original = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda x: calls.append(x) or original(x))
+        quantile_interval(np.arange(1200.0), 0.9)
+        assert len(calls) == 1201

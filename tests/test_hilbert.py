@@ -104,3 +104,23 @@ def test_row_norms_matches_pointwise_norm():
     rows = rng.normal(size=(9, 4))
     expected = [norm(space.point(r)) for r in rows]
     np.testing.assert_allclose(row_norms(space, rows), expected, rtol=1e-15)
+
+
+class TestRowNorms:
+    """Small dims add coordinate columns in sequence; the bits are the reduce's."""
+
+    @pytest.mark.parametrize("dim", range(1, 13))
+    @pytest.mark.parametrize("lead", [(), (5,), (3, 4)])
+    def test_bits_equal_the_reduce(self, dim, lead):
+        rng = np.random.default_rng(100 * dim + len(lead))
+        space = HilbertSpace(dim, rng.uniform(0.1, 3.0, size=dim))
+        values = rng.normal(size=lead + (dim,)) * 10.0 ** rng.uniform(-3, 3, size=lead + (dim,))
+        got = row_norms(space, values)
+        want = np.sqrt(np.add.reduce(values * values * space.weights, axis=-1))
+        assert np.shape(got) == lead
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 7, 8, 12])
+    def test_a_single_row_gives_a_numpy_scalar(self, dim):
+        got = row_norms(HilbertSpace.grid(dim), np.arange(1.0, dim + 1.0))
+        assert isinstance(got, np.float64) and not isinstance(got, np.ndarray)

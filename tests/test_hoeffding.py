@@ -15,7 +15,9 @@ from ustatlab.distributions import (
     exact_expectation,
 )
 from ustatlab.hilbert import HilbertSpace, row_norms
+from ustatlab import cli, kernels, ustats
 from ustatlab.hoeffding import (
+    DecompositionCheck,
     decomposition_check,
     degeneracy_order,
     project,
@@ -314,3 +316,71 @@ class TestProjectionTables:
             degeneracy_order(gini(), law)
         with pytest.raises(EnumerationBudgetError):
             centered(gini(), law)
+
+
+def _check_by_complete(kernel, law, sample):
+    """decomposition_check as `ustats.complete` gives it: of the kernel on the
+    sample, and of each `as_kernel` projection."""
+    m, n, space = kernel.arity, len(sample), kernel.codomain
+    lhs = complete(kernel, sample).coords
+    rhs = np.zeros(space.dim)
+    per_order = []
+    for k in range(m + 1):
+        proj = project(kernel, law, k)
+        u_k = proj.eval() if k == 0 else complete(proj.as_kernel(), sample).coords
+        scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
+        per_order.append(float(row_norms(space, scaled)))
+        rhs += scaled
+    return DecompositionCheck(
+        float(row_norms(space, lhs - rhs)), float(row_norms(space, lhs)), tuple(per_order)
+    )
+
+
+class TestDecompositionTable:
+    """decomposition_check with and without a prebuilt atom table, against
+    `ustats.complete` on sample values, bit for bit, below and above the
+    materialization cap."""
+
+    @pytest.mark.filterwarnings("ignore:kernel 'product' declares degeneracy 2")
+    @pytest.mark.parametrize("cap", [ustats._MATERIALIZE_CAP, 5])
+    @pytest.mark.parametrize("case", list(TABLE_CASES))
+    def test_equals_the_complete_route(self, monkeypatch, case, cap):
+        kernel, law = TABLE_CASES[case]
+        sample = draw_iid(SamplerSpec(kind="finite", dist=law, seed_stream=21), 30, 0)
+        want = _check_by_complete(kernel, law, sample)
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", cap)
+        assert decomposition_check(kernel, law, sample) == want
+        table = kernels._atom_table(kernel, law)
+        assert decomposition_check(kernel, law, sample, table=table) == want
+
+    def test_a_sample_below_the_arity_is_refused(self):
+        law = FiniteDistribution.uniform_grid(5)
+        with pytest.raises(ValueError, match="cannot feed an arity-2 kernel"):
+            decomposition_check(gini(), law, law.atoms[:1])
+
+    def test_decompose_refuses_a_draw_below_the_arity(self, tmp_path, capsys):
+        path = tmp_path / "decompose.yaml"
+        path.write_text(
+            "version: 1\nexperiment: decompose\nkernel:\n  name: gini\n"
+            "sampler:\n  kind: uniform-grid\n  grid_points: 9\ndata:\n  draw: 1\n"
+        )
+        code = cli.main(["decompose", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == cli.EXIT_USAGE
+        assert "cannot feed an arity-2 kernel" in capsys.readouterr().err
+
+    def test_decompose_builds_the_atom_table_once(self, monkeypatch, tmp_path):
+        calls = []
+        original = kernels._atom_table
+
+        def counted(kernel, dist):
+            calls.append(kernel.name)
+            return original(kernel, dist)
+
+        for module in (kernels, cli):
+            monkeypatch.setattr(module, "_atom_table", counted)
+        cfg = cli.parse_config_text(
+            "version: 1\nexperiment: decompose\nkernel:\n  name: gini\n"
+            "sampler:\n  kind: uniform-grid\n  grid_points: 9\ndata:\n  draw: 40\n"
+        )
+        assert cli.run("decompose", cfg, out_dir=str(tmp_path)) == cli.EXIT_OK
+        assert calls == ["gini"]

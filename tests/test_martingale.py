@@ -7,12 +7,13 @@ import pytest
 
 from helpers import step_tail_integral_oracle, summarize_oracle
 from ustatlab import cli, martingale
-from ustatlab.confidence import _Z95
+from ustatlab.confidence import _Z95, mean_interval, wilson_bounds
 from ustatlab.distributions import mix_ids, substream
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
     MartingalePath,
     _step_tail_integral,
+    _tail_triples,
     check_conv_tail_lemma,
     check_hilbert_inequality,
     check_real_inequality,
@@ -408,3 +409,116 @@ class TestEnsembleBlocks:
         assert cli.main(argv) == 1
         assert "dim-1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _tail_triple_per_cell(values, threshold):
+    """One cell's tail probability and Wilson band, counted by comparison."""
+    count = np.count_nonzero(values > threshold)
+    lo, hi = wilson_bounds(count, values.size)
+    return count / values.size, float(lo), float(hi)
+
+
+def _step_tail_integral_unique(samples, scale, u_max):
+    """`_step_tail_integral` with its breakpoints from np.unique of the clipped ratios."""
+    samples = np.sort(np.asarray(samples, dtype=np.float64))
+    R = samples.size
+    points = np.unique(np.clip(samples / scale, 1.0, u_max))
+    edges = np.concatenate([[1.0], points[(points > 1.0) & (points < u_max)], [u_max]])
+    keep = edges[1:] > edges[:-1]
+    a, b = edges[:-1][keep], edges[1:][keep]
+    counts = R - np.searchsorted(samples, scale * a, side="right")
+    piece = (b * b - a * a) / 2.0
+    w_lo, w_hi = wilson_bounds(counts, R)
+    terms = np.hstack([np.zeros((3, 1)), np.stack([counts / R, w_lo, w_hi]) * piece])
+    return tuple(np.cumsum(terms, axis=1)[:, -1])
+
+
+def _verify_pairs_per_cell(s, pairs, variant):
+    """verify_pairs cell by cell: a comparison count and a Wilson call per
+    tail, A3's integral by the np.unique route."""
+    c_exp, c_tail, divisor = martingale._BOUNDS[variant]
+    rows = []
+    for x, y in pairs:
+        if variant == "A3":
+            scale = y / 8.0
+            u_max = max(2.0, 2.0 * float(s.sqrt_quad.max()) / scale)
+            tail = _step_tail_integral_unique(s.sqrt_quad, scale, u_max)
+        else:
+            tail = _tail_triple_per_cell(s.quad_plus_cond, y * y / divisor)
+        exp_term = c_exp * np.exp(-(x * x) / (y * y))
+        lhs = _tail_triple_per_cell(s.max_partial_norm, x)
+        rhs = tuple(exp_term + c_tail * v for v in tail)
+        rows.append((x, y, *lhs, *rhs, bool(lhs[1] > rhs[2])))
+    return np.array(rows, dtype=np.float64)
+
+
+class TestTailCounts:
+    """Counts from one sort per statistic against per-cell comparisons, bit for bit."""
+
+    @staticmethod
+    def _values(seed):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 30, size=997) / 4.0  # many duplicates
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_triples_equal_the_per_cell_counts(self, seed):
+        values = self._values(seed)
+        rng = np.random.default_rng(seed + 10)
+        thresholds = np.concatenate([
+            rng.choice(values, 40),  # equal to sample values, duplicated ones among them
+            [values.min() - 1.0, values.min(), values.max(), values.max() + 1.0, -np.inf, np.inf],
+            rng.uniform(-1.0, 9.0, 40),
+        ])
+        got = _tail_triples(values, thresholds)
+        want = np.array([_tail_triple_per_cell(values, t) for t in thresholds]).T
+        assert got.shape == (3, thresholds.size)
+        assert got.tobytes() == want.tobytes()
+        # below the minimum every value counts, above the maximum none:
+        # Wilson's boundary branches
+        assert got[0, 40] == 1.0 and got[2, 40] == 1.0
+        assert got[0, 43] == 0.0 and got[1, 43] == 0.0
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_step_integral_equals_the_unique_route(self, seed):
+        rng = np.random.default_rng(seed)
+        scale = 0.75
+        # ties, and a share of samples at or below the scale (ratio <= 1)
+        samples = np.concatenate([
+            rng.integers(0, 40, size=600) / 8.0, np.full(50, scale), rng.uniform(0.0, scale, 80)
+        ])
+        rng.shuffle(samples)
+        for u_max in (1.0, 2.0, 3.5, max(2.0, 2.0 * float(samples.max()) / scale)):
+            got = _step_tail_integral(samples, scale, u_max)
+            want = _step_tail_integral_unique(samples, scale, u_max)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("variant", ["real", "A2", "A3"])
+    def test_verify_pairs_equals_the_per_cell_checks(self, variant):
+        space = line if variant == "real" else plane
+        kind = "bounded-signs" if variant == "real" else "gaussian-coords"
+        s = simulate_summaries(kind, 30, space, master_seed=77, count=1500)
+        grid = [(x, y) for x in np.linspace(1.0, 20.0, 7) for y in np.linspace(2.0, 30.0, 6)]
+        pairs = grid + [(0.0, 5.0), (100.0, 5.0), (3.0, 6.0), (3.0, 6.0)]
+        got = _rows(verify_pairs(s, pairs, variant))
+        assert got.tobytes() == _verify_pairs_per_cell(s, pairs, variant).tobytes()
+
+    def test_conv_grid_equals_the_per_cell_checks(self):
+        s = simulate_summaries("gaussian-coords", 30, plane, master_seed=78, count=1500)
+        x_samples, y_samples = conv_pair_from_paths(s)
+        ts = np.geomspace(5.0, 400.0, 9)
+        rows = []
+        for t in ts:
+            lhs = _tail_triple_per_cell(x_samples, t)
+            mean, lo, hi = mean_interval(np.maximum(0.0, 4.0 * y_samples / t - 1.0))
+            rows.append((t, np.nan, *lhs, mean, max(0.0, lo), hi, lhs[1] > hi))
+        got = _rows(verify_conv_grid(s, ts))
+        assert got.tobytes() == np.array(rows, dtype=np.float64).tobytes()
+
+    def test_summaries_do_not_depend_on_the_batch_size(self, monkeypatch):
+        runs = []
+        for batch_values in (1 << 10, martingale._BATCH_VALUES):
+            monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
+            s = simulate_summaries("f0-randomized-scale", 50, plane, master_seed=79, count=700)
+            runs.append((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad))
+        for got, want in zip(*runs):
+            assert got.tobytes() == want.tobytes()
