@@ -30,10 +30,9 @@ import yaml
 from . import __version__
 from .distributions import FiniteDistribution, SamplerSpec, draw_iid
 from .hilbert import HilbertSpace, row_norms
-from .hoeffding import decomposition_check, degeneracy_order
+from .hoeffding import _projections, decomposition_check, degeneracy_order
 from .kernels import (
     KernelSpec,
-    _atom_table,
     centered,
     empirical_indicator_from,
     gini,
@@ -590,10 +589,10 @@ def _run_decompose(cfg: ConfigFile, out_dir: str) -> int:
     support = sampler.finite_support()
     if support is None:
         raise ConfigError("decompose needs a sampler with finite support")
-    table = _atom_table(kernel, support)
-    report = degeneracy_order(kernel, support, table=table)
+    projections = _projections(kernel, support, kernel.arity)
+    report = degeneracy_order(kernel, support, projections=projections)
     sample = _load_sample(cfg, sampler, kernel)
-    check = decomposition_check(kernel, support, sample, table=table)
+    check = decomposition_check(kernel, support, sample, projections=projections)
     rel = check.deviation / max(check.lhs_norm, 1.0)
     violated = rel > cfg.identity_tolerance
     writer = _RunWriter(cfg, out_dir)

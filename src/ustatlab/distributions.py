@@ -226,9 +226,10 @@ def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Gener
     words = mix_ids_batch(np.fromiter((int(i) & 0xFFFFFFFFFFFFFFFF for i in ids), np.uint64))
     bit_gen = np.random.Philox(0)
     rng = np.random.Generator(bit_gen)
-    fresh = bit_gen.state  # counter 0, empty buffer, no cached 32-bit half
+    fresh = bit_gen.state  # empty buffer, no cached 32-bit half
+    # counter 0 and the key as plain ints, which the state setter reads faster than arrays
+    fresh.update(state={"counter": [0] * 4, "key": [int(master_seed) % 2**64, 0]}, buffer=[0] * 4)
     key = fresh["state"]["key"]
-    key[0] = int(master_seed) % 2**64
     for word in words.tolist():
         key[1] = word
         bit_gen.state = fresh
@@ -340,12 +341,11 @@ def _lemire_indices(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nda
     a power of two k; a flagged row must be drawn by numpy itself.
     """
     halves = np.ascontiguousarray(raw, dtype="<u8").view("<u4")[:, :n]
-    scaled = np.multiply(halves, k, dtype=np.uint64)
     reject_below = (2**32 - k) % k
-    if reject_below:
-        rejected = (scaled.astype(np.uint32) < reject_below).any(axis=1)
-    else:
-        rejected = np.zeros(scaled.shape[0], dtype=bool)
+    rejected = np.zeros(halves.shape[0], dtype=bool)
+    if reject_below:  # the wrapping uint32 product is (u * k) mod 2**32
+        rejected = np.multiply(halves, np.uint32(k)).min(axis=1, initial=reject_below) < reject_below
+    scaled = np.multiply(halves, k, dtype=np.uint64)
     np.right_shift(scaled, _SHIFT32, out=scaled)
     return scaled.view(np.int64), rejected
 

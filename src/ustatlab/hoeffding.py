@@ -202,18 +202,18 @@ def degeneracy_order(
     base: KernelSpec,
     dist: FiniteDistribution,
     tol: float = DEGENERACY_TOL,
-    table: np.ndarray | None = None,
+    projections: list | None = None,
 ) -> DegeneracyReport:
     """Smallest k >= 1 whose projection survives on the support.
 
     Returns order m (the arity) when every lower projection vanishes. The
     mean ||h_0|| is reported separately: the tail-scan normalization
-    additionally requires a centered kernel. `table` is the kernel's atom
-    table on the support (`kernels._atom_table`), if the caller has built it.
+    additionally requires a centered kernel. `projections` are
+    `_projections(base, dist, base.arity)`, if the caller has built them.
     """
     m = base.arity
     space = base.codomain
-    h0, *tables = (proj.table for proj in _projections(base, dist, m, table))
+    h0, *tables = (proj.table for proj in projections or _projections(base, dist, m))
     residuals = [
         float(row_norms(space, table[_nondecreasing(dist.size, k)]).max())
         for k, table in enumerate(tables, start=1)
@@ -250,7 +250,7 @@ class DecompositionCheck:
 
 
 def decomposition_check(
-    base: KernelSpec, dist: FiniteDistribution, sample: np.ndarray, table: np.ndarray | None = None
+    base: KernelSpec, dist: FiniteDistribution, sample: np.ndarray, projections: list | None = None
 ) -> DecompositionCheck:
     """Verify U_{m,n}(h) = sum_k binom(m,k) [binom(n,m)/binom(n,k)] U_{k,n}(h_k).
 
@@ -260,15 +260,15 @@ def decomposition_check(
     dist (projections are exact only there); it is mapped to atom indices
     once, and a point off the support raises ValueError. The tables are then
     read at those indices, the same entries `as_kernel` finds by value.
-    They are built from the kernel's atom table (`kernels._atom_table`),
-    passed as `table` if the caller has built it.
+    `projections` are `_projections(base, dist, base.arity)`, if the caller
+    has built them.
     """
     atoms = dist.index_of(sample)
     lhs = complete(base, sample).coords
     n, m, space = len(sample), base.arity, base.codomain
     rhs = np.zeros(space.dim)
     per_order = []
-    for k, proj in enumerate(_projections(base, dist, m, table)):
+    for k, proj in enumerate(projections or _projections(base, dist, m)):
         u_k = proj.eval() if k == 0 else complete(_atom_kernel(proj), atoms).coords
         scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
         per_order.append(float(row_norms(space, scaled)))

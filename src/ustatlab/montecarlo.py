@@ -9,7 +9,8 @@ samples with one `draw_iid_batch` per data role and evaluates all its
 tuples with one gathered kernel call. Incomplete designs are drawn per
 replica on its own re-keyed Philox substream (its words fix the bytes)
 into a dense (replicas, C(n, m)) count matrix; with-replacement designs
-map those words in one pass per batch (`ustats.design_counts_batch`).
+map those words in one pass per batch (`ustats.design_counts_batch`), and
+a 0/1 selection stops once every tuple is drawn (`design_selected_batch`).
 Each replica's selected rows sum as if reduced in ascending rank order,
 exactly as one selection's were; where every partial sum is an exact
 integer (`_dense_sums_exact`) that is one dense product, since every order
@@ -50,7 +51,7 @@ from .distributions import (
     mix_ids_batch,
 )
 from .hilbert import HilbertSpace, row_norms
-from .hoeffding import degeneracy_order
+from .hoeffding import _projections, degeneracy_order
 from .kernels import KernelSpec, _atom_table, _tail_means, _tuple_probs, check_sup_bound
 from .ustats import (
     SamplingDesign,
@@ -60,6 +61,7 @@ from .ustats import (
     check_design,
     design_counts_batch,
     design_mean_factor,
+    design_selected_batch,
     inc_count,
     running_max_norms,
 )
@@ -302,7 +304,8 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
     table = None
     if support is not None:
         table = _atom_table(kernel, support)  # read by the degeneracy check and the count route
-        report = degeneracy_order(kernel, support, table=table)
+        projections = _projections(kernel, support, kernel.arity, table)
+        report = degeneracy_order(kernel, support, projections=projections)
         if report.mean_norm > report.tol:
             raise ValueError(
                 "kernel is not centered under the sampling law; "
@@ -637,21 +640,23 @@ def _normalized_norms(
     empty selection.
 
     Replica r reads its sample from data substream (cell_id, r) and its
-    design from design substream (cell_id, r); a batch of replicas is drawn
-    with one `draw_iid_batch` and evaluated with one gathered kernel call.
+    design from design substream (cell_id, r). Samples are drawn and
+    evaluated in the batches `replicate` uses.
     """
     m = kernel.arity
     cols = _columns(m, n)
     norms = np.empty(replicas)
     distinct = np.empty(replicas, dtype=np.int64)
-    for r in _batches(replicas, cols[0].size):
-        samples = draw_iid_batch(sampler, n, mix_ids_batch(_ROLE_DATA, cell_id, r))
-        vals = _stacked_values(kernel, (samples,) * m, cols)
-        ids = mix_ids_batch(_ROLE_DESIGN, cell_id, r)
-        selected = design_counts_batch(design, m, n, master_seed, ids) > 0
-        sums = _selection_sums(vals, selected, _dense_values_bound(vals))
-        norms[r] = row_norms(kernel.codomain, sums)
-        distinct[r] = np.count_nonzero(selected, axis=1)
+    for drawn in _batches(replicas, n):
+        samples = draw_iid_batch(sampler, n, mix_ids_batch(_ROLE_DATA, cell_id, drawn))
+        for b in _batches(drawn.size, cols[0].size):
+            r = drawn[b]
+            vals = _stacked_values(kernel, (samples[b],) * m, cols)
+            ids = mix_ids_batch(_ROLE_DESIGN, cell_id, r)
+            selected = design_selected_batch(design, m, n, master_seed, ids)
+            sums = _selection_sums(vals, selected, _dense_values_bound(vals))
+            norms[r] = row_norms(kernel.codomain, sums)
+            distinct[r] = np.count_nonzero(selected, axis=1)
     return np.where(distinct > 0, norms / normalizer(distinct), math.nan)
 
 

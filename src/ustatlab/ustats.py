@@ -54,6 +54,7 @@ __all__ = [
     "draw_design",
     "design_counts",
     "design_counts_batch",
+    "design_selected_batch",
     "design_mean_factor",
     "incomplete",
     "IncompleteResult",
@@ -62,6 +63,7 @@ __all__ = [
 ENUMERATION_CAP = 10**8  # below 2**32, so a design draws ranks by numpy's 32-bit Lemire
 _MATERIALIZE_CAP = 2**21  # tuples whose index columns are kept in memory
 _CHUNK = 2**16  # tuples, or design draws, per piece: temporaries stay near 1 MB
+_COVER_MARGIN = 5  # a selection prefix leaves some tuple undrawn in at most e**-5 of streams
 
 _column_cache: dict = {}
 _grouped_cache: dict = {}
@@ -652,21 +654,44 @@ def design_counts_batch(
     have rejected a word is redrawn with `design_counts`.
     Bernoulli and without-replacement designs are drawn stream by stream.
     """
+    return _design_batch(design, m, n, master_seed, ids, selected=False)
+
+
+def design_selected_batch(
+    design: SamplingDesign, m: int, n: int, master_seed: int, ids
+) -> np.ndarray:
+    """`design_counts_batch(design, m, n, master_seed, ids) > 0`, bit for bit.
+
+    A with-replacement stream draws only its first P = min(size, ceil(T (ln T
+    + _COVER_MARGIN))) ranks, T = C(n, m): the rest cannot change a selection
+    of every tuple, and a stream whose P draws miss one (probability at most
+    T (1 - 1/T)**P <= e**-_COVER_MARGIN, union bound) is redrawn by `design_counts`.
+    """
+    return _design_batch(design, m, n, master_seed, ids, selected=True)
+
+
+def _design_batch(design: SamplingDesign, m: int, n: int, master_seed: int, ids, selected: bool):
+    """`design_counts_batch`, or with `selected` `design_selected_batch`."""
     total = check_design(design, m, n)
     ids = np.asarray(ids)
+    out = np.empty((ids.size, total), dtype=bool if selected else np.int64)
     streams = substreams(master_seed, ids)
     if design.kind != "with-replacement":
-        return np.stack([design_counts(design, m, n, rng) for rng in streams])
-    size, words = design.size, -(-design.size // 2)
-    out = np.empty((ids.size, total), dtype=np.int64)
-    step = max(1, _CHUNK // size)
+        for r, rng in enumerate(streams):
+            out[r] = design_counts(design, m, n, rng)
+        return out
+    size = design.size
+    draws = min(size, math.ceil(total * (math.log(total) + _COVER_MARGIN))) if selected else size
+    step = max(1, _CHUNK // draws)
     for start in range(0, ids.size, step):
         rows = min(step, ids.size - start)
-        raw = np.stack([next(streams).bit_generator.random_raw(words) for _ in range(rows)])
-        idx, rejected = _lemire_indices(raw, size, total)
+        raw = np.stack([next(streams).bit_generator.random_raw(-(-draws // 2)) for _ in range(rows)])
+        idx, redraw = _lemire_indices(raw, draws, total)
         idx += np.arange(0, rows * total, total)[:, None]
         out[start : start + rows] = np.bincount(idx.ravel(), minlength=rows * total).reshape(rows, total)
-        for r in start + np.flatnonzero(rejected):
+        if draws < size:
+            redraw |= ~out[start : start + rows].all(axis=1)
+        for r in start + np.flatnonzero(redraw):
             out[r] = design_counts(design, m, n, substream(master_seed, int(ids[r])))
     return out
 

@@ -37,6 +37,7 @@ from ustatlab.ustats import (
     SamplingDesign,
     design_counts,
     design_counts_batch,
+    design_selected_batch,
     draw_design,
     inc_count,
 )
@@ -204,12 +205,7 @@ def test_batched_replacement_counts_equal_design_counts(monkeypatch, size, m, n,
     np.testing.assert_array_equal(got, _stacked_design_counts(design, m, n, ids))
 
 
-def test_rejected_replacement_streams_fall_back_to_design_counts(monkeypatch):
-    # numpy rejects a uint32 for k = 39,650 tuples with probability
-    # (2**32 % k) / 2**32 = 9.2e-6, so about 1 in 6 streams of 20,001 draws
-    n, size, ids = 39_650, 20_001, mix_ids_batch(_ROLE, 6, np.arange(40))
-    design = SamplingDesign(kind="with-replacement", size=size)
-    want = _stacked_design_counts(design, 1, n, ids)
+def _counting_fallbacks(monkeypatch):
     calls = []
 
     def counting(*args):
@@ -217,8 +213,106 @@ def test_rejected_replacement_streams_fall_back_to_design_counts(monkeypatch):
         return design_counts(*args)
 
     monkeypatch.setattr(ustats, "design_counts", counting)
+    return calls
+
+
+def test_rejected_replacement_streams_fall_back_to_design_counts(monkeypatch):
+    # numpy rejects a uint32 for k = 39,650 tuples with probability
+    # (2**32 % k) / 2**32 = 9.2e-6, so about 1 in 6 streams of 20,001 draws
+    n, size, ids = 39_650, 20_001, mix_ids_batch(_ROLE, 6, np.arange(40))
+    design = SamplingDesign(kind="with-replacement", size=size)
+    want = _stacked_design_counts(design, 1, n, ids)
+    calls = _counting_fallbacks(monkeypatch)
     np.testing.assert_array_equal(design_counts_batch(design, 1, n, SEED, ids), want)
     assert 2 <= len(calls) <= 20
+
+
+@pytest.mark.parametrize(
+    "n, size",
+    [
+        (39_650, 20_001),  # the selection prefix is the whole design
+        # prefix 142,104 < 150,000 draws, rejected in it with probability
+        # (2**32 % k) / 2**32 = 1.7e-6 per uint32: about 1 in 4 streams
+        (10_000, 150_000),
+    ],
+)
+def test_rejected_selection_prefixes_fall_back_to_design_counts(monkeypatch, n, size):
+    ids = mix_ids_batch(_ROLE, 6, np.arange(40))
+    design = SamplingDesign(kind="with-replacement", size=size)
+    want = _stacked_design_counts(design, 1, n, ids) > 0
+    calls = _counting_fallbacks(monkeypatch)
+    np.testing.assert_array_equal(design_selected_batch(design, 1, n, SEED, ids), want)
+    assert 2 <= len(calls) <= 20
+
+
+SELECTION_CASES = {
+    # (design, m, n): C(n, m) = 10 gives a prefix of 74 draws, below 300
+    "prefix-below-size": (SamplingDesign(kind="with-replacement", size=300), 2, 5),
+    "prefix-at-size": (SamplingDesign(kind="with-replacement", size=40), 2, 8),
+    "workload-size": (SamplingDesign(kind="with-replacement", size=10_000), 2, 20),
+    "one-tuple": (SamplingDesign(kind="with-replacement", size=9), 2, 2),
+    "without-replacement": (DESIGNS["without-replacement"], 2, 8),
+    "bernoulli": (DESIGNS["bernoulli"], 2, 8),
+}
+
+
+@pytest.mark.parametrize("chunk", [50, ustats._CHUNK])
+@pytest.mark.parametrize(
+    "case, margin",
+    [(case, ustats._COVER_MARGIN) for case in SELECTION_CASES]
+    # margin 0 leaves a tuple undrawn in about 1 - 1/e of the prefixes (one
+    # tuple would get a prefix of ln 1 = 0 draws)
+    + [(case, 0) for case in SELECTION_CASES if case != "one-tuple"],
+)
+def test_selected_tuples_equal_the_nonzero_counts(monkeypatch, case, margin, chunk):
+    design, m, n = SELECTION_CASES[case]
+    monkeypatch.setattr(ustats, "_CHUNK", chunk)
+    monkeypatch.setattr(ustats, "_COVER_MARGIN", margin)
+    ids = mix_ids_batch(_ROLE, 8, np.arange(101))
+    want = _stacked_design_counts(design, m, n, ids) > 0
+    calls = _counting_fallbacks(monkeypatch)
+    got = design_selected_batch(design, m, n, SEED, ids)
+    assert got.dtype == bool and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    if case == "prefix-below-size":
+        assert len(calls) >= 50 if margin == 0 else len(calls) <= 5
+
+
+def _counting_words(monkeypatch):
+    """Word counts of every `random_raw` call on a `substreams` generator."""
+    words = []
+    original = ustats.substreams
+
+    class Counted:
+        def __init__(self, rng):
+            self.bit_generator = self
+            self._raw = rng.bit_generator.random_raw
+
+        def random_raw(self, size):
+            words.append(size)
+            return self._raw(size)
+
+    monkeypatch.setattr(ustats, "substreams", lambda *args: map(Counted, original(*args)))
+    return words
+
+
+def test_the_selection_draws_fewer_words(monkeypatch):
+    design, m, n = SELECTION_CASES["workload-size"]
+    ids = mix_ids_batch(_ROLE, 9, np.arange(30))
+    words = _counting_words(monkeypatch)
+    counts = design_counts_batch(design, m, n, SEED, ids)
+    assert words == [5_000] * 30
+    words.clear()
+    np.testing.assert_array_equal(design_selected_batch(design, m, n, SEED, ids), counts > 0)
+    assert words == [974] * 30  # ceil(190 * (ln 190 + 5)) = 1,947 draws
+
+
+@pytest.mark.parametrize("batch", [design_counts_batch, design_selected_batch])
+@pytest.mark.parametrize("design", list(DESIGNS))
+def test_no_ids_give_no_rows(batch, design):
+    got = batch(DESIGNS[design], 2, 8, SEED, [])
+    assert got.shape == (0, 28)
+    assert got.dtype == (bool if batch is design_selected_batch else np.int64)
 
 
 def _compressed_sums(vals, weights):
@@ -304,12 +398,13 @@ def _counting(monkeypatch, name):
 def test_scaling_checks_come_before_any_replica(monkeypatch, bad_cell, error):
     batches = _counting(monkeypatch, "draw_iid_batch")
     designs = _counting(monkeypatch, "design_counts_batch")
+    selections = _counting(monkeypatch, "design_selected_batch")
     good = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
     with pytest.raises(error):
         incomplete_scaling_experiment(
             product(), SamplerSpec(kind="rademacher"), [good, bad_cell], replicas=100, master_seed=1
         )
-    assert batches == [] and designs == []
+    assert batches == [] and designs == [] and selections == []
 
 
 def test_decouple_checks_come_before_any_replica(monkeypatch):

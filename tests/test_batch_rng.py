@@ -108,6 +108,13 @@ def test_drawn_atoms_index_the_support(name):
     np.testing.assert_array_equal(atoms[idx], _expected(spec, 40, STREAMS))
 
 
+@pytest.mark.parametrize("k", [2, 3])  # 3 runs the rejection scan over no halves
+def test_zero_draws_give_an_empty_row_per_stream(k):
+    spec = SamplerSpec(kind="uniform-grid", seed_stream=7, grid_points=k)
+    assert draw_atoms_batch(spec, 0, STREAMS[:5]).shape == (5, 0)
+    assert draw_iid_batch(spec, 0, STREAMS[:5]).shape == (5, 0)
+
+
 def test_a_law_without_atoms_has_no_atom_draws():
     with pytest.raises(ValueError, match="no finite support"):
         draw_atoms_batch(_samplers()["gaussian"], 4, STREAMS[:3])

@@ -110,6 +110,14 @@ class TestSubstreams:
         for e, g in zip(expected, got, strict=True):
             np.testing.assert_array_equal(g, e)
 
+    def test_rekeying_resets_the_whole_state(self):
+        ids = [mix_ids(5, r) for r in range(4)]
+        for i, rng in zip(ids, substreams(2**64 + 17, ids), strict=True):
+            np.testing.assert_equal(rng.bit_generator.state, substream(2**64 + 17, i).bit_generator.state)
+            rng.random(3, dtype=np.float32)  # three 32-bit halves: mid-block, one half cached
+            state = rng.bit_generator.state
+            assert (state["buffer_pos"], state["has_uint32"]) == (2, 1)
+
 
 class TestSubstreamIds:
     """The ids substreams accepts, each against `substream` on the same id."""

@@ -15,7 +15,7 @@ from ustatlab.distributions import (
     exact_expectation,
 )
 from ustatlab.hilbert import HilbertSpace, row_norms
-from ustatlab import cli, kernels, ustats
+from ustatlab import cli, hoeffding, kernels, ustats
 from ustatlab.hoeffding import (
     DecompositionCheck,
     decomposition_check,
@@ -337,7 +337,7 @@ def _check_by_complete(kernel, law, sample):
 
 
 class TestDecompositionTable:
-    """decomposition_check with and without a prebuilt atom table, against
+    """decomposition_check with and without prebuilt projections, against
     `ustats.complete` on sample values, bit for bit, below and above the
     materialization cap."""
 
@@ -351,7 +351,8 @@ class TestDecompositionTable:
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", cap)
         assert decomposition_check(kernel, law, sample) == want
         table = kernels._atom_table(kernel, law)
-        assert decomposition_check(kernel, law, sample, table=table) == want
+        projections = hoeffding._projections(kernel, law, kernel.arity, table)
+        assert decomposition_check(kernel, law, sample, projections=projections) == want
 
     def test_a_sample_below_the_arity_is_refused(self):
         law = FiniteDistribution.uniform_grid(5)
@@ -368,19 +369,25 @@ class TestDecompositionTable:
         assert code == cli.EXIT_USAGE
         assert "cannot feed an arity-2 kernel" in capsys.readouterr().err
 
-    def test_decompose_builds_the_atom_table_once(self, monkeypatch, tmp_path):
-        calls = []
-        original = kernels._atom_table
+    def test_decompose_builds_the_atom_table_and_projections_once(self, monkeypatch, tmp_path):
+        tables, projections = [], []
+        original_table, original_projections = kernels._atom_table, hoeffding._projections
 
-        def counted(kernel, dist):
-            calls.append(kernel.name)
-            return original(kernel, dist)
+        def counted_table(kernel, dist):
+            tables.append(kernel.name)
+            return original_table(kernel, dist)
 
-        for module in (kernels, cli):
-            monkeypatch.setattr(module, "_atom_table", counted)
+        def counted_projections(base, dist, top, table=None):
+            projections.append((base.name, top))
+            return original_projections(base, dist, top, table)
+
+        monkeypatch.setattr(kernels, "_atom_table", counted_table)
+        for module in (hoeffding, cli):
+            monkeypatch.setattr(module, "_projections", counted_projections)
         cfg = cli.parse_config_text(
             "version: 1\nexperiment: decompose\nkernel:\n  name: gini\n"
             "sampler:\n  kind: uniform-grid\n  grid_points: 9\ndata:\n  draw: 40\n"
         )
         assert cli.run("decompose", cfg, out_dir=str(tmp_path)) == cli.EXIT_OK
-        assert calls == ["gini"]
+        assert tables == ["gini"]
+        assert projections == [("gini", 2)]
