@@ -37,7 +37,7 @@ import numpy as np
 from .distributions import FiniteDistribution, SamplerSpec, draw_iid, mix_ids
 from .hilbert import row_norms
 from .kernels import KernelSpec, batch_values, partial_expectations
-from .ustats import complete
+from .ustats import WeightScheme, complete, weight_aggregate, weighted
 
 __all__ = [
     "ProjectedKernel",
@@ -47,6 +47,7 @@ __all__ = [
     "project_mc",
     "degeneracy_order",
     "decomposition_check",
+    "weighted_decomposition_check",
 ]
 
 DEGENERACY_TOL = 1e-9
@@ -279,6 +280,29 @@ def decomposition_check(
         lhs_norm=float(row_norms(space, lhs)),
         per_order_norms=tuple(per_order),
     )
+
+
+def weighted_decomposition_check(
+    kernel: KernelSpec, dist: FiniteDistribution, scheme: WeightScheme, sample: np.ndarray
+) -> float:
+    """Deviation of the weighted sum from its projection expansion.
+
+    Checks sum_i T_i h(xi_i) = (sum_j T_j) h_0
+        + sum_{k=1}^{m} sum_{i in Inc^k_n} a_i^{(n,k)} h_k(xi_i),
+    which collapses to the k >= d tail when the lower projections vanish.
+    As in `decomposition_check`, the projections are built once and read at
+    the sample's atom indices: term k is `ustats.weighted` of h_k under the
+    weights `ustats.weight_aggregate(scheme, m, n, k)`.
+    """
+    atoms = dist.index_of(sample)
+    lhs = weighted(kernel, scheme, sample).coords
+    n, m, space = len(sample), kernel.arity, kernel.codomain
+    h0, *projections = _projections(kernel, dist, m)
+    rhs = np.add.reduce(scheme.values, axis=0) * h0.table
+    for k, proj in enumerate(projections, start=1):
+        aggregate = WeightScheme(weight_aggregate(scheme, m, n, k))
+        rhs = rhs + weighted(_atom_kernel(proj), aggregate, atoms).coords
+    return float(row_norms(space, lhs - rhs))
 
 
 def _atom_kernel(proj: ProjectedKernel) -> KernelSpec:

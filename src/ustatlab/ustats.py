@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "WeightScheme",
     "weighted",
     "weight_aggregate",
-    "weighted_decomposition_check",
     "SamplingDesign",
     "Selection",
     "check_design",
@@ -88,16 +87,24 @@ def enumerate_inc(m: int, n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[
 
 def rank_combination(tpl: tuple[int, ...], n: int) -> int:
     """Position of a 1-based increasing tuple in lexicographic enumeration."""
-    m = len(tpl)
-    rank = 0
-    prev = 0  # 0-based floor for the next slot
-    for slot, v in enumerate(tpl):
-        c = v - 1
-        if not prev <= c < n:
-            raise ValueError(f"tuple {tpl} is not increasing within [1, {n}]")
-        for skipped in range(prev, c):
-            rank += math.comb(n - 1 - skipped, m - slot - 1)
-        prev = c + 1
+    cols = [int(v) - 1 for v in tpl]
+    if not all(lo <= c < n for lo, c in zip([0] + [c + 1 for c in cols], cols)):
+        raise ValueError(f"tuple {tpl} is not increasing within [1, {n}]")
+    return _lex_ranks(cols, n)
+
+
+def _lex_ranks(cols, n: int):
+    """Lexicographic ranks among the increasing k-tuples of range(n), k =
+    len(cols), of the 0-based increasing tuples with slot l in cols[l]: int64
+    arrays give one rank per row, plain ints one exact rank at any size.
+    By the combinatorial number system, C(n, k) - 1 - sum_l C(n - 1 - cols[l], k - l)."""
+    k = len(cols)
+    rank = math.comb(n, k) - 1
+    for slot, c in enumerate(cols):
+        term = 1
+        for j in range(k - slot):  # term becomes C(n - 1 - c, j + 1), an exact quotient
+            term = term * (n - 1 - c - j) // (j + 1)
+        rank = rank - term
     return rank
 
 
@@ -197,19 +204,28 @@ def _sample_rows(sample) -> np.ndarray:
     return rows
 
 
-def _sum_tuples(kernel: KernelSpec, rows: tuple[np.ndarray, ...], n: int) -> np.ndarray:
+def _sum_tuples(
+    kernel: KernelSpec, rows: tuple[np.ndarray, ...], n: int, weights: np.ndarray | None = None
+) -> np.ndarray:
     """Sum kernel values over all increasing tuples, slot l fed from rows[l].
 
     Each piece of `_index_chunks` is reduced with one `np.add.reduce`, and
-    the piece sums are folded in enumeration order.
+    the piece sums are folded in enumeration order. With `weights`, rows of
+    shape (C(n, m), 1 or dim), each tuple's value is first multiplied by the
+    row of its rank.
     """
     m = kernel.arity
     total = inc_count(m, n)
     if total > ENUMERATION_CAP:
         raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
     acc = None
+    start = 0
     for cols in _index_chunks(m, n):
-        part = np.add.reduce(batch_values(kernel, tuple(rows[j][cols[j]] for j in range(m))), axis=0)
+        vals = batch_values(kernel, tuple(rows[j][cols[j]] for j in range(m)))
+        if weights is not None:
+            vals = vals * weights[start : start + len(vals)]
+            start += len(vals)
+        part = np.add.reduce(vals, axis=0)
         acc = part if acc is None else acc + part
     return acc
 
@@ -390,120 +406,78 @@ def running_max_embedding_check(kernel: KernelSpec, sample) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightScheme:
-    """Per-tuple multipliers: plain scalars or diagonal coordinate scalings.
+    """Per-tuple multipliers, kept as a read-only float64 copy of `values`,
+    row r weighing the r-th tuple of `enumerate_inc(m, n)`: shape (C(n, m),)
+    holds scalars (kind "scalar"), (C(n, m), dim) diagonal scalings of the
+    codomain (kind "diagonal")."""
 
-    values maps 1-based increasing tuples to a float (kind "scalar") or a
-    coordinate vector acting diagonally on the codomain (kind "diagonal").
-    Missing tuples weigh zero.
-    """
-
-    kind: str
-    values: Mapping[tuple[int, ...], object]
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in ("scalar", "diagonal"):
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        for tpl, w in self.values.items():
-            arr = np.asarray(w, dtype=np.float64)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"weight for {tpl} is not finite")
-            if self.kind == "scalar" and arr.ndim != 0:
-                raise ValueError(f"scalar weight for {tpl} has shape {arr.shape}")
-            if self.kind == "diagonal" and arr.ndim != 1:
-                raise ValueError(f"diagonal weight for {tpl} must be a vector")
+        values = np.array(self.values, dtype=np.float64)
+        if values.ndim not in (1, 2) or not np.all(np.isfinite(values)):
+            raise ValueError(f"weights must be a finite 1-d or 2-d array, got shape {values.shape}")
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def kind(self) -> str:
+        return "scalar" if self.values.ndim == 1 else "diagonal"
 
     @classmethod
-    def identity(cls) -> "WeightScheme":
-        """Weight 1 for every tuple (an empty map plus a unit default)."""
-        return cls(kind="scalar", values=_UnitWeights())
-
-    def weight(self, tpl: tuple[int, ...], dim: int) -> np.ndarray:
-        w = self.values.get(tpl)
-        if w is None:
-            return np.zeros(()) if self.kind == "scalar" else np.zeros(dim)
-        return np.asarray(w, dtype=np.float64)
+    def identity(cls, m: int, n: int) -> "WeightScheme":
+        """Weight 1 for every increasing m-tuple of {1, ..., n}."""
+        return cls(np.ones(inc_count(m, n)))
 
 
-class _UnitWeights(dict):
-    def get(self, key, default=None):
-        return 1.0
-
-    def items(self):
-        return ()
+def _weight_rows(scheme: WeightScheme, m: int, n: int) -> np.ndarray:
+    """The weights as (C(n, m), 1 or dim) rows, once there is one per tuple of Inc^m_n."""
+    if len(scheme.values) != inc_count(m, n):
+        raise ValueError(f"{len(scheme.values)} weights for {inc_count(m, n)} tuples of Inc^{m}_{n}")
+    return scheme.values.reshape(len(scheme.values), -1)
 
 
 def weighted(kernel: KernelSpec, scheme: WeightScheme, sample) -> HilbertPoint:
     """Sum of T_i h(xi_i) over increasing tuples, in enumeration order.
 
-    With identity weights this reproduces `complete` bit for bit (the
-    multiplier 1.0 is exact and the reduction path is shared).
+    Runs the gather and reduce of `complete`, each piece's kernel values
+    multiplied by its slice of the weights, so identity weights reproduce
+    `complete` bit for bit (the multiplier 1.0 is exact).
     """
     rows = _sample_rows(sample)
     n = rows.shape[0]
     m = kernel.arity
     if n < m:
         raise ValueError(f"sample of size {n} cannot feed an arity-{m} kernel")
-    dim = kernel.codomain.dim
-    tuples = enumerate_inc(m, n)
-    acc = None
-    for cols in _index_chunks(m, n):
-        w = np.empty((cols[0].size, 1 if scheme.kind == "scalar" else dim))
-        for t, tpl in enumerate(itertools.islice(tuples, w.shape[0])):
-            w[t] = scheme.weight(tpl, dim)
-        vals = batch_values(kernel, tuple(rows[c] for c in cols))
-        part = np.add.reduce(vals * w, axis=0)
-        acc = part if acc is None else acc + part
-    return kernel.codomain.point(acc)
+    weights, dim = _weight_rows(scheme, m, n), kernel.codomain.dim
+    if scheme.kind == "diagonal" and weights.shape[1] != dim:
+        raise ValueError(f"diagonal weights of width {weights.shape[1]} for a dim-{dim} codomain")
+    return kernel.codomain.point(_sum_tuples(kernel, (rows,) * m, n, weights))
 
 
-def weight_aggregate(
-    scheme: WeightScheme, m: int, n: int, k: int
-) -> dict[tuple[int, ...], np.ndarray]:
-    """Aggregated weights a_i^{(n,k)} = sum of T_j over m-tuples j containing i.
+def weight_aggregate(scheme: WeightScheme, m: int, n: int, k: int) -> np.ndarray:
+    """Aggregated weights a_i^{(n,k)} = sum of T_j over m-tuples j containing i,
+    dense over the ranks i of `enumerate_inc(k, n)` and shaped like the scheme's.
 
-    Streams over the m-tuple enumeration once. Tuples absent from the result
-    aggregate to zero.
+    Each piece of the enumeration ranks its k-subtuples one slot subset at a
+    time (`_lex_ranks`) and adds each tuple's weight to them with one
+    `bincount`, in enumeration order as a per-tuple loop would.
     """
     if not 1 <= k <= m:
         raise ValueError(f"k must lie in [1, {m}], got {k}")
-    acc: dict[tuple[int, ...], np.ndarray] = {}
-    for tpl in enumerate_inc(m, n):
-        w = np.asarray(scheme.values.get(tpl, 0.0), dtype=np.float64)
-        if not np.any(w):
-            continue
-        for sub in itertools.combinations(tpl, k):
-            prev = acc.get(sub)
-            acc[sub] = w.copy() if prev is None else prev + w
-    return acc
-
-
-def weighted_decomposition_check(
-    kernel: KernelSpec, dist, scheme: WeightScheme, sample
-) -> float:
-    """Deviation of the weighted sum from its projection expansion.
-
-    Checks sum_i T_i h(xi_i) = (sum_j T_j) h_0
-        + sum_{k=1}^{m} sum_{i in Inc^k_n} a_i^{(n,k)} h_k(xi_i),
-    which collapses to the k >= d tail when the lower projections vanish.
-    """
-    from .hoeffding import project  # hoeffding builds on this module
-
-    rows = _sample_rows(sample)
-    n = rows.shape[0]
-    m = kernel.arity
-    dim = kernel.codomain.dim
-    lhs = weighted(kernel, scheme, sample).coords
-
-    total_weight = np.zeros(()) if scheme.kind == "scalar" else np.zeros(dim)
-    for tpl in enumerate_inc(m, n):
-        total_weight = total_weight + scheme.weight(tpl, dim)
-    rhs = total_weight * project(kernel, dist, 0).eval()
-    for k in range(1, m + 1):
-        proj = project(kernel, dist, k)
-        agg = weight_aggregate(scheme, m, n, k)
-        for sub, a in agg.items():
-            rhs = rhs + a * proj.eval(*(rows[i - 1] for i in sub))
-    return float(row_norms(kernel.codomain, lhs - rhs))
+    weights = _weight_rows(scheme, m, n)
+    width = weights.shape[1]
+    cells = inc_count(k, n) * width
+    acc = np.zeros(cells)
+    start = 0
+    for cols in _index_chunks(m, n):
+        subsets = itertools.combinations(range(m), k)
+        ranks = np.stack([_lex_ranks([cols[s] for s in sub], n) for sub in subsets], axis=1)
+        w = np.broadcast_to(weights[start : start + len(ranks), None], ranks.shape + (width,))
+        cell = ranks[..., None] * width + np.arange(width)
+        acc += np.bincount(cell.ravel(), weights=w.ravel(), minlength=cells)
+        start += len(ranks)
+    return acc.reshape((-1,) + scheme.values.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Shared test fixtures: random finite laws, table-backed kernels, the
-enumeration oracle for exact projections, the one-at-a-time oracles for
-the martingale checks, the one-replica-at-a-time oracles for the design
+enumeration oracle for exact projections, the tuple-keyed oracles for
+weighted statistics, the one-at-a-time oracles for the martingale checks, the one-replica-at-a-time oracles for the design
 and decoupling experiments, and the scipy-based quantile interval."""
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from ustatlab.distributions import draw_iid, exact_expectation, mix_ids, substre
 from ustatlab.hilbert import row_norms
 from ustatlab.kernels import batch_values
 from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED
+from ustatlab import ustats
 from ustatlab.ustats import _tuple_columns, complete, draw_design
 
 
@@ -112,6 +113,52 @@ def projection_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> n
             for u in itertools.combinations(range(k), j):
                 acc += sign * partial(tuple(idx[i] for i in u))
         out[idx] = acc
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Weighted statistics with weights in a dict keyed by 1-based increasing
+# tuples, looked up one tuple at a time; a tuple absent from the dict weighs
+# zero.
+
+
+def tuple_weights(values: np.ndarray, m: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
+    """The nonzero rows of a dense rank-indexed weight array, keyed by tuple."""
+    tuples = itertools.combinations(range(1, n + 1), m)
+    return {tpl: w for tpl, w in zip(tuples, values) if np.any(w)}
+
+
+def weighted_oracle(kernel: KernelSpec, weights: dict, width: int, sample) -> np.ndarray:
+    """sum_i T_i h(xi_i) over the pieces of `ustats._index_chunks`, each
+    piece's (T, width) weight block filled tuple by tuple from the dict."""
+    rows = np.asarray(sample, dtype=np.float64)
+    n, m = rows.shape[0], kernel.arity
+    tuples = itertools.combinations(range(1, n + 1), m)
+    acc = None
+    for cols in ustats._index_chunks(m, n):
+        w = np.empty((cols[0].size, width))
+        for t, tpl in enumerate(itertools.islice(tuples, w.shape[0])):
+            w[t] = weights.get(tpl, 0.0)
+        part = np.add.reduce(batch_values(kernel, tuple(rows[c] for c in cols)) * w, axis=0)
+        acc = part if acc is None else acc + part
+    return acc
+
+
+def weight_aggregate_oracle(weights: dict, shape: tuple, m: int, n: int, k: int) -> np.ndarray:
+    """a_i^{(n,k)} = sum of T_j over m-tuples j containing i, by one pass over
+    the m-tuples in enumeration order, as a dense (C(n, k),) + shape array."""
+    acc: dict[tuple[int, ...], np.ndarray] = {}
+    for tpl in itertools.combinations(range(1, n + 1), m):
+        w = weights.get(tpl)
+        if w is None:
+            continue
+        for sub in itertools.combinations(tpl, k):
+            prev = acc.get(sub)
+            acc[sub] = np.array(w, dtype=np.float64) if prev is None else prev + w
+    out = np.zeros((math.comb(n, k),) + shape)
+    for rank, sub in enumerate(itertools.combinations(range(1, n + 1), k)):
+        if sub in acc:
+            out[rank] = acc[sub]
     return out
 
 

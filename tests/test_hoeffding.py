@@ -15,7 +15,7 @@ from ustatlab.distributions import (
     exact_expectation,
 )
 from ustatlab.hilbert import HilbertSpace, row_norms
-from ustatlab import cli, hoeffding, kernels, ustats
+from ustatlab import cli, hoeffding, kernels, ustats, weighted_decomposition_check
 from ustatlab.hoeffding import (
     DecompositionCheck,
     decomposition_check,
@@ -26,7 +26,7 @@ from ustatlab.hoeffding import (
 from ustatlab.kernels import (
     KernelSpec, centered, gini, partial_expectations, product, spatial_sign, symmetrize,
 )
-from ustatlab.ustats import complete
+from ustatlab.ustats import WeightScheme, complete
 
 rademacher = FiniteDistribution.rademacher()
 
@@ -158,6 +158,45 @@ class TestDecompositionCheck:
             SamplerSpec(kind="finite", dist=dist, seed_stream=int(case)), n, 0
         )
         assert decomposition_check(kernel, dist, sample).within(1e-10)
+
+
+class TestWeightedDecompositionCheck:
+    def test_scalar_weights_match_the_projection_expansion(self):
+        rng = np.random.default_rng(50)
+        dist = random_scalar_dist(rng, 3)
+        kernel = table_kernel(2, dist, rng)
+        n = 6
+        sample = draw_iid(SamplerSpec(kind="finite", dist=dist, seed_stream=9), n, 0)
+        scheme = WeightScheme(rng.normal(size=math.comb(n, 2)))
+        assert weighted_decomposition_check(kernel, dist, scheme, sample) <= 1e-10
+
+    def test_diagonal_weights_match_the_projection_expansion(self):
+        rng = np.random.default_rng(51)
+        dist = random_scalar_dist(rng, 3)
+        kernel = table_kernel(2, dist, rng, dim=3)
+        n = 5
+        sample = draw_iid(SamplerSpec(kind="finite", dist=dist, seed_stream=10), n, 0)
+        scheme = WeightScheme(rng.normal(size=(math.comb(n, 2), 3)))
+        assert weighted_decomposition_check(kernel, dist, scheme, sample) <= 1e-10
+
+    def test_builds_the_projections_once_and_maps_the_sample_once(self, monkeypatch):
+        rng = np.random.default_rng(52)
+        dist = random_scalar_dist(rng, 4)
+        kernel = table_kernel(3, dist, rng, dim=2)
+        n = 9
+        sample = draw_iid(SamplerSpec(kind="finite", dist=dist, seed_stream=12), n, 0)
+        scheme = WeightScheme(rng.normal(size=math.comb(n, 3)))
+        partials, lookups = [], []
+        original, index_of = hoeffding.partial_expectations, FiniteDistribution.index_of
+        monkeypatch.setattr(
+            hoeffding, "partial_expectations", lambda *args: partials.append(args[2]) or original(*args)
+        )
+        monkeypatch.setattr(
+            FiniteDistribution, "index_of", lambda self, v: lookups.append(len(v)) or index_of(self, v)
+        )
+        assert weighted_decomposition_check(kernel, dist, scheme, sample) <= 1e-10
+        assert partials == [3]
+        assert lookups == [n]
 
 
 def test_plugin_projection_tracks_the_exact_one():

@@ -5,9 +5,10 @@ it loads are its own, not those of earlier tests. A module imported during
 `cli.run` costs its import time inside the run instead of at start-up.
 
 Also guards the package's source: only `kernels.py` may ask which evaluator
-a kernel was given.
+a kernel was given, and no module imports inside a function.
 """
 
+import ast
 import json
 import os
 import pathlib
@@ -119,3 +120,18 @@ def test_only_kernels_branches_on_the_evaluator():
     needs a second, per-tuple path for kernels without `eval_batch`."""
     forks = [path.name for path in sorted(PACKAGE.glob("*.py")) if "eval_batch is" in path.read_text()]
     assert forks == ["kernels.py"]
+
+
+def test_no_import_inside_a_function():
+    """Every module names its dependencies at its top, so none is first
+    loaded in the middle of a call."""
+    nested = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested.update(
+                    f"{path.name}:{node.lineno}"
+                    for node in ast.walk(func)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                )
+    assert sorted(nested) == []

@@ -8,7 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_scalar_dist, table_kernel, uniform_three
+from helpers import (
+    random_scalar_dist,
+    table_kernel,
+    tuple_weights,
+    uniform_three,
+    weight_aggregate_oracle,
+    weighted_oracle,
+)
 from ustatlab import ustats
 from ustatlab.distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from ustatlab.hilbert import HilbertSpace, norm
@@ -17,6 +24,7 @@ from ustatlab.montecarlo import coordinate_kernel
 from ustatlab.ustats import (
     DecoupledSample,
     _grouped_columns,
+    _lex_ranks,
     _tuple_columns,
     SamplingDesign,
     WeightScheme,
@@ -34,7 +42,6 @@ from ustatlab.ustats import (
     unrank_combination,
     weight_aggregate,
     weighted,
-    weighted_decomposition_check,
 )
 
 line = HilbertSpace.euclidean(1)
@@ -75,6 +82,21 @@ class TestEnumerateInc:
         rank = data.draw(st.integers(0, math.comb(n, m) - 1))
         tpl = unrank_combination(rank, n, m)
         assert rank_combination(tpl, n) == rank
+
+    @pytest.mark.parametrize(("k", "n"), [(1, 1), (1, 9), (2, 2), (2, 13), (3, 10), (4, 12), (2, 400)])
+    def test_vectorized_ranks_count_the_enumeration(self, k, n):
+        cols = _tuple_columns(k, n)
+        ranks = _lex_ranks(cols, n)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, np.arange(math.comb(n, k)))
+        for row in range(0, ranks.size, max(1, ranks.size // 200)):
+            assert rank_combination(tuple(int(c[row]) + 1 for c in cols), n) == ranks[row]
+
+    def test_rank_refuses_tuples_outside_the_enumeration_and_is_exact_at_any_size(self):
+        for tpl in [(2, 1), (0, 1), (1, 11), (3, 3)]:
+            with pytest.raises(ValueError, match="is not increasing within"):
+                rank_combination(tpl, 10)
+        assert rank_combination((10**7 - 2, 10**7 - 1, 10**7), 10**7) == math.comb(10**7, 3) - 1
 
 
 class TestIndexColumns:
@@ -197,70 +219,119 @@ class TestEmbeddingCheck:
 
 class TestWeights:
     def test_aggregate_hand_example(self):
-        scheme = WeightScheme(
-            kind="scalar", values={(1, 2): 1.0, (1, 3): 2.0, (2, 3): 3.0}
-        )
+        scheme = WeightScheme(np.array([1.0, 2.0, 3.0]))  # (1, 2), (1, 3), (2, 3)
         agg = weight_aggregate(scheme, m=2, n=3, k=1)
-        assert agg[(1,)] == pytest.approx(3.0)
-        assert agg[(2,)] == pytest.approx(4.0)
-        assert agg[(3,)] == pytest.approx(5.0)
+        np.testing.assert_array_equal(agg, [3.0, 4.0, 5.0])
 
     def test_unit_weights_count_tuples_through_each_index(self):
         n, m = 6, 3
-        scheme = WeightScheme(
-            kind="scalar", values={tpl: 1.0 for tpl in enumerate_inc(m, n)}
-        )
-        agg = weight_aggregate(scheme, m=m, n=n, k=1)
-        for i in range(1, n + 1):
-            assert agg[(i,)] == pytest.approx(math.comb(n - 1, m - 1))
+        agg = weight_aggregate(WeightScheme.identity(m, n), m=m, n=n, k=1)
+        np.testing.assert_array_equal(agg, np.full(n, math.comb(n - 1, m - 1)))
 
     def test_single_triple_aggregates_to_itself_on_pairs(self):
-        scheme = WeightScheme(kind="scalar", values={(1, 2, 3): 2.5})
-        agg = weight_aggregate(scheme, m=3, n=3, k=2)
-        for pair in [(1, 2), (1, 3), (2, 3)]:
-            assert agg[pair] == pytest.approx(2.5)
+        agg = weight_aggregate(WeightScheme(np.array([2.5])), m=3, n=3, k=2)
+        np.testing.assert_array_equal(agg, [2.5, 2.5, 2.5])
 
     def test_identity_weights_reproduce_complete(self):
         rng = np.random.default_rng(49)
         sample = rng.normal(size=6)
-        lhs = weighted(product(), WeightScheme.identity(), sample)
+        lhs = weighted(product(), WeightScheme.identity(2, 6), sample)
         rhs = complete(product(), sample)
         np.testing.assert_array_equal(lhs.coords, rhs.coords)
 
     def test_zero_weights_give_the_zero_vector(self):
-        scheme = WeightScheme(kind="scalar", values={})
-        out = weighted(product(), scheme, np.arange(5.0))
+        out = weighted(product(), WeightScheme(np.zeros(math.comb(5, 2))), np.arange(5.0))
         assert norm(out) == 0.0
 
-    def test_scalar_weights_match_the_projection_expansion(self):
-        rng = np.random.default_rng(50)
-        dist = random_scalar_dist(rng, 3)
-        kernel = table_kernel(2, dist, rng)
-        n = 6
-        sample = draw_iid(SamplerSpec(kind="finite", dist=dist, seed_stream=9), n, 0)
-        scheme = WeightScheme(
-            kind="scalar",
-            values={tpl: float(rng.normal()) for tpl in enumerate_inc(2, n)},
-        )
-        assert weighted_decomposition_check(kernel, dist, scheme, sample) <= 1e-10
-
-    def test_diagonal_weights_match_the_projection_expansion(self):
-        rng = np.random.default_rng(51)
-        dist = random_scalar_dist(rng, 3)
-        kernel = table_kernel(2, dist, rng, dim=3)
-        n = 5
-        sample = draw_iid(SamplerSpec(kind="finite", dist=dist, seed_stream=10), n, 0)
-        scheme = WeightScheme(
-            kind="diagonal",
-            values={tpl: rng.normal(size=3) for tpl in enumerate_inc(2, n)},
-        )
-        assert weighted_decomposition_check(kernel, dist, scheme, sample) <= 1e-10
-
     def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            WeightScheme(kind="scalar", values={(1, 2): np.array([1.0, 2.0])})
-        with pytest.raises(ValueError):
-            WeightScheme(kind="other", values={})
+        for bad in (np.ones((3, 2, 1)), 1.0, [1.0, np.nan], [[np.inf], [0.0]]):
+            with pytest.raises(ValueError):
+                WeightScheme(bad)
+        given = np.ones((3, 2))
+        scheme = WeightScheme(given)
+        assert scheme.kind == "diagonal" and WeightScheme(given[:, 0]).kind == "scalar"
+        assert given.flags.writeable and not scheme.values.flags.writeable
+
+    @pytest.mark.parametrize(
+        ("values", "dim", "match"),
+        [
+            (np.ones(math.comb(5, 2) + 1), 1, "11 weights for 10 tuples"),
+            (np.ones(1), 1, "1 weights for 10 tuples"),
+            (np.ones((math.comb(5, 2), 2)), 1, "width 2 for a dim-1"),
+            (np.ones((math.comb(5, 2), 2)), 3, "width 2 for a dim-3"),
+        ],
+    )
+    def test_weights_that_cannot_apply_are_refused_before_any_evaluation(self, values, dim, match):
+        calls = []
+
+        def count(x, y):
+            calls.append(x.size)
+            return np.zeros((x.size, dim))
+
+        kernel = KernelSpec(arity=2, codomain=HilbertSpace.euclidean(dim), eval_batch=count)
+        with pytest.raises(ValueError, match=match):
+            weighted(kernel, WeightScheme(values), np.arange(5.0))
+        assert calls == []
+
+    def test_aggregate_refuses_a_scheme_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="4 weights for 3 tuples"):
+            weight_aggregate(WeightScheme(np.ones(4)), m=2, n=3, k=1)
+
+
+class TestWeightOracles:
+    """`weighted` and `weight_aggregate` against the tuple-keyed dict loops
+    of `helpers`, bit for bit, materialized and streamed."""
+
+    SCHEMES = {
+        "scalar": lambda rng, t, dim: rng.normal(size=t),
+        "diagonal": lambda rng, t, dim: rng.normal(size=(t, dim)),
+        "mostly-zero": lambda rng, t, dim: np.where(rng.random(t) < 0.1, rng.normal(size=t), 0.0),
+        "integer": lambda rng, t, dim: rng.integers(-3, 4, size=(t, dim)).astype(np.float64),
+    }
+
+    @staticmethod
+    def _stream(monkeypatch):
+        monkeypatch.setattr(ustats, "_column_cache", {})
+        monkeypatch.setattr(ustats, "_grouped_cache", {})
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+        monkeypatch.setattr(ustats, "_CHUNK", 9)
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_weighted_equals_the_tuple_keyed_loop(self, monkeypatch, name, m, streamed):
+        rng = np.random.default_rng(60 + m)
+        dist = random_scalar_dist(rng, 4)
+        kernel = table_kernel(m, dist, rng, dim=3)
+        n = 23
+        sample = draw_iid(SamplerSpec(kind="finite", dist=dist, seed_stream=11), n, 0)
+        values = self.SCHEMES[name](rng, math.comb(n, m), 3)
+        if streamed:
+            self._stream(monkeypatch)
+            assert ustats._tuple_columns(m, n) is None
+        got = weighted(kernel, WeightScheme(values), sample).coords
+        want = weighted_oracle(kernel, tuple_weights(values, m, n), values[0].size, sample)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("streamed", [False, True])
+    @pytest.mark.parametrize(("m", "k"), [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("name", list(SCHEMES))
+    def test_weight_aggregate_equals_the_tuple_keyed_loop(self, monkeypatch, name, m, k, streamed):
+        """Bit for bit in one piece, where each entry adds its weights in
+        enumeration order; streamed, the pieces' sums are added, which
+        keeps the bytes only where every partial sum is an integer."""
+        rng = np.random.default_rng(70 + 3 * m + k)
+        n = 11
+        values = self.SCHEMES[name](rng, math.comb(n, m), 2)
+        if streamed:
+            self._stream(monkeypatch)
+        got = weight_aggregate(WeightScheme(values), m, n, k)
+        want = weight_aggregate_oracle(tuple_weights(values, m, n), values.shape[1:], m, n, k)
+        assert got.shape == want.shape
+        if streamed and name != "integer":
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+        else:
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDesigns:
@@ -400,7 +471,7 @@ class TestAboveTheMaterializeCap:
     @staticmethod
     def _statistics(kernel, samples):
         m, n = kernel.arity, samples.shape[1]
-        scheme = WeightScheme("scalar", {tpl: float(t % 5) for t, tpl in enumerate(enumerate_inc(m, n))})
+        scheme = WeightScheme(np.arange(math.comb(n, m)) % 5.0)
         return (
             np.stack([complete(kernel, s).coords for s in samples]),
             np.stack([weighted(kernel, scheme, s).coords for s in samples]),
