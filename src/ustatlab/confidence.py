@@ -82,6 +82,11 @@ def quantile_interval(values: np.ndarray, q: float) -> tuple[float, float, float
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     alpha = 1.0 - 0.95
-    est = float(np.quantile(values, q))
+    # np.quantile's linear rule: index (n - 1) q, then its two-sided lerp
+    index = (n - 1) * q
+    below = math.floor(index)  # at most n - 1, as q < 1
+    a, b = values[below], values[min(below + 1, n - 1)]
+    gamma, diff = index - below, b - a
+    est = float(b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma)
     lo, hi = values[np.minimum(_binom_ppf([alpha / 2.0, 1.0 - alpha / 2.0], n, q), n - 1)]
     return est, float(lo), float(hi)

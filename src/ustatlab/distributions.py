@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
-import numpy.ma  # numpy loads it lazily at the first np.unique; load it here, not mid-run
-import numpy.random  # likewise loaded lazily at the first Generator
+import numpy.random  # numpy loads it lazily at the first Generator; load it here, not mid-run
 
 from .hilbert import HilbertSpace
 
@@ -74,8 +73,8 @@ class FiniteDistribution:
             raise ValueError("probs must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
-        flat = atoms.reshape(atoms.shape[0], -1)
-        if len(np.unique(flat, axis=0)) != atoms.shape[0]:
+        keys = np.sort(_point_keys(atoms))  # -0.0 == 0.0, so they count as one atom
+        if np.any(keys[1:] == keys[:-1]):
             raise ValueError("atoms must be distinct")
         atoms.setflags(write=False)
         probs.setflags(write=False)

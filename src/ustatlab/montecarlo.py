@@ -14,7 +14,9 @@ a 0/1 selection stops once every tuple is drawn (`design_selected_batch`).
 Each replica's selected rows sum as if reduced in ascending rank order,
 exactly as one selection's were; where every partial sum is an exact
 integer (`_dense_sums_exact`) that is one dense product, since every order
-then gives the same bytes.
+then gives the same bytes. For the same reason the multiplicity-weighted
+sums of an exact with-replacement design skip the count matrix: they are
+the values at each stream's drawn ranks, summed (`design_sums_batch`).
 
 The tail scan has a second route. For an arity-2 kernel on a finite law
 whose atom table H has integer entries with C(N, 2) * max|H| < 2**53, and
@@ -62,6 +64,7 @@ from .ustats import (
     design_counts_batch,
     design_mean_factor,
     design_selected_batch,
+    design_sums_batch,
     inc_count,
     running_max_norms,
 )
@@ -671,9 +674,17 @@ def _design_estimates(
 ) -> np.ndarray:
     """Multiplicity-weighted selection sums of the fixed sample's kernel
     values, one per design draw on fixed substream (cell_id, r), shape
-    (draws, dim)."""
-    out = np.empty((draws, fixed_vals.shape[1]))
+    (draws, dim).
+
+    Where every with-replacement sum is exact (`_exact_sums` of the values
+    and the design size), the sums are read straight from the drawn ranks
+    (`design_sums_batch`) and give `_selection_sums`' bytes; other designs
+    and values go through the count matrix."""
     bound = _dense_values_bound(fixed_vals)
+    if design.kind == "with-replacement" and _exact_sums(bound, design.size):
+        ids = mix_ids_batch(_ROLE_FIXED, cell_id, np.arange(draws))
+        return design_sums_batch(design, m, n, master_seed, ids, fixed_vals)
+    out = np.empty((draws, fixed_vals.shape[1]))
     for r in _batches(draws, fixed_vals.shape[0]):
         counts = design_counts_batch(design, m, n, master_seed, mix_ids_batch(_ROLE_FIXED, cell_id, r))
         out[r] = _selection_sums(fixed_vals, counts, bound)

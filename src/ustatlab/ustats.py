@@ -54,6 +54,7 @@ __all__ = [
     "design_counts",
     "design_counts_batch",
     "design_selected_batch",
+    "design_sums_batch",
     "design_mean_factor",
     "incomplete",
     "IncompleteResult",
@@ -101,30 +102,53 @@ def _lex_ranks(cols, n: int):
     k = len(cols)
     rank = math.comb(n, k) - 1
     for slot, c in enumerate(cols):
-        term = 1
-        for j in range(k - slot):  # term becomes C(n - 1 - c, j + 1), an exact quotient
-            term = term * (n - 1 - c - j) // (j + 1)
-        rank = rank - term
+        rank = rank - _binomial(n - 1 - c, k - slot)
     return rank
 
 
+def _lex_unranks(ranks: np.ndarray, n: int, k: int) -> list[np.ndarray]:
+    """Inverse of `_lex_ranks`: the k 0-based index columns of the increasing
+    k-tuples of range(n) with lexicographic ranks `ranks`, an int64 array, or
+    an object array of ints for exact columns at any size.
+
+    The code C(n, k) - 1 - rank is sum_l C(e_l, k - l) with e_l = n - 1 -
+    cols[l] strictly decreasing, so e_l is the largest e below e_{l-1} with
+    C(e, k - l) at most what the earlier slots leave: one bisection per slot
+    over every rank at once.
+    """
+    if ranks.dtype != object and math.comb(n - 1, min(k, (n - 1) // 2)) * k >= 2**63:
+        ranks = ranks.astype(object)  # _binomial's partial products would overflow int64
+    code = math.comb(n, k) - 1 - ranks
+    top = np.full_like(code, n)  # e_{-1}
+    cols = []
+    for slot in range(k):
+        j = k - slot
+        lo, hi = np.full_like(code, j - 1), top - 1  # C(j - 1, j) = 0 fits every code
+        while np.any(lo < hi):
+            mid = (lo + hi + 1) // 2
+            fits = _binomial(mid, j) <= code
+            lo, hi = np.where(fits, mid, lo), np.where(fits, hi, mid - 1)
+        code = code - _binomial(lo, j)
+        cols.append(n - 1 - lo)
+        top = lo
+    return cols
+
+
+def _binomial(d, j: int):
+    """C(d, j) for d >= j - 1, elementwise on an integer array or exact on a
+    plain int; each partial product C(d, i) * (d - i) is an exact multiple of i + 1."""
+    term = 1
+    for i in range(j):
+        term = term * (d - i) // (i + 1)
+    return term
+
+
 def unrank_combination(rank: int, n: int, m: int) -> tuple[int, ...]:
-    """Inverse of rank_combination."""
+    """Inverse of rank_combination: the one-row case of `_lex_unranks`."""
     total = inc_count(m, n)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} outside [0, {total})")
-    out = []
-    r = rank
-    prev = 0
-    for slot in range(m):
-        for c in range(prev, n):
-            block = math.comb(n - 1 - c, m - slot - 1)
-            if r < block:
-                out.append(c + 1)
-                prev = c + 1
-                break
-            r -= block
-    return tuple(out)
+    return tuple(int(c[0]) + 1 for c in _lex_unranks(np.array([rank], dtype=object), n, m))
 
 
 def _combination_columns(m: int, n: int) -> list[np.ndarray]:
@@ -644,29 +668,68 @@ def design_selected_batch(
     return _design_batch(design, m, n, master_seed, ids, selected=True)
 
 
-def _design_batch(design: SamplingDesign, m: int, n: int, master_seed: int, ids, selected: bool):
-    """`design_counts_batch`, or with `selected` `design_selected_batch`."""
+def design_sums_batch(
+    design: SamplingDesign, m: int, n: int, master_seed: int, ids, values
+) -> np.ndarray:
+    """`design_counts_batch(design, m, n, master_seed, ids) @ values`, bit for
+    bit, shape (len(ids), dim), for a with-replacement design and (C(n, m),
+    dim) values on which every such sum is exact: integers with no -0 and
+    size * max|values| < 2**53.
+
+    Each row is the sum of `values` at its stream's drawn ranks along the
+    draw axis, read straight from the Lemire values with no count matrix;
+    exact partial sums make that order give the product's bytes (on other
+    values the two differ by rounding). A stream where numpy would have
+    rejected a word is redrawn with `design_counts`.
+    """
+    if design.kind != "with-replacement":
+        raise ValueError(f"a {design.kind} design draws no ranks to sum over")
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim != 2 or len(values) != inc_count(m, n):
+        raise ValueError(f"values of shape {values.shape} for {inc_count(m, n)} tuples of Inc^{m}_{n}")
+    return _design_batch(design, m, n, master_seed, ids, values=values)
+
+
+def _design_batch(
+    design: SamplingDesign, m: int, n: int, master_seed: int, ids, selected=False, values=None
+):
+    """`design_counts_batch`, with `selected` `design_selected_batch`, with
+    `values` `design_sums_batch`: one draw loop, three reductions of its ranks."""
     total = check_design(design, m, n)
     ids = np.asarray(ids)
-    out = np.empty((ids.size, total), dtype=bool if selected else np.int64)
+    if values is None:
+        out = np.empty((ids.size, total), dtype=bool if selected else np.int64)
+    else:
+        out = np.empty((ids.size, values.shape[1]))
+        columns = np.ascontiguousarray(values.T)
+
+    def redraw(r: int, rng: np.random.Generator) -> None:
+        counts = design_counts(design, m, n, rng)
+        out[r] = counts if values is None else counts @ values
+
     streams = substreams(master_seed, ids)
     if design.kind != "with-replacement":
         for r, rng in enumerate(streams):
-            out[r] = design_counts(design, m, n, rng)
+            redraw(r, rng)
         return out
     size = design.size
     draws = min(size, math.ceil(total * (math.log(total) + _COVER_MARGIN))) if selected else size
     step = max(1, _CHUNK // draws)
     for start in range(0, ids.size, step):
         rows = min(step, ids.size - start)
-        raw = np.stack([next(streams).bit_generator.random_raw(-(-draws // 2)) for _ in range(rows)])
-        idx, redraw = _lemire_indices(raw, draws, total)
-        idx += np.arange(0, rows * total, total)[:, None]
-        out[start : start + rows] = np.bincount(idx.ravel(), minlength=rows * total).reshape(rows, total)
+        raw = np.array([next(streams).bit_generator.random_raw(-(-draws // 2)) for _ in range(rows)])
+        idx, rejected = _lemire_indices(raw, draws, total)
+        block = out[start : start + rows]
+        if values is None:
+            idx += np.arange(0, rows * total, total)[:, None]
+            block[:] = np.bincount(idx.ravel(), minlength=rows * total).reshape(rows, total)
+        else:
+            for j, column in enumerate(columns):
+                block[:, j] = column.take(idx).sum(axis=1)
         if draws < size:
-            redraw |= ~out[start : start + rows].all(axis=1)
-        for r in start + np.flatnonzero(redraw):
-            out[r] = design_counts(design, m, n, substream(master_seed, int(ids[r])))
+            rejected |= ~block.all(axis=1)
+        for r in start + np.flatnonzero(rejected):
+            redraw(r, substream(master_seed, int(ids[r])))
     return out
 
 
@@ -704,10 +767,7 @@ def incomplete(kernel: KernelSpec, sample, selection: Selection) -> IncompleteRe
     if selection.empty:
         return IncompleteResult(kernel.codomain.zero(), 0, 0, True)
     cols = _tuple_columns(m, n)
-    if cols is not None:
-        idx = [c[selection.ranks] for c in cols]
-    else:
-        idx = np.array([unrank_combination(int(r), n, m) for r in selection.ranks]).T - 1
+    idx = [c[selection.ranks] for c in cols] if cols is not None else _lex_unranks(selection.ranks, n, m)
     vals = batch_values(kernel, tuple(rows[c] for c in idx))
     value = np.add.reduce(vals * selection.counts[:, None].astype(np.float64), axis=0)
     return IncompleteResult(

@@ -1,6 +1,7 @@
 """Shared test fixtures: random finite laws, table-backed kernels, the
 enumeration oracle for exact projections, the tuple-keyed oracles for
-weighted statistics, the one-at-a-time oracles for the martingale checks, the one-replica-at-a-time oracles for the design
+weighted statistics, the per-tuple unranking, the one-at-a-time oracles for
+the martingale checks, the one-replica-at-a-time oracles for the design
 and decoupling experiments, and the scipy-based quantile interval."""
 
 from __future__ import annotations
@@ -117,6 +118,24 @@ def projection_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> n
 
 
 # ---------------------------------------------------------------------------
+def unrank_oracle(rank: int, n: int, m: int) -> tuple[int, ...]:
+    """The 1-based increasing m-tuple of lexicographic rank `rank`, one slot at
+    a time: each candidate value c heads a block of C(n - 1 - c, m - slot - 1)
+    tuples, skipped whole until the rank falls inside one."""
+    out = []
+    r = rank
+    prev = 0
+    for slot in range(m):
+        for c in range(prev, n):
+            block = math.comb(n - 1 - c, m - slot - 1)
+            if r < block:
+                out.append(c + 1)
+                prev = c + 1
+                break
+            r -= block
+    return tuple(out)
+
+
 # Weighted statistics with weights in a dict keyed by 1-based increasing
 # tuples, looked up one tuple at a time; a tuple absent from the dict weighs
 # zero.

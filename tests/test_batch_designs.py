@@ -1,6 +1,7 @@
 """Batched design and decoupling experiments: equal to the per-replica loops at
-any batch size, dense design counts equal to `draw_design`, and the up-front
-checks raised before any replica is drawn."""
+any batch size, dense design counts equal to `draw_design`, design sums read
+from the drawn ranks equal to the counts product, and the up-front checks
+raised before any replica is drawn."""
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from ustatlab.ustats import (
     design_counts,
     design_counts_batch,
     design_selected_batch,
+    design_sums_batch,
     draw_design,
     inc_count,
 )
@@ -313,6 +315,76 @@ def test_no_ids_give_no_rows(batch, design):
     got = batch(DESIGNS[design], 2, 8, SEED, [])
     assert got.shape == (0, 28)
     assert got.dtype == (bool if batch is design_selected_batch else np.int64)
+
+
+def _exact_values(total, dim, seed=0):
+    """Integers in [-3, 3], zeros and negatives among them, none of them -0."""
+    cycle = np.arange(total * dim) % 7 - 3.0
+    return np.random.default_rng(seed).permutation(cycle).reshape(total, dim)
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+@pytest.mark.parametrize(
+    "size, m, n",
+    [(1, 2, 20), (7, 2, 20), (40, 2, 40), (33, 1, 16), (9, 2, 2), (10_000, 2, 20)],
+)
+@pytest.mark.parametrize("chunk", [50, ustats._CHUNK])
+def test_design_sums_equal_the_counts_product(monkeypatch, size, m, n, dim, chunk):
+    monkeypatch.setattr(ustats, "_CHUNK", chunk)
+    ids = mix_ids_batch(_ROLE, 10, np.arange(101))
+    design = SamplingDesign(kind="with-replacement", size=size)
+    values = _exact_values(inc_count(m, n), dim, size)
+    got = design_sums_batch(design, m, n, SEED, ids, values)
+    assert got.shape == (101, dim)
+    assert got.tobytes() == (design_counts_batch(design, m, n, SEED, ids) @ values).tobytes()
+
+
+def test_rejected_streams_sum_through_design_counts(monkeypatch):
+    # about 1 in 6 streams of 20,001 draws from 39,650 tuples is rejected, as above
+    n, size, ids = 39_650, 20_001, mix_ids_batch(_ROLE, 6, np.arange(40))
+    design = SamplingDesign(kind="with-replacement", size=size)
+    values = _exact_values(n, 2)
+    want = _stacked_design_counts(design, 1, n, ids) @ values
+    calls = _counting_fallbacks(monkeypatch)
+    assert design_sums_batch(design, 1, n, SEED, ids, values).tobytes() == want.tobytes()
+    assert 2 <= len(calls) <= 20
+
+
+def test_design_sums_of_no_ids_and_what_they_refuse():
+    design = SamplingDesign(kind="with-replacement", size=5)
+    got = design_sums_batch(design, 2, 8, SEED, [], _exact_values(28, 3))
+    assert got.shape == (0, 3) and got.dtype == np.float64
+    for other in ("without-replacement", "bernoulli"):
+        with pytest.raises(ValueError, match="draws no ranks"):
+            design_sums_batch(DESIGNS[other], 2, 8, SEED, [1], _exact_values(28, 1))
+    for shape in [(28,), (27, 1)]:
+        with pytest.raises(ValueError, match="values of shape"):
+            design_sums_batch(design, 2, 8, SEED, [1], np.zeros(shape))
+
+
+_INTS = _exact_values(190, 1, 4)
+ESTIMATE_CASES = {
+    # (fixed values, design, whether the sums are read from the drawn ranks)
+    "integers": (_INTS, SamplingDesign("with-replacement", 100), True),
+    "integers-dim3": (_exact_values(190, 3, 5), SamplingDesign("with-replacement", 1_000), True),
+    "below-2**53": (np.sign(_INTS) * 2.0**48, SamplingDesign("with-replacement", 31), True),
+    "at-2**53": (np.sign(_INTS) * 2.0**48, SamplingDesign("with-replacement", 32), False),
+    "non-integer": (_INTS + 0.5, SamplingDesign("with-replacement", 100), False),
+    "negative-zero": (np.where(_INTS == 0, -0.0, _INTS), SamplingDesign("with-replacement", 100), False),
+    "without-replacement": (_INTS, DESIGNS["without-replacement"], False),
+    "bernoulli": (_INTS, DESIGNS["bernoulli"], False),
+}
+
+
+@pytest.mark.parametrize("name", list(ESTIMATE_CASES))
+def test_design_estimates_read_exact_sums_from_the_drawn_ranks(monkeypatch, name):
+    fixed, design, exact = ESTIMATE_CASES[name]
+    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", 190 * 7)  # 50 draws in 8 count batches
+    sums = _counting(monkeypatch, "design_sums_batch")
+    counts = _counting(monkeypatch, "design_counts_batch")
+    got = montecarlo._design_estimates(fixed, design, 2, 20, 0, 50, SEED)
+    assert got.tobytes() == estimator_oracle(fixed, design, 2, 20, 0, 50, SEED).tobytes()
+    assert (len(sums), len(counts)) == ((1, 0) if exact else (0, 8))
 
 
 def _compressed_sums(vals, weights):

@@ -122,6 +122,29 @@ class TestQuantileIntervalOracle:
             assert quantile_interval(values, q) == quantile_interval_oracle(values, q)
 
 
+class TestEstimateFromTheSortedValues:
+    """The estimate is np.quantile's linear rule read off the sorted values."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_bit_equal_to_np_quantile_with_ties(self, seed):
+        rng = np.random.default_rng(seed)
+        # np.quantile partitions instead of sorting, so among tied values it may
+        # pick -0 where the sort picks +0; no -0 here, since the callers pass norms
+        qs = [1e-9, 0.5, 0.9, 1.0 - 2.0**-53, *rng.uniform(size=30)]
+        for n in [2, 3, 4, 9, 40, 1201]:
+            for values in (
+                rng.integers(0, 4, size=n).astype(np.float64),
+                rng.integers(-3, 4, size=n) * 0.1 + 0.0,  # + 0.0 turns -0 into +0
+                rng.choice([0.0, 1.0, np.inf, 1e300], size=n),
+                rng.normal(size=n),
+            ):
+                for q in qs:
+                    with np.errstate(invalid="ignore"):  # inf - inf, in both
+                        want = np.float64(np.quantile(values, q))
+                        got = np.float64(quantile_interval(values, q)[0])
+                    assert got.tobytes() == want.tobytes()
+
+
 class TestOneBinomialCdf:
     """Both order-statistic bounds read one cdf, built from one lgamma table."""
 

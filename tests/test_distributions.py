@@ -26,6 +26,23 @@ class TestFiniteDistribution:
         with pytest.raises(ValueError, match="distinct"):
             FiniteDistribution(np.array([1.0, 1.0]), np.array([0.5, 0.5]))
 
+    @pytest.mark.parametrize("dim", [None, 1, 3])
+    def test_distinct_atoms_as_np_unique_judges_them(self, dim):
+        """Sorted point keys give np.unique(axis=0)'s verdict: -0 and +0 are one
+        value, and NaN never equals itself."""
+        rng = np.random.default_rng(dim or 0)
+        for _ in range(300):
+            size = int(rng.integers(1, 9))
+            atoms = rng.choice([-1.0, -0.0, 0.0, 2.0, np.nan], size=(size, dim or 1))
+            atoms = atoms if dim else atoms[:, 0]
+            distinct = len(np.unique(atoms.reshape(size, -1), axis=0)) == size
+            probs = np.full(size, 1.0 / size)
+            if distinct:
+                FiniteDistribution(atoms, probs)
+            else:
+                with pytest.raises(ValueError, match="distinct"):
+                    FiniteDistribution(atoms, probs)
+
     def test_rademacher_support(self):
         dist = FiniteDistribution.rademacher()
         np.testing.assert_array_equal(np.sort(dist.atoms), [-1.0, 1.0])

@@ -1,4 +1,5 @@
-"""Import weight of the CLI: no scipy at run time, nothing imported mid-run.
+"""Import weight of the CLI: no scipy and no numpy.ma at any point, nothing
+imported mid-run.
 
 Each subcommand runs at a tiny size in a fresh interpreter, so the modules
 it loads are its own, not those of earlier tests. A module imported during
@@ -82,8 +83,11 @@ import json, os, sys
 import ustatlab
 from ustatlab import cli
 
+def masked():
+    return sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
+
 work = sys.argv[1]
-report = {}
+report = {"masked at import": masked()}
 for subcommand, text in json.loads(sys.argv[2]).items():
     path = os.path.join(work, subcommand + ".yaml")
     with open(path, "w") as fh:
@@ -93,6 +97,7 @@ for subcommand, text in json.loads(sys.argv[2]).items():
     status = cli.run(subcommand, cfg, out_dir=os.path.join(work, subcommand))
     report[subcommand] = {"status": status, "added": sorted(set(sys.modules) - before)}
 report["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+report["masked after the runs"] = masked()
 print(json.dumps(report))
 """
 
@@ -110,6 +115,9 @@ def test_cli_runs_load_no_scipy_and_import_nothing_mid_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report.pop("scipy") == []
+    # numpy loads numpy.ma lazily, at the first np.unique or np.quantile
+    assert report.pop("masked at import") == []
+    assert report.pop("masked after the runs") == []
     assert sorted(report) == sorted(CONFIGS)
     for subcommand, entry in report.items():
         assert entry == {"status": 0, "added": []}, subcommand

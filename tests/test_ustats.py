@@ -13,6 +13,7 @@ from helpers import (
     table_kernel,
     tuple_weights,
     uniform_three,
+    unrank_oracle,
     weight_aggregate_oracle,
     weighted_oracle,
 )
@@ -25,6 +26,7 @@ from ustatlab.ustats import (
     DecoupledSample,
     _grouped_columns,
     _lex_ranks,
+    _lex_unranks,
     _tuple_columns,
     SamplingDesign,
     WeightScheme,
@@ -92,11 +94,31 @@ class TestEnumerateInc:
         for row in range(0, ranks.size, max(1, ranks.size // 200)):
             assert rank_combination(tuple(int(c[row]) + 1 for c in cols), n) == ranks[row]
 
+    @pytest.mark.parametrize(
+        ("k", "n"),
+        # (64, 70): partial products of C(69, 34) overflow int64, so the columns come from exact ints
+        [(1, 1), (1, 9), (2, 2), (2, 13), (3, 10), (4, 12), (9, 10), (2, 2100), (3, 400), (64, 70)],
+    )
+    def test_vectorized_unranks_equal_the_per_tuple_oracle(self, k, n):
+        total = math.comb(n, k)
+        ranks = np.r_[0, total - 1, np.random.default_rng(n).integers(0, total, 100)]
+        cols = _lex_unranks(ranks, n, k)
+        want = np.array([unrank_oracle(int(r), n, k) for r in ranks])
+        np.testing.assert_array_equal(np.stack(cols, axis=1), want - 1)
+        one_row = [unrank_combination(int(r), n, k) for r in ranks[:10]]
+        assert one_row == [tuple(w) for w in want[:10].tolist()]
+        np.testing.assert_array_equal(_lex_ranks(cols, n), ranks)
+
     def test_rank_refuses_tuples_outside_the_enumeration_and_is_exact_at_any_size(self):
         for tpl in [(2, 1), (0, 1), (1, 11), (3, 3)]:
             with pytest.raises(ValueError, match="is not increasing within"):
                 rank_combination(tpl, 10)
         assert rank_combination((10**7 - 2, 10**7 - 1, 10**7), 10**7) == math.comb(10**7, 3) - 1
+        rank = math.comb(10**7, 3) // 3  # above 2**63
+        assert rank_combination(unrank_combination(rank, 10**7, 3), 10**7) == rank
+        for bad in [-1, math.comb(10, 3)]:
+            with pytest.raises(ValueError, match="outside"):
+                unrank_combination(bad, 10, 3)
 
 
 class TestIndexColumns:
@@ -432,7 +454,7 @@ class TestIncomplete:
         sample = draw_iid(SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=3), n, 0)
         sel = draw_design(self.DESIGNS[design_case], m, n, np.random.default_rng(60))
         # each selected tuple unranked on its own, its values weighted by multiplicity
-        idx = np.array([unrank_combination(int(r), n, m) for r in sel.ranks]) - 1
+        idx = np.array([unrank_oracle(int(r), n, m) for r in sel.ranks]) - 1
         vals = batch_values(kernel, tuple(sample[idx[:, j]] for j in range(m)))
         want = np.add.reduce(vals * sel.counts[:, None].astype(np.float64), axis=0)
         np.testing.assert_array_equal(incomplete(kernel, sample, sel).value.coords, want)
