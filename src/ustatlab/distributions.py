@@ -14,7 +14,9 @@ they are mapped to draws exactly as numpy's Generator maps them. For the
 finite kinds that mapping yields atom indices (`draw_atoms_batch`), and the
 value draws read the atoms at them, so a consumer that works on atom
 indices (the tail scan's count route) sees the very draws it would as
-values.
+values. `atom_blocks` draws them a batch of substreams at a time into
+buffers allocated once per call, so a long loop of batches allocates
+nothing large after its first.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ __all__ = [
     "draw_iid",
     "draw_iid_batch",
     "draw_atoms_batch",
+    "atom_blocks",
     "exact_expectation",
 ]
 
@@ -191,10 +194,11 @@ def mix_ids(*ids: int) -> int:
 
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
-# Philox4x64 multipliers and key increments (Salmon et al., SC'11), shaped
-# to act on the (c0, c2) / (c1, c3) lane pairs of a (2, R, blocks) state.
-_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
-_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
+# Philox4x64 multipliers and key increments (Salmon et al., SC'11), the
+# multipliers also split into 32-bit limbs.
+_PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_M_LIMBS = tuple((m & _MASK32, m >> _SHIFT32) for m in _PHILOX_M)
+_PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
 def mix_ids_batch(*ids) -> np.ndarray:
@@ -235,34 +239,73 @@ def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Gener
         yield rng
 
 
-def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """High 64 bits of the 128-bit products a * b, from 32-bit limbs."""
-    a_lo, a_hi = a & _MASK32, a >> _SHIFT32
-    b_lo, b_hi = b & _MASK32, b >> _SHIFT32
-    hi_lo = a_hi * b_lo
-    cross = ((a_lo * b_lo) >> _SHIFT32) + (hi_lo & _MASK32) + a_lo * b_hi
-    return a_hi * b_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32)
+def _philox_buffers(rows: int, blocks: int) -> tuple[np.ndarray, ...]:
+    """What `philox4x64` writes into for up to `rows` keys: ten (rows, blocks)
+    arrays for the four counter words, the two key words and the scratch of
+    a round, and the (rows, 4 * blocks) output words."""
+    lanes = [np.empty((rows, blocks), dtype=np.uint64) for _ in range(10)]
+    return (*lanes, np.empty((rows, 4 * blocks), dtype=np.uint64))
 
 
-def philox4x64(keys: np.ndarray, blocks: int) -> np.ndarray:
+def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Philox4x64-10 output words for a stack of keys, shape (R, 4 * blocks).
 
     Row r equals `np.random.Philox(key=keys[r]).random_raw(4 * blocks)`:
     numpy starts the counter at zero and bumps it before each block, so
-    block b is keyed by counter (b + 1, 0, 0, 0).
+    block b is keyed by counter (b + 1, 0, 0, 0). Every round writes into
+    `buffers`, from `_philox_buffers(rows, blocks)` for at least R rows, and
+    the words returned are a view of its output, which the next call
+    overwrites; without them the call allocates its own. Each word of the
+    state is its own contiguous array, so every operation runs on whole
+    arrays and scalars, with no broadcast axis.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
-    key = keys.T[:, :, None].copy()
-    even = np.zeros((2, rows, blocks), dtype=np.uint64)  # words (c0, c2)
-    even[0] = np.arange(1, blocks + 1, dtype=np.uint64)
-    odd = np.zeros_like(even)  # words (c1, c3)
+    if buffers is None:
+        buffers = _philox_buffers(rows, blocks)
+    c0, c1, c2, c3, k0, k1, *scratch, words = (b[:rows] for b in buffers)
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    for word in (c1, c2, c3):
+        word.fill(0)
+    k0[:], k1[:] = keys[:, :1], keys[:, 1:]
     for step in range(10):
         if step:
-            key += _PHILOX_W
-        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0))
-        even, odd = _mulhi(_PHILOX_M, even)[::-1] ^ odd ^ key, (_PHILOX_M * even)[::-1]
-    return np.stack([even, odd], axis=-1).transpose(1, 2, 0, 3).reshape(rows, 4 * blocks)
+            k0 += _PHILOX_W[0]
+            k1 += _PHILOX_W[1]
+        # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
+        # each new word written over an old one that is no longer read
+        c1 ^= _mulhi(c2, *_PHILOX_M_LIMBS[1], *scratch)
+        c1 ^= k0
+        c2 *= _PHILOX_M[1]
+        c3 ^= _mulhi(c0, *_PHILOX_M_LIMBS[0], *scratch)
+        c3 ^= k1
+        c0 *= _PHILOX_M[0]
+        c0, c1, c2, c3 = c1, c2, c3, c0
+    out = words.reshape(rows, blocks, 4)
+    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = c0, c1, c2, c3
+    return words
+
+
+def _mulhi(x: np.ndarray, m_lo, m_hi, lo, hi, cross, out) -> np.ndarray:
+    """High 64 bits of the 128-bit products m * x, from the 32-bit limbs of
+    the multiplier m and of x, written into `out` through the scratch arrays
+    lo, hi and cross, each shaped like x."""
+    np.bitwise_and(x, _MASK32, out=lo)
+    np.right_shift(x, _SHIFT32, out=hi)
+    np.multiply(lo, m_hi, out=cross)
+    lo *= m_lo
+    lo >>= _SHIFT32
+    # (lo * m_lo >> 32) + (cross mod 2**32) + hi * m_lo < 2**64
+    np.bitwise_and(cross, _MASK32, out=out)
+    lo += out
+    np.multiply(hi, m_lo, out=out)
+    lo += out
+    lo >>= _SHIFT32
+    cross >>= _SHIFT32
+    np.multiply(hi, m_hi, out=out)
+    out += cross
+    out += lo
+    return out
 
 
 def draw_iid(spec: SamplerSpec, n: int, stream: int) -> np.ndarray:
@@ -301,38 +344,70 @@ def draw_iid_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
 
 def draw_atoms_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
     """Atom indices of `draw_iid_batch(spec, n, streams)`, shape (R, n), for
-    a finite kind: its draws are `spec.finite_support().atoms` at these indices.
+    a finite kind: its draws are `spec.finite_support().atoms` at these
+    indices. It is the one block of `atom_blocks` over every stream.
+    """
+    streams = np.asarray(streams, dtype=np.uint64)
+    for block in atom_blocks(spec, n, streams, streams.size):
+        return block
+    return np.empty((0, n), dtype=np.int64)
 
-    The Philox words of every stream are produced in one vectorized pass and
-    mapped the way numpy's Generator maps them: `integers` takes Lemire's
-    bounded value of each uint32 (low half of each word first), `choice`
-    searches (word >> 11) * 2**-53 in the normalized cdf. A stream where
-    Lemire's method would reject a draw is redrawn with `draw_iid`, and its
-    grid values are looked up in the sorted grid.
+
+def atom_blocks(spec: SamplerSpec, n: int, streams, batch: int) -> Iterator[np.ndarray]:
+    """`draw_atoms_batch(spec, n, streams)` in blocks of `batch` streams, the
+    last one possibly shorter, for a finite kind. Each (B, n) block is a
+    view of buffers the next block overwrites: the Philox words, Lemire
+    values and atom indices of one batch are allocated once per call.
+
+    The Philox words of a block's streams are produced in one vectorized
+    pass and mapped the way numpy's Generator maps them: `integers` takes
+    Lemire's bounded value of each uint32 (low half of each word first),
+    `choice` searches (word >> 11) * 2**-53 in the normalized cdf (numpy's
+    searchsorted has no output argument, so that lookup allocates its
+    block). A stream where Lemire's method would reject a draw is redrawn
+    with `draw_iid`, and its grid values, looked up in the sorted grid, fill
+    its row.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
     if spec.kind == "discretized-gaussian":
         raise ValueError("discretized-gaussian has no finite support")
     streams = np.asarray(streams, dtype=np.uint64)
-    seeds = np.full(streams.shape, spec.seed_stream, dtype=np.uint64)
-    keys = np.stack([seeds, mix_ids_batch(streams)], axis=1)
-    if spec.kind == "finite":
-        raw = philox4x64(keys, -(-n // 4))[:, :n]
+    batch = max(1, min(batch, streams.size))
+    finite = spec.kind == "finite"
+    blocks = -(-n // 4) if finite else -(-n // 8)
+    philox = _philox_buffers(batch, blocks)
+    keys = np.empty((batch, 2), dtype=np.uint64)
+    keys[:, 0] = spec.seed_stream
+    if finite:
         cdf = spec.dist.probs.cumsum()
         cdf /= cdf[-1]
-        return cdf.searchsorted((raw >> np.uint64(11)) * (1.0 / 2**53), side="right")
-    k = 2 if spec.kind == "rademacher" else spec.grid_points
-    idx, rejected = _lemire_indices(philox4x64(keys, -(-n // 8)), n, k)
-    for r in np.flatnonzero(rejected):
-        idx[r] = _grid(k).searchsorted(draw_iid(spec, n, int(streams[r])))
-    return idx
+        uniforms = np.empty((batch, n))
+    else:
+        k = 2 if spec.kind == "rademacher" else spec.grid_points
+        indices = np.empty((batch, n), dtype=np.int64)
+    for start in range(0, streams.size, batch):
+        ids = streams[start : start + batch]
+        rows = ids.size
+        keys[:rows, 1] = mix_ids_batch(ids)
+        raw = philox4x64(keys[:rows], blocks, philox)
+        if finite:
+            words = np.right_shift(raw[:, :n], np.uint64(11), out=raw[:, :n])
+            yield cdf.searchsorted(np.multiply(words, 1.0 / 2**53, out=uniforms[:rows]), side="right")
+            continue
+        idx, rejected = _lemire_indices(raw, n, k, indices[:rows])
+        for r in np.flatnonzero(rejected):
+            idx[r] = _grid(k).searchsorted(draw_iid(spec, n, int(ids[r])))
+        yield idx
 
 
-def _lemire_indices(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _lemire_indices(
+    raw: np.ndarray, n: int, k: int, out: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """The first n values `Generator.integers(0, k, n)` makes from each row of
     raw Philox words (R, >= n / 2), for 1 <= k <= 2**32, as int64 (R, n), and
-    per row whether numpy would have rejected one of them.
+    per row whether numpy would have rejected one of them. The values are
+    written into `out`, a C-contiguous int64 (R, n) array, when it is given.
 
     numpy splits each word into uint32 halves, low half first, and maps a
     half u to (u * k) >> 32 (Lemire, ACM TOMACS 2019). It rejects u and draws
@@ -340,12 +415,13 @@ def _lemire_indices(raw: np.ndarray, n: int, k: int) -> tuple[np.ndarray, np.nda
     a power of two k; a flagged row must be drawn by numpy itself.
     """
     halves = np.ascontiguousarray(raw, dtype="<u8").view("<u4")[:, :n]
+    scaled = np.empty(halves.shape, dtype="<u8") if out is None else out.view("<u8")
+    np.multiply(halves, np.uint64(k), out=scaled)
     reject_below = (2**32 - k) % k
     rejected = np.zeros(halves.shape[0], dtype=bool)
-    if reject_below:  # the wrapping uint32 product is (u * k) mod 2**32
-        rejected = np.multiply(halves, np.uint32(k)).min(axis=1, initial=reject_below) < reject_below
-    scaled = np.multiply(halves, k, dtype=np.uint64)
-    np.right_shift(scaled, _SHIFT32, out=scaled)
+    if reject_below:  # the low half of each product is (u * k) mod 2**32
+        rejected = scaled.view("<u4")[:, ::2].min(axis=1, initial=reject_below) < reject_below
+    scaled >>= _SHIFT32
     return scaled.view(np.int64), rejected
 
 

@@ -141,28 +141,31 @@ def axpy(alpha: float, a: HilbertPoint, b: HilbertPoint) -> HilbertPoint:
     return space.point(alpha * a.coords + b.coords)
 
 
-def squared_row_norms(space: HilbertSpace, values: np.ndarray) -> np.ndarray:
+def squared_row_norms(space: HilbertSpace, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Squared norms of stacked coordinate rows; values has shape (..., dim).
 
     Each is np.add.reduce of the row's `value * value * weight` terms.
     numpy's pairwise reduce adds fewer than 8 terms one after another, so
     below dim 8 the coordinate columns are added in sequence: the same bits,
-    with no operation along the tiny last axis.
+    with no operation along the tiny last axis. The weighted squares are
+    written into `out`, shaped like values (it may be values itself), and
+    below dim 8 the result is a view of its first column.
     """
     values = np.asarray(values, dtype=np.float64)
     if values.shape[-1] != space.dim:
         raise SpaceMismatchError(
             f"last axis must have length {space.dim}, got {values.shape[-1]}"
         )
+    squares = np.multiply(values, values, out=out)
     if space.dim >= 8:
-        squares = values * values
-        squares *= space.weights  # in place: the bits of values * values * weights, one temporary
+        squares *= space.weights  # the bits of values * values * weights
         return np.add.reduce(squares, axis=-1)
-    total = None
-    for j, weight in enumerate(space.weights):
-        column = values[..., j]
-        term = column * column * weight
-        total = term if total is None else total + term
+    total = squares[..., 0]
+    total *= space.weights[0]
+    for j in range(1, space.dim):
+        term = squares[..., j]
+        term *= space.weights[j]
+        total += term
     return total
 
 

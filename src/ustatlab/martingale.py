@@ -40,7 +40,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .confidence import mean_interval, wilson_bounds
+from .confidence import _tail_triples, mean_interval, wilson_bounds
 from .distributions import SamplerSpec, draw_iid_batch, mix_ids_batch, substreams
 from .hilbert import HilbertSpace, row_norms, squared_row_norms
 
@@ -269,17 +269,6 @@ def _report(variant: str, s: PathSummaries, entries: list) -> InequalityCheckRep
         entries=tuple(entries),
         violations=sum(e.violated for e in entries),
     )
-
-
-def _tail_triples(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """Rows (P(value > t), Wilson lower, Wilson upper) over the thresholds,
-    shape (3, T), from one sort of the values. R - searchsorted(..., "right")
-    counts the values above t, as count_nonzero(values > t) does on finite
-    values."""
-    R = values.size
-    counts = R - np.searchsorted(np.sort(values), thresholds, side="right")
-    lo, hi = wilson_bounds(counts, R)
-    return np.stack([counts / R, lo, hi])
 
 
 def _step_tail_integral(

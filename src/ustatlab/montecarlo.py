@@ -21,10 +21,14 @@ the values at each stream's drawn ranks, summed (`design_sums_batch`).
 The tail scan has a second route. For an arity-2 kernel on a finite law
 whose atom table H has integer entries with C(N, 2) * max|H| < 2**53, and
 where (N - 1) * A * dim < C(N, 2) for A atoms, replicas are drawn as atom
-indices (`draw_atoms_batch`) and their prefix statistics are read from H
+indices (`atom_blocks`) and their prefix statistics are read from H
 (`ustats._count_prefix_sums`), O(N * A * dim) per replica. Every partial
 sum on that route and on the gather is then an exact integer, so the two
-give the same bytes; the rule reads only H, N, A and dim.
+give the same bytes; the rule reads only H, N, A and dim. That route and
+the with-replacement design loop allocate their batch buffers (Philox
+words, Lemire values, atom indices, gathered table rows, prefix sums)
+once per call: every batch writes into them, a partial last batch into a
+prefix of them, and each replica's maximum goes straight into the output.
 
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
@@ -41,22 +45,23 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .confidence import quantile_interval, wilson_bounds
+from .confidence import _tail_triples, quantile_interval
 from .distributions import (
     ENUMERATION_BUDGET,
     FiniteDistribution,
     SamplerSpec,
-    draw_atoms_batch,
+    atom_blocks,
     draw_iid,
     draw_iid_batch,
     mix_ids,
     mix_ids_batch,
 )
-from .hilbert import HilbertSpace, row_norms
+from .hilbert import HilbertSpace, row_norms, squared_row_norms
 from .hoeffding import _projections, degeneracy_order
 from .kernels import KernelSpec, _atom_table, _tail_means, _tuple_probs, check_sup_bound
 from .ustats import (
     SamplingDesign,
+    _count_buffers,
     _count_prefix_sums,
     _stacked_values,
     _tuple_columns,
@@ -103,11 +108,13 @@ _ROLE_DEC = 13
 _ROLE_FIXED = 14
 # Values per batch of replicas: the tail scan draws its replicas in batches
 # of this many sample values and evaluates them in batches of this many
-# gathered tuples (N=40, m=2: 819 and 42 replicas); the design and
-# decoupling experiments draw and evaluate batches of this many tuples. The
-# footprint then does not grow with the replica count. At 2**17 each batch's
-# 1 MiB temporaries were page-faulted back in on every batch, which made the
-# scan slower.
+# gathered tuples or count-route table values (N=40, m=2: 819 replicas
+# drawn, 42 gathered, 420 counted on Rademacher); the design and decoupling
+# experiments draw and evaluate batches of this many tuples. The footprint
+# then does not grow with the replica count. The count route and the design
+# loop allocate one batch's buffers per call and reuse them, so this bounds
+# memory, not page faults: larger batches run the scan a little faster for
+# a larger peak RSS.
 _CHUNK_VALUES = 2**15
 
 
@@ -166,20 +173,26 @@ def replicate(
     bound_sampler = _reseeded(config.sampler, config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
     table = _count_table(kernel, config.sampler, n, atom_table)
+    out = np.empty(config.replicas)
     if table is None:
-        draw, values = draw_iid_batch, inc_count(kernel.arity, n)
-    else:
-        draw, values = draw_atoms_batch, (n - 1) * table[0].size
-    out = []
-    for drawn in _batches(config.replicas, n):
-        samples = draw(bound_sampler, n, streams[drawn])
-        for b in _batches(drawn.size, values):
-            if table is None:
-                out.append(running_max_norms(kernel, samples[b]))
-            else:
-                prefixes = _count_prefix_sums(table, samples[b])
-                out.append(row_norms(kernel.codomain, prefixes).max(axis=1))
-    return np.concatenate(out)
+        for drawn in _batches(config.replicas, n):
+            samples = draw_iid_batch(bound_sampler, n, streams[drawn])
+            for b in _batches(drawn.size, inc_count(kernel.arity, n)):
+                out[drawn[b]] = running_max_norms(kernel, samples[b])
+        return out
+    # the largest partial norm is the root of the largest squared one: sqrt
+    # is monotone and correctly rounded
+    step = max(1, _CHUNK_VALUES // ((n - 1) * table[0].size))
+    buffers = _count_buffers(table, min(step, config.replicas), n)
+    start = 0
+    for atoms in atom_blocks(bound_sampler, n, streams, max(1, _CHUNK_VALUES // n)):
+        for lo in range(0, len(atoms), step):
+            prefixes = _count_prefix_sums(table, atoms[lo : lo + step], buffers)
+            maxima = out[start : start + len(prefixes)]
+            np.max(squared_row_norms(kernel.codomain, prefixes, prefixes), axis=1, out=maxima)
+            np.sqrt(maxima, out=maxima)
+            start += len(prefixes)
+    return out
 
 
 def _count_table(
@@ -328,9 +341,7 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
         "tail_scan",
     )
     stats = replicate(config, atom_table=table) / factor
-    counts = np.count_nonzero(stats[None, :] > config.x_grid[:, None], axis=1)
-    p_hat = counts / config.replicas
-    lo, hi = wilson_bounds(counts, config.replicas)
+    p_hat, lo, hi = _tail_triples(stats, config.x_grid)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
     return TailScanReport(
         x_grid=config.x_grid,

@@ -374,7 +374,18 @@ def _stacked_values(kernel: KernelSpec, samples: tuple[np.ndarray, ...], cols) -
     return batch_values(kernel, gathered).reshape(samples[0].shape[0], cols[0].size, -1)
 
 
-def _count_prefix_sums(table: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+def _count_buffers(table: np.ndarray, rows: int, n: int) -> tuple[np.ndarray, ...]:
+    """What `_count_prefix_sums` writes into for up to `rows` samples of size
+    n: the gathered table rows, the flat positions of each step's entry
+    (with their fixed row offsets), and the steps."""
+    size, dim = table.shape[0], table.shape[2]
+    offsets = (np.arange(rows)[:, None] * n + np.arange(n - 1)) * size
+    return np.empty((rows, n, size, dim)), offsets, np.empty_like(offsets), np.empty((rows, n - 1, dim))
+
+
+def _count_prefix_sums(
+    table: np.ndarray, atoms: np.ndarray, buffers: tuple[np.ndarray, ...] | None = None
+) -> np.ndarray:
     """Prefix statistics U_{n'}, n' = 2..n, of an arity-2 kernel on a stack
     of samples given as atom indices, from the kernel's atom table.
 
@@ -385,12 +396,20 @@ def _count_prefix_sums(table: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     When every table entry is an integer and C(n, 2) * max|table| < 2**53,
     every partial sum here and in `_prefix_sums` is an exact integer, so the
     two give the same bytes whatever order they add in.
+
+    Every step writes into `buffers`, from `_count_buffers(table, rows, n)`
+    for at least R rows, and the result is a view of it that the next call
+    overwrites; without them the call allocates its own.
     """
-    size, dim = table.shape[0], table.shape[2]
-    seen = np.cumsum(table.take(atoms[:, :-1], axis=0), axis=1)  # entry j - 1: rows x_0..x_{j-1}
-    step_rows = np.arange(atoms[:, 1:].size).reshape(atoms.shape[0], -1) * size + atoms[:, 1:]
-    steps = seen.reshape(-1, dim).take(step_rows, axis=0)  # entry j - 1 at atom x_j
-    return np.cumsum(steps, axis=1)
+    rows, n = atoms.shape
+    if buffers is None:
+        buffers = _count_buffers(table, rows, n)
+    seen, offsets, positions, steps = (b[:rows] for b in buffers)
+    table.take(atoms, axis=0, out=seen, mode="clip")  # indices are in range
+    np.cumsum(seen[:, :-1], axis=1, out=seen[:, :-1])  # entry j - 1: rows x_0..x_{j-1}
+    np.add(offsets, atoms[:, 1:], out=positions)
+    seen.reshape(-1, steps.shape[2]).take(positions, axis=0, out=steps, mode="clip")  # at atom x_j
+    return np.cumsum(steps, axis=1, out=steps)
 
 
 def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
@@ -602,9 +621,11 @@ def draw_design(
         ranks = np.sort(np.fromiter(chosen, dtype=np.int64, count=len(chosen)))
         return Selection(m=m, n=n, ranks=ranks, counts=np.ones(ranks.size, dtype=np.int64))
     if design.kind == "with-replacement":
-        draws = rng.integers(0, total, size=design.size)
-        ranks, counts = np.unique(draws, return_counts=True)
-        return Selection(m=m, n=n, ranks=ranks.astype(np.int64), counts=counts.astype(np.int64))
+        draws = np.sort(rng.integers(0, total, size=design.size))
+        # the ranks and counts of np.unique(draws, return_counts=True), as runs
+        first = np.flatnonzero(np.diff(draws, prepend=-1))
+        counts = np.diff(first, append=draws.size)
+        return Selection(m=m, n=n, ranks=draws[first], counts=counts)
     ranks = np.flatnonzero(_bernoulli_mask(design.rate, total, rng))
     return Selection(m=m, n=n, ranks=ranks, counts=np.ones(ranks.size, dtype=np.int64))
 
@@ -714,18 +735,23 @@ def _design_batch(
         return out
     size = design.size
     draws = min(size, math.ceil(total * (math.log(total) + _COVER_MARGIN))) if selected else size
-    step = max(1, _CHUNK // draws)
+    step = max(1, min(_CHUNK // draws, ids.size))
+    raw = np.empty((step, -(-draws // 2)), dtype=np.uint64)  # one pass's words, reused by every pass
+    indices = np.empty((step, draws), dtype=np.int64)
+    taken = np.empty((step, draws)) if values is not None else None
     for start in range(0, ids.size, step):
         rows = min(step, ids.size - start)
-        raw = np.array([next(streams).bit_generator.random_raw(-(-draws // 2)) for _ in range(rows)])
-        idx, rejected = _lemire_indices(raw, draws, total)
+        for row in raw[:rows]:
+            row[:] = next(streams).bit_generator.random_raw(row.size)
+        idx, rejected = _lemire_indices(raw[:rows], draws, total, indices[:rows])
         block = out[start : start + rows]
         if values is None:
             idx += np.arange(0, rows * total, total)[:, None]
             block[:] = np.bincount(idx.ravel(), minlength=rows * total).reshape(rows, total)
         else:
             for j, column in enumerate(columns):
-                block[:, j] = column.take(idx).sum(axis=1)
+                column.take(idx, out=taken[:rows], mode="clip")  # ranks are below C(n, m)
+                np.add.reduce(taken[:rows], axis=1, out=block[:, j])
         if draws < size:
             rejected |= ~block.all(axis=1)
         for r in start + np.flatnonzero(rejected):

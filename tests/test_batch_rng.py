@@ -15,7 +15,7 @@ from ustatlab.distributions import (
     philox4x64,
     substream,
 )
-from ustatlab.distributions import _lemire_indices
+from ustatlab.distributions import _atoms, _lemire_indices, _philox_buffers, atom_blocks
 from ustatlab.hilbert import HilbertSpace
 
 STREAMS = mix_ids_batch(11, np.arange(2000))
@@ -30,6 +30,22 @@ def test_philox_block_function_matches_numpy(blocks):
     got = philox4x64(keys, blocks)
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, expected)
+
+
+@pytest.mark.parametrize("blocks", [1, 5, 11])
+def test_philox_words_through_reused_buffers_match_numpy(blocks):
+    # batches shrink, each drawn into a prefix of the first one's buffers and
+    # keyed afresh, so words left over from a larger batch cannot pass
+    sizes = [200, 131, 64, 7, 1, 0]
+    keys = np.random.default_rng(blocks).integers(0, 2**64, size=(sum(sizes), 2), dtype=np.uint64)
+    expected = np.stack([np.random.Philox(key=k).random_raw(4 * blocks) for k in keys])
+    buffers = _philox_buffers(sizes[0], blocks)
+    start = 0
+    for rows in sizes:
+        got = philox4x64(keys[start : start + rows], blocks, buffers)
+        assert got.shape == (rows, 4 * blocks) and np.shares_memory(got, buffers[-1]) == (rows > 0)
+        np.testing.assert_array_equal(got, expected[start : start + rows])
+        start += rows
 
 
 def test_mix_ids_batch_matches_scalar():
@@ -139,6 +155,37 @@ def test_rejected_lemire_draws_fall_back_to_the_oracle(monkeypatch):
     # the 80,000 draws are rejected by numpy and redrawn
     spec = _samplers()["grid-3145729"]
     assert 5 <= _count_fallbacks(monkeypatch, spec, 40) <= 60
+
+
+def test_rejected_lemire_draws_fall_back_in_every_block(monkeypatch):
+    # 2000 streams in blocks of 819 leave a partial last block; the fallback
+    # writes each redrawn stream into its row of the reused index buffer
+    spec = _samplers()["grid-3145729"]
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return draw_iid(*args)
+
+    monkeypatch.setattr(distributions, "draw_iid", counting)
+    blocks = [block.copy() for block in atom_blocks(spec, 40, STREAMS, 819)]
+    monkeypatch.undo()
+    assert [len(b) for b in blocks] == [819, 819, 362]
+    redrawn = np.flatnonzero(np.isin(STREAMS, [int(args[2]) for args in calls]))
+    assert 5 <= redrawn.size <= 60 and redrawn.max() >= 2 * 819
+    np.testing.assert_array_equal(_atoms(spec)[np.concatenate(blocks)], _expected(spec, 40, STREAMS))
+
+
+def test_a_block_is_a_view_the_next_block_overwrites():
+    blocks = atom_blocks(_samplers()["grid-7"], 40, STREAMS[:8], 4)
+    first = next(blocks)
+    kept = first.copy()
+    second = next(blocks)
+    assert np.shares_memory(first, second)
+    np.testing.assert_array_equal(first, second)
+    assert not np.array_equal(kept, second)
+    whole = draw_atoms_batch(_samplers()["grid-7"], 40, STREAMS[:8])
+    np.testing.assert_array_equal(np.concatenate([kept, second]), whole)
 
 
 def test_rademacher_never_falls_back(monkeypatch):

@@ -18,6 +18,8 @@ from ustatlab.distributions import (
     FiniteDistribution,
     SamplerSpec,
     draw_atoms_batch,
+    draw_iid,
+    mix_ids,
     mix_ids_batch,
 )
 from ustatlab.hilbert import HilbertSpace, row_norms
@@ -167,6 +169,22 @@ def test_replicate_on_counts_equals_the_gather(monkeypatch, name, n, chunk):
     got = replicate(config)
     assert calls["count"] >= 1 and calls["gather"] == 0
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("replicas, chunk", [(101, 1200), (1000, DEFAULT_CHUNK)])
+@pytest.mark.parametrize("name", CASES)
+def test_count_route_equals_the_per_replica_oracle(monkeypatch, name, replicas, chunk):
+    # both chunks leave a partial last batch of draws and of prefix sums,
+    # which run on prefixes of the first batch's buffers
+    config = _config(name, 40, replicas)
+    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
+    calls = _spies(monkeypatch)
+    got = replicate(config)
+    assert calls["count"] >= 3 and calls["gather"] == 0
+    sampler = montecarlo._reseeded(config.sampler, config.master_seed)
+    samples = (draw_iid(sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(replicas))
+    want = [ustats.running_max(config.kernel, s).max_norm for s in samples]
+    assert got.tobytes() == np.array(want).tobytes()
 
 
 @settings(max_examples=80, deadline=None)

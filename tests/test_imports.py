@@ -1,5 +1,5 @@
 """Import weight of the CLI: no scipy and no numpy.ma at any point, nothing
-imported mid-run.
+imported mid-run, and no numpy.ma after a library call that counts draws.
 
 Each subcommand runs at a tiny size in a fresh interpreter, so the modules
 it loads are its own, not those of earlier tests. A module imported during
@@ -80,8 +80,10 @@ martingale: {generator: gaussian-coords, dim: 2, steps: 10, variants: [A2, A3, c
 
 CHILD = """\
 import json, os, sys
+import numpy as np
 import ustatlab
 from ustatlab import cli
+from ustatlab.ustats import SamplingDesign, draw_design
 
 def masked():
     return sorted(m for m in sys.modules if m == "numpy.ma" or m.startswith("numpy.ma."))
@@ -98,6 +100,8 @@ for subcommand, text in json.loads(sys.argv[2]).items():
     report[subcommand] = {"status": status, "added": sorted(set(sys.modules) - before)}
 report["scipy"] = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 report["masked after the runs"] = masked()
+draw_design(SamplingDesign("with-replacement", size=50), 2, 10, np.random.default_rng(0))
+report["masked after a with-replacement design"] = masked()
 print(json.dumps(report))
 """
 
@@ -115,9 +119,10 @@ def test_cli_runs_load_no_scipy_and_import_nothing_mid_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout.splitlines()[-1])
     assert report.pop("scipy") == []
-    # numpy loads numpy.ma lazily, at the first np.unique or np.quantile
+    # numpy loads numpy.ma lazily, at the first plain np.unique or np.quantile
     assert report.pop("masked at import") == []
     assert report.pop("masked after the runs") == []
+    assert report.pop("masked after a with-replacement design") == []
     assert sorted(report) == sorted(CONFIGS)
     for subcommand, entry in report.items():
         assert entry == {"status": 0, "added": []}, subcommand

@@ -7,13 +7,12 @@ import pytest
 
 from helpers import step_tail_integral_oracle, summarize_oracle
 from ustatlab import cli, martingale
-from ustatlab.confidence import _Z95, mean_interval, wilson_bounds
+from ustatlab.confidence import _Z95, _tail_triples, mean_interval, wilson_bounds
 from ustatlab.distributions import mix_ids, substream
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
     MartingalePath,
     _step_tail_integral,
-    _tail_triples,
     check_conv_tail_lemma,
     check_hilbert_inequality,
     check_real_inequality,

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from ustatlab.confidence import wilson_bounds
 from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid, exact_expectation
 from ustatlab.hilbert import HilbertSpace, row_norms
 from ustatlab.kernels import KernelSpec, SupBoundWarning, centered, gini, product
@@ -100,6 +101,19 @@ class TestReplicate:
         values = replicate(cfg, stat_fn=stat)
         se = values.std(ddof=1) / np.sqrt(replicas)
         assert abs(values.mean() - 1.0) <= 4.0 * se
+
+
+def test_tail_scan_counts_the_replicas_strictly_above_each_grid_point():
+    """Grid points equal to replica values (ties) count only the values above them."""
+    stats = replicate(make_config(normalization="raw"))
+    values = np.sort(stats[stats > 0])
+    grid = np.union1d(values, values + 0.5)
+    report = tail_scan(make_config(normalization="raw", x_grid=grid))
+    counts = np.array([np.count_nonzero(stats > x) for x in grid])
+    assert np.count_nonzero(np.isin(grid, stats)) >= 3 and counts.min() < counts.max()
+    lo, hi = wilson_bounds(counts, stats.size)
+    assert report.p_hat.tobytes() == (counts / stats.size).tobytes()
+    assert report.ci_lo.tobytes() == lo.tobytes() and report.ci_hi.tobytes() == hi.tobytes()
 
 
 class TestFitTailExponent:

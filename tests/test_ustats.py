@@ -381,6 +381,19 @@ class TestDesigns:
         se = np.sqrt(0.1 * 0.9 / design.size)
         np.testing.assert_allclose(freq, 0.1, atol=4.0 * se)
 
+    @pytest.mark.parametrize(
+        "m, n, size, distinct",
+        [(2, 10, 1, 1), (3, 3, 40, 1), (5, 100, 30, 30), (2, 10, 500, 45)],
+        ids=["size-1", "all-equal", "all-distinct", "mixed"],
+    )
+    def test_with_replacement_ranks_and_counts_are_np_uniques(self, m, n, size, distinct):
+        design = SamplingDesign(kind="with-replacement", size=size)
+        sel = draw_design(design, m, n, np.random.default_rng(size))
+        draws = np.random.default_rng(size).integers(0, inc_count(m, n), size=size)
+        ranks, counts = np.unique(draws, return_counts=True)
+        assert sel.distinct == distinct
+        assert sel.ranks.tobytes() == ranks.tobytes() and sel.counts.tobytes() == counts.tobytes()
+
     def test_without_replacement_cannot_exceed_the_population(self):
         rng = np.random.default_rng(55)
         with pytest.raises(ValueError):
