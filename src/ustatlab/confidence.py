@@ -42,15 +42,19 @@ def wilson_bounds(successes, trials: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
+def _tail_counts(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many values lie strictly above each threshold, from one sort:
+    R - searchsorted(..., "right") counts them as count_nonzero(values > t)
+    does on finite values."""
+    return values.size - np.searchsorted(np.sort(values), thresholds, side="right")
+
+
 def _tail_triples(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Rows (P(value > t), Wilson lower, Wilson upper) over the thresholds,
-    shape (3, T), from one sort of the values. R - searchsorted(..., "right")
-    counts the values above t, as count_nonzero(values > t) does on finite
-    values."""
-    R = values.size
-    counts = R - np.searchsorted(np.sort(values), thresholds, side="right")
-    lo, hi = wilson_bounds(counts, R)
-    return np.stack([counts / R, lo, hi])
+    shape (3, T), from `_tail_counts`."""
+    counts = _tail_counts(values, thresholds)
+    lo, hi = wilson_bounds(counts, values.size)
+    return np.stack([counts / values.size, lo, hi])
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

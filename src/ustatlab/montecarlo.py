@@ -7,16 +7,12 @@ Reductions over replicas happen in replica order. Every experiment runs
 on one thread over bounded batches of replicas: a batch draws its
 samples with one `draw_iid_batch` per data role and evaluates all its
 tuples with one gathered kernel call. Incomplete designs are drawn per
-replica on its own re-keyed Philox substream (its words fix the bytes)
-into a dense (replicas, C(n, m)) count matrix; with-replacement designs
-map those words in one pass per batch (`ustats.design_counts_batch`), and
-a 0/1 selection stops once every tuple is drawn (`design_selected_batch`).
-Each replica's selected rows sum as if reduced in ascending rank order,
-exactly as one selection's were; where every partial sum is an exact
-integer (`_dense_sums_exact`) that is one dense product, since every order
-then gives the same bytes. For the same reason the multiplicity-weighted
-sums of an exact with-replacement design skip the count matrix: they are
-the values at each stream's drawn ranks, summed (`design_sums_batch`).
+replica on its own re-keyed Philox substream (its words fix the bytes):
+with-replacement designs map those words in one pass per batch, and a 0/1
+selection stops once every tuple is drawn (`ustats.design_selected_batch`).
+Every selection sum goes through `ustats`: the 0/1-collapsed sums through
+`_selection_sums`, the multiplicity-weighted ones through
+`design_sums_batch`, and `ustats` alone decides when a sum is exact.
 
 The tail scan has a second route. For an arity-2 kernel on a finite law
 whose atom table H has integer entries with C(N, 2) * max|H| < 2**53, and
@@ -45,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .confidence import _tail_triples, quantile_interval
+from .confidence import _tail_counts, _tail_triples, quantile_interval
 from .distributions import (
     ENUMERATION_BUDGET,
     FiniteDistribution,
@@ -63,10 +59,12 @@ from .ustats import (
     SamplingDesign,
     _count_buffers,
     _count_prefix_sums,
+    _exact_bound,
+    _exact_sums,
+    _selection_sums,
     _stacked_values,
     _tuple_columns,
     check_design,
-    design_counts_batch,
     design_mean_factor,
     design_selected_batch,
     design_sums_batch,
@@ -215,24 +213,9 @@ def _count_table(
         return None
     if table is None:
         table = _atom_table(kernel, support)
-    if not _exact_sums(_integer_max(table), pairs):
+    if not _exact_sums(_exact_bound(np.abs(table)), pairs):  # the sign of a zero changes no norm
         return None
     return table.reshape(size, size, -1)
-
-
-def _integer_max(values: np.ndarray) -> float:
-    """max|value| when every value is an integer, else inf."""
-    if not np.all(values == np.round(values)):
-        return math.inf
-    return float(np.abs(values).max(initial=0.0))
-
-
-def _exact_sums(values_bound: float, weight_total) -> bool:
-    """Whether every sum of integer values of magnitude at most values_bound
-    (inf when they are not all integers), with integer weights of total
-    magnitude at most weight_total, is exact in any order:
-    weight_total * values_bound < 2**53."""
-    return bool(values_bound < math.inf and weight_total * values_bound < 2.0**53)
 
 
 def _batches(count: int, values: int):
@@ -589,56 +572,6 @@ def _columns(m: int, n: int) -> tuple[np.ndarray, ...]:
     return cols
 
 
-def _selection_sums(vals: np.ndarray, weights: np.ndarray, values_bound: float) -> np.ndarray:
-    """Each replica's sum of weights[b, t] * vals[b, t] over its tuples with
-    nonzero weight, shape (B, dim); a replica with none sums to zero.
-
-    vals is (B, T, dim), or (T, dim) shared by the batch; weights are bool
-    or integer counts. Each sum has the bytes of np.add.reduce over the
-    replica's own compressed rows in ascending rank order, as a lone
-    selection's `vals[ranks] * counts` was reduced: the reduction is
-    pairwise at dim 1, so zero padding would in general change the bits.
-    Where `_dense_sums_exact` holds, every order gives those bytes, and the
-    sums are one dense product. values_bound is `_dense_values_bound(vals)`.
-    """
-    if _dense_sums_exact(weights, values_bound):
-        dense = weights.astype(np.float64)
-        dense = dense @ vals if vals.ndim == 2 else np.einsum("bt,btd->bd", dense, vals)
-        # zero-weight terms 0 * v are -0 for v < 0; a sum of them alone would be
-        # -0 from an accumulator that starts at its first term, not at +0
-        return dense + 0.0
-    reps, ranks = np.nonzero(weights)
-    rows = vals[reps, ranks] if vals.ndim == 3 else vals[ranks]
-    rows = rows * weights[reps, ranks][:, None]
-    lengths = np.count_nonzero(weights, axis=1)
-    ends = np.cumsum(lengths)
-    starts = ends - lengths
-    out = np.zeros((weights.shape[0], vals.shape[-1]))
-    for b in np.flatnonzero(lengths):
-        out[b] = np.add.reduce(rows[starts[b] : ends[b]], axis=0)
-    return out
-
-
-def _dense_values_bound(vals: np.ndarray) -> float:
-    """The values half of `_dense_sums_exact`: max|vals| for integer values
-    with no -0, else inf."""
-    if np.any(np.signbit(vals) & (vals == 0)):
-        return math.inf
-    return _integer_max(vals)
-
-
-def _dense_sums_exact(weights: np.ndarray, values_bound: float) -> bool:
-    """Whether a dense weights-by-vals product gives `_selection_sums`' bytes:
-    integer values with no -0 and nonnegative weights whose largest row sum
-    times max|vals| is below 2**53, so that every partial sum is exact and
-    no nonzero-weight term is -0. values_bound is `_dense_values_bound(vals)`,
-    which a caller that sums several weight batches over the same values
-    computes once."""
-    if weights.min(initial=0) < 0:
-        return False
-    return _exact_sums(values_bound, weights.sum(axis=1).max(initial=0))
-
-
 def _normalized_norms(
     kernel: KernelSpec,
     sampler: SamplerSpec,
@@ -668,38 +601,10 @@ def _normalized_norms(
             vals = _stacked_values(kernel, (samples[b],) * m, cols)
             ids = mix_ids_batch(_ROLE_DESIGN, cell_id, r)
             selected = design_selected_batch(design, m, n, master_seed, ids)
-            sums = _selection_sums(vals, selected, _dense_values_bound(vals))
+            sums = _selection_sums(vals, selected, _exact_bound(vals))
             norms[r] = row_norms(kernel.codomain, sums)
             distinct[r] = np.count_nonzero(selected, axis=1)
     return np.where(distinct > 0, norms / normalizer(distinct), math.nan)
-
-
-def _design_estimates(
-    fixed_vals: np.ndarray,
-    design: SamplingDesign,
-    m: int,
-    n: int,
-    cell_id: int,
-    draws: int,
-    master_seed: int,
-) -> np.ndarray:
-    """Multiplicity-weighted selection sums of the fixed sample's kernel
-    values, one per design draw on fixed substream (cell_id, r), shape
-    (draws, dim).
-
-    Where every with-replacement sum is exact (`_exact_sums` of the values
-    and the design size), the sums are read straight from the drawn ranks
-    (`design_sums_batch`) and give `_selection_sums`' bytes; other designs
-    and values go through the count matrix."""
-    bound = _dense_values_bound(fixed_vals)
-    if design.kind == "with-replacement" and _exact_sums(bound, design.size):
-        ids = mix_ids_batch(_ROLE_FIXED, cell_id, np.arange(draws))
-        return design_sums_batch(design, m, n, master_seed, ids, fixed_vals)
-    out = np.empty((draws, fixed_vals.shape[1]))
-    for r in _batches(draws, fixed_vals.shape[0]):
-        counts = design_counts_batch(design, m, n, master_seed, mix_ids_batch(_ROLE_FIXED, cell_id, r))
-        out[r] = _selection_sums(fixed_vals, counts, bound)
-    return out
 
 
 def incomplete_scaling_experiment(
@@ -760,7 +665,8 @@ def incomplete_scaling_experiment(
         fixed_sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_FIXED, cell_id))
         fixed_vals = _stacked_values(kernel, (fixed_sample[None],) * m, _columns(m, n))[0]
         target = design_mean_factor(design, m, n) * np.add.reduce(fixed_vals, axis=0)
-        ests = _design_estimates(fixed_vals, design, m, n, cell_id, draws, master_seed)
+        ids = mix_ids_batch(_ROLE_FIXED, cell_id, np.arange(draws))
+        ests = design_sums_batch(design, m, n, master_seed, ids, fixed_vals)
         mean = ests.mean(axis=0)
         se = ests.std(axis=0, ddof=1) / math.sqrt(draws)
         dev = np.abs(mean - target)
@@ -905,8 +811,7 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
         raise ValueError("decouple_compare needs x_grid")
     stats_u, stats_d = _decouple_stats(config)
     R = config.replicas
-    counts_u = np.array([np.count_nonzero(stats_u > x) for x in config.x_grid])
-    counts_d = np.array([np.count_nonzero(stats_d > x) for x in config.x_grid])
+    counts_u, counts_d = _tail_counts(stats_u, config.x_grid), _tail_counts(stats_d, config.x_grid)
     usable = (counts_u >= MIN_TAIL_COUNT) & (counts_d >= MIN_TAIL_COUNT)
     p_u = counts_u / R
     p_d = counts_d / R

@@ -16,6 +16,12 @@ atom indices (`_count_prefix_sums`, Lee 1990, ch. 1: a U-statistic of a
 discrete law is a polynomial in atom counts), in O(n * A * dim) instead of
 C(n, 2); on an integer table with C(n, 2) * max|table| < 2**53 its bytes
 equal the gather's.
+
+Two summation rules are each written once. `_sum_tuples` adds every tuple's
+value in enumeration order (`complete`, `decoupled`, `weighted`);
+`_selection_sums` adds a selection's values in ascending rank order, or as
+one dense product where every partial sum is an exact integer (`_exact_bound`,
+`_exact_sums`), for `incomplete`, `design_sums_batch` and the experiments.
 """
 
 from __future__ import annotations
@@ -568,7 +574,7 @@ class Selection:
         counts = np.asarray(self.counts, dtype=np.int64)
         if ranks.shape != counts.shape or ranks.ndim != 1:
             raise ValueError("ranks and counts must be 1-d arrays of equal length")
-        if ranks.size and (np.any(np.diff(ranks) <= 0) or np.any(counts < 1)):
+        if ranks.size and ((ranks[1:] <= ranks[:-1]).any() or (counts < 1).any()):
             raise ValueError("ranks must be strictly increasing with positive counts")
         ranks.setflags(write=False)
         counts.setflags(write=False)
@@ -613,30 +619,25 @@ def draw_design(
     counts.
     """
     total = check_design(design, m, n)
-    if design.kind == "without-replacement":
-        chosen: set[int] = set()
-        for j in range(total - design.size, total):
-            t = int(rng.integers(0, j + 1))
-            chosen.add(j if t in chosen else t)
-        ranks = np.sort(np.fromiter(chosen, dtype=np.int64, count=len(chosen)))
-        return Selection(m=m, n=n, ranks=ranks, counts=np.ones(ranks.size, dtype=np.int64))
     if design.kind == "with-replacement":
         draws = np.sort(rng.integers(0, total, size=design.size))
         # the ranks and counts of np.unique(draws, return_counts=True), as runs
         first = np.flatnonzero(np.diff(draws, prepend=-1))
         counts = np.diff(first, append=draws.size)
         return Selection(m=m, n=n, ranks=draws[first], counts=counts)
-    ranks = np.flatnonzero(_bernoulli_mask(design.rate, total, rng))
+    if design.kind == "without-replacement":
+        chosen: set[int] = set()
+        for j in range(total - design.size, total):
+            t = int(rng.integers(0, j + 1))
+            chosen.add(j if t in chosen else t)
+        ranks = np.sort(np.fromiter(chosen, dtype=np.int64, count=len(chosen)))
+    else:
+        mask = np.empty(total, dtype=bool)
+        for start in range(0, total, 2**20):  # uniforms drawn in chunks of 2**20
+            stop = min(start + 2**20, total)
+            mask[start:stop] = rng.random(stop - start) < design.rate
+        ranks = np.flatnonzero(mask)
     return Selection(m=m, n=n, ranks=ranks, counts=np.ones(ranks.size, dtype=np.int64))
-
-
-def _bernoulli_mask(rate: float, total: int, rng: np.random.Generator) -> np.ndarray:
-    """Keep each of `total` ranks with probability `rate`, uniforms drawn in chunks of 2**20."""
-    mask = np.empty(total, dtype=bool)
-    for start in range(0, total, 2**20):
-        stop = min(start + 2**20, total)
-        mask[start:stop] = rng.random(stop - start) < rate
-    return mask
 
 
 def design_counts(
@@ -644,19 +645,12 @@ def design_counts(
 ) -> np.ndarray:
     """The selection `draw_design` makes from the same generator, as dense
     multiplicities over all C(n, m) ranks (zero where a tuple is not drawn).
-
-    It consumes the same generator words: with-replacement ranks are counted
-    with `bincount` instead of `unique`, the bernoulli mask is kept whole,
-    and a without-replacement draw scatters Floyd's ranks. It is the oracle
-    of `design_counts_batch`, which redraws numpy's rejected streams with it.
+    It is the oracle of `design_counts_batch`, which redraws numpy's rejected
+    streams with it.
     """
-    total = check_design(design, m, n)
-    if design.kind == "with-replacement":
-        return np.bincount(rng.integers(0, total, size=design.size), minlength=total)
-    if design.kind == "bernoulli":
-        return _bernoulli_mask(design.rate, total, rng).astype(np.int64)
-    counts = np.zeros(total, dtype=np.int64)
-    counts[draw_design(design, m, n, rng).ranks] = 1
+    sel = draw_design(design, m, n, rng)
+    counts = np.zeros(inc_count(m, n), dtype=np.int64)
+    counts[sel.ranks] = sel.counts
     return counts
 
 
@@ -692,30 +686,39 @@ def design_selected_batch(
 def design_sums_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids, values
 ) -> np.ndarray:
-    """`design_counts_batch(design, m, n, master_seed, ids) @ values`, bit for
-    bit, shape (len(ids), dim), for a with-replacement design and (C(n, m),
-    dim) values on which every such sum is exact: integers with no -0 and
-    size * max|values| < 2**53.
+    """`_selection_sums(values, design_counts_batch(design, m, n, master_seed,
+    ids), _exact_bound(values))`, bit for bit, shape (len(ids), dim), for
+    (C(n, m), dim) values.
 
-    Each row is the sum of `values` at its stream's drawn ranks along the
-    draw axis, read straight from the Lemire values with no count matrix;
-    exact partial sums make that order give the product's bytes (on other
-    values the two differ by rounding). A stream where numpy would have
-    rejected a word is redrawn with `design_counts`.
+    Where every with-replacement sum is exact (`_exact_sums` of the values
+    and the size), so that any order gives the same bytes, each row sums
+    `values` at its stream's drawn ranks straight from the Lemire values,
+    with no count matrix; numpy's rejected streams are redrawn with
+    `design_counts`. Other designs and values sum count rows, about _CHUNK
+    values at a time.
     """
-    if design.kind != "with-replacement":
-        raise ValueError(f"a {design.kind} design draws no ranks to sum over")
+    total = check_design(design, m, n)
     values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or len(values) != inc_count(m, n):
-        raise ValueError(f"values of shape {values.shape} for {inc_count(m, n)} tuples of Inc^{m}_{n}")
-    return _design_batch(design, m, n, master_seed, ids, values=values)
+    if values.ndim != 2 or len(values) != total:
+        raise ValueError(f"values of shape {values.shape} for {total} tuples of Inc^{m}_{n}")
+    bound = _exact_bound(values)
+    if design.kind == "with-replacement" and _exact_sums(bound, design.size):
+        return _design_batch(design, m, n, master_seed, ids, values=values)
+    ids = np.asarray(ids)
+    out = np.empty((ids.size, values.shape[1]))
+    step = max(1, _CHUNK // total)
+    for start in range(0, ids.size, step):
+        counts = _design_batch(design, m, n, master_seed, ids[start : start + step])
+        out[start : start + step] = _selection_sums(values, counts, bound)
+    return out
 
 
 def _design_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids, selected=False, values=None
 ):
     """`design_counts_batch`, with `selected` `design_selected_batch`, with
-    `values` `design_sums_batch`: one draw loop, three reductions of its ranks."""
+    `values` the exact with-replacement `design_sums_batch`: one draw loop,
+    three reductions of its ranks."""
     total = check_design(design, m, n)
     ids = np.asarray(ids)
     if values is None:
@@ -759,6 +762,51 @@ def _design_batch(
     return out
 
 
+def _exact_bound(values: np.ndarray) -> float:
+    """max|v| when every value is an integer and none is -0, else inf."""
+    if np.any(np.signbit(values) & (values == 0)) or not np.all(values == np.round(values)):
+        return math.inf
+    return float(np.abs(values).max(initial=0.0))
+
+
+def _exact_sums(bound: float, total) -> bool:
+    """Whether every sum of values within `bound` (an `_exact_bound`) with
+    nonnegative integer weights totalling at most `total` is an exact
+    integer, whatever the order of adding: total * bound < 2**53."""
+    return bool(bound < math.inf and total * bound < 2.0**53)
+
+
+def _selection_sums(values: np.ndarray, weights: np.ndarray, bound: float) -> np.ndarray:
+    """Each row's sum of weights[b, t] * values[b, t] over its tuples with
+    nonzero weight, shape (B, dim); a row with none sums to zero.
+
+    values is (B, T, dim), or (T, dim) shared by the rows; weights are bool
+    or integer counts, and bound is `_exact_bound(values)`. Each sum has the
+    bytes of np.add.reduce over the row's own compressed rows
+    `values[ranks] * counts` in ascending rank order, as one selection is
+    reduced: the reduction is pairwise at dim 1, so zero padding would in
+    general change the bits. Where `_exact_sums` holds for the largest row
+    of nonnegative weights, every order gives those bytes, and the sums are
+    one dense product.
+    """
+    if weights.min(initial=0) >= 0 and _exact_sums(bound, weights.sum(axis=1).max(initial=0)):
+        dense = weights.astype(np.float64)
+        dense = dense @ values if values.ndim == 2 else np.einsum("bt,btd->bd", dense, values)
+        # zero-weight terms 0 * v are -0 for v < 0; a sum of them alone would be
+        # -0 from an accumulator that starts at its first term, not at +0
+        return dense + 0.0
+    reps, ranks = np.nonzero(weights)
+    rows = values[reps, ranks] if values.ndim == 3 else values[ranks]
+    rows = rows * weights[reps, ranks][:, None]
+    lengths = np.count_nonzero(weights, axis=1)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out = np.zeros((weights.shape[0], values.shape[-1]))
+    for b in np.flatnonzero(lengths):
+        out[b] = np.add.reduce(rows[starts[b] : ends[b]], axis=0)
+    return out
+
+
 def design_mean_factor(design: SamplingDesign, m: int, n: int) -> float:
     """E[selection size] / inc_count: the exact design-unbiasedness factor."""
     if design.kind == "bernoulli":
@@ -777,7 +825,9 @@ class IncompleteResult:
 
 
 def incomplete(kernel: KernelSpec, sample, selection: Selection) -> IncompleteResult:
-    """Sum of kernel values over a selection, multiplicities folded in.
+    """Sum of kernel values over a selection, multiplicities folded in: the
+    selected tuples' values reduced in ascending rank order by
+    `_selection_sums`, with the counts as one row of weights.
 
     An empty selection (possible under a bernoulli design) yields the zero
     vector with the empty flag set.
@@ -795,7 +845,7 @@ def incomplete(kernel: KernelSpec, sample, selection: Selection) -> IncompleteRe
     cols = _tuple_columns(m, n)
     idx = [c[selection.ranks] for c in cols] if cols is not None else _lex_unranks(selection.ranks, n, m)
     vals = batch_values(kernel, tuple(rows[c] for c in idx))
-    value = np.add.reduce(vals * selection.counts[:, None].astype(np.float64), axis=0)
+    value = _selection_sums(vals, selection.counts[None], _exact_bound(vals))[0]
     return IncompleteResult(
         kernel.codomain.point(value),
         selected=selection.selected,

@@ -1,7 +1,8 @@
 """Batched design and decoupling experiments: equal to the per-replica loops at
 any batch size, dense design counts equal to `draw_design`, design sums read
-from the drawn ranks equal to the counts product, and the up-front checks
-raised before any replica is drawn."""
+from the drawn ranks equal to the counts product, the selection sums' dense
+route taken only where it is exact, and the up-front checks raised before
+any replica is drawn."""
 
 import numpy as np
 import pytest
@@ -84,6 +85,7 @@ CHUNKS = (1, 7, DEFAULT_CHUNK)
 @pytest.mark.parametrize("kernel_case", list(_kernels()))
 def test_scaling_statistics_equal_the_per_replica_loop(monkeypatch, kernel_case, design, chunk):
     monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
+    monkeypatch.setattr(ustats, "_CHUNK", chunk)
     kernel, sampler = _kernels()[kernel_case]
     design = DESIGNS[design]
     n, m, d, cell_id, replicas = 8, kernel.arity, 1, 3, 101
@@ -96,8 +98,9 @@ def test_scaling_statistics_equal_the_per_replica_loop(monkeypatch, kernel_case,
 
     fixed_sample = draw_iid(sampler, n, mix_ids(montecarlo._ROLE_FIXED, cell_id))
     fixed = cell_values_oracle(kernel, (fixed_sample,) * m)
+    ids = mix_ids_batch(montecarlo._ROLE_FIXED, cell_id, np.arange(replicas))
     np.testing.assert_array_equal(
-        montecarlo._design_estimates(fixed, design, m, n, cell_id, replicas, SEED),
+        design_sums_batch(design, m, n, SEED, ids, fixed),
         estimator_oracle(fixed, design, m, n, cell_id, replicas, SEED),
     )
 
@@ -354,9 +357,12 @@ def test_design_sums_of_no_ids_and_what_they_refuse():
     design = SamplingDesign(kind="with-replacement", size=5)
     got = design_sums_batch(design, 2, 8, SEED, [], _exact_values(28, 3))
     assert got.shape == (0, 3) and got.dtype == np.float64
-    for other in ("without-replacement", "bernoulli"):
-        with pytest.raises(ValueError, match="draws no ranks"):
-            design_sums_batch(DESIGNS[other], 2, 8, SEED, [1], _exact_values(28, 1))
+    ids = mix_ids_batch(_ROLE, 11, np.arange(60))
+    for other in ("with-replacement", "without-replacement", "bernoulli"):
+        counts = design_counts_batch(DESIGNS[other], 2, 8, SEED, ids)
+        for values in (_exact_values(28, 2), np.random.default_rng(1).normal(size=(28, 2))):
+            want = ustats._selection_sums(values, counts, ustats._exact_bound(values))
+            assert design_sums_batch(DESIGNS[other], 2, 8, SEED, ids, values).tobytes() == want.tobytes()
     for shape in [(28,), (27, 1)]:
         with pytest.raises(ValueError, match="values of shape"):
             design_sums_batch(design, 2, 8, SEED, [1], np.zeros(shape))
@@ -376,13 +382,27 @@ ESTIMATE_CASES = {
 }
 
 
+def _counting_design_batches(monkeypatch):
+    """Calls of `ustats._design_batch` that read sums from the drawn ranks, and
+    calls that return count rows."""
+    sums, counts = [], []
+    original = ustats._design_batch
+
+    def counted(*args, **kwargs):
+        (sums if "values" in kwargs else counts).append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ustats, "_design_batch", counted)
+    return sums, counts
+
+
 @pytest.mark.parametrize("name", list(ESTIMATE_CASES))
-def test_design_estimates_read_exact_sums_from_the_drawn_ranks(monkeypatch, name):
+def test_design_sums_read_exact_sums_from_the_drawn_ranks(monkeypatch, name):
     fixed, design, exact = ESTIMATE_CASES[name]
-    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", 190 * 7)  # 50 draws in 8 count batches
-    sums = _counting(monkeypatch, "design_sums_batch")
-    counts = _counting(monkeypatch, "design_counts_batch")
-    got = montecarlo._design_estimates(fixed, design, 2, 20, 0, 50, SEED)
+    monkeypatch.setattr(ustats, "_CHUNK", 190 * 7)  # 50 draws in 8 count batches
+    sums, counts = _counting_design_batches(monkeypatch)
+    ids = mix_ids_batch(montecarlo._ROLE_FIXED, 0, np.arange(50))
+    got = design_sums_batch(design, 2, 20, SEED, ids, fixed)
     assert got.tobytes() == estimator_oracle(fixed, design, 2, 20, 0, 50, SEED).tobytes()
     assert (len(sums), len(counts)) == ((1, 0) if exact else (0, 8))
 
@@ -424,23 +444,39 @@ DENSE = ["ints-shared", "ints-per-replica-bool", "ints-per-replica-counts", "all
 COMPRESSED = ["non-integer", "at-2**53", "negative-zero", "negative-weights"]
 
 
+def _dense_route(monkeypatch, vals, weights, bound):
+    """Whether `ustats._selection_sums` takes its dense product, and its sums."""
+    verdicts = []
+    original = ustats._exact_sums
+
+    def counted(*args):
+        verdicts.append(original(*args))
+        return verdicts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ustats, "_exact_sums", counted)
+        got = ustats._selection_sums(vals, weights, bound)
+    return verdicts == [True], got
+
+
 @pytest.mark.parametrize("name", DENSE + COMPRESSED)
 def test_selection_sums_take_the_dense_route_only_where_exact(monkeypatch, name):
     vals, weights = _selection_case(name)
-    bound = montecarlo._dense_values_bound(vals)
-    assert montecarlo._dense_sums_exact(weights, bound) == (name in DENSE)
-    got = montecarlo._selection_sums(vals, weights, bound)
+    bound = ustats._exact_bound(vals)
+    dense, got = _dense_route(monkeypatch, vals, weights, bound)
+    assert dense == (name in DENSE)
     assert got.tobytes() == _compressed_sums(vals, weights).tobytes()
-    monkeypatch.setattr(montecarlo, "_dense_sums_exact", lambda *_: False)
-    assert got.tobytes() == montecarlo._selection_sums(vals, weights, bound).tobytes()
+    monkeypatch.setattr(ustats, "_exact_sums", lambda *_: False)
+    assert got.tobytes() == ustats._selection_sums(vals, weights, bound).tobytes()
 
 
-def test_the_dense_route_bound_is_strict():
-    bound = montecarlo._dense_values_bound(np.full((4, 1), 2.0**48))
+def test_the_dense_route_bound_is_strict(monkeypatch):
+    vals = np.full((4, 1), 2.0**48)
+    bound = ustats._exact_bound(vals)
     weights = np.array([[8, 8, 8, 7], [1, 0, 0, 0]])
-    assert montecarlo._dense_sums_exact(weights, bound)  # largest sum 31 * 2**48
+    assert _dense_route(monkeypatch, vals, weights, bound)[0]  # largest sum 31 * 2**48
     weights[1, 0] = 32
-    assert not montecarlo._dense_sums_exact(weights, bound)  # 2**53
+    assert not _dense_route(monkeypatch, vals, weights, bound)[0]  # 2**53
 
 
 def _counting(monkeypatch, name):
@@ -469,7 +505,7 @@ def _counting(monkeypatch, name):
 )
 def test_scaling_checks_come_before_any_replica(monkeypatch, bad_cell, error):
     batches = _counting(monkeypatch, "draw_iid_batch")
-    designs = _counting(monkeypatch, "design_counts_batch")
+    designs = _counting(monkeypatch, "design_sums_batch")
     selections = _counting(monkeypatch, "design_selected_batch")
     good = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
     with pytest.raises(error):
@@ -494,18 +530,19 @@ def test_decouple_checks_come_before_any_replica(monkeypatch):
     assert batches == []
 
 
-def test_design_estimates_check_the_fixed_values_once_per_cell(monkeypatch):
+@pytest.mark.parametrize("offset", [0.0, 0.5], ids=["exact", "non-integer"])
+def test_design_sums_check_the_values_once_per_cell(monkeypatch, offset):
     calls = []
-    original = montecarlo._dense_values_bound
+    original = ustats._exact_bound
 
     def counted(vals):
         calls.append(vals.shape)
         return original(vals)
 
-    monkeypatch.setattr(montecarlo, "_dense_values_bound", counted)
-    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", 190 * 7)  # several batches per cell
-    fixed = np.random.default_rng(3).integers(-3, 4, size=(190, 1)).astype(np.float64)
+    monkeypatch.setattr(ustats, "_exact_bound", counted)
+    monkeypatch.setattr(ustats, "_CHUNK", 190 * 7)  # several batches per cell
+    fixed = np.random.default_rng(3).integers(-3, 4, size=(190, 1)) + offset
     design = SamplingDesign("with-replacement", 100)
-    ests = montecarlo._design_estimates(fixed, design, 2, 20, 0, 50, 9)
+    ests = design_sums_batch(design, 2, 20, 9, mix_ids_batch(montecarlo._ROLE_FIXED, 0, np.arange(50)), fixed)
     assert ests.shape == (50, 1)
     assert calls == [(190, 1)]

@@ -237,6 +237,18 @@ def test_the_atom_count_rule_is_strict():
         assert (montecarlo._count_table(kernel, SamplerSpec(kind="rademacher"), 40) is not None) == counted
 
 
+def test_a_table_with_negative_zeros_is_counted(monkeypatch):
+    # the product on atoms {-1, 0, 1} has h(-1, 0) = -0, which no norm sees
+    law = SamplerSpec(kind="finite", dist=_law([-1, 0, 1]))
+    table = montecarlo._count_table(product(), law, 40)
+    assert table is not None and np.any(np.signbit(table) & (table == 0))
+    config = ExperimentConfig(kernel=product(), sampler=law, sample_size=40, replicas=300, master_seed=5)
+    want = _gather_replicate(monkeypatch, config)
+    calls = _spies(monkeypatch)
+    assert replicate(config).tobytes() == want.tobytes()
+    assert calls["count"] >= 1 and calls["gather"] == 0
+
+
 def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
     calls = []
 

@@ -6,7 +6,8 @@ it loads are its own, not those of earlier tests. A module imported during
 `cli.run` costs its import time inside the run instead of at start-up.
 
 Also guards the package's source: only `kernels.py` may ask which evaluator
-a kernel was given, and no module imports inside a function.
+a kernel was given, only `ustats.py` decides when a sum is exact, and no
+module imports inside a function.
 """
 
 import ast
@@ -133,6 +134,28 @@ def test_only_kernels_branches_on_the_evaluator():
     needs a second, per-tuple path for kernels without `eval_batch`."""
     forks = [path.name for path in sorted(PACKAGE.glob("*.py")) if "eval_batch is" in path.read_text()]
     assert forks == ["kernels.py"]
+
+
+def _is_two_to_the_53(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Pow)
+        and all(isinstance(side, ast.Constant) for side in (node.left, node.right))
+        and (node.left.value, node.right.value) == (2, 53)
+    )
+
+
+def test_only_ustats_compares_against_2_to_the_53():
+    """The exact-integer rule (integer values, no -0, total * max|v| < 2**53)
+    is written once, in `ustats`; other modules ask it instead of comparing
+    against 2**53 themselves. A scaling such as `1.0 / 2**53` is no bound."""
+    bounds = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Compare) and any(_is_two_to_the_53(part) for part in ast.walk(node))
+    ]
+    assert bounds and all(bound.startswith("ustats.py:") for bound in bounds), bounds
 
 
 def test_no_import_inside_a_function():

@@ -29,6 +29,7 @@ from ustatlab.ustats import (
     _lex_unranks,
     _tuple_columns,
     SamplingDesign,
+    Selection,
     WeightScheme,
     complete,
     decoupled,
@@ -407,6 +408,13 @@ class TestDesigns:
         with pytest.raises(ValueError):
             SamplingDesign(kind="bernoulli", rate=0.5, size=3)
 
+    def test_selection_validation(self):
+        assert Selection(m=2, n=5, ranks=[], counts=[]).empty
+        assert Selection(m=2, n=5, ranks=[7], counts=[3]).selected == 3
+        for ranks, counts in [([1, 4, 4], [1, 1, 1]), ([4, 1], [1, 1]), ([1, 4], [1, 0]), ([1, 4], [1])]:
+            with pytest.raises(ValueError):
+                Selection(m=2, n=5, ranks=ranks, counts=counts)
+
     def test_mean_factor(self):
         assert design_mean_factor(
             SamplingDesign(kind="bernoulli", rate=0.25), 2, 6
@@ -457,6 +465,16 @@ class TestIncomplete:
         "triple-product": (
             lambda: KernelSpec(arity=3, codomain=line, eval_batch=lambda x, y, z: x * y * z), 3, 30,
         ),
+        # integer values: with -0 among them (0 * -1) they take the compressed
+        # route of `_selection_sums`, without it the dense product
+        "integer-steps-grid7": (
+            lambda: KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: np.round(3 * x) * np.round(3 * y)),
+            2, 200,
+        ),
+        "integer-gaps-grid7": (
+            lambda: KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: np.abs(np.round(3 * x) - np.round(3 * y))),
+            2, 200,
+        ),
     }
 
     @pytest.mark.parametrize("kernel_case", list(KERNELS))
@@ -470,11 +488,14 @@ class TestIncomplete:
         idx = np.array([unrank_oracle(int(r), n, m) for r in sel.ranks]) - 1
         vals = batch_values(kernel, tuple(sample[idx[:, j]] for j in range(m)))
         want = np.add.reduce(vals * sel.counts[:, None].astype(np.float64), axis=0)
-        np.testing.assert_array_equal(incomplete(kernel, sample, sel).value.coords, want)
+        if kernel_case.startswith("integer"):
+            assert (ustats._exact_bound(vals) < math.inf) == (kernel_case == "integer-gaps-grid7")
+        # by bytes: assert_array_equal takes -0 for +0
+        assert incomplete(kernel, sample, sel).value.coords.tobytes() == want.tobytes()
         monkeypatch.setattr(ustats, "_column_cache", {})
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
         assert ustats._tuple_columns(m, n) is None
-        np.testing.assert_array_equal(incomplete(kernel, sample, sel).value.coords, want)
+        assert incomplete(kernel, sample, sel).value.coords.tobytes() == want.tobytes()
 
     def test_selection_must_match_the_sample(self):
         rng = np.random.default_rng(59)
