@@ -22,7 +22,7 @@ import tempfile
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from types import UnionType
-from typing import Any, Callable, Sequence, get_args, get_origin, get_type_hints
+from typing import Any, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 import yaml
@@ -627,11 +627,16 @@ def _experiment_config(cfg: ConfigFile, kernel, sampler) -> ExperimentConfig:
 def _run_tailscan(cfg: ConfigFile, out_dir: str) -> int:
     sampler = _build_sampler(cfg)
     kernel = _build_kernel(cfg, sampler)
+    e = cfg.envelope
+    support = None
+    if e is not None and e.second > 0.0:
+        support = sampler.finite_support()
+        if support is None:
+            raise ConfigError("envelope: the integral term needs a finite sampling law")
     scan = tail_scan(_experiment_config(cfg, kernel, sampler), degeneracy=cfg.degeneracy)
 
     envelope_col = [math.nan] * scan.x_grid.size
-    if cfg.envelope is not None:
-        e = cfg.envelope
+    if e is not None:
         env = BoundEnvelope(
             arity=scan.degeneracy,
             scale=e.scale,
@@ -639,14 +644,8 @@ def _run_tailscan(cfg: ConfigFile, out_dir: str) -> int:
             second_coefficient=e.second,
             tail_scale=e.tail_scale,
         )
-        if e.second == 0.0:
-            oracle: Callable[[float], float] = lambda t: 0.0
-        else:
-            support = sampler.finite_support()
-            if support is None:
-                raise ConfigError("envelope: the integral term needs a finite sampling law")
-            oracle = hk_tail_oracle(kernel, support, scan.degeneracy)
-        envelope_col = [envelope_eval(env, float(x), oracle).total for x in scan.x_grid]
+        tail = None if support is None else hk_tail_oracle(kernel, support, scan.degeneracy)
+        envelope_col = [envelope_eval(env, float(x), tail).total for x in scan.x_grid]
 
     rows = list(zip(scan.x_grid, scan.p_hat, scan.ci_lo, scan.ci_hi, envelope_col))
     writer = _RunWriter(cfg, out_dir)

@@ -791,10 +791,7 @@ def _selection_sums(values: np.ndarray, weights: np.ndarray, bound: float) -> np
     """
     if weights.min(initial=0) >= 0 and _exact_sums(bound, weights.sum(axis=1).max(initial=0)):
         dense = weights.astype(np.float64)
-        dense = dense @ values if values.ndim == 2 else np.einsum("bt,btd->bd", dense, values)
-        # zero-weight terms 0 * v are -0 for v < 0; a sum of them alone would be
-        # -0 from an accumulator that starts at its first term, not at +0
-        return dense + 0.0
+        return dense @ values if values.ndim == 2 else np.einsum("bt,btd->bd", dense, values)
     reps, ranks = np.nonzero(weights)
     rows = values[reps, ranks] if values.ndim == 3 else values[ranks]
     rows = rows * weights[reps, ranks][:, None]

@@ -603,6 +603,38 @@ beta_tolerance: %s
         assert run("tailscan", cfg, out_dir=str(tmp_path)) == EXIT_VIOLATION
         assert read_manifest(tmp_path)["exit_status"] == EXIT_VIOLATION
 
+    GAUSSIAN = """\
+version: 1
+experiment: tailscan
+replicas: 100
+sample_size: 10
+degeneracy: 2
+kernel: {name: product}
+sampler: {kind: discretized-gaussian, dim: 1}
+x_grid: {start: 0.2, stop: 6.0, points: 8, scale: log}
+beta_tolerance: 100.0
+envelope: {second: %s}
+"""
+
+    def test_integral_term_on_an_infinite_law_fails_before_the_scan(self, tmp_path, capsys, monkeypatch):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("tail_scan ran before the envelope was checked")
+
+        monkeypatch.setattr(cli, "tail_scan", no_scan)
+        path = write_config(tmp_path, self.GAUSSIAN % "0.5")
+        out = tmp_path / "out"
+        assert main(["tailscan", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        assert "the integral term needs a finite sampling law" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_exponential_term_alone_runs_on_an_infinite_law(self, tmp_path):
+        path = write_config(tmp_path, self.GAUSSIAN % "0")
+        out = tmp_path / "out"
+        assert main(["tailscan", "--config", path, "--out", str(out)]) == EXIT_OK
+        with open(out / "tailscan.csv", newline="") as fh:
+            envelope = [float(row["envelope"]) for row in csv.DictReader(fh)]
+        assert len(envelope) == 8 and all(0.0 < v <= 1.0 for v in envelope)
+
 
 class TestMain:
     def test_end_to_end_estimate(self, tmp_path):
@@ -678,8 +710,17 @@ x_grid:
                 515, 2000, 40, "gini\n  centered: true", "uniform-grid\n  grid_points: 7", 0.05, 1.0, 20,
                 "beta_tolerance: 0.5\nenvelope:\n  first: 1.0\n  second: 2.0\n  tail_scale: 0.5\n",
             ),
-            "e0500e4994be26ec98c7723da629c9f4defe77ff96a5de5cf537897b27658039",
-            "78397153e74f2d9651582c3efcd3eae54b0e2d1add8356bfd4a092c4897e29b5",
+            "474786564dd247a2e785d98749a295a1cc93da4ea668176d84319c4c16bdcc85",
+            "b2d5c38cb0d17e333a504dc70359101557e401469e64dc13be94d03fa13e12a5",
+        ),
+        # no integral term: pins the exponential term's bytes on its own
+        "envelope-first-only": (
+            (
+                2024, 2000, 40, "product", "rademacher", 0.2, 6.0, 24,
+                "envelope:\n  first: 1.0\n  second: 0.0\n  scale: 2.0\n",
+            ),
+            "bfeae3691271ca9d8cf2b0191cabf54530ce9b85473a7e9ab83678ba4ed5b733",
+            "5cd8698e34b8456d9d653a660d78c14d0af0350788f261223c438ef1194e8706",
         ),
         # integer tables: these take the atom-count path
         "product-rademacher-n160": (

@@ -1,9 +1,13 @@
 """Replication engine, tail scans, envelopes, scaling and decoupling reports."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from ustatlab.confidence import wilson_bounds
 from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid, exact_expectation
@@ -27,10 +31,12 @@ from ustatlab.montecarlo import (
     replicate,
     tail_scan,
 )
+from ustatlab.montecarlo import _log_power_integral
 from ustatlab.ustats import SamplingDesign, complete, inc_count
 
 line = HilbertSpace.euclidean(1)
 rademacher = SamplerSpec(kind="rademacher")
+FOUR_ATOM = FiniteDistribution(np.array([-1.5, -0.25, 0.5, 2.0]), np.array([0.1, 0.2, 0.3, 0.4]))
 
 
 def zero_kernel():
@@ -202,7 +208,12 @@ class TestEnvelope:
         out = envelope_eval(env, x=6.0, tail_oracle=bounded_kernel_tail(10.0))
         assert out.total == pytest.approx(np.exp(-2.0))
         assert out.second_term == 0.0
-        assert not out.diverged
+        assert envelope_eval(env, x=6.0, tail_oracle=None) == out
+
+    def test_the_integral_term_needs_a_tail(self):
+        env = BoundEnvelope(arity=2, scale=1.0, second_coefficient=1.0)
+        with pytest.raises(ValueError, match="needs a tail"):
+            envelope_eval(env, x=1.0, tail_oracle=None)
 
     def test_bounded_tail_cutoff_kills_the_integral(self):
         """With the scale at the cutoff the indicator tail never triggers."""
@@ -213,33 +224,70 @@ class TestEnvelope:
         )
         out = envelope_eval(env, x=2.0, tail_oracle=bounded_kernel_tail(bound))
         assert out.second_term == 0.0
-        assert not out.diverged
 
-    def test_quadrature_self_convergence(self):
-        rng = np.random.default_rng(61)
-        samples = np.abs(rng.normal(size=10_000))
-        env = BoundEnvelope(
-            arity=2, scale=1.0, first_coefficient=1.0,
-            second_coefficient=1.0, tail_scale=1.0,
-        )
-        coarse = envelope_eval(env, x=2.0, tail_oracle=samples, resolution=64)
-        fine = envelope_eval(env, x=2.0, tail_oracle=samples, resolution=128)
-        assert coarse.second_term > 0.0
-        assert abs(fine.total - coarse.total) <= 1e-3 * coarse.total
+    @pytest.mark.parametrize("q", [1, 3, 6])
+    def test_log_power_integral_against_quad(self, q):
+        assert _log_power_integral(np.array([1.0]), q)[0] == 0.0
+        for u in (1.001, 1.5, 2.0, 7.25, 1e3):
+            want = _quad_log_power(q, u)
+            assert _log_power_integral(np.array([u]), q)[0] == pytest.approx(want, rel=1e-9)
 
-    def test_heavy_tail_flags_divergence(self):
-        env = BoundEnvelope(
-            arity=2, scale=1.0, first_coefficient=1.0,
-            second_coefficient=1.0, tail_scale=1.0,
-        )
-        out = envelope_eval(env, x=1.0, tail_oracle=lambda t: 1.0)
-        assert out.diverged
+    @pytest.mark.parametrize("name", ["bounded", "empirical", "hk"])
+    def test_second_term_is_the_sum_over_the_steps(self, name):
+        """E[G(max(1, V / c))] with each step's G from quad and its mass
+        from the law itself."""
+        tail, values, probs = step_tail_with_its_law(name)
+        env = BoundEnvelope(arity=2, scale=0.8, second_coefficient=1.5, tail_scale=0.5)
+        c = env.tail_scale * env.scale
+        want = 1.5 * sum(p * _quad_log_power(3, max(1.0, v / c)) for v, p in zip(values, probs))
+        assert want > 0.0
+        assert envelope_eval(env, x=1.0, tail_oracle=tail).second_term == pytest.approx(want, rel=1e-9)
+
+    def test_pinned_centered_gini_grid7(self):
+        """The tailscan case `envelope-centered-gini-grid7`: d = 1, y = 1,
+        second coefficient 2 and tail scale 0.5 on the exact H_1 tail."""
+        grid = FiniteDistribution.uniform_grid(7)
+        env = BoundEnvelope(arity=1, scale=1.0, second_coefficient=2.0, tail_scale=0.5)
+        out = envelope_eval(env, x=0.5, tail_oracle=hk_tail_oracle(centered(gini(), grid), grid, 1))
+        assert out.second_term == pytest.approx(0.14676773471314, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(0.01, 100.0), min_size=1, max_size=30),
+        st.integers(1, 2),
+        st.floats(0.05, 50.0),
+        st.floats(1.01, 4.0),
+    )
+    def test_second_term_vanishes_below_the_cutoff_and_falls_with_scale(self, samples, arity, scale, factor):
+        tail = empirical_tail(np.array(samples))
+
+        def second(y: float) -> float:
+            env = BoundEnvelope(arity=arity, scale=y, second_coefficient=1.0, tail_scale=1.0)
+            return envelope_eval(env, x=1.0, tail_oracle=tail).second_term
+
+        assert second(max(samples)) == 0.0
+        assert 0.0 <= second(scale * factor) <= second(scale)
 
     def test_exact_conditional_tail_oracle(self):
         dist = FiniteDistribution.rademacher()
         tail = hk_tail_oracle(gini(), dist, 1)
         assert tail(0.5) == 1.0
         assert tail(1.0) == 0.0
+
+
+def _quad_log_power(q, u):
+    """integral_1^u s (1 + log s)^q ds by adaptive quadrature."""
+    return quad(lambda s: s * (1.0 + math.log(s)) ** q, 1.0, u, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+def step_tail_with_its_law(name):
+    """One of the three step tails, with its law's values and masses."""
+    if name == "bounded":
+        return bounded_kernel_tail(3.0), np.array([3.0]), np.array([1.0])
+    if name == "empirical":
+        samples = 2.0 * np.abs(np.random.default_rng(61).normal(size=40))
+        return empirical_tail(samples), samples, np.full(samples.size, 1.0 / samples.size)
+    return hk_tail_oracle(gini(), FOUR_ATOM, 1), *hk_values_by_enumeration(gini(), FOUR_ATOM, 1)
 
 
 def hk_values_by_enumeration(kernel, dist, k):
