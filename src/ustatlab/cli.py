@@ -39,12 +39,7 @@ from .kernels import (
     product,
     spatial_sign,
 )
-from .martingale import (
-    GENERATORS,
-    simulate_summaries,
-    verify_conv_grid,
-    verify_pairs,
-)
+from .martingale import GENERATORS, simulate_ensemble, verify_conv_grid, verify_grid, verify_pairs
 from .montecarlo import (
     BoundEnvelope,
     ExperimentConfig,
@@ -116,8 +111,8 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.points)
 
     def _check(self, fail) -> None:
-        if self.scale == "log" and self.start <= 0:
-            fail("start", f"must be greater than 0 on a log scale, got {self.start}")
+        if self.start <= 0:
+            fail("start", f"must be positive on every scale, got {self.start}")
         if self.stop <= self.start:
             fail("stop", f"must exceed start ({self.start}), got {self.stop}")
 
@@ -245,10 +240,6 @@ class ConfigFile:
             object.__setattr__(self, "martingale", MartingaleConfig())
         if self.scaling is None and self.experiment == "incomplete-compare":
             object.__setattr__(self, "scaling", ScalingConfig())
-
-    def _check(self, fail) -> None:
-        if self.x_grid.start <= 0:
-            fail("x_grid.start", f"the tail grid must be positive, got {self.x_grid.start}")
 
 
 def _same_width(points) -> bool:
@@ -770,9 +761,14 @@ def _read_grid_file(path: str, columns: int) -> list[tuple[float, ...]]:
                         f"grid file {path} line {lineno}: expected {columns} columns, got {len(parts)}"
                     )
                 try:
-                    rows.append(tuple(float(p) for p in parts))
+                    row = tuple(float(p) for p in parts)
                 except ValueError as exc:
                     raise ConfigError(f"grid file {path} line {lineno}: {exc}") from exc
+                if not all(0.0 < v < math.inf for v in row):
+                    raise ConfigError(
+                        f"grid file {path} line {lineno}: grid values must be finite and positive, got {line}"
+                    )
+                rows.append(row)
     except OSError as exc:
         raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
     if not rows:
@@ -790,9 +786,6 @@ def _run_martingale(
     chosen = variants if variants else mcfg.variants
     if "real" in chosen and mcfg.dim != 1:
         raise ConfigError("the real-valued variant needs martingale.dim 1")
-    space = HilbertSpace.euclidean(mcfg.dim)
-    ensemble = simulate_summaries(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
-
     pair_grid: list[tuple[float, float]] | None = None
     t_grid: list[float] | None = None
     if grid_file is not None:
@@ -801,18 +794,18 @@ def _run_martingale(
         else:
             pair_grid = [(row[0], row[1]) for row in _read_grid_file(grid_file, 2)]
 
+    space = HilbertSpace.euclidean(mcfg.dim)
+    ensemble = simulate_ensemble(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
     writer = _RunWriter(cfg, out_dir)
     header = ["x", "y", "lhs", "lhs_ci_hi", "rhs", "rhs_ci_lo", "violated"]
     per_variant: dict[str, int] = {}
     for variant in chosen:
         if variant == "conv":
-            ts = t_grid if t_grid is not None else [float(t) for t in mcfg.t_grid.build()]
-            report = verify_conv_grid(ensemble, ts)
+            report = verify_conv_grid(ensemble, t_grid if t_grid is not None else mcfg.t_grid.build())
+        elif pair_grid is not None:
+            report = verify_pairs(ensemble, pair_grid, variant)
         else:
-            pairs = pair_grid if pair_grid is not None else [
-                (float(x), float(y)) for x in mcfg.x_grid.build() for y in mcfg.y_grid.build()
-            ]
-            report = verify_pairs(ensemble, pairs, variant)
+            report = verify_grid(ensemble, mcfg.x_grid.build(), mcfg.y_grid.build(), variant)
         per_variant[variant] = report.violations
         writer.csv(
             f"martingale-{variant}",

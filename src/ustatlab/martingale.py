@@ -23,13 +23,18 @@ partial sums S_k:
 Tail integrals over empirical step functions are computed exactly,
 piecewise, rather than by sampled quadrature: all pieces and their Wilson
 bands in one array pass, summed left to right. A3's integral depends on y
-only, so a grid computes it once per distinct y. The checks read an
-ensemble through its per-path summaries; a grid sorts each summary whose
-tail it counts once and finds every cell's count in it by binary search.
-`simulate_summaries` draws paths into preallocated (batch, steps, dim)
-blocks and summarizes each block with no per-path object: signs in one
-vectorized Philox pass (`draw_iid_batch`), normals from one re-keyed Philox
-(`substreams`) straight into block rows.
+only, so a grid computes it once per distinct y.
+
+An ensemble is its `PathSummaries`: the three per-path statistics every
+check reads, max_k ||S_k||, sum_j (||D_j||^2 + E[||D_j||^2 | F_{j-1}]) and
+sqrt(sum_j ||D_j||^2). `simulate_ensemble` draws paths into preallocated
+(batch, steps, dim) blocks and reduces each block to those statistics where
+it was drawn: signs in one vectorized Philox pass (`draw_iid_batch`),
+normals from one re-keyed Philox (`substreams`) straight into block rows.
+`simulate_mds` draws one path's (increments, moments) from a given
+generator, the per-path reference the blocks reproduce bit for bit. A grid
+sorts each summary whose tail it counts once and finds every cell's count
+in it by binary search.
 """
 
 from __future__ import annotations
@@ -45,16 +50,11 @@ from .distributions import SamplerSpec, draw_iid_batch, mix_ids_batch, substream
 from .hilbert import HilbertSpace, row_norms, squared_row_norms
 
 __all__ = [
-    "MartingalePath",
     "InequalityEntry",
     "InequalityCheckReport",
+    "PathSummaries",
     "simulate_mds",
     "simulate_ensemble",
-    "simulate_summaries",
-    "PathSummaries",
-    "summarize",
-    "check_real_inequality",
-    "check_hilbert_inequality",
     "check_conv_tail_lemma",
     "conv_pair_from_paths",
     "verify_pairs",
@@ -65,30 +65,11 @@ __all__ = [
 GENERATORS = ("bounded-signs", "gaussian-coords", "f0-randomized-scale")
 
 
-@dataclass(frozen=True, eq=False)
-class MartingalePath:
-    """One simulated difference array with its conditional second moments."""
-
-    increments: np.ndarray  # (steps, dim)
-    cond_second_moments: np.ndarray  # (steps,), E[||D_j||^2 | F_{j-1}]
-    f0_measurable: bool  # moments known at time zero
-    space: HilbertSpace
-
-    def __post_init__(self) -> None:
-        inc = np.asarray(self.increments, dtype=np.float64)
-        if inc.ndim == 1:
-            inc = inc[:, None]
-        if inc.ndim != 2 or inc.shape[1] != self.space.dim:
-            raise ValueError(f"increments must have shape (steps, {self.space.dim})")
-        moments = np.asarray(self.cond_second_moments, dtype=np.float64)
-        if moments.shape != (inc.shape[0],):
-            raise ValueError("need one conditional second moment per step")
-        object.__setattr__(self, "increments", inc)
-        object.__setattr__(self, "cond_second_moments", moments)
-
-
-def simulate_mds(kind: str, steps: int, space: HilbertSpace, rng: np.random.Generator) -> MartingalePath:
-    """One martingale difference path.
+def simulate_mds(
+    kind: str, steps: int, space: HilbertSpace, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One martingale difference path: its (steps, dim) increments and its
+    (steps,) conditional second moments E[||D_j||^2 | F_{j-1}].
 
     bounded-signs: scalar increments +-1, conditional second moment 1.
     gaussian-coords: i.i.d. standard normal coordinates.
@@ -99,14 +80,13 @@ def simulate_mds(kind: str, steps: int, space: HilbertSpace, rng: np.random.Gene
     _check_paths(kind, steps, space)
     if kind == "bounded-signs":
         inc = rng.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
-        return MartingalePath(inc[:, None], np.ones(steps), True, space)
+        return inc[:, None], np.ones(steps)
     base_moment = float(np.add.reduce(space.weights))
     if kind == "gaussian-coords":
-        inc = rng.standard_normal((steps, space.dim))
-        return MartingalePath(inc, np.full(steps, base_moment), True, space)
+        return rng.standard_normal((steps, space.dim)), np.full(steps, base_moment)
     scale = float(rng.uniform(0.5, 1.5))
     inc = scale * rng.standard_normal((steps, space.dim))
-    return MartingalePath(inc, np.full(steps, scale * scale * base_moment), True, space)
+    return inc, np.full(steps, scale * scale * base_moment)
 
 
 def _check_paths(kind: str, steps: int, space: HilbertSpace) -> None:
@@ -118,8 +98,8 @@ def _check_paths(kind: str, steps: int, space: HilbertSpace) -> None:
         raise ValueError("bounded-signs paths are real-valued; use a dim-1 space")
 
 
-# values per stacked batch of path increments; bounds the blocks of one
-# simulation or summary pass instead of stacking the whole ensemble
+# values per block of path increments; bounds the blocks of one simulation
+# instead of stacking the whole ensemble
 _BATCH_VALUES = 1 << 15
 
 
@@ -153,16 +133,6 @@ def _path_blocks(
         yield inc, mom
 
 
-def simulate_ensemble(
-    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int = 0
-) -> list[MartingalePath]:
-    """count independent paths, one counter-based substream per path."""
-    paths = []
-    for inc, mom in _path_blocks(kind, steps, space, master_seed, count, base_stream):
-        paths += [MartingalePath(i, m, True, space) for i, m in zip(inc.copy(), mom.copy())]
-    return paths
-
-
 @dataclass(frozen=True)
 class PathSummaries:
     """Per-path statistics every inequality check reads, in path order."""
@@ -171,40 +141,10 @@ class PathSummaries:
     quad_plus_cond: np.ndarray  # (R,), sum(||D||^2 + E[||D||^2 | F])
     sqrt_quad: np.ndarray  # (R,), sqrt(sum ||D||^2)
     real_valued: bool
-    f0_all: bool
+    f0_all: bool  # every path's moments measurable at time zero
 
-
-# what every check reads: the paths, or their summaries
-Ensemble = Sequence[MartingalePath] | PathSummaries
-
-
-def summarize(paths: Ensemble) -> PathSummaries:
-    """Summarize an ensemble once, so several checks can share it; given
-    summaries are returned as they are.
-
-    Runs of paths with the same step count are stacked into batches of about
-    _BATCH_VALUES increments and reduced along the step axis together; a
-    batch also ends where the step count changes.
-    """
-    if isinstance(paths, PathSummaries):
-        return paths
-    if not paths:
-        raise ValueError("need at least one path")
-    space = paths[0].space
-    if any(p.space is not space and p.space != space for p in paths):
-        raise ValueError("paths live in different spaces")
-    parts = []
-    start = 0
-    while start < len(paths):
-        shape = paths[start].increments.shape
-        stop = min(len(paths), start + max(1, _BATCH_VALUES // paths[start].increments.size))
-        stop = next((i for i in range(start + 1, stop) if paths[i].increments.shape != shape), stop)
-        increments = np.stack([p.increments for p in paths[start:stop]])
-        moments = np.stack([p.cond_second_moments for p in paths[start:stop]])
-        parts.append(_block_summaries(space, increments, moments))
-        start = stop
-    columns = (np.concatenate(column) for column in zip(*parts))
-    return PathSummaries(*columns, space.dim == 1, all(p.f0_measurable for p in paths))
+    def __len__(self) -> int:
+        return self.max_partial_norm.size
 
 
 def _block_summaries(space: HilbertSpace, increments: np.ndarray, moments: np.ndarray):
@@ -216,16 +156,17 @@ def _block_summaries(space: HilbertSpace, increments: np.ndarray, moments: np.nd
     return max_norm, quad + moments.sum(axis=1), np.sqrt(quad)
 
 
-def simulate_summaries(
+def simulate_ensemble(
     kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int = 0
 ) -> PathSummaries:
-    """`summarize(simulate_ensemble(...))`, bit for bit, each block of paths
-    reduced where it was drawn."""
+    """The summaries of count independent paths, one counter-based
+    substream per path, each block of paths reduced where it was drawn."""
     if count < 1:
         raise ValueError("need at least one path")
     blocks = _path_blocks(kind, steps, space, master_seed, count, base_stream)
     parts = [_block_summaries(space, inc, mom) for inc, mom in blocks]
     columns = (np.concatenate(column) for column in zip(*parts))
+    # every generator's moments are known at time zero
     return PathSummaries(*columns, space.dim == 1, True)
 
 
@@ -265,7 +206,7 @@ def _entries(
 def _report(variant: str, s: PathSummaries, entries: list) -> InequalityCheckReport:
     return InequalityCheckReport(
         variant=variant,
-        replicas=s.max_partial_norm.size,
+        replicas=len(s),
         entries=tuple(entries),
         violations=sum(e.violated for e in entries),
     )
@@ -299,30 +240,14 @@ def _step_tail_integral(
     return total, lo_total, hi_total
 
 
-def _checked(paths: Ensemble, variant: str) -> PathSummaries:
-    """The ensemble's summaries, once the variant is known to apply to it."""
-    s = summarize(paths)
+def _check_variant(s: PathSummaries, variant: str) -> None:
+    """Raise unless the variant applies to the ensemble."""
     if variant not in _BOUNDS:
         raise ValueError(f"unknown variant {variant!r}; choose real, A2, A3 or conv")
     if variant == "real" and not s.real_valued:
         raise ValueError("real-case check needs real-valued paths (dim-1 space)")
     if variant == "A3" and not s.f0_all:
         raise ValueError("variant A3 requires conditional second moments measurable at time zero")
-    return s
-
-
-def check_real_inequality(paths: Ensemble, x: float, y: float) -> InequalityEntry:
-    """Real-valued maximal inequality at one (x, y)."""
-    return verify_pairs(paths, [(x, y)], "real").entries[0]
-
-
-def check_hilbert_inequality(
-    paths: Ensemble, x: float, y: float, variant: str = "A2"
-) -> InequalityEntry:
-    """Coordinate-space maximal inequality at one (x, y), variant A2 or A3."""
-    if variant not in ("A2", "A3"):
-        raise ValueError(f"unknown variant {variant!r}; choose A2 or A3")
-    return verify_pairs(paths, [(x, y)], variant).entries[0]
 
 
 def _a3_integral(s: PathSummaries, y: float) -> tuple[float, float, float]:
@@ -338,9 +263,8 @@ def _a3_integral(s: PathSummaries, y: float) -> tuple[float, float, float]:
 _BOUNDS = {"real": (2.0, 1.0, 2.0), "A2": (4.0, 2.0, 8.0), "A3": (4.0, 4.0, None)}
 
 
-def conv_pair_from_paths(paths: Ensemble) -> tuple[np.ndarray, np.ndarray]:
+def conv_pair_from_paths(s: PathSummaries) -> tuple[np.ndarray, np.ndarray]:
     """The convex-domination pair: X = sum(||D||^2 + cond), Y = 2 sum ||D||^2."""
-    s = summarize(paths)
     return s.quad_plus_cond, 2.0 * s.sqrt_quad**2
 
 
@@ -372,19 +296,20 @@ def _conv_entries(
 
 
 def verify_pairs(
-    paths: Ensemble, pairs: Sequence[tuple[float, float]], variant: str
+    s: PathSummaries, pairs: Sequence[tuple[float, float]], variant: str
 ) -> InequalityCheckReport:
-    """Evaluate one inequality variant at explicit (x, y) pairs.
+    """Evaluate one inequality variant at explicit (x, y) pairs, x, y > 0.
 
-    The ensemble is summarized once (or taken as given) and shared across
-    all pairs. Each statistic a variant reads is sorted once, every cell's
-    tail count is a `searchsorted` in it, and all cells' Wilson bands come
-    from one `wilson_bounds` call. A3's tail integral is computed once per
-    distinct y, from one sort of sqrt_quad each.
+    Each statistic a variant reads is sorted once, every cell's tail count
+    is a `searchsorted` in it, and all cells' Wilson bands come from one
+    `wilson_bounds` call. A3's tail integral is computed once per distinct
+    y, from one sort of sqrt_quad each.
     """
-    s = _checked(paths, variant)
+    _check_variant(s, variant)
     c_exp, c_tail, divisor = _BOUNDS[variant]
     x, y = np.array([(float(a), float(b)) for a, b in pairs]).reshape(-1, 2).T
+    if not (np.all(x > 0) and np.all(y > 0)):
+        raise ValueError("x and y must be positive")
     if variant == "A3":
         ys = y.tolist()
         integrals = {v: _a3_integral(s, v) for v in dict.fromkeys(ys)}
@@ -396,13 +321,12 @@ def verify_pairs(
 
 
 def verify_grid(
-    paths: Ensemble, xs: np.ndarray, ys: np.ndarray, variant: str
+    s: PathSummaries, xs: Sequence[float], ys: Sequence[float], variant: str
 ) -> InequalityCheckReport:
-    """Evaluate one inequality variant over the full (x, y) grid."""
-    return verify_pairs(paths, [(float(x), float(y)) for x in xs for y in ys], variant)
+    """Evaluate one inequality variant over the full (x, y) grid, x outer."""
+    return verify_pairs(s, [(float(x), float(y)) for x in xs for y in ys], variant)
 
 
-def verify_conv_grid(paths: Ensemble, t_grid: Sequence[float]) -> InequalityCheckReport:
+def verify_conv_grid(s: PathSummaries, t_grid: Sequence[float]) -> InequalityCheckReport:
     """Convex-order tail lemma on its canonical pair over a t grid."""
-    s = summarize(paths)
     return _report("conv", s, _conv_entries(*conv_pair_from_paths(s), t_grid))

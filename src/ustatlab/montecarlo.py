@@ -122,11 +122,7 @@ MIN_REPLICAS = 100
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Inputs shared by the Monte Carlo experiments.
-
-    normalization selects the tail-scan scaling: "degenerate" divides the
-    running maximum by N^(m - d/2), "raw" leaves it unscaled.
-    """
+    """Inputs shared by the Monte Carlo experiments."""
 
     kernel: KernelSpec
     sampler: SamplerSpec
@@ -134,15 +130,12 @@ class ExperimentConfig:
     replicas: int
     master_seed: int
     x_grid: np.ndarray | None = None
-    normalization: str = "degenerate"
 
     def __post_init__(self) -> None:
         if self.sample_size < self.kernel.arity:
             raise ValueError("sample_size must be at least the kernel arity")
         if self.replicas < MIN_REPLICAS:
             raise ValueError(f"replicas must be at least {MIN_REPLICAS}")
-        if self.normalization not in ("degenerate", "raw"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.x_grid is not None:
             grid = np.asarray(self.x_grid, dtype=np.float64)
             if grid.ndim != 1 or grid.size < 1 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
@@ -150,23 +143,16 @@ class ExperimentConfig:
             object.__setattr__(self, "x_grid", grid)
 
 
-def replicate(
-    config: ExperimentConfig,
-    stat_fn: Callable[[int], float] | None = None,
-    atom_table: np.ndarray | None = None,
-) -> np.ndarray:
+def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) -> np.ndarray:
     """Per-replica statistic values, in replica order.
 
-    The default statistic is the running maximum of prefix norms of the
-    complete U-statistic on a fresh sample per replica, computed over
-    fixed-size batches of replicas, from atom indices where `_count_table`
-    allows it and from gathered pairs otherwise. A user `stat_fn` is called
-    once per replica index. A caller that has built the kernel's atom table
-    on the sampler's finite support (`kernels._atom_table`) passes it as
-    `atom_table`.
+    The statistic is the running maximum of prefix norms of the complete
+    U-statistic on a fresh sample per replica, computed over fixed-size
+    batches of replicas, from atom indices where `_count_table` allows it
+    and from gathered pairs otherwise. A caller that has built the kernel's
+    atom table on the sampler's finite support (`kernels._atom_table`)
+    passes it as `atom_table`.
     """
-    if stat_fn is not None:
-        return np.fromiter(map(stat_fn, range(config.replicas)), np.float64, config.replicas)
     kernel, n = config.kernel, config.sample_size
     bound_sampler = _reseeded(config.sampler, config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
@@ -260,7 +246,7 @@ class TailScanReport:
     replicas: int
     sample_size: int
     degeneracy: int
-    normalization: float  # N^(m - d/2), or 1.0 in raw mode
+    normalization: float  # N^(m - d/2)
     target_exponent: float  # 2/d
     beta: float | None  # fitted decay exponent
     fit_window: tuple[float, float]
@@ -317,7 +303,7 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
         d = degeneracy if degeneracy is not None else kernel.declared_degeneracy
         if d is None:
             raise ValueError("no finite support: pass the degeneracy order explicitly")
-    factor = float(n) ** (kernel.arity - d / 2.0) if config.normalization == "degenerate" else 1.0
+    factor = float(n) ** (kernel.arity - d / 2.0)
 
     _spot_check_sup(
         kernel, draw_iid(_reseeded(config.sampler, config.master_seed), n, mix_ids(_ROLE_DATA, 0)),
@@ -580,7 +566,6 @@ def incomplete_scaling_experiment(
     replicas: int,
     master_seed: int,
     quantile: float = 0.9,
-    unbiasedness_draws: int | None = None,
 ) -> ScalingReport:
     """Normalized quantiles and design unbiasedness across a (n, design) grid.
 
@@ -601,7 +586,7 @@ def incomplete_scaling_experiment(
     deg = degeneracy_order(kernel, support)
     d = deg.order
     m = kernel.arity
-    draws = unbiasedness_draws if unbiasedness_draws is not None else min(replicas, 2000)
+    draws = min(replicas, 2000)
     bound_sampler = _reseeded(sampler, master_seed)
     for cell_id, cell in enumerate(cells):
         if cell.sample_size < m:

@@ -235,17 +235,17 @@ def step_tail_integral_oracle(
     return total, lo_total, hi_total
 
 
-def summarize_oracle(paths) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(max partial-sum norm, sum ||D||^2 + cond, sqrt(sum ||D||^2)) path by path."""
-    space = paths[0].space
+def summarize_oracle(paths, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(max partial-sum norm, sum ||D||^2 + cond, sqrt(sum ||D||^2)) path by
+    path, from (increments, conditional second moments) pairs in space."""
     max_norm = np.empty(len(paths))
     quad_plus = np.empty(len(paths))
     sqrt_quad = np.empty(len(paths))
-    for i, p in enumerate(paths):
-        norms2 = row_norms(space, p.increments) ** 2
-        partial = np.cumsum(p.increments, axis=0)
+    for i, (increments, moments) in enumerate(paths):
+        norms2 = row_norms(space, increments) ** 2
+        partial = np.cumsum(increments, axis=0)
         max_norm[i] = row_norms(space, partial).max()
-        quad_plus[i] = norms2.sum() + p.cond_second_moments.sum()
+        quad_plus[i] = norms2.sum() + moments.sum()
         sqrt_quad[i] = np.sqrt(norms2.sum())
     return max_norm, quad_plus, sqrt_quad
 

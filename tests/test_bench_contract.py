@@ -10,13 +10,18 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from ustatlab import cli
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 
 
 def _load_spans():
@@ -60,3 +65,21 @@ def test_child_calls_bind_to_the_cli_signatures():
 def test_run_accepts_the_ignored_threads_keyword(tmp_path):
     cfg = cli.parse_config_text("version: 1\nexperiment: estimate\ndata: {values: [1, -1, 2]}\n")
     assert cli.run("estimate", cfg, out_dir=str(tmp_path), threads=2) == cli.EXIT_OK
+
+
+def test_traced_martingale_run_sees_the_simulation(tmp_path):
+    """bench/child.py in trace mode counts every simulated path of a
+    martingale-verify run under martingale.simulate_ensemble."""
+    replicas = 150
+    config = tmp_path / "martingale.yaml"
+    config.write_text(
+        f"version: 1\nexperiment: martingale-verify\nseed: 3\nreplicas: {replicas}\n"
+        "martingale: {generator: gaussian-coords, dim: 2, steps: 5, variants: [A2, conv]}\n"
+    )
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(BENCH)]))
+    argv = [str(config), "martingale-verify", str(tmp_path / "out"), "1", str(result), "trace"]
+    subprocess.run([sys.executable, str(BENCH / "child.py"), *argv], env=env, check=True, timeout=120)
+    layers = json.loads(result.read_text())["layers"]
+    assert layers["martingale.simulate_ensemble.paths"] == replicas
+    assert layers["martingale.simulate_ensemble.s"] > 0

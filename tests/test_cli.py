@@ -194,14 +194,13 @@ ERROR_CASES = {
 _floats = dict(allow_nan=False, allow_infinity=False)
 
 
-def _grid(positive_start: bool):
-    """A valid grid mapping: stop above start, and start > 0 on a log scale."""
+def _grid():
+    """A valid grid mapping: start > 0 and stop above start."""
 
     @st.composite
     def build(draw):
         scale = draw(st.sampled_from(["log", "linear"]))
-        low = 1e-3 if positive_start or scale == "log" else -50.0
-        start = draw(st.floats(low, 50.0, **_floats))
+        start = draw(st.floats(1e-3, 50.0, **_floats))
         stop = start + draw(st.floats(0.5, 100.0, **_floats))
         return {"start": start, "stop": stop, "points": draw(st.integers(2, 40)), "scale": scale}
 
@@ -242,9 +241,9 @@ def _martingale(draw):
                 "generator": st.sampled_from(["bounded-signs", "gaussian-coords", "f0-randomized-scale"]),
                 "steps": st.integers(1, 200),
                 "dim": st.integers(1, 3),
-                "x_grid": _grid(False),
-                "y_grid": _grid(False),
-                "t_grid": _grid(False),
+                "x_grid": _grid(),
+                "y_grid": _grid(),
+                "t_grid": _grid(),
             }
         )
     )
@@ -313,7 +312,7 @@ _CONFIGS = _optional(
             }
         ),
         "sampler": _sampler(),
-        "x_grid": _grid(True),
+        "x_grid": _grid(),
         "envelope": _optional(
             {"first": _number, "second": _number, "tail_scale": _positive, "scale": _positive}
         ),
@@ -558,6 +557,49 @@ martingale:
                 rows = list(csv.reader(fh))
             assert rows[0] == ["x", "y", "lhs", "lhs_ci_hi", "rhs", "rhs_ci_lo", "violated"]
             assert all(r[6] == "0" for r in rows[1:])
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            (
+                "y_grid: {start: 10.0, stop: 24.0, points: 3, scale: linear}",
+                "y_grid: {start: -1.0, stop: 1.0, points: 3, scale: linear}",
+                "'martingale.y_grid.start' (line 8)",
+            ),
+            (
+                "t_grid: {start: 30.0, stop: 400.0, points: 4, scale: log}",
+                "t_grid: {start: -1.0, stop: 400.0, points: 4, scale: linear}",
+                "'martingale.t_grid.start' (line 9)",
+            ),
+        ],
+        ids=["y_grid", "t_grid"],
+    )
+    def test_nonpositive_config_grid_is_a_usage_error(self, tmp_path, capsys, old, new, message):
+        assert old in self.CONFIG
+        path = write_config(tmp_path, self.CONFIG.replace(old, new))
+        out = tmp_path / "out"
+        assert main(["martingale-verify", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert message in err and "must be positive" in err
+        assert not out.exists()
+
+    def test_nonpositive_grid_file_row_is_a_usage_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, self.CONFIG)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("6.0 12.0\n1.0 0.0\n")
+        out = tmp_path / "out"
+        argv = ["martingale-verify", "--config", path, "--out", str(out), "--grid-file", str(grid)]
+        assert main(argv + ["--variant", "A2", "--variant", "A3"]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"grid file {grid} line 2" in err and "finite and positive" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("row", ["nan 12.0", "6.0 inf", "-3.0 12.0"])
+    def test_grid_file_values_must_be_finite_and_positive(self, tmp_path, row):
+        grid = tmp_path / "grid.txt"
+        grid.write_text(f"# x y\n{row}\n")
+        with pytest.raises(ConfigError, match=f"grid file {grid} line 2: .*finite and positive"):
+            cli._read_grid_file(str(grid), 2)
 
     def test_variant_flag_and_grid_file(self, tmp_path):
         cfg = parse_config_text(self.CONFIG)

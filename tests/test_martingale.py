@@ -1,6 +1,7 @@
 """Difference-sequence generators and the deviation-inequality checks."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -11,16 +12,12 @@ from ustatlab.confidence import _Z95, _tail_triples, mean_interval, wilson_bound
 from ustatlab.distributions import mix_ids, substream
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
-    MartingalePath,
+    PathSummaries,
     _step_tail_integral,
     check_conv_tail_lemma,
-    check_hilbert_inequality,
-    check_real_inequality,
     conv_pair_from_paths,
     simulate_ensemble,
     simulate_mds,
-    simulate_summaries,
-    summarize,
     verify_conv_grid,
     verify_grid,
     verify_pairs,
@@ -36,15 +33,15 @@ def _substream(seed):
 
 class TestGenerators:
     def test_bounded_signs_structure(self):
-        path = simulate_mds("bounded-signs", 64, line, _substream(1))
-        assert set(np.unique(path.increments)) <= {-1.0, 1.0}
-        np.testing.assert_array_equal(path.cond_second_moments, np.ones(64))
-        assert path.f0_measurable
+        increments, moments = simulate_mds("bounded-signs", 64, line, _substream(1))
+        assert increments.shape == (64, 1)
+        assert set(np.unique(increments)) <= {-1.0, 1.0}
+        np.testing.assert_array_equal(moments, np.ones(64))
 
     def test_bounded_signs_quadratic_identity(self):
         """Squared increments plus conditional moments telescope to 2n."""
-        path = simulate_mds("bounded-signs", 50, line, _substream(2))
-        total = float((path.increments**2).sum() + path.cond_second_moments.sum())
+        increments, moments = simulate_mds("bounded-signs", 50, line, _substream(2))
+        total = float((increments**2).sum() + moments.sum())
         assert total == 100.0
 
     def test_bounded_signs_needs_a_real_line(self):
@@ -52,31 +49,25 @@ class TestGenerators:
             simulate_mds("bounded-signs", 8, plane, _substream(3))
 
     def test_gaussian_coords_shape(self):
-        path = simulate_mds("gaussian-coords", 12, plane, _substream(4))
-        assert path.increments.shape == (12, 2)
-        np.testing.assert_allclose(path.cond_second_moments, 2.0)
+        increments, moments = simulate_mds("gaussian-coords", 12, plane, _substream(4))
+        assert increments.shape == (12, 2)
+        np.testing.assert_allclose(moments, 2.0)
 
     def test_randomized_scale_is_frozen_at_time_zero(self):
-        a = simulate_mds("f0-randomized-scale", 20, plane, _substream(5))
-        b = simulate_mds("f0-randomized-scale", 20, plane, _substream(6))
-        assert np.ptp(a.cond_second_moments) == 0.0
-        assert a.f0_measurable
-        assert a.cond_second_moments[0] != b.cond_second_moments[0]
+        _, a = simulate_mds("f0-randomized-scale", 20, plane, _substream(5))
+        _, b = simulate_mds("f0-randomized-scale", 20, plane, _substream(6))
+        assert np.ptp(a) == 0.0
+        assert a[0] != b[0]
 
     def test_unknown_generator(self):
         with pytest.raises(ValueError, match="generator"):
             simulate_mds("drift", 8, line, _substream(7))
 
     def test_increments_are_centered(self):
-        paths = simulate_ensemble("bounded-signs", 5, line, master_seed=11, count=10_000)
-        firsts = np.array([p.increments[0, 0] for p in paths])
+        blocks = martingale._path_blocks("bounded-signs", 5, line, 11, 10_000, 0)
+        firsts = np.concatenate([inc[:, 0, 0].copy() for inc, _ in blocks])
+        assert firsts.size == 10_000
         assert abs(firsts.mean()) <= 4.0 / np.sqrt(firsts.size)
-
-    def test_path_validation(self):
-        with pytest.raises(ValueError, match="shape"):
-            MartingalePath(np.zeros((4, 3)), np.ones(4), True, plane)
-        with pytest.raises(ValueError, match="per step"):
-            MartingalePath(np.zeros((4, 2)), np.ones(3), True, plane)
 
 
 @pytest.fixture(scope="module")
@@ -86,27 +77,27 @@ def sign_paths():
 
 class TestRealInequality:
     def test_moderate_threshold(self, sign_paths):
-        entry = check_real_inequality(sign_paths, x=30.0, y=20.0)
+        entry = verify_pairs(sign_paths, [(30.0, 20.0)], "real").entries[0]
         assert entry.rhs >= 2.0 * np.exp(-2.25) - 1e-12
         assert entry.lhs < entry.rhs
         assert not entry.violated
 
     def test_tiny_threshold_is_trivially_satisfied(self, sign_paths):
-        entry = check_real_inequality(sign_paths, x=1e-9, y=20.0)
+        entry = verify_pairs(sign_paths, [(1e-9, 20.0)], "real").entries[0]
         assert entry.lhs == 1.0
         assert entry.rhs >= 2.0
         assert not entry.violated
 
     def test_deterministic_budget_hits_the_pure_exponential_regime(self, sign_paths):
         """At y^2 = 4n the quadratic tail term is exactly zero."""
-        entry = check_real_inequality(sign_paths, x=30.0, y=20.0)
+        entry = verify_pairs(sign_paths, [(30.0, 20.0)], "real").entries[0]
         assert entry.rhs == pytest.approx(2.0 * np.exp(-2.25), rel=1e-12)
         assert entry.rhs_lo == pytest.approx(entry.rhs, rel=1e-12)
 
     def test_needs_real_paths(self):
         paths = simulate_ensemble("gaussian-coords", 10, plane, master_seed=1, count=50)
         with pytest.raises(ValueError, match="real-valued"):
-            check_real_inequality(paths, 1.0, 1.0)
+            verify_pairs(paths, [(1.0, 1.0)], "real")
 
     def test_grid_has_no_violations(self, sign_paths):
         xs = np.linspace(5.0, 25.0, 4)
@@ -118,8 +109,8 @@ class TestRealInequality:
 
 class TestHilbertInequalities:
     def test_a2_cross_checks_the_real_entry_on_shared_paths(self, sign_paths):
-        real = check_real_inequality(sign_paths, x=25.0, y=18.0)
-        a2 = check_hilbert_inequality(sign_paths, x=25.0, y=18.0, variant="A2")
+        real = verify_pairs(sign_paths, [(25.0, 18.0)], "real").entries[0]
+        a2 = verify_pairs(sign_paths, [(25.0, 18.0)], "A2").entries[0]
         assert a2.lhs == real.lhs
         assert not a2.violated
         assert not real.violated
@@ -132,16 +123,12 @@ class TestHilbertInequalities:
         assert report.violations == 0
 
     def test_a3_requires_time_zero_moments(self):
-        space = line
-        rng = _substream(9)
-        paths = [
-            MartingalePath(rng.normal(size=(10, 1)), np.ones(10), False, space)
-            for _ in range(120)
-        ]
+        column = np.abs(_substream(9).normal(size=120))
+        s = PathSummaries(column, column * column, column, real_valued=True, f0_all=False)
         with pytest.raises(ValueError, match="time zero"):
-            check_hilbert_inequality(paths, 2.0, 2.0, variant="A3")
+            verify_pairs(s, [(2.0, 2.0)], "A3")
         with pytest.raises(ValueError, match="time zero"):
-            verify_pairs(paths, [(2.0, 2.0)], "A3")
+            verify_grid(s, [1.0, 2.0], [2.0], "A3")
 
     def test_a3_grid_on_randomized_scale_paths(self):
         paths = simulate_ensemble(
@@ -157,14 +144,14 @@ class TestHilbertInequalities:
         x = 10.0
         terms = []
         for y in (8.0, 12.0, 16.0, 24.0):
-            entry = check_hilbert_inequality(paths, x, y, variant="A3")
+            entry = verify_pairs(paths, [(x, y)], "A3").entries[0]
             terms.append(entry.rhs - 4.0 * np.exp(-(x * x) / (y * y)))
         diffs = np.diff(terms)
         assert np.all(diffs <= 1e-12)
 
     def test_unknown_variant(self, sign_paths):
         with pytest.raises(ValueError, match="variant"):
-            check_hilbert_inequality(sign_paths, 1.0, 1.0, variant="A9")
+            verify_pairs(sign_paths, [(1.0, 1.0)], "A9")
 
 
 class TestConvTailLemma:
@@ -196,6 +183,13 @@ class TestConvTailLemma:
             check_conv_tail_lemma(np.ones(10), np.ones(10), t=0.0)
 
 
+@pytest.mark.parametrize("pair", [(0.0, 5.0), (-1.0, 5.0), (5.0, 0.0), (5.0, -2.0), (math.nan, 5.0)])
+@pytest.mark.parametrize("variant", ["real", "A2", "A3"])
+def test_verify_pairs_needs_positive_cells(sign_paths, pair, variant):
+    with pytest.raises(ValueError, match="must be positive"):
+        verify_pairs(sign_paths, [(3.0, 6.0), pair], variant)
+
+
 def test_verify_pairs_summary_counts(sign_paths):
     report = verify_pairs(sign_paths, [(10.0, 15.0), (20.0, 25.0)], "real")
     assert report.variant == "real"
@@ -205,8 +199,7 @@ def test_verify_pairs_summary_counts(sign_paths):
 
 
 def _gaussian_sqrt_quad():
-    paths = simulate_ensemble("gaussian-coords", 50, plane, master_seed=501, count=4000)
-    return summarize(paths).sqrt_quad
+    return simulate_ensemble("gaussian-coords", 50, plane, master_seed=501, count=4000).sqrt_quad
 
 
 def _rows(report):
@@ -237,54 +230,6 @@ class TestStepTailIntegral:
         assert got[1] <= got[0] <= got[2]
 
 
-class TestSummaries:
-    """Stacked, batched summaries against the path-by-path reference."""
-
-    @staticmethod
-    def _ragged():
-        long = simulate_ensemble("f0-randomized-scale", 50, plane, master_seed=21, count=300)
-        short = simulate_ensemble("f0-randomized-scale", 13, plane, master_seed=22, count=200)
-        # runs of each length, so batches end where the step count changes
-        return long[:90] + short[:7] + long[90:91] + short[7:] + long[91:]
-
-    @pytest.mark.parametrize("batch_values", [1, 7, martingale._BATCH_VALUES])
-    @pytest.mark.parametrize("ragged", [False, True])
-    def test_batches_match_the_reference(self, monkeypatch, batch_values, ragged):
-        paths = (
-            self._ragged()
-            if ragged
-            else simulate_ensemble("gaussian-coords", 50, plane, master_seed=501, count=1000)
-        )
-        monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
-        s = summarize(paths)
-        expected = summarize_oracle(paths)
-        for got, want in zip((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad), expected):
-            np.testing.assert_array_equal(got, want)
-        assert s.f0_all and not s.real_valued
-
-    def test_summaries_stand_in_for_the_paths(self, sign_paths):
-        s = summarize(sign_paths)
-        pairs = [(10.0, 15.0), (20.0, 25.0)]
-        reports = [
-            (verify_pairs(s, pairs, v), verify_pairs(sign_paths, pairs, v))
-            for v in ("real", "A2", "A3")
-        ]
-        grid = np.geomspace(20.0, 1000.0, 4)
-        reports.append((verify_conv_grid(s, grid), verify_conv_grid(sign_paths, grid)))
-        for got, want in reports:
-            assert got.replicas == want.replicas == len(sign_paths)
-            np.testing.assert_array_equal(_rows(got), _rows(want))
-
-    def test_space_check(self):
-        paths = simulate_ensemble("gaussian-coords", 5, plane, master_seed=3, count=4)
-        rng = _substream(4)
-        twin = simulate_mds("gaussian-coords", 5, HilbertSpace.euclidean(2), rng)
-        summarize(paths + [twin])
-        other = simulate_mds("gaussian-coords", 5, HilbertSpace(2, np.array([1.0, 2.0])), rng)
-        with pytest.raises(ValueError, match="different spaces"):
-            summarize(paths + [other])
-
-
 class TestA3Integral:
     """A3's tail integral depends on y only: one evaluation per distinct y."""
 
@@ -306,7 +251,7 @@ class TestA3Integral:
         calls = self._counted(monkeypatch)
         report = verify_grid(paths, xs, ys, "A3")
         assert len(calls) == ys.size
-        cells = [check_hilbert_inequality(paths, x, y, "A3") for x in xs for y in ys]
+        cells = [verify_pairs(paths, [(x, y)], "A3").entries[0] for x in xs for y in ys]
         expected = np.array([dataclasses.astuple(e) for e in cells])
         np.testing.assert_array_equal(_rows(report), expected)
 
@@ -326,7 +271,7 @@ SEED, BASE = 2**63 + 41, 2**64 - 3
 
 
 def _paths_one_by_one(kind, steps, space, count):
-    """The ensemble drawn path by path, each on its own substream."""
+    """The ensemble's (increments, moments) drawn path by path, each on its own substream."""
     return [
         simulate_mds(kind, steps, space, substream(SEED, mix_ids(BASE, r))) for r in range(count)
     ]
@@ -340,9 +285,10 @@ class TestEnsembleBlocks:
     @pytest.mark.parametrize("kind, dim", KIND_DIMS)
     def test_summaries_match_the_oracle(self, monkeypatch, kind, dim, count, batch_values):
         space = HilbertSpace.euclidean(dim)
-        expected = summarize_oracle(_paths_one_by_one(kind, 9, space, count))
+        expected = summarize_oracle(_paths_one_by_one(kind, 9, space, count), space)
         monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
-        s = simulate_summaries(kind, 9, space, SEED, count, base_stream=BASE)
+        s = simulate_ensemble(kind, 9, space, SEED, count, base_stream=BASE)
+        assert len(s) == count
         for got, want in zip((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad), expected):
             np.testing.assert_array_equal(got, want)
         assert s.real_valued == (dim == 1) and s.f0_all
@@ -353,28 +299,15 @@ class TestEnsembleBlocks:
         space = HilbertSpace.euclidean(dim)
         expected = _paths_one_by_one(kind, 11, space, 300)
         monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
-        got = simulate_ensemble(kind, 11, space, SEED, 300, base_stream=BASE)
+        got = [
+            (inc.copy(), mom.copy())
+            for block in martingale._path_blocks(kind, 11, space, SEED, 300, BASE)
+            for inc, mom in zip(*block)
+        ]
         assert len(got) == len(expected)
-        for g, e in zip(got, expected):
-            np.testing.assert_array_equal(g.increments, e.increments)
-            np.testing.assert_array_equal(g.cond_second_moments, e.cond_second_moments)
-            assert g.f0_measurable and g.space == space
-
-    def test_cli_builds_no_path_objects(self, monkeypatch, tmp_path):
-        built = []
-        original = MartingalePath.__post_init__
-
-        def spy(self):
-            built.append(self)
-            original(self)
-
-        monkeypatch.setattr(MartingalePath, "__post_init__", spy)
-        cfg = cli.parse_config_text(
-            "version: 1\nexperiment: martingale-verify\nseed: 7\nreplicas: 200\n"
-            "martingale: {generator: f0-randomized-scale, dim: 2, steps: 10, variants: [A2, A3, conv]}\n"
-        )
-        assert cli.run("martingale-verify", cfg, out_dir=str(tmp_path)) == 0
-        assert built == []
+        for (g_inc, g_mom), (e_inc, e_mom) in zip(got, expected):
+            np.testing.assert_array_equal(g_inc, e_inc)
+            np.testing.assert_array_equal(g_mom, e_mom)
 
     @pytest.mark.parametrize(
         "kind, steps, dim, count, message",
@@ -391,10 +324,7 @@ class TestEnsembleBlocks:
         monkeypatch.setattr(martingale, "draw_iid_batch", lambda *args: drawn.append(args))
         space = HilbertSpace.euclidean(dim)
         with pytest.raises(ValueError, match=message):
-            simulate_summaries(kind, steps, space, SEED, count)
-        if count:
-            with pytest.raises(ValueError, match=message):
-                simulate_ensemble(kind, steps, space, SEED, count)
+            simulate_ensemble(kind, steps, space, SEED, count)
         assert drawn == []
 
     def test_cli_rejects_signs_in_the_plane_before_writing(self, tmp_path, capsys):
@@ -495,14 +425,14 @@ class TestTailCounts:
     def test_verify_pairs_equals_the_per_cell_checks(self, variant):
         space = line if variant == "real" else plane
         kind = "bounded-signs" if variant == "real" else "gaussian-coords"
-        s = simulate_summaries(kind, 30, space, master_seed=77, count=1500)
+        s = simulate_ensemble(kind, 30, space, master_seed=77, count=1500)
         grid = [(x, y) for x in np.linspace(1.0, 20.0, 7) for y in np.linspace(2.0, 30.0, 6)]
-        pairs = grid + [(0.0, 5.0), (100.0, 5.0), (3.0, 6.0), (3.0, 6.0)]
+        pairs = grid + [(1e-9, 5.0), (100.0, 5.0), (3.0, 6.0), (3.0, 6.0)]
         got = _rows(verify_pairs(s, pairs, variant))
         assert got.tobytes() == _verify_pairs_per_cell(s, pairs, variant).tobytes()
 
     def test_conv_grid_equals_the_per_cell_checks(self):
-        s = simulate_summaries("gaussian-coords", 30, plane, master_seed=78, count=1500)
+        s = simulate_ensemble("gaussian-coords", 30, plane, master_seed=78, count=1500)
         x_samples, y_samples = conv_pair_from_paths(s)
         ts = np.geomspace(5.0, 400.0, 9)
         rows = []
@@ -517,7 +447,7 @@ class TestTailCounts:
         runs = []
         for batch_values in (1 << 10, martingale._BATCH_VALUES):
             monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
-            s = simulate_summaries("f0-randomized-scale", 50, plane, master_seed=79, count=700)
+            s = simulate_ensemble("f0-randomized-scale", 50, plane, master_seed=79, count=700)
             runs.append((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad))
         for got, want in zip(*runs):
             assert got.tobytes() == want.tobytes()

@@ -78,10 +78,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="arity"):
             make_config(sample_size=1)
 
-    def test_normalization_names(self):
-        with pytest.raises(ValueError, match="normalization"):
-            make_config(normalization="scaled")
-
 
 class TestReplicate:
     def test_same_seed_is_bit_identical(self):
@@ -99,22 +95,20 @@ class TestReplicate:
         n, replicas = 30, 2000
         sampler = SamplerSpec(kind="rademacher", seed_stream=21)
 
-        def stat(r):
-            sample = draw_iid(sampler, n, r)
-            return complete(gini(), sample).coords[0] / inc_count(2, n)
-
-        cfg = make_config(kernel=gini(), sample_size=n, replicas=replicas)
-        values = replicate(cfg, stat_fn=stat)
+        values = np.array(
+            [complete(gini(), draw_iid(sampler, n, r)).coords[0] / inc_count(2, n) for r in range(replicas)]
+        )
         se = values.std(ddof=1) / np.sqrt(replicas)
         assert abs(values.mean() - 1.0) <= 4.0 * se
 
 
 def test_tail_scan_counts_the_replicas_strictly_above_each_grid_point():
     """Grid points equal to replica values (ties) count only the values above them."""
-    stats = replicate(make_config(normalization="raw"))
+    cfg = make_config()
+    stats = replicate(cfg) / tail_scan(cfg).normalization
     values = np.sort(stats[stats > 0])
     grid = np.union1d(values, values + 0.5)
-    report = tail_scan(make_config(normalization="raw", x_grid=grid))
+    report = tail_scan(make_config(x_grid=grid))
     counts = np.array([np.count_nonzero(stats > x) for x in grid])
     assert np.count_nonzero(np.isin(grid, stats)) >= 3 and counts.min() < counts.max()
     lo, hi = wilson_bounds(counts, stats.size)
@@ -166,9 +160,7 @@ class TestTailScan:
 
     def test_normalization_factor(self):
         deg = tail_scan(make_config())
-        raw = tail_scan(make_config(normalization="raw"))
         assert deg.normalization == pytest.approx(12.0)  # n^(m - d/2) at d = m = 2
-        assert raw.normalization == 1.0
         assert deg.target_exponent == pytest.approx(1.0)
 
     @pytest.mark.parametrize("loop_only", [False, True])
