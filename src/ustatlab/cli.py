@@ -259,7 +259,10 @@ def _key_lines(text: str) -> dict[tuple[str, ...], int]:
         if isinstance(n, yaml.MappingNode):
             for key_node, value_node in n.value:
                 sub = path + (str(key_node.value),)
-                lines[sub] = key_node.start_mark.line + 1
+                line = key_node.start_mark.line + 1
+                if sub in lines:
+                    raise ConfigError(f"duplicate key '{'.'.join(sub)}' at lines {lines[sub]} and {line}")
+                lines[sub] = line
                 walk(value_node, sub)
 
     walk(node, ())
@@ -487,52 +490,11 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
-class _RunWriter:
-    """Collects output files and finishes with the manifest."""
-
-    def __init__(self, cfg: ConfigFile, out_dir: str):
-        self.cfg = cfg
-        self.out_dir = out_dir
-        self.started = datetime.now(timezone.utc).isoformat(timespec="seconds")
-        self.paths: list[str] = []
-        os.makedirs(out_dir, exist_ok=True)
-
-    def csv(self, name: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
-        """Write the table as name.csv and as its gnuplot twin name.dat, each
-        value formatted once for both."""
-        cells = [[_fmt(v) for v in row] for row in rows]
-        for ext, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
-            path = os.path.join(self.out_dir, name + ext)
-            lines = [lead + sep.join(header)] + [sep.join(row) for row in cells]
-            _atomic_write(path, "\n".join(lines) + "\n")
-            self.paths.append(path)
-
-    def finish(self, results: dict, exit_status: int) -> str:
-        manifest = {
-            "artifact_version": __version__,
-            "experiment": self.cfg.experiment,
-            "config_sha256": hashlib.sha256(emit_config(self.cfg).encode()).hexdigest(),
-            "master_seed": self.cfg.seed,
-            "started_utc": self.started,
-            "finished_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
-            "outputs": {os.path.basename(p): _sha256(p) for p in self.paths},
-            "results": results,
-            "exit_status": exit_status,
-        }
-        path = os.path.join(self.out_dir, "run_manifest.json")
-        _atomic_write(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        return path
-
-
 def _jsonable(value):
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
     if isinstance(value, (np.bool_, bool)):
         return bool(value)
     if isinstance(value, (np.integer, int)):
@@ -543,40 +505,59 @@ def _jsonable(value):
     return value
 
 
+def _emit(cfg: ConfigFile, out_dir: str, started: str, tables, results, exit_status) -> None:
+    """Write each table as name.csv and as its gnuplot twin name.dat, each
+    value formatted once for both, then the manifest with a checksum per file."""
+    os.makedirs(out_dir, exist_ok=True)
+    outputs = {}
+    for name, (header, rows) in tables.items():
+        cells = [[_fmt(v) for v in row] for row in rows]
+        for ext, sep, lead in ((".csv", ",", ""), (".dat", " ", "# ")):
+            lines = [lead + sep.join(header)] + [sep.join(row) for row in cells]
+            text = "\n".join(lines) + "\n"
+            _atomic_write(os.path.join(out_dir, name + ext), text)
+            outputs[name + ext] = hashlib.sha256(text.encode()).hexdigest()
+    manifest = {
+        "artifact_version": __version__,
+        "experiment": cfg.experiment,
+        "config_sha256": hashlib.sha256(emit_config(cfg).encode()).hexdigest(),
+        "master_seed": cfg.seed,
+        "started_utc": started,
+        "finished_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "outputs": outputs,
+        "results": _jsonable(results),
+        "exit_status": exit_status,
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _atomic_write(os.path.join(out_dir, "run_manifest.json"), text)
+
+
 # ---------------------------------------------------------------------------
-# Subcommand runners
+# Subcommand runners: each computes and returns (tables, results, violated),
+# where tables maps a file name to (header, rows); `run` writes them.
 
 
-def _run_estimate(cfg: ConfigFile, out_dir: str) -> int:
-    sampler = _build_sampler(cfg)
-    kernel = _build_kernel(cfg, sampler)
+def _run_estimate(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     sample = _load_sample(cfg, sampler, kernel)
     value = complete(kernel, sample)
     prefixes = running_max(kernel, sample)
-    writer = _RunWriter(cfg, out_dir)
-    writer.csv(
-        "estimate",
-        ["coordinate", "value"],
-        [(i, v) for i, v in enumerate(value.coords)],
-    )
-    writer.csv(
-        "estimate-prefix-norms",
-        ["prefix_size", "norm"],
-        [(kernel.arity + i, v) for i, v in enumerate(prefixes.prefix_norms)],
-    )
-    results = {
-        "sample_size": int(np.shape(sample)[0]),
-        "arity": kernel.arity,
-        "norm": _jsonable(row_norms(kernel.codomain, value.coords)),
-        "running_max_norm": _jsonable(prefixes.max_norm),
+    tables = {
+        "estimate": (["coordinate", "value"], list(enumerate(value.coords))),
+        "estimate-prefix-norms": (
+            ["prefix_size", "norm"],
+            [(kernel.arity + i, v) for i, v in enumerate(prefixes.prefix_norms)],
+        ),
     }
-    writer.finish(results, EXIT_OK)
-    return EXIT_OK
+    results = {
+        "sample_size": np.shape(sample)[0],
+        "arity": kernel.arity,
+        "norm": row_norms(kernel.codomain, value.coords),
+        "running_max_norm": prefixes.max_norm,
+    }
+    return tables, results, False
 
 
-def _run_decompose(cfg: ConfigFile, out_dir: str) -> int:
-    sampler = _build_sampler(cfg)
-    kernel = _build_kernel(cfg, sampler)
+def _run_decompose(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     support = sampler.finite_support()
     if support is None:
         raise ConfigError("decompose needs a sampler with finite support")
@@ -586,22 +567,17 @@ def _run_decompose(cfg: ConfigFile, out_dir: str) -> int:
     check = decomposition_check(kernel, support, sample, projections=projections)
     rel = check.deviation / max(check.lhs_norm, 1.0)
     violated = rel > cfg.identity_tolerance
-    writer = _RunWriter(cfg, out_dir)
-    rows = [(0, report.mean_norm)]
-    rows.extend((k, r) for k, r in enumerate(report.residuals, start=1))
-    writer.csv("decompose", ["order", "max_projection_norm"], rows)
+    rows = [(0, report.mean_norm), *enumerate(report.residuals, start=1)]
     results = {
         "degeneracy_order": report.order,
-        "mean_norm": _jsonable(report.mean_norm),
-        "fully_degenerate": bool(report.fully_degenerate),
-        "declared_matches": None if report.declared is None else bool(report.declared_matches),
-        "decomposition_deviation": _jsonable(check.deviation),
-        "decomposition_relative": _jsonable(rel),
+        "mean_norm": report.mean_norm,
+        "fully_degenerate": report.fully_degenerate,
+        "declared_matches": report.declared_matches,
+        "decomposition_deviation": check.deviation,
+        "decomposition_relative": rel,
         "identity_ok": not violated,
     }
-    status = EXIT_VIOLATION if violated else EXIT_OK
-    writer.finish(results, status)
-    return status
+    return {"decompose": (["order", "max_projection_norm"], rows)}, results, violated
 
 
 def _experiment_config(cfg: ConfigFile, kernel, sampler) -> ExperimentConfig:
@@ -615,9 +591,7 @@ def _experiment_config(cfg: ConfigFile, kernel, sampler) -> ExperimentConfig:
     )
 
 
-def _run_tailscan(cfg: ConfigFile, out_dir: str) -> int:
-    sampler = _build_sampler(cfg)
-    kernel = _build_kernel(cfg, sampler)
+def _run_tailscan(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     e = cfg.envelope
     support = None
     if e is not None and e.second > 0.0:
@@ -639,27 +613,21 @@ def _run_tailscan(cfg: ConfigFile, out_dir: str) -> int:
         envelope_col = [envelope_eval(env, float(x), tail).total for x in scan.x_grid]
 
     rows = list(zip(scan.x_grid, scan.p_hat, scan.ci_lo, scan.ci_hi, envelope_col))
-    writer = _RunWriter(cfg, out_dir)
-    writer.csv("tailscan", ["x", "p_hat", "ci_lo", "ci_hi", "envelope"], rows)
     violated = scan.fit_available and abs(scan.beta - scan.target_exponent) > cfg.beta_tolerance
     results = {
         "degeneracy": scan.degeneracy,
-        "normalization": _jsonable(scan.normalization),
-        "beta": None if scan.beta is None else _jsonable(scan.beta),
-        "target_exponent": _jsonable(scan.target_exponent),
+        "normalization": scan.normalization,
+        "beta": scan.beta,
+        "target_exponent": scan.target_exponent,
         "beta_tolerance": cfg.beta_tolerance,
         "fit_points": scan.fit_points,
         "fit_available": scan.fit_available,
         "beta_in_window": not violated,
     }
-    status = EXIT_VIOLATION if violated else EXIT_OK
-    writer.finish(results, status)
-    return status
+    return {"tailscan": (["x", "p_hat", "ci_lo", "ci_hi", "envelope"], rows)}, results, violated
 
 
-def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
-    sampler = _build_sampler(cfg)
-    kernel = _build_kernel(cfg, sampler)
+def _run_incomplete(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     scaling = cfg.scaling
     cells = []
     for n in scaling.sample_sizes:
@@ -680,30 +648,23 @@ def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
     # one column per ScalingRow field, the interval bounds named ci_lo / ci_hi
     renamed = {"quantile_lo": "ci_lo", "quantile_hi": "ci_hi"}
     header = [renamed.get(f.name, f.name) for f in fields(ScalingRow)]
-    writer = _RunWriter(cfg, out_dir)
-    writer.csv("incomplete-compare", header, [astuple(r) for r in report.rows])
     unbias_ok = all(r.unbias_ok for r in report.rows)
     spread_ok = report.spread <= cfg.ratio_bound
     results: dict[str, Any] = {
         "degeneracy": report.degeneracy,
         "quantile_level": cfg.quantile,
-        "spread": _jsonable(report.spread),
+        "spread": report.spread,
         "ratio_bound": cfg.ratio_bound,
-        "spread_ok": bool(spread_ok),
-        "unbiasedness_ok": bool(unbias_ok),
+        "spread_ok": spread_ok,
+        "unbiasedness_ok": unbias_ok,
     }
     overlap_ok = True
     if scaling.matching is not None:
         m = scaling.matching
-        msampler = sampler
-        if m.sampler_kind == "rademacher":
-            msampler = SamplerSpec(kind="rademacher", seed_stream=cfg.seed)
-        elif m.sampler_kind == "discretized-gaussian":
-            msampler = SamplerSpec(
-                kind="discretized-gaussian", seed_stream=cfg.seed, space=HilbertSpace.euclidean(1)
-            )
+        if m.sampler_kind is not None:  # the matching law replaces the run's, in one dimension
+            sampler = _build_sampler(replace(cfg, sampler=SamplerConfig(kind=m.sampler_kind, dim=1)))
         mp = matching_point_compare(
-            msampler,
+            sampler,
             sample_size=m.sample_size,
             size=m.size,
             replicas=m.replicas,
@@ -714,37 +675,28 @@ def _run_incomplete(cfg: ConfigFile, out_dir: str) -> int:
         results["matching"] = {
             "sample_size": mp.sample_size,
             "size": mp.size,
-            "rate": _jsonable(mp.rate),
-            "normalizer": _jsonable(mp.normalizer),
-            "replacement_quantile": _jsonable(mp.replacement_quantile),
-            "replacement_ci": [_jsonable(mp.replacement_lo), _jsonable(mp.replacement_hi)],
-            "bernoulli_quantile": _jsonable(mp.bernoulli_quantile),
-            "bernoulli_ci": [_jsonable(mp.bernoulli_lo), _jsonable(mp.bernoulli_hi)],
+            "rate": mp.rate,
+            "normalizer": mp.normalizer,
+            "replacement_quantile": mp.replacement_quantile,
+            "replacement_ci": [mp.replacement_lo, mp.replacement_hi],
+            "bernoulli_quantile": mp.bernoulli_quantile,
+            "bernoulli_ci": [mp.bernoulli_lo, mp.bernoulli_hi],
             "bernoulli_empty": mp.bernoulli_empty,
-            "overlap": bool(mp.overlap),
+            "overlap": mp.overlap,
         }
-    violated = not (unbias_ok and spread_ok and overlap_ok)
-    status = EXIT_VIOLATION if violated else EXIT_OK
-    writer.finish(results, status)
-    return status
+    tables = {"incomplete-compare": (header, [astuple(r) for r in report.rows])}
+    return tables, results, not (unbias_ok and spread_ok and overlap_ok)
 
 
-def _run_decouple(cfg: ConfigFile, out_dir: str) -> int:
-    sampler = _build_sampler(cfg)
-    kernel = _build_kernel(cfg, sampler)
+def _run_decouple(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     report = decouple_compare(_experiment_config(cfg, kernel, sampler))
     rows = list(zip(report.x_grid, report.p_complete, report.p_decoupled, report.usable))
-    writer = _RunWriter(cfg, out_dir)
-    writer.csv("decouple-compare", ["x", "p_complete", "p_decoupled", "usable"], rows)
     results = {
-        "fitted_constant": None
-        if report.fitted_constant is None
-        else _jsonable(report.fitted_constant),
-        "constant_defined": bool(report.constant_defined),
-        "usable_points": int(report.usable.sum()),
+        "fitted_constant": report.fitted_constant,
+        "constant_defined": report.constant_defined,
+        "usable_points": report.usable.sum(),
     }
-    writer.finish(results, EXIT_OK)
-    return EXIT_OK
+    return {"decouple-compare": (["x", "p_complete", "p_decoupled", "usable"], rows)}, results, False
 
 
 def _read_grid_file(path: str, columns: int) -> list[tuple[float, ...]]:
@@ -776,12 +728,7 @@ def _read_grid_file(path: str, columns: int) -> list[tuple[float, ...]]:
     return rows
 
 
-def _run_martingale(
-    cfg: ConfigFile,
-    out_dir: str,
-    variants: tuple[str, ...] | None,
-    grid_file: str | None,
-) -> int:
+def _run_martingale(cfg: ConfigFile, variants: tuple[str, ...] | None, grid_file: str | None):
     mcfg = cfg.martingale
     chosen = variants if variants else mcfg.variants
     if "real" in chosen and mcfg.dim != 1:
@@ -796,8 +743,7 @@ def _run_martingale(
 
     space = HilbertSpace.euclidean(mcfg.dim)
     ensemble = simulate_ensemble(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
-    writer = _RunWriter(cfg, out_dir)
-    header = ["x", "y", "lhs", "lhs_ci_hi", "rhs", "rhs_ci_lo", "violated"]
+    tables = {}
     per_variant: dict[str, int] = {}
     for variant in chosen:
         if variant == "conv":
@@ -807,9 +753,8 @@ def _run_martingale(
         else:
             report = verify_grid(ensemble, mcfg.x_grid.build(), mcfg.y_grid.build(), variant)
         per_variant[variant] = report.violations
-        writer.csv(
-            f"martingale-{variant}",
-            header,
+        tables[f"martingale-{variant}"] = (
+            ["x", "y", "lhs", "lhs_ci_hi", "rhs", "rhs_ci_lo", "violated"],
             [(e.x, e.y, e.lhs, e.lhs_hi, e.rhs, e.rhs_lo, e.violated) for e in report.entries],
         )
     total = sum(per_variant.values())
@@ -818,12 +763,10 @@ def _run_martingale(
         "steps": mcfg.steps,
         "dim": mcfg.dim,
         "replicas": cfg.replicas,
-        "violations": {k: int(v) for k, v in per_variant.items()},
-        "total_violations": int(total),
+        "violations": per_variant,
+        "total_violations": total,
     }
-    status = EXIT_VIOLATION if total > 0 else EXIT_OK
-    writer.finish(results, status)
-    return status
+    return tables, results, total > 0
 
 
 _RUNNERS = {
@@ -845,8 +788,9 @@ def run(
 ) -> int:
     """Execute one subcommand against a parsed config; returns the exit status.
 
-    `threads` is accepted for old callers and ignored: every subcommand runs
-    on one thread.
+    Nothing is written until the computation has finished, so a run that raises
+    leaves no files. `threads` is accepted for old callers and ignored: every
+    subcommand runs on one thread.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -854,10 +798,15 @@ def run(
         raise ConfigError(
             f"config is for experiment {cfg.experiment!r}, but the subcommand is {subcommand!r}"
         )
-    out = out_dir if out_dir is not None else cfg.output_dir
+    started = datetime.now(timezone.utc).isoformat(timespec="seconds")
     if subcommand == "martingale-verify":
-        return _run_martingale(cfg, out, variants, grid_file)
-    return _RUNNERS[subcommand](cfg, out)
+        tables, results, violated = _run_martingale(cfg, variants, grid_file)
+    else:
+        sampler = _build_sampler(cfg)
+        tables, results, violated = _RUNNERS[subcommand](cfg, sampler, _build_kernel(cfg, sampler))
+    status = EXIT_VIOLATION if violated else EXIT_OK
+    _emit(cfg, out_dir if out_dir is not None else cfg.output_dir, started, tables, results, status)
+    return status
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ up to one multiplicative constant applied both outside and inside.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -154,7 +154,7 @@ def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) ->
     passes it as `atom_table`.
     """
     kernel, n = config.kernel, config.sample_size
-    bound_sampler = _reseeded(config.sampler, config.master_seed)
+    bound_sampler = replace(config.sampler, seed_stream=config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
     table = _count_table(kernel, config.sampler, n, atom_table)
     out = np.empty(config.replicas)
@@ -208,17 +208,6 @@ def _batches(count: int, values: int):
     """Indices 0..count-1 in batches of _CHUNK_VALUES // values."""
     step = max(1, _CHUNK_VALUES // values)
     return (np.arange(s, min(s + step, count)) for s in range(0, count, step))
-
-
-def _reseeded(sampler: SamplerSpec, master_seed: int) -> SamplerSpec:
-    """Bind a sampler to the experiment's master seed."""
-    return SamplerSpec(
-        kind=sampler.kind,
-        seed_stream=master_seed,
-        dist=sampler.dist,
-        grid_points=sampler.grid_points,
-        space=sampler.space,
-    )
 
 
 def _spot_check_sup(kernel: KernelSpec, sample: np.ndarray, context: str) -> None:
@@ -305,10 +294,8 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
             raise ValueError("no finite support: pass the degeneracy order explicitly")
     factor = float(n) ** (kernel.arity - d / 2.0)
 
-    _spot_check_sup(
-        kernel, draw_iid(_reseeded(config.sampler, config.master_seed), n, mix_ids(_ROLE_DATA, 0)),
-        "tail_scan",
-    )
+    sampler = replace(config.sampler, seed_stream=config.master_seed)
+    _spot_check_sup(kernel, draw_iid(sampler, n, mix_ids(_ROLE_DATA, 0)), "tail_scan")
     stats = replicate(config, atom_table=table) / factor
     p_hat, lo, hi = _tail_triples(stats, config.x_grid)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
@@ -587,7 +574,7 @@ def incomplete_scaling_experiment(
     d = deg.order
     m = kernel.arity
     draws = min(replicas, 2000)
-    bound_sampler = _reseeded(sampler, master_seed)
+    bound_sampler = replace(sampler, seed_stream=master_seed)
     for cell_id, cell in enumerate(cells):
         if cell.sample_size < m:
             raise ValueError("sample_size must be at least the kernel arity")
@@ -706,7 +693,7 @@ def matching_point_compare(
     norm_bern = _design_normalizer(bern, size, n, 1, d)
     if not math.isclose(norm_wo, norm_bern, rel_tol=1e-12):
         raise AssertionError(f"normalizers should coincide: {norm_wo} vs {norm_bern}")
-    bound_sampler = _reseeded(sampler, master_seed)
+    bound_sampler = replace(sampler, seed_stream=master_seed)
 
     stats_wo, stats_b = (
         _normalized_norms(
@@ -818,7 +805,7 @@ def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     kernel, n, R = config.kernel, config.sample_size, config.replicas
     m = kernel.arity
     cols = _columns(m, n)
-    bound_sampler = _reseeded(config.sampler, config.master_seed)
+    bound_sampler = replace(config.sampler, seed_stream=config.master_seed)
     _spot_check_sup(kernel, draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, 0)), "decouple_compare")
     stats_u, stats_d = np.empty(R), np.empty(R)
     for drawn in _batches(R, n):

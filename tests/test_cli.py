@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import ustatlab
 from ustatlab import cli
 from ustatlab.cli import (
     EXIT_OK,
@@ -21,6 +23,7 @@ from ustatlab.cli import (
     parse_config_text,
     run,
 )
+from ustatlab.ustats import complete
 
 ESTIMATE_CONFIG = """\
 version: 1
@@ -67,6 +70,12 @@ ERROR_CASES = {
     "unknown-scaling-matching": (
         "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    size: 3\n    rate: 0.5\n",
         ["'rate'", "line 6", "in scaling.matching"],
+    ),
+    # a key given twice, named with both lines
+    "duplicate-top": ("version: 1\nexperiment: estimate\nseed: 1\nseed: 5\n", ["'seed'", "lines 3 and 4"]),
+    "duplicate-kernel": (
+        "version: 1\nexperiment: estimate\nkernel:\n  name: gini\n  dim: 2\n  name: product\n",
+        ["'kernel.name'", "lines 4 and 6"],
     ),
     # top level
     "top-type": ("version: 1\nexperiment: estimate\nreplicas: many\n", ["'replicas' (line 3)"]),
@@ -1208,9 +1217,201 @@ def test_each_value_is_formatted_once_for_both_tables(monkeypatch, tmp_path):
     original = cli._fmt
     monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or original(v))
     cfg = parse_config_text(ESTIMATE_CONFIG)
-    writer = cli._RunWriter(cfg, str(tmp_path))
     rows = [(1, 0.5, True), (2, -0.25, False)]
-    writer.csv("table", ["a", "b", "c"], rows)
+    cli._emit(cfg, str(tmp_path), "started", {"table": (["a", "b", "c"], rows)}, {}, EXIT_OK)
     assert len(calls) == 6
     assert (tmp_path / "table.csv").read_text() == "a,b,c\n1,0.5,1\n2,-0.25,0\n"
     assert (tmp_path / "table.dat").read_text() == "# a b c\n1 0.5 1\n2 -0.25 0\n"
+
+
+def _manifest_digest(out_dir):
+    """The sha256 of the manifest less its two timestamps and the package
+    version, which is checked on its own."""
+    manifest = read_manifest(out_dir)
+    del manifest["started_utc"], manifest["finished_utc"]
+    assert manifest.pop("artifact_version") == ustatlab.__version__
+    return manifest, hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
+
+
+class TestManifestPins:
+    """The whole manifest for one config per subcommand, and three for
+    incomplete-compare's matching samplers, recorded while each runner still
+    wrote its own files. `results` covers None, a non-finite value (written
+    as its repr), nested lists and a violation."""
+
+    CASES = {
+        "estimate": (ESTIMATE_CONFIG, EXIT_OK, {}, "3149c619e188dd098740e8fe87c03b3d38636ba37a03381b8b81d0766fb289bf"),
+        "decompose": (
+            """\
+version: 1
+experiment: decompose
+seed: 902
+kernel: {name: gini, centered: true}
+sampler: {kind: uniform-grid, grid_points: 8}
+data: {draw: 12}
+""",
+            EXIT_OK,
+            {"declared_matches": None, "identity_ok": True},
+            "534348b6ccb92f1a43523ca6b911013cca14a8f2cb5dcd66c44d7bc28816a7b6",
+        ),
+        "tailscan-no-fit": (
+            """\
+version: 1
+experiment: tailscan
+seed: 12
+replicas: 100
+sample_size: 6
+kernel: {name: product}
+sampler: {kind: rademacher}
+x_grid: {start: 50.0, stop: 100.0, points: 4, scale: log}
+envelope: {first: 0.5, tail_scale: 2.0}
+""",
+            EXIT_OK,
+            {"beta": None, "fit_available": False},
+            "73c69c691b1c73619d9e332562145d3d3f1f3cbe92601f49889223d764062a82",
+        ),
+        "incomplete-all-empty": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 11
+replicas: 100
+kernel: {name: product}
+sampler: {kind: rademacher}
+quantile: 0.5
+scaling:
+  design_kind: bernoulli
+  sizes: [0.0001]
+  sample_sizes: [2, 3]
+""",
+            EXIT_VIOLATION,
+            {"spread": "inf", "spread_ok": False},
+            "de2c94f89436711554c39e7bc083022e6a3155fcf7812e02e05327c0058c8b30",
+        ),
+        "incomplete-matching-gaussian": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 904
+replicas: 100
+kernel: {name: product}
+sampler: {kind: rademacher}
+scaling:
+  design_kind: with-replacement
+  sizes: [3, 10]
+  sample_sizes: [6, 8]
+  matching: {sample_size: 8, size: 5, replicas: 100, sampler_kind: discretized-gaussian}
+""",
+            EXIT_OK,
+            {},
+            "4b8dbaadf3d74dcf1594aec7bc73399465684ef4a01af3732eb26a86478ff31e",
+        ),
+        "incomplete-matching-rademacher": (
+            """\
+version: 1
+experiment: incomplete-compare
+seed: 905
+replicas: 100
+kernel: {name: gini, centered: true}
+sampler: {kind: uniform-grid, grid_points: 5}
+scaling:
+  design_kind: without-replacement
+  sizes: [4]
+  sample_sizes: [6]
+  matching: {sample_size: 10, size: 6, replicas: 100, sampler_kind: rademacher}
+""",
+            EXIT_OK,
+            {},
+            "c37b07579d0b28f0f1da1a05cd7cd31c52abefe6da7bd869a23c72c912088013",
+        ),
+        "decouple-no-constant": (
+            """\
+version: 1
+experiment: decouple-compare
+seed: 13
+replicas: 100
+sample_size: 5
+kernel: {name: product}
+sampler: {kind: rademacher}
+x_grid: {start: 50.0, stop: 100.0, points: 4, scale: log}
+""",
+            EXIT_OK,
+            {"fitted_constant": None, "constant_defined": False},
+            "75e85af96cf7d785b44abe2557281dcdfeb0cbb31af293889b51831decafee54",
+        ),
+        "martingale": (
+            """\
+version: 1
+experiment: martingale-verify
+seed: 906
+replicas: 100
+martingale: {generator: gaussian-coords, dim: 2, steps: 10, variants: [A2, A3, conv]}
+""",
+            EXIT_OK,
+            {"total_violations": 0},
+            "db63cb4c2b8868ad3feba78ea82659512d8d5a894e5f70b6e1d83445dcf86808",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_manifest_is_pinned(self, tmp_path, case):
+        text, status, some_results, digest = self.CASES[case]
+        cfg = parse_config_text(text)
+        assert run(cfg.experiment, cfg, out_dir=str(tmp_path)) == status
+        manifest, got = _manifest_digest(tmp_path)
+        assert manifest["exit_status"] == status
+        assert some_results.items() <= manifest["results"].items()
+        assert got == digest
+
+
+def _raise(*args, **kwargs):
+    raise RuntimeError("step failed")
+
+
+class TestFailedRunWritesNothing:
+    def test_a_later_martingale_variant_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "verify_conv_grid", _raise)
+        cfg = parse_config_text(TestManifestPins.CASES["martingale"][0])
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="step failed"):
+            run("martingale-verify", cfg, out_dir=str(out))
+        assert not out.exists()
+
+    def test_the_matching_step_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "matching_point_compare", _raise)
+        cfg = parse_config_text(TestManifestPins.CASES["incomplete-matching-gaussian"][0])
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="step failed"):
+            run("incomplete-compare", cfg, out_dir=str(out))
+        assert not out.exists()
+
+
+def test_started_utc_is_taken_before_the_computation(monkeypatch, tmp_path):
+    clock = [datetime(2020, 1, 1, tzinfo=timezone.utc)]
+
+    class FakeClock:
+        @staticmethod
+        def now(tz):
+            assert tz is timezone.utc
+            return clock[0]
+
+    def slow_complete(*args):
+        clock[0] += timedelta(hours=1)
+        return complete(*args)
+
+    monkeypatch.setattr(cli, "datetime", FakeClock)
+    monkeypatch.setattr(cli, "complete", slow_complete)
+    assert run("estimate", parse_config_text(ESTIMATE_CONFIG), out_dir=str(tmp_path)) == EXIT_OK
+    manifest = read_manifest(tmp_path)
+    assert manifest["started_utc"] == "2020-01-01T00:00:00+00:00"
+    assert manifest["finished_utc"] == "2020-01-01T01:00:00+00:00"
+
+
+def test_an_infinite_setting_is_written_as_strict_json(tmp_path):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    cfg = parse_config_text(TestManifestPins.CASES["tailscan-no-fit"][0] + "beta_tolerance: .inf\n")
+    assert run("tailscan", cfg, out_dir=str(tmp_path)) == EXIT_OK
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text(), parse_constant=refuse)
+    assert manifest["results"]["beta_tolerance"] == "inf"

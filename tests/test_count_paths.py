@@ -6,6 +6,7 @@ instead of gathering and evaluating every pair. Every partial sum is then an
 exact integer, so the count path must give the gather's bytes.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -181,7 +182,7 @@ def test_count_route_equals_the_per_replica_oracle(monkeypatch, name, replicas, 
     calls = _spies(monkeypatch)
     got = replicate(config)
     assert calls["count"] >= 3 and calls["gather"] == 0
-    sampler = montecarlo._reseeded(config.sampler, config.master_seed)
+    sampler = dataclasses.replace(config.sampler, seed_stream=config.master_seed)
     samples = (draw_iid(sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(replicas))
     want = [ustats.running_max(config.kernel, s).max_norm for s in samples]
     assert got.tobytes() == np.array(want).tobytes()

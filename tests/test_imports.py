@@ -6,8 +6,8 @@ it loads are its own, not those of earlier tests. A module imported during
 `cli.run` costs its import time inside the run instead of at start-up.
 
 Also guards the package's source: only `kernels.py` may ask which evaluator
-a kernel was given, only `ustats.py` decides when a sum is exact, and no
-module imports inside a function.
+a kernel was given, only `ustats.py` decides when a sum is exact, no module
+imports inside a function, and no CLI runner writes a file.
 """
 
 import ast
@@ -171,3 +171,19 @@ def test_no_import_inside_a_function():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 )
     assert sorted(nested) == []
+
+
+def test_one_emitter_writes_the_files():
+    """`_emit` is the one function in `cli.py` that makes a directory or
+    writes a file, and only `run` calls it, once every `_run_*` runner has
+    returned its tables and results; the runners only compute."""
+    callers: dict[str, set[str]] = {}
+    for func in ast.walk(ast.parse((PACKAGE / "cli.py").read_text())):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    callers.setdefault(name, set()).add(func.name)
+    assert callers.get("_emit") == {"run"}
+    assert callers["_atomic_write"] == callers["makedirs"] == {"_emit"}
+    assert not any(name.startswith("_run_") for name in callers["open"])
