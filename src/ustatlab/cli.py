@@ -47,8 +47,6 @@ from .montecarlo import (
     ScalingRow,
     coordinate_kernel,
     decouple_compare,
-    envelope_eval,
-    hk_tail_oracle,
     incomplete_scaling_experiment,
     matching_point_compare,
     tail_scan,
@@ -593,26 +591,17 @@ def _experiment_config(cfg: ConfigFile, kernel, sampler) -> ExperimentConfig:
 
 def _run_tailscan(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     e = cfg.envelope
-    support = None
-    if e is not None and e.second > 0.0:
-        support = sampler.finite_support()
-        if support is None:
-            raise ConfigError("envelope: the integral term needs a finite sampling law")
-    scan = tail_scan(_experiment_config(cfg, kernel, sampler), degeneracy=cfg.degeneracy)
-
-    envelope_col = [math.nan] * scan.x_grid.size
+    envelope = None
     if e is not None:
-        env = BoundEnvelope(
-            arity=scan.degeneracy,
+        envelope = functools.partial(
+            BoundEnvelope,
             scale=e.scale,
             first_coefficient=e.first,
             second_coefficient=e.second,
             tail_scale=e.tail_scale,
         )
-        tail = None if support is None else hk_tail_oracle(kernel, support, scan.degeneracy)
-        envelope_col = [envelope_eval(env, float(x), tail).total for x in scan.x_grid]
-
-    rows = list(zip(scan.x_grid, scan.p_hat, scan.ci_lo, scan.ci_hi, envelope_col))
+    scan = tail_scan(_experiment_config(cfg, kernel, sampler), degeneracy=cfg.degeneracy, envelope=envelope)
+    rows = list(zip(scan.x_grid, scan.p_hat, scan.ci_lo, scan.ci_hi, scan.envelope))
     violated = scan.fit_available and abs(scan.beta - scan.target_exponent) > cfg.beta_tolerance
     results = {
         "degeneracy": scan.degeneracy,

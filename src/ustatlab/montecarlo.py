@@ -30,7 +30,10 @@ The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
 like N^(m - d/2) with tail exponent 2/d; incomplete designs normalize by
 the selected-tuple count; complete tails are dominated by decoupled tails
-up to one multiplicative constant applied both outside and inside.
+up to one multiplicative constant applied both outside and inside, read
+in closed form from the sorted decoupled norms. The tail scan builds the
+bound envelope at the order it computes, with the exact tail its integral
+term reads, so every caller gets the bound beside p_hat.
 """
 
 from __future__ import annotations
@@ -232,29 +235,22 @@ class TailScanReport:
     p_hat: np.ndarray
     ci_lo: np.ndarray
     ci_hi: np.ndarray
-    replicas: int
-    sample_size: int
+    envelope: np.ndarray  # the bound envelope at each x, NaN without one
     degeneracy: int
     normalization: float  # N^(m - d/2)
     target_exponent: float  # 2/d
     beta: float | None  # fitted decay exponent
-    fit_window: tuple[float, float]
     fit_points: int
     fit_available: bool
 
 
-def fit_tail_exponent(
-    xs: np.ndarray,
-    p_hat: np.ndarray,
-    window: tuple[float, float] = FIT_WINDOW,
-    min_points: int = MIN_FIT_POINTS,
-) -> tuple[float | None, int]:
-    """Least-squares slope of log(-log p) against log x inside the window."""
+def fit_tail_exponent(xs: np.ndarray, p_hat: np.ndarray) -> tuple[float | None, int]:
+    """Least-squares slope of log(-log p) against log x over p in FIT_WINDOW."""
     xs = np.asarray(xs, dtype=np.float64)
     p_hat = np.asarray(p_hat, dtype=np.float64)
-    mask = (p_hat >= window[0]) & (p_hat <= window[1]) & (xs > 0)
+    mask = (p_hat >= FIT_WINDOW[0]) & (p_hat <= FIT_WINDOW[1]) & (xs > 0)
     used = int(mask.sum())
-    if used < min_points:
+    if used < MIN_FIT_POINTS:
         return None, used
     lx = np.log(xs[mask])
     ly = np.log(-np.log(p_hat[mask]))
@@ -263,13 +259,22 @@ def fit_tail_exponent(
     return float(slope), used
 
 
-def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailScanReport:
+def tail_scan(
+    config: ExperimentConfig,
+    degeneracy: int | None = None,
+    envelope: Callable[..., BoundEnvelope] | None = None,
+) -> TailScanReport:
     """Scan the tail of max_{m <= n' <= N} ||U_{n'}|| / N^(m - d/2).
 
     The degeneracy order d comes from exact projections when the sampling
     law has finite support; laws without one must state d explicitly. A
     kernel that is not centered under the law is rejected: the fully
     degenerate normalization would not apply.
+
+    `envelope(arity=d)` builds the bound envelope, for instance from a
+    `functools.partial` of `BoundEnvelope`. The envelope column is its
+    `envelope_eval(...).total` per x, NaN without one; an integral term reads
+    the exact H_d tail, so it needs a finite law, checked before any replica.
     """
     if config.x_grid is None:
         raise ValueError("tail_scan needs x_grid")
@@ -293,24 +298,28 @@ def tail_scan(config: ExperimentConfig, degeneracy: int | None = None) -> TailSc
         if d is None:
             raise ValueError("no finite support: pass the degeneracy order explicitly")
     factor = float(n) ** (kernel.arity - d / 2.0)
+    env = None if envelope is None else envelope(arity=d)
+    integral = env is not None and env.second_coefficient != 0.0
+    if integral and support is None:
+        raise ValueError("envelope: the integral term needs a finite sampling law")
+    tail = hk_tail_oracle(kernel, support, d) if integral else None
 
     sampler = replace(config.sampler, seed_stream=config.master_seed)
     _spot_check_sup(kernel, draw_iid(sampler, n, mix_ids(_ROLE_DATA, 0)), "tail_scan")
     stats = replicate(config, atom_table=table) / factor
     p_hat, lo, hi = _tail_triples(stats, config.x_grid)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
+    column = [math.nan if env is None else envelope_eval(env, float(x), tail).total for x in config.x_grid]
     return TailScanReport(
         x_grid=config.x_grid,
         p_hat=p_hat,
         ci_lo=lo,
         ci_hi=hi,
-        replicas=config.replicas,
-        sample_size=n,
+        envelope=np.array(column),
         degeneracy=d,
         normalization=factor,
         target_exponent=2.0 / d,
         beta=beta,
-        fit_window=FIT_WINDOW,
         fit_points=used,
         fit_available=beta is not None,
     )
@@ -419,11 +428,40 @@ def hk_tail_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> Step
 def _log_power_integral(u: np.ndarray, q: int) -> np.ndarray:
     """G(u) = integral_1^u s (1 + log s)^q ds = u^2 P(1 + log u) - P(1) for
     u >= 1, where P(w) = sum_j (-1)^j q!/(q-j)! w^(q-j) / 2^(j+1) is the
-    polynomial with 2 P + P' = w^q. Its terms alternate and grow with q:
-    the absolute error near u = 1 is about 1e-15 up to q = 6 (arity 3) but
-    1e-3 at q = 21 (arity 6)."""
+    polynomial with 2 P + P' = w^q. Its terms alternate, so its rounding
+    error is about eps (u^2 T(1 + log u) + T(1)), T being P with positive
+    coefficients. Where that exceeds 16 ulps of max(1, G), the positive
+    series `_log_power_series` replaces it: never for q <= 3 (at most 12
+    ulps there), and near u = 1 from q = 5, where the closed form would
+    cancel to about 1e-3 at q = 21."""
     coeffs = [(-1) ** j * math.perm(q, j) / 2.0 ** (j + 1) for j in range(q + 1)]
-    return u * u * np.polyval(coeffs, 1.0 + np.log(u)) - np.polyval(coeffs, 1.0)
+    magnitudes = np.abs(coeffs)
+    log_u = np.log(u)
+    w = 1.0 + log_u
+    closed = u * u * np.polyval(coeffs, w) - np.polyval(coeffs, 1.0)
+    error = u * u * np.polyval(magnitudes, w) + np.polyval(magnitudes, 1.0)
+    cancels = error > 16.0 * np.maximum(1.0, closed)
+    if np.any(cancels):
+        closed[cancels] = _log_power_series(log_u[cancels], q)
+    return closed
+
+
+def _log_power_series(L: np.ndarray, q: int) -> np.ndarray:
+    """G = integral_0^L e^(2t) (1 + t)^q dt = sum_n a_n L^(n+1) / (n+1), with
+    a_n = sum_i C(q, i) 2^(n-i) / (n-i)! the Taylor coefficients of the
+    integrand. Every term is positive, so nothing cancels; the sum stops
+    once n >= q and each term is below 2^-60 of the total."""
+    total = np.zeros_like(L)
+    power = L.copy()  # L^(n+1)
+    n = 0
+    while True:
+        a = sum(math.comb(q, i) * 2 ** (n - i) / math.factorial(n - i) for i in range(min(n, q) + 1))
+        term = a * power / (n + 1)
+        total += term
+        if n >= q and np.all(term <= 2.0**-60 * total):
+            return total
+        power *= L
+        n += 1
 
 
 def envelope_eval(env: BoundEnvelope, x: float, tail_oracle: StepTail | None) -> EnvelopeValue:
@@ -754,32 +792,7 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
     p_u = counts_u / R
     p_d = counts_d / R
 
-    fitted: float | None = None
-    if np.any(usable):
-        dec_tail = empirical_tail(stats_d)
-        xs = config.x_grid[usable]
-        targets = p_u[usable]
-
-        def dominated(k: float) -> bool:
-            return all(p <= k * dec_tail(x / k) + 1e-15 for x, p in zip(xs, targets))
-
-        hi = 1.0
-        while not dominated(hi):
-            hi *= 2.0
-            if hi > 2.0**40:
-                break
-        if dominated(hi):
-            lo = hi / 2.0 if hi > 1.0 else 1.0
-            if hi == 1.0:
-                fitted = 1.0
-            else:
-                for _ in range(60):
-                    mid = math.sqrt(lo * hi)
-                    if dominated(mid):
-                        hi = mid
-                    else:
-                        lo = mid
-                fitted = hi
+    fitted = _domination_constant(config.x_grid[usable], p_u[usable], stats_d) if usable.any() else None
     return DecoupleReport(
         x_grid=config.x_grid,
         p_complete=p_u,
@@ -789,6 +802,31 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
         fitted_constant=fitted,
         constant_defined=fitted is not None,
     )
+
+
+def _domination_constant(xs: np.ndarray, targets: np.ndarray, dec_stats: np.ndarray) -> float | None:
+    """The smallest float k >= 1 with p <= k * P(||U_dec|| > x / k) + 1e-15 at
+    every x and target p > 1e-15, P the empirical tail of dec_stats; None
+    when k > 2**41, as when no norm is positive. With w_1 >= ... >= w_J the
+    positive norms, k > x / w_j puts j of them above x / k, so the infimum
+    over real k at x is min_j max(x / w_j, (p - 1e-15) R / j). The float
+    comparison is monotone in k: a few `nextafter` steps reach it."""
+    R = dec_stats.size
+    w = np.sort(dec_stats[dec_stats > 0])[::-1]
+    ranks = np.arange(1, w.size + 1)
+    infima = [np.min(np.maximum(x / w, (p - 1e-15) * R / ranks), initial=np.inf) for x, p in zip(xs, targets)]
+    k = min(2.0**41, max(1.0, *map(float, infima)))
+
+    def dominated(k: float) -> bool:
+        return bool(np.all(targets <= k * (_tail_counts(dec_stats, xs / k) / R) + 1e-15))
+
+    while not dominated(k):
+        if k >= 2.0**41:
+            return None
+        k = np.nextafter(k, math.inf)
+    while k > 1.0 and dominated(np.nextafter(k, 0.0)):
+        k = np.nextafter(k, 0.0)
+    return float(k)
 
 
 def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

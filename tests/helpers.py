@@ -2,7 +2,8 @@
 enumeration oracle for exact projections, the tuple-keyed oracles for
 weighted statistics, the per-tuple unranking, the one-at-a-time oracles for
 the martingale checks, the one-replica-at-a-time oracles for the design
-and decoupling experiments, and the scipy-based quantile interval."""
+and decoupling experiments, the bisection for the domination constant, and
+the scipy-based quantile interval."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
 from ustatlab.distributions import draw_iid, exact_expectation, mix_ids, substream
 from ustatlab.hilbert import row_norms
 from ustatlab.kernels import batch_values
-from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED
+from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED, empirical_tail
 from ustatlab import ustats
 from ustatlab.ustats import _tuple_columns, complete, draw_design
 
@@ -338,3 +339,31 @@ def decouple_stats_oracle(kernel, bound_sampler, n, replicas):
     stats_u = np.array([stat_complete(r) for r in range(replicas)])
     stats_d = np.array([stat_decoupled(r) for r in range(replicas)])
     return stats_u, stats_d
+
+
+def domination_constant_oracle(xs, targets, dec_stats):
+    """The smallest k >= 1 with p <= k * tail(x / k) + 1e-15 at every (x, p),
+    tail the empirical tail of dec_stats, by searching: doubling from 1 up
+    to 2**41 (None if that is not enough), then 60 geometric bisections."""
+    dec_tail = empirical_tail(dec_stats)
+
+    def dominated(k: float) -> bool:
+        return all(p <= k * dec_tail(x / k) + 1e-15 for x, p in zip(xs, targets))
+
+    hi = 1.0
+    while not dominated(hi):
+        hi *= 2.0
+        if hi > 2.0**40:
+            break
+    if not dominated(hi):
+        return None
+    if hi == 1.0:
+        return 1.0
+    lo = hi / 2.0
+    for _ in range(60):
+        mid = math.sqrt(lo * hi)
+        if dominated(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import ustatlab
-from ustatlab import cli
+from ustatlab import cli, montecarlo
 from ustatlab.cli import (
     EXIT_OK,
     EXIT_USAGE,
@@ -669,9 +669,9 @@ envelope: {second: %s}
 
     def test_integral_term_on_an_infinite_law_fails_before_the_scan(self, tmp_path, capsys, monkeypatch):
         def no_scan(*args, **kwargs):
-            raise AssertionError("tail_scan ran before the envelope was checked")
+            raise AssertionError("replicas were drawn before the envelope was checked")
 
-        monkeypatch.setattr(cli, "tail_scan", no_scan)
+        monkeypatch.setattr(montecarlo, "replicate", no_scan)
         path = write_config(tmp_path, self.GAUSSIAN % "0.5")
         out = tmp_path / "out"
         assert main(["tailscan", "--config", path, "--out", str(out)]) == EXIT_USAGE

@@ -6,8 +6,9 @@ it loads are its own, not those of earlier tests. A module imported during
 `cli.run` costs its import time inside the run instead of at start-up.
 
 Also guards the package's source: only `kernels.py` may ask which evaluator
-a kernel was given, only `ustats.py` decides when a sum is exact, no module
-imports inside a function, and no CLI runner writes a file.
+a kernel was given, only `ustats.py` decides when a sum is exact, only
+`montecarlo.py` evaluates the bound envelope, no module imports inside a
+function, and no CLI runner writes a file.
 """
 
 import ast
@@ -156,6 +157,20 @@ def test_only_ustats_compares_against_2_to_the_53():
         if isinstance(node, ast.Compare) and any(_is_two_to_the_53(part) for part in ast.walk(node))
     ]
     assert bounds and all(bound.startswith("ustats.py:") for bound in bounds), bounds
+
+
+def test_only_montecarlo_evaluates_the_envelope():
+    """`tail_scan` decides the envelope's order, which tail its integral
+    term reads and when that tail needs a finite law, so no other module
+    calls `envelope_eval` or `hk_tail_oracle`."""
+    callers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in ("envelope_eval", "hk_tail_oracle")
+    }
+    assert callers == {"montecarlo.py"}
 
 
 def test_no_import_inside_a_function():

@@ -1,5 +1,6 @@
 """Replication engine, tail scans, envelopes, scaling and decoupling reports."""
 
+import functools
 import itertools
 import math
 
@@ -31,8 +32,11 @@ from ustatlab.montecarlo import (
     replicate,
     tail_scan,
 )
-from ustatlab.montecarlo import _log_power_integral
+from ustatlab import montecarlo
+from ustatlab.montecarlo import _domination_constant, _log_power_integral
 from ustatlab.ustats import SamplingDesign, complete, inc_count
+
+from helpers import domination_constant_oracle
 
 line = HilbertSpace.euclidean(1)
 rademacher = SamplerSpec(kind="rademacher")
@@ -176,6 +180,38 @@ class TestTailScan:
             tail_scan(cfg)
 
 
+class TestTailScanEnvelope:
+    GRID = FiniteDistribution.uniform_grid(7)
+
+    @pytest.mark.parametrize("second", [0.0, 2.0])
+    def test_column_is_the_pointwise_envelope(self, second):
+        kernel = centered(gini(), self.GRID)
+        cfg = make_config(kernel=kernel, sampler=SamplerSpec(kind="finite", dist=self.GRID), replicas=100)
+        coefficients = dict(scale=1.0, first_coefficient=0.7, second_coefficient=second, tail_scale=0.5)
+        report = tail_scan(cfg, envelope=functools.partial(BoundEnvelope, **coefficients))
+        assert report.degeneracy == 1
+        env = BoundEnvelope(arity=1, **coefficients)
+        tail = hk_tail_oracle(kernel, self.GRID, 1) if second else None
+        want = np.array([envelope_eval(env, float(x), tail).total for x in cfg.x_grid])
+        assert report.envelope.tobytes() == want.tobytes()
+        first = 0.7 * np.exp(-(cfg.x_grid**2))  # the integral term adds a constant
+        assert np.all(report.envelope - first > 0.1 if second else np.abs(report.envelope - first) < 1e-15)
+
+    def test_no_envelope_gives_nan(self):
+        report = tail_scan(make_config())
+        assert report.envelope.shape == report.x_grid.shape and np.all(np.isnan(report.envelope))
+
+    def test_integral_term_on_an_infinite_law_fails_before_any_replica(self, monkeypatch):
+        def no_replicas(*args, **kwargs):
+            raise AssertionError("replicas were drawn before the envelope was checked")
+
+        monkeypatch.setattr(montecarlo, "replicate", no_replicas)
+        cfg = make_config(sampler=SamplerSpec(kind="discretized-gaussian", space=line))
+        envelope = functools.partial(BoundEnvelope, scale=1.0, second_coefficient=0.5)
+        with pytest.raises(ValueError, match="the integral term needs a finite sampling law"):
+            tail_scan(cfg, degeneracy=2, envelope=envelope)
+
+
 class TestEnvelope:
     def test_field_validation(self):
         with pytest.raises(ValueError):
@@ -217,12 +253,37 @@ class TestEnvelope:
         out = envelope_eval(env, x=2.0, tail_oracle=bounded_kernel_tail(bound))
         assert out.second_term == 0.0
 
-    @pytest.mark.parametrize("q", [1, 3, 6])
+    @pytest.mark.parametrize("q", [1, 3, 6, 10, 21])
     def test_log_power_integral_against_quad(self, q):
         assert _log_power_integral(np.array([1.0]), q)[0] == 0.0
         for u in (1.001, 1.5, 2.0, 7.25, 1e3):
             want = _quad_log_power(q, u)
             assert _log_power_integral(np.array([u]), q)[0] == pytest.approx(want, rel=1e-9)
+
+    @pytest.mark.parametrize("q", [6, 10, 21])
+    def test_log_power_integral_just_above_one(self, q):
+        """Where the closed form's alternating terms cancel, G keeps its
+        relative precision."""
+        for u in (1.0 + 2.0**-40, 1.0 + 1e-9, 1.0 + 1e-6, 1.001, 1.1):
+            want = _quad_log_power(q, u)
+            assert _log_power_integral(np.array([u]), q)[0] == pytest.approx(want, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [6, 10, 21])
+    def test_log_power_integral_is_monotone(self, q):
+        for u in (1.0 + np.arange(20_000) * 2.0**-52, np.geomspace(1.0, 1e4, 20_000)):
+            g = _log_power_integral(u, q)
+            assert g[0] == 0.0 and np.all(np.diff(g) >= 0.0)
+
+    def test_log_power_integral_keeps_the_closed_form_up_to_q_3(self, monkeypatch):
+        """Envelopes of arity 1 and 2 (q <= 3) never take the series."""
+
+        def no_series(*args):
+            raise AssertionError("the series was used")
+
+        monkeypatch.setattr(montecarlo, "_log_power_series", no_series)
+        u = np.concatenate([1.0 + np.arange(20_000) * 2.0**-52, np.geomspace(1.0, 1e12, 100_000)])
+        for q in (1, 2, 3):
+            _log_power_integral(u, q)
 
     @pytest.mark.parametrize("name", ["bounded", "empirical", "hk"])
     def test_second_term_is_the_sum_over_the_steps(self, name):
@@ -412,6 +473,58 @@ class TestDecoupleCompare:
         assert not report.constant_defined
         assert report.fitted_constant is None
         assert not report.usable.any()
+
+    def test_constant_equals_the_bisection(self, monkeypatch):
+        """Bit for bit the search the closed form replaced, through
+        `decouple_compare` on given norms: continuous and half-integer
+        decoupled norms, sparse and all-zero ones, and one-point grids."""
+        rng = np.random.default_rng(2101)
+        seen = {"defined": 0, "above one": 0, "undefined": 0, "one usable": 0}
+        for case in range(200):
+            R = int(rng.integers(100, 400))
+            stats_u = rng.exponential(rng.uniform(0.5, 3.0), R)
+            stats_d = [
+                rng.exponential(1.0, R),
+                np.round(rng.exponential(2.0, R) * 2.0) / 2.0,
+                np.where(rng.random(R) < 0.1, rng.exponential(1.0, R), 0.0),
+                np.zeros(R),
+            ][case % 4]
+            grid = np.geomspace(0.05, 4.0, 12) if case % 3 else np.array([rng.uniform(0.05, 1.0)])
+            monkeypatch.setattr(montecarlo, "_decouple_stats", lambda config: (stats_u, stats_d))
+            report = decouple_compare(make_config(replicas=R, x_grid=grid))
+            count_u = np.array([np.count_nonzero(stats_u > x) for x in grid])
+            count_d = np.array([np.count_nonzero(stats_d > x) for x in grid])
+            usable = (count_u >= 10) & (count_d >= 10)
+            want = domination_constant_oracle(grid[usable], count_u[usable] / R, stats_d) if usable.any() else None
+            assert report.fitted_constant == want and type(report.fitted_constant) is type(want)
+            seen["defined"] += want is not None
+            seen["above one"] += want is not None and want > 1.0
+            seen["undefined"] += want is None
+            seen["one usable"] += usable.sum() == 1
+        assert min(seen.values()) >= 10, seen
+
+    def test_constant_above_2_to_the_41_is_undefined(self):
+        """Norms down to 1e-14 put K beyond the search's 2**41 ceiling; on
+        either side of it the closed form still equals the bisection. A grid
+        point `decouple_compare` uses has ten decoupled norms above it, so
+        there K <= R / 10 and this case needs the helper itself."""
+        rng = np.random.default_rng(2102)
+        xs = np.array([1.0])
+        edge = 2.0**-41
+        cases = [
+            (xs, np.array([0.5]), np.full(100, edge)),
+            (xs, np.array([0.5]), np.full(100, np.nextafter(edge, 1.0))),
+            (xs, np.array([1.0]), np.zeros(100)),
+        ]
+        for _ in range(300):
+            R = int(rng.integers(20, 300))
+            grid = np.sort(rng.exponential(2.0, int(rng.integers(1, 6)))) + 1e-3
+            norms = rng.exponential(1.0, R) * 10.0 ** rng.integers(-14, 2)
+            cases.append((grid, rng.integers(1, R + 1, grid.size) / R, norms))
+        got = [_domination_constant(*case) for case in cases]
+        assert got == [domination_constant_oracle(*case) for case in cases]
+        assert got[:3] == [None, got[1], None] and 2.0**40 < got[1] <= 2.0**41
+        assert sum(k is None for k in got) >= 30 and sum(k is not None and k > 1.0 for k in got) >= 30
 
     def test_product_kernel_domination(self):
         cfg = make_config(sample_size=20, replicas=2000, master_seed=52)
