@@ -256,22 +256,30 @@ def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | 
     `buffers`, from `_philox_buffers(rows, blocks)` for at least R rows, and
     the words returned are a view of its output, which the next call
     overwrites; without them the call allocates its own. Each word of the
-    state is its own contiguous array, so every operation runs on whole
-    arrays and scalars, with no broadcast axis.
+    state is its own contiguous array, so rounds 3 to 10 run on whole arrays
+    and scalars, with no broadcast axis; the first two are mostly closed form.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
     if buffers is None:
         buffers = _philox_buffers(rows, blocks)
     c0, c1, c2, c3, k0, k1, *scratch, words = (b[:rows] for b in buffers)
-    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
-    for word in (c1, c2, c3):
-        word.fill(0)
-    k0[:], k1[:] = keys[:, :1], keys[:, 1:]
-    for step in range(10):
-        if step:
-            k0 += _PHILOX_W[0]
-            k1 += _PHILOX_W[1]
+    key0, key1 = keys[:, :1], keys[:, 1:]
+    # Round 1 on counter (b + 1, 0, 0, 0) leaves (k0, 0, hi(M0 (b + 1)) ^ k1,
+    # lo(M0 (b + 1))), from products of Python ints, so round 2 multiplies
+    # the key column k0 by M0 and only c2 at full width.
+    products = [int(_PHILOX_M[0]) * b for b in range(1, blocks + 1)]
+    np.bitwise_xor(key1, np.array([p >> 64 for p in products], dtype=np.uint64), out=c2)
+    k0[:], k1[:] = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+    np.bitwise_xor(_mulhi(c2, *_PHILOX_M_LIMBS[1], *scratch), k0, out=c1)
+    np.bitwise_xor(k1, np.array([p % 2**64 for p in products], dtype=np.uint64), out=c3)
+    c3 ^= _mulhi(key0, *_PHILOX_M_LIMBS[0], *(s[:, :1] for s in scratch))
+    np.multiply(key0, _PHILOX_M[0], out=c0)
+    c2 *= _PHILOX_M[1]
+    c0, c1, c2, c3 = c1, c2, c3, c0
+    for _ in range(8):
+        k0 += _PHILOX_W[0]
+        k1 += _PHILOX_W[1]
         # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
         # each new word written over an old one that is no longer read
         c1 ^= _mulhi(c2, *_PHILOX_M_LIMBS[1], *scratch)

@@ -382,11 +382,11 @@ def _stacked_values(kernel: KernelSpec, samples: tuple[np.ndarray, ...], cols) -
 
 def _count_buffers(table: np.ndarray, rows: int, n: int) -> tuple[np.ndarray, ...]:
     """What `_count_prefix_sums` writes into for up to `rows` samples of size
-    n: the gathered table rows, the flat positions of each step's entry
-    (with their fixed row offsets), and the steps."""
+    n, flat so that a shorter batch fills a prefix: the gathered table rows,
+    the step rows' offsets A * k, their entries' positions, and the steps."""
     size, dim = table.shape[0], table.shape[2]
-    offsets = (np.arange(rows)[:, None] * n + np.arange(n - 1)) * size
-    return np.empty((rows, n, size, dim)), offsets, np.empty_like(offsets), np.empty((rows, n - 1, dim))
+    ramp = np.arange(0, (n - 1) * rows * size, size)
+    return np.empty((n - 1) * rows * size * dim), ramp, np.empty_like(ramp), np.empty((n - 1) * rows * dim)
 
 
 def _count_prefix_sums(
@@ -397,25 +397,31 @@ def _count_prefix_sums(
 
     table has shape (A, A, dim), entry [a, b] the value at (atom a, atom b);
     atoms has shape (R, n). Step j adds sum_{i<j} table[x_i, x_j], read from
-    the prefix sums of the rows table[x_i] (one `cumsum`), and U_{n'} is the
-    `cumsum` of the steps: O(n * A * dim) work per sample instead of C(n, 2).
+    the prefix sums of the rows table[x_i], and U_{n'} is the prefix sum of
+    the steps: O(n * A * dim) work per sample instead of C(n, 2). Both lie
+    step-major, (n - 1, R, A, dim) and (n - 1, R, dim), and add row by row,
+    x[j] += x[j - 1]: the bytes of `cumsum` along the steps for any table.
     When every table entry is an integer and C(n, 2) * max|table| < 2**53,
     every partial sum here and in `_prefix_sums` is an exact integer, so the
     two give the same bytes whatever order they add in.
 
     Every step writes into `buffers`, from `_count_buffers(table, rows, n)`
-    for at least R rows, and the result is a view of it that the next call
-    overwrites; without them the call allocates its own.
+    for at least R rows, and the result, an (R, n - 1, dim) view of it, is
+    overwritten by the next call; without them the call allocates its own.
     """
     rows, n = atoms.shape
-    if buffers is None:
-        buffers = _count_buffers(table, rows, n)
-    seen, offsets, positions, steps = (b[:rows] for b in buffers)
-    table.take(atoms, axis=0, out=seen, mode="clip")  # indices are in range
-    np.cumsum(seen[:, :-1], axis=1, out=seen[:, :-1])  # entry j - 1: rows x_0..x_{j-1}
-    np.add(offsets, atoms[:, 1:], out=positions)
+    seen, ramp, positions, steps = _count_buffers(table, rows, n) if buffers is None else buffers
+    seen = seen[: (n - 1) * rows * table[0].size].reshape(n - 1, rows, *table.shape[1:])
+    positions = positions[: (n - 1) * rows].reshape(n - 1, rows)
+    steps = steps[: positions.size * table.shape[2]].reshape(n - 1, rows, table.shape[2])
+    table.take(atoms[:, :-1].T, axis=0, out=seen, mode="clip")  # indices are in range
+    for j in range(1, n - 1):  # entry j: rows x_0..x_j
+        seen[j] += seen[j - 1]
+    np.add(ramp[: positions.size].reshape(positions.shape), atoms[:, 1:].T, out=positions)
     seen.reshape(-1, steps.shape[2]).take(positions, axis=0, out=steps, mode="clip")  # at atom x_j
-    return np.cumsum(steps, axis=1, out=steps)
+    for j in range(1, n - 1):
+        steps[j] += steps[j - 1]
+    return steps.transpose(1, 0, 2)
 
 
 def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
@@ -664,8 +670,10 @@ def design_counts_batch(
     ceil(size / 2) native Philox words are mapped with numpy's Lemire method
     (`distributions._lemire_indices`) and counted with one row-offset
     `bincount`, about _CHUNK draws at a time. A stream where numpy would
-    have rejected a word is redrawn with `design_counts`.
-    Bernoulli and without-replacement designs are drawn stream by stream.
+    have rejected a word is redrawn with `design_counts`. A bernoulli
+    stream's C(n, m) words are numpy's uniforms (w >> 11) * 2**-53, compared
+    with the rate about _CHUNK at a time. Without-replacement designs are
+    drawn stream by stream.
     """
     return _design_batch(design, m, n, master_seed, ids, selected=False)
 
@@ -732,20 +740,24 @@ def _design_batch(
         out[r] = counts if values is None else counts @ values
 
     streams = substreams(master_seed, ids)
-    if design.kind != "with-replacement":
+    if design.kind == "without-replacement":
         for r, rng in enumerate(streams):
             redraw(r, rng)
         return out
-    size = design.size
+    bernoulli = design.kind == "bernoulli"
+    size = total if bernoulli else design.size  # a bernoulli stream draws a uniform per tuple
     draws = min(size, math.ceil(total * (math.log(total) + _COVER_MARGIN))) if selected else size
     step = max(1, min(_CHUNK // draws, ids.size))
-    raw = np.empty((step, -(-draws // 2)), dtype=np.uint64)  # one pass's words, reused by every pass
-    indices = np.empty((step, draws), dtype=np.int64)
+    raw = np.empty((step, draws if bernoulli else -(-draws // 2)), dtype=np.uint64)  # reused by every pass
+    indices = None if bernoulli else np.empty((step, draws), dtype=np.int64)
     taken = np.empty((step, draws)) if values is not None else None
     for start in range(0, ids.size, step):
         rows = min(step, ids.size - start)
         for row in raw[:rows]:
             row[:] = next(streams).bit_generator.random_raw(row.size)
+        if bernoulli:  # Generator.random() is (w >> 11) * 2**-53
+            np.less((raw[:rows] >> np.uint64(11)) * 2.0**-53, design.rate, out=out[start : start + rows])
+            continue
         idx, rejected = _lemire_indices(raw[:rows], draws, total, indices[:rows])
         block = out[start : start + rows]
         if values is None:

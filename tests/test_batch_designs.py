@@ -210,6 +210,32 @@ def test_batched_replacement_counts_equal_design_counts(monkeypatch, size, m, n,
     np.testing.assert_array_equal(got, _stacked_design_counts(design, m, n, ids))
 
 
+# 5e-324, the least positive double, stands in for rate 0, which
+# SamplingDesign refuses: only a word below 2**11 would select a tuple
+@pytest.mark.parametrize("rate", [5e-324, 1e-9, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "m, n, streams, chunk",
+    [
+        (2, 8, 101, 50),  # a pass of 50 words holds one stream of 28 tuples
+        (2, 40, 101, ustats._CHUNK),  # 84 streams of 780 tuples a pass, the last one partial
+        (1, 2**20 + 3, 3, ustats._CHUNK),  # one stream's uniforms cross draw_design's 2**20 chunk
+    ],
+)
+def test_batched_bernoulli_designs_equal_design_counts(monkeypatch, rate, m, n, streams, chunk):
+    monkeypatch.setattr(ustats, "_CHUNK", chunk)
+    ids = mix_ids_batch(_ROLE, 7, np.arange(streams))
+    design = SamplingDesign(kind="bernoulli", rate=rate)
+    calls = _counting_fallbacks(monkeypatch)
+    counts = design_counts_batch(design, m, n, SEED, ids)
+    selected = design_selected_batch(design, m, n, SEED, ids)
+    assert not calls and counts.dtype == np.int64 and selected.dtype == bool
+    want = _stacked_design_counts(design, m, n, ids)
+    np.testing.assert_array_equal(counts, want)
+    np.testing.assert_array_equal(selected, want > 0)
+    if rate in (5e-324, 1.0):
+        assert np.all(want == (rate == 1.0))
+
+
 def _counting_fallbacks(monkeypatch):
     calls = []
 

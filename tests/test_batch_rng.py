@@ -48,6 +48,20 @@ def test_philox_words_through_reused_buffers_match_numpy(blocks):
         start += rows
 
 
+@pytest.mark.parametrize("blocks", [1, 2])
+def test_philox_extreme_key_words_match_numpy(blocks):
+    # rounds 1 and 2 are closed form in the key; each key word takes 0 and
+    # 2**64 - 1 (so k + W wraps) against the other's extremes and random words
+    top, rng = 2**64 - 1, np.random.default_rng(7)
+    words = [0, top, 1, top - 1, *rng.integers(0, 2**64, size=3, dtype=np.uint64).tolist()]
+    keys = np.array(
+        [(a, b) for a in (0, top) for b in words] + [(a, b) for a in words for b in (0, top)],
+        dtype=np.uint64,
+    )
+    expected = np.stack([np.random.Philox(key=k).random_raw(4 * blocks) for k in keys])
+    np.testing.assert_array_equal(philox4x64(keys, blocks), expected)
+
+
 def test_mix_ids_batch_matches_scalar():
     big = np.array([0, 1, 2**63, 2**63 + 12345, 2**64 - 1], dtype=np.uint64)
     negative = np.array([-1, -2**63, 0, 7, -123456789], dtype=np.int64)

@@ -172,7 +172,7 @@ def test_replicate_on_counts_equals_the_gather(monkeypatch, name, n, chunk):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("replicas, chunk", [(101, 1200), (1000, DEFAULT_CHUNK)])
+@pytest.mark.parametrize("replicas, chunk", [(101, 1200), (2500, DEFAULT_CHUNK)])
 @pytest.mark.parametrize("name", CASES)
 def test_count_route_equals_the_per_replica_oracle(monkeypatch, name, replicas, chunk):
     # both chunks leave a partial last batch of draws and of prefix sums,
@@ -204,6 +204,34 @@ def test_random_integer_tables_match_the_gather(size, dim, n, seed):
     np.testing.assert_array_equal(
         _count_prefix_sums(table, idx), _prefix_sums(kernel, atoms[idx], _grouped_columns(2, n))
     )
+
+
+def _cumsum_prefix_sums(table, atoms):
+    """The count route written with `np.cumsum` along the sample axis."""
+    rows = np.arange(len(atoms))[:, None]
+    seen = np.cumsum(table[atoms[:, :-1]], axis=1)  # (R, n - 1, A, dim): rows x_0..x_j
+    steps = seen[rows, np.arange(atoms.shape[1] - 1), atoms[:, 1:]]
+    return np.cumsum(steps, axis=1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(1, 5),
+    dim=st.integers(1, 3),
+    n=st.integers(2, 60),
+    samples=st.integers(1, 9),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_float_tables_sum_in_cumsum_order(size, dim, n, samples, seed):
+    # no integer table: any other order of adding would change the bits
+    rng = np.random.default_rng(seed)
+    table = rng.standard_normal((size, size, dim)) * 10.0 ** rng.integers(-8, 9, size=(size, size, 1))
+    atoms = rng.integers(0, size, size=(samples + 3, n))
+    buffers = ustats._count_buffers(table, samples + 3, n)
+    for batch in (atoms, atoms[:samples]):  # the second in a prefix of the first one's buffers
+        got = _count_prefix_sums(table, batch, buffers)
+        assert got.shape == (len(batch), n - 1, dim)
+        assert np.ascontiguousarray(got).tobytes() == _cumsum_prefix_sums(table, batch).tobytes()
 
 
 def _fallbacks():

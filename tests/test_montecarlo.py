@@ -32,7 +32,7 @@ from ustatlab.montecarlo import (
     replicate,
     tail_scan,
 )
-from ustatlab import montecarlo
+from ustatlab import kernels, montecarlo
 from ustatlab.montecarlo import _domination_constant, _log_power_integral
 from ustatlab.ustats import SamplingDesign, complete, inc_count
 
@@ -196,6 +196,24 @@ class TestTailScanEnvelope:
         assert report.envelope.tobytes() == want.tobytes()
         first = 0.7 * np.exp(-(cfg.x_grid**2))  # the integral term adds a constant
         assert np.all(report.envelope - first > 0.1 if second else np.abs(report.envelope - first) < 1e-15)
+
+    def test_the_integral_term_reads_the_scan_atom_table(self, monkeypatch):
+        kernel = centered(gini(), self.GRID)
+        cfg = make_config(kernel=kernel, sampler=SamplerSpec(kind="finite", dist=self.GRID), replicas=100)
+        envelope = functools.partial(BoundEnvelope, scale=1.0, second_coefficient=2.0, tail_scale=0.5)
+        tail = hk_tail_oracle(kernel, self.GRID, 1)
+        want = np.array([envelope_eval(envelope(arity=1), float(x), tail).total for x in cfg.x_grid])
+        calls, original = [], kernels._atom_table
+
+        def counted(kernel, dist):
+            calls.append(dist.size)
+            return original(kernel, dist)
+
+        monkeypatch.setattr(kernels, "_atom_table", counted)
+        monkeypatch.setattr(montecarlo, "_atom_table", counted)
+        report = tail_scan(cfg, envelope=envelope)
+        assert calls == [7]
+        assert report.envelope.tobytes() == want.tobytes()
 
     def test_no_envelope_gives_nan(self):
         report = tail_scan(make_config())
