@@ -122,6 +122,11 @@ class KernelConfig:
     sup_bound: float | None = _key(None, gt=0.0)
     dim: int = _key(2, ge=1)  # input dimension for vector-input kernels
     grid_points: int = _key(16, ge=2)  # codomain resolution of the indicator kernel
+    arity: int = _key(2, ge=2)  # arguments of the product kernel
+
+    def _check(self, fail) -> None:
+        if self.arity != 2 and self.name != "product":
+            fail("arity", f"only the product kernel takes an arity other than 2, not {self.name}")
 
 
 # an atom or a data point: a number, or a list of numbers for vector laws
@@ -429,7 +434,7 @@ def _build_kernel(cfg: ConfigFile, sampler: SamplerSpec) -> KernelSpec:
     if k.name == "gini":
         kernel = gini(sup_bound=k.sup_bound)
     elif k.name == "product":
-        kernel = product(sup_bound=k.sup_bound)
+        kernel = product(sup_bound=k.sup_bound, arity=k.arity)
     elif k.name == "coordinate":
         kernel = coordinate_kernel()
     elif k.name == "spatial-sign":

@@ -240,11 +240,11 @@ def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Gener
 
 
 def _philox_buffers(rows: int, blocks: int) -> tuple[np.ndarray, ...]:
-    """What `philox4x64` writes into for up to `rows` keys: ten (rows, blocks)
-    arrays for the four counter words, the two key words and the scratch of
-    a round, and the (rows, 4 * blocks) output words."""
-    lanes = [np.empty((rows, blocks), dtype=np.uint64) for _ in range(10)]
-    return (*lanes, np.empty((rows, 4 * blocks), dtype=np.uint64))
+    """What `philox4x64` writes into for up to `rows` keys: four lanes of
+    rows * blocks words for the counter words, 4 * rows * blocks words of
+    scratch, and the (rows, 4 * blocks) output words."""
+    lanes = [np.empty(rows * blocks, dtype=np.uint64) for _ in range(4)]
+    return (*lanes, np.empty(4 * rows * blocks, dtype=np.uint64), np.empty((rows, 4 * blocks), dtype=np.uint64))
 
 
 def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
@@ -255,25 +255,32 @@ def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | 
     block b is keyed by counter (b + 1, 0, 0, 0). Every round writes into
     `buffers`, from `_philox_buffers(rows, blocks)` for at least R rows, and
     the words returned are a view of its output, which the next call
-    overwrites; without them the call allocates its own. Each word of the
-    state is its own contiguous array, so rounds 3 to 10 run on whole arrays
-    and scalars, with no broadcast axis; the first two are mostly closed form.
+    overwrites; without them the call allocates its own.
+
+    Each counter word is its own contiguous (blocks, R) array, block-major,
+    so the two key words are (R,) rows, bumped once per round and broadcast
+    along the blocks with no short inner loop; the words are gathered per
+    block in the scratch and laid out per key with one transposed copy. The
+    first two rounds are mostly closed form.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
     if buffers is None:
         buffers = _philox_buffers(rows, blocks)
-    c0, c1, c2, c3, k0, k1, *scratch, words = (b[:rows] for b in buffers)
-    key0, key1 = keys[:, :1], keys[:, 1:]
+    *lanes, scratch, words = buffers
+    size = blocks * rows
+    c0, c1, c2, c3 = (lane[:size].reshape(blocks, rows) for lane in lanes)
+    tmp = [scratch[i * size : (i + 1) * size].reshape(blocks, rows) for i in range(4)]
+    key0, key1 = keys[:, 0], keys[:, 1]
     # Round 1 on counter (b + 1, 0, 0, 0) leaves (k0, 0, hi(M0 (b + 1)) ^ k1,
     # lo(M0 (b + 1))), from products of Python ints, so round 2 multiplies
-    # the key column k0 by M0 and only c2 at full width.
+    # the key row k0 by M0 and only c2 at full width.
     products = [int(_PHILOX_M[0]) * b for b in range(1, blocks + 1)]
-    np.bitwise_xor(key1, np.array([p >> 64 for p in products], dtype=np.uint64), out=c2)
-    k0[:], k1[:] = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
-    np.bitwise_xor(_mulhi(c2, *_PHILOX_M_LIMBS[1], *scratch), k0, out=c1)
-    np.bitwise_xor(k1, np.array([p % 2**64 for p in products], dtype=np.uint64), out=c3)
-    c3 ^= _mulhi(key0, *_PHILOX_M_LIMBS[0], *(s[:, :1] for s in scratch))
+    np.bitwise_xor(key1, np.array([p >> 64 for p in products], dtype=np.uint64).reshape(blocks, 1), out=c2)
+    k0, k1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
+    np.bitwise_xor(_mulhi(c2, *_PHILOX_M_LIMBS[1], *tmp), k0, out=c1)
+    np.bitwise_xor(k1, np.array([p % 2**64 for p in products], dtype=np.uint64).reshape(blocks, 1), out=c3)
+    c3 ^= _mulhi(key0, *_PHILOX_M_LIMBS[0], *(t[:1] for t in tmp))
     np.multiply(key0, _PHILOX_M[0], out=c0)
     c2 *= _PHILOX_M[1]
     c0, c1, c2, c3 = c1, c2, c3, c0
@@ -282,15 +289,17 @@ def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | 
         k1 += _PHILOX_W[1]
         # (c0, c1, c2, c3) <- (hi(M1 c2) ^ c1 ^ k0, lo(M1 c2), hi(M0 c0) ^ c3 ^ k1, lo(M0 c0)),
         # each new word written over an old one that is no longer read
-        c1 ^= _mulhi(c2, *_PHILOX_M_LIMBS[1], *scratch)
+        c1 ^= _mulhi(c2, *_PHILOX_M_LIMBS[1], *tmp)
         c1 ^= k0
         c2 *= _PHILOX_M[1]
-        c3 ^= _mulhi(c0, *_PHILOX_M_LIMBS[0], *scratch)
+        c3 ^= _mulhi(c0, *_PHILOX_M_LIMBS[0], *tmp)
         c3 ^= k1
         c0 *= _PHILOX_M[0]
         c0, c1, c2, c3 = c1, c2, c3, c0
-    out = words.reshape(rows, blocks, 4)
-    out[..., 0], out[..., 1], out[..., 2], out[..., 3] = c0, c1, c2, c3
+    per_block = scratch[: 4 * size].reshape(blocks, 4, rows)
+    per_block[:, 0], per_block[:, 1], per_block[:, 2], per_block[:, 3] = c0, c1, c2, c3
+    words = words[:rows]
+    np.copyto(words, per_block.reshape(4 * blocks, rows).T)
     return words
 
 

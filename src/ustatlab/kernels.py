@@ -324,22 +324,30 @@ def spatial_sign(input_space: HilbertSpace) -> KernelSpec:
     )
 
 
-def product(input_space: HilbertSpace | None = None, sup_bound: float | None = None) -> KernelSpec:
-    """Inner-product kernel h(u, v) = <u, v>, scalar-valued.
+def product(
+    input_space: HilbertSpace | None = None, sup_bound: float | None = None, arity: int = 2
+) -> KernelSpec:
+    """Product kernel h(x_1, ..., x_m) = x_1 * ... * x_m, scalar-valued.
 
-    With no input space the arguments are real numbers and the value is u*v.
-    Degenerate of order 2 under any centered law.
+    With no input space the arguments are real numbers, multiplied left to
+    right (`_scalar_product`); at arity 2 an input space makes the value the
+    inner product <u, v>, and above arity 2 the arguments must be real.
+    Degenerate of order m under any centered law.
     """
+    if arity < 2:
+        raise ValueError(f"a product kernel needs arity at least 2, got {arity}")
     if input_space is None:
         return KernelSpec(
-            arity=2,
+            arity=arity,
             codomain=_scalar_line(),
-            eval_batch=lambda u, v: u * v,
+            eval_batch=_scalar_product,
             symmetric=True,
             sup_bound=sup_bound,
-            declared_degeneracy=2,
+            declared_degeneracy=arity,
             name="product",
         )
+    if arity != 2:
+        raise ValueError(f"an arity-{arity} product takes real arguments, not an input space")
     w = input_space.weights
     return KernelSpec(
         arity=2,
@@ -350,6 +358,21 @@ def product(input_space: HilbertSpace | None = None, sup_bound: float | None = N
         declared_degeneracy=2,
         name="product",
     )
+
+
+def _scalar_product(*cols: np.ndarray) -> np.ndarray:
+    """cols[0] * cols[1] * ..., left to right: the evaluator of the real
+    product kernel."""
+    out = cols[0] * cols[1]
+    for col in cols[2:]:
+        out *= col
+    return out
+
+
+def _is_real_product(kernel: KernelSpec) -> bool:
+    """Whether `kernel` evaluates as the real product kernel `product` builds,
+    told by its evaluator, whatever its name."""
+    return kernel.eval_batch is _scalar_product
 
 
 def empirical_indicator(grid: np.ndarray, cdf_on_grid: np.ndarray) -> KernelSpec:

@@ -15,7 +15,11 @@ prefix statistics also follow from the kernel's atom table and the sample's
 atom indices (`_count_prefix_sums`, Lee 1990, ch. 1: a U-statistic of a
 discrete law is a polynomial in atom counts), in O(n * A * dim) instead of
 C(n, 2); on an integer table with C(n, 2) * max|table| < 2**53 its bytes
-equal the gather's.
+equal the gather's. For the real product kernel of arity m, U_{n'} is the
+elementary symmetric polynomial e_m of the first n' values, so every prefix
+follows from the recurrence e_j <- e_j + x * e_{j-1} (`_product_running_max`)
+in O(n * m); on integer values with C(n, m) * max|x|**m < 2**53
+(`_product_exact`) its bytes equal the gather's.
 
 Two summation rules are each written once. `_sum_tuples` adds every tuple's
 value in enumeration order (`complete`, `decoupled`, `weighted`);
@@ -422,6 +426,53 @@ def _count_prefix_sums(
     for j in range(1, n - 1):
         steps[j] += steps[j - 1]
     return steps.transpose(1, 0, 2)
+
+
+def _product_exact(atoms: np.ndarray, m: int, n: int) -> bool:
+    """Whether `_product_running_max` gives the gather's bytes for the real
+    arity-m product kernel on samples of size n from these atoms: they are
+    integers with C(n, m) * max|x|**m < 2**53 (`_exact_bound`, `_exact_sums`),
+    the sign of a zero aside, as no norm sees it."""
+    bound = math.prod([_exact_bound(np.abs(atoms))] * m)  # a float product overflows to inf
+    # a count of 2**53 fails the rule for any nonzero bound, as any larger
+    # one would, and converts to a float where C(n, m) might not
+    return _exact_sums(bound, min(inc_count(m, n), 2**53))
+
+
+def _product_running_max(values: np.ndarray, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """max_{m <= k <= N} |e_m(x_1, ..., x_k)| for each column of step-major
+    (N, B) sample values: `running_max_norms` of the real arity-m product
+    kernel, whose U_k is the elementary symmetric polynomial e_m of the
+    first k values (Macdonald 1995, ch. I), in O(N * m) per column instead
+    of C(N, m) tuples.
+
+    Step k runs e_j <- e_j + x_k * e_{j-1} from j = m down to 1 in place, on
+    m + 1 state rows (e_1..e_m and the product), and keeps the largest
+    square of e_m: the largest |e_m| is its root, since `sqrt` is monotone
+    and correctly rounded. An order j takes part only while m - j steps are
+    left to carry it into e_m, so every e_j updated at step k is at most
+    C(N - m + j, j) * max|x|**j <= C(N, m) * max|x|**m. For integer values
+    with C(N, m) * max|x|**m < 2**53 (`_exact_sums`) every state here and
+    every partial sum of the gather is then an exact integer, and the two
+    give the same bytes. The maxima go into `out`, (B,), when it is given.
+    """
+    steps, cols = values.shape
+    state = np.zeros((m + 1, cols))
+    term = state[0]
+    best = np.empty(cols) if out is None else out
+    for k, x in enumerate(values):
+        for j in range(min(k + 1, m), max(1, m - steps + k + 1) - 1, -1):
+            if j == 1:
+                state[1] += x
+            else:
+                np.multiply(x, state[j - 1], out=term)
+                state[j] += term
+        if k + 1 == m:
+            np.multiply(state[m], state[m], out=best)
+        elif k + 1 > m:
+            np.multiply(state[m], state[m], out=term)
+            np.maximum(best, term, out=best)
+    return np.sqrt(best, out=best)
 
 
 def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:

@@ -77,7 +77,7 @@ DESIGNS = {
     "without-replacement": SamplingDesign(kind="without-replacement", size=10),
     "bernoulli": SamplingDesign(kind="bernoulli", rate=0.05),
 }
-CHUNKS = (1, 7, DEFAULT_CHUNK)
+CHUNKS = (1, 7, pytest.param(DEFAULT_CHUNK, id="default"))
 
 
 @pytest.mark.parametrize("chunk", CHUNKS)

@@ -85,6 +85,7 @@ ERROR_CASES = {
     "kernel-type": ("version: 1\nexperiment: estimate\nkernel:\n  centered: 3\n", ["'kernel.centered' (line 4)"]),
     "kernel-bound": ("version: 1\nexperiment: estimate\nkernel:\n  dim: 0\n", ["'kernel.dim' (line 4)"]),
     "kernel-choice": ("version: 1\nexperiment: estimate\nkernel:\n  name: cubic\n", ["'kernel.name' (line 4)"]),
+    "kernel-arity-bound": ("version: 1\nexperiment: estimate\nkernel:\n  arity: 1\n", ["'kernel.arity' (line 4)"]),
     # sampler
     "sampler-type": (
         "version: 1\nexperiment: estimate\nsampler:\n  kind: uniform-grid\n  grid_points: 2.5\n",
@@ -166,6 +167,10 @@ ERROR_CASES = {
     "gaussian-needs-dim": (
         "version: 1\nexperiment: estimate\nsampler:\n  kind: discretized-gaussian\n",
         ["'sampler.kind' (line 4)"],
+    ),
+    "arity-needs-product": (
+        "version: 1\nexperiment: estimate\nkernel:\n  name: gini\n  arity: 3\n",
+        ["'kernel.arity' (line 5)", "only the product kernel"],
     ),
     "grid-stop-after-start": (
         "version: 1\nexperiment: tailscan\nx_grid:\n  start: 2.0\n  stop: 1.0\n",
@@ -653,6 +658,18 @@ beta_tolerance: %s
         cfg = parse_config_text(self.CONFIG % "1.0e-9")
         assert run("tailscan", cfg, out_dir=str(tmp_path)) == EXIT_VIOLATION
         assert read_manifest(tmp_path)["exit_status"] == EXIT_VIOLATION
+
+    def test_an_arity_three_product_writes_its_tables(self, tmp_path):
+        text = self.CONFIG.replace("name: coordinate", "name: product\n  arity: 3") % "0.25"
+        code = run("tailscan", parse_config_text(text), out_dir=str(tmp_path))
+        results = read_manifest(tmp_path)["results"]
+        assert results["degeneracy"] == 3 and results["target_exponent"] == 2.0 / 3.0
+        assert results["normalization"] == 40.0**1.5
+        assert code == (EXIT_OK if results["beta_in_window"] else EXIT_VIOLATION)
+        for name in ("tailscan.csv", "tailscan.dat"):
+            assert (tmp_path / name).exists()
+        with open(tmp_path / "tailscan.csv", newline="") as fh:
+            assert len(list(csv.DictReader(fh))) == 24
 
     GAUSSIAN = """\
 version: 1
@@ -1240,7 +1257,7 @@ class TestManifestPins:
     as its repr), nested lists and a violation."""
 
     CASES = {
-        "estimate": (ESTIMATE_CONFIG, EXIT_OK, {}, "3149c619e188dd098740e8fe87c03b3d38636ba37a03381b8b81d0766fb289bf"),
+        "estimate": (ESTIMATE_CONFIG, EXIT_OK, {}, "401d022b039d16aca7353a748388fb65b1279e454cdf5532c67457dd9afa4858"),
         "decompose": (
             """\
 version: 1
@@ -1252,7 +1269,7 @@ data: {draw: 12}
 """,
             EXIT_OK,
             {"declared_matches": None, "identity_ok": True},
-            "534348b6ccb92f1a43523ca6b911013cca14a8f2cb5dcd66c44d7bc28816a7b6",
+            "c43b9fd87f0afe5cab96b38fb35a36c8e688985a6c9817d87f023d002b4634d2",
         ),
         "tailscan-no-fit": (
             """\
@@ -1268,7 +1285,7 @@ envelope: {first: 0.5, tail_scale: 2.0}
 """,
             EXIT_OK,
             {"beta": None, "fit_available": False},
-            "73c69c691b1c73619d9e332562145d3d3f1f3cbe92601f49889223d764062a82",
+            "9a2d96c23524daa544cd0b1f048606e34e136c384dc9e7ef624eb23a61d056e2",
         ),
         "incomplete-all-empty": (
             """\
@@ -1286,7 +1303,7 @@ scaling:
 """,
             EXIT_VIOLATION,
             {"spread": "inf", "spread_ok": False},
-            "de2c94f89436711554c39e7bc083022e6a3155fcf7812e02e05327c0058c8b30",
+            "27118d47b73b6ae7c3648b08a621f49cc092f3c2f821ca3dfd9d9f5e7546079c",
         ),
         "incomplete-matching-gaussian": (
             """\
@@ -1304,7 +1321,7 @@ scaling:
 """,
             EXIT_OK,
             {},
-            "4b8dbaadf3d74dcf1594aec7bc73399465684ef4a01af3732eb26a86478ff31e",
+            "0c4baa014a1e5b6625ae1caaaff820b00bef8788e76f20940626d9e22a1617ee",
         ),
         "incomplete-matching-rademacher": (
             """\
@@ -1322,7 +1339,7 @@ scaling:
 """,
             EXIT_OK,
             {},
-            "c37b07579d0b28f0f1da1a05cd7cd31c52abefe6da7bd869a23c72c912088013",
+            "807b6f3c97ea2a8d79705abbb1c1d71614e43545040c62b25bd553320c1765e0",
         ),
         "decouple-no-constant": (
             """\
@@ -1337,7 +1354,7 @@ x_grid: {start: 50.0, stop: 100.0, points: 4, scale: log}
 """,
             EXIT_OK,
             {"fitted_constant": None, "constant_defined": False},
-            "75e85af96cf7d785b44abe2557281dcdfeb0cbb31af293889b51831decafee54",
+            "e1111af27a732cbe5eaab5af0b47957ba88feef60913ab330088717e3ce1fc8e",
         ),
         "martingale": (
             """\
@@ -1349,7 +1366,7 @@ martingale: {generator: gaussian-coords, dim: 2, steps: 10, variants: [A2, A3, c
 """,
             EXIT_OK,
             {"total_violations": 0},
-            "db63cb4c2b8868ad3feba78ea82659512d8d5a894e5f70b6e1d83445dcf86808",
+            "f9d6e68b4bca75fa3a5bb0788f7050931d0566b4d032e8fc430281aac8514add",
         ),
     }
 

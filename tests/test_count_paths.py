@@ -1,9 +1,12 @@
-"""The tail scan's atom-count path against the tuple gather, bit for bit.
+"""The tail scan's atom-count path and product recurrence against the tuple
+gather, bit for bit.
 
 On a finite law with an integer kernel table, `replicate` draws atom indices
 and builds the prefix statistics from the table (`ustats._count_prefix_sums`)
-instead of gathering and evaluating every pair. Every partial sum is then an
-exact integer, so the count path must give the gather's bytes.
+instead of gathering and evaluating every pair. The real product kernel on
+integer atoms runs ahead of it on the elementary-symmetric recurrence
+(`ustats._product_running_max`). Every partial sum is then an exact integer,
+so both must give the gather's bytes.
 """
 
 import dataclasses
@@ -26,7 +29,13 @@ from ustatlab.distributions import (
 from ustatlab.hilbert import HilbertSpace, row_norms
 from ustatlab.kernels import KernelSpec, _atom_table, centered, gini, product
 from ustatlab.montecarlo import ExperimentConfig, replicate, tail_scan
-from ustatlab.ustats import _count_prefix_sums, _grouped_columns, _prefix_sums, running_max_norms
+from ustatlab.ustats import (
+    _count_prefix_sums,
+    _grouped_columns,
+    _prefix_sums,
+    _product_running_max,
+    running_max_norms,
+)
 
 DEFAULT_CHUNK = montecarlo._CHUNK_VALUES
 STREAMS = mix_ids_batch(11, np.arange(40))
@@ -51,6 +60,12 @@ def lookup_kernel(atoms, table, symmetric) -> KernelSpec:
     )
 
 
+def _product_lookup(atoms) -> KernelSpec:
+    """`lookup_kernel` on the product's table over the sorted atoms."""
+    atoms = np.asarray(atoms, dtype=np.float64)
+    return lookup_kernel(atoms, np.multiply.outer(atoms, atoms)[..., None], True)
+
+
 def _law(atoms) -> FiniteDistribution:
     return FiniteDistribution(np.array(atoms, dtype=np.float64), np.full(len(atoms), 1.0 / len(atoms)))
 
@@ -61,9 +76,13 @@ def _cases():
     tilted = rng.integers(-7, 8, size=(3, 3, 1))
     assert not np.array_equal(tilted, tilted.transpose(1, 0, 2))
     three = _law([-1.0, 0.5, 2.0])
+    pm12 = _law([-2, -1, 1, 2])
     return {
         "product-rademacher": (product(), SamplerSpec(kind="rademacher")),
-        "product-pm12": (product(), SamplerSpec(kind="finite", dist=_law([-2, -1, 1, 2]))),
+        "product-pm12": (product(), SamplerSpec(kind="finite", dist=pm12)),
+        # the product's own tables, read by a kernel the recurrence does not know
+        "table-rademacher": (_product_lookup([-1.0, 1.0]), SamplerSpec(kind="rademacher")),
+        "table-pm12": (_product_lookup(pm12.atoms), SamplerSpec(kind="finite", dist=pm12)),
         "table-dim2": (
             lookup_kernel(three.atoms, (wide + wide.transpose(1, 0, 2)).astype(float), True),
             SamplerSpec(kind="finite", dist=three),
@@ -92,10 +111,20 @@ def _config(name, n, replicas, seed=800):
     return ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=n, replicas=replicas, master_seed=seed)
 
 
+def _route(name) -> str:
+    """The route `replicate` takes on a case: the product kernel's recurrence, or the count path."""
+    return "recurrence" if name.startswith("product") else "count"
+
+
 def _spies(monkeypatch):
-    """Count calls to the count path and to the gather inside `replicate`."""
-    calls = {"count": 0, "gather": 0}
-    for key, name in (("count", "_count_prefix_sums"), ("gather", "running_max_norms")):
+    """Count calls to the recurrence, the count path and the gather inside `replicate`."""
+    calls = {"recurrence": 0, "count": 0, "gather": 0}
+    routes = (
+        ("recurrence", "_product_running_max"),
+        ("count", "_count_prefix_sums"),
+        ("gather", "running_max_norms"),
+    )
+    for key, name in routes:
         original = getattr(montecarlo, name)
 
         def spy(*args, _key=key, _original=original):
@@ -106,8 +135,14 @@ def _spies(monkeypatch):
     return calls
 
 
+def _only(calls, route) -> bool:
+    """Whether `replicate` ran `route` and no other."""
+    return calls[route] >= 1 and sum(calls.values()) == calls[route]
+
+
 def _gather_replicate(monkeypatch, config):
     with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_recurrence_atoms", lambda *args: None)
         patch.setattr(montecarlo, "_count_table", lambda *args: None)
         return replicate(config)
 
@@ -159,7 +194,7 @@ def test_count_path_equals_the_gather_above_the_cap(small_cap, monkeypatch, name
     np.testing.assert_array_equal(replicate(config), _gather_replicate(monkeypatch, config))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, DEFAULT_CHUNK])
+@pytest.mark.parametrize("chunk", [1, 7, pytest.param(DEFAULT_CHUNK, id="default")])
 @pytest.mark.parametrize("n", [40, 161])
 @pytest.mark.parametrize("name", CASES)
 def test_replicate_on_counts_equals_the_gather(monkeypatch, name, n, chunk):
@@ -168,20 +203,23 @@ def test_replicate_on_counts_equals_the_gather(monkeypatch, name, n, chunk):
     monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
     calls = _spies(monkeypatch)
     got = replicate(config)
-    assert calls["count"] >= 1 and calls["gather"] == 0
+    assert _only(calls, _route(name))
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("replicas, chunk", [(101, 1200), (2500, DEFAULT_CHUNK)])
+@pytest.mark.parametrize(
+    "replicas, chunk", [(101, 1200), pytest.param(2500, DEFAULT_CHUNK, id="2500-default")]
+)
 @pytest.mark.parametrize("name", CASES)
 def test_count_route_equals_the_per_replica_oracle(monkeypatch, name, replicas, chunk):
-    # both chunks leave a partial last batch of draws and of prefix sums,
-    # which run on prefixes of the first batch's buffers
+    # both chunks leave a partial last batch of draws and of prefix sums on
+    # the count route, which run on prefixes of the first batch's buffers
     config = _config(name, 40, replicas)
     monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
     calls = _spies(monkeypatch)
     got = replicate(config)
-    assert calls["count"] >= 3 and calls["gather"] == 0
+    assert _only(calls, _route(name))
+    assert _route(name) == "recurrence" or calls["count"] >= 3
     sampler = dataclasses.replace(config.sampler, seed_stream=config.master_seed)
     samples = (draw_iid(sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(replicas))
     want = [ustats.running_max(config.kernel, s).max_norm for s in samples]
@@ -242,7 +280,10 @@ def _fallbacks():
         "non-integer": (centered(gini(), grid7), SamplerSpec(kind="uniform-grid", grid_points=7)),
         "sum-bound": (huge, SamplerSpec(kind="rademacher")),
         # (40 - 1) * 30 * 1 >= C(40, 2) = 780: the gather touches fewer values
-        "too-many-atoms": (product(), SamplerSpec(kind="finite", dist=_law(range(-15, 15)))),
+        "too-many-atoms": (
+            _product_lookup(range(-15, 15)),
+            SamplerSpec(kind="finite", dist=_law(range(-15, 15))),
+        ),
     }
 
 
@@ -252,30 +293,32 @@ def test_other_tables_take_the_gather(monkeypatch, name):
     config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100, master_seed=3)
     calls = _spies(monkeypatch)
     replicate(config)
-    assert calls["count"] == 0 and calls["gather"] >= 1
+    assert _only(calls, "gather")
 
 
 def test_the_atom_count_rule_is_strict():
     # at N = 40, 19 atoms touch 39 * 19 = 741 values, under C(40, 2) = 780; 20 touch 780
     for size, counted in ((19, True), (20, False)):
         law = SamplerSpec(kind="finite", dist=_law(range(size)))
-        assert (montecarlo._count_table(product(), law, 40) is not None) == counted
+        assert (montecarlo._count_table(_product_lookup(range(size)), law, 40) is not None) == counted
     # 780 * max|H| must stay below 2**53, which 780 does not divide
     for entry, counted in ((2**53 // 780, True), (2**53 // 780 + 1, False)):
         kernel = lookup_kernel([-1.0, 1.0], np.full((2, 2, 1), float(entry)), True)
         assert (montecarlo._count_table(kernel, SamplerSpec(kind="rademacher"), 40) is not None) == counted
 
 
-def test_a_table_with_negative_zeros_is_counted(monkeypatch):
-    # the product on atoms {-1, 0, 1} has h(-1, 0) = -0, which no norm sees
+@pytest.mark.parametrize("kernel", [product(), _product_lookup([-1, 0, 1])], ids=["product", "table"])
+def test_a_law_with_zero_takes_its_route(monkeypatch, kernel):
+    # the product on atoms {-1, 0, 1} has h(-1, 0) = -0, which no norm sees:
+    # the product kernel runs on the recurrence, its table on the count path
     law = SamplerSpec(kind="finite", dist=_law([-1, 0, 1]))
-    table = montecarlo._count_table(product(), law, 40)
+    table = montecarlo._count_table(kernel, law, 40)
     assert table is not None and np.any(np.signbit(table) & (table == 0))
-    config = ExperimentConfig(kernel=product(), sampler=law, sample_size=40, replicas=300, master_seed=5)
+    config = ExperimentConfig(kernel=kernel, sampler=law, sample_size=40, replicas=300, master_seed=5)
     want = _gather_replicate(monkeypatch, config)
     calls = _spies(monkeypatch)
     assert replicate(config).tobytes() == want.tobytes()
-    assert calls["count"] >= 1 and calls["gather"] == 0
+    assert _only(calls, "recurrence" if kernel.name == "product" else "count")
 
 
 def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
@@ -293,4 +336,114 @@ def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
     )
     spies = _spies(monkeypatch)
     tail_scan(config)
-    assert calls == [2] and spies["count"] >= 1
+    assert calls == [2] and _only(spies, "recurrence")
+
+
+# ---------------------------------------------------------------------------
+# The product kernel's elementary-symmetric recurrence
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=st.integers(2, 6),
+    extra=st.integers(0, 9),
+    top=st.integers(0, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_the_recurrence_equals_the_gather_on_integer_samples(m, extra, top, seed):
+    # n = m up to m + 9 covers arities above n / 2, where low orders stop early
+    n = m + extra
+    values = np.random.default_rng(seed).integers(-top, top + 1, size=(7, n)).astype(np.float64)
+    got = _product_running_max(np.ascontiguousarray(values.T), m)
+    assert got.tobytes() == running_max_norms(product(arity=m), values).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 7, pytest.param(DEFAULT_CHUNK, id="default")])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_the_recurrence_gives_the_gather_bytes_at_every_arity(monkeypatch, m, chunk):
+    # at n = 6 a chunk of 7 draws two replicas a batch and the default 21,845,
+    # so both replica counts leave a partial last batch
+    replicas = 101 if chunk < DEFAULT_CHUNK else 30_000
+    config = ExperimentConfig(
+        kernel=product(arity=m), sampler=SamplerSpec(kind="finite", dist=_law([-2, -1, 1, 3])),
+        sample_size=6, replicas=replicas, master_seed=17,
+    )
+    want = _gather_replicate(monkeypatch, config)
+    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
+    sizes = []
+    original = montecarlo.atom_blocks
+
+    def blocks(*args):
+        for block in original(*args):
+            sizes.append(len(block))
+            yield block
+
+    monkeypatch.setattr(montecarlo, "atom_blocks", blocks)
+    calls = _spies(monkeypatch)
+    got = replicate(config)
+    assert _only(calls, "recurrence") and sum(sizes) == replicas
+    assert chunk == 1 or 0 < sizes[-1] < sizes[0]
+    assert got.tobytes() == want.tobytes()
+
+
+def _off_the_rule():
+    # C(40, 2) * (2**22)**2 and C(40, 3) * (2**15)**3 are at least 2**53
+    return {
+        "grid7-m2": (product(), SamplerSpec(kind="uniform-grid", grid_points=7)),
+        "grid7-m3": (product(arity=3), SamplerSpec(kind="uniform-grid", grid_points=7)),
+        "sum-bound-m2": (product(), SamplerSpec(kind="finite", dist=_law([-(2**22), 2**22]))),
+        "sum-bound-m3": (product(arity=3), SamplerSpec(kind="finite", dist=_law([-(2**15), 2**15]))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_off_the_rule()))
+def test_laws_off_the_rule_keep_the_gather(monkeypatch, name):
+    kernel, sampler = _off_the_rule()[name]
+    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100, master_seed=3)
+    calls = _spies(monkeypatch)
+    got = replicate(config)
+    assert _only(calls, "gather")
+    bound = dataclasses.replace(sampler, seed_stream=3)
+    samples = np.stack([draw_iid(bound, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(100)])
+    assert got.tobytes() == ustats.running_max_norms(kernel, samples).tobytes()
+
+
+def test_the_recurrence_rule_is_strict():
+    # C(40, 3) * max|x|**3 must stay below 2**53
+    top = max(b for b in range(1, 10_000) if 9880 * b**3 < 2**53)
+    for bound, taken in ((top, True), (top + 1, False)):
+        law = SamplerSpec(kind="finite", dist=_law([-bound, 1, bound]))
+        assert (montecarlo._recurrence_atoms(product(arity=3), law, 40) is not None) == taken
+    half = SamplerSpec(kind="finite", dist=_law([-0.5, 0.5]))
+    assert montecarlo._recurrence_atoms(product(arity=3), half, 40) is None
+
+
+def test_a_product_by_name_alone_takes_the_count_route(monkeypatch):
+    # the recurrence knows the product kernel by its evaluator, not its name
+    named = KernelSpec(
+        arity=2, codomain=HilbertSpace.euclidean(1), eval_batch=lambda u, v: u * v,
+        symmetric=True, declared_degeneracy=2, name="product",
+    )
+    sampler = SamplerSpec(kind="rademacher")
+    configs = [
+        ExperimentConfig(kernel=k, sampler=sampler, sample_size=40, replicas=300, master_seed=9)
+        for k in (named, product())
+    ]
+    calls = _spies(monkeypatch)
+    got = replicate(configs[0])
+    assert _only(calls, "count")
+    assert got.tobytes() == replicate(configs[1]).tobytes()
+
+
+def test_a_tail_scan_above_the_enumeration_cap_runs_on_the_recurrence(monkeypatch):
+    # C(900, 3) = 120,629,300 tuples per replica: more than the gather may enumerate
+    assert ustats.inc_count(3, 900) > ustats.ENUMERATION_CAP
+    config = ExperimentConfig(
+        kernel=product(arity=3), sampler=SamplerSpec(kind="rademacher"), sample_size=900,
+        replicas=100, master_seed=3, x_grid=np.array([0.5, 1.0, 2.0]),
+    )
+    calls = _spies(monkeypatch)
+    report = tail_scan(config)
+    assert _only(calls, "recurrence")
+    assert report.degeneracy == 3 and report.normalization == 900.0**1.5
+    assert 0.0 < report.p_hat[0] <= 1.0

@@ -39,6 +39,25 @@ def test_product_orthogonal_inputs():
     assert out.coords[0] == 0.0
 
 
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_product_of_any_arity_multiplies_left_to_right(m):
+    k = product(arity=m)
+    assert k.arity == m and k.declared_degeneracy == m and k.symmetric
+    cols = np.random.default_rng(m).normal(size=(m, 30))
+    want = cols[0] * cols[1]
+    for col in cols[2:]:
+        want = want * col
+    np.testing.assert_array_equal(batch_values(k, tuple(cols))[:, 0], want)
+    assert evaluate(k, (2.0, -3.0, 0.5, 7.0)[:m]).coords[0] == np.prod([2.0, -3.0, 0.5, 7.0][:m])
+
+
+def test_product_arity_is_checked():
+    with pytest.raises(ValueError, match="arity at least 2"):
+        product(arity=1)
+    with pytest.raises(ValueError, match="real arguments"):
+        product(plane, arity=3)
+
+
 def test_spatial_sign_fixes_the_origin():
     k = spatial_sign(plane)
     u = np.array([1.0, 2.0])
@@ -194,6 +213,7 @@ def _zoo():
         "gini-plane": (gini(plane), vectors),
         "product": (product(), pair),
         "product-plane": (product(plane), vectors),
+        "product-arity-3": (product(arity=3), scalars),
         "spatial-sign": (spatial_sign(plane), vectors),
         "empirical-indicator": (empirical_indicator_from(law, 5), scalars[:1]),
         "coordinate": (coordinate_kernel(), scalars[:1]),
