@@ -109,10 +109,10 @@ class GridSpec:
         return np.linspace(self.start, self.stop, self.points)
 
     def _check(self, fail) -> None:
-        if self.start <= 0:
-            fail("start", f"must be positive on every scale, got {self.start}")
-        if self.stop <= self.start:
-            fail("stop", f"must exceed start ({self.start}), got {self.stop}")
+        if not 0.0 < self.start < math.inf:
+            fail("start", f"must be positive and finite on every scale, got {self.start}")
+        if not self.start < self.stop < math.inf:
+            fail("stop", f"must be finite and exceed start ({self.start}), got {self.stop}")
 
 
 @dataclass(frozen=True)

@@ -285,8 +285,8 @@ def _conv_entries(
 ) -> list[InequalityEntry]:
     """`check_conv_tail_lemma` at every t, the left tails from one sort."""
     ts = np.array([float(t) for t in t_grid])
-    if np.any(ts <= 0):
-        raise ValueError("t must be positive")
+    if not np.all((ts > 0) & (ts < math.inf)):
+        raise ValueError("t must be positive and finite")
     rhs = []
     for t in ts.tolist():
         mean, lo, hi = mean_interval(np.maximum(0.0, 4.0 * y_samples / t - 1.0))
@@ -308,8 +308,8 @@ def verify_pairs(
     _check_variant(s, variant)
     c_exp, c_tail, divisor = _BOUNDS[variant]
     x, y = np.array([(float(a), float(b)) for a, b in pairs]).reshape(-1, 2).T
-    if not (np.all(x > 0) and np.all(y > 0)):
-        raise ValueError("x and y must be positive")
+    if not np.all((x > 0) & (y > 0) & (x < math.inf) & (y < math.inf)):
+        raise ValueError("x and y must be positive and finite")
     if variant == "A3":
         ys = y.tolist()
         integrals = {v: _a3_integral(s, v) for v in dict.fromkeys(ys)}

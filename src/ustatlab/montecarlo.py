@@ -15,24 +15,14 @@ Every selection sum goes through `ustats`: the 0/1-collapsed sums through
 `_selection_sums`, the multiplicity-weighted ones through
 `design_sums_batch`, and `ustats` alone decides when a sum is exact.
 
-The tail scan takes the first of three routes that applies. The first two
-give the gather's bytes wherever they apply, since every partial sum on
-them and on the gather is then an exact integer (`ustats._exact_sums`):
-- the recurrence: the real product kernel of any arity m on a finite law
-  with integer atoms and C(N, m) * max|x|**m < 2**53. Replicas are drawn as
-  atom indices (`atom_blocks`), read step-major as values, and each one's
-  running maximum of |e_m| comes from the elementary-symmetric recurrence
-  (`ustats._product_running_max`), O(N * m) per replica;
-- the count route: an arity-2 kernel on a finite law whose atom table H
-  has integer entries with C(N, 2) * max|H| < 2**53, and where (N - 1) * A
-  * dim < C(N, 2) for A atoms. The prefix statistics are read from H at the
-  atom indices (`ustats._count_prefix_sums`), O(N * A * dim) per replica;
-- the gather, which evaluates every tuple, for everything else.
-The first two and the with-replacement design loop allocate their batch
-buffers (Philox words, Lemire values, atom indices, sample values, gathered
-table rows, prefix sums) once per call: every batch writes into them, a
-partial last batch into a prefix of them, and each replica's maximum goes
-straight into the output.
+On a finite law the tail scan draws its replicas as atom indices
+(`atom_blocks`) and reads their running maxima on the route
+`ustats._atom_route` chooses, where it gives the gather's bytes; every other
+law and kernel gathers every tuple. The atom-block loop and the
+with-replacement design loop allocate their batch buffers (Philox words,
+Lemire values, atom indices, sample values) once per call: every batch
+writes into them, a partial last batch into a prefix of them, and each
+replica's maximum goes straight into the output.
 
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
@@ -54,7 +44,6 @@ import numpy as np
 
 from .confidence import _tail_counts, _tail_triples, quantile_interval
 from .distributions import (
-    ENUMERATION_BUDGET,
     FiniteDistribution,
     SamplerSpec,
     atom_blocks,
@@ -63,19 +52,15 @@ from .distributions import (
     mix_ids,
     mix_ids_batch,
 )
-from .hilbert import HilbertSpace, row_norms, squared_row_norms
+from .hilbert import HilbertSpace, row_norms
 from .hoeffding import _projections, degeneracy_order
 from .kernels import (
-    KernelSpec, _atom_table, _is_real_product, _tail_means, _tuple_probs, check_sup_bound,
+    KernelSpec, _atom_table, _tail_means, _tuple_probs, check_sup_bound,
 )
 from .ustats import (
     SamplingDesign,
-    _count_buffers,
-    _count_prefix_sums,
+    _atom_route,
     _exact_bound,
-    _exact_sums,
-    _product_exact,
-    _product_running_max,
     _selection_sums,
     _stacked_values,
     _tuple_columns,
@@ -120,19 +105,15 @@ _ROLE_DATA = 11
 _ROLE_DESIGN = 12
 _ROLE_DEC = 13
 _ROLE_FIXED = 14
-# Values per batch of replicas: the tail scan draws its replicas in batches
-# of this many sample values and evaluates them in batches of this many
-# gathered tuples or count-route table values (N=40, m=2 on Rademacher:
-# 1638 replicas drawn and 840 counted a batch, or 84 gathered); the design
-# and decoupling experiments draw and evaluate batches of this many tuples.
-# The recurrence draws twice as many values a batch, and at least
-# _CHUNK_VALUES // 64 replicas (3276 at N=40, 1024 at N=2560), so that each
-# of its per-step ufunc calls spans thousands of replicas. The footprint
-# then does not grow with the replica count. The recurrence, the count
-# route and the design loop allocate one batch's buffers per call and reuse
-# them, so this bounds memory, not page faults. Per-call numpy overhead
-# (~1 us) makes 2**16 about 8% faster than 2**15 on a 2-vCPU Xeon, for 1 MB
-# more peak RSS.
+# Values per batch of replicas: the tail scan's gather draws its replicas in
+# batches of this many sample values and evaluates them in batches of this
+# many gathered tuples (84 replicas at N=40, m=2); the design and decoupling
+# experiments draw and evaluate batches of this many tuples. The atom routes
+# draw twice as many values a batch, and at least _CHUNK_VALUES // 64
+# replicas (3276 at N=40, 1024 at N=2560), so that each of their per-step
+# ufunc calls spans thousands of replicas. The footprint then does not grow
+# with the replica count. Per-call numpy overhead (~1 us) makes 2**16 about
+# 8% faster than 2**15 on a 2-vCPU Xeon, for 1 MB more peak RSS.
 _CHUNK_VALUES = 2**16
 
 
@@ -157,8 +138,9 @@ class ExperimentConfig:
             raise ValueError(f"replicas must be at least {MIN_REPLICAS}")
         if self.x_grid is not None:
             grid = np.asarray(self.x_grid, dtype=np.float64)
-            if grid.ndim != 1 or grid.size < 1 or grid[0] <= 0 or np.any(np.diff(grid) <= 0):
-                raise ValueError("x_grid must be strictly increasing and positive")
+            increasing = grid.ndim == 1 and grid.size >= 1 and np.all(np.diff(grid) > 0)
+            if not (increasing and 0 < grid[0] and grid[-1] < math.inf):
+                raise ValueError("x_grid must be strictly increasing, positive and finite")
             object.__setattr__(self, "x_grid", grid)
 
 
@@ -167,85 +149,28 @@ def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) ->
 
     The statistic is the running maximum of prefix norms of the complete
     U-statistic on a fresh sample per replica, computed over fixed-size
-    batches of replicas: on the product recurrence where `_recurrence_atoms`
-    allows it, else from atom indices where `_count_table` allows it, else
-    from gathered tuples. A caller that has built the kernel's atom table on
-    the sampler's finite support (`kernels._atom_table`) passes it as
-    `atom_table`.
+    batches of replicas: from atom indices on the route `ustats._atom_route`
+    chooses, else from gathered tuples. A caller that has built the kernel's
+    atom table on the sampler's finite support (`kernels._atom_table`)
+    passes it as `atom_table`.
     """
     kernel, n = config.kernel, config.sample_size
     bound_sampler = replace(config.sampler, seed_stream=config.master_seed)
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
     out = np.empty(config.replicas)
-    atoms = _recurrence_atoms(kernel, config.sampler, n)
-    if atoms is not None:
-        batch = max(2 * _CHUNK_VALUES // n, _CHUNK_VALUES // 64)
-        values = np.empty(n * max(1, min(batch, config.replicas)))
-        start = 0
-        for drawn in atom_blocks(bound_sampler, n, streams, batch):
-            block = values[: drawn.size].reshape(n, len(drawn))
-            atoms.take(drawn.T, out=block, mode="clip")  # indices are in range
-            _product_running_max(block, kernel.arity, out[start : start + len(drawn)])
-            start += len(drawn)
-        return out
-    table = _count_table(kernel, config.sampler, n, atom_table)
-    if table is None:
+    batch = max(1, 2 * _CHUNK_VALUES // n, _CHUNK_VALUES // 64)
+    route = _atom_route(kernel, config.sampler.finite_support(), n, min(batch, config.replicas), atom_table)
+    if route is None:
         for drawn in _batches(config.replicas, n):
             samples = draw_iid_batch(bound_sampler, n, streams[drawn])
             for b in _batches(drawn.size, inc_count(kernel.arity, n)):
                 out[drawn[b]] = running_max_norms(kernel, samples[b])
         return out
-    # the largest partial norm is the root of the largest squared one: sqrt
-    # is monotone and correctly rounded
-    step = max(1, _CHUNK_VALUES // ((n - 1) * table[0].size))
-    buffers = _count_buffers(table, min(step, config.replicas), n)
     start = 0
-    for atoms in atom_blocks(bound_sampler, n, streams, max(1, _CHUNK_VALUES // n)):
-        for lo in range(0, len(atoms), step):
-            prefixes = _count_prefix_sums(table, atoms[lo : lo + step], buffers)
-            maxima = out[start : start + len(prefixes)]
-            np.max(squared_row_norms(kernel.codomain, prefixes, prefixes), axis=1, out=maxima)
-            np.sqrt(maxima, out=maxima)
-            start += len(prefixes)
+    for drawn in atom_blocks(bound_sampler, n, streams, batch):
+        route(drawn.T, out[start : start + len(drawn)])  # read step-major
+        start += len(drawn)
     return out
-
-
-def _recurrence_atoms(kernel: KernelSpec, sampler: SamplerSpec, n: int) -> np.ndarray | None:
-    """The atoms of the sampler's law when the replicas can run on the
-    elementary-symmetric recurrence (`ustats._product_running_max`), else
-    None: for the real product kernel (`kernels._is_real_product`) on a
-    finite scalar law where `ustats._product_exact` holds, so that the
-    recurrence gives the gather's bytes.
-    """
-    support = sampler.finite_support()
-    if not _is_real_product(kernel) or support is None or support.atoms.ndim != 1:
-        return None
-    return support.atoms if _product_exact(support.atoms, kernel.arity, n) else None
-
-
-def _count_table(
-    kernel: KernelSpec, sampler: SamplerSpec, n: int, table: np.ndarray | None = None
-) -> np.ndarray | None:
-    """The (A, A, dim) atom table when the replicas can run on atom counts.
-
-    That is an arity-2 kernel on a finite law whose table H has integer
-    entries with C(n, 2) * max|H| < 2**53, so that every partial sum on the
-    count path and on the gather is an exact integer and the two give the
-    same bytes, and where the count path touches fewer values than the
-    gather: (n - 1) * A * dim < C(n, 2). Otherwise None. `table` is the
-    (A**2, dim) `_atom_table(kernel, support)`, if the caller has built it.
-    """
-    support = sampler.finite_support()
-    if kernel.arity != 2 or support is None:
-        return None
-    size, pairs = support.size, inc_count(2, n)
-    if (n - 1) * size * kernel.codomain.dim >= pairs or size**2 > ENUMERATION_BUDGET:
-        return None
-    if table is None:
-        table = _atom_table(kernel, support)
-    if not _exact_sums(_exact_bound(np.abs(table)), pairs):  # the sign of a zero changes no norm
-        return None
-    return table.reshape(size, size, -1)
 
 
 def _batches(count: int, values: int):

@@ -10,16 +10,22 @@ The running maximum over prefixes max_{m <= n' <= n} ||U_{n'}|| is computed
 incrementally by grouping tuples on their last index. Its correctness is
 cross-checked by `running_max_embedding_check`, which rebuilds every prefix
 from scratch as one stacked statistic (components U_{n'} with the max norm)
-and compares the two routes. For an arity-2 kernel on a finite law the
-prefix statistics also follow from the kernel's atom table and the sample's
-atom indices (`_count_prefix_sums`, Lee 1990, ch. 1: a U-statistic of a
-discrete law is a polynomial in atom counts), in O(n * A * dim) instead of
-C(n, 2); on an integer table with C(n, 2) * max|table| < 2**53 its bytes
-equal the gather's. For the real product kernel of arity m, U_{n'} is the
-elementary symmetric polynomial e_m of the first n' values, so every prefix
-follows from the recurrence e_j <- e_j + x * e_{j-1} (`_product_running_max`)
-in O(n * m); on integer values with C(n, m) * max|x|**m < 2**53
-(`_product_exact`) its bytes equal the gather's.
+and compares the two routes.
+
+On a finite law U_{n'} is a function of the sample's atom indices (Lee 1990,
+ch. 1), and `_atom_route` chooses how the tail scan reads the running maxima
+of a step-major block of them: the first of three routes that applies. The
+first two give the gather's bytes wherever they apply, since every partial
+sum on them and on the gather is then an exact integer (`_exact_sums`):
+- the recurrence: the real product kernel of any arity m on integer atoms
+  with C(n, m) * max|x|**m < 2**53 (`_product_exact`). U_{n'} is the
+  elementary symmetric polynomial e_m of the first n' values, updated by
+  e_j <- e_j + x * e_{j-1} (`_product_running_max`), O(n * m) per sample;
+- the count route: an arity-2 kernel whose atom table H has integer entries
+  with C(n, 2) * max|H| < 2**53, and where (n - 1) * A * dim < C(n, 2) for
+  A atoms. Step k adds the row sum of H over the first k atoms, read at atom
+  x_k (`_table_running_max`), O(n * A * dim) per sample;
+- the gather of every tuple (`running_max_norms`), C(n, m) per sample.
 
 Two summation rules are each written once. `_sum_tuples` adds every tuple's
 value in enumeration order (`complete`, `decoupled`, `weighted`);
@@ -37,9 +43,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .distributions import EnumerationBudgetError, _lemire_indices, substream, substreams
-from .hilbert import HilbertPoint, row_norms
-from .kernels import KernelSpec, batch_values
+from .distributions import (
+    ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution, _lemire_indices, substream, substreams,
+)
+from .hilbert import HilbertPoint, HilbertSpace, row_norms, squared_row_norms
+from .kernels import KernelSpec, _atom_table, _is_real_product, batch_values
 
 __all__ = [
     "ENUMERATION_CAP",
@@ -384,50 +392,6 @@ def _stacked_values(kernel: KernelSpec, samples: tuple[np.ndarray, ...], cols) -
     return batch_values(kernel, gathered).reshape(samples[0].shape[0], cols[0].size, -1)
 
 
-def _count_buffers(table: np.ndarray, rows: int, n: int) -> tuple[np.ndarray, ...]:
-    """What `_count_prefix_sums` writes into for up to `rows` samples of size
-    n, flat so that a shorter batch fills a prefix: the gathered table rows,
-    the step rows' offsets A * k, their entries' positions, and the steps."""
-    size, dim = table.shape[0], table.shape[2]
-    ramp = np.arange(0, (n - 1) * rows * size, size)
-    return np.empty((n - 1) * rows * size * dim), ramp, np.empty_like(ramp), np.empty((n - 1) * rows * dim)
-
-
-def _count_prefix_sums(
-    table: np.ndarray, atoms: np.ndarray, buffers: tuple[np.ndarray, ...] | None = None
-) -> np.ndarray:
-    """Prefix statistics U_{n'}, n' = 2..n, of an arity-2 kernel on a stack
-    of samples given as atom indices, from the kernel's atom table.
-
-    table has shape (A, A, dim), entry [a, b] the value at (atom a, atom b);
-    atoms has shape (R, n). Step j adds sum_{i<j} table[x_i, x_j], read from
-    the prefix sums of the rows table[x_i], and U_{n'} is the prefix sum of
-    the steps: O(n * A * dim) work per sample instead of C(n, 2). Both lie
-    step-major, (n - 1, R, A, dim) and (n - 1, R, dim), and add row by row,
-    x[j] += x[j - 1]: the bytes of `cumsum` along the steps for any table.
-    When every table entry is an integer and C(n, 2) * max|table| < 2**53,
-    every partial sum here and in `_prefix_sums` is an exact integer, so the
-    two give the same bytes whatever order they add in.
-
-    Every step writes into `buffers`, from `_count_buffers(table, rows, n)`
-    for at least R rows, and the result, an (R, n - 1, dim) view of it, is
-    overwritten by the next call; without them the call allocates its own.
-    """
-    rows, n = atoms.shape
-    seen, ramp, positions, steps = _count_buffers(table, rows, n) if buffers is None else buffers
-    seen = seen[: (n - 1) * rows * table[0].size].reshape(n - 1, rows, *table.shape[1:])
-    positions = positions[: (n - 1) * rows].reshape(n - 1, rows)
-    steps = steps[: positions.size * table.shape[2]].reshape(n - 1, rows, table.shape[2])
-    table.take(atoms[:, :-1].T, axis=0, out=seen, mode="clip")  # indices are in range
-    for j in range(1, n - 1):  # entry j: rows x_0..x_j
-        seen[j] += seen[j - 1]
-    np.add(ramp[: positions.size].reshape(positions.shape), atoms[:, 1:].T, out=positions)
-    seen.reshape(-1, steps.shape[2]).take(positions, axis=0, out=steps, mode="clip")  # at atom x_j
-    for j in range(1, n - 1):
-        steps[j] += steps[j - 1]
-    return steps.transpose(1, 0, 2)
-
-
 def _product_exact(atoms: np.ndarray, m: int, n: int) -> bool:
     """Whether `_product_running_max` gives the gather's bytes for the real
     arity-m product kernel on samples of size n from these atoms: they are
@@ -473,6 +437,80 @@ def _product_running_max(values: np.ndarray, m: int, out: np.ndarray | None = No
             np.multiply(state[m], state[m], out=term)
             np.maximum(best, term, out=best)
     return np.sqrt(best, out=best)
+
+
+def _table_running_max(
+    table: np.ndarray, atoms: np.ndarray, codomain: HilbertSpace, out: np.ndarray | None = None
+) -> np.ndarray:
+    """max_{2 <= k <= N} ||U_k|| for each column of step-major (N, B) atom
+    indices: `running_max_norms` of the arity-2 kernel whose value at (atom
+    a, atom b) is table[a, b], an (A, A, dim) table, in O(N * A * dim) per
+    column instead of C(N, 2) pairs.
+
+    Step k adds sum_{i<k} table[x_i, x_k] to U, read at atom x_k from the
+    row sum sum_{i<k} table[x_i], (B, A * dim). Both running sums start at
+    zero and add one row a step, the bytes of `cumsum` along the steps for
+    any table but for the sign of a zero, which no norm sees. U stays
+    replica-major, (B, dim), so that its squared norms (`squared_row_norms`)
+    reduce each replica's row as a stack of prefix statistics would. The
+    largest |U_k| is the root of the largest square. When every table entry
+    is an integer and C(N, 2) * max|table| < 2**53, every partial sum here
+    and on the gather is an exact integer, and the two give the same bytes.
+    The maxima go into `out`, (B,), when it is given.
+    """
+    steps, cols = atoms.shape
+    size, dim = table.shape[0], table.shape[2]
+    rows = table.reshape(size, size * dim)
+    seen, term = np.zeros((cols, size * dim)), np.empty((cols, size * dim))
+    total, step, squares = np.zeros((cols, dim)), np.empty((cols, dim)), np.empty((cols, dim))
+    ramp = np.arange(0, cols * size, size)
+    positions = np.empty_like(ramp)
+    best = np.empty(cols) if out is None else out
+    best.fill(0.0)
+    for k in range(1, steps):
+        seen += rows.take(atoms[k - 1], axis=0, out=term, mode="clip")  # indices are in range
+        np.add(ramp, atoms[k], out=positions)
+        total += seen.reshape(-1, dim).take(positions, axis=0, out=step, mode="clip")
+        np.maximum(best, squared_row_norms(codomain, total, out=squares), out=best)
+    return np.sqrt(best, out=best)
+
+
+def _atom_route(
+    kernel: KernelSpec, support: FiniteDistribution | None, n: int, rows: int, table: np.ndarray | None = None
+):
+    """The route that reads running maxima from atom indices on samples of
+    size n from `support`, or None where only the gather applies: a function
+    (atoms, out) that writes into out, (B,), the running maxima of a
+    step-major (n, B) block of atom indices, B <= rows, and returns it.
+
+    The real product kernel (`kernels._is_real_product`) on scalar atoms
+    where `_product_exact` holds runs on `_product_running_max`, whose (n,
+    rows) value block is allocated here, once. An arity-2 kernel runs on
+    `_table_running_max` where its table's partial sums are exact
+    (`_exact_sums`; the sign of a zero changes no norm) and (n - 1) * A *
+    dim < C(n, 2), so that it touches fewer values than the gather. `table`
+    is the (A**2, dim) `_atom_table(kernel, support)`, if the caller has built it.
+    """
+    if support is None:
+        return None
+    atoms = support.atoms
+    if _is_real_product(kernel) and atoms.ndim == 1 and _product_exact(atoms, kernel.arity, n):
+        block = np.empty(n * rows)
+
+        def recurrence(indices: np.ndarray, out: np.ndarray) -> np.ndarray:
+            values = block[: indices.size].reshape(indices.shape)
+            atoms.take(indices, out=values, mode="clip")  # indices are in range
+            return _product_running_max(values, kernel.arity, out)
+
+        return recurrence
+    size, pairs = support.size, inc_count(2, n)
+    if kernel.arity != 2 or (n - 1) * size * kernel.codomain.dim >= pairs or size**2 > ENUMERATION_BUDGET:
+        return None
+    table = _atom_table(kernel, support) if table is None else table
+    if not _exact_sums(_exact_bound(np.abs(table)), pairs):
+        return None
+    table = table.reshape(size, size, -1)
+    return lambda indices, out: _table_running_max(table, indices, kernel.codomain, out)
 
 
 def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:

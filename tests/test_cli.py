@@ -432,6 +432,18 @@ scaling: {design_kind: bernoulli, sizes: [1.5]}
         with pytest.raises(ConfigError, match=r"'x_grid.start' \(line 4\)"):
             parse_config_text(text)
 
+    @pytest.mark.parametrize(
+        "grid, key",
+        [("{start: .nan, stop: 6.0, points: 4}", "start"), ("{start: 0.2, stop: .inf, points: 4}", "stop")],
+        ids=["nan-start", "inf-stop"],
+    )
+    def test_a_tail_grid_must_be_finite(self, tmp_path, capsys, grid, key):
+        path = write_config(tmp_path, f"version: 1\nexperiment: tailscan\nx_grid: {grid}\n")
+        out = tmp_path / "out"
+        assert main(["tailscan", "--config", path, "--out", str(out)]) == EXIT_USAGE
+        assert f"'x_grid.{key}' (line 3)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_partial_grid_keeps_the_section_default(self):
         cfg = parse_config_text("version: 1\nexperiment: martingale-verify\nmartingale:\n  y_grid: {points: 4}\n")
         assert (cfg.martingale.y_grid.start, cfg.martingale.y_grid.stop) == (11.0, 38.0)
@@ -585,8 +597,13 @@ martingale:
                 "t_grid: {start: -1.0, stop: 400.0, points: 4, scale: linear}",
                 "'martingale.t_grid.start' (line 9)",
             ),
+            (
+                "t_grid: {start: 30.0, stop: 400.0, points: 4, scale: log}",
+                "t_grid: {start: 30.0, stop: .inf, points: 4, scale: log}",
+                "'martingale.t_grid.stop' (line 9)",
+            ),
         ],
-        ids=["y_grid", "t_grid"],
+        ids=["y_grid", "t_grid", "t_grid-inf"],
     )
     def test_nonpositive_config_grid_is_a_usage_error(self, tmp_path, capsys, old, new, message):
         assert old in self.CONFIG
@@ -594,7 +611,7 @@ martingale:
         out = tmp_path / "out"
         assert main(["martingale-verify", "--config", path, "--out", str(out)]) == EXIT_USAGE
         err = capsys.readouterr().err
-        assert message in err and "must be positive" in err
+        assert message in err and ("must be positive" in err or "must be finite" in err)
         assert not out.exists()
 
     def test_nonpositive_grid_file_row_is_a_usage_error(self, tmp_path, capsys):
@@ -742,8 +759,11 @@ class TestMain:
 class TestTailscanDigests:
     """Output digests recorded with the per-replica sampler, before replicas
     were drawn and reduced in batches; every later version must match them.
-    The two count-path cases were recorded on the tuple gather, before
-    integer tables moved to atom counts."""
+    The product cases at N = 160 and 100 were recorded on the tuple gather,
+    before integer tables moved to atom counts; they now run on the product
+    recurrence. The centered gini on Rademacher, recorded on the atom-count
+    route, is -uv there: its digests equal the product's at N = 160, so the
+    two routes check each other."""
 
     CONFIG = """\
 version: 1
@@ -790,7 +810,7 @@ x_grid:
             "bfeae3691271ca9d8cf2b0191cabf54530ce9b85473a7e9ab83678ba4ed5b733",
             "5cd8698e34b8456d9d653a660d78c14d0af0350788f261223c438ef1194e8706",
         ),
-        # integer tables: these take the atom-count path
+        # integer atoms: these take the product recurrence
         "product-rademacher-n160": (
             (2024, 500, 160, "product", "rademacher", 0.2, 6.0, 24, ""),
             "63d564cff0d89b9224ba38e1885c7dbb03536e40b9943e5c20c3b645c1155eeb",
@@ -803,6 +823,12 @@ x_grid:
             ),
             "67cebcf62e5e8998fa3bcbd9444d29f78ba18060a718f0b043c59320a6a3e88d",
             "0f1848cf14cdae3fe25ea67affd6df3addec2eb063b54830fc1296225b85c5e7",
+        ),
+        # an integer table: the atom-count route
+        "centered-gini-rademacher-n160": (
+            (2024, 500, 160, "gini\n  centered: true", "rademacher", 0.2, 6.0, 24, ""),
+            "63d564cff0d89b9224ba38e1885c7dbb03536e40b9943e5c20c3b645c1155eeb",
+            "900dae82dd54228a7130fd67001e68392b40f44d482fcc67c497b15a952ed342",
         ),
     }
 

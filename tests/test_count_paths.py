@@ -1,12 +1,13 @@
-"""The tail scan's atom-count path and product recurrence against the tuple
+"""The tail scan's atom-count route and product recurrence against the tuple
 gather, bit for bit.
 
 On a finite law with an integer kernel table, `replicate` draws atom indices
-and builds the prefix statistics from the table (`ustats._count_prefix_sums`)
+and reads the running maxima from the table (`ustats._table_running_max`)
 instead of gathering and evaluating every pair. The real product kernel on
 integer atoms runs ahead of it on the elementary-symmetric recurrence
-(`ustats._product_running_max`). Every partial sum is then an exact integer,
-so both must give the gather's bytes.
+(`ustats._product_running_max`). `ustats._atom_route` chooses between them.
+Every partial sum is then an exact integer, so both must give the gather's
+bytes.
 """
 
 import dataclasses
@@ -26,14 +27,14 @@ from ustatlab.distributions import (
     mix_ids,
     mix_ids_batch,
 )
-from ustatlab.hilbert import HilbertSpace, row_norms
+from ustatlab.hilbert import HilbertSpace, row_norms, squared_row_norms
 from ustatlab.kernels import KernelSpec, _atom_table, centered, gini, product
 from ustatlab.montecarlo import ExperimentConfig, replicate, tail_scan
 from ustatlab.ustats import (
-    _count_prefix_sums,
+    _atom_route,
     _grouped_columns,
-    _prefix_sums,
     _product_running_max,
+    _table_running_max,
     running_max_norms,
 )
 
@@ -112,26 +113,26 @@ def _config(name, n, replicas, seed=800):
 
 
 def _route(name) -> str:
-    """The route `replicate` takes on a case: the product kernel's recurrence, or the count path."""
+    """The route `replicate` takes on a case: the product kernel's recurrence, or the count route."""
     return "recurrence" if name.startswith("product") else "count"
 
 
 def _spies(monkeypatch):
-    """Count calls to the recurrence, the count path and the gather inside `replicate`."""
+    """Count calls to the recurrence, the count route and the gather inside `replicate`."""
     calls = {"recurrence": 0, "count": 0, "gather": 0}
     routes = (
-        ("recurrence", "_product_running_max"),
-        ("count", "_count_prefix_sums"),
-        ("gather", "running_max_norms"),
+        ("recurrence", ustats, "_product_running_max"),
+        ("count", ustats, "_table_running_max"),
+        ("gather", montecarlo, "running_max_norms"),
     )
-    for key, name in routes:
-        original = getattr(montecarlo, name)
+    for key, module, name in routes:
+        original = getattr(module, name)
 
         def spy(*args, _key=key, _original=original):
             calls[_key] += 1
             return _original(*args)
 
-        monkeypatch.setattr(montecarlo, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return calls
 
 
@@ -142,35 +143,37 @@ def _only(calls, route) -> bool:
 
 def _gather_replicate(monkeypatch, config):
     with monkeypatch.context() as patch:
-        patch.setattr(montecarlo, "_recurrence_atoms", lambda *args: None)
-        patch.setattr(montecarlo, "_count_table", lambda *args: None)
+        patch.setattr(montecarlo, "_atom_route", lambda *args: None)
         return replicate(config)
+
+
+def _counted(kernel, table, atoms) -> np.ndarray:
+    """The count route's running maxima of replica-major (R, n) atom indices."""
+    return _table_running_max(table, atoms.T, kernel.codomain)
 
 
 @pytest.mark.parametrize("n", [2, 3, 40, 161])
 @pytest.mark.parametrize("name", CASES)
-def test_count_prefix_sums_equal_the_gather(name, n):
+def test_table_running_max_equals_the_gather(name, n):
     kernel, table, atoms, values = _draw(name, n)
-    counted = _count_prefix_sums(table, atoms)
-    gathered = _prefix_sums(kernel, values, _grouped_columns(2, n))
-    assert counted.shape == gathered.shape == (STREAMS.size, n - 1, kernel.codomain.dim)
-    np.testing.assert_array_equal(counted, gathered)
-    np.testing.assert_array_equal(
-        row_norms(kernel.codomain, counted).max(axis=1), running_max_norms(kernel, values)
-    )
+    counted = _counted(kernel, table, atoms)
+    assert counted.shape == (STREAMS.size,)
+    assert counted.tobytes() == running_max_norms(kernel, values).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])
 @pytest.mark.parametrize("name", CASES)
-def test_count_prefix_sums_equal_a_brute_force_loop(name, n):
-    _, table, atoms, _ = _draw(name, n, STREAMS[:8])
-    counted = _count_prefix_sums(table, atoms)
+def test_table_running_max_equals_a_brute_force_loop(name, n):
+    kernel, table, atoms, _ = _draw(name, n, STREAMS[:8])
+    counted = _counted(kernel, table, atoms)
     for r, x in enumerate(atoms):
+        norms = []
         for stop in range(2, n + 1):
             total = np.zeros(table.shape[-1])
             for i, j in itertools.combinations(range(stop), 2):
                 total = total + table[x[i], x[j]]
-            np.testing.assert_array_equal(counted[r, stop - 2], total)
+            norms.append(row_norms(kernel.codomain, total))
+        assert counted[r] == max(norms)
 
 
 @pytest.fixture
@@ -186,10 +189,7 @@ def small_cap(monkeypatch):
 def test_count_path_equals_the_gather_above_the_cap(small_cap, monkeypatch, name):
     kernel, table, atoms, values = _draw(name, 40)
     assert _grouped_columns(2, 40) is None
-    np.testing.assert_array_equal(
-        row_norms(kernel.codomain, _count_prefix_sums(table, atoms)).max(axis=1),
-        running_max_norms(kernel, values),
-    )
+    np.testing.assert_array_equal(_counted(kernel, table, atoms), running_max_norms(kernel, values))
     config = _config(name, 40, 101)
     np.testing.assert_array_equal(replicate(config), _gather_replicate(monkeypatch, config))
 
@@ -207,19 +207,17 @@ def test_replicate_on_counts_equals_the_gather(monkeypatch, name, n, chunk):
     np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize(
-    "replicas, chunk", [(101, 1200), pytest.param(2500, DEFAULT_CHUNK, id="2500-default")]
-)
+@pytest.mark.parametrize("replicas, chunk", [(101, 600), pytest.param(2500, 2**14, id="2500-2**14")])
 @pytest.mark.parametrize("name", CASES)
 def test_count_route_equals_the_per_replica_oracle(monkeypatch, name, replicas, chunk):
-    # both chunks leave a partial last batch of draws and of prefix sums on
-    # the count route, which run on prefixes of the first batch's buffers
+    # at N = 40 both chunks draw 2 * chunk // 40 replicas a batch, 30 and 819,
+    # so both leave at least three batches, the last one partial, which runs
+    # on prefixes of the first batch's buffers
     config = _config(name, 40, replicas)
     monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
     calls = _spies(monkeypatch)
     got = replicate(config)
-    assert _only(calls, _route(name))
-    assert _route(name) == "recurrence" or calls["count"] >= 3
+    assert _only(calls, _route(name)) and calls[_route(name)] >= 3
     sampler = dataclasses.replace(config.sampler, seed_stream=config.master_seed)
     samples = (draw_iid(sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(replicas))
     want = [ustats.running_max(config.kernel, s).max_norm for s in samples]
@@ -239,9 +237,7 @@ def test_random_integer_tables_match_the_gather(size, dim, n, seed):
     atoms = np.arange(size, dtype=np.float64)
     kernel = lookup_kernel(atoms, table, symmetric=False)
     idx = rng.integers(0, size, size=(6, n))
-    np.testing.assert_array_equal(
-        _count_prefix_sums(table, idx), _prefix_sums(kernel, atoms[idx], _grouped_columns(2, n))
-    )
+    assert _counted(kernel, table, idx).tobytes() == running_max_norms(kernel, atoms[idx]).tobytes()
 
 
 def _cumsum_prefix_sums(table, atoms):
@@ -255,21 +251,21 @@ def _cumsum_prefix_sums(table, atoms):
 @settings(max_examples=60, deadline=None)
 @given(
     size=st.integers(1, 5),
-    dim=st.integers(1, 3),
+    dim=st.sampled_from([1, 2, 3, 8, 9, 13]),
     n=st.integers(2, 60),
     samples=st.integers(1, 9),
     seed=st.integers(0, 2**32 - 1),
 )
 def test_float_tables_sum_in_cumsum_order(size, dim, n, samples, seed):
-    # no integer table: any other order of adding would change the bits
+    # no integer table: any other order of adding would change the bits. From
+    # dim 8 each squared norm is a pairwise reduce of its replica's row, as
+    # on a stack of prefix statistics
     rng = np.random.default_rng(seed)
     table = rng.standard_normal((size, size, dim)) * 10.0 ** rng.integers(-8, 9, size=(size, size, 1))
-    atoms = rng.integers(0, size, size=(samples + 3, n))
-    buffers = ustats._count_buffers(table, samples + 3, n)
-    for batch in (atoms, atoms[:samples]):  # the second in a prefix of the first one's buffers
-        got = _count_prefix_sums(table, batch, buffers)
-        assert got.shape == (len(batch), n - 1, dim)
-        assert np.ascontiguousarray(got).tobytes() == _cumsum_prefix_sums(table, batch).tobytes()
+    space = HilbertSpace(dim=dim, weights=rng.uniform(0.1, 3.0, size=dim))
+    atoms = rng.integers(0, size, size=(samples, n))
+    want = np.sqrt(squared_row_norms(space, _cumsum_prefix_sums(table, atoms)).max(axis=1))
+    assert _table_running_max(table, atoms.T, space).tobytes() == want.tobytes()
 
 
 def _fallbacks():
@@ -296,15 +292,19 @@ def test_other_tables_take_the_gather(monkeypatch, name):
     assert _only(calls, "gather")
 
 
+def _routed(kernel, law: FiniteDistribution, n: int = 40) -> bool:
+    """Whether `_atom_route` reads the kernel's running maxima from atom indices."""
+    return _atom_route(kernel, law, n, 1) is not None
+
+
 def test_the_atom_count_rule_is_strict():
     # at N = 40, 19 atoms touch 39 * 19 = 741 values, under C(40, 2) = 780; 20 touch 780
     for size, counted in ((19, True), (20, False)):
-        law = SamplerSpec(kind="finite", dist=_law(range(size)))
-        assert (montecarlo._count_table(_product_lookup(range(size)), law, 40) is not None) == counted
+        assert _routed(_product_lookup(range(size)), _law(range(size))) == counted
     # 780 * max|H| must stay below 2**53, which 780 does not divide
     for entry, counted in ((2**53 // 780, True), (2**53 // 780 + 1, False)):
         kernel = lookup_kernel([-1.0, 1.0], np.full((2, 2, 1), float(entry)), True)
-        assert (montecarlo._count_table(kernel, SamplerSpec(kind="rademacher"), 40) is not None) == counted
+        assert _routed(kernel, FiniteDistribution.rademacher()) == counted
 
 
 @pytest.mark.parametrize("kernel", [product(), _product_lookup([-1, 0, 1])], ids=["product", "table"])
@@ -312,8 +312,8 @@ def test_a_law_with_zero_takes_its_route(monkeypatch, kernel):
     # the product on atoms {-1, 0, 1} has h(-1, 0) = -0, which no norm sees:
     # the product kernel runs on the recurrence, its table on the count path
     law = SamplerSpec(kind="finite", dist=_law([-1, 0, 1]))
-    table = montecarlo._count_table(kernel, law, 40)
-    assert table is not None and np.any(np.signbit(table) & (table == 0))
+    table = _atom_table(kernel, law.dist)
+    assert _routed(kernel, law.dist) and np.any(np.signbit(table) & (table == 0))
     config = ExperimentConfig(kernel=kernel, sampler=law, sample_size=40, replicas=300, master_seed=5)
     want = _gather_replicate(monkeypatch, config)
     calls = _spies(monkeypatch)
@@ -328,8 +328,8 @@ def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
         calls.append(dist.size)
         return _atom_table(kernel, dist)
 
-    monkeypatch.setattr(kernels, "_atom_table", counted)
-    monkeypatch.setattr(montecarlo, "_atom_table", counted)
+    for module in (kernels, montecarlo, ustats):
+        monkeypatch.setattr(module, "_atom_table", counted)
     config = ExperimentConfig(
         kernel=product(), sampler=SamplerSpec(kind="rademacher"), sample_size=40, replicas=100,
         master_seed=3, x_grid=np.array([0.5, 1.0]),
@@ -412,10 +412,8 @@ def test_the_recurrence_rule_is_strict():
     # C(40, 3) * max|x|**3 must stay below 2**53
     top = max(b for b in range(1, 10_000) if 9880 * b**3 < 2**53)
     for bound, taken in ((top, True), (top + 1, False)):
-        law = SamplerSpec(kind="finite", dist=_law([-bound, 1, bound]))
-        assert (montecarlo._recurrence_atoms(product(arity=3), law, 40) is not None) == taken
-    half = SamplerSpec(kind="finite", dist=_law([-0.5, 0.5]))
-    assert montecarlo._recurrence_atoms(product(arity=3), half, 40) is None
+        assert _routed(product(arity=3), _law([-bound, 1, bound])) == taken
+    assert not _routed(product(arity=3), _law([-0.5, 0.5]))
 
 
 def test_a_product_by_name_alone_takes_the_count_route(monkeypatch):

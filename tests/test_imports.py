@@ -173,6 +173,29 @@ def test_only_montecarlo_evaluates_the_envelope():
     assert callers == {"montecarlo.py"}
 
 
+def test_only_ustats_runs_the_atom_routes():
+    """`ustats._atom_route` chooses how a finite law's running maxima are
+    read from atom indices, so only `ustats` calls the routes, and
+    `montecarlo` imports none of the rules that choose between them."""
+    callers = {
+        path.name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        in ("_product_running_max", "_table_running_max")
+    }
+    assert callers == {"ustats.py"}
+    rules = {"_exact_sums", "_product_exact", "_is_real_product", "ENUMERATION_BUDGET"}
+    imported = {
+        alias.name
+        for node in ast.walk(ast.parse((PACKAGE / "montecarlo.py").read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported and not imported & rules
+
+
 def test_no_import_inside_a_function():
     """Every module names its dependencies at its top, so none is first
     loaded in the middle of a call."""

@@ -182,8 +182,15 @@ class TestConvTailLemma:
         with pytest.raises(ValueError):
             check_conv_tail_lemma(np.ones(10), np.ones(10), t=0.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_a_conv_grid_must_be_finite(self, sign_paths, t):
+        with pytest.raises(ValueError, match="t must be positive and finite"):
+            verify_conv_grid(sign_paths, [20.0, t])
 
-@pytest.mark.parametrize("pair", [(0.0, 5.0), (-1.0, 5.0), (5.0, 0.0), (5.0, -2.0), (math.nan, 5.0)])
+
+@pytest.mark.parametrize(
+    "pair", [(0.0, 5.0), (-1.0, 5.0), (5.0, 0.0), (5.0, -2.0), (math.nan, 5.0), (math.inf, 5.0), (5.0, math.inf)]
+)
 @pytest.mark.parametrize("variant", ["real", "A2", "A3"])
 def test_verify_pairs_needs_positive_cells(sign_paths, pair, variant):
     with pytest.raises(ValueError, match="must be positive"):

@@ -78,6 +78,11 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="x_grid"):
             make_config(x_grid=np.array([0.0, 1.0]))
 
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], [0.5, math.inf], [math.nan, 1.0], [0.5, math.nan, 2.0]])
+    def test_grid_must_be_finite(self, grid):
+        with pytest.raises(ValueError, match="x_grid"):
+            make_config(x_grid=np.array(grid))
+
     def test_sample_size_floor(self):
         with pytest.raises(ValueError, match="arity"):
             make_config(sample_size=1)
