@@ -402,9 +402,14 @@ def parse_config(path: str) -> ConfigFile:
     return parse_config_text(text)
 
 
+# libyaml's emitter where PyYAML was built with it: the same text as the
+# pure-Python SafeDumper, a few times faster
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+
+
 def emit_config(cfg: ConfigFile) -> str:
     """Serialized form satisfying parse_config_text(emit_config(c)) == c."""
-    return yaml.safe_dump(_dump(cfg), sort_keys=False)
+    return yaml.dump(_dump(cfg), Dumper=_DUMPER, sort_keys=False)
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,16 @@ or batched.
 
 `draw_iid` is the reference sampler: one numpy Philox Generator per
 substream. `draw_iid_batch` produces the same draws for a whole stack of
-substreams at once. Philox is counter-based, so every substream's words
-come out of one vectorized Philox4x64-10 pass (Salmon et al., SC'11), and
-they are mapped to draws exactly as numpy's Generator maps them. For the
-finite kinds that mapping yields atom indices (`draw_atoms_batch`), and the
-value draws read the atoms at them, so a consumer that works on atom
-indices (the tail scan's count route) sees the very draws it would as
-values. `atom_blocks` draws them a batch of substreams at a time into
-buffers allocated once per call, so a long loop of batches allocates
-nothing large after its first.
+substreams at once. Philox is counter-based (Salmon et al., SC'11), so any
+range of counter blocks of every substream comes out of one vectorized
+Philox4x64-10 pass (`_philox_lanes`), and the words are mapped to draws
+exactly as numpy's Generator maps them. For the finite kinds that mapping
+yields atom indices (`draw_atoms_batch`), and the value draws read the
+atoms at them, so a consumer that works on atom indices (the tail scan's
+routes) sees the very draws it would as values. `atom_blocks` draws them a
+batch of substreams at a time, step-major, into one index buffer allocated
+once per call: each step chunk's words are computed where they are
+written, so a long loop of batches allocates nothing large after its first.
 """
 
 from __future__ import annotations
@@ -199,6 +200,9 @@ _SHIFT32 = np.uint64(32)
 _PHILOX_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
 _PHILOX_M_LIMBS = tuple((m & _MASK32, m >> _SHIFT32) for m in _PHILOX_M)
 _PHILOX_W = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# Words per lane that `atom_blocks` computes at a time: the four lanes and
+# four scratch arrays of a step chunk, 64 * _LANE_WORDS bytes, stay in L2.
+_LANE_WORDS = 2**14
 
 
 def mix_ids_batch(*ids) -> np.ndarray:
@@ -239,43 +243,46 @@ def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Gener
         yield rng
 
 
-def _philox_buffers(rows: int, blocks: int) -> tuple[np.ndarray, ...]:
-    """What `philox4x64` writes into for up to `rows` keys: four lanes of
-    rows * blocks words for the counter words, 4 * rows * blocks words of
-    scratch, and the (rows, 4 * blocks) output words."""
-    lanes = [np.empty(rows * blocks, dtype=np.uint64) for _ in range(4)]
-    return (*lanes, np.empty(4 * rows * blocks, dtype=np.uint64), np.empty((rows, 4 * blocks), dtype=np.uint64))
+def _philox_buffers(rows: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
+    """What `philox4x64` writes into for up to `rows` keys: the scratch of
+    `_philox_lanes` and the (rows, 4 * blocks) output words."""
+    return np.empty(8 * rows * blocks, dtype=np.uint64), np.empty((rows, 4 * blocks), dtype=np.uint64)
 
 
 def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
     """Philox4x64-10 output words for a stack of keys, shape (R, 4 * blocks).
 
-    Row r equals `np.random.Philox(key=keys[r]).random_raw(4 * blocks)`:
-    numpy starts the counter at zero and bumps it before each block, so
-    block b is keyed by counter (b + 1, 0, 0, 0). Every round writes into
-    `buffers`, from `_philox_buffers(rows, blocks)` for at least R rows, and
-    the words returned are a view of its output, which the next call
-    overwrites; without them the call allocates its own.
-
-    Each counter word is its own contiguous (blocks, R) array, block-major,
-    so the two key words are (R,) rows, bumped once per round and broadcast
-    along the blocks with no short inner loop; the words are gathered per
-    block in the scratch and laid out per key with one transposed copy. The
-    first two rounds are mostly closed form.
+    Row r equals `np.random.Philox(key=keys[r]).random_raw(4 * blocks)`: the
+    lanes of `_philox_lanes` over blocks 0..blocks-1, laid out per key. Every
+    round writes into `buffers`, from `_philox_buffers(rows, blocks)` for at
+    least R rows, and the words returned are a view of its output, which the
+    next call overwrites; without them the call allocates its own.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     rows = keys.shape[0]
     if buffers is None:
         buffers = _philox_buffers(rows, blocks)
-    *lanes, scratch, words = buffers
+    words = buffers[-1][:rows]
+    np.stack(_philox_lanes(keys, 0, blocks, buffers[0]), axis=-1, out=words.reshape(rows, blocks, 4).swapaxes(0, 1))
+    return words
+
+
+def _philox_lanes(keys: np.ndarray, b0: int, b1: int, scratch: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 words of counter blocks b0..b1-1 of R keys as four
+    block-major (b1 - b0, R) lanes: lane l at [b - b0, r] is word 4b + l of
+    `np.random.Philox(key=keys[r]).random_raw`, whose counter for block b is
+    (b + 1, 0, 0, 0). The lanes and the rounds' scratch are views of
+    `scratch`, at least 8 * R * (b1 - b0) words. The key words are (R,) rows
+    broadcast along the blocks, and the first two rounds are mostly closed form.
+    """
+    rows, blocks = keys.shape[0], b1 - b0
     size = blocks * rows
-    c0, c1, c2, c3 = (lane[:size].reshape(blocks, rows) for lane in lanes)
-    tmp = [scratch[i * size : (i + 1) * size].reshape(blocks, rows) for i in range(4)]
+    c0, c1, c2, c3, *tmp = (scratch[i * size : (i + 1) * size].reshape(blocks, rows) for i in range(8))
     key0, key1 = keys[:, 0], keys[:, 1]
     # Round 1 on counter (b + 1, 0, 0, 0) leaves (k0, 0, hi(M0 (b + 1)) ^ k1,
     # lo(M0 (b + 1))), from products of Python ints, so round 2 multiplies
     # the key row k0 by M0 and only c2 at full width.
-    products = [int(_PHILOX_M[0]) * b for b in range(1, blocks + 1)]
+    products = [int(_PHILOX_M[0]) * b for b in range(b0 + 1, b1 + 1)]
     np.bitwise_xor(key1, np.array([p >> 64 for p in products], dtype=np.uint64).reshape(blocks, 1), out=c2)
     k0, k1 = key0 + _PHILOX_W[0], key1 + _PHILOX_W[1]
     np.bitwise_xor(_mulhi(c2, *_PHILOX_M_LIMBS[1], *tmp), k0, out=c1)
@@ -296,11 +303,7 @@ def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | 
         c3 ^= k1
         c0 *= _PHILOX_M[0]
         c0, c1, c2, c3 = c1, c2, c3, c0
-    per_block = scratch[: 4 * size].reshape(blocks, 4, rows)
-    per_block[:, 0], per_block[:, 1], per_block[:, 2], per_block[:, 3] = c0, c1, c2, c3
-    words = words[:rows]
-    np.copyto(words, per_block.reshape(4 * blocks, rows).T)
-    return words
+    return c0, c1, c2, c3
 
 
 def _mulhi(x: np.ndarray, m_lo, m_hi, lo, hi, cross, out) -> np.ndarray:
@@ -372,18 +375,18 @@ def draw_atoms_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
 
 def atom_blocks(spec: SamplerSpec, n: int, streams, batch: int) -> Iterator[np.ndarray]:
     """`draw_atoms_batch(spec, n, streams)` in blocks of `batch` streams, the
-    last one possibly shorter, for a finite kind. Each (B, n) block is a
-    view of buffers the next block overwrites: the Philox words, Lemire
-    values and atom indices of one batch are allocated once per call.
+    last one possibly shorter, for a finite kind. Each (B, n) block is the
+    transpose of a C-contiguous step-major (n, B) prefix of one index buffer,
+    allocated once per call, which the next block overwrites.
 
-    The Philox words of a block's streams are produced in one vectorized
-    pass and mapped the way numpy's Generator maps them: `integers` takes
-    Lemire's bounded value of each uint32 (low half of each word first),
-    `choice` searches (word >> 11) * 2**-53 in the normalized cdf (numpy's
-    searchsorted has no output argument, so that lookup allocates its
-    block). A stream where Lemire's method would reject a draw is redrawn
-    with `draw_iid`, and its grid values, looked up in the sorted grid, fill
-    its row.
+    Each step chunk's Philox lanes (`_philox_lanes`, `_LANE_WORDS` words a
+    lane) are written straight into the buffer's rows and mapped there as
+    numpy's Generator maps them: `integers` takes the uint32 halves h of
+    word l of block b, low first, as draws 8b + 2l + h, by `_lemire`;
+    `choice` searches word 4b + l, as (word >> 11) * 2**-53, in the
+    normalized cdf. A stream where numpy would reject a draw is redrawn with
+    `draw_iid`, and its grid values, looked up in the sorted grid, fill its
+    column.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -392,54 +395,69 @@ def atom_blocks(spec: SamplerSpec, n: int, streams, batch: int) -> Iterator[np.n
     streams = np.asarray(streams, dtype=np.uint64)
     batch = max(1, min(batch, streams.size))
     finite = spec.kind == "finite"
-    blocks = -(-n // 4) if finite else -(-n // 8)
-    philox = _philox_buffers(batch, blocks)
+    per_block = 4 if finite else 8  # draws per counter block
+    blocks = -(-n // per_block)
+    chunk = max(1, _LANE_WORDS // batch)
+    scratch = np.empty(8 * batch * min(chunk, blocks), dtype=np.uint64)
     keys = np.empty((batch, 2), dtype=np.uint64)
     keys[:, 0] = spec.seed_stream
+    indices = np.empty(n * batch, dtype=np.int64)
     if finite:
         cdf = spec.dist.probs.cumsum()
         cdf /= cdf[-1]
-        uniforms = np.empty((batch, n))
     else:
         k = 2 if spec.kind == "rademacher" else spec.grid_points
-        indices = np.empty((batch, n), dtype=np.int64)
     for start in range(0, streams.size, batch):
         ids = streams[start : start + batch]
         rows = ids.size
         keys[:rows, 1] = mix_ids_batch(ids)
-        raw = philox4x64(keys[:rows], blocks, philox)
-        if finite:
-            words = np.right_shift(raw[:, :n], np.uint64(11), out=raw[:, :n])
-            yield cdf.searchsorted(np.multiply(words, 1.0 / 2**53, out=uniforms[:rows]), side="right")
-            continue
-        idx, rejected = _lemire_indices(raw, n, k, indices[:rows])
+        steps = indices[: n * rows].reshape(n, rows)
+        words = steps.view(np.uint64)
+        rejected = np.zeros(rows, dtype=bool)
+        for b0 in range(0, blocks, chunk):
+            first, last = per_block * b0, min(per_block * (b0 + chunk), n)
+            lanes = _philox_lanes(keys[:rows], b0, min(b0 + chunk, blocks), scratch)
+            if not finite:  # each word's uint32 halves, low half first
+                lanes = [word.view("<u4")[:, half::2] for word in lanes for half in (0, 1)]
+            for i, lane in enumerate(lanes):
+                dest = words[first + i : last : per_block]
+                dest[:] = lane[: len(dest)]
+            drawn, raw = steps[first:last], words[first:last]
+            if finite:
+                raw >>= np.uint64(11)
+                drawn[:] = cdf.searchsorted(np.multiply(raw, 1.0 / 2**53, out=raw.view(np.float64)), side="right")
+            else:
+                rejected |= _lemire(raw, k, drawn, axis=0)
         for r in np.flatnonzero(rejected):
-            idx[r] = _grid(k).searchsorted(draw_iid(spec, n, int(ids[r])))
-        yield idx
+            steps[:, r] = _grid(k).searchsorted(draw_iid(spec, n, int(ids[r])))
+        yield steps.T
 
 
-def _lemire_indices(
-    raw: np.ndarray, n: int, k: int, out: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """The first n values `Generator.integers(0, k, n)` makes from each row of
-    raw Philox words (R, >= n / 2), for 1 <= k <= 2**32, as int64 (R, n), and
-    per row whether numpy would have rejected one of them. The values are
-    written into `out`, a C-contiguous int64 (R, n) array, when it is given.
-
-    numpy splits each word into uint32 halves, low half first, and maps a
-    half u to (u * k) >> 32 (Lemire, ACM TOMACS 2019). It rejects u and draws
-    again when (u * k) mod 2**32 < (2**32 - k) mod k, which cannot happen for
-    a power of two k; a flagged row must be drawn by numpy itself.
-    """
+def _lemire_indices(raw: np.ndarray, n: int, k: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """`_lemire` along each row of the first n uint32 halves, low half first,
+    of raw Philox words (R, >= n / 2): int64 (R, n) values, written into
+    `out` when it is given, and per row whether numpy rejects one."""
     halves = np.ascontiguousarray(raw, dtype="<u8").view("<u4")[:, :n]
-    scaled = np.empty(halves.shape, dtype="<u8") if out is None else out.view("<u8")
+    out = np.empty(halves.shape, dtype=np.int64) if out is None else out
+    return out, _lemire(halves, k, out, axis=1)
+
+
+def _lemire(halves: np.ndarray, k: int, out: np.ndarray, axis: int) -> np.ndarray:
+    """Write into `out`, an int64 2-d array with contiguous rows, the values
+    `Generator.integers(0, k)` makes of the uint32 values `halves` shaped
+    like it (`out` may hold them), for 1 <= k <= 2**32, and return whether
+    numpy rejects one along `axis`. numpy maps u to (u * k) >> 32 (Lemire,
+    ACM TOMACS 2019) and rejects u when (u * k) mod 2**32 < (2**32 - k) mod
+    k, never for a power of two k; a flagged stream must be drawn by numpy.
+    """
+    scaled = out.view("<u8")
     np.multiply(halves, np.uint64(k), out=scaled)
     reject_below = (2**32 - k) % k
-    rejected = np.zeros(halves.shape[0], dtype=bool)
+    rejected = np.zeros(scaled.shape[1 - axis], dtype=bool)
     if reject_below:  # the low half of each product is (u * k) mod 2**32
-        rejected = scaled.view("<u4")[:, ::2].min(axis=1, initial=reject_below) < reject_below
+        rejected = scaled.view("<u4")[:, ::2].min(axis=axis, initial=reject_below) < reject_below
     scaled >>= _SHIFT32
-    return scaled.view(np.int64), rejected
+    return rejected
 
 
 def _atoms(spec: SamplerSpec) -> np.ndarray:

@@ -19,10 +19,10 @@ On a finite law the tail scan draws its replicas as atom indices
 (`atom_blocks`) and reads their running maxima on the route
 `ustats._atom_route` chooses, where it gives the gather's bytes; every other
 law and kernel gathers every tuple. The atom-block loop and the
-with-replacement design loop allocate their batch buffers (Philox words,
-Lemire values, atom indices, sample values) once per call: every batch
-writes into them, a partial last batch into a prefix of them, and each
-replica's maximum goes straight into the output.
+with-replacement design loop allocate their batch buffers (Philox lanes of
+a step chunk, the step-major atom indices, Lemire values, sample values)
+once per call: every batch writes into them, a partial last batch into a
+prefix of them, and each replica's maximum goes straight into the output.
 
 The statistics verified here are structural readings of deviation bounds
 for degenerate U-statistics: the running maximum of prefix norms scales
@@ -111,9 +111,11 @@ _ROLE_FIXED = 14
 # experiments draw and evaluate batches of this many tuples. The atom routes
 # draw twice as many values a batch, and at least _CHUNK_VALUES // 64
 # replicas (3276 at N=40, 1024 at N=2560), so that each of their per-step
-# ufunc calls spans thousands of replicas. The footprint then does not grow
-# with the replica count. Per-call numpy overhead (~1 us) makes 2**16 about
-# 8% faster than 2**15 on a 2-vCPU Xeon, for 1 MB more peak RSS.
+# ufunc calls spans thousands of replicas; their atom indices are one
+# step-major (N, B) int64 block (21 MB at N=2560), drawn in step chunks. The
+# footprint then does not grow with the replica count. Per-call numpy
+# overhead (~1 us) makes 2**16 about 8% faster than 2**15 on a 2-vCPU Xeon,
+# for 1 MB more peak RSS.
 _CHUNK_VALUES = 2**16
 
 
@@ -168,7 +170,7 @@ def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) ->
         return out
     start = 0
     for drawn in atom_blocks(bound_sampler, n, streams, batch):
-        route(drawn.T, out[start : start + len(drawn)])  # read step-major
+        route(drawn.T, out[start : start + len(drawn)])  # the C-contiguous step-major batch
         start += len(drawn)
     return out
 

@@ -408,34 +408,34 @@ def _product_running_max(values: np.ndarray, m: int, out: np.ndarray | None = No
     (N, B) sample values: `running_max_norms` of the real arity-m product
     kernel, whose U_k is the elementary symmetric polynomial e_m of the
     first k values (Macdonald 1995, ch. I), in O(N * m) per column instead
-    of C(N, m) tuples.
+    of C(N, m) tuples. The maxima go into `out`, (B,), when it is given.
 
-    Step k runs e_j <- e_j + x_k * e_{j-1} from j = m down to 1 in place, on
-    m + 1 state rows (e_1..e_m and the product), and keeps the largest
-    square of e_m: the largest |e_m| is its root, since `sqrt` is monotone
-    and correctly rounded. An order j takes part only while m - j steps are
-    left to carry it into e_m, so every e_j updated at step k is at most
-    C(N - m + j, j) * max|x|**j <= C(N, m) * max|x|**m. For integer values
-    with C(N, m) * max|x|**m < 2**53 (`_exact_sums`) every state here and
-    every partial sum of the gather is then an exact integer, and the two
-    give the same bytes. The maxima go into `out`, (B,), when it is given.
+    Step k runs e_j <- e_j + x_k * e_{j-1} from j = m down to 1 and writes
+    e_m over x_k in `values`, which no later step reads; one reduction then
+    takes the largest square, whose root is the largest |e_m| (`sqrt` is
+    monotone and correctly rounded). An order j takes part only while m - j
+    steps are left to carry it into e_m, so every e_j updated at step k is
+    at most C(N - m + j, j) * max|x|**j <= C(N, m) * max|x|**m. For integer
+    values with C(N, m) * max|x|**m < 2**53 (`_exact_sums`) every state here
+    and every partial sum of the gather is then an exact integer, and the
+    two give the same bytes.
     """
     steps, cols = values.shape
-    state = np.zeros((m + 1, cols))
-    term = state[0]
-    best = np.empty(cols) if out is None else out
+    state = np.zeros((m + 2, cols))  # the product, e_1..e_{m-1}, x_k * e_{m-1} and e_m before step m
+    term, lead = state[0], state[m]
     for k, x in enumerate(values):
-        for j in range(min(k + 1, m), max(1, m - steps + k + 1) - 1, -1):
+        if k + 1 >= m:
+            np.multiply(x, state[m - 1], out=lead)
+        for j in range(min(k + 1, m - 1), max(1, m - steps + k + 1) - 1, -1):
             if j == 1:
                 state[1] += x
             else:
                 np.multiply(x, state[j - 1], out=term)
                 state[j] += term
-        if k + 1 == m:
-            np.multiply(state[m], state[m], out=best)
-        elif k + 1 > m:
-            np.multiply(state[m], state[m], out=term)
-            np.maximum(best, term, out=best)
+        if k + 1 >= m:
+            np.add(values[k - 1] if k >= m else state[m + 1], lead, out=x)
+    squares = np.multiply(values[m - 1 :], values[m - 1 :], out=values[m - 1 :])
+    best = np.max(squares, axis=0, out=np.empty(cols) if out is None else out)
     return np.sqrt(best, out=best)
 
 

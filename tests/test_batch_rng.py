@@ -237,3 +237,45 @@ def test_lemire_indices_are_numpy_integers(k, n):
         assert 0 < rejected.sum() < 64
     if k & (k - 1) == 0:
         assert not rejected.any()
+
+
+@pytest.mark.parametrize("b0, b1", [(0, 1), (0, 6), (3, 4), (2, 9)])
+def test_philox_lanes_of_a_block_range_match_numpy(b0, b1):
+    keys = np.random.default_rng(b1).integers(0, 2**64, size=(37, 2), dtype=np.uint64)
+    keys[:9, 0] |= np.uint64(1 << 63)
+    lanes = distributions._philox_lanes(keys, b0, b1, np.empty(8 * keys.shape[0] * (b1 - b0), np.uint64))
+    assert all(lane.shape == (b1 - b0, keys.shape[0]) for lane in lanes)
+    got = np.stack(lanes, axis=-1).transpose(1, 0, 2).reshape(keys.shape[0], -1)
+    expected = np.stack([np.random.Philox(key=k).random_raw(4 * b1)[4 * b0 :] for k in keys])
+    np.testing.assert_array_equal(got, expected)
+
+
+def _first_rejected_draw(spec, n, stream) -> int | None:
+    """The index of the first of n draws numpy's Lemire method rejects on a
+    stream, replayed from its raw words, or None."""
+    k = spec.grid_points
+    halves = np.random.Philox(key=[spec.seed_stream, int(stream)]).random_raw(-(-n // 2)).view("<u4")[:n]
+    low = (halves.astype(np.uint64) * np.uint64(k)) & np.uint64(0xFFFFFFFF)
+    rejected = np.flatnonzero(low < (2**32 - k) % k)
+    return int(rejected[0]) if rejected.size else None
+
+
+@pytest.mark.parametrize("name", ["rademacher", "grid-7", "grid-3145729", "finite-2d"])
+def test_atom_blocks_in_step_chunks_equal_per_stream_draws(monkeypatch, name):
+    # a lane of 2 * 819 words holds two counter blocks of an 819-stream batch:
+    # 43 draws span 6 blocks (11 for the finite kind), so 3 (6) step chunks,
+    # the last block partial, and 2000 streams leave a partial last batch
+    spec = _samplers()[name]
+    n, batch = 43, 819
+    monkeypatch.setattr(distributions, "_LANE_WORDS", 2 * batch)
+    blocks = [block.copy() for block in atom_blocks(spec, n, STREAMS, batch)]
+    assert [len(b) for b in blocks] == [819, 819, 362]
+    got = np.concatenate(blocks)
+    expected = _expected(spec, n, STREAMS)
+    if spec.kind == "uniform-grid":  # atom indices of sorted grid values
+        np.testing.assert_array_equal(got, np.linspace(-1.0, 1.0, spec.grid_points).searchsorted(expected))
+    else:
+        np.testing.assert_array_equal(got, spec.finite_support().index_of(expected))
+    if name == "grid-3145729":
+        first = [_first_rejected_draw(spec, n, s) for s in STREAMS]
+        assert any(i is not None and i >= 16 for i in first)  # a redraw set off past the first chunk

@@ -1407,6 +1407,27 @@ martingale: {generator: gaussian-coords, dim: 2, steps: 10, variants: [A2, A3, c
         assert got == digest
 
 
+
+def _assert_emitters_agree(cfg):
+    """emit_config's text is the pure-Python SafeDumper's, byte for byte."""
+    if hasattr(yaml, "CSafeDumper"):
+        assert cli._DUMPER is yaml.CSafeDumper
+    assert emit_config(cfg) == yaml.dump(cli._dump(cfg), Dumper=yaml.SafeDumper, sort_keys=False)
+
+
+_PINNED_TEXTS = {"estimate": ESTIMATE_CONFIG, **{f"pin-{k}": v[0] for k, v in TestManifestPins.CASES.items()}}
+
+
+@pytest.mark.parametrize("name", list(_PINNED_TEXTS))
+def test_the_c_emitter_gives_the_python_text_on_the_pinned_configs(name):
+    _assert_emitters_agree(parse_config_text(_PINNED_TEXTS[name]))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_CONFIGS)
+def test_the_c_emitter_gives_the_python_text_on_any_config(mapping):
+    _assert_emitters_agree(parse_config_text(yaml.safe_dump(mapping, sort_keys=False)))
+
 def _raise(*args, **kwargs):
     raise RuntimeError("step failed")
 

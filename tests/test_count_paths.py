@@ -445,3 +445,29 @@ def test_a_tail_scan_above_the_enumeration_cap_runs_on_the_recurrence(monkeypatc
     assert _only(calls, "recurrence")
     assert report.degeneracy == 3 and report.normalization == 900.0**1.5
     assert 0.0 < report.p_hat[0] <= 1.0
+
+
+@pytest.mark.parametrize("name", ["product-rademacher", "table-dim2"])
+def test_every_full_batch_reaches_its_route_c_contiguous(monkeypatch, name):
+    # 2,500 replicas at N = 40 in batches of 819: three full batches and a
+    # partial one. The route and the running maximum it runs must each read
+    # a C-contiguous step-major (N, B) block, not a transposed view.
+    config = _config(name, 40, 2500)
+    monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", 2**14)
+    seen = {"route": [], "recurrence": [], "count": []}
+
+    def record(key, original, at=0):
+        def spy(*args):
+            seen[key].append((args[at].shape, args[at].flags.c_contiguous))
+            return original(*args)
+
+        return spy
+
+    monkeypatch.setattr(montecarlo, "_atom_route", lambda *args: record("route", _atom_route(*args)))
+    monkeypatch.setattr(ustats, "_product_running_max", record("recurrence", _product_running_max))
+    monkeypatch.setattr(ustats, "_table_running_max", record("count", _table_running_max, at=1))
+    replicate(config)
+    used = seen[_route(name)]
+    assert [s for s, _ in seen["route"]] == [s for s, _ in used] == [(40, 819)] * 3 + [(40, 43)]
+    assert all(c for _, c in seen["route"] + used)
+    assert not seen["count" if _route(name) == "recurrence" else "recurrence"]
