@@ -41,6 +41,7 @@ from .kernels import (
 )
 from .martingale import GENERATORS, simulate_ensemble, verify_conv_grid, verify_grid, verify_pairs
 from .montecarlo import (
+    MIN_REPLICAS,
     BoundEnvelope,
     ExperimentConfig,
     ScalingCell,
@@ -191,7 +192,7 @@ class MartingaleConfig:
 class MatchingConfig:
     sample_size: int = _key(40, ge=2)
     size: int = _key(20, ge=1)
-    replicas: int = _key(20000, ge=100)
+    replicas: int = _key(20000, ge=MIN_REPLICAS)
     # None: reuse the run's sampler
     sampler_kind: str | None = _key(None, choices=("rademacher", "discretized-gaussian"))
 
@@ -222,7 +223,7 @@ class ConfigFile:
     experiment: str = _key(choices=SUBCOMMANDS)
     output_dir: str = "out"
     seed: int = _key(0, ge=0, le=2**64 - 1)
-    replicas: int = _key(10000, ge=100)
+    replicas: int = _key(10000, ge=MIN_REPLICAS)
     sample_size: int = _key(40, ge=1)
     degeneracy: int | None = _key(None, ge=1)
     beta_tolerance: float = _key(0.25, gt=0.0)
@@ -254,8 +255,7 @@ def _same_width(points) -> bool:
 # Parsing with line diagnostics
 
 
-def _key_lines(text: str) -> dict[tuple[str, ...], int]:
-    node = yaml.compose(text)
+def _key_lines(node) -> dict[tuple[str, ...], int]:
     lines: dict[tuple[str, ...], int] = {}
 
     def walk(n, path):
@@ -382,15 +382,18 @@ def _dump(obj):
 
 
 def parse_config_text(text: str) -> ConfigFile:
+    # one composed node gives both the data and each key's line
     try:
-        data = yaml.safe_load(text)
+        loader = yaml.SafeLoader(text)
+        node = loader.get_single_node()
+        data = loader.construct_document(node) if node is not None else None
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if data is None:
         data = {}
     if not isinstance(data, dict):
         raise ConfigError("the config must be a mapping at the top level")
-    return _load(ConfigFile, data, (), _key_lines(text))
+    return _load(ConfigFile, data, (), _key_lines(node))
 
 
 def parse_config(path: str) -> ConfigFile:

@@ -42,19 +42,21 @@ def wilson_bounds(successes, trials: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _tail_counts(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
-    """How many values lie strictly above each threshold, from one sort:
-    R - searchsorted(..., "right") counts them as count_nonzero(values > t)
-    does on finite values."""
-    return values.size - np.searchsorted(np.sort(values), thresholds, side="right")
+def _tail_counts(ascending: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+    """How many values of an ascending sample lie strictly above each
+    threshold: R - searchsorted(..., "right") counts them as
+    count_nonzero(values > t) does on finite values. Every Monte Carlo tail
+    is counted here, so a caller that reads one sample at many thresholds
+    sorts it once."""
+    return ascending.size - np.searchsorted(ascending, thresholds, side="right")
 
 
-def _tail_triples(values: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _tail_triples(ascending: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Rows (P(value > t), Wilson lower, Wilson upper) over the thresholds,
-    shape (3, T), from `_tail_counts`."""
-    counts = _tail_counts(values, thresholds)
-    lo, hi = wilson_bounds(counts, values.size)
-    return np.stack([counts / values.size, lo, hi])
+    shape (3, T), from `_tail_counts` on an ascending sample."""
+    counts = _tail_counts(ascending, thresholds)
+    lo, hi = wilson_bounds(counts, ascending.size)
+    return np.stack([counts / ascending.size, lo, hi])
 
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:

@@ -40,7 +40,6 @@ __all__ = [
     "substreams",
     "mix_ids",
     "mix_ids_batch",
-    "philox4x64",
     "draw_iid",
     "draw_iid_batch",
     "draw_atoms_batch",
@@ -111,7 +110,7 @@ class FiniteDistribution:
 
     @classmethod
     def rademacher(cls) -> "FiniteDistribution":
-        return cls(_RADEMACHER, np.array([0.5, 0.5]))
+        return cls(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
     @classmethod
     def uniform_grid(cls, k: int) -> "FiniteDistribution":
@@ -126,10 +125,6 @@ def _point_keys(points: np.ndarray) -> np.ndarray:
     if points.ndim == 1:
         return points
     return np.ascontiguousarray(points).view(np.dtype([("", np.float64)] * points.shape[1]))[:, 0]
-
-
-_RADEMACHER = np.array([-1.0, 1.0])
-_RADEMACHER.setflags(write=False)
 
 
 @functools.lru_cache(maxsize=4)
@@ -243,30 +238,6 @@ def substreams(master_seed: int, ids: Iterable[int]) -> Iterator[np.random.Gener
         yield rng
 
 
-def _philox_buffers(rows: int, blocks: int) -> tuple[np.ndarray, np.ndarray]:
-    """What `philox4x64` writes into for up to `rows` keys: the scratch of
-    `_philox_lanes` and the (rows, 4 * blocks) output words."""
-    return np.empty(8 * rows * blocks, dtype=np.uint64), np.empty((rows, 4 * blocks), dtype=np.uint64)
-
-
-def philox4x64(keys: np.ndarray, blocks: int, buffers: tuple[np.ndarray, ...] | None = None) -> np.ndarray:
-    """Philox4x64-10 output words for a stack of keys, shape (R, 4 * blocks).
-
-    Row r equals `np.random.Philox(key=keys[r]).random_raw(4 * blocks)`: the
-    lanes of `_philox_lanes` over blocks 0..blocks-1, laid out per key. Every
-    round writes into `buffers`, from `_philox_buffers(rows, blocks)` for at
-    least R rows, and the words returned are a view of its output, which the
-    next call overwrites; without them the call allocates its own.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    rows = keys.shape[0]
-    if buffers is None:
-        buffers = _philox_buffers(rows, blocks)
-    words = buffers[-1][:rows]
-    np.stack(_philox_lanes(keys, 0, blocks, buffers[0]), axis=-1, out=words.reshape(rows, blocks, 4).swapaxes(0, 1))
-    return words
-
-
 def _philox_lanes(keys: np.ndarray, b0: int, b1: int, scratch: np.ndarray) -> tuple[np.ndarray, ...]:
     """Philox4x64-10 words of counter blocks b0..b1-1 of R keys as four
     block-major (b1 - b0, R) lanes: lane l at [b - b0, r] is word 4b + l of
@@ -356,7 +327,7 @@ def draw_iid_batch(spec: SamplerSpec, n: int, streams) -> np.ndarray:
     with `draw_iid`.
     """
     if spec.kind != "discretized-gaussian":
-        return _atoms(spec).take(draw_atoms_batch(spec, n, streams), axis=0)
+        return spec.finite_support().atoms.take(draw_atoms_batch(spec, n, streams), axis=0)
     if n < 0:
         raise ValueError("n must be nonnegative")
     return np.stack([draw_iid(spec, n, int(s)) for s in np.asarray(streams, dtype=np.uint64)])
@@ -458,13 +429,6 @@ def _lemire(halves: np.ndarray, k: int, out: np.ndarray, axis: int) -> np.ndarra
         rejected = scaled.view("<u4")[:, ::2].min(axis=axis, initial=reject_below) < reject_below
     scaled >>= _SHIFT32
     return rejected
-
-
-def _atoms(spec: SamplerSpec) -> np.ndarray:
-    """The atoms of a finite kind, in the order `finite_support` lists them."""
-    if spec.kind == "finite":
-        return spec.dist.atoms
-    return _RADEMACHER if spec.kind == "rademacher" else _grid(spec.grid_points)
 
 
 def exact_expectation(

@@ -233,6 +233,9 @@ def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:
     The mean is summed over the full support (`partial_expectations`), so
     the centered kernel has zero expectation to rounding error. The sup
     bound, when one was declared, widens by the norm of the subtracted mean.
+    No degeneracy is declared: centering can lower the base kernel's order
+    (the product kernel on {0, 2} goes from 2 to 1), and `degeneracy_order`
+    computes it under the law.
     """
     (mean,) = partial_expectations(kernel, dist, 0)
 
@@ -250,7 +253,6 @@ def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:
         eval_batch=centered_batch,
         symmetric=kernel.symmetric,
         sup_bound=sup,
-        declared_degeneracy=kernel.declared_degeneracy,
         name=f"centered({kernel.name})",
     )
 

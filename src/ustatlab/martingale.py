@@ -45,7 +45,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .confidence import _tail_triples, mean_interval, wilson_bounds
+from .confidence import _tail_triples, mean_interval
 from .distributions import SamplerSpec, draw_iid_batch, mix_ids_batch, substreams
 from .hilbert import HilbertSpace, row_norms, squared_row_norms
 
@@ -133,7 +133,7 @@ def _path_blocks(
         yield inc, mom
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PathSummaries:
     """Per-path statistics every inequality check reads, in path order."""
 
@@ -213,10 +213,10 @@ def _report(variant: str, s: PathSummaries, entries: list) -> InequalityCheckRep
 
 
 def _step_tail_integral(
-    samples: np.ndarray, scale: float, u_max: float
+    ascending: np.ndarray, scale: float, u_max: float
 ) -> tuple[float, float, float]:
     """Exact (integral, lower, upper) of int_1^{u_max} u * P(sample > scale*u) du,
-    for scale > 0.
+    for scale > 0, over an ascending sample.
 
     The empirical tail is a step function of u with breakpoints at
     sample/scale; each constant piece integrates to p * (b^2 - a^2)/2. The
@@ -226,16 +226,12 @@ def _step_tail_integral(
     sum, not numpy's pairwise sum), so the totals do not depend on how the
     pieces are batched.
     """
-    samples = np.sort(np.asarray(samples, dtype=np.float64))
-    R = samples.size
-    ratios = samples / scale
+    ratios = ascending / scale
     edges = np.concatenate([[1.0], ratios[(ratios > 1.0) & (ratios < u_max)], [u_max]])
     keep = edges[1:] > edges[:-1]
     a, b = edges[:-1][keep], edges[1:][keep]
-    counts = R - np.searchsorted(samples, scale * a, side="right")
     piece = (b * b - a * a) / 2.0
-    w_lo, w_hi = wilson_bounds(counts, R)
-    terms = np.hstack([np.zeros((3, 1)), np.stack([counts / R, w_lo, w_hi]) * piece])
+    terms = np.hstack([np.zeros((3, 1)), _tail_triples(ascending, scale * a) * piece])
     total, lo_total, hi_total = np.cumsum(terms, axis=1)[:, -1]
     return total, lo_total, hi_total
 
@@ -250,12 +246,13 @@ def _check_variant(s: PathSummaries, variant: str) -> None:
         raise ValueError("variant A3 requires conditional second moments measurable at time zero")
 
 
-def _a3_integral(s: PathSummaries, y: float) -> tuple[float, float, float]:
-    """A3's tail integral with its bands; it depends on y, not on x."""
+def _a3_integral(sqrt_quad: np.ndarray, y: float) -> tuple[float, float, float]:
+    """A3's tail integral with its bands, from the ascending sqrt_quad
+    column; it depends on y, not on x."""
     scale = y / 8.0
     # the integrand dies at u = 8*max/y; doubling that caps the Wilson band
-    u_max = max(2.0, 2.0 * float(s.sqrt_quad.max()) / scale)
-    return _step_tail_integral(s.sqrt_quad, scale, u_max)
+    u_max = max(2.0, 2.0 * float(sqrt_quad[-1]) / scale)
+    return _step_tail_integral(sqrt_quad, scale, u_max)
 
 
 # Right sides c_exp * exp(-x^2/y^2) + c_tail * tail per variant, the tail being
@@ -292,7 +289,7 @@ def _conv_entries(
         mean, lo, hi = mean_interval(np.maximum(0.0, 4.0 * y_samples / t - 1.0))
         rhs.append((mean, max(0.0, lo), hi))
     rhs = np.array(rhs).reshape(-1, 3).T
-    return _entries(ts, np.full(ts.size, math.nan), _tail_triples(x_samples, ts), rhs)
+    return _entries(ts, np.full(ts.size, math.nan), _tail_triples(np.sort(x_samples), ts), rhs)
 
 
 def verify_pairs(
@@ -303,7 +300,7 @@ def verify_pairs(
     Each statistic a variant reads is sorted once, every cell's tail count
     is a `searchsorted` in it, and all cells' Wilson bands come from one
     `wilson_bounds` call. A3's tail integral is computed once per distinct
-    y, from one sort of sqrt_quad each.
+    y, every one from the same sort of sqrt_quad.
     """
     _check_variant(s, variant)
     c_exp, c_tail, divisor = _BOUNDS[variant]
@@ -312,12 +309,13 @@ def verify_pairs(
         raise ValueError("x and y must be positive and finite")
     if variant == "A3":
         ys = y.tolist()
-        integrals = {v: _a3_integral(s, v) for v in dict.fromkeys(ys)}
+        sqrt_quad = np.sort(s.sqrt_quad)
+        integrals = {v: _a3_integral(sqrt_quad, v) for v in dict.fromkeys(ys)}
         tail = np.array([integrals[v] for v in ys]).reshape(-1, 3).T
     else:
-        tail = _tail_triples(s.quad_plus_cond, y * y / divisor)
+        tail = _tail_triples(np.sort(s.quad_plus_cond), y * y / divisor)
     rhs = c_exp * np.exp(-(x * x) / (y * y)) + c_tail * tail
-    return _report(variant, s, _entries(x, y, _tail_triples(s.max_partial_norm, x), rhs))
+    return _report(variant, s, _entries(x, y, _tail_triples(np.sort(s.max_partial_norm), x), rhs))
 
 
 def verify_grid(

@@ -195,7 +195,7 @@ def _spot_check_sup(kernel: KernelSpec, sample: np.ndarray, context: str) -> Non
 # Tail scans
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TailScanReport:
     """Empirical tails of the normalized running maximum plus the decay fit."""
 
@@ -275,7 +275,7 @@ def tail_scan(
     sampler = replace(config.sampler, seed_stream=config.master_seed)
     _spot_check_sup(kernel, draw_iid(sampler, n, mix_ids(_ROLE_DATA, 0)), "tail_scan")
     stats = replicate(config, atom_table=table) / factor
-    p_hat, lo, hi = _tail_triples(stats, config.x_grid)
+    p_hat, lo, hi = _tail_triples(np.sort(stats), config.x_grid)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
     column = [math.nan if env is None else envelope_eval(env, float(x), tail).total for x in config.x_grid]
     return TailScanReport(
@@ -734,7 +734,7 @@ def matching_point_compare(
 # Decoupling comparison
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecoupleReport:
     """Complete vs. decoupled tails and the fitted domination constant."""
 
@@ -756,14 +756,14 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
     """
     if config.x_grid is None:
         raise ValueError("decouple_compare needs x_grid")
-    stats_u, stats_d = _decouple_stats(config)
+    sorted_u, sorted_d = map(np.sort, _decouple_stats(config))
     R = config.replicas
-    counts_u, counts_d = _tail_counts(stats_u, config.x_grid), _tail_counts(stats_d, config.x_grid)
+    counts_u, counts_d = _tail_counts(sorted_u, config.x_grid), _tail_counts(sorted_d, config.x_grid)
     usable = (counts_u >= MIN_TAIL_COUNT) & (counts_d >= MIN_TAIL_COUNT)
     p_u = counts_u / R
     p_d = counts_d / R
 
-    fitted = _domination_constant(config.x_grid[usable], p_u[usable], stats_d) if usable.any() else None
+    fitted = _domination_constant(config.x_grid[usable], p_u[usable], sorted_d) if usable.any() else None
     return DecoupleReport(
         x_grid=config.x_grid,
         p_complete=p_u,
@@ -775,21 +775,21 @@ def decouple_compare(config: ExperimentConfig) -> DecoupleReport:
     )
 
 
-def _domination_constant(xs: np.ndarray, targets: np.ndarray, dec_stats: np.ndarray) -> float | None:
+def _domination_constant(xs: np.ndarray, targets: np.ndarray, dec_sorted: np.ndarray) -> float | None:
     """The smallest float k >= 1 with p <= k * P(||U_dec|| > x / k) + 1e-15 at
-    every x and target p > 1e-15, P the empirical tail of dec_stats; None
-    when k > 2**41, as when no norm is positive. With w_1 >= ... >= w_J the
-    positive norms, k > x / w_j puts j of them above x / k, so the infimum
-    over real k at x is min_j max(x / w_j, (p - 1e-15) R / j). The float
-    comparison is monotone in k: a few `nextafter` steps reach it."""
-    R = dec_stats.size
-    w = np.sort(dec_stats[dec_stats > 0])[::-1]
+    every x and target p > 1e-15, P the empirical tail of the ascending norms
+    dec_sorted; None when k > 2**41, as when no norm is positive. With w_1 >=
+    ... >= w_J the positive norms, k > x / w_j puts j of them above x / k, so
+    the infimum over real k at x is min_j max(x / w_j, (p - 1e-15) R / j). The
+    float comparison is monotone in k: a few `nextafter` steps reach it."""
+    R = dec_sorted.size
+    w = dec_sorted[dec_sorted > 0][::-1]
     ranks = np.arange(1, w.size + 1)
     infima = [np.min(np.maximum(x / w, (p - 1e-15) * R / ranks), initial=np.inf) for x, p in zip(xs, targets)]
     k = min(2.0**41, max(1.0, *map(float, infima)))
 
     def dominated(k: float) -> bool:
-        return bool(np.all(targets <= k * (_tail_counts(dec_stats, xs / k) / R) + 1e-15))
+        return bool(np.all(targets <= k * (_tail_counts(dec_sorted, xs / k) / R) + 1e-15))
 
     while not dominated(k):
         if k >= 2.0**41:

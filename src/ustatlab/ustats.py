@@ -70,7 +70,6 @@ __all__ = [
     "check_design",
     "draw_design",
     "design_counts",
-    "design_counts_batch",
     "design_selected_batch",
     "design_sums_batch",
     "design_mean_factor",
@@ -318,7 +317,7 @@ def decoupled(kernel: KernelSpec, sample: DecoupledSample) -> HilbertPoint:
     return kernel.codomain.point(_sum_tuples(kernel, sample.rows, n))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunningMaxResult:
     """Prefix statistics U_{n'} for n' = m..n and their maximal norm."""
 
@@ -740,7 +739,7 @@ def design_counts(
 ) -> np.ndarray:
     """The selection `draw_design` makes from the same generator, as dense
     multiplicities over all C(n, m) ranks (zero where a tuple is not drawn).
-    It is the oracle of `design_counts_batch`, which redraws numpy's rejected
+    It is the oracle of `_design_batch`, which redraws numpy's rejected
     streams with it.
     """
     sel = draw_design(design, m, n, rng)
@@ -749,28 +748,10 @@ def design_counts(
     return counts
 
 
-def design_counts_batch(
-    design: SamplingDesign, m: int, n: int, master_seed: int, ids
-) -> np.ndarray:
-    """`np.stack([design_counts(design, m, n, substream(master_seed, i)) for i
-    in ids])`, bit for bit, shape (len(ids), C(n, m)).
-
-    A with-replacement draw is `integers(0, C(n, m), size)`: each stream's
-    ceil(size / 2) native Philox words are mapped with numpy's Lemire method
-    (`distributions._lemire_indices`) and counted with one row-offset
-    `bincount`, about _CHUNK draws at a time. A stream where numpy would
-    have rejected a word is redrawn with `design_counts`. A bernoulli
-    stream's C(n, m) words are numpy's uniforms (w >> 11) * 2**-53, compared
-    with the rate about _CHUNK at a time. Without-replacement designs are
-    drawn stream by stream.
-    """
-    return _design_batch(design, m, n, master_seed, ids, selected=False)
-
-
 def design_selected_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids
 ) -> np.ndarray:
-    """`design_counts_batch(design, m, n, master_seed, ids) > 0`, bit for bit.
+    """`_design_batch(design, m, n, master_seed, ids) > 0`, bit for bit.
 
     A with-replacement stream draws only its first P = min(size, ceil(T (ln T
     + _COVER_MARGIN))) ranks, T = C(n, m): the rest cannot change a selection
@@ -783,8 +764,8 @@ def design_selected_batch(
 def design_sums_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids, values
 ) -> np.ndarray:
-    """`_selection_sums(values, design_counts_batch(design, m, n, master_seed,
-    ids), _exact_bound(values))`, bit for bit, shape (len(ids), dim), for
+    """`_selection_sums(values, _design_batch(design, m, n, master_seed, ids),
+    _exact_bound(values))`, bit for bit, shape (len(ids), dim), for
     (C(n, m), dim) values.
 
     Where every with-replacement sum is exact (`_exact_sums` of the values
@@ -813,9 +794,20 @@ def design_sums_batch(
 def _design_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids, selected=False, values=None
 ):
-    """`design_counts_batch`, with `selected` `design_selected_batch`, with
-    `values` the exact with-replacement `design_sums_batch`: one draw loop,
-    three reductions of its ranks."""
+    """`np.stack([design_counts(design, m, n, substream(master_seed, i)) for i
+    in ids])`, bit for bit, shape (len(ids), C(n, m)); with `selected`
+    `design_selected_batch`, with `values` the exact with-replacement
+    `design_sums_batch`: one draw loop, three reductions of its ranks.
+
+    A with-replacement draw is `integers(0, C(n, m), size)`: each stream's
+    ceil(size / 2) native Philox words are mapped with numpy's Lemire method
+    (`distributions._lemire_indices`) and counted with one row-offset
+    `bincount`, about _CHUNK draws at a time. A stream where numpy would
+    have rejected a word is redrawn with `design_counts`. A bernoulli
+    stream's C(n, m) words are numpy's uniforms (w >> 11) * 2**-53, compared
+    with the rate about _CHUNK at a time. Without-replacement designs are
+    drawn stream by stream.
+    """
     total = check_design(design, m, n)
     ids = np.asarray(ids)
     if values is None:

@@ -2,8 +2,9 @@
 enumeration oracle for exact projections, the tuple-keyed oracles for
 weighted statistics, the per-tuple unranking, the one-at-a-time oracles for
 the martingale checks, the one-replica-at-a-time oracles for the design
-and decoupling experiments, the bisection for the domination constant, and
-the scipy-based quantile interval."""
+and decoupling experiments, the bisection for the domination constant,
+the scipy-based quantile interval, and the exact running-maximum tail of
+the product kernel on Rademacher signs."""
 
 from __future__ import annotations
 
@@ -367,3 +368,37 @@ def domination_constant_oracle(xs, targets, dec_stats):
         else:
             lo = mid
     return hi
+
+
+def _rademacher_e(m: int, k: int, sums: np.ndarray) -> np.ndarray:
+    """e_m(x_1..x_k) of k Rademacher signs with partial sum S_k = sums, by
+    Newton's identities: the odd power sums are S_k and the even ones k.
+    Every e_j is an integer, so each division here is exact."""
+    powers = [None] + [sums if i % 2 else np.full_like(sums, k) for i in range(1, m + 1)]
+    e = [np.ones_like(sums)]
+    for j in range(1, m + 1):
+        e.append(sum((-1) ** (i - 1) * e[j - i] * powers[i] for i in range(1, j + 1)) / j)
+    return e[m]
+
+
+def rademacher_product_tail(n: int, m: int, x_grid) -> np.ndarray:
+    """P(max_{m <= k <= n} |e_m(x_1..x_k)| / n^(m/2) > x) at each x of x_grid
+    for i.i.d. Rademacher signs x_i: the exact tail of `tail_scan`'s
+    statistic for the real arity-m product kernel, which is degenerate of
+    order m. A forward pass over k carries the law of S_k on the paths whose
+    maximum has not yet passed x, one row per x, and sums the mass that
+    leaves them at each step."""
+    x_grid = np.asarray(x_grid, dtype=np.float64)
+    norm = float(n) ** (m / 2)
+    sums = np.arange(-n, n + 1, dtype=np.float64)
+    alive = np.zeros((x_grid.size, sums.size))
+    alive[:, n] = 1.0
+    tail = np.zeros(x_grid.size)
+    for k in range(1, n + 1):
+        # |S_{k-1}| < n, so neither end column holds mass that would wrap
+        alive = 0.5 * (np.roll(alive, 1, axis=1) + np.roll(alive, -1, axis=1))
+        if k >= m:
+            out = np.abs(_rademacher_e(m, k, sums)) / norm > x_grid[:, None]
+            tail += np.where(out, alive, 0.0).sum(axis=1)
+            alive[out] = 0.0
+    return tail

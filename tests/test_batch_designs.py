@@ -37,8 +37,8 @@ from ustatlab.montecarlo import (
 )
 from ustatlab.ustats import (
     SamplingDesign,
+    _design_batch,
     design_counts,
-    design_counts_batch,
     design_selected_batch,
     design_sums_batch,
     draw_design,
@@ -205,7 +205,7 @@ def test_batched_replacement_counts_equal_design_counts(monkeypatch, size, m, n,
     monkeypatch.setattr(ustats, "_CHUNK", chunk)
     ids = mix_ids_batch(_ROLE, 5, np.arange(101))
     design = SamplingDesign(kind="with-replacement", size=size)
-    got = design_counts_batch(design, m, n, SEED, ids)
+    got = _design_batch(design, m, n, SEED, ids)
     assert got.dtype == np.int64 and got.shape == (101, inc_count(m, n))
     np.testing.assert_array_equal(got, _stacked_design_counts(design, m, n, ids))
 
@@ -226,7 +226,7 @@ def test_batched_bernoulli_designs_equal_design_counts(monkeypatch, rate, m, n, 
     ids = mix_ids_batch(_ROLE, 7, np.arange(streams))
     design = SamplingDesign(kind="bernoulli", rate=rate)
     calls = _counting_fallbacks(monkeypatch)
-    counts = design_counts_batch(design, m, n, SEED, ids)
+    counts = _design_batch(design, m, n, SEED, ids)
     selected = design_selected_batch(design, m, n, SEED, ids)
     assert not calls and counts.dtype == np.int64 and selected.dtype == bool
     want = _stacked_design_counts(design, m, n, ids)
@@ -254,7 +254,7 @@ def test_rejected_replacement_streams_fall_back_to_design_counts(monkeypatch):
     design = SamplingDesign(kind="with-replacement", size=size)
     want = _stacked_design_counts(design, 1, n, ids)
     calls = _counting_fallbacks(monkeypatch)
-    np.testing.assert_array_equal(design_counts_batch(design, 1, n, SEED, ids), want)
+    np.testing.assert_array_equal(_design_batch(design, 1, n, SEED, ids), want)
     assert 2 <= len(calls) <= 20
 
 
@@ -331,14 +331,14 @@ def test_the_selection_draws_fewer_words(monkeypatch):
     design, m, n = SELECTION_CASES["workload-size"]
     ids = mix_ids_batch(_ROLE, 9, np.arange(30))
     words = _counting_words(monkeypatch)
-    counts = design_counts_batch(design, m, n, SEED, ids)
+    counts = _design_batch(design, m, n, SEED, ids)
     assert words == [5_000] * 30
     words.clear()
     np.testing.assert_array_equal(design_selected_batch(design, m, n, SEED, ids), counts > 0)
     assert words == [974] * 30  # ceil(190 * (ln 190 + 5)) = 1,947 draws
 
 
-@pytest.mark.parametrize("batch", [design_counts_batch, design_selected_batch])
+@pytest.mark.parametrize("batch", [_design_batch, design_selected_batch])
 @pytest.mark.parametrize("design", list(DESIGNS))
 def test_no_ids_give_no_rows(batch, design):
     got = batch(DESIGNS[design], 2, 8, SEED, [])
@@ -365,7 +365,7 @@ def test_design_sums_equal_the_counts_product(monkeypatch, size, m, n, dim, chun
     values = _exact_values(inc_count(m, n), dim, size)
     got = design_sums_batch(design, m, n, SEED, ids, values)
     assert got.shape == (101, dim)
-    assert got.tobytes() == (design_counts_batch(design, m, n, SEED, ids) @ values).tobytes()
+    assert got.tobytes() == (_design_batch(design, m, n, SEED, ids) @ values).tobytes()
 
 
 def test_rejected_streams_sum_through_design_counts(monkeypatch):
@@ -385,7 +385,7 @@ def test_design_sums_of_no_ids_and_what_they_refuse():
     assert got.shape == (0, 3) and got.dtype == np.float64
     ids = mix_ids_batch(_ROLE, 11, np.arange(60))
     for other in ("with-replacement", "without-replacement", "bernoulli"):
-        counts = design_counts_batch(DESIGNS[other], 2, 8, SEED, ids)
+        counts = _design_batch(DESIGNS[other], 2, 8, SEED, ids)
         for values in (_exact_values(28, 2), np.random.default_rng(1).normal(size=(28, 2))):
             want = ustats._selection_sums(values, counts, ustats._exact_bound(values))
             assert design_sums_batch(DESIGNS[other], 2, 8, SEED, ids, values).tobytes() == want.tobytes()

@@ -12,13 +12,20 @@ from ustatlab.distributions import (
     draw_iid_batch,
     mix_ids,
     mix_ids_batch,
-    philox4x64,
     substream,
 )
-from ustatlab.distributions import _atoms, _lemire_indices, _philox_buffers, atom_blocks
+from ustatlab.distributions import _lemire_indices, _philox_lanes, atom_blocks
 from ustatlab.hilbert import HilbertSpace
 
 STREAMS = mix_ids_batch(11, np.arange(2000))
+
+
+def _philox_words(keys, b0, b1):
+    """`_philox_lanes` of counter blocks b0..b1-1, laid out per key as
+    `np.random.Philox(key=keys[r]).random_raw(4 * b1)[4 * b0:]`."""
+    lanes = _philox_lanes(keys, b0, b1, np.empty(8 * keys.shape[0] * (b1 - b0), np.uint64))
+    assert all(lane.shape == (b1 - b0, keys.shape[0]) for lane in lanes)
+    return np.stack(lanes, axis=-1).transpose(1, 0, 2).reshape(keys.shape[0], -1)
 
 
 @pytest.mark.parametrize("blocks", [1, 5, 11])
@@ -27,25 +34,9 @@ def test_philox_block_function_matches_numpy(blocks):
     keys[:50, 0] |= np.uint64(1 << 63)
     keys[25:75, 1] |= np.uint64(1 << 63)
     expected = np.stack([np.random.Philox(key=k).random_raw(4 * blocks) for k in keys])
-    got = philox4x64(keys, blocks)
+    got = _philox_words(keys, 0, blocks)
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, expected)
-
-
-@pytest.mark.parametrize("blocks", [1, 5, 11])
-def test_philox_words_through_reused_buffers_match_numpy(blocks):
-    # batches shrink, each drawn into a prefix of the first one's buffers and
-    # keyed afresh, so words left over from a larger batch cannot pass
-    sizes = [200, 131, 64, 7, 1, 0]
-    keys = np.random.default_rng(blocks).integers(0, 2**64, size=(sum(sizes), 2), dtype=np.uint64)
-    expected = np.stack([np.random.Philox(key=k).random_raw(4 * blocks) for k in keys])
-    buffers = _philox_buffers(sizes[0], blocks)
-    start = 0
-    for rows in sizes:
-        got = philox4x64(keys[start : start + rows], blocks, buffers)
-        assert got.shape == (rows, 4 * blocks) and np.shares_memory(got, buffers[-1]) == (rows > 0)
-        np.testing.assert_array_equal(got, expected[start : start + rows])
-        start += rows
 
 
 @pytest.mark.parametrize("blocks", [1, 2])
@@ -59,7 +50,7 @@ def test_philox_extreme_key_words_match_numpy(blocks):
         dtype=np.uint64,
     )
     expected = np.stack([np.random.Philox(key=k).random_raw(4 * blocks) for k in keys])
-    np.testing.assert_array_equal(philox4x64(keys, blocks), expected)
+    np.testing.assert_array_equal(_philox_words(keys, 0, blocks), expected)
 
 
 def test_mix_ids_batch_matches_scalar():
@@ -187,7 +178,7 @@ def test_rejected_lemire_draws_fall_back_in_every_block(monkeypatch):
     assert [len(b) for b in blocks] == [819, 819, 362]
     redrawn = np.flatnonzero(np.isin(STREAMS, [int(args[2]) for args in calls]))
     assert 5 <= redrawn.size <= 60 and redrawn.max() >= 2 * 819
-    np.testing.assert_array_equal(_atoms(spec)[np.concatenate(blocks)], _expected(spec, 40, STREAMS))
+    np.testing.assert_array_equal(spec.finite_support().atoms[np.concatenate(blocks)], _expected(spec, 40, STREAMS))
 
 
 def test_a_block_is_a_view_the_next_block_overwrites():
@@ -243,9 +234,7 @@ def test_lemire_indices_are_numpy_integers(k, n):
 def test_philox_lanes_of_a_block_range_match_numpy(b0, b1):
     keys = np.random.default_rng(b1).integers(0, 2**64, size=(37, 2), dtype=np.uint64)
     keys[:9, 0] |= np.uint64(1 << 63)
-    lanes = distributions._philox_lanes(keys, b0, b1, np.empty(8 * keys.shape[0] * (b1 - b0), np.uint64))
-    assert all(lane.shape == (b1 - b0, keys.shape[0]) for lane in lanes)
-    got = np.stack(lanes, axis=-1).transpose(1, 0, 2).reshape(keys.shape[0], -1)
+    got = _philox_words(keys, b0, b1)
     expected = np.stack([np.random.Philox(key=k).random_raw(4 * b1)[4 * b0 :] for k in keys])
     np.testing.assert_array_equal(got, expected)
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+from dataclasses import fields
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -370,6 +371,24 @@ class TestParsing:
         assert cfg.ratio_bound == 5.0
         assert cfg.quantile == 0.9
         assert cfg.identity_tolerance == 1e-10
+
+    def test_text_is_parsed_once(self, monkeypatch):
+        """The data and every key's line come from one composed node."""
+        compose, calls = yaml.composer.Composer.compose_document, []
+
+        def spy(loader):
+            calls.append(loader)
+            return compose(loader)
+
+        monkeypatch.setattr(yaml.composer.Composer, "compose_document", spy)
+        assert parse_config_text(ESTIMATE_CONFIG).sample_size == 3
+        assert len(calls) == 1
+
+    def test_replica_floor_is_the_experiments_floor(self):
+        floors = [
+            f.metadata["ge"] for cls in (cli.ConfigFile, cli.MatchingConfig) for f in fields(cls) if f.name == "replicas"
+        ]
+        assert floors == [montecarlo.MIN_REPLICAS] * 2
 
     def test_unknown_key_is_named_with_its_line(self):
         bad = ESTIMATE_CONFIG.replace("kernel:", "kernal:")

@@ -8,7 +8,7 @@ it loads are its own, not those of earlier tests. A module imported during
 Also guards the package's source: only `kernels.py` may ask which evaluator
 a kernel was given, only `ustats.py` decides when a sum is exact, only
 `montecarlo.py` evaluates the bound envelope, no module imports inside a
-function, and no CLI runner writes a file.
+function, no CLI runner writes a file, and every function has a caller.
 """
 
 import ast
@@ -18,7 +18,10 @@ import pathlib
 import subprocess
 import sys
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ustatlab"
+import ustatlab
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ustatlab"
 
 CONFIGS = {
     "estimate": """\
@@ -225,3 +228,36 @@ def test_one_emitter_writes_the_files():
     assert callers.get("_emit") == {"run"}
     assert callers["_atomic_write"] == callers["makedirs"] == {"_emit"}
     assert not any(name.startswith("_run_") for name in callers["open"])
+
+
+def test_every_function_has_a_caller():
+    """A top-level function in the package is named somewhere in it,
+    exported by `ustatlab`, or traced by the benchmark harness (TRACED in
+    bench/spans.py); a function only tests call has no place in `src/`.
+    Imports into `__init__` count as exports, not as callers."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = [
+        (name, node.name)
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    named = set()
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and name != "__init__.py":
+                named.update(alias.name for alias in node.names)
+    spans = ast.parse((ROOT / "bench" / "spans.py").read_text())
+    traced = {
+        entry.elts[1].value.split(".")[0]
+        for node in spans.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+        for entry in node.value.elts
+    }
+    assert traced
+    orphans = [f"{name}:{func}" for name, func in defined if func not in named | traced | set(ustatlab.__all__)]
+    assert orphans == []

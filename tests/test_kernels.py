@@ -8,7 +8,7 @@ import pytest
 from helpers import random_scalar_dist, uniform_three
 from ustatlab.distributions import FiniteDistribution, SamplerSpec
 from ustatlab.hilbert import HilbertSpace, norm
-from ustatlab.hoeffding import project, project_mc
+from ustatlab.hoeffding import degeneracy_order, project, project_mc
 from ustatlab.kernels import (
     KernelSpec,
     SupBoundWarning,
@@ -141,6 +141,16 @@ class TestCentered:
         k = centered(gini(), dist)
         value = float(np.asarray(k.eval_one(1.0, -1.0)).reshape(-1)[0])
         assert value == pytest.approx(2.0 - 8.0 / 9.0)
+
+    def test_declares_no_degeneracy(self):
+        """Centering can lower the order: the product kernel declares 2, but
+        on {0, 2} its centered form h - 1 has order 1."""
+        law = FiniteDistribution(np.array([0.0, 2.0]), np.array([0.5, 0.5]))
+        k = centered(product(), law)
+        assert k.declared_degeneracy is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert degeneracy_order(k, law).order == 1
 
     def test_sup_bound_widens(self):
         dist = FiniteDistribution.rademacher()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from helpers import step_tail_integral_oracle, summarize_oracle
-from ustatlab import cli, martingale
+from ustatlab import cli, confidence, martingale
 from ustatlab.confidence import _Z95, _tail_triples, mean_interval, wilson_bounds
 from ustatlab.distributions import mix_ids, substream
 from ustatlab.hilbert import HilbertSpace
@@ -231,7 +231,7 @@ class TestStepTailIntegral:
         samples = make()
         if u_max is None:
             u_max = max(2.0, 2.0 * float(samples.max()) / scale)
-        got = _step_tail_integral(samples, scale, u_max)
+        got = _step_tail_integral(np.sort(samples), scale, u_max)
         expected = step_tail_integral_oracle(samples, scale, u_max, _Z95)
         np.testing.assert_array_equal(np.array(got), np.array(expected))
         assert got[1] <= got[0] <= got[2]
@@ -268,6 +268,36 @@ class TestA3Integral:
         calls = self._counted(monkeypatch)
         verify_pairs(paths, pairs, "A3")
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("variant", ["A2", "A3"])
+def test_verify_pairs_sorts_each_column_once(monkeypatch, variant):
+    """The left tail and the right side's column are each sorted once, however
+    many distinct y the A3 integrals read."""
+    paths = simulate_ensemble("gaussian-coords", 20, plane, master_seed=10, count=300)
+    sort, sorted_sizes = np.sort, []
+
+    def spy_sort(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", spy_sort)
+    verify_pairs(paths, [(1.0, 3.0), (2.0, 5.0), (4.0, 7.0)], variant)
+    assert sorted_sizes == [len(paths)] * 2
+
+
+def test_summaries_compare_by_identity():
+    ensembles = [simulate_ensemble("bounded-signs", 8, line, master_seed=3, count=50) for _ in range(2)]
+    assert ensembles[0] == ensembles[0] and ensembles[0] != ensembles[1]
+    assert len({*ensembles, ensembles[0]}) == 2
+
+
+def test_step_integral_counts_through_tail_counts(monkeypatch):
+    samples = np.sort(np.random.default_rng(12).exponential(1.0, 400))
+    original, counted = confidence._tail_counts, []
+    monkeypatch.setattr(confidence, "_tail_counts", lambda a, t: counted.append(a) or original(a, t))
+    _step_tail_integral(samples, 0.5, 6.0)
+    assert len(counted) == 1 and counted[0] is samples
 
 
 # (kind, dim) pairs every generator allows, over dims 1, 2 and 3
@@ -405,7 +435,7 @@ class TestTailCounts:
             [values.min() - 1.0, values.min(), values.max(), values.max() + 1.0, -np.inf, np.inf],
             rng.uniform(-1.0, 9.0, 40),
         ])
-        got = _tail_triples(values, thresholds)
+        got = _tail_triples(np.sort(values), thresholds)
         want = np.array([_tail_triple_per_cell(values, t) for t in thresholds]).T
         assert got.shape == (3, thresholds.size)
         assert got.tobytes() == want.tobytes()
@@ -424,7 +454,7 @@ class TestTailCounts:
         ])
         rng.shuffle(samples)
         for u_max in (1.0, 2.0, 3.5, max(2.0, 2.0 * float(samples.max()) / scale)):
-            got = _step_tail_integral(samples, scale, u_max)
+            got = _step_tail_integral(np.sort(samples), scale, u_max)
             want = _step_tail_integral_unique(samples, scale, u_max)
             assert np.array(got).tobytes() == np.array(want).tobytes()
 

@@ -36,7 +36,7 @@ from ustatlab import kernels, montecarlo
 from ustatlab.montecarlo import _domination_constant, _log_power_integral
 from ustatlab.ustats import SamplingDesign, complete, inc_count
 
-from helpers import domination_constant_oracle
+from helpers import domination_constant_oracle, rademacher_product_tail
 
 line = HilbertSpace.euclidean(1)
 rademacher = SamplerSpec(kind="rademacher")
@@ -166,6 +166,11 @@ class TestTailScan:
         assert not report.fit_available
         assert report.beta is None
         assert report.degeneracy == 2
+
+    def test_report_compares_by_identity(self):
+        reports = [tail_scan(make_config()) for _ in range(2)]
+        assert reports[0] == reports[0] and reports[0] != reports[1]
+        assert len({*reports, reports[0]}) == 2
 
     def test_normalization_factor(self):
         deg = tail_scan(make_config())
@@ -544,7 +549,7 @@ class TestDecoupleCompare:
             grid = np.sort(rng.exponential(2.0, int(rng.integers(1, 6)))) + 1e-3
             norms = rng.exponential(1.0, R) * 10.0 ** rng.integers(-14, 2)
             cases.append((grid, rng.integers(1, R + 1, grid.size) / R, norms))
-        got = [_domination_constant(*case) for case in cases]
+        got = [_domination_constant(grid, targets, np.sort(norms)) for grid, targets, norms in cases]
         assert got == [domination_constant_oracle(*case) for case in cases]
         assert got[:3] == [None, got[1], None] and 2.0**40 < got[1] <= 2.0**41
         assert sum(k is None for k in got) >= 30 and sum(k is not None and k > 1.0 for k in got) >= 30
@@ -556,3 +561,73 @@ class TestDecoupleCompare:
         assert report.fitted_constant >= 1.0
         assert report.usable.any()
         assert report.replicas == 2000
+
+    def test_sorts_each_norm_column_once(self, monkeypatch):
+        """Both tails and every `dominated(k)` check of the fit count through
+        `_tail_counts` on the two columns sorted once, not on a fresh sort."""
+        cfg = make_config(sample_size=10, replicas=500, master_seed=5)
+        sort, tail_counts = np.sort, montecarlo._tail_counts
+        sorted_sizes, counted = [], []
+
+        def spy_sort(a, *args, **kwargs):
+            sorted_sizes.append(np.size(a))
+            return sort(a, *args, **kwargs)
+
+        def spy_counts(ascending, thresholds):
+            counted.append(ascending)
+            return tail_counts(ascending, thresholds)
+
+        monkeypatch.setattr(np, "sort", spy_sort)
+        monkeypatch.setattr(montecarlo, "_tail_counts", spy_counts)
+        report = decouple_compare(cfg)
+        monkeypatch.undo()
+        assert report.constant_defined
+        # every other sort checks the distinct atoms of the two-point law
+        assert [size for size in sorted_sizes if size > 2] == [cfg.replicas] * 2
+        columns = {id(a): a for a in counted}
+        assert len(columns) == 2 and len(counted) > 2
+        assert all(np.all(a[1:] >= a[:-1]) for a in columns.values())
+
+    def test_reports_compare_by_identity(self):
+        """Reports that hold arrays compare and hash by identity: a generated
+        `__eq__` would ask numpy for an array's truth value."""
+        reports = [decouple_compare(make_config()) for _ in range(2)]
+        assert reports[0] == reports[0] and reports[0] != reports[1]
+        assert len({*reports, reports[0]}) == 2
+
+
+class TestExactTail:
+    """`tail_scan` against the exact tail of its statistic, the running
+    maximum of the product kernel on Rademacher signs."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
+    def test_exact_tail_equals_enumeration(self, n, m):
+        signs = np.array(list(itertools.product([-1, 1], repeat=n)), dtype=np.int64)
+        e = np.zeros((signs.shape[0], m + 1), dtype=np.int64)
+        e[:, 0] = 1
+        best = np.zeros(signs.shape[0], dtype=np.int64)
+        for column in signs.T:
+            for j in range(m, 0, -1):
+                e[:, j] += column * e[:, j - 1]
+            best = np.maximum(best, np.abs(e[:, m]))
+        norm = float(n) ** (m / 2)
+        levels = np.unique(best) / norm  # each attained level, where > is strict
+        xs = np.concatenate([levels[levels > 0], np.geomspace(0.05, 3.0, 9)])
+        want = (best[:, None] / norm > xs).mean(axis=0)
+        assert rademacher_product_tail(n, m, xs).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, m", [(40, 2), (40, 3), (160, 2)])
+    def test_tail_scan_lies_in_the_dkw_band(self, n, m):
+        """Dvoretzky-Kiefer-Wolfowitz with Massart's constant: the empirical
+        tail of R replicas leaves the exact one by more than
+        sqrt(ln(2 / alpha) / 2R) anywhere with probability at most alpha."""
+        replicas, alpha = 20000, 1e-3
+        cfg = make_config(kernel=product(arity=m), sample_size=n, replicas=replicas, master_seed=2024,
+                          x_grid=np.geomspace(0.2, 6.0, 24))
+        scan = tail_scan(cfg)
+        assert scan.degeneracy == m and scan.normalization == float(n) ** (m / 2)
+        exact = rademacher_product_tail(n, m, cfg.x_grid)
+        assert 0.0 < exact[-1] and exact[0] < 1.0  # the grid reaches into both ends
+        band = math.sqrt(math.log(2.0 / alpha) / (2 * replicas))
+        assert np.max(np.abs(scan.p_hat - exact)) <= band

@@ -191,6 +191,11 @@ class TestRunningMax:
             )
         assert out.max_norm == pytest.approx(out.prefix_norms.max())
 
+    def test_result_compares_by_identity(self):
+        results = [running_max(product(), np.array([3.0, 2.0, -1.0])) for _ in range(2)]
+        assert results[0] == results[0] and results[0] != results[1]
+        assert len({*results, results[0]}) == 2
+
 
 class TestDecoupled:
     def test_equal_rows_reproduce_complete(self):
