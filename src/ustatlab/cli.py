@@ -39,7 +39,7 @@ from .kernels import (
     product,
     spatial_sign,
 )
-from .martingale import GENERATORS, simulate_ensemble, verify_conv_grid, verify_grid, verify_pairs
+from .martingale import GENERATORS, _check_variants, simulate_ensemble, verify_conv_grid, verify_grid, verify_pairs
 from .montecarlo import (
     MIN_REPLICAS,
     BoundEnvelope,
@@ -733,8 +733,8 @@ def _read_grid_file(path: str, columns: int) -> list[tuple[float, ...]]:
 def _run_martingale(cfg: ConfigFile, variants: tuple[str, ...] | None, grid_file: str | None):
     mcfg = cfg.martingale
     chosen = variants if variants else mcfg.variants
-    if "real" in chosen and mcfg.dim != 1:
-        raise ConfigError("the real-valued variant needs martingale.dim 1")
+    space = HilbertSpace.euclidean(mcfg.dim)
+    _check_variants(chosen, space.dim == 1)
     pair_grid: list[tuple[float, float]] | None = None
     t_grid: list[float] | None = None
     if grid_file is not None:
@@ -743,7 +743,6 @@ def _run_martingale(cfg: ConfigFile, variants: tuple[str, ...] | None, grid_file
         else:
             pair_grid = [(row[0], row[1]) for row in _read_grid_file(grid_file, 2)]
 
-    space = HilbertSpace.euclidean(mcfg.dim)
     ensemble = simulate_ensemble(mcfg.generator, mcfg.steps, space, cfg.seed, cfg.replicas)
     tables = {}
     per_variant: dict[str, int] = {}

@@ -236,14 +236,15 @@ def _step_tail_integral(
     return total, lo_total, hi_total
 
 
-def _check_variant(s: PathSummaries, variant: str) -> None:
-    """Raise unless the variant applies to the ensemble."""
-    if variant not in _BOUNDS:
-        raise ValueError(f"unknown variant {variant!r}; choose real, A2, A3 or conv")
-    if variant == "real" and not s.real_valued:
-        raise ValueError("real-case check needs real-valued paths (dim-1 space)")
-    if variant == "A3" and not s.f0_all:
-        raise ValueError("variant A3 requires conditional second moments measurable at time zero")
+def _check_variants(variants: Sequence[str], real_valued: bool, f0_all: bool = True) -> None:
+    """Raise unless every variant applies to paths that are real-valued (dim 1)
+    or not, with moments measurable at time zero or not. A caller checks its
+    space before `simulate_ensemble`; `verify_pairs` checks the ensemble."""
+    for variant in variants:
+        if variant == "real" and not real_valued:
+            raise ValueError("real-case check needs real-valued paths (dim-1 space)")
+        if variant == "A3" and not f0_all:
+            raise ValueError("variant A3 requires conditional second moments measurable at time zero")
 
 
 def _a3_integral(sqrt_quad: np.ndarray, y: float) -> tuple[float, float, float]:
@@ -302,7 +303,9 @@ def verify_pairs(
     `wilson_bounds` call. A3's tail integral is computed once per distinct
     y, every one from the same sort of sqrt_quad.
     """
-    _check_variant(s, variant)
+    if variant not in _BOUNDS:
+        raise ValueError(f"unknown variant {variant!r}; choose real, A2 or A3")
+    _check_variants([variant], s.real_valued, s.f0_all)
     c_exp, c_tail, divisor = _BOUNDS[variant]
     x, y = np.array([(float(a), float(b)) for a, b in pairs]).reshape(-1, 2).T
     if not np.all((x > 0) & (y > 0) & (x < math.inf) & (y < math.inf)):

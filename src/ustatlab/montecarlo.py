@@ -63,6 +63,7 @@ from .ustats import (
     _exact_bound,
     _selection_sums,
     _stacked_values,
+    _tuple_count,
     _tuple_columns,
     check_design,
     design_mean_factor,
@@ -134,8 +135,7 @@ class ExperimentConfig:
     x_grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.sample_size < self.kernel.arity:
-            raise ValueError("sample_size must be at least the kernel arity")
+        _tuple_count(self.kernel.arity, self.sample_size, cap=math.inf)  # the atom routes need no enumeration
         if self.replicas < MIN_REPLICAS:
             raise ValueError(f"replicas must be at least {MIN_REPLICAS}")
         if self.x_grid is not None:
@@ -585,8 +585,6 @@ def incomplete_scaling_experiment(
     draws = min(replicas, 2000)
     bound_sampler = replace(sampler, seed_stream=master_seed)
     for cell_id, cell in enumerate(cells):
-        if cell.sample_size < m:
-            raise ValueError("sample_size must be at least the kernel arity")
         check_design(cell.design, m, cell.sample_size)
         _columns(m, cell.sample_size)
         _spot_check_sup(

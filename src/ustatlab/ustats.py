@@ -4,13 +4,15 @@ Index tuples are 1-based and enumerated lexicographically, so results do
 not depend on scheduling. The complete statistic sums a kernel over all
 increasing m-tuples from a single sample; the decoupled variant feeds each
 argument slot from its own independent copy; weighted and incomplete
-variants attach per-tuple operators or subsample the tuple set.
+variants attach per-tuple operators or subsample the tuple set. One gate,
+`_tuple_count`, checks every sample size and tuple count.
 
 The running maximum over prefixes max_{m <= n' <= n} ||U_{n'}|| is computed
-incrementally by grouping tuples on their last index. Its correctness is
-cross-checked by `running_max_embedding_check`, which rebuilds every prefix
-from scratch as one stacked statistic (components U_{n'} with the max norm)
-and compares the two routes.
+incrementally from tuples grouped on their last index (`_last_index_groups`,
+in pieces of whole groups above _MATERIALIZE_CAP tuples) by `_prefix_sums`,
+whose bytes do not depend on the pieces. It is cross-checked by
+`running_max_embedding_check`, which rebuilds every prefix from scratch as
+one stacked statistic (components U_{n'} with the max norm).
 
 On a finite law U_{n'} is a function of the sample's atom indices (Lee 1990,
 ch. 1), and `_atom_route` chooses how the tail scan reads the running maxima
@@ -36,6 +38,7 @@ one dense product where every partial sum is an exact integer (`_exact_bound`,
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -82,9 +85,6 @@ _MATERIALIZE_CAP = 2**21  # tuples whose index columns are kept in memory
 _CHUNK = 2**16  # tuples, or design draws, per piece: temporaries stay near 1 MB
 _COVER_MARGIN = 5  # a selection prefix leaves some tuple undrawn in at most e**-5 of streams
 
-_column_cache: dict = {}
-_grouped_cache: dict = {}
-
 
 def inc_count(m: int, n: int) -> int:
     """Number of increasing m-tuples from {1, ..., n}."""
@@ -95,11 +95,22 @@ def inc_count(m: int, n: int) -> int:
     return math.comb(n, m)
 
 
-def enumerate_inc(m: int, n: int, cap: int = ENUMERATION_CAP) -> Iterator[tuple[int, ...]]:
-    """Lexicographic stream of 1-based increasing m-tuples from {1, ..., n}."""
+def _tuple_count(m: int, n: int, cap: float | None = None) -> int:
+    """C(n, m), once a sample of size n can feed an arity-m kernel with at
+    most `cap` tuples (ENUMERATION_CAP when None)."""
+    if n < m:
+        raise ValueError(f"sample of size {n} cannot feed an arity-{m} kernel")
     total = inc_count(m, n)
+    cap = ENUMERATION_CAP if cap is None else cap
     if total > cap:
         raise EnumerationBudgetError(f"{total} tuples exceed the cap of {cap}")
+    return total
+
+
+def enumerate_inc(m: int, n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Lexicographic stream of 1-based increasing m-tuples from {1, ..., n},
+    at most `cap` of them (ENUMERATION_CAP when None)."""
+    _tuple_count(m, n, cap)
     return itertools.combinations(range(1, n + 1), m)
 
 
@@ -184,19 +195,19 @@ def _combination_columns(m: int, n: int) -> list[np.ndarray]:
     return cols
 
 
-def _tuple_columns(m: int, n: int) -> tuple[np.ndarray, ...] | None:
-    """0-based index columns of the full enumeration, or None when too large."""
-    total = inc_count(m, n)
-    if total > _MATERIALIZE_CAP:
-        return None
-    key = (m, n)
-    cols = _column_cache.get(key)
-    if cols is None:
-        cols = tuple(_combination_columns(m, n))
-        for c in cols:
-            c.setflags(write=False)
-        _column_cache[key] = cols
+@functools.lru_cache(maxsize=4)
+def _lex_columns(m: int, n: int) -> tuple[np.ndarray, ...]:
+    """`_combination_columns(m, n)`, read-only."""
+    cols = tuple(_combination_columns(m, n))
+    for c in cols:
+        c.setflags(write=False)
     return cols
+
+
+def _tuple_columns(m: int, n: int) -> tuple[np.ndarray, ...] | None:
+    """0-based index columns of the full enumeration, or None above
+    _MATERIALIZE_CAP tuples."""
+    return _lex_columns(m, n) if inc_count(m, n) <= _MATERIALIZE_CAP else None
 
 
 def _index_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
@@ -216,26 +227,39 @@ def _index_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
         yield tuple(idx[:, j] for j in range(m))
 
 
-def _grouped_columns(m: int, n: int):
-    """Index columns grouped by last index, plus reduceat group offsets.
+def _last_index_groups(m: int, first: int, stop: int):
+    """Index columns of the increasing m-tuples of range(stop) with last
+    index L >= first, group L being `_combination_columns(m - 1, L)` with L
+    appended, and each group's reduceat offset."""
+    lasts = range(first, stop)
+    heads = [_combination_columns(m - 1, last) for last in lasts] if m > 1 else []
+    sizes = np.array([math.comb(last, m - 1) for last in lasts], dtype=np.int64)
+    cols = tuple(np.concatenate(slot) for slot in zip(*heads)) + (np.repeat(np.arange(first, stop), sizes),)
+    return cols, np.cumsum(sizes) - sizes
 
-    Group g (g = 0, ..., n-m) holds every tuple whose last index is m+g,
-    ordered lexicographically within the group.
-    """
-    key = (m, n)
-    hit = _grouped_cache.get(key)
-    if hit is not None:
-        return hit
-    if inc_count(m, n) > _MATERIALIZE_CAP:
-        return None
-    lex = _combination_columns(m, n)
-    order = np.argsort(lex[-1], kind="stable")
-    cols = tuple(c[order] for c in lex)
-    starts = np.searchsorted(cols[-1], np.arange(m - 1, n))
+
+@functools.lru_cache(maxsize=4)
+def _grouped_columns(m: int, n: int):
+    """`_last_index_groups` of every increasing m-tuple of range(n), read-only."""
+    cols, starts = _last_index_groups(m, m - 1, n)
     for c in (*cols, starts):
         c.setflags(write=False)
-    _grouped_cache[key] = (cols, starts)
     return cols, starts
+
+
+def _group_chunks(m: int, n: int):
+    """`_grouped_columns(m, n)` in one piece up to _MATERIALIZE_CAP tuples,
+    else `_last_index_groups` of consecutive whole groups, each piece closed
+    once it holds _CHUNK tuples."""
+    if inc_count(m, n) <= _MATERIALIZE_CAP:
+        yield _grouped_columns(m, n)
+        return
+    first, size = m - 1, 0
+    for last in range(m - 1, n):
+        size += math.comb(last, m - 1)
+        if size >= _CHUNK or last == n - 1:
+            yield _last_index_groups(m, first, last + 1)
+            first, size = last + 1, 0
 
 
 def _sample_rows(sample) -> np.ndarray:
@@ -246,7 +270,7 @@ def _sample_rows(sample) -> np.ndarray:
 
 
 def _sum_tuples(
-    kernel: KernelSpec, rows: tuple[np.ndarray, ...], n: int, weights: np.ndarray | None = None
+    kernel: KernelSpec, rows: tuple[np.ndarray, ...], weights: np.ndarray | None = None
 ) -> np.ndarray:
     """Sum kernel values over all increasing tuples, slot l fed from rows[l].
 
@@ -255,10 +279,8 @@ def _sum_tuples(
     shape (C(n, m), 1 or dim), each tuple's value is first multiplied by the
     row of its rank.
     """
-    m = kernel.arity
-    total = inc_count(m, n)
-    if total > ENUMERATION_CAP:
-        raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
+    m, n = kernel.arity, rows[0].shape[0]
+    _tuple_count(m, n)
     acc = None
     start = 0
     for cols in _index_chunks(m, n):
@@ -274,11 +296,7 @@ def _sum_tuples(
 def complete(kernel: KernelSpec, sample) -> HilbertPoint:
     """U_{m,n}(h): sum of kernel values over all increasing m-tuples."""
     rows = _sample_rows(sample)
-    n = rows.shape[0]
-    if n < kernel.arity:
-        raise ValueError(f"sample of size {n} cannot feed an arity-{kernel.arity} kernel")
-    value = _sum_tuples(kernel, tuple(rows for _ in range(kernel.arity)), n)
-    return kernel.codomain.point(value)
+    return kernel.codomain.point(_sum_tuples(kernel, (rows,) * kernel.arity))
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,10 +329,7 @@ def decoupled(kernel: KernelSpec, sample: DecoupledSample) -> HilbertPoint:
         raise ValueError(
             f"kernel has arity {kernel.arity}, decoupled sample has {len(sample.rows)} copies"
         )
-    n = sample.size
-    if n < kernel.arity:
-        raise ValueError(f"copies of size {n} cannot feed an arity-{kernel.arity} kernel")
-    return kernel.codomain.point(_sum_tuples(kernel, sample.rows, n))
+    return kernel.codomain.point(_sum_tuples(kernel, sample.rows))
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,51 +345,42 @@ class RunningMaxResult:
 def running_max(kernel: KernelSpec, sample) -> RunningMaxResult:
     """Running maximum of prefix U-statistic norms, built incrementally.
 
-    Tuples are grouped by their last index; each group extends the previous
-    prefix sum, so the total work is one pass over inc_count(m, n) tuples.
-    Above _MATERIALIZE_CAP tuples the groups are built and evaluated one at
-    a time, each with one `batch_values` call.
+    Tuples are grouped by their last index; each group's sum extends the
+    previous prefix sum, so the total work is one pass over inc_count(m, n)
+    tuples, on one code path whose bytes do not depend on _MATERIALIZE_CAP
+    (`_prefix_sums`).
     """
-    rows = _sample_rows(sample)
-    n = rows.shape[0]
-    m = kernel.arity
-    if n < m:
-        raise ValueError(f"sample of size {n} cannot feed an arity-{m} kernel")
-    total = inc_count(m, n)
-    if total > ENUMERATION_CAP:
-        raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
-    grouped = _grouped_columns(m, n)
-    if grouped is not None:
-        prefixes = _prefix_sums(kernel, rows[None], grouped)[0]
-    else:
-        sums = np.empty((n - m + 1, kernel.codomain.dim))
-        for last in range(m - 1, n):
-            head = _combination_columns(m - 1, last) if m > 1 else []
-            cols = (*head, np.full(head[0].size if head else 1, last))
-            vals = batch_values(kernel, tuple(rows[c] for c in cols))
-            sums[last - m + 1] = np.add.reduce(vals, axis=0)
-        prefixes = np.cumsum(sums, axis=0)
+    prefixes = _prefix_sums(kernel, _sample_rows(sample)[None])[0]
     norms = row_norms(kernel.codomain, prefixes)
     arg = int(np.argmax(norms))
     return RunningMaxResult(
         prefix_values=prefixes,
         prefix_norms=norms,
         max_norm=float(norms[arg]),
-        argmax_prefix=arg + m,
+        argmax_prefix=arg + kernel.arity,
     )
 
 
-def _prefix_sums(kernel: KernelSpec, samples: np.ndarray, grouped) -> np.ndarray:
+def _prefix_sums(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
     """Prefix statistics U_{n'}, n' = m..n, of a stack of samples.
 
     samples has shape (R, n) or (R, n, d_in); the result is (R, n - m + 1,
-    dim). One batch of kernel values covers every tuple of every sample, and
-    each sample's groups are summed and accumulated along axis 1 exactly as
-    a lone sample's would be, so the result does not depend on R.
+    dim). Each piece of `_group_chunks` is one batch of kernel values whose
+    groups are summed by `np.add.reduceat` and accumulated by `cumsum` from
+    the previous piece's last prefix: the steps of one `cumsum` over all
+    groups, so the result depends neither on R nor on the pieces.
     """
-    cols, starts = grouped
-    vals = _stacked_values(kernel, (samples,) * kernel.arity, cols)
-    return np.cumsum(np.add.reduceat(vals, starts, axis=1), axis=1)
+    m, n = kernel.arity, samples.shape[1]
+    _tuple_count(m, n)
+    out = np.empty((samples.shape[0], n - m + 1, kernel.codomain.dim))
+    done = 0
+    for cols, starts in _group_chunks(m, n):
+        sums = np.add.reduceat(_stacked_values(kernel, (samples,) * m, cols), starts, axis=1)
+        if done:
+            sums[:, 0] += out[:, done - 1]
+        np.cumsum(sums, axis=1, out=out[:, done : done + starts.size])
+        done += starts.size
+    return out
 
 
 def _stacked_values(kernel: KernelSpec, samples: tuple[np.ndarray, ...], cols) -> np.ndarray:
@@ -515,11 +521,7 @@ def _atom_route(
 def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
     """`running_max(kernel, s).max_norm` for each sample s of a stack, bit for bit."""
     samples = np.asarray(samples, dtype=np.float64)
-    m, n = kernel.arity, samples.shape[1]
-    grouped = _grouped_columns(m, n) if n >= m else None
-    if grouped is None:
-        return np.array([running_max(kernel, s).max_norm for s in samples])
-    return row_norms(kernel.codomain, _prefix_sums(kernel, samples, grouped)).max(axis=1)
+    return row_norms(kernel.codomain, _prefix_sums(kernel, samples)).max(axis=1)
 
 
 def running_max_embedding_check(kernel: KernelSpec, sample) -> float:
@@ -531,16 +533,10 @@ def running_max_embedding_check(kernel: KernelSpec, sample) -> float:
     Returns the largest coordinate-space norm deviation over components
     (the max-norm distance between the two stacked values).
     """
-    rows = _sample_rows(sample)
-    n = rows.shape[0]
-    m = kernel.arity
-    direct = running_max(kernel, sample)
-    worst = 0.0
-    for stop in range(m, n + 1):
-        fresh = complete(kernel, rows[:stop])
-        dev = row_norms(kernel.codomain, direct.prefix_values[stop - m] - fresh.coords)
-        worst = max(worst, float(dev))
-    return worst
+    rows, m = _sample_rows(sample), kernel.arity
+    direct = running_max(kernel, rows).prefix_values
+    fresh = np.stack([complete(kernel, rows[:stop]).coords for stop in range(m, len(rows) + 1)])
+    return float(row_norms(kernel.codomain, direct - fresh).max())
 
 
 # ---------------------------------------------------------------------------
@@ -588,14 +584,12 @@ def weighted(kernel: KernelSpec, scheme: WeightScheme, sample) -> HilbertPoint:
     `complete` bit for bit (the multiplier 1.0 is exact).
     """
     rows = _sample_rows(sample)
-    n = rows.shape[0]
-    m = kernel.arity
-    if n < m:
-        raise ValueError(f"sample of size {n} cannot feed an arity-{m} kernel")
+    n, m = rows.shape[0], kernel.arity
+    _tuple_count(m, n)
     weights, dim = _weight_rows(scheme, m, n), kernel.codomain.dim
     if scheme.kind == "diagonal" and weights.shape[1] != dim:
         raise ValueError(f"diagonal weights of width {weights.shape[1]} for a dim-{dim} codomain")
-    return kernel.codomain.point(_sum_tuples(kernel, (rows,) * m, n, weights))
+    return kernel.codomain.point(_sum_tuples(kernel, (rows,) * m, weights))
 
 
 def weight_aggregate(scheme: WeightScheme, m: int, n: int, k: int) -> np.ndarray:
@@ -692,12 +686,10 @@ class Selection:
 def check_design(design: SamplingDesign, m: int, n: int) -> int:
     """The tuple count C(n, m), once the design can draw from it.
 
-    Raises EnumerationBudgetError beyond ENUMERATION_CAP tuples and
-    ValueError for a without-replacement size above the tuple count.
+    Raises what `_tuple_count` raises, and ValueError for a
+    without-replacement size above the tuple count.
     """
-    total = inc_count(m, n)
-    if total > ENUMERATION_CAP:
-        raise EnumerationBudgetError(f"{total} tuples exceed the cap of {ENUMERATION_CAP}")
+    total = _tuple_count(m, n)
     if design.kind == "without-replacement" and design.size > total:
         raise ValueError(f"cannot draw {design.size} distinct tuples from {total}")
     return total

@@ -32,7 +32,6 @@ from ustatlab.kernels import KernelSpec, _atom_table, centered, gini, product
 from ustatlab.montecarlo import ExperimentConfig, replicate, tail_scan
 from ustatlab.ustats import (
     _atom_route,
-    _grouped_columns,
     _product_running_max,
     _table_running_max,
     running_max_norms,
@@ -178,17 +177,17 @@ def test_table_running_max_equals_a_brute_force_loop(name, n):
 
 @pytest.fixture
 def small_cap(monkeypatch):
-    """Run the gather above `_MATERIALIZE_CAP`: one sample at a time, grouped by last index."""
+    """Run the gather above `_MATERIALIZE_CAP`: one sample at a time, in pieces of whole last-index groups."""
     monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
     monkeypatch.setattr(ustats, "_CHUNK", 9)
-    monkeypatch.setattr(ustats, "_column_cache", {})
-    monkeypatch.setattr(ustats, "_grouped_cache", {})
+    ustats._lex_columns.cache_clear()
+    ustats._grouped_columns.cache_clear()
 
 
 @pytest.mark.parametrize("name", CASES)
 def test_count_path_equals_the_gather_above_the_cap(small_cap, monkeypatch, name):
     kernel, table, atoms, values = _draw(name, 40)
-    assert _grouped_columns(2, 40) is None
+    assert len(list(ustats._group_chunks(2, 40))) > 1
     np.testing.assert_array_equal(_counted(kernel, table, atoms), running_max_norms(kernel, values))
     config = _config(name, 40, 101)
     np.testing.assert_array_equal(replicate(config), _gather_replicate(monkeypatch, config))

@@ -8,7 +8,8 @@ it loads are its own, not those of earlier tests. A module imported during
 Also guards the package's source: only `kernels.py` may ask which evaluator
 a kernel was given, only `ustats.py` decides when a sum is exact, only
 `montecarlo.py` evaluates the bound envelope, no module imports inside a
-function, no CLI runner writes a file, and every function has a caller.
+function, no CLI runner writes a file, every function has a caller, and
+no module keeps an unbounded dict cache.
 """
 
 import ast
@@ -261,3 +262,21 @@ def test_every_function_has_a_caller():
     assert traced
     orphans = [f"{name}:{func}" for name, func in defined if func not in named | traced | set(ustatlab.__all__)]
     assert orphans == []
+
+
+def test_no_module_level_dict_cache():
+    """A module-level `{}` or `dict()` that calls fill grows for the life of
+    the process; a cache is an `lru_cache` with a bound instead, as
+    `ustats._lex_columns`, `ustats._grouped_columns` and
+    `distributions._grid` are. Tables written out in full are not caches."""
+    caches = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and (
+            (isinstance(node.value, ast.Dict) and not node.value.keys)
+            or (isinstance(node.value, ast.Call) and getattr(node.value.func, "id", None) == "dict")
+        )
+    ]
+    assert caches == []

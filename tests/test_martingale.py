@@ -376,6 +376,23 @@ class TestEnsembleBlocks:
         assert "dim-1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_real_variant_override_in_the_plane_is_refused_before_any_path(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        config = tmp_path / "plane.yaml"
+        config.write_text(
+            "version: 1\nexperiment: martingale-verify\nreplicas: 100\n"
+            "martingale: {generator: gaussian-coords, dim: 2, steps: 5, variants: [A2]}\n"
+        )
+        simulated = []
+        monkeypatch.setattr(cli, "simulate_ensemble", lambda *args: simulated.append(args))
+        out = tmp_path / "out"
+        argv = ["martingale-verify", "--config", str(config), "--out", str(out), "--variant", "real"]
+        assert cli.main(argv) == 1
+        assert "dim-1" in capsys.readouterr().err
+        assert simulated == []
+        assert not out.exists()
+
 
 def _tail_triple_per_cell(values, threshold):
     """One cell's tail probability and Wilson band, counted by comparison."""

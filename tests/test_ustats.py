@@ -21,7 +21,7 @@ from ustatlab import ustats
 from ustatlab.distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from ustatlab.hilbert import HilbertSpace, norm
 from ustatlab.kernels import KernelSpec, batch_values, centered, gini, product
-from ustatlab.montecarlo import coordinate_kernel
+from ustatlab.montecarlo import ExperimentConfig, coordinate_kernel
 from ustatlab.ustats import (
     DecoupledSample,
     _grouped_columns,
@@ -134,7 +134,7 @@ class TestIndexColumns:
         np.testing.assert_array_equal(np.stack(cols, axis=1), expected)
         assert all(c.dtype == np.int64 and not c.flags.writeable for c in cols)
 
-    @pytest.mark.parametrize(("m", "n"), [(m, n) for m in range(1, 5) for n in range(m, 11)])
+    @pytest.mark.parametrize(("m", "n"), [(m, n) for m in range(1, 5) for n in range(m, 11)] + [(3, 40)])
     def test_grouped_by_last_index(self, m, n):
         cols, starts = _grouped_columns(m, n)
         tuples = sorted(itertools.combinations(range(n), m), key=lambda t: (t[-1], t))
@@ -319,8 +319,8 @@ class TestWeightOracles:
 
     @staticmethod
     def _stream(monkeypatch):
-        monkeypatch.setattr(ustats, "_column_cache", {})
-        monkeypatch.setattr(ustats, "_grouped_cache", {})
+        ustats._lex_columns.cache_clear()
+        ustats._grouped_columns.cache_clear()
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
         monkeypatch.setattr(ustats, "_CHUNK", 9)
 
@@ -497,7 +497,7 @@ class TestIncomplete:
             assert (ustats._exact_bound(vals) < math.inf) == (kernel_case == "integer-gaps-grid7")
         # by bytes: assert_array_equal takes -0 for +0
         assert incomplete(kernel, sample, sel).value.coords.tobytes() == want.tobytes()
-        monkeypatch.setattr(ustats, "_column_cache", {})
+        ustats._lex_columns.cache_clear()
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
         assert ustats._tuple_columns(m, n) is None
         assert incomplete(kernel, sample, sel).value.coords.tobytes() == want.tobytes()
@@ -511,8 +511,10 @@ class TestIncomplete:
 
 class TestAboveTheMaterializeCap:
     """Above _MATERIALIZE_CAP tuples, sums stream through index chunks and the
-    running max evaluates one last-index group at a time; both must agree
-    with the materialized path: bit for bit where every sum is an integer,
+    running max through pieces of whole last-index groups. The running max
+    gives the materialized path's bytes for every kernel; `complete` and
+    `weighted` fold their lexicographic pieces in another order than one
+    reduction, so they agree bit for bit where every sum is an integer and
     to 1e-12 relative otherwise."""
 
     GRID7 = SamplerSpec(kind="uniform-grid", grid_points=7)
@@ -546,15 +548,88 @@ class TestAboveTheMaterializeCap:
         kernel = make_kernel()
         samples = np.stack([draw_iid(sampler, 23, r) for r in range(3)])
         materialized = self._statistics(kernel, samples)
-        # _grouped_columns reads its cache before it checks the cap
-        monkeypatch.setattr(ustats, "_column_cache", {})
-        monkeypatch.setattr(ustats, "_grouped_cache", {})
+        ustats._lex_columns.cache_clear()
+        ustats._grouped_columns.cache_clear()
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
         monkeypatch.setattr(ustats, "_CHUNK", 9)
         assert ustats._tuple_columns(kernel.arity, 23) is None
         streamed = self._statistics(kernel, samples)
-        for want, got in zip(materialized, streamed):
+        for want, got in zip(materialized[:2], streamed[:2]):
             if rtol:
                 np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
             else:
                 np.testing.assert_array_equal(got, want)
+        for want, got in zip(materialized[2:], streamed[2:]):  # the running max
+            assert got.tobytes() == want.tobytes()
+
+    KERNELS = {
+        "gini": gini,
+        "centered-gini-grid7": lambda: centered(gini(), FiniteDistribution.uniform_grid(7)),
+        "triple-product": lambda: product(arity=3),
+    }
+
+    @pytest.mark.parametrize("chunk", [1, 9, 100, 1000])
+    @pytest.mark.parametrize("kernel_case", list(KERNELS))
+    def test_running_max_bytes_do_not_depend_on_the_pieces(self, monkeypatch, kernel_case, chunk):
+        kernel = self.KERNELS[kernel_case]()
+        n = 120 if kernel.arity == 2 else 50
+        samples = np.stack(
+            [draw_iid(SamplerSpec(kind="uniform-grid", grid_points=7), n, r) for r in range(2)]
+            + [np.random.default_rng(7).normal(size=n)]
+        )
+        want = self._running_max(kernel, samples)
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+        monkeypatch.setattr(ustats, "_CHUNK", chunk)
+        pieces = list(ustats._group_chunks(kernel.arity, n))
+        assert len(pieces) > 1 and all(starts[0] == 0 for _, starts in pieces)
+        for got, expected in zip(self._running_max(kernel, samples), want):
+            assert got.tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _running_max(kernel, samples):
+        return (
+            np.stack([running_max(kernel, s).prefix_values for s in samples]),
+            running_max_norms(kernel, samples),
+        )
+
+
+def test_index_caches_keep_at_most_four_sample_sizes():
+    ustats._lex_columns.cache_clear()
+    ustats._grouped_columns.cache_clear()
+    signs = draw_iid(SamplerSpec(kind="rademacher"), 400, 0)
+    assert running_max_embedding_check(product(), signs) == 0.0
+    assert ustats._lex_columns.cache_info().currsize <= 4
+    assert ustats._grouped_columns.cache_info().currsize <= 4
+
+
+class TestTupleGate:
+    """`ustats._tuple_count` is the one rule for how many tuples a sample
+    feeds: below the arity a ValueError, above ENUMERATION_CAP one message."""
+
+    CALLS = {
+        "enumerate_inc": lambda: enumerate_inc(2, 12),
+        "complete": lambda: complete(gini(), np.arange(12.0)),
+        "running_max": lambda: running_max(gini(), np.arange(12.0)),
+        "draw_design": lambda: draw_design(
+            SamplingDesign(kind="with-replacement", size=5), 2, 12, np.random.default_rng(0)
+        ),
+    }
+
+    @pytest.mark.parametrize("call", list(CALLS))
+    def test_every_caller_raises_the_one_cap_message(self, monkeypatch, call):
+        monkeypatch.setattr(ustats, "ENUMERATION_CAP", 65)
+        with pytest.raises(EnumerationBudgetError) as caught:
+            self.CALLS[call]()
+        assert str(caught.value) == "66 tuples exceed the cap of 65"
+
+    def test_below_the_arity(self):
+        for call in (
+            lambda: enumerate_inc(3, 2),
+            lambda: complete(gini(), np.arange(1.0)),
+            lambda: decoupled(product(), DecoupledSample((np.arange(1.0), np.arange(1.0)))),
+            lambda: running_max_norms(gini(), np.zeros((3, 1))),
+            lambda: weighted(gini(), WeightScheme(np.ones(0)), np.arange(1.0)),
+            lambda: ExperimentConfig(gini(), SamplerSpec(kind="rademacher"), 1, 100, 0),
+        ):
+            with pytest.raises(ValueError, match="sample of size [12] cannot feed an arity-[23] kernel"):
+                call()
