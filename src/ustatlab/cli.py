@@ -52,7 +52,7 @@ from .montecarlo import (
     matching_point_compare,
     tail_scan,
 )
-from .ustats import SamplingDesign, complete, running_max
+from .ustats import SamplingDesign, _tuple_count, complete, running_max
 
 __all__ = [
     "ConfigError",
@@ -465,10 +465,10 @@ def _load_sample(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec) -> n
         sample = np.array(cfg.data.values, dtype=np.float64)
         if sample.ndim == 2 and sample.shape[1] == 1:
             sample = sample[:, 0]
-        if sample.shape[0] < kernel.arity:
-            raise ConfigError(
-                f"data.values has {sample.shape[0]} points, kernel arity is {kernel.arity}"
-            )
+        try:
+            _tuple_count(kernel.arity, len(sample), cap=math.inf)
+        except ValueError as exc:
+            raise ConfigError(f"data.values: {exc}") from exc
         return sample
     n = cfg.data.draw if cfg.data is not None and cfg.data.draw is not None else cfg.sample_size
     return draw_iid(sampler, n, 0)

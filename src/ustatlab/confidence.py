@@ -90,12 +90,14 @@ def quantile_interval(values: np.ndarray, q: float) -> tuple[float, float, float
 
     The bounds are the order statistics whose binomial coverage reaches 95%;
     they are conservative near the sample edges. Both come from one binomial
-    cdf.
+    cdf. NaN has no rank and is refused; +-inf are values like any other.
     """
     values = np.sort(np.asarray(values, dtype=np.float64))
     n = values.size
     if n < 2:
         raise ValueError("need at least 2 values")
+    if np.isnan(values[-1]):  # a sort puts NaN last
+        raise ValueError("values must not be NaN")
     if not 0.0 < q < 1.0:
         raise ValueError("q must lie in (0, 1)")
     alpha = 1.0 - 0.95

@@ -375,6 +375,8 @@ def empirical_tail(samples: np.ndarray) -> StepTail:
     n = values.size
     if n < 1:
         raise ValueError("need at least one sample")
+    if np.isnan(values[-1]):  # a sort puts NaN last
+        raise ValueError("samples must not be NaN")
     return StepTail(values, (n - np.arange(1, n + 1)) / n)
 
 

@@ -7,10 +7,11 @@ argument slot from its own independent copy; weighted and incomplete
 variants attach per-tuple operators or subsample the tuple set. One gate,
 `_tuple_count`, checks every sample size and tuple count.
 
-The running maximum over prefixes max_{m <= n' <= n} ||U_{n'}|| is computed
-incrementally from tuples grouped on their last index (`_last_index_groups`,
-in pieces of whole groups above _MATERIALIZE_CAP tuples) by `_prefix_sums`,
-whose bytes do not depend on the pieces. It is cross-checked by
+Sums over every tuple read `_index_pieces`, whose pieces are whole groups of
+tuples sharing a first index (lexicographic order) or a last one. The
+running maximum over prefixes max_{m <= n' <= n} ||U_{n'}|| is computed
+incrementally from last-index groups by `_prefix_sums`, whose bytes do not
+depend on the pieces. It is cross-checked by
 `running_max_embedding_check`, which rebuilds every prefix from scratch as
 one stacked statistic (components U_{n'} with the max norm).
 
@@ -210,56 +211,48 @@ def _tuple_columns(m: int, n: int) -> tuple[np.ndarray, ...] | None:
     return _lex_columns(m, n) if inc_count(m, n) <= _MATERIALIZE_CAP else None
 
 
-def _index_chunks(m: int, n: int) -> Iterator[tuple[np.ndarray, ...]]:
-    """0-based index columns of every increasing m-tuple of range(n), in
-    enumeration order: the cached columns in one piece up to
-    _MATERIALIZE_CAP tuples, else streamed in pieces of _CHUNK tuples."""
-    cols = _tuple_columns(m, n)
-    if cols is not None:
-        yield cols
-        return
-    it = itertools.combinations(range(n), m)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(it, _CHUNK)), dtype=np.int64)
-        if flat.size == 0:
-            return
-        idx = flat.reshape(-1, m)
-        yield tuple(idx[:, j] for j in range(m))
+def _index_groups(m: int, n: int, groups: range, lex: bool):
+    """Index columns of the increasing m-tuples of range(n) whose first
+    (`lex`) or last index lies in `groups`, and each group's reduceat offset.
 
-
-def _last_index_groups(m: int, first: int, stop: int):
-    """Index columns of the increasing m-tuples of range(stop) with last
-    index L >= first, group L being `_combination_columns(m - 1, L)` with L
-    appended, and each group's reduceat offset."""
-    lasts = range(first, stop)
-    heads = [_combination_columns(m - 1, last) for last in lasts] if m > 1 else []
-    sizes = np.array([math.comb(last, m - 1) for last in lasts], dtype=np.int64)
-    cols = tuple(np.concatenate(slot) for slot in zip(*heads)) + (np.repeat(np.arange(first, stop), sizes),)
+    First-index group i is i followed by `_combination_columns(m - 1, n - 1 -
+    i)` shifted by i + 1, which in ascending i is lexicographic order;
+    last-index group L is `_combination_columns(m - 1, L)` followed by L.
+    """
+    spans = [n - 1 - g if lex else g for g in groups]
+    rests = [_combination_columns(m - 1, s) for s in spans] if m > 1 else []
+    sizes = np.array([math.comb(s, m - 1) for s in spans], dtype=np.int64)
+    keys = np.repeat(np.asarray(groups, dtype=np.int64), sizes)
+    rest = [np.concatenate(slot) for slot in zip(*rests)]
+    cols = (keys, *(np.add(c, keys + 1, out=c) for c in rest)) if lex else (*rest, keys)
     return cols, np.cumsum(sizes) - sizes
 
 
 @functools.lru_cache(maxsize=4)
 def _grouped_columns(m: int, n: int):
-    """`_last_index_groups` of every increasing m-tuple of range(n), read-only."""
-    cols, starts = _last_index_groups(m, m - 1, n)
+    """`_index_groups` of every increasing m-tuple of range(n) by last index, read-only."""
+    cols, starts = _index_groups(m, n, range(m - 1, n), lex=False)
     for c in (*cols, starts):
         c.setflags(write=False)
     return cols, starts
 
 
-def _group_chunks(m: int, n: int):
-    """`_grouped_columns(m, n)` in one piece up to _MATERIALIZE_CAP tuples,
-    else `_last_index_groups` of consecutive whole groups, each piece closed
-    once it holds _CHUNK tuples."""
+def _index_pieces(m: int, n: int, lex: bool):
+    """Index columns of every increasing m-tuple of range(n) grouped on the
+    first index (`lex`, lexicographic order) or the last, with the groups'
+    offsets: one cached piece up to _MATERIALIZE_CAP tuples (`_lex_columns`,
+    offsets None, or `_grouped_columns`), else `_index_groups` of whole
+    groups, each piece closed once it holds _CHUNK tuples."""
     if inc_count(m, n) <= _MATERIALIZE_CAP:
-        yield _grouped_columns(m, n)
+        yield (_lex_columns(m, n), None) if lex else _grouped_columns(m, n)
         return
-    first, size = m - 1, 0
-    for last in range(m - 1, n):
-        size += math.comb(last, m - 1)
-        if size >= _CHUNK or last == n - 1:
-            yield _last_index_groups(m, first, last + 1)
-            first, size = last + 1, 0
+    groups = range(n - m + 1) if lex else range(m - 1, n)
+    first, size = groups[0], 0
+    for g in groups:
+        size += math.comb(n - 1 - g if lex else g, m - 1)
+        if size >= _CHUNK or g == groups[-1]:
+            yield _index_groups(m, n, range(first, g + 1), lex)
+            first, size = g + 1, 0
 
 
 def _sample_rows(sample) -> np.ndarray:
@@ -274,16 +267,16 @@ def _sum_tuples(
 ) -> np.ndarray:
     """Sum kernel values over all increasing tuples, slot l fed from rows[l].
 
-    Each piece of `_index_chunks` is reduced with one `np.add.reduce`, and
-    the piece sums are folded in enumeration order. With `weights`, rows of
-    shape (C(n, m), 1 or dim), each tuple's value is first multiplied by the
-    row of its rank.
+    Each lexicographic piece of `_index_pieces` is reduced with one
+    `np.add.reduce`, and the piece sums are folded in enumeration order.
+    With `weights`, rows of shape (C(n, m), 1 or dim), each tuple's value is
+    first multiplied by the row of its rank.
     """
     m, n = kernel.arity, rows[0].shape[0]
     _tuple_count(m, n)
     acc = None
     start = 0
-    for cols in _index_chunks(m, n):
+    for cols, _ in _index_pieces(m, n, lex=True):
         vals = batch_values(kernel, tuple(rows[j][cols[j]] for j in range(m)))
         if weights is not None:
             vals = vals * weights[start : start + len(vals)]
@@ -365,16 +358,16 @@ def _prefix_sums(kernel: KernelSpec, samples: np.ndarray) -> np.ndarray:
     """Prefix statistics U_{n'}, n' = m..n, of a stack of samples.
 
     samples has shape (R, n) or (R, n, d_in); the result is (R, n - m + 1,
-    dim). Each piece of `_group_chunks` is one batch of kernel values whose
-    groups are summed by `np.add.reduceat` and accumulated by `cumsum` from
-    the previous piece's last prefix: the steps of one `cumsum` over all
-    groups, so the result depends neither on R nor on the pieces.
+    dim). Each last-index piece of `_index_pieces` is one batch of kernel
+    values whose groups are summed by `np.add.reduceat` and accumulated by
+    `cumsum` from the previous piece's last prefix: the steps of one `cumsum`
+    over all groups, so the result depends neither on R nor on the pieces.
     """
     m, n = kernel.arity, samples.shape[1]
     _tuple_count(m, n)
     out = np.empty((samples.shape[0], n - m + 1, kernel.codomain.dim))
     done = 0
-    for cols, starts in _group_chunks(m, n):
+    for cols, starts in _index_pieces(m, n, lex=False):
         sums = np.add.reduceat(_stacked_values(kernel, (samples,) * m, cols), starts, axis=1)
         if done:
             sums[:, 0] += out[:, done - 1]
@@ -607,7 +600,7 @@ def weight_aggregate(scheme: WeightScheme, m: int, n: int, k: int) -> np.ndarray
     cells = inc_count(k, n) * width
     acc = np.zeros(cells)
     start = 0
-    for cols in _index_chunks(m, n):
+    for cols, _ in _index_pieces(m, n, lex=True):
         subsets = itertools.combinations(range(m), k)
         ranks = np.stack([_lex_ranks([cols[s] for s in sub], n) for sub in subsets], axis=1)
         w = np.broadcast_to(weights[start : start + len(ranks), None], ranks.shape + (width,))

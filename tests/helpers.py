@@ -150,13 +150,14 @@ def tuple_weights(values: np.ndarray, m: int, n: int) -> dict[tuple[int, ...], n
 
 
 def weighted_oracle(kernel: KernelSpec, weights: dict, width: int, sample) -> np.ndarray:
-    """sum_i T_i h(xi_i) over the pieces of `ustats._index_chunks`, each
-    piece's (T, width) weight block filled tuple by tuple from the dict."""
+    """sum_i T_i h(xi_i) over the lexicographic pieces of
+    `ustats._index_pieces`, each piece's (T, width) weight block filled tuple
+    by tuple from the dict."""
     rows = np.asarray(sample, dtype=np.float64)
     n, m = rows.shape[0], kernel.arity
     tuples = itertools.combinations(range(1, n + 1), m)
     acc = None
-    for cols in ustats._index_chunks(m, n):
+    for cols, _ in ustats._index_pieces(m, n, lex=True):
         w = np.empty((cols[0].size, width))
         for t, tpl in enumerate(itertools.islice(tuples, w.shape[0])):
             w[t] = weights.get(tpl, 0.0)

@@ -445,6 +445,13 @@ scaling: {design_kind: bernoulli, sizes: [1.5]}
         with pytest.raises(ConfigError, match=r"'data.values' \(line 4\)"):
             parse_config_text(text)
 
+    def test_data_values_below_the_kernel_arity_exit_1(self, tmp_path, capsys):
+        path = write_config(tmp_path, ESTIMATE_CONFIG.replace("values: [1, -1, 2]", "values: [1.5]"))
+        assert main(["estimate", "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "data.values" in err and "sample of size 1 cannot feed an arity-2 kernel" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("start", [0.0, -1.0])
     def test_linear_tail_grid_must_be_positive(self, start):
         text = f"version: 1\nexperiment: tailscan\nx_grid:\n  start: {start}\n  scale: linear\n"

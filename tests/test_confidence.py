@@ -80,6 +80,12 @@ def test_quantile_interval_orders_its_outputs():
         quantile_interval(values, 1.5)
 
 
+def test_quantile_interval_refuses_nan():
+    """A sort puts NaN last, where it would be read as the largest value."""
+    with pytest.raises(ValueError, match="must not be NaN"):
+        quantile_interval(np.array([1.0, np.nan, 2.0, 3.0]), 0.5)
+
+
 def test_z95_is_scipys_normal_quantile():
     assert _Z95 == float(stats.norm.ppf(0.5 + 0.95 / 2.0))
 

@@ -187,7 +187,7 @@ def small_cap(monkeypatch):
 @pytest.mark.parametrize("name", CASES)
 def test_count_path_equals_the_gather_above_the_cap(small_cap, monkeypatch, name):
     kernel, table, atoms, values = _draw(name, 40)
-    assert len(list(ustats._group_chunks(2, 40))) > 1
+    assert len(list(ustats._index_pieces(2, 40, lex=False))) > 1
     np.testing.assert_array_equal(_counted(kernel, table, atoms), running_max_norms(kernel, values))
     config = _config(name, 40, 101)
     np.testing.assert_array_equal(replicate(config), _gather_replicate(monkeypatch, config))

@@ -427,6 +427,11 @@ class TestHkTailOracle:
         assert tail(2.0) == pytest.approx(0.5)
         assert tail(9.0) == 0.0
 
+    def test_empirical_tail_refuses_nan(self):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            empirical_tail(np.array([np.nan, 1.0]))
+        assert empirical_tail(np.array([-np.inf, 1.0, np.inf]))(1.0) == pytest.approx(1 / 3)
+
 
 class TestIncompleteScaling:
     def test_grid_rows_and_unbiasedness(self):

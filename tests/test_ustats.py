@@ -510,10 +510,10 @@ class TestIncomplete:
 
 
 class TestAboveTheMaterializeCap:
-    """Above _MATERIALIZE_CAP tuples, sums stream through index chunks and the
-    running max through pieces of whole last-index groups. The running max
-    gives the materialized path's bytes for every kernel; `complete` and
-    `weighted` fold their lexicographic pieces in another order than one
+    """Above _MATERIALIZE_CAP tuples, sums run through pieces of whole
+    first-index groups and the running max through pieces of whole
+    last-index groups. The running max gives the materialized path's bytes
+    for every kernel; `complete` and `weighted` fold their lexicographic pieces in another order than one
     reduction, so they agree bit for bit where every sum is an integer and
     to 1e-12 relative otherwise."""
 
@@ -580,10 +580,23 @@ class TestAboveTheMaterializeCap:
         want = self._running_max(kernel, samples)
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
         monkeypatch.setattr(ustats, "_CHUNK", chunk)
-        pieces = list(ustats._group_chunks(kernel.arity, n))
+        pieces = list(ustats._index_pieces(kernel.arity, n, lex=False))
         assert len(pieces) > 1 and all(starts[0] == 0 for _, starts in pieces)
         for got, expected in zip(self._running_max(kernel, samples), want):
             assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 9, 1000])
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_lexicographic_pieces_are_whole_first_index_groups(self, monkeypatch, m, chunk):
+        n = 23
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+        monkeypatch.setattr(ustats, "_CHUNK", chunk)
+        pieces = [cols for cols, _ in ustats._index_pieces(m, n, lex=True)]
+        want = np.array(list(enumerate_inc(m, n)), dtype=np.int64) - 1
+        np.testing.assert_array_equal(np.concatenate([np.stack(c, axis=1) for c in pieces]), want)
+        firsts = [c[0] for c in pieces]
+        assert all(a[-1] < b[0] for a, b in zip(firsts, firsts[1:]))  # no first-index group is cut
+        assert all(c[0].size >= chunk for c in pieces[:-1])
 
     @staticmethod
     def _running_max(kernel, samples):
