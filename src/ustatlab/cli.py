@@ -576,8 +576,7 @@ def _run_decompose(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     report = degeneracy_order(kernel, support, projections=projections)
     sample = _load_sample(cfg, sampler, kernel)
     check = decomposition_check(kernel, support, sample, projections=projections)
-    rel = check.deviation / max(check.lhs_norm, 1.0)
-    violated = rel > cfg.identity_tolerance
+    violated = not check.within(cfg.identity_tolerance)
     rows = [(0, report.mean_norm), *enumerate(report.residuals, start=1)]
     results = {
         "degeneracy_order": report.order,
@@ -585,7 +584,7 @@ def _run_decompose(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
         "fully_degenerate": report.fully_degenerate,
         "declared_matches": report.declared_matches,
         "decomposition_deviation": check.deviation,
-        "decomposition_relative": rel,
+        "decomposition_relative": check.relative,
         "identity_ok": not violated,
     }
     return {"decompose": (["order", "max_projection_norm"], rows)}, results, violated

@@ -246,8 +246,12 @@ class DecompositionCheck:
     lhs_norm: float
     per_order_norms: tuple[float, ...]  # ||binom-scaled U_{k,n}(h_k)||, k = 0..m
 
+    @property
+    def relative(self) -> float:
+        return self.deviation / max(self.lhs_norm, 1.0)  # absolute where ||U|| < 1
+
     def within(self, rel_tol: float = 1e-10) -> bool:
-        return self.deviation <= rel_tol * (1.0 + self.lhs_norm)
+        return self.relative <= rel_tol
 
 
 def decomposition_check(

@@ -63,6 +63,7 @@ from .ustats import (
     _exact_bound,
     _selection_sums,
     _stacked_values,
+    _sum_tuples,
     _tuple_count,
     _tuple_columns,
     check_design,
@@ -805,11 +806,9 @@ def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     ||U_dec|| of the decoupled one whose slot l reads substream (l, r).
 
     Like the tail scan's, replicas are drawn in batches of _CHUNK_VALUES // n
-    (one `draw_iid_batch` per role) and evaluated in batches of
-    _CHUNK_VALUES // C(n, m) (one gathered kernel call per statistic). The
-    tuple sums reduce along the tuple axis with the `np.add.reduce` that
-    `complete` and `decoupled` use for one sample, whichever evaluator the
-    kernel was given.
+    (one `draw_iid_batch` per role) and summed in batches of _CHUNK_VALUES //
+    C(n, m) by `_sum_tuples`, the gather and reduce of `complete` and
+    `decoupled`; the enumeration must fit in memory, checked before any replica.
     """
     kernel, n, R = config.kernel, config.sample_size, config.replicas
     m = kernel.arity
@@ -823,8 +822,6 @@ def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
             draw_iid_batch(bound_sampler, n, mix_ids_batch(_ROLE_DEC, slot, drawn)) for slot in range(m)
         ]
         for b in _batches(drawn.size, cols[0].size):
-            vals = _stacked_values(kernel, (sample[b],) * m, cols)
-            stats_u[drawn[b]] = row_norms(kernel.codomain, np.add.reduce(vals, axis=1))
-            dec = _stacked_values(kernel, tuple(c[b] for c in copies), cols)
-            stats_d[drawn[b]] = row_norms(kernel.codomain, np.add.reduce(dec, axis=1))
+            stats_u[drawn[b]] = row_norms(kernel.codomain, _sum_tuples(kernel, (sample[b],) * m))
+            stats_d[drawn[b]] = row_norms(kernel.codomain, _sum_tuples(kernel, tuple(c[b] for c in copies)))
     return stats_u, stats_d

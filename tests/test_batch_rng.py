@@ -136,6 +136,15 @@ def test_zero_draws_give_an_empty_row_per_stream(k):
     assert draw_iid_batch(spec, 0, STREAMS[:5]).shape == (5, 0)
 
 
+@pytest.mark.parametrize("name", ["grid-7", "finite-2d"])
+def test_no_streams_give_no_rows(name):
+    spec = _samplers()[name]
+    idx = draw_atoms_batch(spec, 6, STREAMS[:0])
+    assert idx.shape == (0, 6) and idx.dtype == np.intp
+    draws = draw_iid_batch(spec, 6, STREAMS[:0])
+    assert draws.shape == (0, 6) + spec.finite_support().atoms.shape[1:]
+
+
 def test_a_law_without_atoms_has_no_atom_draws():
     with pytest.raises(ValueError, match="no finite support"):
         draw_atoms_batch(_samplers()["gaussian"], 4, STREAMS[:3])

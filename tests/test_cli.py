@@ -24,6 +24,7 @@ from ustatlab.cli import (
     parse_config_text,
     run,
 )
+from ustatlab.hoeffding import DecompositionCheck
 from ustatlab.ustats import complete
 
 ESTIMATE_CONFIG = """\
@@ -550,6 +551,15 @@ class TestEstimate:
         with pytest.raises(ConfigError, match="experiment"):
             run("decompose", cfg, out_dir=str(tmp_path))
 
+    def test_rows_of_width_one_are_the_scalar_sample(self, tmp_path):
+        """`data.values: [[1], [-1], [2]]` is the sample `[1, -1, 2]`, not three
+        one-dimensional points, so the product kernel writes the same files."""
+        column = ESTIMATE_CONFIG.replace("values: [1, -1, 2]", "values: [[1], [-1], [2]]")
+        assert run("estimate", parse_config_text(column), out_dir=str(tmp_path / "column")) == EXIT_OK
+        assert run("estimate", parse_config_text(ESTIMATE_CONFIG), out_dir=str(tmp_path / "flat")) == EXIT_OK
+        for name in ("estimate.csv", "estimate.dat", "estimate-prefix-norms.csv"):
+            assert (tmp_path / "column" / name).read_bytes() == (tmp_path / "flat" / name).read_bytes()
+
 
 class TestDecompose:
     CONFIG = """\
@@ -582,6 +592,18 @@ data:
         code = main(["decompose", "--config", path, "--out", str(tmp_path / "out")])
         assert code == EXIT_USAGE
         assert "0.5 is not an atom" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("deviation, ok", [(1e-10, True), (1.5e-10, False)])
+    def test_identity_gate_is_the_checks_rule(self, tmp_path, monkeypatch, deviation, ok):
+        """The run gates and reports through `DecompositionCheck`: at ||U|| = 1
+        a deviation of 1.5e-10 breaks the default tolerance of 1e-10."""
+        check = DecompositionCheck(deviation=deviation, lhs_norm=1.0, per_order_norms=(0.0, 0.0, 1.0))
+        monkeypatch.setattr(cli, "decomposition_check", lambda *args, **kwargs: check)
+        cfg = parse_config_text(self.CONFIG)
+        assert run("decompose", cfg, out_dir=str(tmp_path)) == (EXIT_OK if ok else EXIT_VIOLATION)
+        results = read_manifest(tmp_path)["results"]
+        assert results["decomposition_relative"] == check.relative == deviation
+        assert results["identity_ok"] is ok is check.within(cfg.identity_tolerance)
 
 
 class TestMartingaleVerify:
@@ -675,6 +697,20 @@ martingale:
         with open(tmp_path / "out" / "martingale-real.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 3
+
+    def test_conv_grid_file_holds_one_t_per_line(self, tmp_path):
+        cfg = parse_config_text(self.CONFIG)
+        grid = tmp_path / "grid.txt"
+        grid.write_text("# t\n40.0\n100.0\n250.0\n")
+        status = run(
+            "martingale-verify", cfg, out_dir=str(tmp_path / "out"), variants=("conv",), grid_file=str(grid)
+        )
+        assert status == EXIT_OK
+        assert list(read_manifest(tmp_path / "out")["results"]["violations"]) == ["conv"]
+        with open(tmp_path / "out" / "martingale-conv.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [float(r[0]) for r in rows] == [40.0, 100.0, 250.0]
+        assert all(r[1] == "nan" for r in rows)
 
 
 class TestTailscanExitCodes:
@@ -1474,6 +1510,13 @@ class TestFailedRunWritesNothing:
         with pytest.raises(RuntimeError, match="step failed"):
             run("incomplete-compare", cfg, out_dir=str(out))
         assert not out.exists()
+
+
+def test_a_failed_atomic_write_leaves_no_temporary_file(tmp_path):
+    """A write that raises removes its `.tmp-*` file and leaves no target."""
+    with pytest.raises(UnicodeEncodeError):
+        cli._atomic_write(str(tmp_path / "table.csv"), "a,b\n\ud800\n")  # a lone surrogate has no UTF-8
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_started_utc_is_taken_before_the_computation(monkeypatch, tmp_path):

@@ -86,6 +86,12 @@ def test_quantile_interval_refuses_nan():
         quantile_interval(np.array([1.0, np.nan, 2.0, 3.0]), 0.5)
 
 
+@pytest.mark.parametrize("values", [[], [1.0]])
+def test_quantile_interval_needs_two_values(values):
+    with pytest.raises(ValueError, match="need at least 2 values"):
+        quantile_interval(np.array(values), 0.5)
+
+
 def test_z95_is_scipys_normal_quantile():
     assert _Z95 == float(stats.norm.ppf(0.5 + 0.95 / 2.0))
 

@@ -67,6 +67,23 @@ def test_mismatched_spaces_rejected():
         axpy(1.0, a, b)
 
 
+def test_spaces_hash_and_print_by_dimension_and_weights():
+    assert hash(HilbertSpace.euclidean(3)) == hash(HilbertSpace(3, np.ones(3)))
+    assert len({HilbertSpace.euclidean(2), HilbertSpace(2), HilbertSpace.grid(2)}) == 2
+    assert repr(HilbertSpace.euclidean(3)) == "HilbertSpace.euclidean(3)"
+    assert repr(HilbertSpace.grid(4)) == "HilbertSpace(dim=4)"
+
+
+def test_points_compare_by_space_and_coordinates():
+    a = HilbertSpace.euclidean(2).point([1.0, 0.5])
+    assert a == HilbertSpace.euclidean(2).point([1.0, 0.5])
+    assert a != HilbertSpace.euclidean(2).point([1.0, 0.25])
+    assert a != HilbertSpace.grid(2).point([1.0, 0.5])
+    assert a.__eq__((1.0, 0.5)) is NotImplemented and a != (1.0, 0.5)
+    assert repr(a) == "HilbertPoint([1.  0.5])"
+    assert repr(HilbertSpace.euclidean(9).zero()) == "HilbertPoint([0. 0. 0. ... 0. 0. 0.])"
+
+
 def test_space_validation():
     with pytest.raises(ValueError):
         HilbertSpace(dim=0, weights=np.array([]))

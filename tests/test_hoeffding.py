@@ -159,6 +159,18 @@ class TestDecompositionCheck:
         )
         assert decomposition_check(kernel, dist, sample).within(1e-10)
 
+    @pytest.mark.parametrize(
+        "deviation, lhs_norm, relative",
+        [(1.5e-10, 1.0, 1.5e-10), (1.5e-10, 0.25, 1.5e-10), (3e-10, 2.0, 1.5e-10), (1e-10, 1.0, 1e-10)],
+    )
+    def test_within_reads_the_deviation_relative_to_a_norm_of_at_least_one(self, deviation, lhs_norm, relative):
+        """One rule for the identity: deviation / max(||U||, 1) <= tolerance.
+        At deviation 1.5e-10 and ||U|| = 1 it refuses a tolerance of 1e-10,
+        which deviation <= tolerance * (1 + ||U||) would accept."""
+        check = DecompositionCheck(deviation=deviation, lhs_norm=lhs_norm, per_order_norms=())
+        assert check.relative == relative
+        assert check.within(1e-10) == (relative <= 1e-10)
+
 
 class TestWeightedDecompositionCheck:
     def test_scalar_weights_match_the_projection_expansion(self):

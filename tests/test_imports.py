@@ -8,8 +8,9 @@ it loads are its own, not those of earlier tests. A module imported during
 Also guards the package's source: only `kernels.py` may ask which evaluator
 a kernel was given, only `ustats.py` decides when a sum is exact, only
 `montecarlo.py` evaluates the bound envelope, no module imports inside a
-function, no CLI runner writes a file, every function has a caller, and
-no module keeps an unbounded dict cache.
+function, no CLI runner writes a file, every function has a caller, no
+module keeps an unbounded dict cache, and only `ustats._stacked_values`
+evaluates tuples in `ustats` and `montecarlo`.
 """
 
 import ast
@@ -198,6 +199,22 @@ def test_only_ustats_runs_the_atom_routes():
         for alias in node.names
     }
     assert imported and not imported & rules
+
+
+def test_only_stacked_values_evaluates_tuples():
+    """Every estimator and experiment in `ustats` and `montecarlo` gathers
+    and evaluates its tuples through `ustats._stacked_values`, so no other
+    function there calls `batch_values`."""
+    callers = {
+        f"{name}:{func.name}"
+        for name in ("ustats.py", "montecarlo.py")
+        for func in ast.walk(ast.parse((PACKAGE / name).read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "batch_values"
+    }
+    assert callers == {"ustats.py:_stacked_values"}
 
 
 def test_no_import_inside_a_function():

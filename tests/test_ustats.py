@@ -20,13 +20,15 @@ from helpers import (
 from ustatlab import ustats
 from ustatlab.distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from ustatlab.hilbert import HilbertSpace, norm
-from ustatlab.kernels import KernelSpec, batch_values, centered, gini, product
+from ustatlab.kernels import KernelSpec, batch_values, centered, gini, product, spatial_sign
 from ustatlab.montecarlo import ExperimentConfig, coordinate_kernel
 from ustatlab.ustats import (
     DecoupledSample,
     _grouped_columns,
     _lex_ranks,
     _lex_unranks,
+    _stacked_values,
+    _sum_tuples,
     _tuple_columns,
     SamplingDesign,
     Selection,
@@ -604,6 +606,63 @@ class TestAboveTheMaterializeCap:
             np.stack([running_max(kernel, s).prefix_values for s in samples]),
             running_max_norms(kernel, samples),
         )
+
+
+class TestStackedSums:
+    """`_sum_tuples` sums every sample of a stack as `complete`, `decoupled`
+    and `weighted` sum it alone, bit for bit, whether its tuples come as one
+    cached piece or as pieces of whole first-index groups; `_stacked_values`
+    gives a sample the same values in a stack of one as in a longer stack."""
+
+    KERNELS = {
+        "centered-gini-grid7": (
+            lambda: centered(gini(), FiniteDistribution.uniform_grid(7)),
+            lambda r: draw_iid(SamplerSpec(kind="uniform-grid", grid_points=7), 23, r),
+        ),
+        "triple-product-normal": (
+            lambda: product(arity=3), lambda r: np.random.default_rng(r).normal(size=23),
+        ),
+        "spatial-sign-2d": (
+            lambda: spatial_sign(HilbertSpace.euclidean(2)),
+            lambda r: np.random.default_rng(r).normal(size=(23, 2)),
+        ),
+    }
+
+    @pytest.mark.parametrize("above_cap", [False, True])
+    @pytest.mark.parametrize("case", list(KERNELS))
+    def test_a_stack_sums_each_sample_as_alone(self, monkeypatch, case, above_cap):
+        make_kernel, draw = self.KERNELS[case]
+        kernel = make_kernel()
+        m, n, dim = kernel.arity, 23, kernel.codomain.dim
+        samples = np.stack([draw(r) for r in range(4)])
+        copies = tuple(np.stack([draw(10 * slot + r) for r in range(4)]) for slot in range(1, m + 1))
+        rng = np.random.default_rng(61)
+        schemes = [WeightScheme(rng.normal(size=shape)) for shape in [math.comb(n, m), (math.comb(n, m), dim)]]
+        if above_cap:
+            monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
+            monkeypatch.setattr(ustats, "_CHUNK", 9)
+            assert ustats._tuple_columns(m, n) is None
+        alone = np.stack([complete(kernel, s).coords for s in samples])
+        assert _sum_tuples(kernel, (samples,) * m).tobytes() == alone.tobytes()
+        alone = np.stack(
+            [decoupled(kernel, DecoupledSample(tuple(c[r] for c in copies))).coords for r in range(4)]
+        )
+        assert _sum_tuples(kernel, copies).tobytes() == alone.tobytes()
+        for scheme in schemes:
+            alone = np.stack([weighted(kernel, scheme, s).coords for s in samples])
+            rows = scheme.values.reshape(len(scheme.values), -1)
+            assert _sum_tuples(kernel, (samples,) * m, rows).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("case", ["centered-gini-grid7", "spatial-sign-2d"])
+    def test_a_stack_of_one_gathers_as_a_longer_stack(self, case):
+        make_kernel, draw = self.KERNELS[case]
+        kernel = make_kernel()
+        pair = np.stack([draw(0), draw(1)])
+        cols = _tuple_columns(2, 23)
+        both = _stacked_values(kernel, (pair,) * 2, cols)
+        assert both.shape == (2, math.comb(23, 2), kernel.codomain.dim)
+        for r in range(2):
+            assert _stacked_values(kernel, (pair[r : r + 1],) * 2, cols).tobytes() == both[r : r + 1].tobytes()
 
 
 def test_index_caches_keep_at_most_four_sample_sizes():
