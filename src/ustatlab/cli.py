@@ -28,7 +28,7 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .distributions import FiniteDistribution, SamplerSpec, draw_iid
+from .distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from .hilbert import HilbertSpace, row_norms
 from .hoeffding import _projections, decomposition_check, degeneracy_order
 from .kernels import (
@@ -865,7 +865,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             variants=variants,
             grid_file=grid_file,
         )
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, EnumerationBudgetError) as exc:
         print(f"ustatlab: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -75,7 +75,7 @@ class FiniteDistribution:
         if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
             raise ValueError("probs must be finite and nonnegative")
         if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError(f"probs sum to {probs.sum()!r}, expected 1 within 1e-12")
+            raise ValueError(f"probs sum to {float(probs.sum())}, expected 1 within 1e-12")
         keys = np.sort(_point_keys(atoms))  # -0.0 == 0.0, so they count as one atom
         if np.any(keys[1:] == keys[:-1]):
             raise ValueError("atoms must be distinct")

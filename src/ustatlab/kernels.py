@@ -286,19 +286,11 @@ def gini(input_space: HilbertSpace | None = None, sup_bound: float | None = None
     With no input space the arguments are real numbers and the distance is
     |u - v|.
     """
-    if input_space is None:
-        return KernelSpec(
-            arity=2,
-            codomain=_scalar_line(),
-            eval_batch=lambda u, v: np.abs(u - v),
-            symmetric=True,
-            sup_bound=sup_bound,
-            name="gini",
-        )
+    evaluate = (lambda u, v: np.abs(u - v)) if input_space is None else (lambda u, v: row_norms(input_space, u - v))
     return KernelSpec(
         arity=2,
         codomain=_scalar_line(),
-        eval_batch=lambda u, v: row_norms(input_space, u - v),
+        eval_batch=evaluate,
         symmetric=True,
         sup_bound=sup_bound,
         name="gini",
@@ -338,26 +330,16 @@ def product(
     """
     if arity < 2:
         raise ValueError(f"a product kernel needs arity at least 2, got {arity}")
-    if input_space is None:
-        return KernelSpec(
-            arity=arity,
-            codomain=_scalar_line(),
-            eval_batch=_scalar_product,
-            symmetric=True,
-            sup_bound=sup_bound,
-            declared_degeneracy=arity,
-            name="product",
-        )
-    if arity != 2:
+    if input_space is not None and arity != 2:
         raise ValueError(f"an arity-{arity} product takes real arguments, not an input space")
-    w = input_space.weights
+    w = None if input_space is None else input_space.weights
     return KernelSpec(
-        arity=2,
+        arity=arity,
         codomain=_scalar_line(),
-        eval_batch=lambda u, v: np.add.reduce(w * u * v, axis=-1),
+        eval_batch=_scalar_product if w is None else (lambda u, v: np.add.reduce(w * u * v, axis=-1)),
         symmetric=True,
         sup_bound=sup_bound,
-        declared_degeneracy=2,
+        declared_degeneracy=arity,
         name="product",
     )
 

@@ -783,6 +783,115 @@ envelope: {second: %s}
         assert len(envelope) == 8 and all(0.0 < v <= 1.0 for v in envelope)
 
 
+class TestRefusals:
+    MARTINGALE = "version: 1\nexperiment: martingale-verify\nreplicas: 100\nmartingale: {generator: bounded-signs}\n"
+    # (subcommand, config text, grid file text or None, extra arguments, start of
+    # the message): one case of each refusal `main` reports as a usage error. The
+    # grid file is written to {tmp}/grid.txt, {tmp} being the test's directory.
+    CASES = {
+        "union-type": (
+            "estimate",
+            "version: 1\nexperiment: estimate\nsampler: {kind: finite, atoms: [a, b], probs: [0.5, 0.5]}\n",
+            None,
+            (),
+            "'sampler.atoms' (line 3): expected a number or a list, got str",
+        ),
+        "invalid-yaml": ("estimate", "version: 1\nexperiment: [estimate\n", None, (), "not valid YAML: "),
+        "top-level-list": ("estimate", "- version\n- 1\n", None, (), "the config must be a mapping at the top level"),
+        "indicator-without-support": (
+            "estimate",
+            "version: 1\nexperiment: estimate\nkernel: {name: empirical-indicator}\n"
+            "sampler: {kind: discretized-gaussian, dim: 1}\ndata: {draw: 5}\n",
+            None,
+            (),
+            "kernel: empirical-indicator needs a sampler with finite support",
+        ),
+        "centering-without-support": (
+            "estimate",
+            "version: 1\nexperiment: estimate\nkernel: {name: gini, centered: true}\n"
+            "sampler: {kind: discretized-gaussian, dim: 1}\ndata: {draw: 5}\n",
+            None,
+            (),
+            "kernel: centering needs a sampler with finite support",
+        ),
+        "decompose-without-support": (
+            "decompose",
+            "version: 1\nexperiment: decompose\nsampler: {kind: discretized-gaussian, dim: 1}\ndata: {draw: 5}\n",
+            None,
+            (),
+            "decompose needs a sampler with finite support",
+        ),
+        "probs-sum": (
+            "estimate",
+            "version: 1\nexperiment: estimate\nsampler: {kind: finite, atoms: [0, 1], probs: [0.5, 0.6]}\n",
+            None,
+            (),
+            "sampler: probs sum to 1.1, expected 1 within 1e-12\n",
+        ),
+        "decompose-enumeration-budget": (
+            "decompose",
+            "version: 1\nexperiment: decompose\nkernel: {name: product, arity: 4}\n"
+            "sampler: {kind: uniform-grid, grid_points: 64}\ndata: {draw: 10}\n",
+            None,
+            (),
+            "enumeration needs 16777216 terms, budget is 10000000\n",
+        ),
+        "tailscan-tuple-cap": (
+            "tailscan",
+            "version: 1\nexperiment: tailscan\nreplicas: 100\nsample_size: 20000\ndegeneracy: 1\n"
+            "kernel: {name: gini}\nsampler: {kind: discretized-gaussian, dim: 1}\n",
+            None,
+            (),
+            "199990000 tuples exceed the cap of 100000000\n",
+        ),
+        "grid-file-columns": (
+            "martingale-verify",
+            MARTINGALE,
+            "1.0 2.0 3.0\n",
+            ("--grid-file", "{tmp}/grid.txt"),
+            "grid file {tmp}/grid.txt line 1: expected 2 columns, got 3\n",
+        ),
+        "grid-file-not-a-number": (
+            "martingale-verify",
+            MARTINGALE,
+            "1.0 abc\n",
+            ("--grid-file", "{tmp}/grid.txt"),
+            "grid file {tmp}/grid.txt line 1: could not convert string to float: 'abc'\n",
+        ),
+        "grid-file-unreadable": (
+            "martingale-verify",
+            MARTINGALE,
+            None,
+            ("--grid-file", "{tmp}"),
+            "cannot read grid file {tmp}: ",
+        ),
+        "grid-file-only-comments": (
+            "martingale-verify",
+            MARTINGALE,
+            "# x y\n\n",
+            ("--grid-file", "{tmp}/grid.txt"),
+            "grid file {tmp}/grid.txt holds no grid points\n",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_a_refusal_exits_1_with_one_message_and_no_files(self, tmp_path, capsys, case):
+        subcommand, text, grid, extra, message = self.CASES[case]
+        if grid is not None:
+            (tmp_path / "grid.txt").write_text(grid)
+        path = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", path, "--out", str(out), *(a.format(tmp=tmp_path) for a in extra)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("ustatlab: " + message.format(tmp=tmp_path))
+        assert not out.exists()
+
+    def test_run_refuses_an_unknown_subcommand(self, tmp_path):
+        with pytest.raises(ConfigError, match="^unknown subcommand 'bogus'$"):
+            run("bogus", parse_config_text(ESTIMATE_CONFIG), out_dir=str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()
+
+
 class TestMain:
     def test_end_to_end_estimate(self, tmp_path):
         path = write_config(tmp_path, ESTIMATE_CONFIG)

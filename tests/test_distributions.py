@@ -199,3 +199,36 @@ def test_mix_ids_is_deterministic_and_order_sensitive():
     assert mix_ids(1, 2, 3) == mix_ids(1, 2, 3)
     assert mix_ids(1, 2) != mix_ids(2, 1)
     assert 0 <= mix_ids(7, 123456789) < 2**64
+
+
+# One case of each refusal of the law and sampler constructors: (call, message).
+REFUSALS = {
+    "probs-per-atom": (
+        lambda: FiniteDistribution(np.array([0.0, 1.0]), np.array([1.0])),
+        "probs must have one entry per atom",
+    ),
+    "negative-probs": (
+        lambda: FiniteDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5])),
+        "probs must be finite and nonnegative",
+    ),
+    "probs-sum": (
+        lambda: FiniteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.6])),
+        "probs sum to 1.1, expected 1 within 1e-12",
+    ),
+    "gaussian-without-space": (
+        lambda: SamplerSpec(kind="discretized-gaussian"),
+        "discretized-gaussian sampler needs space",
+    ),
+    "seed-stream-width": (
+        lambda: SamplerSpec(kind="rademacher", seed_stream=2**64),
+        "seed_stream must fit in 64 bits",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refusal_names_its_rule(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message

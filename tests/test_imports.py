@@ -9,8 +9,9 @@ Also guards the package's source: only `kernels.py` may ask which evaluator
 a kernel was given, only `ustats.py` decides when a sum is exact, only
 `montecarlo.py` evaluates the bound envelope, no module imports inside a
 function, no CLI runner writes a file, every function has a caller, no
-module keeps an unbounded dict cache, and only `ustats._stacked_values`
-evaluates tuples in `ustats` and `montecarlo`.
+module keeps an unbounded dict cache, only `ustats._stacked_values`
+evaluates tuples in `ustats` and `montecarlo`, and only
+`montecarlo._sample_batches` draws batches of samples in `montecarlo`.
 """
 
 import ast
@@ -215,6 +216,21 @@ def test_only_stacked_values_evaluates_tuples():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "batch_values"
     }
     assert callers == {"ustats.py:_stacked_values"}
+
+
+def test_only_the_producer_draws_sample_batches():
+    """`montecarlo._sample_batches` is the one replica loop: the tail scan's
+    gather, both design experiments and the decoupling experiment read their
+    samples from it, so no other function there calls `draw_iid_batch`."""
+    callers = {
+        func.name
+        for func in ast.walk(ast.parse((PACKAGE / "montecarlo.py").read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "draw_iid_batch"
+    }
+    assert callers == {"_sample_batches"}
 
 
 def test_no_import_inside_a_function():

@@ -15,6 +15,8 @@ from ustatlab.kernels import (
     batch_values,
     centered,
     check_sup_bound,
+    _is_real_product,
+    empirical_indicator,
     empirical_indicator_from,
     evaluate,
     gini,
@@ -251,3 +253,40 @@ def test_one_evaluator_matches_the_batch_rows(name):
     for t in range(rows.shape[0]):
         one = evaluate(kernel, tuple(c[t] for c in cols)).coords
         np.testing.assert_array_equal(one, rows[t])
+
+
+# One case of each refusal of the empirical-indicator builders: (call, message).
+REFUSALS = {
+    "grid-shape": (
+        lambda: empirical_indicator(np.zeros(3), np.zeros(2)),
+        "grid and cdf_on_grid must be 1-d arrays of equal length",
+    ),
+    "cdf-range": (
+        lambda: empirical_indicator(np.array([0.0, 1.0]), np.array([0.5, 1.5])),
+        "cdf values must lie in [0, 1]",
+    ),
+    "vector-law": (
+        lambda: empirical_indicator_from(FiniteDistribution(np.eye(2), np.array([0.5, 0.5])), 4),
+        "empirical-indicator needs a scalar law",
+    ),
+    "one-grid-point": (
+        lambda: empirical_indicator_from(FiniteDistribution.uniform_grid(3), 1),
+        "need at least 2 grid points",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refusal_names_its_rule(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+def test_only_the_real_product_evaluates_as_one():
+    """`product` on real arguments hands every arity the one evaluator the
+    product routes recognise; the inner product and other kernels do not."""
+    assert all(_is_real_product(product(arity=m)) for m in (2, 3, 4))
+    assert not _is_real_product(product(HilbertSpace.euclidean(2)))
+    assert not _is_real_product(gini())

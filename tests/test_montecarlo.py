@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ustatlab.confidence import wilson_bounds
-from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid, exact_expectation
+from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid, exact_expectation, mix_ids
 from ustatlab.hilbert import HilbertSpace, row_norms
 from ustatlab.kernels import KernelSpec, SupBoundWarning, centered, gini, product
 from ustatlab.montecarlo import (
@@ -636,3 +636,49 @@ class TestExactTail:
         assert 0.0 < exact[-1] and exact[0] < 1.0  # the grid reaches into both ends
         band = math.sqrt(math.log(2.0 / alpha) / (2 * replicas))
         assert np.max(np.abs(scan.p_hat - exact)) <= band
+
+
+_NO_GRID = ExperimentConfig(product(), SamplerSpec(kind="rademacher"), 8, 100, 0)
+# One case of each refusal an experiment raises before drawing: (call, message).
+REFUSALS = {
+    "tail-scan-grid": (lambda: tail_scan(_NO_GRID), "tail_scan needs x_grid"),
+    "decouple-grid": (lambda: decouple_compare(_NO_GRID), "decouple_compare needs x_grid"),
+    "scaling-law": (
+        lambda: incomplete_scaling_experiment(
+            product(),
+            SamplerSpec(kind="discretized-gaussian", space=HilbertSpace.euclidean(1)),
+            [ScalingCell(8, SamplingDesign(kind="with-replacement", size=3))],
+            100,
+            0,
+        ),
+        "scaling experiment needs a finite sampling law",
+    ),
+    "matching-size": (
+        lambda: matching_point_compare(SamplerSpec(kind="rademacher"), 5, 6, 100, 0),
+        "size must lie in [1, n]",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refusal_names_its_rule(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("sup_bound, draws", [(None, 0), (8.0, 1)])
+def test_the_spot_check_draws_only_against_a_bound(monkeypatch, sup_bound, draws):
+    """`_spot_check_sup` draws replica 0's sample of its role itself, and only
+    when the kernel declares a sup bound."""
+    calls = []
+
+    def counting(spec, n, stream):
+        calls.append(stream)
+        return draw_iid(spec, n, stream)
+
+    monkeypatch.setattr(montecarlo, "draw_iid", counting)
+    sampler = SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=5)
+    montecarlo._spot_check_sup(gini(sup_bound=sup_bound), sampler, 20, (11, 3), "test")
+    assert calls == [mix_ids(11, 3, 0)] * draws

@@ -705,3 +705,28 @@ class TestTupleGate:
         ):
             with pytest.raises(ValueError, match="sample of size [12] cannot feed an arity-[23] kernel"):
                 call()
+
+
+# One case of each refusal of the sample, copy, weight and design checks: (call, message).
+REFUSALS = {
+    "sample-rank": (lambda: complete(gini(), np.zeros((2, 2, 2))), "sample must be a 1-d or 2-d array of points"),
+    "no-copies": (lambda: DecoupledSample(()), "need at least one copy"),
+    "copy-shapes": (lambda: DecoupledSample((np.zeros(3), np.zeros(4))), "all copies must share one shape"),
+    "aggregate-order": (
+        lambda: ustats.weight_aggregate(WeightScheme.identity(2, 4), 2, 4, 3),
+        "k must lie in [1, 2], got 3",
+    ),
+    "design-kind": (lambda: SamplingDesign(kind="bogus", size=3), "unknown design kind 'bogus'"),
+    "design-rate": (
+        lambda: SamplingDesign(kind="with-replacement", size=3, rate=0.5),
+        "with-replacement design takes no rate",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSALS))
+def test_a_refusal_names_its_rule(case):
+    call, message = REFUSALS[case]
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
