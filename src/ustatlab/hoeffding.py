@@ -88,7 +88,7 @@ class ProjectedKernel:
 
     def _lookup(self, *cols) -> np.ndarray:
         """Table entries at the atoms of each argument column, matched exactly."""
-        return self.table[tuple(self.support.index_of(c) for c in cols)]
+        return _table_read(self.table, [self.support.index_of(c) for c in cols])
 
     def as_kernel(self) -> KernelSpec:
         """Repackage as a kernel of arity k for use in U-statistics."""
@@ -310,14 +310,22 @@ def weighted_decomposition_check(
 
 
 def _atom_kernel(proj: ProjectedKernel) -> KernelSpec:
-    """An exact h_k as a kernel of atom indices, which it reads its table at.
-
-    `ustats.complete` hands the indices over as floats; they are exact.
-    """
+    """An exact h_k as a kernel of atom indices (exact floats from `ustats.complete`) at which it reads its table."""
     return KernelSpec(
         arity=proj.order,
         codomain=proj.base.codomain,
-        eval_batch=lambda *cols: proj.table[tuple(c.astype(np.intp) for c in cols)],
+        eval_batch=lambda *cols: _table_read(proj.table, cols),
         symmetric=True,
         name=f"proj{proj.order}({proj.base.name})",
     )
+
+
+def _table_read(table: np.ndarray, cols) -> np.ndarray:
+    """table[c_1, ..., c_k] of a (A,) * k + (dim,) table, for index columns of one shape holding exact
+    integers (or floats of them), read at one flat index c_1 * A**(k - 1) + ... + c_k built in place."""
+    k, size = len(cols), table.shape[0]
+    flat = np.asarray(cols[0] if k else 0).astype(np.intp)
+    for c in cols[1:]:
+        flat *= size
+        np.add(flat, c, out=flat, casting="unsafe")  # float indices are exact
+    return table.reshape((size**k,) + table.shape[k:])[flat]

@@ -54,7 +54,9 @@ class KernelSpec:
     eval_one: callable on arity raw points, returns a scalar (codomain
         dim 1) or a coordinate row.
     eval_batch: vectorized form on arity argument columns of T rows each;
-        returns (T, dim), or (T,) when the codomain is the scalar line.
+        returns (T, dim), or (T,) when the codomain is the scalar line, as a
+        new array, a view of the columns or a read-only array, so a caller
+        may write into a writeable result that shares no memory with them.
     Give one evaluator (or both); a spec with neither raises ValueError.
     The missing one is built once here: a loop-only kernel gets the loop
     of eval_one over the rows as its eval_batch, and a batch-only kernel
@@ -241,7 +243,8 @@ def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:
 
     def centered_batch(*cols):
         vals = np.asarray(kernel.eval_batch(*cols), dtype=np.float64)
-        return vals - mean[0] if vals.ndim == 1 else vals - mean
+        owned = vals.flags.writeable and not any(np.may_share_memory(vals, c) for c in cols)
+        return np.subtract(vals, mean[0] if vals.ndim == 1 else mean, out=vals if owned else None)
 
     sup = None
     if kernel.sup_bound is not None:
@@ -286,7 +289,7 @@ def gini(input_space: HilbertSpace | None = None, sup_bound: float | None = None
     With no input space the arguments are real numbers and the distance is
     |u - v|.
     """
-    evaluate = (lambda u, v: np.abs(u - v)) if input_space is None else (lambda u, v: row_norms(input_space, u - v))
+    evaluate = _abs_difference if input_space is None else (lambda u, v: row_norms(input_space, u - v))
     return KernelSpec(
         arity=2,
         codomain=_scalar_line(),
@@ -295,6 +298,12 @@ def gini(input_space: HilbertSpace | None = None, sup_bound: float | None = None
         sup_bound=sup_bound,
         name="gini",
     )
+
+
+def _abs_difference(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|u - v|, taken inside the difference array."""
+    d = u - v
+    return np.abs(d, out=d)
 
 
 def spatial_sign(input_space: HilbertSpace) -> KernelSpec:

@@ -163,6 +163,7 @@ def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) ->
     batch = max(1, 2 * _CHUNK_VALUES // n, _CHUNK_VALUES // 64)
     route = _atom_route(kernel, config.sampler.finite_support(), n, min(batch, config.replicas), atom_table)
     if route is None:
+        _tuple_count(kernel.arity, n)  # the gather's cap, refused before any draw
         for r, (samples,) in _sample_batches(bound_sampler, n, kernel.arity, config.replicas, (_ROLE_DATA,)):
             out[r] = running_max_norms(kernel, samples)
         return out
@@ -285,9 +286,9 @@ def tail_scan(
         raise ValueError("envelope: the integral term needs a finite sampling law")
     tail = hk_tail_oracle(kernel, support, d, table) if integral else None
 
-    sampler = replace(config.sampler, seed_stream=config.master_seed)
-    _spot_check_sup(kernel, sampler, n, (_ROLE_DATA,), "tail_scan")
     stats = replicate(config, atom_table=table) / factor
+    # after the replicas, so that a refused scan draws nothing
+    _spot_check_sup(kernel, replace(config.sampler, seed_stream=config.master_seed), n, (_ROLE_DATA,), "tail_scan")
     p_hat, lo, hi = _tail_triples(np.sort(stats), config.x_grid)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
     column = [math.nan if env is None else envelope_eval(env, float(x), tail).total for x in config.x_grid]

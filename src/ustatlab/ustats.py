@@ -189,11 +189,13 @@ def _combination_columns(m: int, n: int) -> list[np.ndarray]:
     exceeds v.
     """
     cols = [np.arange(n, dtype=np.int64)]
-    for _ in range(m - 1):
+    for level in range(m - 1):
         start = np.searchsorted(cols[0], np.arange(n), side="right")
         lengths = cols[0].size - start
-        rows = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths - start, lengths)
-        cols = [np.repeat(np.arange(n, dtype=np.int64), lengths)] + [c[rows] for c in cols]
+        rows = np.arange(lengths.sum())
+        rows -= np.repeat(np.cumsum(lengths) - lengths - start, lengths)
+        # the first level's one column is arange(n), whose gather is rows itself
+        cols = [np.repeat(np.arange(n, dtype=np.int64), lengths)] + ([rows] if level == 0 else [c[rows] for c in cols])
     return cols
 
 

@@ -886,6 +886,17 @@ class TestRefusals:
         assert capsys.readouterr().err.startswith("ustatlab: " + message.format(tmp=tmp_path))
         assert not out.exists()
 
+    def test_a_gather_scan_above_the_tuple_cap_draws_nothing(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        for name in ("draw_iid", "draw_iid_batch"):
+            original = getattr(montecarlo, name)
+            monkeypatch.setattr(montecarlo, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+        subcommand, text, _, _, message = self.CASES["tailscan-tuple-cap"]
+        path = write_config(tmp_path, text)
+        assert main([subcommand, "--config", path, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("ustatlab: " + message)
+        assert calls == []
+
     def test_run_refuses_an_unknown_subcommand(self, tmp_path):
         with pytest.raises(ConfigError, match="^unknown subcommand 'bogus'$"):
             run("bogus", parse_config_text(ESTIMATE_CONFIG), out_dir=str(tmp_path / "out"))

@@ -316,6 +316,19 @@ class TestProjectionTables:
             want = exact_expectation(lambda *a: np.atleast_1d(kernel.eval_one(*a)), law, 3)
             np.testing.assert_array_equal(partial_expectations(kernel, law, 0)[0], want)
 
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_flat_read_equals_the_per_axis_read(self, k, dim):
+        """`_table_read` at one flat index, from integer or float index
+        columns, gives the entries of the per-axis read table[c_1, ..., c_k]."""
+        rng = np.random.default_rng(310 + 10 * k + dim)
+        law = random_scalar_dist(rng, 5)
+        table = project(table_kernel(3, law, rng, dim), law, k).table
+        cols = [rng.integers(0, law.size, 60) for _ in range(k)]
+        want = table[tuple(cols)]
+        assert hoeffding._table_read(table, cols).tobytes() == want.tobytes()
+        assert hoeffding._table_read(table, [c.astype(np.float64) for c in cols]).tobytes() == want.tobytes()
+
     def test_batch_lookup_matches_eval(self):
         kernel, law = TABLE_CASES["gini-plane"]
         proj = project(kernel, law, 2)

@@ -20,6 +20,7 @@ from ustatlab.kernels import (
     empirical_indicator_from,
     evaluate,
     gini,
+    partial_expectations,
     product,
     spatial_sign,
     symmetrize,
@@ -168,6 +169,50 @@ class TestCentered:
         vals = batch_values(k, (xs, ys))
         expected = [float(np.asarray(k.eval_one(x, y))[0]) for x, y in zip(xs, ys)]
         np.testing.assert_allclose(vals[:, 0], expected, rtol=1e-14)
+
+
+class TestResultOwnership:
+    """`KernelSpec`'s rule: eval_batch returns a new array, a view of its
+    argument columns or a read-only array, so `centered` writes only into a
+    writeable result that shares no memory with the arguments."""
+
+    LAW = FiniteDistribution(np.array([0.0, 1.0, 5.0]), np.array([0.2, 0.3, 0.5]))
+
+    def test_centering_the_identity_leaves_its_column(self):
+        base = coordinate_kernel()
+        (mean,) = partial_expectations(base, self.LAW, 0)
+        x = np.random.default_rng(31).choice(self.LAW.atoms, size=40)
+        before = x.copy()
+        got = centered(base, self.LAW).eval_batch(x)
+        assert x.tobytes() == before.tobytes()
+        assert got.tobytes() == (before - mean[0]).tobytes()
+
+    def test_a_read_only_result_is_never_written(self):
+        made = []
+
+        def doubled(x):
+            out = 2.0 * x
+            out.setflags(write=False)
+            made.append((out, out.copy()))
+            return out
+
+        base = KernelSpec(arity=1, codomain=HilbertSpace.euclidean(1), eval_batch=doubled, symmetric=True)
+        (mean,) = partial_expectations(base, self.LAW, 0)
+        x = np.random.default_rng(32).choice(self.LAW.atoms, size=40)
+        got = centered(base, self.LAW).eval_batch(x)
+        assert got.tobytes() == (2.0 * x - mean[0]).tobytes()
+        assert made and all(out.tobytes() == kept.tobytes() for out, kept in made)
+
+    @pytest.mark.parametrize("kernel", ["gini", "centered-gini"])
+    def test_gini_leaves_its_arguments(self, kernel):
+        k = gini() if kernel == "gini" else centered(gini(), self.LAW)
+        rng = np.random.default_rng(33)
+        u, v = rng.choice(self.LAW.atoms, size=40), rng.choice(self.LAW.atoms, size=40)
+        before = u.copy(), v.copy()
+        got = k.eval_batch(u, v)
+        assert u.tobytes() == before[0].tobytes() and v.tobytes() == before[1].tobytes()
+        shift = 0.0 if kernel == "gini" else partial_expectations(gini(), self.LAW, 0)[0][0]
+        assert got.tobytes() == (np.abs(before[0] - before[1]) - shift).tobytes()
 
 
 def test_empirical_indicator_values():
