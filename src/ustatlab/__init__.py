@@ -9,164 +9,27 @@ martingale maximal inequalities, incomplete-design normalizations, and
 decoupling domination.
 """
 
-from .distributions import (
-    EnumerationBudgetError,
-    FiniteDistribution,
-    SamplerSpec,
-    draw_iid,
-    exact_expectation,
-    mix_ids,
-    substream,
-)
-from .hilbert import HilbertPoint, HilbertSpace, SpaceMismatchError, axpy, inner, norm
-from .hoeffding import (
-    DecompositionCheck,
-    DegeneracyReport,
-    ProjectedKernel,
-    decomposition_check,
-    degeneracy_order,
-    project,
-    project_mc,
-    weighted_decomposition_check,
-)
-from .kernels import (
-    KernelSpec,
-    SupBoundWarning,
-    batch_values,
-    centered,
-    empirical_indicator,
-    empirical_indicator_from,
-    evaluate,
-    gini,
-    product,
-    spatial_sign,
-    symmetrize,
-)
-from .martingale import (
-    InequalityCheckReport,
-    InequalityEntry,
-    PathSummaries,
-    check_conv_tail_lemma,
-    simulate_ensemble,
-    simulate_mds,
-    verify_conv_grid,
-    verify_grid,
-)
-from .montecarlo import (
-    BoundEnvelope,
-    DecoupleReport,
-    EnvelopeValue,
-    ExperimentConfig,
-    MatchingPointReport,
-    ScalingCell,
-    ScalingReport,
-    TailScanReport,
-    bounded_kernel_tail,
-    decouple_compare,
-    empirical_tail,
-    envelope_eval,
-    fit_tail_exponent,
-    incomplete_scaling_experiment,
-    matching_point_compare,
-    replicate,
-    tail_scan,
-)
-from .ustats import (
-    DecoupledSample,
-    IncompleteResult,
-    RunningMaxResult,
-    SamplingDesign,
-    Selection,
-    WeightScheme,
-    complete,
-    decoupled,
-    draw_design,
-    enumerate_inc,
-    inc_count,
-    incomplete,
-    rank_combination,
-    running_max,
-    running_max_embedding_check,
-    unrank_combination,
-    weighted,
-)
+from . import confidence, distributions, hilbert, hoeffding, kernels, martingale, montecarlo, ustats
+from .confidence import *
+from .distributions import *
+from .hilbert import *
+from .hoeffding import *
+from .kernels import *
+from .martingale import *
+from .montecarlo import *
+from .ustats import *
 
 __version__ = "0.1.0"
 
+# each module's __all__ is the one list of what the package exports from it
 __all__ = [
     "__version__",
-    "EnumerationBudgetError",
-    "FiniteDistribution",
-    "SamplerSpec",
-    "draw_iid",
-    "exact_expectation",
-    "mix_ids",
-    "substream",
-    "HilbertPoint",
-    "HilbertSpace",
-    "SpaceMismatchError",
-    "axpy",
-    "inner",
-    "norm",
-    "DecompositionCheck",
-    "DegeneracyReport",
-    "ProjectedKernel",
-    "decomposition_check",
-    "degeneracy_order",
-    "project",
-    "project_mc",
-    "weighted_decomposition_check",
-    "KernelSpec",
-    "SupBoundWarning",
-    "batch_values",
-    "centered",
-    "empirical_indicator",
-    "empirical_indicator_from",
-    "evaluate",
-    "gini",
-    "product",
-    "spatial_sign",
-    "symmetrize",
-    "InequalityCheckReport",
-    "InequalityEntry",
-    "PathSummaries",
-    "check_conv_tail_lemma",
-    "simulate_ensemble",
-    "simulate_mds",
-    "verify_conv_grid",
-    "verify_grid",
-    "BoundEnvelope",
-    "DecoupleReport",
-    "EnvelopeValue",
-    "ExperimentConfig",
-    "MatchingPointReport",
-    "ScalingCell",
-    "ScalingReport",
-    "TailScanReport",
-    "bounded_kernel_tail",
-    "decouple_compare",
-    "empirical_tail",
-    "envelope_eval",
-    "fit_tail_exponent",
-    "incomplete_scaling_experiment",
-    "matching_point_compare",
-    "replicate",
-    "tail_scan",
-    "DecoupledSample",
-    "IncompleteResult",
-    "RunningMaxResult",
-    "SamplingDesign",
-    "Selection",
-    "WeightScheme",
-    "complete",
-    "decoupled",
-    "draw_design",
-    "enumerate_inc",
-    "inc_count",
-    "incomplete",
-    "rank_combination",
-    "running_max",
-    "running_max_embedding_check",
-    "unrank_combination",
-    "weighted",
+    *confidence.__all__,
+    *distributions.__all__,
+    *hilbert.__all__,
+    *hoeffding.__all__,
+    *kernels.__all__,
+    *martingale.__all__,
+    *montecarlo.__all__,
+    *ustats.__all__,
 ]

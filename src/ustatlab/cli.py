@@ -2,10 +2,11 @@
 
 One YAML config file drives one run. Every run writes CSV output, a
 gnuplot-ready .dat twin, and a JSON manifest with the config hash, the
-master seed, and a checksum per output file, so a run can be archived and
-replayed byte for byte. Exit status 0 means the run completed clean, 1
-means a usage or configuration problem, 2 means a verified invariant was
-violated by the results (a failed inequality or identity check, never a crash).
+master seed, a checksum per output file and the warnings the run raised, so
+a run can be archived and replayed byte for byte. Exit status 0 means the
+run completed clean, 1 means a usage or configuration problem, 2 means a
+verified invariant was violated by the results (a failed inequality or
+identity check, never a crash).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import operator
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import MISSING, astuple, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from types import UnionType
@@ -516,9 +518,10 @@ def _jsonable(value):
     return value
 
 
-def _emit(cfg: ConfigFile, out_dir: str, started: str, tables, results, exit_status) -> None:
+def _emit(cfg: ConfigFile, out_dir: str, started: str, tables, results, exit_status, raised) -> None:
     """Write each table as name.csv and as its gnuplot twin name.dat, each
-    value formatted once for both, then the manifest with a checksum per file."""
+    value formatted once for both, then the manifest with a checksum per file
+    and the `raised` warnings' categories and messages, in the order raised."""
     os.makedirs(out_dir, exist_ok=True)
     outputs = {}
     for name, (header, rows) in tables.items():
@@ -538,6 +541,7 @@ def _emit(cfg: ConfigFile, out_dir: str, started: str, tables, results, exit_sta
         "outputs": outputs,
         "results": _jsonable(results),
         "exit_status": exit_status,
+        "warnings": [{"category": w.category.__name__, "message": str(w.message)} for w in raised],
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     _atomic_write(os.path.join(out_dir, "run_manifest.json"), text)
@@ -789,8 +793,11 @@ def run(
     """Execute one subcommand against a parsed config; returns the exit status.
 
     Nothing is written until the computation has finished, so a run that raises
-    leaves no files. `threads` is accepted for old callers and ignored: every
-    subcommand runs on one thread.
+    leaves no files. Every warning raised while the runner computes is listed
+    in the manifest, then emitted as it would have been. `threads` is ignored,
+    since every subcommand runs on one thread; it is accepted because the
+    benchmark's child process (bench/child.py) passes it, and
+    `test_run_accepts_the_ignored_threads_keyword` keeps that so.
     """
     if subcommand not in SUBCOMMANDS:
         raise ConfigError(f"unknown subcommand {subcommand!r}")
@@ -799,13 +806,17 @@ def run(
             f"config is for experiment {cfg.experiment!r}, but the subcommand is {subcommand!r}"
         )
     started = datetime.now(timezone.utc).isoformat(timespec="seconds")
-    if subcommand == "martingale-verify":
-        tables, results, violated = _run_martingale(cfg, variants, grid_file)
-    else:
-        sampler = _build_sampler(cfg)
-        tables, results, violated = _RUNNERS[subcommand](cfg, sampler, _build_kernel(cfg, sampler))
+    with warnings.catch_warnings(record=True) as raised:
+        warnings.simplefilter("always")  # every one, however often it was shown before
+        if subcommand == "martingale-verify":
+            tables, results, violated = _run_martingale(cfg, variants, grid_file)
+        else:
+            sampler = _build_sampler(cfg)
+            tables, results, violated = _RUNNERS[subcommand](cfg, sampler, _build_kernel(cfg, sampler))
+    for w in raised:  # the caller's filters decide what is shown
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno, source=w.source)
     status = EXIT_VIOLATION if violated else EXIT_OK
-    _emit(cfg, out_dir if out_dir is not None else cfg.output_dir, started, tables, results, status)
+    _emit(cfg, out_dir if out_dir is not None else cfg.output_dir, started, tables, results, status, raised)
     return status
 
 

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-__all__ = ["wilson_bounds", "wilson_interval", "mean_interval", "quantile_interval"]
+__all__: list[str] = []  # the interval helpers are read by module path, not exported
 
 _Z95 = 1.959963984540054
 

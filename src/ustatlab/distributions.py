@@ -37,13 +37,8 @@ __all__ = [
     "SamplerSpec",
     "EnumerationBudgetError",
     "substream",
-    "substreams",
     "mix_ids",
-    "mix_ids_batch",
     "draw_iid",
-    "draw_iid_batch",
-    "draw_atoms_batch",
-    "atom_blocks",
     "exact_expectation",
 ]
 

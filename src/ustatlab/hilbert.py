@@ -17,16 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "HilbertSpace",
-    "HilbertPoint",
-    "SpaceMismatchError",
-    "inner",
-    "norm",
-    "axpy",
-    "row_norms",
-    "squared_row_norms",
-]
+__all__ = ["HilbertSpace", "HilbertPoint", "SpaceMismatchError"]
 
 
 class SpaceMismatchError(ValueError):
@@ -112,33 +103,6 @@ class HilbertPoint:
 
     def __repr__(self) -> str:
         return f"HilbertPoint({np.array2string(self.coords, threshold=6)})"
-
-
-def _require_same_space(a: HilbertPoint, b: HilbertPoint) -> HilbertSpace:
-    if a.space != b.space:
-        raise SpaceMismatchError("points belong to different spaces")
-    return a.space
-
-
-def inner(a: HilbertPoint, b: HilbertPoint) -> float:
-    """Weighted inner product <a, b>.
-
-    The reduction order is a fixed function of the dimension, so
-    inner(a, b) == inner(b, a) bit-exactly.
-    """
-    space = _require_same_space(a, b)
-    return float(np.add.reduce(space.weights * (a.coords * b.coords)))
-
-
-def norm(a: HilbertPoint) -> float:
-    """Induced norm sqrt(<a, a>)."""
-    return float(np.sqrt(inner(a, a)))
-
-
-def axpy(alpha: float, a: HilbertPoint, b: HilbertPoint) -> HilbertPoint:
-    """alpha * a + b, exact coordinatewise IEEE arithmetic."""
-    space = _require_same_space(a, b)
-    return space.point(alpha * a.coords + b.coords)
 
 
 def squared_row_norms(space: HilbertSpace, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -19,8 +19,7 @@ every tuple of atoms, the partial expectations are contractions of that
 table with the probabilities (`kernels.partial_expectations`), and h_k
 follows by the inclusion-exclusion above. Evaluating h_k maps each argument
 to its atom by exact value and reads the table; an argument off the support
-raises ValueError. A Monte Carlo plug-in variant covers laws without
-enumerable support.
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import FiniteDistribution, SamplerSpec, draw_iid, mix_ids
+from .distributions import FiniteDistribution
 from .hilbert import row_norms
-from .kernels import KernelSpec, batch_values, partial_expectations
+from .kernels import KernelSpec, partial_expectations
 from .ustats import WeightScheme, complete, weight_aggregate, weighted
 
 __all__ = [
@@ -44,7 +43,6 @@ __all__ = [
     "DegeneracyReport",
     "DecompositionCheck",
     "project",
-    "project_mc",
     "degeneracy_order",
     "decomposition_check",
     "weighted_decomposition_check",
@@ -65,25 +63,17 @@ def _inclusion_exclusion(k: int, pinned: Callable[[tuple], np.ndarray]) -> np.nd
 
 @dataclass(frozen=True, eq=False)
 class ProjectedKernel:
-    """The order-k projection h_k of a symmetric base kernel.
-
-    An exact projection holds h_k as a read-only table of shape
-    (A,) * k + (dim,) over the atoms of `support`. A plug-in projection
-    (`project_mc`) has no table; it evaluates the inclusion-exclusion from
-    `partials`, which maps the pinned arguments to a Monte Carlo tail mean.
-    """
+    """The order-k projection h_k of a symmetric base kernel, held as a
+    read-only table of shape (A,) * k + (dim,) over the atoms of `support`."""
 
     base: KernelSpec
     order: int
-    table: np.ndarray | None = None
-    support: FiniteDistribution | None = None
-    partials: Callable[[tuple], np.ndarray] | None = None
+    table: np.ndarray
+    support: FiniteDistribution
 
     def eval(self, *args) -> np.ndarray:
         if len(args) != self.order:
             raise ValueError(f"projection has order {self.order}, got {len(args)} arguments")
-        if self.table is None:
-            return _inclusion_exclusion(self.order, lambda u: self.partials(tuple(args[i] for i in u)))
         return np.array(self._lookup(*args))
 
     def _lookup(self, *cols) -> np.ndarray:
@@ -98,7 +88,7 @@ class ProjectedKernel:
             arity=self.order,
             codomain=self.base.codomain,
             eval_one=self.eval,
-            eval_batch=None if self.table is None else self._lookup,
+            eval_batch=self._lookup,
             symmetric=True,
             name=f"proj{self.order}({self.base.name})",
         )
@@ -106,7 +96,7 @@ class ProjectedKernel:
 
 def _check_projectable(base: KernelSpec, k: int) -> None:
     if not base.symmetric:
-        raise ValueError("projection requires a symmetric kernel; call symmetrize first")
+        raise ValueError("projection requires a symmetric kernel")
     if not 0 <= k <= base.arity:
         raise ValueError(f"projection order must lie in [0, {base.arity}], got {k}")
 
@@ -140,38 +130,6 @@ def project(base: KernelSpec, dist: FiniteDistribution, k: int) -> ProjectedKern
     ENUMERATION_BUDGET tuples of `base.arity` atoms.
     """
     return _projections(base, dist, k)[k]
-
-
-def project_mc(
-    base: KernelSpec,
-    sampler: SamplerSpec,
-    k: int,
-    draws: int = 10_000,
-    stream: int = 0,
-) -> ProjectedKernel:
-    """Plug-in projection for laws without enumerable support.
-
-    Tail expectations use a Monte Carlo sample mean over `draws` points, so
-    values carry O(draws**-0.5) error; compare against the exact mode with a
-    4-standard-error tolerance when the law is actually finite.
-    """
-    _check_projectable(base, k)
-    if draws < 2:
-        raise ValueError("draws must be at least 2")
-    # one shared tail sample per tail length keeps h_k a consistent
-    # functional of the same empirical measure; tails[t] holds t columns
-    tails = [
-        tuple(draw_iid(sampler, draws, mix_ids(stream, 9100 + t, pos)) for pos in range(t))
-        for t in range(base.arity + 1)
-    ]
-
-    def tail_mean(fixed: tuple) -> np.ndarray:
-        tail = tails[base.arity - len(fixed)]
-        rows = draws if tail else 1
-        pinned = tuple(np.broadcast_to(np.asarray(a, np.float64), (rows,) + np.shape(a)) for a in fixed)
-        return np.add.reduce(batch_values(base, pinned + tail), axis=0) / rows
-
-    return ProjectedKernel(base=base, order=k, partials=tail_mean)
 
 
 def _nondecreasing(size: int, k: int) -> np.ndarray:

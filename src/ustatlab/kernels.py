@@ -10,8 +10,6 @@ built-ins state only their vectorized form.
 
 from __future__ import annotations
 
-import itertools
-import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -28,8 +26,6 @@ __all__ = [
     "SupBoundWarning",
     "evaluate",
     "batch_values",
-    "partial_expectations",
-    "symmetrize",
     "centered",
     "gini",
     "spatial_sign",
@@ -37,9 +33,6 @@ __all__ = [
     "empirical_indicator",
     "empirical_indicator_from",
 ]
-
-MAX_SYMMETRIZE_ARITY = 6  # 6! = 720 permutation evaluations per call
-
 
 class SupBoundWarning(UserWarning):
     """An observed kernel value exceeded the declared sup bound."""
@@ -194,39 +187,6 @@ def _tail_means(table: np.ndarray, probs: np.ndarray, tail: int) -> np.ndarray:
     weights = _tuple_probs(probs, tail)
     terms = table.reshape(-1, weights.size, table.shape[-1]) * weights[:, None]
     return np.cumsum(terms, axis=1)[:, -1].copy()
-
-
-def symmetrize(kernel: KernelSpec) -> KernelSpec:
-    """Average over all argument permutations.
-
-    Idempotent: symmetrizing an already symmetric kernel returns it
-    unchanged. Refuses arity above 6 (720 evaluations per call).
-    """
-    if kernel.symmetric:
-        return kernel
-    if kernel.arity > MAX_SYMMETRIZE_ARITY:
-        raise ValueError(
-            f"symmetrize supports arity <= {MAX_SYMMETRIZE_ARITY}, got {kernel.arity}"
-        )
-    perms = list(itertools.permutations(range(kernel.arity)))
-    scale = 1.0 / math.factorial(kernel.arity)
-
-    def sym_batch(*cols):
-        acc = None
-        for perm in perms:
-            val = np.asarray(kernel.eval_batch(*(cols[p] for p in perm)), dtype=np.float64)
-            acc = val.copy() if acc is None else acc + val
-        return acc * scale
-
-    return KernelSpec(
-        arity=kernel.arity,
-        codomain=kernel.codomain,
-        eval_batch=sym_batch,
-        symmetric=True,
-        sup_bound=kernel.sup_bound,
-        declared_degeneracy=kernel.declared_degeneracy,
-        name=f"sym({kernel.name})",
-    )
 
 
 def centered(kernel: KernelSpec, dist: FiniteDistribution) -> KernelSpec:

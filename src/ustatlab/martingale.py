@@ -30,9 +30,8 @@ check reads, max_k ||S_k||, sum_j (||D_j||^2 + E[||D_j||^2 | F_{j-1}]) and
 sqrt(sum_j ||D_j||^2). `simulate_ensemble` draws paths into preallocated
 (batch, steps, dim) blocks and reduces each block to those statistics where
 it was drawn: signs in one vectorized Philox pass (`draw_iid_batch`),
-normals from one re-keyed Philox (`substreams`) straight into block rows.
-`simulate_mds` draws one path's (increments, moments) from a given
-generator, the per-path reference the blocks reproduce bit for bit. A grid
+normals from one re-keyed Philox (`substreams`) straight into block rows,
+each path bit for bit as if it were drawn alone on its substream. A grid
 sorts each summary whose tail it counts once and finds every cell's count
 in it by binary search.
 """
@@ -53,40 +52,12 @@ __all__ = [
     "InequalityEntry",
     "InequalityCheckReport",
     "PathSummaries",
-    "simulate_mds",
     "simulate_ensemble",
-    "check_conv_tail_lemma",
-    "conv_pair_from_paths",
-    "verify_pairs",
     "verify_grid",
     "verify_conv_grid",
 ]
 
 GENERATORS = ("bounded-signs", "gaussian-coords", "f0-randomized-scale")
-
-
-def simulate_mds(
-    kind: str, steps: int, space: HilbertSpace, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """One martingale difference path: its (steps, dim) increments and its
-    (steps,) conditional second moments E[||D_j||^2 | F_{j-1}].
-
-    bounded-signs: scalar increments +-1, conditional second moment 1.
-    gaussian-coords: i.i.d. standard normal coordinates.
-    f0-randomized-scale: gaussian coordinates times a scale drawn once at
-        time zero (uniform on [0.5, 1.5]), so the conditional second
-        moments are random but F_0-measurable.
-    """
-    _check_paths(kind, steps, space)
-    if kind == "bounded-signs":
-        inc = rng.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
-        return inc[:, None], np.ones(steps)
-    base_moment = float(np.add.reduce(space.weights))
-    if kind == "gaussian-coords":
-        return rng.standard_normal((steps, space.dim)), np.full(steps, base_moment)
-    scale = float(rng.uniform(0.5, 1.5))
-    inc = scale * rng.standard_normal((steps, space.dim))
-    return inc, np.full(steps, scale * scale * base_moment)
 
 
 def _check_paths(kind: str, steps: int, space: HilbertSpace) -> None:
@@ -108,8 +79,9 @@ def _path_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Paths 0..count-1 as (B, steps, dim) increment and (B, steps) moment
     blocks, B = _BATCH_VALUES // (steps * dim), each a view of buffers the
-    next block overwrites. Path r is `simulate_mds` on substream
-    (master_seed, mix_ids(base_stream, r)), bit for bit.
+    next block overwrites. Path r is drawn on substream (master_seed,
+    mix_ids(base_stream, r)): its signs, or its scale (f0-randomized-scale
+    only) and then its (steps, dim) normals, bit for bit as one path alone.
     """
     _check_paths(kind, steps, space)
     batch = max(1, min(count, _BATCH_VALUES // (steps * space.dim)))
@@ -266,22 +238,12 @@ def conv_pair_from_paths(s: PathSummaries) -> tuple[np.ndarray, np.ndarray]:
     return s.quad_plus_cond, 2.0 * s.sqrt_quad**2
 
 
-def check_conv_tail_lemma(
-    x_samples: np.ndarray, y_samples: np.ndarray, t: float
-) -> InequalityEntry:
-    """Convex-order tail transfer at one threshold t.
-
-    The right side integral has the closed form E[max(0, 4Y/t - 1)], so it
-    is estimated as a plain mean with a normal-approximation band.
-    """
-    x_samples, y_samples = (np.asarray(v, dtype=np.float64) for v in (x_samples, y_samples))
-    return _conv_entries(x_samples, y_samples, [t])[0]
-
-
 def _conv_entries(
     x_samples: np.ndarray, y_samples: np.ndarray, t_grid: Sequence[float]
 ) -> list[InequalityEntry]:
-    """`check_conv_tail_lemma` at every t, the left tails from one sort."""
+    """Convex-order tail transfer at every threshold t, the left tails from
+    one sort. The right side integral has the closed form E[max(0, 4Y/t - 1)],
+    so it is estimated as a plain mean with a normal-approximation band."""
     ts = np.array([float(t) for t in t_grid])
     if not np.all((ts > 0) & (ts < math.inf)):
         raise ValueError("t must be positive and finite")

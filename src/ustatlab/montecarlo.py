@@ -81,23 +81,16 @@ __all__ = [
     "TailScanReport",
     "tail_scan",
     "fit_tail_exponent",
-    "FIT_WINDOW",
     "BoundEnvelope",
     "EnvelopeValue",
     "envelope_eval",
-    "StepTail",
-    "bounded_kernel_tail",
-    "empirical_tail",
-    "hk_tail_oracle",
     "ScalingCell",
-    "ScalingRow",
     "ScalingReport",
     "incomplete_scaling_experiment",
     "MatchingPointReport",
     "matching_point_compare",
     "DecoupleReport",
     "decouple_compare",
-    "coordinate_kernel",
 ]
 
 FIT_WINDOW = (1e-3, 0.5)
@@ -374,24 +367,6 @@ class StepTail:
     def masses(self) -> np.ndarray:
         """P(V = values[i]) per step: the drop of the level there."""
         return -np.diff(self.levels, prepend=1.0)
-
-
-def bounded_kernel_tail(bound: float) -> StepTail:
-    """Indicator tail of a kernel bounded by `bound`: 1 below it, 0 at or above."""
-    if bound <= 0:
-        raise ValueError("bound must be positive")
-    return StepTail(np.array([float(bound)]), np.array([0.0]))
-
-
-def empirical_tail(samples: np.ndarray) -> StepTail:
-    """Step-function tail t -> fraction of samples strictly above t."""
-    values = np.sort(np.asarray(samples, dtype=np.float64))
-    n = values.size
-    if n < 1:
-        raise ValueError("need at least one sample")
-    if np.isnan(values[-1]):  # a sort puts NaN last
-        raise ValueError("samples must not be NaN")
-    return StepTail(values, (n - np.arange(1, n + 1)) / n)
 
 
 def hk_tail_oracle(

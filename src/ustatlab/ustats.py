@@ -11,9 +11,7 @@ Sums over every tuple read `_index_pieces`, whose pieces are whole groups of
 tuples sharing a first index (lexicographic order) or a last one. The
 running maximum over prefixes max_{m <= n' <= n} ||U_{n'}|| is computed
 incrementally from last-index groups by `_prefix_sums`, whose bytes do not
-depend on the pieces. It is cross-checked by
-`running_max_embedding_check`, which rebuilds every prefix from scratch as
-one stacked statistic (components U_{n'} with the max norm).
+depend on the pieces.
 
 On a finite law U_{n'} is a function of the sample's atom indices (Lee 1990,
 ch. 1), and `_atom_route` chooses how the tail scan reads the running maxima
@@ -44,7 +42,6 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -55,29 +52,17 @@ from .hilbert import HilbertPoint, HilbertSpace, row_norms, squared_row_norms
 from .kernels import KernelSpec, _atom_table, _is_real_product, batch_values
 
 __all__ = [
-    "ENUMERATION_CAP",
-    "enumerate_inc",
     "inc_count",
-    "rank_combination",
-    "unrank_combination",
     "complete",
     "decoupled",
     "DecoupledSample",
     "running_max",
-    "running_max_norms",
     "RunningMaxResult",
-    "running_max_embedding_check",
     "WeightScheme",
     "weighted",
-    "weight_aggregate",
     "SamplingDesign",
     "Selection",
-    "check_design",
     "draw_design",
-    "design_counts",
-    "design_selected_batch",
-    "design_sums_batch",
-    "design_mean_factor",
     "incomplete",
     "IncompleteResult",
 ]
@@ -107,21 +92,6 @@ def _tuple_count(m: int, n: int, cap: float | None = None) -> int:
     if total > cap:
         raise EnumerationBudgetError(f"{total} tuples exceed the cap of {cap}")
     return total
-
-
-def enumerate_inc(m: int, n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Lexicographic stream of 1-based increasing m-tuples from {1, ..., n},
-    at most `cap` of them (ENUMERATION_CAP when None)."""
-    _tuple_count(m, n, cap)
-    return itertools.combinations(range(1, n + 1), m)
-
-
-def rank_combination(tpl: tuple[int, ...], n: int) -> int:
-    """Position of a 1-based increasing tuple in lexicographic enumeration."""
-    cols = [int(v) - 1 for v in tpl]
-    if not all(lo <= c < n for lo, c in zip([0] + [c + 1 for c in cols], cols)):
-        raise ValueError(f"tuple {tpl} is not increasing within [1, {n}]")
-    return _lex_ranks(cols, n)
 
 
 def _lex_ranks(cols, n: int):
@@ -171,14 +141,6 @@ def _binomial(d, j: int):
     for i in range(j):
         term = term * (d - i) // (i + 1)
     return term
-
-
-def unrank_combination(rank: int, n: int, m: int) -> tuple[int, ...]:
-    """Inverse of rank_combination: the one-row case of `_lex_unranks`."""
-    total = inc_count(m, n)
-    if not 0 <= rank < total:
-        raise ValueError(f"rank {rank} outside [0, {total})")
-    return tuple(int(c[0]) + 1 for c in _lex_unranks(np.array([rank], dtype=object), n, m))
 
 
 def _combination_columns(m: int, n: int) -> list[np.ndarray]:
@@ -522,21 +484,6 @@ def running_max_norms(kernel: KernelSpec, samples) -> np.ndarray:
     return row_norms(kernel.codomain, _prefix_sums(kernel, samples)).max(axis=1)
 
 
-def running_max_embedding_check(kernel: KernelSpec, sample) -> float:
-    """Deviation between the incremental running max and the stacked route.
-
-    The stacked route treats the family (U_{n'})_{n'=m..n} as one statistic
-    with values in the product space under the max norm: each component is
-    recomputed from scratch as a full prefix sum, with no shared partials.
-    Returns the largest coordinate-space norm deviation over components
-    (the max-norm distance between the two stacked values).
-    """
-    rows, m = _sample_rows(sample), kernel.arity
-    direct = running_max(kernel, rows).prefix_values
-    fresh = np.stack([complete(kernel, rows[:stop]).coords for stop in range(m, len(rows) + 1)])
-    return float(row_norms(kernel.codomain, direct - fresh).max())
-
-
 # ---------------------------------------------------------------------------
 # Weighted statistics
 
@@ -544,7 +491,7 @@ def running_max_embedding_check(kernel: KernelSpec, sample) -> float:
 @dataclass(frozen=True, eq=False)
 class WeightScheme:
     """Per-tuple multipliers, kept as a read-only float64 copy of `values`,
-    row r weighing the r-th tuple of `enumerate_inc(m, n)`: shape (C(n, m),)
+    row r weighing the r-th increasing m-tuple in lexicographic order: shape (C(n, m),)
     holds scalars (kind "scalar"), (C(n, m), dim) diagonal scalings of the
     codomain (kind "diagonal")."""
 
@@ -592,7 +539,7 @@ def weighted(kernel: KernelSpec, scheme: WeightScheme, sample) -> HilbertPoint:
 
 def weight_aggregate(scheme: WeightScheme, m: int, n: int, k: int) -> np.ndarray:
     """Aggregated weights a_i^{(n,k)} = sum of T_j over m-tuples j containing i,
-    dense over the ranks i of `enumerate_inc(k, n)` and shaped like the scheme's.
+    dense over the lexicographic ranks i of the k-tuples and shaped like the scheme's.
 
     Each piece of the enumeration ranks its k-subtuples one slot subset at a
     time (`_lex_ranks`) and adds each tuple's weight to them with one

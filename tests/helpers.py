@@ -1,8 +1,12 @@
-"""Shared test fixtures: random finite laws, table-backed kernels, the
-enumeration oracle for exact projections, the tuple-keyed oracles for
-weighted statistics, the per-tuple unranking, the one-at-a-time oracles for
-the martingale checks, the one-replica-at-a-time oracles for the design
-and decoupling experiments, the bisection for the domination constant,
+"""Shared test fixtures and the reference implementations tests compare the
+library against: the per-point inner product, norm and axpy, random finite
+laws, table-backed kernels, the permutation average that symmetrizes a
+kernel, the enumeration oracle for exact projections, the tuple-keyed
+oracles for weighted statistics, the per-tuple unranking, the running
+maximum rebuilt prefix by prefix, the per-path martingale generator, the
+one-at-a-time oracles for the martingale checks, the one-replica-at-a-time
+oracles for the design and decoupling experiments, the step tails of a
+bounded kernel and of a sample, the bisection for the domination constant,
 the scipy-based quantile interval, and the exact running-maximum tail of
 the product kernel on Rademacher signs."""
 
@@ -15,11 +19,43 @@ import numpy as np
 
 from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
 from ustatlab.distributions import draw_iid, exact_expectation, mix_ids, substream
-from ustatlab.hilbert import row_norms
+from ustatlab.hilbert import HilbertPoint, SpaceMismatchError, row_norms
 from ustatlab.kernels import batch_values
-from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED, empirical_tail
+from ustatlab.martingale import _check_paths
+from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED, StepTail
 from ustatlab import ustats
-from ustatlab.ustats import _tuple_columns, complete, draw_design
+from ustatlab.ustats import _sample_rows, _tuple_columns, complete, draw_design, running_max
+
+
+# ---------------------------------------------------------------------------
+# One point at a time: the oracles `hilbert.row_norms` is checked against.
+
+
+def _require_same_space(a: HilbertPoint, b: HilbertPoint) -> HilbertSpace:
+    if a.space != b.space:
+        raise SpaceMismatchError("points belong to different spaces")
+    return a.space
+
+
+def inner(a: HilbertPoint, b: HilbertPoint) -> float:
+    """Weighted inner product <a, b>.
+
+    The reduction order is a fixed function of the dimension, so
+    inner(a, b) == inner(b, a) bit-exactly.
+    """
+    space = _require_same_space(a, b)
+    return float(np.add.reduce(space.weights * (a.coords * b.coords)))
+
+
+def norm(a: HilbertPoint) -> float:
+    """Induced norm sqrt(<a, a>)."""
+    return float(np.sqrt(inner(a, a)))
+
+
+def axpy(alpha: float, a: HilbertPoint, b: HilbertPoint) -> HilbertPoint:
+    """alpha * a + b, exact coordinatewise IEEE arithmetic."""
+    space = _require_same_space(a, b)
+    return space.point(alpha * a.coords + b.coords)
 
 
 def random_scalar_dist(rng: np.random.Generator, size: int) -> FiniteDistribution:
@@ -87,6 +123,42 @@ def table_kernel(
     )
 
 
+MAX_SYMMETRIZE_ARITY = 6  # 6! = 720 permutation evaluations per call
+
+
+def symmetrize(kernel: KernelSpec) -> KernelSpec:
+    """Average over all argument permutations.
+
+    Idempotent: symmetrizing an already symmetric kernel returns it
+    unchanged. Refuses arity above 6 (720 evaluations per call).
+    """
+    if kernel.symmetric:
+        return kernel
+    if kernel.arity > MAX_SYMMETRIZE_ARITY:
+        raise ValueError(
+            f"symmetrize supports arity <= {MAX_SYMMETRIZE_ARITY}, got {kernel.arity}"
+        )
+    perms = list(itertools.permutations(range(kernel.arity)))
+    scale = 1.0 / math.factorial(kernel.arity)
+
+    def sym_batch(*cols):
+        acc = None
+        for perm in perms:
+            val = np.asarray(kernel.eval_batch(*(cols[p] for p in perm)), dtype=np.float64)
+            acc = val.copy() if acc is None else acc + val
+        return acc * scale
+
+    return KernelSpec(
+        arity=kernel.arity,
+        codomain=kernel.codomain,
+        eval_batch=sym_batch,
+        symmetric=True,
+        sup_bound=kernel.sup_bound,
+        declared_degeneracy=kernel.declared_degeneracy,
+        name=f"sym({kernel.name})",
+    )
+
+
 def projection_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> np.ndarray:
     """h_k on every k-tuple of atoms, shape (A,) * k + (dim,), by enumeration.
 
@@ -136,6 +208,21 @@ def unrank_oracle(rank: int, n: int, m: int) -> tuple[int, ...]:
                 break
             r -= block
     return tuple(out)
+
+
+def running_max_embedding_check(kernel: KernelSpec, sample) -> float:
+    """Deviation between the incremental running max and the stacked route.
+
+    The stacked route treats the family (U_{n'})_{n'=m..n} as one statistic
+    with values in the product space under the max norm: each component is
+    recomputed from scratch as a full prefix sum, with no shared partials.
+    Returns the largest coordinate-space norm deviation over components
+    (the max-norm distance between the two stacked values).
+    """
+    rows, m = _sample_rows(sample), kernel.arity
+    direct = running_max(kernel, rows).prefix_values
+    fresh = np.stack([complete(kernel, rows[:stop]).coords for stop in range(m, len(rows) + 1)])
+    return float(row_norms(kernel.codomain, direct - fresh).max())
 
 
 # Weighted statistics with weights in a dict keyed by 1-based increasing
@@ -236,6 +323,31 @@ def step_tail_integral_oracle(
         lo_total += w_lo * piece
         hi_total += w_hi * piece
     return total, lo_total, hi_total
+
+
+def simulate_mds(
+    kind: str, steps: int, space: HilbertSpace, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """One martingale difference path: its (steps, dim) increments and its
+    (steps,) conditional second moments E[||D_j||^2 | F_{j-1}]; the per-path
+    reference `martingale.simulate_ensemble`'s blocks reproduce bit for bit.
+
+    bounded-signs: scalar increments +-1, conditional second moment 1.
+    gaussian-coords: i.i.d. standard normal coordinates.
+    f0-randomized-scale: gaussian coordinates times a scale drawn once at
+        time zero (uniform on [0.5, 1.5]), so the conditional second
+        moments are random but F_0-measurable.
+    """
+    _check_paths(kind, steps, space)
+    if kind == "bounded-signs":
+        inc = rng.integers(0, 2, size=steps).astype(np.float64) * 2.0 - 1.0
+        return inc[:, None], np.ones(steps)
+    base_moment = float(np.add.reduce(space.weights))
+    if kind == "gaussian-coords":
+        return rng.standard_normal((steps, space.dim)), np.full(steps, base_moment)
+    scale = float(rng.uniform(0.5, 1.5))
+    inc = scale * rng.standard_normal((steps, space.dim))
+    return inc, np.full(steps, scale * scale * base_moment)
 
 
 def summarize_oracle(paths, space: HilbertSpace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -341,6 +453,24 @@ def decouple_stats_oracle(kernel, bound_sampler, n, replicas):
     stats_u = np.array([stat_complete(r) for r in range(replicas)])
     stats_d = np.array([stat_decoupled(r) for r in range(replicas)])
     return stats_u, stats_d
+
+
+def bounded_kernel_tail(bound: float) -> StepTail:
+    """Indicator tail of a kernel bounded by `bound`: 1 below it, 0 at or above."""
+    if bound <= 0:
+        raise ValueError("bound must be positive")
+    return StepTail(np.array([float(bound)]), np.array([0.0]))
+
+
+def empirical_tail(samples: np.ndarray) -> StepTail:
+    """Step-function tail t -> fraction of samples strictly above t."""
+    values = np.sort(np.asarray(samples, dtype=np.float64))
+    n = values.size
+    if n < 1:
+        raise ValueError("need at least one sample")
+    if np.isnan(values[-1]):  # a sort puts NaN last
+        raise ValueError("samples must not be NaN")
+    return StepTail(values, (n - np.arange(1, n + 1)) / n)
 
 
 def domination_constant_oracle(xs, targets, dec_stats):

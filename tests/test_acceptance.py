@@ -8,7 +8,7 @@ import time
 
 import numpy as np
 
-from helpers import random_scalar_dist, table_kernel, uniform_three
+from helpers import random_scalar_dist, running_max_embedding_check, table_kernel, uniform_three
 from ustatlab import martingale, montecarlo
 from ustatlab.cli import EXIT_OK, parse_config_text, run
 from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid
@@ -24,7 +24,7 @@ from ustatlab.montecarlo import (
     matching_point_compare,
     tail_scan,
 )
-from ustatlab.ustats import SamplingDesign, running_max_embedding_check
+from ustatlab.ustats import SamplingDesign
 
 line = HilbertSpace.euclidean(1)
 rademacher = FiniteDistribution.rademacher()

@@ -25,6 +25,7 @@ from ustatlab.cli import (
     run,
 )
 from ustatlab.hoeffding import DecompositionCheck
+from ustatlab.kernels import SupBoundWarning
 from ustatlab.ustats import complete
 
 ESTIMATE_CONFIG = """\
@@ -1443,18 +1444,20 @@ def test_each_value_is_formatted_once_for_both_tables(monkeypatch, tmp_path):
     monkeypatch.setattr(cli, "_fmt", lambda v: calls.append(v) or original(v))
     cfg = parse_config_text(ESTIMATE_CONFIG)
     rows = [(1, 0.5, True), (2, -0.25, False)]
-    cli._emit(cfg, str(tmp_path), "started", {"table": (["a", "b", "c"], rows)}, {}, EXIT_OK)
+    cli._emit(cfg, str(tmp_path), "started", {"table": (["a", "b", "c"], rows)}, {}, EXIT_OK, [])
     assert len(calls) == 6
     assert (tmp_path / "table.csv").read_text() == "a,b,c\n1,0.5,1\n2,-0.25,0\n"
     assert (tmp_path / "table.dat").read_text() == "# a b c\n1 0.5 1\n2 -0.25 0\n"
 
 
 def _manifest_digest(out_dir):
-    """The sha256 of the manifest less its two timestamps and the package
-    version, which is checked on its own."""
+    """The sha256 of the manifest less its two timestamps, the package
+    version and the warnings raised, which are checked on their own: a
+    pinned run raises none."""
     manifest = read_manifest(out_dir)
     del manifest["started_utc"], manifest["finished_utc"]
     assert manifest.pop("artifact_version") == ustatlab.__version__
+    assert manifest.pop("warnings") == []
     return manifest, hashlib.sha256(json.dumps(manifest, sort_keys=True).encode()).hexdigest()
 
 
@@ -1588,6 +1591,38 @@ martingale: {generator: gaussian-coords, dim: 2, steps: 10, variants: [A2, A3, c
         assert some_results.items() <= manifest["results"].items()
         assert got == digest
 
+
+
+class TestManifestWarnings:
+    """The manifest lists the warnings a run raised, in the order raised, and
+    the run still emits each of them."""
+
+    CONFIG = """\
+version: 1
+experiment: tailscan
+seed: 903
+replicas: 100
+sample_size: 8
+kernel: {name: product, sup_bound: 0.5}
+sampler: {kind: rademacher}
+x_grid: {start: 0.1, stop: 3.0, points: 6, scale: log}
+beta_tolerance: 5.0
+"""
+
+    def test_a_sup_bound_warning_is_listed_and_emitted_on_every_run(self, tmp_path):
+        cfg = parse_config_text(self.CONFIG)
+        for out_dir in (tmp_path / "first", tmp_path / "second"):
+            with pytest.warns(SupBoundWarning) as caught:
+                run("tailscan", cfg, out_dir=str(out_dir))
+            listed = read_manifest(out_dir)["warnings"]
+            assert [w["category"] for w in listed] == ["SupBoundWarning"]
+            assert listed[0]["message"] == str(caught[0].message)
+            assert "exceeded declared sup bound 0.5" in listed[0]["message"]
+
+    def test_a_clean_run_lists_none(self, tmp_path):
+        cfg = parse_config_text(self.CONFIG.replace("sup_bound: 0.5", "sup_bound: 1.0"))
+        assert run("tailscan", cfg, out_dir=str(tmp_path)) == EXIT_OK
+        assert read_manifest(tmp_path)["warnings"] == []
 
 
 def _assert_emitters_agree(cfg):

@@ -5,14 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ustatlab.hilbert import (
-    HilbertSpace,
-    SpaceMismatchError,
-    axpy,
-    inner,
-    norm,
-    row_norms,
-)
+from helpers import axpy, inner, norm
+from ustatlab.hilbert import HilbertSpace, SpaceMismatchError, row_norms
 
 
 def test_orthogonal_axes():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import projection_oracle, random_scalar_dist, table_kernel, uniform_three
+from helpers import projection_oracle, random_scalar_dist, symmetrize, table_kernel, uniform_three
 from ustatlab.distributions import (
     EnumerationBudgetError,
     FiniteDistribution,
@@ -21,10 +21,9 @@ from ustatlab.hoeffding import (
     decomposition_check,
     degeneracy_order,
     project,
-    project_mc,
 )
 from ustatlab.kernels import (
-    KernelSpec, centered, gini, partial_expectations, product, spatial_sign, symmetrize,
+    KernelSpec, centered, gini, partial_expectations, product, spatial_sign,
 )
 from ustatlab.ustats import WeightScheme, complete
 
@@ -209,18 +208,6 @@ class TestWeightedDecompositionCheck:
         assert weighted_decomposition_check(kernel, dist, scheme, sample) <= 1e-10
         assert partials == [3]
         assert lookups == [n]
-
-
-def test_plugin_projection_tracks_the_exact_one():
-    """Monte Carlo conditional means agree with enumeration at 4 sigma."""
-    sampler = SamplerSpec(kind="finite", dist=uniform_three(), seed_stream=8)
-    draws = 20_000
-    approx = project_mc(gini(), sampler, 1, draws=draws, stream=3)
-    exact = project(gini(), uniform_three(), 1)
-    for atom in uniform_three().atoms:
-        got = approx.eval(atom)[0]
-        want = exact.eval(atom)[0]
-        assert abs(got - want) <= 4.0 * 1.0 / np.sqrt(draws)
 
 
 def test_projection_reuse_is_consistent():

@@ -5,10 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import random_scalar_dist, uniform_three
-from ustatlab.distributions import FiniteDistribution, SamplerSpec
-from ustatlab.hilbert import HilbertSpace, norm
-from ustatlab.hoeffding import degeneracy_order, project, project_mc
+from helpers import norm, random_scalar_dist, symmetrize, uniform_three
+from ustatlab.distributions import FiniteDistribution
+from ustatlab.hilbert import HilbertSpace
+from ustatlab.hoeffding import degeneracy_order, project
 from ustatlab.kernels import (
     KernelSpec,
     SupBoundWarning,
@@ -23,7 +23,6 @@ from ustatlab.kernels import (
     partial_expectations,
     product,
     spatial_sign,
-    symmetrize,
 )
 from ustatlab.montecarlo import coordinate_kernel
 
@@ -279,11 +278,6 @@ def _zoo():
         "centered-gini": (centered(gini(), law), pair),
         "centered-loop-only": (centered(loop_only, law), pair),
         "projection-table": (project(gini(), law, 2).as_kernel(), pair),
-        "projection-plug-in": (
-            project_mc(gini(), SamplerSpec(kind="uniform-grid", grid_points=5), 1, draws=50)
-            .as_kernel(),
-            scalars[:1],
-        ),
     }
 
 

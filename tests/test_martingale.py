@@ -6,18 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import step_tail_integral_oracle, summarize_oracle
+from helpers import simulate_mds, step_tail_integral_oracle, summarize_oracle
 from ustatlab import cli, confidence, martingale
 from ustatlab.confidence import _Z95, _tail_triples, mean_interval, wilson_bounds
 from ustatlab.distributions import mix_ids, substream
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.martingale import (
     PathSummaries,
+    _conv_entries,
     _step_tail_integral,
-    check_conv_tail_lemma,
     conv_pair_from_paths,
     simulate_ensemble,
-    simulate_mds,
     verify_conv_grid,
     verify_grid,
     verify_pairs,
@@ -158,7 +157,7 @@ class TestConvTailLemma:
     def test_constant_pair_closed_form(self):
         c = 6.0
         samples = np.full(500, c)
-        entry = check_conv_tail_lemma(samples, samples, t=2.0)
+        (entry,) = _conv_entries(samples, samples, [2.0])
         assert entry.rhs == pytest.approx(4.0 * c / 2.0 - 1.0)
         assert entry.lhs == 1.0
         assert not entry.violated
@@ -166,7 +165,7 @@ class TestConvTailLemma:
     def test_thresholds_beyond_the_support_are_all_zero(self):
         c = 6.0
         samples = np.full(500, c)
-        entry = check_conv_tail_lemma(samples, samples, t=4.0 * c + 1.0)
+        (entry,) = _conv_entries(samples, samples, [4.0 * c + 1.0])
         assert entry.lhs == 0.0
         assert entry.rhs == 0.0
         assert not entry.violated
@@ -180,7 +179,7 @@ class TestConvTailLemma:
 
     def test_rejects_nonpositive_thresholds(self):
         with pytest.raises(ValueError):
-            check_conv_tail_lemma(np.ones(10), np.ones(10), t=0.0)
+            _conv_entries(np.ones(10), np.ones(10), [0.0])
 
     @pytest.mark.parametrize("t", [math.nan, math.inf])
     def test_a_conv_grid_must_be_finite(self, sign_paths, t):

@@ -20,10 +20,8 @@ from ustatlab.montecarlo import (
     ScalingCell,
     ScalingReport,
     ScalingRow,
-    bounded_kernel_tail,
     coordinate_kernel,
     decouple_compare,
-    empirical_tail,
     envelope_eval,
     fit_tail_exponent,
     hk_tail_oracle,
@@ -36,7 +34,7 @@ from ustatlab import kernels, montecarlo
 from ustatlab.montecarlo import _domination_constant, _log_power_integral
 from ustatlab.ustats import SamplingDesign, complete, inc_count
 
-from helpers import domination_constant_oracle, rademacher_product_tail
+from helpers import bounded_kernel_tail, domination_constant_oracle, empirical_tail, rademacher_product_tail
 
 line = HilbertSpace.euclidean(1)
 rademacher = SamplerSpec(kind="rademacher")

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    norm,
     random_scalar_dist,
+    running_max_embedding_check,
     table_kernel,
     tuple_weights,
     uniform_three,
@@ -19,7 +21,7 @@ from helpers import (
 )
 from ustatlab import ustats
 from ustatlab.distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
-from ustatlab.hilbert import HilbertSpace, norm
+from ustatlab.hilbert import HilbertSpace
 from ustatlab.kernels import KernelSpec, batch_values, centered, gini, product, spatial_sign
 from ustatlab.montecarlo import ExperimentConfig, coordinate_kernel
 from ustatlab.ustats import (
@@ -37,14 +39,10 @@ from ustatlab.ustats import (
     decoupled,
     design_mean_factor,
     draw_design,
-    enumerate_inc,
     inc_count,
     incomplete,
-    rank_combination,
     running_max,
-    running_max_embedding_check,
     running_max_norms,
-    unrank_combination,
     weight_aggregate,
     weighted,
 )
@@ -52,41 +50,47 @@ from ustatlab.ustats import (
 line = HilbertSpace.euclidean(1)
 
 
-class TestEnumerateInc:
+def _one_unrank(rank: int, n: int, k: int) -> list[int]:
+    """The 0-based tuple of one exact rank, from an object array of one row."""
+    return [int(c[0]) for c in _lex_unranks(np.array([rank], dtype=object), n, k)]
+
+
+class TestLexicographicTuples:
+    """The index columns of the increasing tuples in lexicographic order, the
+    one tuple-count gate, and the ranks and unranks of those tuples."""
+
     def test_pairs_of_three(self):
-        assert list(enumerate_inc(2, 3)) == [(1, 2), (1, 3), (2, 3)]
+        assert list(zip(*_tuple_columns(2, 3))) == [(0, 1), (0, 2), (1, 2)]
 
     def test_single_full_tuple(self):
-        assert list(enumerate_inc(3, 3)) == [(1, 2, 3)]
+        assert list(zip(*_tuple_columns(3, 3))) == [(0, 1, 2)]
 
     def test_count_ten_choose_two(self):
         assert inc_count(2, 10) == 45
-        assert sum(1 for _ in enumerate_inc(2, 10)) == 45
+        assert _tuple_columns(2, 10)[0].size == 45
 
     def test_cap(self):
         with pytest.raises(EnumerationBudgetError):
-            list(enumerate_inc(2, 10, cap=44))
+            ustats._tuple_count(2, 10, cap=44)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 20))
     def test_count_and_order(self, m, n):
         if m > n:
-            tuples = list(enumerate_inc(m, n)) if inc_count(m, n) else []
-            assert tuples == []
+            assert inc_count(m, n) == 0
             return
-        tuples = list(enumerate_inc(m, n))
+        tuples = [tuple(int(v) for v in row) for row in zip(*_tuple_columns(m, n))]
         assert len(tuples) == math.comb(n, m)
         assert tuples == sorted(tuples)
         for tpl in tuples:
             assert all(a < b for a, b in zip(tpl, tpl[1:]))
-            assert 1 <= tpl[0] and tpl[-1] <= n
+            assert 0 <= tpl[0] and tpl[-1] < n
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 4), st.integers(4, 15), st.data())
     def test_rank_roundtrip(self, m, n, data):
         rank = data.draw(st.integers(0, math.comb(n, m) - 1))
-        tpl = unrank_combination(rank, n, m)
-        assert rank_combination(tpl, n) == rank
+        assert _lex_ranks(_one_unrank(rank, n, m), n) == rank
 
     @pytest.mark.parametrize(("k", "n"), [(1, 1), (1, 9), (2, 2), (2, 13), (3, 10), (4, 12), (2, 400)])
     def test_vectorized_ranks_count_the_enumeration(self, k, n):
@@ -95,7 +99,7 @@ class TestEnumerateInc:
         assert ranks.dtype == np.int64
         np.testing.assert_array_equal(ranks, np.arange(math.comb(n, k)))
         for row in range(0, ranks.size, max(1, ranks.size // 200)):
-            assert rank_combination(tuple(int(c[row]) + 1 for c in cols), n) == ranks[row]
+            assert _lex_ranks([int(c[row]) for c in cols], n) == ranks[row]
 
     @pytest.mark.parametrize(
         ("k", "n"),
@@ -108,20 +112,14 @@ class TestEnumerateInc:
         cols = _lex_unranks(ranks, n, k)
         want = np.array([unrank_oracle(int(r), n, k) for r in ranks])
         np.testing.assert_array_equal(np.stack(cols, axis=1), want - 1)
-        one_row = [unrank_combination(int(r), n, k) for r in ranks[:10]]
-        assert one_row == [tuple(w) for w in want[:10].tolist()]
+        one_row = [_one_unrank(int(r), n, k) for r in ranks[:10]]
+        assert one_row == (want[:10] - 1).tolist()
         np.testing.assert_array_equal(_lex_ranks(cols, n), ranks)
 
-    def test_rank_refuses_tuples_outside_the_enumeration_and_is_exact_at_any_size(self):
-        for tpl in [(2, 1), (0, 1), (1, 11), (3, 3)]:
-            with pytest.raises(ValueError, match="is not increasing within"):
-                rank_combination(tpl, 10)
-        assert rank_combination((10**7 - 2, 10**7 - 1, 10**7), 10**7) == math.comb(10**7, 3) - 1
+    def test_ranks_are_exact_at_any_size(self):
+        assert _lex_ranks([10**7 - 3, 10**7 - 2, 10**7 - 1], 10**7) == math.comb(10**7, 3) - 1
         rank = math.comb(10**7, 3) // 3  # above 2**63
-        assert rank_combination(unrank_combination(rank, 10**7, 3), 10**7) == rank
-        for bad in [-1, math.comb(10, 3)]:
-            with pytest.raises(ValueError, match="outside"):
-                unrank_combination(bad, 10, 3)
+        assert _lex_ranks(_one_unrank(rank, 10**7, 3), 10**7) == rank
 
 
 class TestIndexColumns:
@@ -594,7 +592,7 @@ class TestAboveTheMaterializeCap:
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", 20)
         monkeypatch.setattr(ustats, "_CHUNK", chunk)
         pieces = [cols for cols, _ in ustats._index_pieces(m, n, lex=True)]
-        want = np.array(list(enumerate_inc(m, n)), dtype=np.int64) - 1
+        want = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
         np.testing.assert_array_equal(np.concatenate([np.stack(c, axis=1) for c in pieces]), want)
         firsts = [c[0] for c in pieces]
         assert all(a[-1] < b[0] for a, b in zip(firsts, firsts[1:]))  # no first-index group is cut
@@ -679,7 +677,7 @@ class TestTupleGate:
     feeds: below the arity a ValueError, above ENUMERATION_CAP one message."""
 
     CALLS = {
-        "enumerate_inc": lambda: enumerate_inc(2, 12),
+        "_tuple_count": lambda: ustats._tuple_count(2, 12),
         "complete": lambda: complete(gini(), np.arange(12.0)),
         "running_max": lambda: running_max(gini(), np.arange(12.0)),
         "draw_design": lambda: draw_design(
@@ -696,7 +694,7 @@ class TestTupleGate:
 
     def test_below_the_arity(self):
         for call in (
-            lambda: enumerate_inc(3, 2),
+            lambda: ustats._tuple_count(3, 2),
             lambda: complete(gini(), np.arange(1.0)),
             lambda: decoupled(product(), DecoupledSample((np.arange(1.0), np.arange(1.0)))),
             lambda: running_max_norms(gini(), np.zeros((3, 1))),
