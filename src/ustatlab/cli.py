@@ -600,7 +600,6 @@ def _experiment_config(cfg: ConfigFile, kernel, sampler) -> ExperimentConfig:
         sampler=sampler,
         sample_size=cfg.sample_size,
         replicas=cfg.replicas,
-        master_seed=cfg.seed,
         x_grid=cfg.x_grid.build(),
     )
 
@@ -647,7 +646,6 @@ def _run_incomplete(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
         sampler,
         cells,
         replicas=cfg.replicas,
-        master_seed=cfg.seed,
         quantile=cfg.quantile,
     )
     # one column per ScalingRow field, the interval bounds named ci_lo / ci_hi
@@ -673,7 +671,6 @@ def _run_incomplete(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
             sample_size=m.sample_size,
             size=m.size,
             replicas=m.replicas,
-            master_seed=cfg.seed,
             quantile=cfg.quantile,
         )
         overlap_ok = mp.overlap

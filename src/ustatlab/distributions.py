@@ -54,7 +54,7 @@ class FiniteDistribution:
     """A law with finitely many atoms.
 
     atoms: shape (A,) for scalar laws or (A, dim) for vector-valued laws.
-    probs: nonnegative, sums to 1 within 1e-12.
+    probs: positive, sums to 1 within 1e-12: every atom carries mass.
     """
 
     atoms: np.ndarray
@@ -67,8 +67,8 @@ class FiniteDistribution:
             raise ValueError("atoms must be a nonempty 1-d or 2-d array")
         if probs.shape != (atoms.shape[0],):
             raise ValueError("probs must have one entry per atom")
-        if np.any(probs < 0.0) or not np.all(np.isfinite(probs)):
-            raise ValueError("probs must be finite and nonnegative")
+        if np.any(probs <= 0.0) or not np.all(np.isfinite(probs)):
+            raise ValueError("probs must be finite and positive")
         if abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError(f"probs sum to {float(probs.sum())}, expected 1 within 1e-12")
         keys = np.sort(_point_keys(atoms))  # -0.0 == 0.0, so they count as one atom

@@ -1,8 +1,9 @@
 """Monte Carlo harness: tail scans, bound envelopes, and design experiments.
 
 Replication discipline: replica r draws every input from substreams keyed
-by (master seed, role, r), so results are a pure function of the replica
-index and survive any scheduling order or batch size bit for bit.
+by (the sampler's `seed_stream`, role, r), the one seed a run takes, so
+results are a pure function of the replica index and survive any
+scheduling order or batch size bit for bit.
 Reductions over replicas happen in replica order. Every experiment runs
 on one thread over bounded batches of replicas from one producer,
 `_sample_batches`: it draws _CHUNK_VALUES // n replicas with one
@@ -11,7 +12,7 @@ at a time, whose tuples go to one gathered kernel call. Incomplete
 designs are drawn per replica on its own re-keyed Philox substream (its
 words fix the bytes): with-replacement and bernoulli designs map those
 words in one pass per batch, and a 0/1 selection reads a fixed prefix of
-them (`ustats.design_selected_batch`).
+them (`ustats._design_batch` with `selected`).
 Every selection sum goes through `ustats`: the 0/1-collapsed sums through
 `_selection_sums`, the multiplicity-weighted ones through
 `design_sums_batch`, and `ustats` alone decides when a sum is exact.
@@ -38,7 +39,7 @@ term reads, so every caller gets the bound beside p_hat.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -61,6 +62,7 @@ from .kernels import (
 from .ustats import (
     SamplingDesign,
     _atom_route,
+    _design_batch,
     _exact_bound,
     _selection_sums,
     _stacked_values,
@@ -69,7 +71,6 @@ from .ustats import (
     _tuple_columns,
     check_design,
     design_mean_factor,
-    design_selected_batch,
     design_sums_batch,
     inc_count,
     running_max_norms,
@@ -125,7 +126,6 @@ class ExperimentConfig:
     sampler: SamplerSpec
     sample_size: int
     replicas: int
-    master_seed: int
     x_grid: np.ndarray | None = None
 
     def __post_init__(self) -> None:
@@ -151,18 +151,17 @@ def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) ->
     passes it as `atom_table`.
     """
     kernel, n = config.kernel, config.sample_size
-    bound_sampler = replace(config.sampler, seed_stream=config.master_seed)
     out = np.empty(config.replicas)
     batch = max(1, 2 * _CHUNK_VALUES // n, _CHUNK_VALUES // 64)
     route = _atom_route(kernel, config.sampler.finite_support(), n, min(batch, config.replicas), atom_table)
     if route is None:
         _tuple_count(kernel.arity, n)  # the gather's cap, refused before any draw
-        for r, (samples,) in _sample_batches(bound_sampler, n, kernel.arity, config.replicas, (_ROLE_DATA,)):
+        for r, (samples,) in _sample_batches(config.sampler, n, kernel.arity, config.replicas, (_ROLE_DATA,)):
             out[r] = running_max_norms(kernel, samples)
         return out
     streams = mix_ids_batch(_ROLE_DATA, np.arange(config.replicas))
     start = 0
-    for drawn in atom_blocks(bound_sampler, n, streams, batch):
+    for drawn in atom_blocks(config.sampler, n, streams, batch):
         route(drawn.T, out[start : start + len(drawn)])  # the C-contiguous step-major batch
         start += len(drawn)
     return out
@@ -281,7 +280,7 @@ def tail_scan(
 
     stats = replicate(config, atom_table=table) / factor
     # after the replicas, so that a refused scan draws nothing
-    _spot_check_sup(kernel, replace(config.sampler, seed_stream=config.master_seed), n, (_ROLE_DATA,), "tail_scan")
+    _spot_check_sup(kernel, config.sampler, n, (_ROLE_DATA,), "tail_scan")
     p_hat, lo, hi = _tail_triples(np.sort(stats), config.x_grid)
     beta, used = fit_tail_exponent(config.x_grid, p_hat)
     column = [math.nan if env is None else envelope_eval(env, float(x), tail).total for x in config.x_grid]
@@ -518,7 +517,6 @@ def _normalized_norms(
     n: int,
     cell_id: int,
     replicas: int,
-    master_seed: int,
     normalizer: Callable[[np.ndarray], np.ndarray | float],
 ) -> np.ndarray:
     """Per replica: the norm of its 0/1-collapsed selection sum (each selected
@@ -526,7 +524,8 @@ def _normalized_norms(
     empty selection.
 
     Replica r reads its sample from data substream (cell_id, r) and its
-    design from design substream (cell_id, r), in `_sample_batches`.
+    design from design substream (cell_id, r), both keyed by the sampler's
+    `seed_stream`, in `_sample_batches`.
     """
     m = kernel.arity
     cols = _columns(m, n)
@@ -534,7 +533,8 @@ def _normalized_norms(
     distinct = np.empty(replicas, dtype=np.int64)
     for r, (samples,) in _sample_batches(sampler, n, m, replicas, (_ROLE_DATA, cell_id)):
         vals = _stacked_values(kernel, (samples,) * m, cols)
-        selected = design_selected_batch(design, m, n, master_seed, mix_ids_batch(_ROLE_DESIGN, cell_id, r))
+        ids = mix_ids_batch(_ROLE_DESIGN, cell_id, r)
+        selected = _design_batch(design, m, n, sampler.seed_stream, ids, selected=True)
         sums = _selection_sums(vals, selected, _exact_bound(vals))
         norms[r] = row_norms(kernel.codomain, sums)
         distinct[r] = np.count_nonzero(selected, axis=1)
@@ -546,7 +546,6 @@ def incomplete_scaling_experiment(
     sampler: SamplerSpec,
     cells: Sequence[ScalingCell],
     replicas: int,
-    master_seed: int,
     quantile: float = 0.9,
 ) -> ScalingReport:
     """Normalized quantiles and design unbiasedness across a (n, design) grid.
@@ -569,17 +568,16 @@ def incomplete_scaling_experiment(
     d = deg.order
     m = kernel.arity
     draws = min(replicas, 2000)
-    bound_sampler = replace(sampler, seed_stream=master_seed)
     for cell_id, cell in enumerate(cells):
         check_design(cell.design, m, cell.sample_size)
         _columns(m, cell.sample_size)
-        _spot_check_sup(kernel, bound_sampler, cell.sample_size, (_ROLE_DATA, cell_id), "incomplete scaling")
+        _spot_check_sup(kernel, sampler, cell.sample_size, (_ROLE_DATA, cell_id), "incomplete scaling")
 
     rows = []
     for cell_id, cell in enumerate(cells):
         n, design = cell.sample_size, cell.design
         stats = _normalized_norms(
-            kernel, bound_sampler, design, n, cell_id, replicas, master_seed,
+            kernel, sampler, design, n, cell_id, replicas,
             lambda distinct: _design_normalizer(design, distinct, n, m, d),
         )
         usable = stats[~np.isnan(stats)]
@@ -589,11 +587,11 @@ def incomplete_scaling_experiment(
         else:
             q = q_lo = q_hi = math.nan
 
-        fixed_sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_FIXED, cell_id))
+        fixed_sample = draw_iid(sampler, n, mix_ids(_ROLE_FIXED, cell_id))
         fixed_vals = _stacked_values(kernel, (fixed_sample[None],) * m, _columns(m, n))[0]
         target = design_mean_factor(design, m, n) * np.add.reduce(fixed_vals, axis=0)
         ids = mix_ids_batch(_ROLE_FIXED, cell_id, np.arange(draws))
-        ests = design_sums_batch(design, m, n, master_seed, ids, fixed_vals)
+        ests = design_sums_batch(design, m, n, sampler.seed_stream, ids, fixed_vals)
         mean = ests.mean(axis=0)
         se = ests.std(axis=0, ddof=1) / math.sqrt(draws)
         dev = np.abs(mean - target)
@@ -655,7 +653,6 @@ def matching_point_compare(
     sample_size: int,
     size: int,
     replicas: int,
-    master_seed: int,
     quantile: float = 0.9,
 ) -> MatchingPointReport:
     """Compare without-replacement(size) against bernoulli(size / n) at arity 1.
@@ -682,12 +679,9 @@ def matching_point_compare(
     norm_bern = _design_normalizer(bern, size, n, 1, d)
     if not math.isclose(norm_wo, norm_bern, rel_tol=1e-12):
         raise AssertionError(f"normalizers should coincide: {norm_wo} vs {norm_bern}")
-    bound_sampler = replace(sampler, seed_stream=master_seed)
 
     stats_wo, stats_b = (
-        _normalized_norms(
-            kernel, bound_sampler, design, n, cell_id, replicas, master_seed, lambda _: norm_wo
-        )
+        _normalized_norms(kernel, sampler, design, n, cell_id, replicas, lambda _: norm_wo)
         for cell_id, design in enumerate((wo, bern))
     )
     usable_b = stats_b[~np.isnan(stats_b)]
@@ -791,11 +785,10 @@ def _decouple_stats(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     kernel, n, R = config.kernel, config.sample_size, config.replicas
     m = kernel.arity
     _columns(m, n)
-    bound_sampler = replace(config.sampler, seed_stream=config.master_seed)
-    _spot_check_sup(kernel, bound_sampler, n, (_ROLE_DATA,), "decouple_compare")
+    _spot_check_sup(kernel, config.sampler, n, (_ROLE_DATA,), "decouple_compare")
     stats_u, stats_d = np.empty(R), np.empty(R)
     roles = [(_ROLE_DATA,)] + [(_ROLE_DEC, slot) for slot in range(m)]
-    for r, (sample, *copies) in _sample_batches(bound_sampler, n, m, R, *roles):
+    for r, (sample, *copies) in _sample_batches(config.sampler, n, m, R, *roles):
         stats_u[r] = row_norms(kernel.codomain, _sum_tuples(kernel, (sample,) * m))
         stats_d[r] = row_norms(kernel.codomain, _sum_tuples(kernel, tuple(copies)))
     return stats_u, stats_d

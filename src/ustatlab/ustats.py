@@ -347,11 +347,12 @@ def _stacked_values(kernel: KernelSpec, samples: tuple[np.ndarray, ...], cols) -
     Slot l of tuple t reads samples[l][:, cols[l][t]]; each samples[l] has
     shape (R, n) or (R, n, d_in) and the result is (R, T, dim). All R * T
     tuples go through one `batch_values` call, and every row equals what a
-    lone sample's gather and evaluation would give. A stack of one indexes
-    its row 0, longer stacks `np.take` along axis 1: the faster gather of each.
+    lone sample's gather and evaluation would give. A scalar stack of one
+    indexes its row 0; every other stack, vector samples included, is faster
+    with `np.take` along axis 1.
     """
     gathered = tuple(
-        s[0][c] if len(s) == 1 else np.take(s, c, axis=1).reshape((-1,) + s.shape[2:])
+        s[0][c] if len(s) == 1 and s.ndim == 2 else np.take(s, c, axis=1).reshape((-1,) + s.shape[2:])
         for s, c in zip(samples, cols)
     )
     return batch_values(kernel, gathered).reshape(samples[0].shape[0], cols[0].size, -1)
@@ -685,19 +686,6 @@ def design_counts(
     return counts
 
 
-def design_selected_batch(
-    design: SamplingDesign, m: int, n: int, master_seed: int, ids
-) -> np.ndarray:
-    """`_design_batch(design, m, n, master_seed, ids) > 0`, bit for bit.
-
-    A with-replacement stream draws only its first P = min(size, ceil(T (ln T
-    + _COVER_MARGIN))) ranks, T = C(n, m): the rest cannot change a selection
-    of every tuple, and a stream whose P draws miss one (probability at most
-    T (1 - 1/T)**P <= e**-_COVER_MARGIN, union bound) is redrawn by `design_counts`.
-    """
-    return _design_batch(design, m, n, master_seed, ids, selected=True)
-
-
 def design_sums_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids, values
 ) -> np.ndarray:
@@ -732,9 +720,9 @@ def _design_batch(
     design: SamplingDesign, m: int, n: int, master_seed: int, ids, selected=False, values=None
 ):
     """`np.stack([design_counts(design, m, n, substream(master_seed, i)) for i
-    in ids])`, bit for bit, shape (len(ids), C(n, m)); with `selected`
-    `design_selected_batch`, with `values` the exact with-replacement
-    `design_sums_batch`: one draw loop, three reductions of its ranks.
+    in ids])`, bit for bit, shape (len(ids), C(n, m)); with `selected` those
+    counts > 0, with `values` the exact with-replacement `design_sums_batch`:
+    one draw loop, three reductions of its ranks.
 
     A with-replacement draw is `integers(0, C(n, m), size)`: each stream's
     ceil(size / 2) native Philox words are mapped with numpy's Lemire method
@@ -744,6 +732,12 @@ def _design_batch(
     stream's C(n, m) words are numpy's uniforms (w >> 11) * 2**-53, compared
     with the rate about _CHUNK at a time. Without-replacement designs are
     drawn stream by stream.
+
+    With `selected` a with-replacement stream draws only its first P =
+    min(size, ceil(T (ln T + _COVER_MARGIN))) ranks, T = C(n, m): the rest
+    cannot change a selection of every tuple, and a stream whose P draws miss
+    one (probability at most T (1 - 1/T)**P <= e**-_COVER_MARGIN, union
+    bound) is redrawn by `design_counts`.
     """
     total = check_design(design, m, n)
     ids = np.asarray(ids)

@@ -390,14 +390,14 @@ def design_normalizer_oracle(design, nonzero: int, n: int, m: int, d: int) -> fl
     return math.sqrt(nonzero * min(nonzero, float(n) ** (m - d)))
 
 
-def norm_stat_oracle(kernel, bound_sampler, design, n, cell_id, replicas, master_seed, d):
+def norm_stat_oracle(kernel, sampler, design, n, cell_id, replicas, d):
     """The scaling experiment's quantile column, replica by replica."""
     m = kernel.arity
 
     def norm_stat(r: int, n=n, design=design, cell_id=cell_id) -> float:
-        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
+        sample = draw_iid(sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
         vals = cell_values_oracle(kernel, (sample,) * m)
-        sel = draw_design(design, m, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
+        sel = draw_design(design, m, n, substream(sampler.seed_stream, mix_ids(_ROLE_DESIGN, cell_id, r)))
         if sel.empty:
             return math.nan
         collapsed = np.add.reduce(vals[sel.ranks], axis=0)
@@ -422,13 +422,13 @@ def estimator_oracle(fixed_vals, design, m, n, cell_id, draws, master_seed):
     return np.stack([estimator(r) for r in range(draws)])
 
 
-def matching_stat_oracle(kernel, bound_sampler, design, n, cell_id, replicas, master_seed, norm_wo):
+def matching_stat_oracle(kernel, sampler, design, n, cell_id, replicas, norm_wo):
     """One pipeline of the matching-point comparison, replica by replica."""
 
     def fn(r: int) -> float:
-        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
+        sample = draw_iid(sampler, n, mix_ids(_ROLE_DATA, cell_id, r))
         vals = cell_values_oracle(kernel, (sample,))
-        sel = draw_design(design, 1, n, substream(master_seed, mix_ids(_ROLE_DESIGN, cell_id, r)))
+        sel = draw_design(design, 1, n, substream(sampler.seed_stream, mix_ids(_ROLE_DESIGN, cell_id, r)))
         if sel.empty:
             return math.nan
         collapsed = np.add.reduce(vals[sel.ranks], axis=0)
@@ -437,16 +437,16 @@ def matching_stat_oracle(kernel, bound_sampler, design, n, cell_id, replicas, ma
     return np.array([fn(r) for r in range(replicas)])
 
 
-def decouple_stats_oracle(kernel, bound_sampler, n, replicas):
+def decouple_stats_oracle(kernel, sampler, n, replicas):
     """||U|| and ||U_dec|| of the decoupling comparison, replica by replica."""
     m = kernel.arity
 
     def stat_complete(r: int) -> float:
-        sample = draw_iid(bound_sampler, n, mix_ids(_ROLE_DATA, r))
+        sample = draw_iid(sampler, n, mix_ids(_ROLE_DATA, r))
         return float(row_norms(kernel.codomain, complete(kernel, sample).coords))
 
     def stat_decoupled(r: int) -> float:
-        rows = tuple(draw_iid(bound_sampler, n, mix_ids(_ROLE_DEC, slot, r)) for slot in range(m))
+        rows = tuple(draw_iid(sampler, n, mix_ids(_ROLE_DEC, slot, r)) for slot in range(m))
         vals = cell_values_oracle(kernel, rows)
         return float(row_norms(kernel.codomain, np.add.reduce(vals, axis=0)))
 

@@ -108,20 +108,18 @@ def test_criterion_4_tail_decay_exponents():
     scan2 = tail_scan(
         ExperimentConfig(
             kernel=product(),
-            sampler=SamplerSpec(kind="rademacher"),
+            sampler=SamplerSpec(kind="rademacher", seed_stream=2024),
             sample_size=40,
             replicas=100_000,
-            master_seed=2024,
             x_grid=grid,
         )
     )
     scan1 = tail_scan(
         ExperimentConfig(
             kernel=coordinate_kernel(),
-            sampler=SamplerSpec(kind="rademacher"),
+            sampler=SamplerSpec(kind="rademacher", seed_stream=2025),
             sample_size=40,
             replicas=100_000,
-            master_seed=2025,
             x_grid=grid,
         )
     )
@@ -179,18 +177,16 @@ def test_criterion_6_incomplete_scaling():
     ]
     scaling = incomplete_scaling_experiment(
         product(),
-        SamplerSpec(kind="rademacher"),
+        SamplerSpec(kind="rademacher", seed_stream=600),
         cells,
         replicas=2_000,
-        master_seed=600,
     )
     unbias_ok = all(row.unbias_ok for row in scaling.rows)
     matching = matching_point_compare(
-        SamplerSpec(kind="discretized-gaussian", space=line),
+        SamplerSpec(kind="discretized-gaussian", space=line, seed_stream=41),
         sample_size=20,
         size=10,
         replicas=600,
-        master_seed=41,
     )
     elapsed = time.perf_counter() - start
     ok = unbias_ok and scaling.spread <= 5.0 and matching.overlap and elapsed < 600.0

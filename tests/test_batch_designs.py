@@ -39,7 +39,6 @@ from ustatlab.ustats import (
     SamplingDesign,
     _design_batch,
     design_counts,
-    design_selected_batch,
     design_sums_batch,
     draw_design,
     inc_count,
@@ -90,10 +89,10 @@ def test_scaling_statistics_equal_the_per_replica_loop(monkeypatch, kernel_case,
     design = DESIGNS[design]
     n, m, d, cell_id, replicas = 8, kernel.arity, 1, 3, 101
     got = montecarlo._normalized_norms(
-        kernel, sampler, design, n, cell_id, replicas, SEED,
+        kernel, sampler, design, n, cell_id, replicas,
         lambda k: montecarlo._design_normalizer(design, k, n, m, d),
     )
-    want = norm_stat_oracle(kernel, sampler, design, n, cell_id, replicas, SEED, d)
+    want = norm_stat_oracle(kernel, sampler, design, n, cell_id, replicas, d)
     np.testing.assert_array_equal(got, want)
 
     fixed_sample = draw_iid(sampler, n, mix_ids(montecarlo._ROLE_FIXED, cell_id))
@@ -107,7 +106,7 @@ def test_scaling_statistics_equal_the_per_replica_loop(monkeypatch, kernel_case,
 
 def test_bernoulli_cases_include_empty_selections():
     kernel, sampler = _kernels()["centered-gini-grid7"]
-    stats = norm_stat_oracle(kernel, sampler, DESIGNS["bernoulli"], 8, 3, 101, SEED, 1)
+    stats = norm_stat_oracle(kernel, sampler, DESIGNS["bernoulli"], 8, 3, 101, 1)
     assert 0 < np.isnan(stats).sum() < stats.size
 
 
@@ -126,11 +125,9 @@ def test_matching_statistics_equal_the_per_replica_loop(monkeypatch, sampler_kin
     )
     for cell_id, design in enumerate(designs):
         got = montecarlo._normalized_norms(
-            coordinate_kernel(), sampler, design, n, cell_id, replicas, SEED, lambda _: norm_wo
+            coordinate_kernel(), sampler, design, n, cell_id, replicas, lambda _: norm_wo
         )
-        want = matching_stat_oracle(
-            coordinate_kernel(), sampler, design, n, cell_id, replicas, SEED, norm_wo
-        )
+        want = matching_stat_oracle(coordinate_kernel(), sampler, design, n, cell_id, replicas, norm_wo)
         np.testing.assert_array_equal(got, want)
 
 
@@ -139,9 +136,7 @@ def test_matching_statistics_equal_the_per_replica_loop(monkeypatch, sampler_kin
 def test_decouple_statistics_equal_the_per_replica_loop(monkeypatch, kernel_case, chunk):
     monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
     kernel, sampler = _kernels()[kernel_case]
-    config = ExperimentConfig(
-        kernel=kernel, sampler=sampler, sample_size=9, replicas=130, master_seed=SEED
-    )
+    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=9, replicas=130)
     got = montecarlo._decouple_stats(config)
     want = decouple_stats_oracle(kernel, sampler, 9, 130)
     np.testing.assert_array_equal(got[0], want[0])
@@ -152,9 +147,7 @@ def test_decouple_statistics_at_dim_3_and_many_tuples():
     grid = HilbertSpace.grid(3)
     kernel = product(grid)
     sampler = SamplerSpec(kind="discretized-gaussian", space=grid, seed_stream=SEED)
-    config = ExperimentConfig(
-        kernel=kernel, sampler=sampler, sample_size=100, replicas=100, master_seed=SEED
-    )
+    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=100, replicas=100)
     got = montecarlo._decouple_stats(config)
     want = decouple_stats_oracle(kernel, sampler, 100, 100)
     np.testing.assert_array_equal(got[0], want[0])
@@ -227,7 +220,7 @@ def test_batched_bernoulli_designs_equal_design_counts(monkeypatch, rate, m, n, 
     design = SamplingDesign(kind="bernoulli", rate=rate)
     calls = _counting_fallbacks(monkeypatch)
     counts = _design_batch(design, m, n, SEED, ids)
-    selected = design_selected_batch(design, m, n, SEED, ids)
+    selected = _design_batch(design, m, n, SEED, ids, selected=True)
     assert not calls and counts.dtype == np.int64 and selected.dtype == bool
     want = _stacked_design_counts(design, m, n, ids)
     np.testing.assert_array_equal(counts, want)
@@ -272,7 +265,7 @@ def test_rejected_selection_prefixes_fall_back_to_design_counts(monkeypatch, n, 
     design = SamplingDesign(kind="with-replacement", size=size)
     want = _stacked_design_counts(design, 1, n, ids) > 0
     calls = _counting_fallbacks(monkeypatch)
-    np.testing.assert_array_equal(design_selected_batch(design, 1, n, SEED, ids), want)
+    np.testing.assert_array_equal(_design_batch(design, 1, n, SEED, ids, selected=True), want)
     assert 2 <= len(calls) <= 20
 
 
@@ -302,7 +295,7 @@ def test_selected_tuples_equal_the_nonzero_counts(monkeypatch, case, margin, chu
     ids = mix_ids_batch(_ROLE, 8, np.arange(101))
     want = _stacked_design_counts(design, m, n, ids) > 0
     calls = _counting_fallbacks(monkeypatch)
-    got = design_selected_batch(design, m, n, SEED, ids)
+    got = _design_batch(design, m, n, SEED, ids, selected=True)
     assert got.dtype == bool and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     if case == "prefix-below-size":
@@ -334,16 +327,16 @@ def test_the_selection_draws_fewer_words(monkeypatch):
     counts = _design_batch(design, m, n, SEED, ids)
     assert words == [5_000] * 30
     words.clear()
-    np.testing.assert_array_equal(design_selected_batch(design, m, n, SEED, ids), counts > 0)
+    np.testing.assert_array_equal(_design_batch(design, m, n, SEED, ids, selected=True), counts > 0)
     assert words == [974] * 30  # ceil(190 * (ln 190 + 5)) = 1,947 draws
 
 
-@pytest.mark.parametrize("batch", [_design_batch, design_selected_batch])
+@pytest.mark.parametrize("selected", [False, True], ids=["counts", "selected"])
 @pytest.mark.parametrize("design", list(DESIGNS))
-def test_no_ids_give_no_rows(batch, design):
-    got = batch(DESIGNS[design], 2, 8, SEED, [])
+def test_no_ids_give_no_rows(selected, design):
+    got = _design_batch(DESIGNS[design], 2, 8, SEED, [], selected=selected)
     assert got.shape == (0, 28)
-    assert got.dtype == (bool if batch is design_selected_batch else np.int64)
+    assert got.dtype == (bool if selected else np.int64)
 
 
 def _exact_values(total, dim, seed=0):
@@ -532,11 +525,11 @@ def _counting(monkeypatch, name):
 def test_scaling_checks_come_before_any_replica(monkeypatch, bad_cell, error):
     batches = _counting(monkeypatch, "draw_iid_batch")
     designs = _counting(monkeypatch, "design_sums_batch")
-    selections = _counting(monkeypatch, "design_selected_batch")
+    selections = _counting(monkeypatch, "_design_batch")
     good = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
     with pytest.raises(error):
         incomplete_scaling_experiment(
-            product(), SamplerSpec(kind="rademacher"), [good, bad_cell], replicas=100, master_seed=1
+            product(), SamplerSpec(kind="rademacher", seed_stream=1), [good, bad_cell], replicas=100
         )
     assert batches == [] and designs == [] and selections == []
 
@@ -545,10 +538,9 @@ def test_decouple_checks_come_before_any_replica(monkeypatch):
     batches = _counting(monkeypatch, "draw_iid_batch")
     config = ExperimentConfig(
         kernel=product(),
-        sampler=SamplerSpec(kind="rademacher"),
+        sampler=SamplerSpec(kind="rademacher", seed_stream=1),
         sample_size=2_100,
         replicas=100,
-        master_seed=1,
         x_grid=np.array([1.0, 2.0]),
     )
     with pytest.raises(ValueError, match="too large"):

@@ -13,45 +13,36 @@ from ustatlab.ustats import running_max, running_max_norms
 DEFAULT_CHUNK = montecarlo._CHUNK_VALUES
 
 
-def _cases():
+def _cases(seed):
     grid = HilbertSpace.grid(3)
     return {
         "gini-grid7": (
             centered(gini(), FiniteDistribution.uniform_grid(7)),
-            SamplerSpec(kind="uniform-grid", grid_points=7),
+            SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=seed),
             40,
         ),
-        "coordinate-rademacher": (coordinate_kernel(), SamplerSpec(kind="rademacher"), 40),
+        "coordinate-rademacher": (coordinate_kernel(), SamplerSpec(kind="rademacher", seed_stream=seed), 40),
         "product-gaussian": (
             product(grid),
-            SamplerSpec(kind="discretized-gaussian", space=grid),
+            SamplerSpec(kind="discretized-gaussian", space=grid, seed_stream=seed),
             12,
         ),
-        "coordinate-n3": (coordinate_kernel(), SamplerSpec(kind="rademacher"), 3),
+        "coordinate-n3": (coordinate_kernel(), SamplerSpec(kind="rademacher", seed_stream=seed), 3),
     }
 
 
 def _config(name, replicas, seed=800):
-    kernel, sampler, n = _cases()[name]
-    return ExperimentConfig(
-        kernel=kernel, sampler=sampler, sample_size=n, replicas=replicas, master_seed=seed
-    )
+    kernel, sampler, n = _cases(seed)[name]
+    return ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=n, replicas=replicas)
 
 
 def _per_replica(config):
     """The per-replica loop: one substream and one running_max per replica."""
-    sampler = SamplerSpec(
-        kind=config.sampler.kind,
-        seed_stream=config.master_seed,
-        dist=config.sampler.dist,
-        grid_points=config.sampler.grid_points,
-        space=config.sampler.space,
-    )
     return np.array(
         [
             running_max(
                 config.kernel,
-                draw_iid(sampler, config.sample_size, mix_ids(montecarlo._ROLE_DATA, r)),
+                draw_iid(config.sampler, config.sample_size, mix_ids(montecarlo._ROLE_DATA, r)),
             ).max_norm
             for r in range(config.replicas)
         ]

@@ -10,7 +10,6 @@ Every partial sum is then an exact integer, so both must give the gather's
 bytes.
 """
 
-import dataclasses
 import itertools
 
 import numpy as np
@@ -70,7 +69,7 @@ def _law(atoms) -> FiniteDistribution:
     return FiniteDistribution(np.array(atoms, dtype=np.float64), np.full(len(atoms), 1.0 / len(atoms)))
 
 
-def _cases():
+def _cases(seed=0):
     rng = np.random.default_rng(9)
     wide = rng.integers(-5, 6, size=(3, 3, 2))
     tilted = rng.integers(-7, 8, size=(3, 3, 1))
@@ -78,18 +77,18 @@ def _cases():
     three = _law([-1.0, 0.5, 2.0])
     pm12 = _law([-2, -1, 1, 2])
     return {
-        "product-rademacher": (product(), SamplerSpec(kind="rademacher")),
-        "product-pm12": (product(), SamplerSpec(kind="finite", dist=pm12)),
+        "product-rademacher": (product(), SamplerSpec(kind="rademacher", seed_stream=seed)),
+        "product-pm12": (product(), SamplerSpec(kind="finite", dist=pm12, seed_stream=seed)),
         # the product's own tables, read by a kernel the recurrence does not know
-        "table-rademacher": (_product_lookup([-1.0, 1.0]), SamplerSpec(kind="rademacher")),
-        "table-pm12": (_product_lookup(pm12.atoms), SamplerSpec(kind="finite", dist=pm12)),
+        "table-rademacher": (_product_lookup([-1.0, 1.0]), SamplerSpec(kind="rademacher", seed_stream=seed)),
+        "table-pm12": (_product_lookup(pm12.atoms), SamplerSpec(kind="finite", dist=pm12, seed_stream=seed)),
         "table-dim2": (
             lookup_kernel(three.atoms, (wide + wide.transpose(1, 0, 2)).astype(float), True),
-            SamplerSpec(kind="finite", dist=three),
+            SamplerSpec(kind="finite", dist=three, seed_stream=seed),
         ),
         "asymmetric": (
             lookup_kernel(three.atoms, tilted.astype(float), False),
-            SamplerSpec(kind="finite", dist=three),
+            SamplerSpec(kind="finite", dist=three, seed_stream=seed),
         ),
     }
 
@@ -107,8 +106,8 @@ def _draw(name, n, streams=STREAMS):
 
 
 def _config(name, n, replicas, seed=800):
-    kernel, sampler = _cases()[name]
-    return ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=n, replicas=replicas, master_seed=seed)
+    kernel, sampler = _cases(seed)[name]
+    return ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=n, replicas=replicas)
 
 
 def _route(name) -> str:
@@ -217,8 +216,7 @@ def test_count_route_equals_the_per_replica_oracle(monkeypatch, name, replicas, 
     calls = _spies(monkeypatch)
     got = replicate(config)
     assert _only(calls, _route(name)) and calls[_route(name)] >= 3
-    sampler = dataclasses.replace(config.sampler, seed_stream=config.master_seed)
-    samples = (draw_iid(sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(replicas))
+    samples = (draw_iid(config.sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(replicas))
     want = [ustats.running_max(config.kernel, s).max_norm for s in samples]
     assert got.tobytes() == np.array(want).tobytes()
 
@@ -272,12 +270,12 @@ def _fallbacks():
     # C(40, 2) * 2**44 >= 2**53: partial sums could round
     huge = lookup_kernel([-1.0, 1.0], np.array([[2.0**44, -(2.0**44)], [-(2.0**44), 2.0**44]])[..., None], True)
     return {
-        "non-integer": (centered(gini(), grid7), SamplerSpec(kind="uniform-grid", grid_points=7)),
-        "sum-bound": (huge, SamplerSpec(kind="rademacher")),
+        "non-integer": (centered(gini(), grid7), SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=3)),
+        "sum-bound": (huge, SamplerSpec(kind="rademacher", seed_stream=3)),
         # (40 - 1) * 30 * 1 >= C(40, 2) = 780: the gather touches fewer values
         "too-many-atoms": (
             _product_lookup(range(-15, 15)),
-            SamplerSpec(kind="finite", dist=_law(range(-15, 15))),
+            SamplerSpec(kind="finite", dist=_law(range(-15, 15)), seed_stream=3),
         ),
     }
 
@@ -285,7 +283,7 @@ def _fallbacks():
 @pytest.mark.parametrize("name", list(_fallbacks()))
 def test_other_tables_take_the_gather(monkeypatch, name):
     kernel, sampler = _fallbacks()[name]
-    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100, master_seed=3)
+    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100)
     calls = _spies(monkeypatch)
     replicate(config)
     assert _only(calls, "gather")
@@ -310,10 +308,10 @@ def test_the_atom_count_rule_is_strict():
 def test_a_law_with_zero_takes_its_route(monkeypatch, kernel):
     # the product on atoms {-1, 0, 1} has h(-1, 0) = -0, which no norm sees:
     # the product kernel runs on the recurrence, its table on the count path
-    law = SamplerSpec(kind="finite", dist=_law([-1, 0, 1]))
+    law = SamplerSpec(kind="finite", dist=_law([-1, 0, 1]), seed_stream=5)
     table = _atom_table(kernel, law.dist)
     assert _routed(kernel, law.dist) and np.any(np.signbit(table) & (table == 0))
-    config = ExperimentConfig(kernel=kernel, sampler=law, sample_size=40, replicas=300, master_seed=5)
+    config = ExperimentConfig(kernel=kernel, sampler=law, sample_size=40, replicas=300)
     want = _gather_replicate(monkeypatch, config)
     calls = _spies(monkeypatch)
     assert replicate(config).tobytes() == want.tobytes()
@@ -330,8 +328,8 @@ def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
     for module in (kernels, montecarlo, ustats):
         monkeypatch.setattr(module, "_atom_table", counted)
     config = ExperimentConfig(
-        kernel=product(), sampler=SamplerSpec(kind="rademacher"), sample_size=40, replicas=100,
-        master_seed=3, x_grid=np.array([0.5, 1.0]),
+        kernel=product(), sampler=SamplerSpec(kind="rademacher", seed_stream=3), sample_size=40, replicas=100,
+        x_grid=np.array([0.5, 1.0]),
     )
     spies = _spies(monkeypatch)
     tail_scan(config)
@@ -364,8 +362,8 @@ def test_the_recurrence_gives_the_gather_bytes_at_every_arity(monkeypatch, m, ch
     # so both replica counts leave a partial last batch
     replicas = 101 if chunk < DEFAULT_CHUNK else 30_000
     config = ExperimentConfig(
-        kernel=product(arity=m), sampler=SamplerSpec(kind="finite", dist=_law([-2, -1, 1, 3])),
-        sample_size=6, replicas=replicas, master_seed=17,
+        kernel=product(arity=m), sampler=SamplerSpec(kind="finite", dist=_law([-2, -1, 1, 3]), seed_stream=17),
+        sample_size=6, replicas=replicas,
     )
     want = _gather_replicate(monkeypatch, config)
     monkeypatch.setattr(montecarlo, "_CHUNK_VALUES", chunk)
@@ -388,22 +386,21 @@ def test_the_recurrence_gives_the_gather_bytes_at_every_arity(monkeypatch, m, ch
 def _off_the_rule():
     # C(40, 2) * (2**22)**2 and C(40, 3) * (2**15)**3 are at least 2**53
     return {
-        "grid7-m2": (product(), SamplerSpec(kind="uniform-grid", grid_points=7)),
-        "grid7-m3": (product(arity=3), SamplerSpec(kind="uniform-grid", grid_points=7)),
-        "sum-bound-m2": (product(), SamplerSpec(kind="finite", dist=_law([-(2**22), 2**22]))),
-        "sum-bound-m3": (product(arity=3), SamplerSpec(kind="finite", dist=_law([-(2**15), 2**15]))),
+        "grid7-m2": (product(), SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=3)),
+        "grid7-m3": (product(arity=3), SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=3)),
+        "sum-bound-m2": (product(), SamplerSpec(kind="finite", dist=_law([-(2**22), 2**22]), seed_stream=3)),
+        "sum-bound-m3": (product(arity=3), SamplerSpec(kind="finite", dist=_law([-(2**15), 2**15]), seed_stream=3)),
     }
 
 
 @pytest.mark.parametrize("name", list(_off_the_rule()))
 def test_laws_off_the_rule_keep_the_gather(monkeypatch, name):
     kernel, sampler = _off_the_rule()[name]
-    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100, master_seed=3)
+    config = ExperimentConfig(kernel=kernel, sampler=sampler, sample_size=40, replicas=100)
     calls = _spies(monkeypatch)
     got = replicate(config)
     assert _only(calls, "gather")
-    bound = dataclasses.replace(sampler, seed_stream=3)
-    samples = np.stack([draw_iid(bound, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(100)])
+    samples = np.stack([draw_iid(sampler, 40, mix_ids(montecarlo._ROLE_DATA, r)) for r in range(100)])
     assert got.tobytes() == ustats.running_max_norms(kernel, samples).tobytes()
 
 
@@ -421,9 +418,9 @@ def test_a_product_by_name_alone_takes_the_count_route(monkeypatch):
         arity=2, codomain=HilbertSpace.euclidean(1), eval_batch=lambda u, v: u * v,
         symmetric=True, declared_degeneracy=2, name="product",
     )
-    sampler = SamplerSpec(kind="rademacher")
+    sampler = SamplerSpec(kind="rademacher", seed_stream=9)
     configs = [
-        ExperimentConfig(kernel=k, sampler=sampler, sample_size=40, replicas=300, master_seed=9)
+        ExperimentConfig(kernel=k, sampler=sampler, sample_size=40, replicas=300)
         for k in (named, product())
     ]
     calls = _spies(monkeypatch)
@@ -436,8 +433,8 @@ def test_a_tail_scan_above_the_enumeration_cap_runs_on_the_recurrence(monkeypatc
     # C(900, 3) = 120,629,300 tuples per replica: more than the gather may enumerate
     assert ustats.inc_count(3, 900) > ustats.ENUMERATION_CAP
     config = ExperimentConfig(
-        kernel=product(arity=3), sampler=SamplerSpec(kind="rademacher"), sample_size=900,
-        replicas=100, master_seed=3, x_grid=np.array([0.5, 1.0, 2.0]),
+        kernel=product(arity=3), sampler=SamplerSpec(kind="rademacher", seed_stream=3), sample_size=900,
+        replicas=100, x_grid=np.array([0.5, 1.0, 2.0]),
     )
     calls = _spies(monkeypatch)
     report = tail_scan(config)

@@ -209,7 +209,7 @@ REFUSALS = {
     ),
     "negative-probs": (
         lambda: FiniteDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5])),
-        "probs must be finite and nonnegative",
+        "probs must be finite and positive",
     ),
     "probs-sum": (
         lambda: FiniteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.6])),

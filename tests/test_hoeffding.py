@@ -123,6 +123,20 @@ class TestDegeneracyOrder:
         assert report.declared == 2
         assert report.declared_matches
 
+    def test_a_massless_atom_cannot_lower_the_order(self):
+        """h(x, y) = xy + 1{x=0} + 1{y=0} equals xy almost surely under
+        {-1: 1/2, 0: 0, 1: 1/2}, so its order is 2; a residual read as a
+        maximum over every atom would see the massless 0 and report 1. A law
+        refuses such an atom, and on its support the order is 2."""
+        with pytest.raises(ValueError, match="probs must be finite and positive"):
+            FiniteDistribution(np.array([-1.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.5]))
+        kernel = KernelSpec(
+            arity=2, codomain=HilbertSpace.euclidean(1), symmetric=True,
+            eval_batch=lambda x, y: x * y + (x == 0) + (y == 0),
+        )
+        report = degeneracy_order(kernel, rademacher)
+        assert report.order == 2 and report.residuals[0] == 0.0
+
 
 class TestDecompositionCheck:
     def test_arity_one_telescopes_exactly(self):

@@ -11,8 +11,9 @@ a kernel was given, only `ustats.py` decides when a sum is exact, only
 function, no CLI runner writes a file, every function has a caller, no
 module keeps an unbounded dict cache, the package exports each module's
 `__all__` and nothing twice, only `ustats._stacked_values`
-evaluates tuples in `ustats` and `montecarlo`, and only
-`montecarlo._sample_batches` draws batches of samples in `montecarlo`.
+evaluates tuples in `ustats` and `montecarlo`, only
+`montecarlo._sample_batches` draws batches of samples in `montecarlo`, and
+a Monte Carlo run's seed lives in its sampler alone.
 """
 
 import ast
@@ -233,6 +234,31 @@ def test_only_the_producer_draws_sample_batches():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "draw_iid_batch"
     }
     assert callers == {"_sample_batches"}
+
+
+def test_the_sampler_holds_the_only_seed():
+    """A Monte Carlo run draws every stream from the seed of the sampler it
+    is given: no `src/` call to `replace` sets `seed_stream`, and no function
+    or dataclass field in `montecarlo` holds a `master_seed` of its own."""
+    rebinds = {
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "replace"
+        and any(kw.arg == "seed_stream" for kw in node.keywords)
+    }
+    seeded = set()
+    for node in ast.walk(ast.parse((PACKAGE / "montecarlo.py").read_text())):
+        if isinstance(node, ast.FunctionDef):
+            args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            seeded.update(node.name for a in args if a.arg == "master_seed")
+        elif isinstance(node, ast.ClassDef):
+            seeded.update(
+                node.name for field in node.body
+                if isinstance(field, ast.AnnAssign) and getattr(field.target, "id", None) == "master_seed"
+            )
+    assert (rebinds, seeded) == (set(), set())
 
 
 def test_no_import_inside_a_function():

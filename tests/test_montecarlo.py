@@ -37,7 +37,6 @@ from ustatlab.ustats import SamplingDesign, complete, inc_count
 from helpers import bounded_kernel_tail, domination_constant_oracle, empirical_tail, rademacher_product_tail
 
 line = HilbertSpace.euclidean(1)
-rademacher = SamplerSpec(kind="rademacher")
 FOUR_ATOM = FiniteDistribution(np.array([-1.5, -0.25, 0.5, 2.0]), np.array([0.1, 0.2, 0.3, 0.4]))
 
 
@@ -55,10 +54,9 @@ def zero_kernel():
 def make_config(**overrides):
     base = dict(
         kernel=product(),
-        sampler=rademacher,
+        sampler=SamplerSpec(kind="rademacher", seed_stream=7),
         sample_size=12,
         replicas=200,
-        master_seed=7,
         x_grid=np.geomspace(0.2, 6.0, 12),
     )
     base.update(overrides)
@@ -94,7 +92,7 @@ class TestReplicate:
 
     def test_point_mass_law_gives_all_zeros(self):
         dist = FiniteDistribution(np.array([0.0]), np.array([1.0]))
-        cfg = make_config(sampler=SamplerSpec(kind="finite", dist=dist))
+        cfg = make_config(sampler=SamplerSpec(kind="finite", dist=dist, seed_stream=7))
         np.testing.assert_array_equal(replicate(cfg), np.zeros(cfg.replicas))
 
     def test_scaled_means_concentrate(self):
@@ -194,7 +192,8 @@ class TestTailScanEnvelope:
     @pytest.mark.parametrize("second", [0.0, 2.0])
     def test_column_is_the_pointwise_envelope(self, second):
         kernel = centered(gini(), self.GRID)
-        cfg = make_config(kernel=kernel, sampler=SamplerSpec(kind="finite", dist=self.GRID), replicas=100)
+        sampler = SamplerSpec(kind="finite", dist=self.GRID, seed_stream=7)
+        cfg = make_config(kernel=kernel, sampler=sampler, replicas=100)
         coefficients = dict(scale=1.0, first_coefficient=0.7, second_coefficient=second, tail_scale=0.5)
         report = tail_scan(cfg, envelope=functools.partial(BoundEnvelope, **coefficients))
         assert report.degeneracy == 1
@@ -207,7 +206,8 @@ class TestTailScanEnvelope:
 
     def test_the_integral_term_reads_the_scan_atom_table(self, monkeypatch):
         kernel = centered(gini(), self.GRID)
-        cfg = make_config(kernel=kernel, sampler=SamplerSpec(kind="finite", dist=self.GRID), replicas=100)
+        sampler = SamplerSpec(kind="finite", dist=self.GRID, seed_stream=7)
+        cfg = make_config(kernel=kernel, sampler=sampler, replicas=100)
         envelope = functools.partial(BoundEnvelope, scale=1.0, second_coefficient=2.0, tail_scale=0.5)
         tail = hk_tail_oracle(kernel, self.GRID, 1)
         want = np.array([envelope_eval(envelope(arity=1), float(x), tail).total for x in cfg.x_grid])
@@ -439,7 +439,7 @@ class TestIncompleteScaling:
             for N in (50, 200)
         ]
         report = incomplete_scaling_experiment(
-            product(), rademacher, cells, replicas=300, master_seed=31
+            product(), SamplerSpec(kind="rademacher", seed_stream=31), cells, replicas=300
         )
         assert report.degeneracy == 2
         assert len(report.rows) == 4
@@ -467,7 +467,7 @@ class TestIncompleteScaling:
         """Keeping every tuple reduces the estimator to the complete sum."""
         cells = [ScalingCell(sample_size=8, design=SamplingDesign(kind="bernoulli", rate=1.0))]
         report = incomplete_scaling_experiment(
-            product(), rademacher, cells, replicas=150, master_seed=33
+            product(), SamplerSpec(kind="rademacher", seed_stream=33), cells, replicas=150
         )
         row = report.rows[0]
         assert row.empty_count == 0
@@ -476,10 +476,8 @@ class TestIncompleteScaling:
 
 
 def test_matching_point_normalizations_agree():
-    sampler = SamplerSpec(kind="discretized-gaussian", space=line)
-    report = matching_point_compare(
-        sampler, sample_size=20, size=10, replicas=600, master_seed=41
-    )
+    sampler = SamplerSpec(kind="discretized-gaussian", space=line, seed_stream=41)
+    report = matching_point_compare(sampler, sample_size=20, size=10, replicas=600)
     assert report.rate == pytest.approx(0.5)
     assert report.overlap
 
@@ -488,10 +486,9 @@ class TestDecoupleCompare:
     def test_arity_one_constant_is_near_one(self):
         cfg = ExperimentConfig(
             kernel=coordinate_kernel(),
-            sampler=rademacher,
+            sampler=SamplerSpec(kind="rademacher", seed_stream=51),
             sample_size=20,
             replicas=2000,
-            master_seed=51,
             x_grid=np.geomspace(0.5, 8.0, 12),
         )
         report = decouple_compare(cfg)
@@ -558,7 +555,7 @@ class TestDecoupleCompare:
         assert sum(k is None for k in got) >= 30 and sum(k is not None and k > 1.0 for k in got) >= 30
 
     def test_product_kernel_domination(self):
-        cfg = make_config(sample_size=20, replicas=2000, master_seed=52)
+        cfg = make_config(sampler=SamplerSpec(kind="rademacher", seed_stream=52), sample_size=20, replicas=2000)
         report = decouple_compare(cfg)
         assert report.constant_defined
         assert report.fitted_constant >= 1.0
@@ -568,7 +565,7 @@ class TestDecoupleCompare:
     def test_sorts_each_norm_column_once(self, monkeypatch):
         """Both tails and every `dominated(k)` check of the fit count through
         `_tail_counts` on the two columns sorted once, not on a fresh sort."""
-        cfg = make_config(sample_size=10, replicas=500, master_seed=5)
+        cfg = make_config(sampler=SamplerSpec(kind="rademacher", seed_stream=5), sample_size=10, replicas=500)
         sort, tail_counts = np.sort, montecarlo._tail_counts
         sorted_sizes, counted = [], []
 
@@ -626,8 +623,8 @@ class TestExactTail:
         tail of R replicas leaves the exact one by more than
         sqrt(ln(2 / alpha) / 2R) anywhere with probability at most alpha."""
         replicas, alpha = 20000, 1e-3
-        cfg = make_config(kernel=product(arity=m), sample_size=n, replicas=replicas, master_seed=2024,
-                          x_grid=np.geomspace(0.2, 6.0, 24))
+        cfg = make_config(kernel=product(arity=m), sampler=SamplerSpec(kind="rademacher", seed_stream=2024),
+                          sample_size=n, replicas=replicas, x_grid=np.geomspace(0.2, 6.0, 24))
         scan = tail_scan(cfg)
         assert scan.degeneracy == m and scan.normalization == float(n) ** (m / 2)
         exact = rademacher_product_tail(n, m, cfg.x_grid)
@@ -636,7 +633,7 @@ class TestExactTail:
         assert np.max(np.abs(scan.p_hat - exact)) <= band
 
 
-_NO_GRID = ExperimentConfig(product(), SamplerSpec(kind="rademacher"), 8, 100, 0)
+_NO_GRID = ExperimentConfig(product(), SamplerSpec(kind="rademacher"), 8, 100)
 # One case of each refusal an experiment raises before drawing: (call, message).
 REFUSALS = {
     "tail-scan-grid": (lambda: tail_scan(_NO_GRID), "tail_scan needs x_grid"),
@@ -647,12 +644,11 @@ REFUSALS = {
             SamplerSpec(kind="discretized-gaussian", space=HilbertSpace.euclidean(1)),
             [ScalingCell(8, SamplingDesign(kind="with-replacement", size=3))],
             100,
-            0,
         ),
         "scaling experiment needs a finite sampling law",
     ),
     "matching-size": (
-        lambda: matching_point_compare(SamplerSpec(kind="rademacher"), 5, 6, 100, 0),
+        lambda: matching_point_compare(SamplerSpec(kind="rademacher"), 5, 6, 100),
         "size must lie in [1, n]",
     ),
 }

@@ -699,7 +699,7 @@ class TestTupleGate:
             lambda: decoupled(product(), DecoupledSample((np.arange(1.0), np.arange(1.0)))),
             lambda: running_max_norms(gini(), np.zeros((3, 1))),
             lambda: weighted(gini(), WeightScheme(np.ones(0)), np.arange(1.0)),
-            lambda: ExperimentConfig(gini(), SamplerSpec(kind="rademacher"), 1, 100, 0),
+            lambda: ExperimentConfig(gini(), SamplerSpec(kind="rademacher"), 1, 100),
         ):
             with pytest.raises(ValueError, match="sample of size [12] cannot feed an arity-[23] kernel"):
                 call()
