@@ -30,9 +30,9 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .distributions import EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
+from .distributions import SAMPLER_KINDS, EnumerationBudgetError, FiniteDistribution, SamplerSpec, draw_iid
 from .hilbert import HilbertSpace, row_norms
-from .hoeffding import _projections, decomposition_check, degeneracy_order
+from .hoeffding import decomposition_check, degeneracy_order
 from .kernels import (
     KernelSpec,
     centered,
@@ -54,7 +54,7 @@ from .montecarlo import (
     matching_point_compare,
     tail_scan,
 )
-from .ustats import SamplingDesign, _tuple_count, complete, running_max
+from .ustats import DESIGN_KINDS, SamplingDesign, _tuple_count, complete, running_max
 
 __all__ = [
     "ConfigError",
@@ -75,8 +75,6 @@ SUBCOMMANDS = (
     "martingale-verify",
 )
 KERNEL_NAMES = ("gini", "product", "spatial-sign", "coordinate", "empirical-indicator")
-SAMPLER_KINDS = ("finite", "rademacher", "uniform-grid", "discretized-gaussian")
-DESIGN_KINDS = ("without-replacement", "with-replacement", "bernoulli")
 VARIANTS = ("real", "A2", "A3", "conv")
 
 EXIT_OK = 0
@@ -576,10 +574,9 @@ def _run_decompose(cfg: ConfigFile, sampler: SamplerSpec, kernel: KernelSpec):
     support = sampler.finite_support()
     if support is None:
         raise ConfigError("decompose needs a sampler with finite support")
-    projections = _projections(kernel, support, kernel.arity)
-    report = degeneracy_order(kernel, support, projections=projections)
+    report = degeneracy_order(kernel, support)
     sample = _load_sample(cfg, sampler, kernel)
-    check = decomposition_check(kernel, support, sample, projections=projections)
+    check = decomposition_check(kernel, support, sample)
     violated = not check.within(cfg.identity_tolerance)
     rows = [(0, report.mean_norm), *enumerate(report.residuals, start=1)]
     results = {

@@ -43,6 +43,7 @@ __all__ = [
 ]
 
 ENUMERATION_BUDGET = 10**7
+SAMPLER_KINDS = ("finite", "rademacher", "uniform-grid", "discretized-gaussian")
 
 
 class EnumerationBudgetError(RuntimeError):
@@ -104,15 +105,20 @@ class FiniteDistribution:
         return pos.reshape(np.shape(values)[: np.ndim(values) - len(point)])
 
     @classmethod
+    @functools.lru_cache(maxsize=1)
     def rademacher(cls) -> "FiniteDistribution":
+        """The fair law on {-1, 1}, one instance, so that what is built once
+        per law (`kernels._atom_table`) is found again."""
         return cls(np.array([-1.0, 1.0]), np.array([0.5, 0.5]))
 
     @classmethod
+    @functools.lru_cache(maxsize=4)
     def uniform_grid(cls, k: int) -> "FiniteDistribution":
-        """Uniform law on k evenly spaced points of [-1, 1] (k >= 2)."""
+        """Uniform law on the k points np.linspace(-1, 1, k) (k >= 2), one
+        instance per k, as `rademacher` is one instance."""
         if k < 2:
             raise ValueError("uniform-grid needs at least 2 points")
-        return cls(_grid(k), np.full(k, 1.0 / k))
+        return cls(np.linspace(-1.0, 1.0, k), np.full(k, 1.0 / k))
 
 
 def _point_keys(points: np.ndarray) -> np.ndarray:
@@ -122,19 +128,11 @@ def _point_keys(points: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(points).view(np.dtype([("", np.float64)] * points.shape[1]))[:, 0]
 
 
-@functools.lru_cache(maxsize=4)
-def _grid(k: int) -> np.ndarray:
-    """The uniform-grid atoms np.linspace(-1, 1, k), built once per k, read-only."""
-    grid = np.linspace(-1.0, 1.0, k)
-    grid.setflags(write=False)
-    return grid
-
-
 @dataclass(frozen=True)
 class SamplerSpec:
     """What to sample and from which seed stream.
 
-    kind: one of "finite", "rademacher", "uniform-grid", "discretized-gaussian".
+    kind: one of SAMPLER_KINDS.
     dist: required for kind="finite".
     grid_points: required for kind="uniform-grid".
     space: required for kind="discretized-gaussian"; coordinates are i.i.d.
@@ -151,7 +149,7 @@ class SamplerSpec:
     space: HilbertSpace | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("finite", "rademacher", "uniform-grid", "discretized-gaussian"):
+        if self.kind not in SAMPLER_KINDS:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == "finite" and self.dist is None:
             raise ValueError("finite sampler needs dist")
@@ -306,7 +304,7 @@ def draw_iid(spec: SamplerSpec, n: int, stream: int) -> np.ndarray:
     if spec.kind == "rademacher":
         return rng.integers(0, 2, size=n).astype(np.float64) * 2.0 - 1.0
     if spec.kind == "uniform-grid":
-        return _grid(spec.grid_points)[rng.integers(0, spec.grid_points, size=n)]
+        return spec.finite_support().atoms[rng.integers(0, spec.grid_points, size=n)]
     if spec.kind == "discretized-gaussian":
         scale = np.sqrt(spec.space.weights)
         return rng.standard_normal((n, spec.space.dim)) * scale
@@ -395,7 +393,7 @@ def atom_blocks(spec: SamplerSpec, n: int, streams, batch: int) -> Iterator[np.n
             else:
                 rejected |= _lemire(raw, k, drawn, axis=0)
         for r in np.flatnonzero(rejected):
-            steps[:, r] = _grid(k).searchsorted(draw_iid(spec, n, int(ids[r])))
+            steps[:, r] = spec.finite_support().atoms.searchsorted(draw_iid(spec, n, int(ids[r])))
         yield steps.T
 
 
@@ -426,23 +424,18 @@ def _lemire(halves: np.ndarray, k: int, out: np.ndarray, axis: int) -> np.ndarra
     return rejected
 
 
-def exact_expectation(
-    f: Callable[..., object],
-    dist: FiniteDistribution,
-    j: int,
-    budget: int = ENUMERATION_BUDGET,
-):
+def exact_expectation(f: Callable[..., object], dist: FiniteDistribution, j: int):
     """E[f(xi_1, ..., xi_j)] by full enumeration over the j-fold support.
 
-    Errors out (rather than silently truncating) when size**j exceeds the
-    budget. Returns whatever scalar/array type f produces.
+    Errors out (rather than silently truncating) when size**j exceeds
+    ENUMERATION_BUDGET. Returns whatever scalar/array type f produces.
     """
     if j < 0:
         raise ValueError("j must be nonnegative")
     terms = dist.size**j
-    if terms > budget:
+    if terms > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"enumeration needs {terms} terms, budget is {budget}"
+            f"enumeration needs {terms} terms, budget is {ENUMERATION_BUDGET}"
         )
     acc = None
     for combo in itertools.product(range(dist.size), repeat=j):
@@ -452,6 +445,4 @@ def exact_expectation(
         value = f(*(dist.atom(i) for i in combo))
         term = np.asarray(value, dtype=np.float64) * p
         acc = term if acc is None else acc + term
-    if acc is None:  # unreachable: product(..., repeat=0) yields one empty tuple
-        raise AssertionError("empty enumeration")
     return float(acc) if acc.ndim == 0 else acc

@@ -20,6 +20,10 @@ table with the probabilities (`kernels.partial_expectations`), and h_k
 follows by the inclusion-exclusion above. Evaluating h_k maps each argument
 to its atom by exact value and reads the table; an argument off the support
 raises ValueError.
+
+The projections of a kernel on a law are built once, behind `_projections`,
+from the atom table `kernels._atom_table` builds once: the degeneracy order
+and the decomposition check each ask for them, and no caller passes them.
 """
 
 from __future__ import annotations
@@ -101,16 +105,16 @@ def _check_projectable(base: KernelSpec, k: int) -> None:
         raise ValueError(f"projection order must lie in [0, {base.arity}], got {k}")
 
 
-def _projections(
-    base: KernelSpec, dist: FiniteDistribution, top: int, table: np.ndarray | None = None
-) -> list[ProjectedKernel]:
+@functools.lru_cache(maxsize=2)
+def _projections(base: KernelSpec, dist: FiniteDistribution, top: int) -> tuple[ProjectedKernel, ...]:
     """Exact projections h_0, ..., h_top from one evaluation of the kernel on the support.
 
     Entry (i_1, ..., i_k) of the h_k table is the inclusion-exclusion of the
-    partial expectations at the pinned atoms (i_u for u in Inc^j_k).
+    partial expectations at the pinned atoms (i_u for u in Inc^j_k). Kept
+    for the last two (kernel, law, top), kernel and law held by identity.
     """
     _check_projectable(base, top)
-    partials = partial_expectations(base, dist, top, table)
+    partials = partial_expectations(base, dist, top)
     size, dim = dist.size, base.codomain.dim
     out = []
     for k in range(top + 1):
@@ -120,7 +124,7 @@ def _projections(
         )
         table.setflags(write=False)
         out.append(ProjectedKernel(base=base, order=k, table=table, support=dist))
-    return out
+    return tuple(out)
 
 
 def project(base: KernelSpec, dist: FiniteDistribution, k: int) -> ProjectedKernel:
@@ -157,27 +161,22 @@ class DegeneracyReport:
         return self.order == arity and self.mean_norm <= self.tol
 
 
-def degeneracy_order(
-    base: KernelSpec,
-    dist: FiniteDistribution,
-    tol: float = DEGENERACY_TOL,
-    projections: list | None = None,
-) -> DegeneracyReport:
-    """Smallest k >= 1 whose projection survives on the support.
+def degeneracy_order(base: KernelSpec, dist: FiniteDistribution) -> DegeneracyReport:
+    """Smallest k >= 1 whose projection survives on the support, its largest
+    norm there above DEGENERACY_TOL.
 
     Returns order m (the arity) when every lower projection vanishes. The
     mean ||h_0|| is reported separately: the tail-scan normalization
-    additionally requires a centered kernel. `projections` are
-    `_projections(base, dist, base.arity)`, if the caller has built them.
+    additionally requires a centered kernel.
     """
     m = base.arity
     space = base.codomain
-    h0, *tables = (proj.table for proj in projections or _projections(base, dist, m))
+    h0, *tables = (proj.table for proj in _projections(base, dist, m))
     residuals = [
         float(row_norms(space, table[_nondecreasing(dist.size, k)]).max())
         for k, table in enumerate(tables, start=1)
     ]
-    order = next((k for k, worst in enumerate(residuals, start=1) if worst > tol), m)
+    order = next((k for k, worst in enumerate(residuals, start=1) if worst > DEGENERACY_TOL), m)
     declared = base.declared_degeneracy
     matches = None if declared is None else (declared == order)
     if matches is False:
@@ -190,7 +189,7 @@ def degeneracy_order(
         order=order,
         residuals=tuple(residuals),
         mean_norm=float(row_norms(space, h0)),
-        tol=tol,
+        tol=DEGENERACY_TOL,
         declared=declared,
         declared_matches=matches,
     )
@@ -212,9 +211,7 @@ class DecompositionCheck:
         return self.relative <= rel_tol
 
 
-def decomposition_check(
-    base: KernelSpec, dist: FiniteDistribution, sample: np.ndarray, projections: list | None = None
-) -> DecompositionCheck:
+def decomposition_check(base: KernelSpec, dist: FiniteDistribution, sample: np.ndarray) -> DecompositionCheck:
     """Verify U_{m,n}(h) = sum_k binom(m,k) [binom(n,m)/binom(n,k)] U_{k,n}(h_k).
 
     The left side is the complete statistic of the kernel itself; the right
@@ -223,15 +220,13 @@ def decomposition_check(
     dist (projections are exact only there); it is mapped to atom indices
     once, and a point off the support raises ValueError. The tables are then
     read at those indices, the same entries `as_kernel` finds by value.
-    `projections` are `_projections(base, dist, base.arity)`, if the caller
-    has built them.
     """
     atoms = dist.index_of(sample)
     lhs = complete(base, sample).coords
     n, m, space = len(sample), base.arity, base.codomain
     rhs = np.zeros(space.dim)
     per_order = []
-    for k, proj in enumerate(projections or _projections(base, dist, m)):
+    for k, proj in enumerate(_projections(base, dist, m)):
         u_k = proj.eval() if k == 0 else complete(_atom_kernel(proj), atoms).coords
         scaled = (math.comb(m, k) * math.comb(n, m) / math.comb(n, k)) * u_k
         per_order.append(float(row_norms(space, scaled)))

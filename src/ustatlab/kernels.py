@@ -6,10 +6,16 @@ coordinate rows for vector inputs) and `eval_batch` on m stacked argument
 columns. A kernel states one of them and `KernelSpec` derives the other
 once, so every estimator evaluates through `batch_values` alone and the
 built-ins state only their vectorized form.
+
+A kernel's values on every tuple of atoms of a finite law, its atom table,
+are built once per (kernel, law), behind `_atom_table`, and every exact
+number on that law reads them from there: no caller builds the table
+ahead and passes it down.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -19,12 +25,11 @@ import numpy as np
 from .distributions import (
     ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution,
 )
-from .hilbert import HilbertPoint, HilbertSpace, row_norms
+from .hilbert import HilbertSpace, row_norms
 
 __all__ = [
     "KernelSpec",
     "SupBoundWarning",
-    "evaluate",
     "batch_values",
     "centered",
     "gini",
@@ -105,13 +110,6 @@ def _as_row(value, dim: int) -> np.ndarray:
     return out
 
 
-def evaluate(kernel: KernelSpec, args: tuple) -> HilbertPoint:
-    """Evaluate on one argument tuple, wrapped as a codomain point."""
-    if len(args) != kernel.arity:
-        raise ValueError(f"kernel has arity {kernel.arity}, got {len(args)} arguments")
-    return kernel.codomain.point(_as_row(kernel.eval_one(*args), kernel.codomain.dim))
-
-
 def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray:
     """Values over stacked argument columns, shape cols[0].shape[:1] + (dim,).
 
@@ -132,9 +130,7 @@ def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray
     return vals
 
 
-def partial_expectations(
-    kernel: KernelSpec, dist: FiniteDistribution, top: int, table: np.ndarray | None = None
-) -> list[np.ndarray]:
+def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int) -> list[np.ndarray]:
     """Exact partial expectations M_0, ..., M_top (top <= arity) under iid draws from dist.
 
     M_j has shape (A,) * j + (dim,) for a law with A atoms; its entry at atom
@@ -143,20 +139,21 @@ def partial_expectations(
     one term at a time in itertools.product order, with weights
     p_1 * p_2 * ... formed left to right, so every entry equals
     `exact_expectation` of the same function bit for bit. Raises
-    EnumerationBudgetError when A**m exceeds ENUMERATION_BUDGET. A caller
-    that already holds `_atom_table(kernel, dist)` passes it as `table`.
+    EnumerationBudgetError when A**m exceeds ENUMERATION_BUDGET.
     """
     size, m = dist.size, kernel.arity
-    values = _atom_table(kernel, dist) if table is None else table
+    values = _atom_table(kernel, dist)
     return [
         _tail_means(values, dist.probs, m - j).reshape((size,) * j + (-1,)) for j in range(top + 1)
     ]
 
 
+@functools.lru_cache(maxsize=2)
 def _atom_table(kernel: KernelSpec, dist: FiniteDistribution) -> np.ndarray:
     """Kernel values on every m-tuple of atoms, shape (A**m, dim), rows in
-    itertools.product order. Raises EnumerationBudgetError when A**m exceeds
-    ENUMERATION_BUDGET.
+    itertools.product order, read-only. Raises EnumerationBudgetError when
+    A**m exceeds ENUMERATION_BUDGET. Kept for the last two (kernel, law)
+    pairs, both held by identity: a base kernel and the kernel centered on it.
     """
     size, m = dist.size, kernel.arity
     if size**m > ENUMERATION_BUDGET:
@@ -165,7 +162,9 @@ def _atom_table(kernel: KernelSpec, dist: FiniteDistribution) -> np.ndarray:
         )
     grid = (size,) * m
     cols = tuple(dist.atoms[np.broadcast_to(ix, grid).ravel()] for ix in np.indices(grid, sparse=True))
-    return batch_values(kernel, cols)
+    table = batch_values(kernel, cols)
+    table.setflags(write=False)
+    return table
 
 
 def _tuple_probs(probs: np.ndarray, t: int) -> np.ndarray:

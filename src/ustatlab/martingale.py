@@ -75,12 +75,12 @@ _BATCH_VALUES = 1 << 15
 
 
 def _path_blocks(
-    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int
+    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Paths 0..count-1 as (B, steps, dim) increment and (B, steps) moment
     blocks, B = _BATCH_VALUES // (steps * dim), each a view of buffers the
     next block overwrites. Path r is drawn on substream (master_seed,
-    mix_ids(base_stream, r)): its signs, or its scale (f0-randomized-scale
+    mix_ids(0, r)): its signs, or its scale (f0-randomized-scale
     only) and then its (steps, dim) normals, bit for bit as one path alone.
     """
     _check_paths(kind, steps, space)
@@ -89,7 +89,7 @@ def _path_blocks(
     signs = SamplerSpec("rademacher", seed_stream=int(master_seed) % 2**64)
     base_moment = float(np.add.reduce(space.weights))
     for start in range(0, count, batch):
-        ids = mix_ids_batch(base_stream, np.arange(start, min(count, start + batch)))
+        ids = mix_ids_batch(0, np.arange(start, min(count, start + batch)))
         inc, mom = increments[: ids.size], moments[: ids.size]
         if kind == "bounded-signs":
             inc[:, :, 0] = draw_iid_batch(signs, steps, ids)
@@ -128,14 +128,12 @@ def _block_summaries(space: HilbertSpace, increments: np.ndarray, moments: np.nd
     return max_norm, quad + moments.sum(axis=1), np.sqrt(quad)
 
 
-def simulate_ensemble(
-    kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int, base_stream: int = 0
-) -> PathSummaries:
+def simulate_ensemble(kind: str, steps: int, space: HilbertSpace, master_seed: int, count: int) -> PathSummaries:
     """The summaries of count independent paths, one counter-based
     substream per path, each block of paths reduced where it was drawn."""
     if count < 1:
         raise ValueError("need at least one path")
-    blocks = _path_blocks(kind, steps, space, master_seed, count, base_stream)
+    blocks = _path_blocks(kind, steps, space, master_seed, count)
     parts = [_block_summaries(space, inc, mom) for inc, mom in blocks]
     columns = (np.concatenate(column) for column in zip(*parts))
     # every generator's moments are known at time zero

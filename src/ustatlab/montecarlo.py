@@ -34,6 +34,11 @@ up to one multiplicative constant applied both outside and inside, read
 in closed form from the sorted decoupled norms. The tail scan builds the
 bound envelope at the order it computes, with the exact tail its integral
 term reads, so every caller gets the bound beside p_hat.
+
+On a finite law the degeneracy check, the H_d tail and the count route all
+read one atom table, which `kernels._atom_table` builds once per (kernel,
+law), as `hoeffding._projections` builds the projections once: the tail
+scan calls each of them and passes neither down.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .distributions import (
     mix_ids_batch,
 )
 from .hilbert import HilbertSpace, row_norms
-from .hoeffding import _projections, degeneracy_order
+from .hoeffding import degeneracy_order
 from .kernels import (
     KernelSpec, _atom_table, _tail_means, _tuple_probs, check_sup_bound,
 )
@@ -140,20 +145,18 @@ class ExperimentConfig:
             object.__setattr__(self, "x_grid", grid)
 
 
-def replicate(config: ExperimentConfig, atom_table: np.ndarray | None = None) -> np.ndarray:
+def replicate(config: ExperimentConfig) -> np.ndarray:
     """Per-replica statistic values, in replica order.
 
     The statistic is the running maximum of prefix norms of the complete
     U-statistic on a fresh sample per replica, computed over fixed-size
     batches of replicas: from atom indices on the route `ustats._atom_route`
-    chooses, else from gathered tuples. A caller that has built the kernel's
-    atom table on the sampler's finite support (`kernels._atom_table`)
-    passes it as `atom_table`.
+    chooses, else from gathered tuples.
     """
     kernel, n = config.kernel, config.sample_size
     out = np.empty(config.replicas)
     batch = max(1, 2 * _CHUNK_VALUES // n, _CHUNK_VALUES // 64)
-    route = _atom_route(kernel, config.sampler.finite_support(), n, min(batch, config.replicas), atom_table)
+    route = _atom_route(kernel, config.sampler.finite_support(), n, min(batch, config.replicas))
     if route is None:
         _tuple_count(kernel.arity, n)  # the gather's cap, refused before any draw
         for r, (samples,) in _sample_batches(config.sampler, n, kernel.arity, config.replicas, (_ROLE_DATA,)):
@@ -254,11 +257,8 @@ def tail_scan(
         raise ValueError("tail_scan needs x_grid")
     kernel, n = config.kernel, config.sample_size
     support = config.sampler.finite_support()
-    table = None
     if support is not None:
-        table = _atom_table(kernel, support)  # read by the degeneracy check, H_d tail and count route
-        projections = _projections(kernel, support, kernel.arity, table)
-        report = degeneracy_order(kernel, support, projections=projections)
+        report = degeneracy_order(kernel, support)
         if report.mean_norm > report.tol:
             raise ValueError(
                 "kernel is not centered under the sampling law; "
@@ -276,9 +276,9 @@ def tail_scan(
     integral = env is not None and env.second_coefficient != 0.0
     if integral and support is None:
         raise ValueError("envelope: the integral term needs a finite sampling law")
-    tail = hk_tail_oracle(kernel, support, d, table) if integral else None
+    tail = hk_tail_oracle(kernel, support, d) if integral else None
 
-    stats = replicate(config, atom_table=table) / factor
+    stats = replicate(config) / factor
     # after the replicas, so that a refused scan draws nothing
     _spot_check_sup(kernel, config.sampler, n, (_ROLE_DATA,), "tail_scan")
     p_hat, lo, hi = _tail_triples(np.sort(stats), config.x_grid)
@@ -368,19 +368,16 @@ class StepTail:
         return -np.diff(self.levels, prepend=1.0)
 
 
-def hk_tail_oracle(
-    kernel: KernelSpec, dist: FiniteDistribution, k: int, table: np.ndarray | None = None
-) -> StepTail:
+def hk_tail_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> StepTail:
     """Exact tail of H_k = E[ ||h(xi_1..xi_m)|| | xi_1..xi_k ] on finite support.
 
     H_k's values on the A**k atom k-tuples integrate the norms of one kernel
     table on the support (`kernels._atom_table`) over its last m - k axes,
-    as `partial_expectations` integrates the values themselves. A caller
-    that already holds that table passes it as `table`.
+    as `partial_expectations` integrates the values themselves.
     """
     if not 0 <= k <= kernel.arity:
         raise ValueError(f"k must lie in [0, {kernel.arity}]")
-    norms = row_norms(kernel.codomain, _atom_table(kernel, dist) if table is None else table)[:, None]
+    norms = row_norms(kernel.codomain, _atom_table(kernel, dist))[:, None]
     values = _tail_means(norms, dist.probs, kernel.arity - k)[:, 0]
     order = np.argsort(values)
     return StepTail(values[order], 1.0 - np.cumsum(_tuple_probs(dist.probs, k)[order]))

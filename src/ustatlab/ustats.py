@@ -71,6 +71,7 @@ ENUMERATION_CAP = 10**8  # below 2**32, so a design draws ranks by numpy's 32-bi
 _MATERIALIZE_CAP = 2**21  # tuples whose index columns are kept in memory
 _CHUNK = 2**16  # tuples, or design draws, per piece: temporaries stay near 1 MB
 _COVER_MARGIN = 5  # a selection prefix leaves some tuple undrawn in at most e**-5 of streams
+DESIGN_KINDS = ("without-replacement", "with-replacement", "bernoulli")
 
 
 def inc_count(m: int, n: int) -> int:
@@ -441,9 +442,7 @@ def _table_running_max(
     return np.sqrt(best, out=best)
 
 
-def _atom_route(
-    kernel: KernelSpec, support: FiniteDistribution | None, n: int, rows: int, table: np.ndarray | None = None
-):
+def _atom_route(kernel: KernelSpec, support: FiniteDistribution | None, n: int, rows: int):
     """The route that reads running maxima from atom indices on samples of
     size n from `support`, or None where only the gather applies: a function
     (atoms, out) that writes into out, (B,), the running maxima of a
@@ -454,8 +453,8 @@ def _atom_route(
     rows) value block is allocated here, once. An arity-2 kernel runs on
     `_table_running_max` where its table's partial sums are exact
     (`_exact_sums`; the sign of a zero changes no norm) and (n - 1) * A *
-    dim < C(n, 2), so that it touches fewer values than the gather. `table`
-    is the (A**2, dim) `_atom_table(kernel, support)`, if the caller has built it.
+    dim < C(n, 2), so that it touches fewer values than the gather; it reads
+    the (A**2, dim) `_atom_table(kernel, support)`.
     """
     if support is None:
         return None
@@ -472,7 +471,7 @@ def _atom_route(
     size, pairs = support.size, inc_count(2, n)
     if kernel.arity != 2 or (n - 1) * size * kernel.codomain.dim >= pairs or size**2 > ENUMERATION_BUDGET:
         return None
-    table = _atom_table(kernel, support) if table is None else table
+    table = _atom_table(kernel, support)
     if not _exact_sums(_exact_bound(np.abs(table)), pairs):
         return None
     table = table.reshape(size, size, -1)
@@ -571,8 +570,9 @@ def weight_aggregate(scheme: WeightScheme, m: int, n: int, k: int) -> np.ndarray
 class SamplingDesign:
     """How to subsample the tuple enumeration.
 
-    kind "without-replacement" / "with-replacement" draw `size` tuples;
-    kind "bernoulli" keeps each tuple independently with probability `rate`.
+    kind "without-replacement" / "with-replacement" draw `size` tuples, an
+    integer; kind "bernoulli" keeps each tuple independently with
+    probability `rate`. DESIGN_KINDS lists the kinds.
     """
 
     kind: str
@@ -580,7 +580,7 @@ class SamplingDesign:
     rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("without-replacement", "with-replacement", "bernoulli"):
+        if self.kind not in DESIGN_KINDS:
             raise ValueError(f"unknown design kind {self.kind!r}")
         if self.kind == "bernoulli":
             if self.rate is None or not 0.0 < self.rate <= 1.0:
@@ -588,15 +588,16 @@ class SamplingDesign:
             if self.size is not None:
                 raise ValueError("bernoulli design takes no size")
         else:
-            if self.size is None or self.size < 1:
-                raise ValueError(f"{self.kind} design needs size >= 1")
+            if not isinstance(self.size, (int, np.integer)) or self.size < 1:
+                raise ValueError(f"{self.kind} design needs an integer size >= 1, got {self.size!r}")
             if self.rate is not None:
                 raise ValueError(f"{self.kind} design takes no rate")
 
 
 @dataclass(frozen=True, eq=False)
 class Selection:
-    """A multiset of enumerated tuples, stored as sorted ranks with counts."""
+    """A multiset of enumerated tuples, stored as sorted ranks with counts;
+    a rank lies in [0, C(n, m))."""
 
     m: int
     n: int
@@ -610,6 +611,8 @@ class Selection:
             raise ValueError("ranks and counts must be 1-d arrays of equal length")
         if ranks.size and ((ranks[1:] <= ranks[:-1]).any() or (counts < 1).any()):
             raise ValueError("ranks must be strictly increasing with positive counts")
+        if ranks.size and not 0 <= ranks[0] <= ranks[-1] < inc_count(self.m, self.n):
+            raise ValueError(f"ranks must lie in [0, C({self.n}, {self.m})), got {ranks[0]}..{ranks[-1]}")
         ranks.setflags(write=False)
         counts.setflags(write=False)
         object.__setattr__(self, "ranks", ranks)

@@ -1,6 +1,7 @@
 """Shared test fixtures and the reference implementations tests compare the
 library against: the per-point inner product, norm and axpy, random finite
-laws, table-backed kernels, the permutation average that symmetrizes a
+laws, table-backed kernels, a kernel's evaluation on one argument tuple as a
+codomain point, the permutation average that symmetrizes a
 kernel, the enumeration oracle for exact projections, the tuple-keyed
 oracles for weighted statistics, the per-tuple unranking, the running
 maximum rebuilt prefix by prefix, the per-path martingale generator, the
@@ -20,7 +21,7 @@ import numpy as np
 from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
 from ustatlab.distributions import draw_iid, exact_expectation, mix_ids, substream
 from ustatlab.hilbert import HilbertPoint, SpaceMismatchError, row_norms
-from ustatlab.kernels import batch_values
+from ustatlab.kernels import _as_row, batch_values
 from ustatlab.martingale import _check_paths
 from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED, StepTail
 from ustatlab import ustats
@@ -121,6 +122,13 @@ def table_kernel(
         sup_bound=float(np.sqrt((sym**2).sum(axis=-1)).max()),
         name=f"table{arity}",
     )
+
+
+def evaluate(kernel: KernelSpec, args: tuple) -> HilbertPoint:
+    """`kernel.eval_one` on one argument tuple, wrapped as a codomain point."""
+    if len(args) != kernel.arity:
+        raise ValueError(f"kernel has arity {kernel.arity}, got {len(args)} arguments")
+    return kernel.codomain.point(_as_row(kernel.eval_one(*args), kernel.codomain.dim))
 
 
 MAX_SYMMETRIZE_ARITY = 6  # 6! = 720 permutation evaluations per call

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ustatlab import kernels, montecarlo, ustats
+from ustatlab import montecarlo, ustats
 from ustatlab.distributions import (
     FiniteDistribution,
     SamplerSpec,
@@ -319,21 +319,14 @@ def test_a_law_with_zero_takes_its_route(monkeypatch, kernel):
 
 
 def test_a_tail_scan_builds_the_atom_table_once(monkeypatch):
-    calls = []
-
-    def counted(kernel, dist):
-        calls.append(dist.size)
-        return _atom_table(kernel, dist)
-
-    for module in (kernels, montecarlo, ustats):
-        monkeypatch.setattr(module, "_atom_table", counted)
+    _atom_table.cache_clear()
     config = ExperimentConfig(
         kernel=product(), sampler=SamplerSpec(kind="rademacher", seed_stream=3), sample_size=40, replicas=100,
         x_grid=np.array([0.5, 1.0]),
     )
     spies = _spies(monkeypatch)
     tail_scan(config)
-    assert calls == [2] and _only(spies, "recurrence")
+    assert _atom_table.cache_info().misses == 1 and _only(spies, "recurrence")
 
 
 # ---------------------------------------------------------------------------

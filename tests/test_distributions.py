@@ -5,6 +5,7 @@ import pytest
 
 from helpers import random_scalar_dist, uniform_three
 from ustatlab.distributions import (
+    ENUMERATION_BUDGET,
     EnumerationBudgetError,
     FiniteDistribution,
     SamplerSpec,
@@ -190,9 +191,10 @@ class TestExactExpectation:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
 
     def test_budget_guard(self):
-        dist = uniform_three()
-        with pytest.raises(EnumerationBudgetError):
-            exact_expectation(lambda x, y, z: x + y + z, dist, 3, budget=10)
+        # 3**15 terms exceed the budget, which is refused before any term is evaluated
+        assert uniform_three().size ** 15 > ENUMERATION_BUDGET
+        with pytest.raises(EnumerationBudgetError, match=f"budget is {ENUMERATION_BUDGET}"):
+            exact_expectation(lambda *xs: 1 / 0, uniform_three(), 15)
 
 
 def test_mix_ids_is_deterministic_and_order_sensitive():

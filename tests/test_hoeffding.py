@@ -402,9 +402,9 @@ def _check_by_complete(kernel, law, sample):
 
 
 class TestDecompositionTable:
-    """decomposition_check with and without prebuilt projections, against
-    `ustats.complete` on sample values, bit for bit, below and above the
-    materialization cap."""
+    """decomposition_check, its projections built and then found again,
+    against `ustats.complete` on sample values, bit for bit, below and above
+    the materialization cap."""
 
     @pytest.mark.filterwarnings("ignore:kernel 'product' declares degeneracy 2")
     @pytest.mark.parametrize("cap", [ustats._MATERIALIZE_CAP, 5])
@@ -414,10 +414,10 @@ class TestDecompositionTable:
         sample = draw_iid(SamplerSpec(kind="finite", dist=law, seed_stream=21), 30, 0)
         want = _check_by_complete(kernel, law, sample)
         monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", cap)
+        hoeffding._projections.cache_clear()
         assert decomposition_check(kernel, law, sample) == want
-        table = kernels._atom_table(kernel, law)
-        projections = hoeffding._projections(kernel, law, kernel.arity, table)
-        assert decomposition_check(kernel, law, sample, projections=projections) == want
+        assert decomposition_check(kernel, law, sample) == want
+        assert hoeffding._projections.cache_info()[:2] == (1, 1)  # (hits, misses)
 
     def test_a_sample_below_the_arity_is_refused(self):
         law = FiniteDistribution.uniform_grid(5)
@@ -434,25 +434,15 @@ class TestDecompositionTable:
         assert code == cli.EXIT_USAGE
         assert "cannot feed an arity-2 kernel" in capsys.readouterr().err
 
-    def test_decompose_builds_the_atom_table_and_projections_once(self, monkeypatch, tmp_path):
-        tables, projections = [], []
-        original_table, original_projections = kernels._atom_table, hoeffding._projections
-
-        def counted_table(kernel, dist):
-            tables.append(kernel.name)
-            return original_table(kernel, dist)
-
-        def counted_projections(base, dist, top, table=None):
-            projections.append((base.name, top))
-            return original_projections(base, dist, top, table)
-
-        monkeypatch.setattr(kernels, "_atom_table", counted_table)
-        for module in (hoeffding, cli):
-            monkeypatch.setattr(module, "_projections", counted_projections)
+    @pytest.mark.parametrize("centered, tables", [("false", 1), ("true", 2)])
+    def test_decompose_builds_the_atom_table_and_projections_once(self, tmp_path, centered, tables):
+        # builds are cache misses; centering first builds the base kernel's table for its mean
+        kernels._atom_table.cache_clear()
+        hoeffding._projections.cache_clear()
         cfg = cli.parse_config_text(
-            "version: 1\nexperiment: decompose\nkernel:\n  name: gini\n"
+            f"version: 1\nexperiment: decompose\nkernel:\n  name: gini\n  centered: {centered}\n"
             "sampler:\n  kind: uniform-grid\n  grid_points: 9\ndata:\n  draw: 40\n"
         )
         assert cli.run("decompose", cfg, out_dir=str(tmp_path)) == cli.EXIT_OK
-        assert tables == ["gini"]
-        assert projections == [("gini", 2)]
+        assert kernels._atom_table.cache_info().misses == tables
+        assert hoeffding._projections.cache_info().misses == 1

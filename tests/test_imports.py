@@ -8,8 +8,9 @@ it loads are its own, not those of earlier tests. A module imported during
 Also guards the package's source: only `kernels.py` may ask which evaluator
 a kernel was given, only `ustats.py` decides when a sum is exact, only
 `montecarlo.py` evaluates the bound envelope, no module imports inside a
-function, no CLI runner writes a file, every function has a caller, no
-module keeps an unbounded dict cache, the package exports each module's
+function, no CLI runner writes a file, every function has a caller, every
+parameter default is overridden by some call, no module keeps an unbounded
+dict cache, the package exports each module's
 `__all__` and nothing twice, only `ustats._stacked_values`
 evaluates tuples in `ustats` and `montecarlo`, only
 `montecarlo._sample_batches` draws batches of samples in `montecarlo`, and
@@ -297,11 +298,42 @@ def test_one_emitter_writes_the_files():
 UNCALLED_ESTIMATORS = {"project", "weighted_decomposition_check"}
 
 
+def _scoped(tree):
+    """Every node of `tree` with the names bound around it by the function
+    scopes that enclose it (lambdas included): their arguments, assignment
+    and loop targets, and nested defs and classes."""
+    todo = [(tree, frozenset())]
+    while todo:
+        node, bound = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            bound = bound | _bound_in(node)
+        yield node, bound
+        todo.extend((child, bound) for child in ast.iter_child_nodes(node))
+
+
+def _bound_in(func) -> set[str]:
+    """Names the scope of `func` binds, nested function bodies left out."""
+    a = func.args
+    names = {arg.arg for arg in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if arg}
+    todo = list(func.body) if isinstance(func.body, list) else [func.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
 def test_every_function_has_a_caller():
     """A top-level function in the package is named somewhere in it, traced
     by the benchmark harness (TRACED in bench/spans.py), or one of the
     paper's estimators that no subcommand runs; a function only tests call
-    has no place in `src/`, and being exported does not make it called."""
+    has no place in `src/`, and being exported does not make it called. A
+    name read where an enclosing function binds it is a local variable, not
+    the function: `kernels.gini` keeps its evaluator in a local `evaluate`."""
     trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
     defined = [
         (name, node.name)
@@ -311,8 +343,8 @@ def test_every_function_has_a_caller():
     ]
     named = set()
     for name, tree in trees.items():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+        for node, bound in _scoped(tree):
+            if isinstance(node, ast.Name) and node.id not in bound:
                 named.add(node.id)
             elif isinstance(node, ast.Attribute):
                 named.add(node.attr)
@@ -331,6 +363,110 @@ def test_every_function_has_a_caller():
     assert not UNCALLED_ESTIMATORS & (named | traced)
     orphans = [f"{name}:{func}" for name, func in defined if func not in named | traced | UNCALLED_ESTIMATORS]
     assert orphans == []
+
+
+# Parameters with a default that no `src/` call passes, each with the reason it stays.
+UNPASSED_OPTIONS = {
+    ("cli", "run", "threads"): "bench/child.py passes it; ROADMAP item 6 deletes it with the benchmark change",
+    ("cli", "main", "argv"): "the console entry point, which calls main() with no arguments",
+    ("kernels", "gini", "input_space"): "vector inputs, a library capability no subcommand reaches yet",
+    ("kernels", "product", "input_space"): "vector inputs, a library capability no subcommand reaches yet",
+}
+
+
+def _definitions(trees) -> dict:
+    """Each top-level function as (module, name) and each method of a
+    top-level class as (module, "Class.method"), mapped to its def."""
+    defs = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                defs[module, node.name] = node
+            elif isinstance(node, ast.ClassDef):
+                defs.update(((module, f"{node.name}.{f.name}"), f) for f in node.body if isinstance(f, ast.FunctionDef))
+    return defs
+
+
+def _module_scope(module: str, tree, defs) -> dict:
+    """What each top-level name of a module stands for: (module, name) for a
+    package function or class, (module, None) for a package module, None
+    for a name imported from another package."""
+    scope = {name.split(".")[0]: (m, name.split(".")[0]) for m, name in defs if m == module}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                target = (node.module, alias.name) if node.module else (alias.name, None)
+                scope[alias.asname or alias.name] = target if node.level else None
+        elif isinstance(node, ast.Import):
+            scope.update((alias.asname or alias.name.split(".")[0], None) for alias in node.names)
+    return scope
+
+
+def _calls(trees, defs):
+    """(key, implicit, call) for each `src/` call of a package function or
+    method, `implicit` counting the leading arguments (self, cls) the call
+    binds without passing them. A name resolves through its module's scope,
+    and a local variable to nothing. An attribute read from a package module
+    or class resolves there, one read from another package's module
+    resolves to nothing (`itertools.product` is no call of
+    `kernels.product`), and any other names every package method so named,
+    called on an instance."""
+    for module, tree in trees.items():
+        scope = _module_scope(module, tree, defs)
+        for call, bound in _scoped(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            if isinstance(func, ast.Name):
+                key = None if func.id in bound else scope.get(func.id)
+                if key in defs:
+                    yield key, 0, call
+                continue
+            if not isinstance(func, ast.Attribute):
+                continue
+            owner = func.value.id if isinstance(func.value, ast.Name) and func.value.id not in bound else None
+            if owner not in scope:  # an instance
+                for key, f in defs.items():
+                    if key[1].endswith(f".{func.attr}"):
+                        yield key, 0 if _decorated(f, "staticmethod") else 1, call
+            elif scope[owner] is not None:
+                m, name = scope[owner]
+                key = (m, func.attr if name is None else f"{name}.{func.attr}")
+                if key in defs:
+                    yield key, int(_decorated(defs[key], "classmethod")), call
+
+
+def _decorated(func, name: str) -> bool:
+    return any(getattr(d, "id", None) == name for d in func.decorator_list)
+
+
+def _passed(func, implicit: int, call) -> set[str]:
+    """The parameters of `func` that `call` passes, after the `implicit` ones."""
+    a = func.args
+    positional = [arg.arg for arg in (*a.posonlyargs, *a.args)][implicit:]
+    if any(kw.arg is None for kw in call.keywords):  # **mapping
+        return {*positional, *(arg.arg for arg in a.kwonlyargs)}
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return {*positional, *(kw.arg for kw in call.keywords)}
+    return {*positional[: len(call.args)], *(kw.arg for kw in call.keywords)}
+
+
+def test_every_option_has_a_caller():
+    """A parameter with a default, on a top-level function or a method of a
+    top-level class in `src/`, is passed by some `src/` call of that very
+    function: a default that no call overrides is a constant, and a value
+    the callee can work out is no parameter. UNPASSED_OPTIONS lists the
+    exceptions with their reasons."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    defs = _definitions(trees)
+    options = set()
+    for key, func in defs.items():
+        a = func.args
+        positional = [*a.posonlyargs, *a.args]
+        options.update((*key, arg.arg) for arg in positional[len(positional) - len(a.defaults):])
+        options.update((*key, arg.arg) for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default)
+    passed = {(*key, name) for key, implicit, call in _calls(trees, defs) for name in _passed(defs[key], implicit, call)}
+    assert sorted(options - passed) == sorted(UNPASSED_OPTIONS)
 
 
 def test_the_package_exports_each_modules_list_once():
@@ -359,8 +495,10 @@ def test_the_package_exports_each_modules_list_once():
 def test_no_module_level_dict_cache():
     """A module-level `{}` or `dict()` that calls fill grows for the life of
     the process; a cache is an `lru_cache` with a bound instead, as
-    `ustats._lex_columns`, `ustats._grouped_columns` and
-    `distributions._grid` are. Tables written out in full are not caches."""
+    `ustats._lex_columns`, `ustats._grouped_columns`, `kernels._atom_table`,
+    `hoeffding._projections`, `FiniteDistribution.rademacher` and
+    `FiniteDistribution.uniform_grid` are. Tables written out in full are
+    not caches."""
     caches = [
         f"{path.name}:{node.lineno}"
         for path in sorted(PACKAGE.glob("*.py"))

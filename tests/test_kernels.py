@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import norm, random_scalar_dist, symmetrize, uniform_three
+from helpers import evaluate, norm, random_scalar_dist, symmetrize, uniform_three
 from ustatlab.distributions import FiniteDistribution
 from ustatlab.hilbert import HilbertSpace
 from ustatlab.hoeffding import degeneracy_order, project
@@ -18,7 +18,6 @@ from ustatlab.kernels import (
     _is_real_product,
     empirical_indicator,
     empirical_indicator_from,
-    evaluate,
     gini,
     partial_expectations,
     product,

@@ -63,7 +63,7 @@ class TestGenerators:
             simulate_mds("drift", 8, line, _substream(7))
 
     def test_increments_are_centered(self):
-        blocks = martingale._path_blocks("bounded-signs", 5, line, 11, 10_000, 0)
+        blocks = martingale._path_blocks("bounded-signs", 5, line, 11, 10_000)
         firsts = np.concatenate([inc[:, 0, 0].copy() for inc, _ in blocks])
         assert firsts.size == 10_000
         assert abs(firsts.mean()) <= 4.0 / np.sqrt(firsts.size)
@@ -303,13 +303,13 @@ def test_step_integral_counts_through_tail_counts(monkeypatch):
 KIND_DIMS = [("bounded-signs", 1)] + [
     (kind, dim) for kind in ("gaussian-coords", "f0-randomized-scale") for dim in (1, 2, 3)
 ]
-SEED, BASE = 2**63 + 41, 2**64 - 3
+SEED = 2**63 + 41
 
 
 def _paths_one_by_one(kind, steps, space, count):
-    """The ensemble's (increments, moments) drawn path by path, each on its own substream."""
+    """The ensemble's (increments, moments) drawn path by path, path r on substream (SEED, mix_ids(0, r))."""
     return [
-        simulate_mds(kind, steps, space, substream(SEED, mix_ids(BASE, r))) for r in range(count)
+        simulate_mds(kind, steps, space, substream(SEED, mix_ids(0, r))) for r in range(count)
     ]
 
 
@@ -323,7 +323,7 @@ class TestEnsembleBlocks:
         space = HilbertSpace.euclidean(dim)
         expected = summarize_oracle(_paths_one_by_one(kind, 9, space, count), space)
         monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
-        s = simulate_ensemble(kind, 9, space, SEED, count, base_stream=BASE)
+        s = simulate_ensemble(kind, 9, space, SEED, count)
         assert len(s) == count
         for got, want in zip((s.max_partial_norm, s.quad_plus_cond, s.sqrt_quad), expected):
             np.testing.assert_array_equal(got, want)
@@ -337,7 +337,7 @@ class TestEnsembleBlocks:
         monkeypatch.setattr(martingale, "_BATCH_VALUES", batch_values)
         got = [
             (inc.copy(), mom.copy())
-            for block in martingale._path_blocks(kind, 11, space, SEED, 300, BASE)
+            for block in martingale._path_blocks(kind, 11, space, SEED, 300)
             for inc, mom in zip(*block)
         ]
         assert len(got) == len(expected)

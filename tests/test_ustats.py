@@ -412,6 +412,8 @@ class TestDesigns:
             SamplingDesign(kind="with-replacement")
         with pytest.raises(ValueError):
             SamplingDesign(kind="bernoulli", rate=0.5, size=3)
+        with pytest.raises(ValueError, match="needs an integer size >= 1, got 2.5"):
+            SamplingDesign(kind="with-replacement", size=2.5)
 
     def test_selection_validation(self):
         assert Selection(m=2, n=5, ranks=[], counts=[]).empty
@@ -419,6 +421,19 @@ class TestDesigns:
         for ranks, counts in [([1, 4, 4], [1, 1, 1]), ([4, 1], [1, 1]), ([1, 4], [1, 0]), ([1, 4], [1])]:
             with pytest.raises(ValueError):
                 Selection(m=2, n=5, ranks=ranks, counts=counts)
+
+    @pytest.mark.parametrize("cap", [ustats._MATERIALIZE_CAP, 0], ids=["below-cap", "above-cap"])
+    def test_a_rank_outside_the_enumeration_is_refused(self, monkeypatch, cap):
+        # C(4, 2) = 6 ranks: `incomplete` reads them from the materialized
+        # columns below the cap and unranks them above it
+        monkeypatch.setattr(ustats, "_MATERIALIZE_CAP", cap)
+        sample = np.array([1.0, 2.0, 3.0, 4.0])
+        for rank, (u, v) in enumerate(itertools.combinations(sample, 2)):
+            selection = Selection(m=2, n=4, ranks=[rank], counts=[1])
+            assert incomplete(gini(), sample, selection).value.coords[0] == v - u
+        for ranks in ([-1], [6], [7], [-1, 5], [0, 6]):
+            with pytest.raises(ValueError, match=r"ranks must lie in \[0, C\(4, 2\)\)"):
+                Selection(m=2, n=4, ranks=ranks, counts=[1] * len(ranks))
 
     def test_mean_factor(self):
         assert design_mean_factor(
