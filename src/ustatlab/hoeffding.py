@@ -105,13 +105,13 @@ def _check_projectable(base: KernelSpec, k: int) -> None:
         raise ValueError(f"projection order must lie in [0, {base.arity}], got {k}")
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _projections(base: KernelSpec, dist: FiniteDistribution, top: int) -> tuple[ProjectedKernel, ...]:
     """Exact projections h_0, ..., h_top from one evaluation of the kernel on the support.
 
     Entry (i_1, ..., i_k) of the h_k table is the inclusion-exclusion of the
     partial expectations at the pinned atoms (i_u for u in Inc^j_k). Kept
-    for the last two (kernel, law, top), kernel and law held by identity.
+    for the last (kernel, law, top), held by identity: a run reads one kernel's.
     """
     _check_projectable(base, top)
     partials = partial_expectations(base, dist, top)

@@ -148,12 +148,12 @@ def partial_expectations(kernel: KernelSpec, dist: FiniteDistribution, top: int)
     ]
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _atom_table(kernel: KernelSpec, dist: FiniteDistribution) -> np.ndarray:
     """Kernel values on every m-tuple of atoms, shape (A**m, dim), rows in
     itertools.product order, read-only. Raises EnumerationBudgetError when
-    A**m exceeds ENUMERATION_BUDGET. Kept for the last two (kernel, law)
-    pairs, both held by identity: a base kernel and the kernel centered on it.
+    A**m exceeds ENUMERATION_BUDGET. Kept for the last (kernel, law), held
+    by identity: a run reads one kernel's table (`centered` reads its base's once).
     """
     size, m = dist.size, kernel.arity
     if size**m > ENUMERATION_BUDGET:

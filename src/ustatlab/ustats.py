@@ -588,7 +588,7 @@ class SamplingDesign:
             if self.size is not None:
                 raise ValueError("bernoulli design takes no size")
         else:
-            if not isinstance(self.size, (int, np.integer)) or self.size < 1:
+            if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)) or self.size < 1:
                 raise ValueError(f"{self.kind} design needs an integer size >= 1, got {self.size!r}")
             if self.rate is not None:
                 raise ValueError(f"{self.kind} design takes no rate")

@@ -414,6 +414,8 @@ class TestDesigns:
             SamplingDesign(kind="bernoulli", rate=0.5, size=3)
         with pytest.raises(ValueError, match="needs an integer size >= 1, got 2.5"):
             SamplingDesign(kind="with-replacement", size=2.5)
+        with pytest.raises(ValueError, match="needs an integer size >= 1, got True"):
+            SamplingDesign(kind="without-replacement", size=True)
 
     def test_selection_validation(self):
         assert Selection(m=2, n=5, ranks=[], counts=[]).empty
