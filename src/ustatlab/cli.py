@@ -213,7 +213,7 @@ class ScalingConfig:
             if self.design_kind == "bernoulli":
                 if not 0.0 < s <= 1.0:
                     fail("sizes", f"bernoulli rates must lie in (0, 1], got {s}")
-            elif s < 1 or s != int(s):
+            elif not math.isfinite(s) or s < 1 or s != int(s):
                 fail("sizes", f"selection sizes must be positive integers, got {s}")
 
 

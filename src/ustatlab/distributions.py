@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 import numpy.random  # numpy loads it lazily at the first Generator; load it here, not mid-run
 
-from .hilbert import HilbertSpace
+from .hilbert import HilbertSpace, _is_integer
 
 __all__ = [
     "FiniteDistribution",
@@ -66,6 +66,8 @@ class FiniteDistribution:
         probs = np.array(self.probs, dtype=np.float64, copy=True)
         if atoms.ndim not in (1, 2) or atoms.shape[0] < 1:
             raise ValueError("atoms must be a nonempty 1-d or 2-d array")
+        if not np.all(np.isfinite(atoms)):
+            raise ValueError("atoms must be finite")
         if probs.shape != (atoms.shape[0],):
             raise ValueError("probs must have one entry per atom")
         if np.any(probs <= 0.0) or not np.all(np.isfinite(probs)):
@@ -153,8 +155,8 @@ class SamplerSpec:
             raise ValueError(f"unknown sampler kind {self.kind!r}")
         if self.kind == "finite" and self.dist is None:
             raise ValueError("finite sampler needs dist")
-        if self.kind == "uniform-grid" and (self.grid_points is None or self.grid_points < 2):
-            raise ValueError("uniform-grid sampler needs grid_points >= 2")
+        if self.kind == "uniform-grid" and not (_is_integer(self.grid_points) and self.grid_points >= 2):
+            raise ValueError(f"uniform-grid sampler needs an integer grid_points >= 2, got {self.grid_points!r}")
         if self.kind == "discretized-gaussian" and self.space is None:
             raise ValueError("discretized-gaussian sampler needs space")
         if not 0 <= int(self.seed_stream) < 2**64:

@@ -24,6 +24,11 @@ class SpaceMismatchError(ValueError):
     """Operands live in different spaces or have the wrong shape."""
 
 
+def _is_integer(value) -> bool:
+    """Whether value is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _frozen_array(values, shape=None) -> np.ndarray:
     out = np.array(values, dtype=np.float64, copy=True)
     if shape is not None and out.shape != shape:
@@ -46,7 +51,7 @@ class HilbertSpace:
     weights: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if not _is_integer(self.dim) or self.dim < 1:
             raise ValueError(f"dim must be a positive integer, got {self.dim!r}")
         object.__setattr__(self, "dim", int(self.dim))
         w = np.ones(self.dim) if self.weights is None else np.asarray(self.weights, dtype=np.float64)

@@ -91,7 +91,6 @@ class ProjectedKernel:
         return KernelSpec(
             arity=self.order,
             codomain=self.base.codomain,
-            eval_one=self.eval,
             eval_batch=self._lookup,
             symmetric=True,
             name=f"proj{self.order}({self.base.name})",

@@ -1,11 +1,8 @@
 """Kernel definitions and the built-in kernel zoo.
 
 A kernel of arity m maps m sample points into a codomain Hilbert space.
-It has two evaluators: `eval_one` on m raw points (floats for scalar inputs,
-coordinate rows for vector inputs) and `eval_batch` on m stacked argument
-columns. A kernel states one of them and `KernelSpec` derives the other
-once, so every estimator evaluates through `batch_values` alone and the
-built-ins state only their vectorized form.
+It states one evaluator, `eval_batch`, on m stacked argument columns, and
+every estimator evaluates it through `batch_values`.
 
 A kernel's values on every tuple of atoms of a finite law, its atom table,
 are built once per (kernel, law), behind `_atom_table`, and every exact
@@ -25,7 +22,7 @@ import numpy as np
 from .distributions import (
     ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution,
 )
-from .hilbert import HilbertSpace, row_norms
+from .hilbert import HilbertSpace, _is_integer, row_norms
 
 __all__ = [
     "KernelSpec",
@@ -45,22 +42,16 @@ class SupBoundWarning(UserWarning):
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Declared shape and evaluators of a kernel.
+    """Declared shape and evaluator of a kernel.
 
     arity: number of sample arguments.
     codomain: space the values live in.
-    eval_one: callable on arity raw points, returns a scalar (codomain
-        dim 1) or a coordinate row.
-    eval_batch: vectorized form on arity argument columns of T rows each;
-        returns (T, dim), or (T,) when the codomain is the scalar line, as a
-        new array, a view of the columns or a read-only array, so a caller
-        may write into a writeable result that shares no memory with them.
-    Give one evaluator (or both); a spec with neither raises ValueError.
-    The missing one is built once here: a loop-only kernel gets the loop
-    of eval_one over the rows as its eval_batch, and a batch-only kernel
-    gets eval_batch on one-row columns as its eval_one, which then returns
-    the (dim,) value row.
-    symmetric: whether eval is invariant under argument permutations.
+    eval_batch: the evaluator, vectorized on arity argument columns of T
+        rows each; returns (T, dim), or (T,) when the codomain is the scalar
+        line, as a new array, a view of the columns or a read-only array, so
+        a caller may write into a writeable result that shares no memory
+        with them.
+    symmetric: whether the values are invariant under argument permutations.
     sup_bound: optional a.s. bound on the value norm, spot-checked during
         Monte Carlo runs.
     declared_degeneracy: optional degeneracy order hint, cross-checked by
@@ -69,45 +60,17 @@ class KernelSpec:
 
     arity: int
     codomain: HilbertSpace
-    eval_one: Callable[..., object] | None = None
-    eval_batch: Callable[..., np.ndarray] | None = None
+    eval_batch: Callable[..., np.ndarray]
     symmetric: bool = False
     sup_bound: float | None = None
     declared_degeneracy: int | None = None
     name: str = "kernel"
 
     def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("arity must be at least 1")
+        if not _is_integer(self.arity) or self.arity < 1:
+            raise ValueError(f"arity must be an integer at least 1, got {self.arity!r}")
         if self.sup_bound is not None and self.sup_bound < 0:
             raise ValueError("sup_bound must be nonnegative")
-        if self.eval_one is None and self.eval_batch is None:
-            raise ValueError("a kernel needs eval_one or eval_batch")
-        if self.eval_batch is None:
-            object.__setattr__(self, "eval_batch", self._row_loop)
-        elif self.eval_one is None:
-            object.__setattr__(self, "eval_one", self._one_row)
-
-    def _row_loop(self, *cols) -> np.ndarray:
-        """eval_one on each row of the argument columns, stacked (T, dim)."""
-        dim = self.codomain.dim
-        out = np.empty((cols[0].shape[0], dim))
-        for t in range(out.shape[0]):
-            out[t] = _as_row(self.eval_one(*(c[t] for c in cols)), dim)
-        return out
-
-    def _one_row(self, *args) -> np.ndarray:
-        """eval_batch on one-row argument columns: the (dim,) value row."""
-        return batch_values(self, tuple(np.asarray(a)[None] for a in args))[0]
-
-
-def _as_row(value, dim: int) -> np.ndarray:
-    out = np.asarray(value, dtype=np.float64)
-    if out.ndim == 0:
-        out = out.reshape(1)
-    if out.shape != (dim,):
-        raise ValueError(f"kernel value has shape {out.shape}, codomain dim is {dim}")
-    return out
 
 
 def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -115,8 +78,7 @@ def batch_values(kernel: KernelSpec, cols: tuple[np.ndarray, ...]) -> np.ndarray
 
     Each column holds one argument position: shape (T,) for scalar inputs or
     (T, d_in) for vector inputs. This is the one evaluation path of every
-    estimator; it calls `eval_batch`, which `KernelSpec` provides for every
-    kernel, loop-only ones included.
+    estimator.
     """
     if len(cols) != kernel.arity:
         raise ValueError(f"kernel has arity {kernel.arity}, got {len(cols)} columns")

@@ -123,6 +123,11 @@ _CHUNK_VALUES = 2**16
 MIN_REPLICAS = 100
 
 
+def _check_replicas(replicas: int) -> None:
+    if replicas < MIN_REPLICAS:
+        raise ValueError(f"replicas must be at least {MIN_REPLICAS}")
+
+
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
     """Inputs shared by the Monte Carlo experiments."""
@@ -135,8 +140,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         _tuple_count(self.kernel.arity, self.sample_size, cap=math.inf)  # the atom routes need no enumeration
-        if self.replicas < MIN_REPLICAS:
-            raise ValueError(f"replicas must be at least {MIN_REPLICAS}")
+        _check_replicas(self.replicas)
         if self.x_grid is not None:
             grid = np.asarray(self.x_grid, dtype=np.float64)
             increasing = grid.ndim == 1 and grid.size >= 1 and np.all(np.diff(grid) > 0)
@@ -555,9 +559,10 @@ def incomplete_scaling_experiment(
     E[#selected]/C(n,m) times the complete statistic within 4 standard
     errors, coordinatewise.
 
-    Replicas run in batches. Every cell's design, tuple count and sup bound
-    are checked before any replica is drawn.
+    Replicas run in batches. The replica count and every cell's design,
+    tuple count and sup bound are checked before any replica is drawn.
     """
+    _check_replicas(replicas)
     support = sampler.finite_support()
     if support is None:
         raise ValueError("scaling experiment needs a finite sampling law")
@@ -666,6 +671,7 @@ def matching_point_compare(
     """
     kernel = coordinate_kernel()
     n = sample_size
+    _check_replicas(replicas)
     if not 1 <= size <= n:
         raise ValueError("size must lie in [1, n]")
     rate = size / n

@@ -48,7 +48,7 @@ import numpy as np
 from .distributions import (
     ENUMERATION_BUDGET, EnumerationBudgetError, FiniteDistribution, _lemire_indices, substream, substreams,
 )
-from .hilbert import HilbertPoint, HilbertSpace, row_norms, squared_row_norms
+from .hilbert import HilbertPoint, HilbertSpace, _is_integer, row_norms, squared_row_norms
 from .kernels import KernelSpec, _atom_table, _is_real_product, batch_values
 
 __all__ = [
@@ -588,7 +588,7 @@ class SamplingDesign:
             if self.size is not None:
                 raise ValueError("bernoulli design takes no size")
         else:
-            if isinstance(self.size, bool) or not isinstance(self.size, (int, np.integer)) or self.size < 1:
+            if not _is_integer(self.size) or self.size < 1:
                 raise ValueError(f"{self.kind} design needs an integer size >= 1, got {self.size!r}")
             if self.rate is not None:
                 raise ValueError(f"{self.kind} design takes no rate")

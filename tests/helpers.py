@@ -21,7 +21,7 @@ import numpy as np
 from ustatlab import FiniteDistribution, HilbertSpace, KernelSpec
 from ustatlab.distributions import draw_iid, exact_expectation, mix_ids, substream
 from ustatlab.hilbert import HilbertPoint, SpaceMismatchError, row_norms
-from ustatlab.kernels import _as_row, batch_values
+from ustatlab.kernels import batch_values
 from ustatlab.martingale import _check_paths
 from ustatlab.montecarlo import _ROLE_DATA, _ROLE_DEC, _ROLE_DESIGN, _ROLE_FIXED, StepTail
 from ustatlab import ustats
@@ -103,11 +103,6 @@ def table_kernel(
         pos = np.searchsorted(sorted_atoms, np.asarray(values, dtype=np.float64))
         return order[np.clip(pos, 0, dist.size - 1)]
 
-    def one(*args):
-        idx = tuple(int(lookup([a])[0]) for a in args)
-        row = sym[idx]
-        return float(row[0]) if dim == 1 else row
-
     def batch(*cols):
         idx = tuple(lookup(col) for col in cols)
         vals = sym[idx]
@@ -116,7 +111,6 @@ def table_kernel(
     return KernelSpec(
         arity=arity,
         codomain=HilbertSpace.euclidean(dim),
-        eval_one=one,
         eval_batch=batch,
         symmetric=True,
         sup_bound=float(np.sqrt((sym**2).sum(axis=-1)).max()),
@@ -125,10 +119,10 @@ def table_kernel(
 
 
 def evaluate(kernel: KernelSpec, args: tuple) -> HilbertPoint:
-    """`kernel.eval_one` on one argument tuple, wrapped as a codomain point."""
-    if len(args) != kernel.arity:
-        raise ValueError(f"kernel has arity {kernel.arity}, got {len(args)} arguments")
-    return kernel.codomain.point(_as_row(kernel.eval_one(*args), kernel.codomain.dim))
+    """The kernel's value on one argument tuple, as a codomain point:
+    `batch_values` on one-row columns, which checks the arity and the
+    value's shape."""
+    return kernel.codomain.point(batch_values(kernel, tuple(np.asarray(a)[None] for a in args))[0])
 
 
 MAX_SYMMETRIZE_ARITY = 6  # 6! = 720 permutation evaluations per call
@@ -182,7 +176,7 @@ def projection_oracle(kernel: KernelSpec, dist: FiniteDistribution, k: int) -> n
             pinned = tuple(dist.atom(i) for i in fixed)
 
             def row(*rest):
-                return np.asarray(kernel.eval_one(*pinned, *rest), dtype=np.float64).reshape(dim)
+                return evaluate(kernel, (*pinned, *rest)).coords
 
             value = exact_expectation(row, dist, kernel.arity - len(fixed))
             partials[fixed] = np.asarray(value, dtype=np.float64).reshape(dim)

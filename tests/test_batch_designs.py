@@ -27,13 +27,14 @@ from ustatlab.distributions import (
     substream,
 )
 from ustatlab.hilbert import HilbertSpace
-from ustatlab.kernels import KernelSpec, centered, gini, product
+from ustatlab.kernels import centered, gini, product
 from ustatlab.montecarlo import (
     ExperimentConfig,
     ScalingCell,
     coordinate_kernel,
     decouple_compare,
     incomplete_scaling_experiment,
+    matching_point_compare,
 )
 from ustatlab.ustats import (
     SamplingDesign,
@@ -50,7 +51,7 @@ _ROLE = 12
 
 
 def _kernels():
-    """(kernel, sampler) pairs: integer, non-integer, dim 2, and no eval_batch."""
+    """(kernel, sampler) pairs: integer, non-integer and dim 2."""
     grid7 = FiniteDistribution.uniform_grid(7)
     law = FiniteDistribution(np.array([-0.7, 0.1, 0.35, 1.3]), np.array([0.1, 0.3, 0.35, 0.25]))
     gini7 = centered(gini(), grid7)
@@ -63,10 +64,6 @@ def _kernels():
         "table-dim2": (
             table_kernel(2, law, np.random.default_rng(5), dim=2),
             SamplerSpec(kind="finite", dist=law, seed_stream=SEED),
-        ),
-        "gini-grid7-no-batch": (
-            KernelSpec(arity=2, codomain=gini7.codomain, eval_one=gini7.eval_one, symmetric=True),
-            SamplerSpec(kind="uniform-grid", grid_points=7, seed_stream=SEED),
         ),
     }
 
@@ -510,28 +507,40 @@ def _counting(monkeypatch, name):
     return calls
 
 
+_GOOD_CELL = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
+
+
 @pytest.mark.parametrize(
-    "bad_cell, error",
+    "cell, replicas, error",
     [
-        (ScalingCell(5, SamplingDesign(kind="without-replacement", size=11)), ValueError),
+        (ScalingCell(5, SamplingDesign(kind="without-replacement", size=11)), 100, ValueError),
         (
             ScalingCell(14_143, SamplingDesign(kind="with-replacement", size=10)),
+            100,
             EnumerationBudgetError,
         ),
-        (ScalingCell(2_100, SamplingDesign(kind="with-replacement", size=10)), ValueError),
+        (ScalingCell(2_100, SamplingDesign(kind="with-replacement", size=10)), 100, ValueError),
+        *((_GOOD_CELL, replicas, ValueError) for replicas in (0, 1, 99)),
     ],
-    ids=["size", "budget", "materialize"],
+    ids=["size", "budget", "materialize", "replicas-0", "replicas-1", "replicas-99"],
 )
-def test_scaling_checks_come_before_any_replica(monkeypatch, bad_cell, error):
+def test_scaling_checks_come_before_any_replica(monkeypatch, cell, replicas, error):
     batches = _counting(monkeypatch, "draw_iid_batch")
     designs = _counting(monkeypatch, "design_sums_batch")
     selections = _counting(monkeypatch, "_design_batch")
-    good = ScalingCell(20, SamplingDesign(kind="with-replacement", size=10))
     with pytest.raises(error):
         incomplete_scaling_experiment(
-            product(), SamplerSpec(kind="rademacher", seed_stream=1), [good, bad_cell], replicas=100
+            product(), SamplerSpec(kind="rademacher", seed_stream=1), [_GOOD_CELL, cell], replicas=replicas
         )
     assert batches == [] and designs == [] and selections == []
+
+
+@pytest.mark.parametrize("replicas", [0, 1, 99])
+def test_matching_checks_come_before_any_replica(monkeypatch, replicas):
+    batches = _counting(monkeypatch, "draw_iid_batch")
+    with pytest.raises(ValueError, match="replicas must be at least 100"):
+        matching_point_compare(SamplerSpec(kind="rademacher", seed_stream=1), 20, 10, replicas)
+    assert batches == []
 
 
 def test_decouple_checks_come_before_any_replica(monkeypatch):

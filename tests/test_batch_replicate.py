@@ -6,9 +6,9 @@ import pytest
 from ustatlab import montecarlo
 from ustatlab.distributions import FiniteDistribution, SamplerSpec, draw_iid, mix_ids
 from ustatlab.hilbert import HilbertSpace
-from ustatlab.kernels import KernelSpec, centered, gini, product
+from ustatlab.kernels import centered, gini, product
 from ustatlab.montecarlo import ExperimentConfig, coordinate_kernel, replicate
-from ustatlab.ustats import running_max, running_max_norms
+from ustatlab.ustats import running_max
 
 DEFAULT_CHUNK = montecarlo._CHUNK_VALUES
 
@@ -66,12 +66,3 @@ def test_batch_size_does_not_change_results(monkeypatch, name):
         runs.append(replicate(config))
     for other in runs[1:]:
         np.testing.assert_array_equal(runs[0], other)
-
-
-def test_running_max_norms_without_batch_evaluator():
-    kernel = coordinate_kernel()
-    loop_only = KernelSpec(arity=1, codomain=kernel.codomain, eval_one=kernel.eval_one)
-    samples = np.random.default_rng(3).normal(size=(5, 9))
-    np.testing.assert_array_equal(
-        running_max_norms(loop_only, samples), running_max_norms(kernel, samples)
-    )

@@ -195,6 +195,14 @@ ERROR_CASES = {
         "version: 1\nexperiment: incomplete-compare\nscaling:\n  design_kind: with-replacement\n  sizes: [10, 2.5]\n",
         ["'scaling.sizes' (line 5)"],
     ),
+    "non-finite-selection-size": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  design_kind: with-replacement\n  sizes: [.inf]\n",
+        ["'scaling.sizes' (line 5)", "got inf"],
+    ),
+    "nan-selection-size": (
+        "version: 1\nexperiment: incomplete-compare\nscaling:\n  design_kind: with-replacement\n  sizes: [.nan]\n",
+        ["'scaling.sizes' (line 5)", "got nan"],
+    ),
     "matching-size-within-sample": (
         "version: 1\nexperiment: incomplete-compare\nscaling:\n  matching:\n    sample_size: 10\n    size: 11\n",
         ["'scaling.matching.size' (line 6)"],
@@ -828,6 +836,14 @@ class TestRefusals:
             None,
             (),
             "sampler: probs sum to 1.1, expected 1 within 1e-12\n",
+        ),
+        "nan-atom": (
+            "tailscan",
+            "version: 1\nexperiment: tailscan\nreplicas: 200\nsample_size: 10\n"
+            "sampler: {kind: finite, atoms: [.nan, 1.0], probs: [0.5, 0.5]}\n",
+            None,
+            (),
+            "sampler: atoms must be finite\n",
         ),
         "decompose-enumeration-budget": (
             "decompose",

@@ -30,7 +30,7 @@ class TestFiniteDistribution:
     @pytest.mark.parametrize("dim", [None, 1, 3])
     def test_distinct_atoms_as_np_unique_judges_them(self, dim):
         """Sorted point keys give np.unique(axis=0)'s verdict: -0 and +0 are one
-        value, and NaN never equals itself."""
+        value. A law with a NaN atom is refused before distinctness is judged."""
         rng = np.random.default_rng(dim or 0)
         for _ in range(300):
             size = int(rng.integers(1, 9))
@@ -38,7 +38,10 @@ class TestFiniteDistribution:
             atoms = atoms if dim else atoms[:, 0]
             distinct = len(np.unique(atoms.reshape(size, -1), axis=0)) == size
             probs = np.full(size, 1.0 / size)
-            if distinct:
+            if np.isnan(atoms).any():
+                with pytest.raises(ValueError, match="atoms must be finite"):
+                    FiniteDistribution(atoms, probs)
+            elif distinct:
                 FiniteDistribution(atoms, probs)
             else:
                 with pytest.raises(ValueError, match="distinct"):
@@ -216,6 +219,26 @@ REFUSALS = {
     "probs-sum": (
         lambda: FiniteDistribution(np.array([0.0, 1.0]), np.array([0.5, 0.6])),
         "probs sum to 1.1, expected 1 within 1e-12",
+    ),
+    "nan-atom": (
+        lambda: FiniteDistribution(np.array([np.nan, 1.0]), np.array([0.5, 0.5])),
+        "atoms must be finite",
+    ),
+    "infinite-vector-atom": (
+        lambda: FiniteDistribution(np.array([[0.0, 1.0], [-np.inf, 2.0]]), np.array([0.5, 0.5])),
+        "atoms must be finite",
+    ),
+    "float-grid-points": (
+        lambda: SamplerSpec(kind="uniform-grid", grid_points=2.5),
+        "uniform-grid sampler needs an integer grid_points >= 2, got 2.5",
+    ),
+    "numpy-float-grid-points": (
+        lambda: SamplerSpec(kind="uniform-grid", grid_points=np.float64(3.0)),
+        "uniform-grid sampler needs an integer grid_points >= 2, got np.float64(3.0)",
+    ),
+    "bool-grid-points": (
+        lambda: SamplerSpec(kind="uniform-grid", grid_points=True),
+        "uniform-grid sampler needs an integer grid_points >= 2, got True",
     ),
     "gaussian-without-space": (
         lambda: SamplerSpec(kind="discretized-gaussian"),

@@ -81,6 +81,10 @@ def test_points_compare_by_space_and_coordinates():
 def test_space_validation():
     with pytest.raises(ValueError):
         HilbertSpace(dim=0, weights=np.array([]))
+    for dim in (True, 2.0, np.float64(2.0)):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            HilbertSpace(dim)
+    assert HilbertSpace(np.int64(2)).dim == 2
     with pytest.raises(ValueError):
         HilbertSpace(dim=2, weights=np.array([1.0, 0.0]))
 

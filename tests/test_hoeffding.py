@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import projection_oracle, random_scalar_dist, symmetrize, table_kernel, uniform_three
+from helpers import evaluate, projection_oracle, random_scalar_dist, symmetrize, table_kernel, uniform_three
 from ustatlab.distributions import (
     EnumerationBudgetError,
     FiniteDistribution,
@@ -58,7 +58,7 @@ class TestProject:
 
     def test_asymmetric_kernel_rejected(self):
         line = HilbertSpace.euclidean(1)
-        k = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x)
+        k = KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: x)
         with pytest.raises(ValueError, match="symmetric"):
             project(k, rademacher, 1)
 
@@ -76,7 +76,7 @@ class TestProject:
     def test_constant_kernel_projects_to_zero(self):
         line = HilbertSpace.euclidean(1)
         k = KernelSpec(
-            arity=2, codomain=line, eval_one=lambda x, y: 4.5, symmetric=True
+            arity=2, codomain=line, eval_batch=lambda x, y: np.full_like(x, 4.5), symmetric=True
         )
         proj = project(k, uniform_three(), 1)
         for atom in uniform_three().atoms:
@@ -87,7 +87,7 @@ class TestProject:
         k = KernelSpec(
             arity=2,
             codomain=line,
-            eval_one=lambda x, y: x * x + y * y,
+            eval_batch=lambda x, y: x * x + y * y,
             symmetric=True,
         )
         proj = project(k, uniform_three(), 2)
@@ -253,9 +253,9 @@ def _table_cases():
         ("product-plane", product(plane), _plane_law()),
         ("sym-sign-plane", symmetrize(spatial_sign(plane)), _plane_law()),
         (
-            "no-batch-form",
+            "quadratic-form",
             KernelSpec(arity=2, codomain=HilbertSpace.euclidean(1),
-                       eval_one=lambda x, y: x * x + y * y + x * y, symmetric=True),
+                       eval_batch=lambda x, y: x * x + y * y + x * y, symmetric=True),
             scalar,
         ),
     ]
@@ -302,10 +302,10 @@ class TestProjectionTables:
     def test_centered_mean_equals_the_enumeration(self, case):
         centered_kernel, law = TABLE_CASES[case]
         base = gini() if "gini" in case else product()
-        mean = exact_expectation(lambda *a: np.atleast_1d(base.eval_one(*a)), law, 2)
+        mean = exact_expectation(lambda *a: evaluate(base, a).coords, law, 2)
         for a, b in itertools.product(law.atoms[:4], repeat=2):
             np.testing.assert_array_equal(
-                centered_kernel.eval_one(a, b), np.atleast_1d(base.eval_one(a, b)) - mean
+                evaluate(centered_kernel, (a, b)).coords, evaluate(base, (a, b)).coords - mean
             )
 
     def test_arity_three_means_equal_the_enumeration(self):
@@ -314,7 +314,7 @@ class TestProjectionTables:
         for _ in range(20):
             law = random_scalar_dist(rng, 5)
             kernel = table_kernel(3, law, rng)
-            want = exact_expectation(lambda *a: np.atleast_1d(kernel.eval_one(*a)), law, 3)
+            want = exact_expectation(lambda *a: evaluate(kernel, a).coords, law, 3)
             np.testing.assert_array_equal(partial_expectations(kernel, law, 0)[0], want)
 
     @pytest.mark.parametrize("dim", [1, 3])

@@ -1,4 +1,4 @@
-"""Kernel zoo behavior, symmetrization, centering, the two evaluators."""
+"""Kernel zoo behavior, symmetrization, centering, one tuple against a batch."""
 
 import warnings
 
@@ -92,14 +92,14 @@ def test_arity_mismatch_rejected():
 class TestSymmetrize:
     def test_two_term_average(self):
         line = HilbertSpace.euclidean(1)
-        k = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x)
+        k = KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: x)
         sym = symmetrize(k)
         assert evaluate(sym, (1.0, 5.0)).coords[0] == pytest.approx(3.0)
         assert sym.symmetric
 
     def test_antisymmetric_kernel_averages_to_zero(self):
         line = HilbertSpace.euclidean(1)
-        k = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x - y)
+        k = KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: x - y)
         sym = symmetrize(k)
         assert evaluate(sym, (2.0, -7.0)).coords[0] == 0.0
 
@@ -111,7 +111,7 @@ class TestSymmetrize:
         rng = np.random.default_rng(5)
         line = HilbertSpace.euclidean(1)
         base = KernelSpec(
-            arity=3, codomain=line, eval_one=lambda x, y, z: x * x + 2.0 * y - z
+            arity=3, codomain=line, eval_batch=lambda x, y, z: x * x + 2.0 * y - z
         )
         once = symmetrize(base)
         twice = symmetrize(once)
@@ -123,7 +123,7 @@ class TestSymmetrize:
 
     def test_arity_cap(self):
         line = HilbertSpace.euclidean(1)
-        k = KernelSpec(arity=7, codomain=line, eval_one=lambda *a: sum(a))
+        k = KernelSpec(arity=7, codomain=line, eval_batch=lambda *a: sum(a))
         with pytest.raises(ValueError):
             symmetrize(k)
 
@@ -134,13 +134,13 @@ class TestCentered:
 
         dist = FiniteDistribution.rademacher()
         k = centered(gini(), dist)
-        mean = exact_expectation(lambda x, y: k.eval_one(x, y), dist, 2)
+        mean = exact_expectation(lambda x, y: evaluate(k, (x, y)).coords, dist, 2)
         np.testing.assert_allclose(mean, [0.0], atol=1e-15)
 
     def test_centering_shifts_values_by_the_old_mean(self):
         dist = uniform_three()
         k = centered(gini(), dist)
-        value = float(np.asarray(k.eval_one(1.0, -1.0)).reshape(-1)[0])
+        value = evaluate(k, (1.0, -1.0)).coords[0]
         assert value == pytest.approx(2.0 - 8.0 / 9.0)
 
     def test_declares_no_degeneracy(self):
@@ -165,7 +165,7 @@ class TestCentered:
         xs = rng.choice(dist.atoms, size=8)
         ys = rng.choice(dist.atoms, size=8)
         vals = batch_values(k, (xs, ys))
-        expected = [float(np.asarray(k.eval_one(x, y))[0]) for x, y in zip(xs, ys)]
+        expected = [evaluate(k, (x, y)).coords[0] for x, y in zip(xs, ys)]
         np.testing.assert_allclose(vals[:, 0], expected, rtol=1e-14)
 
 
@@ -234,25 +234,24 @@ def test_sup_bound_spot_check_warns():
         assert check_sup_bound(k, np.array([0.5, 0.9]), context="test") == 0
 
 
-def test_batch_values_falls_back_to_the_loop():
-    """A loop-only kernel's eval_batch is the row loop KernelSpec builds."""
-    line = HilbertSpace.euclidean(1)
-    k = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x * y, symmetric=True)
-    xs = np.array([1.0, 2.0, 3.0])
-    ys = np.array([4.0, 5.0, 6.0])
-    assert k.eval_batch is not None
-    np.testing.assert_array_equal(k.eval_batch(xs, ys), (xs * ys)[:, None])
-    np.testing.assert_array_equal(batch_values(k, (xs, ys))[:, 0], xs * ys)
+@pytest.mark.parametrize("arity", [0, 2.0, np.float64(2.0), True], ids=["zero", "float", "numpy-float", "bool"])
+def test_a_kernel_needs_an_integer_arity(arity):
+    with pytest.raises(ValueError, match="arity must be an integer at least 1"):
+        KernelSpec(arity=arity, codomain=HilbertSpace.euclidean(1), eval_batch=lambda *cols: cols[0])
 
 
 def test_a_kernel_needs_an_evaluator():
-    with pytest.raises(ValueError, match="eval_one or eval_batch"):
-        KernelSpec(arity=2, codomain=HilbertSpace.euclidean(1))
+    """`eval_batch` is the one evaluator, required; a per-point one is refused."""
+    line = HilbertSpace.euclidean(1)
+    with pytest.raises(TypeError, match="eval_batch"):
+        KernelSpec(arity=2, codomain=line)
+    with pytest.raises(TypeError, match="eval_one"):
+        KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: x * y, eval_one=lambda x, y: x * y)
 
 
 def _zoo():
     """(kernel, argument columns) for every built-in kernel, both combinators
-    over a loop-only and a batch-only base, and both kinds of projection."""
+    and both kinds of projection."""
     rng = np.random.default_rng(11)
     law = random_scalar_dist(rng, 4)
     rows = 40
@@ -260,7 +259,6 @@ def _zoo():
     vectors = [rng.normal(size=(rows, 2)) for _ in range(2)]
     vectors[1][:5] = vectors[0][:5]  # spatial sign at u = v
     line = HilbertSpace.euclidean(1)
-    loop_only = KernelSpec(arity=2, codomain=line, eval_one=lambda x, y: x * x - 3.0 * y)
     batch_only = KernelSpec(arity=2, codomain=line, eval_batch=lambda x, y: x * x - 3.0 * y)
     pair = scalars[:2]
     return {
@@ -272,10 +270,8 @@ def _zoo():
         "spatial-sign": (spatial_sign(plane), vectors),
         "empirical-indicator": (empirical_indicator_from(law, 5), scalars[:1]),
         "coordinate": (coordinate_kernel(), scalars[:1]),
-        "sym-loop-only": (symmetrize(loop_only), pair),
         "sym-batch-only": (symmetrize(batch_only), pair),
         "centered-gini": (centered(gini(), law), pair),
-        "centered-loop-only": (centered(loop_only, law), pair),
         "projection-table": (project(gini(), law, 2).as_kernel(), pair),
     }
 
@@ -285,7 +281,7 @@ ZOO = _zoo()
 
 @pytest.mark.parametrize("name", list(ZOO))
 def test_one_evaluator_matches_the_batch_rows(name):
-    """`evaluate` on one argument tuple equals that tuple's `batch_values` row, bit for bit."""
+    """One argument tuple alone (`evaluate`) equals its row in a batch, bit for bit."""
     kernel, cols = ZOO[name]
     rows = batch_values(kernel, tuple(cols))
     for t in range(rows.shape[0]):

@@ -34,7 +34,9 @@ from ustatlab import kernels, montecarlo
 from ustatlab.montecarlo import _domination_constant, _log_power_integral
 from ustatlab.ustats import SamplingDesign, complete, inc_count
 
-from helpers import bounded_kernel_tail, domination_constant_oracle, empirical_tail, rademacher_product_tail
+from helpers import (
+    bounded_kernel_tail, domination_constant_oracle, empirical_tail, evaluate, rademacher_product_tail,
+)
 
 line = HilbertSpace.euclidean(1)
 FOUR_ATOM = FiniteDistribution(np.array([-1.5, -0.25, 0.5, 2.0]), np.array([0.1, 0.2, 0.3, 0.4]))
@@ -44,7 +46,6 @@ def zero_kernel():
     return KernelSpec(
         arity=2,
         codomain=line,
-        eval_one=lambda x, y: 0.0,
         eval_batch=lambda x, y: np.zeros(np.shape(x)[0]),
         symmetric=True,
         name="zero",
@@ -173,12 +174,14 @@ class TestTailScan:
         assert deg.normalization == pytest.approx(12.0)  # n^(m - d/2) at d = m = 2
         assert deg.target_exponent == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("loop_only", [False, True])
-    def test_sup_bound_spot_check_fires(self, loop_only):
+    @pytest.mark.parametrize("generic", [False, True])
+    def test_sup_bound_spot_check_fires(self, generic):
+        """On the product route, and on the gather route of a product
+        kernel not built by `product`."""
         kernel = product(sup_bound=0.5)
-        if loop_only:
+        if generic:
             kernel = KernelSpec(
-                arity=2, codomain=line, eval_one=lambda u, v: u * v, symmetric=True,
+                arity=2, codomain=line, eval_batch=lambda u, v: u * v, symmetric=True,
                 sup_bound=0.5, declared_degeneracy=2, name="product",
             )
         cfg = make_config(kernel=kernel, replicas=100)
@@ -371,8 +374,7 @@ def hk_values_by_enumeration(kernel, dist, k):
         pinned = tuple(dist.atom(i) for i in combo)
 
         def tail_norm(*rest):
-            row = np.asarray(kernel.eval_one(*pinned, *rest), dtype=np.float64).reshape(-1)
-            return row_norms(kernel.codomain, row)
+            return row_norms(kernel.codomain, evaluate(kernel, (*pinned, *rest)).coords)
 
         values.append(float(exact_expectation(tail_norm, dist, kernel.arity - k)))
         p = 1.0

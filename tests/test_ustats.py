@@ -211,7 +211,6 @@ class TestDecoupled:
         k = KernelSpec(
             arity=1,
             codomain=line,
-            eval_one=lambda x: x * x,
             eval_batch=lambda x: np.asarray(x) ** 2,
             symmetric=True,
         )
@@ -236,7 +235,7 @@ class TestEmbeddingCheck:
 
     def test_zero_kernel(self):
         k = KernelSpec(
-            arity=2, codomain=line, eval_one=lambda x, y: 0.0, symmetric=True
+            arity=2, codomain=line, eval_batch=lambda x, y: np.zeros_like(x), symmetric=True
         )
         assert running_max_embedding_check(k, np.zeros(6)) == 0.0
 
